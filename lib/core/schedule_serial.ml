@@ -1,10 +1,19 @@
 let header = "# pim-sched schedule v1"
 
 let to_string schedule =
-  let buf = Buffer.create 4096 in
+  let mesh = Schedule.mesh schedule in
+  (* one buffer sized for the whole plan (a "w <window>" line of
+     " <rank>" per datum for each window): served plans run to hundreds
+     of KB, and growing by doubling left twice that in garbage *)
+  let rank_chars = 1 + String.length (string_of_int (Pim.Mesh.size mesh - 1)) in
+  let buf =
+    Buffer.create
+      (64
+      + Schedule.n_windows schedule
+        * (8 + (Schedule.n_data schedule * rank_chars)))
+  in
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
-  let mesh = Schedule.mesh schedule in
   Buffer.add_string buf
     (Printf.sprintf "%s %d %d\n"
        (if Pim.Mesh.wraps mesh then "torus" else "mesh")

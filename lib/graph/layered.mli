@@ -1,11 +1,29 @@
 (** Layered shortest-path DP, the shape of the GOMCDS cost-graph.
 
     A layered problem has [n_layers] layers of [width] nodes each, plus an
-    implicit source before layer 0 and sink after the last layer. Edge
-    weights are given by callbacks, so the O(n·m²) dynamic program runs
-    without materializing the graph — GOMCDS calls this once per datum. The
-    explicit-{!Digraph} route (via {!to_digraph}) exists for cross-checking
-    against {!Shortest_path}. *)
+    implicit source before layer 0 and sink after the last layer.
+
+    The production solvers ({!solve_axes}, {!solve_axes_filtered},
+    {!solve_group}) take the mesh metric as two per-axis tables and relax
+    each layer with a separable L1 distance transform — two lexicographic
+    sweeps per row and per column — so an [n]-layer, [m]-node solve costs
+    O(n·m) time and allocates only the returned centers (the work buffers
+    are per domain). Precondition: every axis table is the [|a - b|] line
+    metric or the ring metric [min (|a - b|, e - |a - b|)] of its extent
+    [e] (exactly what {!Pim.Mesh.x_distance_table} and
+    {!Pim.Mesh.y_distance_table} return); any other table raises
+    [Invalid_argument].
+
+    The callback form ({!solve}, {!solve_filtered}) prices edges through
+    closures in O(n·m²); it serves metrics with no axis form (BFS
+    distances around dead links). The dense forms ({!solve_dense},
+    {!solve_dense_filtered}) are the O(n·m²) full-table oracles, and the
+    explicit-{!Digraph} route (via {!to_digraph}) cross-checks against
+    {!Shortest_path}.
+
+    Every solver breaks ties the same way: a target's predecessor is the
+    lowest-ranked source among those reaching it at minimal cost, and the
+    final node is the lowest-ranked minimal one. *)
 
 (** Flat layer-vector buffer for the axis-table solvers: a 1-D [int]
     bigarray, so arena slabs can be allocated {e uninitialized} (only
@@ -63,11 +81,13 @@ val solve_dense_filtered :
     may repeat — a compact arena slab from {!Sched.Problem.layer_slab}
     points every non-referencing layer at one shared zero row. When
     [offsets] is omitted the rows are assumed back to back
-    ([offsets.(w) = w·width]). Results, including every tie-break, are
-    identical to {!solve_dense} over the factored full table.
+    ([offsets.(w) = w·width]). Each layer is relaxed by the separable
+    distance transform in O(width); results, including every tie-break,
+    are identical to {!solve_dense} over the factored full table.
     @raise Invalid_argument if the axis tables do not factor [width], an
-    offset row overruns the buffer, or (without [offsets]) the buffer is
-    shorter than [n_layers · width]. *)
+    axis table is neither a line nor a ring metric, an offset row
+    overruns the buffer, or (without [offsets]) the buffer is shorter
+    than [n_layers · width]. *)
 val solve_axes :
   ?offsets:int array ->
   xdist:int array array ->
@@ -112,9 +132,9 @@ type group_member = {
     another member at the flat inter-array price [move_cost src dst]
     ([src]/[dst] are {e member} indices, only read for [src <> dst]).
     Because the inter-array metric is flat, the block-to-block cross
-    product collapses to one scalar edge per ordered member pair — per
-    layer the DP costs O(Σ width(i)² + n_members²), never
-    O((Σ width)²). [consts ~layer ~member] is added to every node of the
+    product collapses to one scalar edge per ordered member pair, and
+    each block is relaxed by the separable distance transform — per layer
+    the DP costs O(n_members · Σ width(i) + n_members²). [consts ~layer ~member] is added to every node of the
     member in that layer (the cross-array reference cost of hosting the
     datum there — a constant per member, see DESIGN.md §12).
 
@@ -126,7 +146,8 @@ type group_member = {
     with zero [consts] is byte-identical to {!solve_axes}. Returns
     [None] when [allowed] empties some layer.
     @raise Invalid_argument on empty [members], non-positive [n_layers],
-    empty member axis tables, or an offset row outside a member slab. *)
+    empty member axis tables, a member axis table that is neither a line
+    nor a ring metric, or an offset row outside a member slab. *)
 val solve_group :
   members:group_member array ->
   move_cost:(int -> int -> int) ->

@@ -75,84 +75,30 @@ let lower_bound gp =
     Some !total
   end
 
-(* Stage two of the static path: run [algo] inside one member on the
-   subset trace of its assigned data, then lift local centers to global
-   ranks. The subset data space keeps each datum's volume (one 1x1
-   array per datum, named by its global description — unique). *)
-let solve_member gp algo plan m ids =
-  let sub = Group_problem.sub gp m in
-  let member_trace = Sched.Problem.trace sub in
-  let space = Reftrace.Trace.space member_trace in
-  let k = Array.length ids in
-  let descs =
-    Array.map
-      (fun d ->
-        Reftrace.Data_space.array_desc
-          ~volume:(Reftrace.Data_space.volume_of space d)
-          (Reftrace.Data_space.describe space d)
-          ~rows:1 ~cols:1)
-      ids
-  in
-  let sub_space =
-    Reftrace.Data_space.create descs.(0) (List.tl (Array.to_list descs))
-  in
-  let windows =
-    List.map
-      (fun win ->
-        let out = Reftrace.Window.create ~n_data:k in
-        Array.iteri
-          (fun idx d ->
-            List.iter
-              (fun (proc, count) ->
-                Reftrace.Window.add ~kind:Reftrace.Window.Read out ~data:idx
-                  ~proc ~count)
-              (Reftrace.Window.read_profile win d);
-            List.iter
-              (fun (proc, count) ->
-                Reftrace.Window.add ~kind:Reftrace.Window.Write out ~data:idx
-                  ~proc ~count)
-              (Reftrace.Window.write_profile win d))
-          ids;
-        out)
-      (Reftrace.Trace.windows member_trace)
-  in
-  let subset_trace = Reftrace.Trace.create sub_space windows in
-  let problem =
-    Sched.Problem.create
-      ~policy:(Group_problem.policy gp)
-      ~jobs:(Group_problem.jobs gp)
-      ~kernel:(Group_problem.kernel gp)
-      ~fault:(Sched.Problem.fault sub)
-      (Array_group.member (Group_problem.group gp) m)
-      subset_trace
-  in
-  let sched = Sched.Scheduler.solve problem algo in
-  let base = Array_group.base (Group_problem.group gp) m in
-  for w = 0 to Group_problem.n_windows gp - 1 do
-    Array.iteri
-      (fun idx d ->
-        Group_schedule.set_center plan ~window:w ~data:d
-          (base + Sched.Schedule.center sched ~window:w ~data:idx))
-      ids
-  done
-
+(* Stage two of the static path: run [algo] inside each member on the
+   subset trace of its assigned data (the sessions are built once per
+   problem, {!Group_problem.stage_two}), then lift local centers to
+   global ranks. *)
 let static_two_level gp algo =
-  let asn = Group_problem.assignment gp in
-  let nm = Group_problem.n_members gp in
   let plan =
     Group_schedule.create (Group_problem.group gp)
       ~n_windows:(Group_problem.n_windows gp)
       ~n_data:(Group_problem.n_data gp)
   in
-  for m = 0 to nm - 1 do
-    let ids =
-      Array.of_list
-        (List.filter
-           (fun d -> asn.(d) = m)
-           (List.init (Array.length asn) Fun.id))
-    in
-    if Array.length ids > 0 then solve_member gp algo plan m ids
-  done;
+  Array.iteri
+    (fun m -> function
+      | None -> ()
+      | Some (ids, problem) ->
+          let sched = Sched.Scheduler.solve problem algo in
+          let base = Array_group.base (Group_problem.group gp) m in
+          for w = 0 to Group_problem.n_windows gp - 1 do
+            Array.iteri
+              (fun idx d ->
+                Group_schedule.set_center plan ~window:w ~data:d
+                  (base + Sched.Schedule.center sched ~window:w ~data:idx))
+              ids
+          done)
+    (Group_problem.stage_two gp);
   if !Obs.enabled then begin
     Obs.Metrics.incr "multi.static_solves";
     Obs.Metrics.add "multi.array_migrations" (Group_schedule.array_moves plan)

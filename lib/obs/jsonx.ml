@@ -63,8 +63,20 @@ let rec write buf = function
         fields;
       Buffer.add_char buf '}'
 
+(* Printed size of [v] give or take escapes, so [to_string] fills one
+   buffer: responses carry plan strings of hundreds of KB, and growing a
+   buffer by doubling left twice that in garbage per response. *)
+let rec size_hint = function
+  | String s -> String.length s + 8
+  | List l -> List.fold_left (fun acc v -> acc + size_hint v + 1) 2 l
+  | Obj f ->
+      List.fold_left
+        (fun acc (k, v) -> acc + String.length k + size_hint v + 4)
+        2 f
+  | Null | Bool _ | Int _ | Float _ -> 24
+
 let to_string v =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (size_hint v) in
   write buf v;
   Buffer.contents buf
 

@@ -9,7 +9,10 @@
     warm: a repeat instance — even under a different fault — checks it
     out and patches it ({!Sched.Problem.with_fault_patch}), refilling
     only the slab rows the fault change repriced, instead of opening a
-    cold {!Sched.Problem.of_context} session. Request waves fan out
+    cold {!Sched.Problem.of_context} session. A solved group
+    ([arrays]) problem is kept warm the same way, keyed on the instance,
+    group spec, fabric price and fault spec, and reused as is. Request
+    waves fan out
     across the {!Sched.Engine} domain pool; responses depend only on the
     request — never on batching, wave boundaries, warm-session reuse or
     [jobs] — so a served answer is byte-identical to the one-shot CLI
@@ -53,6 +56,7 @@
     Obs metrics (when {!Obs.enabled}): [serve.requests], [serve.errors],
     [serve.rejected], [serve.batches], [serve.context_hits],
     [serve.context_misses], [serve.memo_hits], [serve.warm_sessions],
+    [serve.warm_group_sessions],
     [serve.overloaded], [serve.deadline_exceeded], [serve.task_crashes],
     [serve.line_overflows], [serve.wave_retries],
     [serve.cache_evictions], [serve.client_gone], histogram

@@ -544,6 +544,115 @@ let test_deadline_mid_solve () =
   in
   Alcotest.(check bool) "solves after expiry" true (is_ok r)
 
+(* ---- warm group problems ---- *)
+
+let stat t k =
+  match Server.stats_json t with
+  | Obs.Json.Obj fields -> List.assoc_opt k fields
+  | _ -> Alcotest.fail "stats is not an object"
+
+let test_serve_warm_groups () =
+  let line ?(extra = "") id alg =
+    Printf.sprintf
+      {|{"id":%d,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"%s"%s}|}
+      id alg extra
+  in
+  let faulted = {|,"fault":{"dead_arrays":[1],"dead_nodes":[3]}|} in
+  let requests =
+    [
+      line 1 "gomcds";
+      line 2 "scds";
+      line 3 "gomcds-grouped";
+      line ~extra:faulted 4 "gomcds";
+      line 5 "gomcds";
+      line ~extra:faulted 6 "lomcds";
+    ]
+  in
+  let t = fresh ~memo:false () in
+  List.iter
+    (fun l ->
+      let cold = fresh ~memo:false () in
+      Alcotest.(check string)
+        "warm group = cold rebuild"
+        (Server.handle_line cold l)
+        (Server.handle_line t l))
+    requests;
+  (* 1 -> 2 -> 3 -> 5 share one healthy key; 4 -> 6 the faulted one *)
+  Alcotest.(check bool)
+    "four warm group checkouts" true
+    (stat t "warm_group_sessions" = Some (Obs.Json.Int 4));
+  Alcotest.(check bool)
+    "solo pool untouched" true
+    (stat t "warm_sessions" = Some (Obs.Json.Int 0));
+  Alcotest.(check bool)
+    "two group entries parked" true
+    (stat t "warm_entries" = Some (Obs.Json.Int 2))
+
+(* A deadline that expires after its request finished never fires
+   inside a later solve on the same warm group problem (the token is
+   detached at check-in and re-armed per request). *)
+let test_serve_warm_group_detaches_deadline () =
+  let t = fresh () in
+  let r1 =
+    Server.handle_line t
+      {|{"id":1,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"scds","deadline_ms":100}|}
+  in
+  Alcotest.(check bool) "within budget" true (is_ok r1);
+  Unix.sleepf 0.15;
+  let r2 =
+    Server.handle_line t
+      {|{"id":2,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"gomcds"}|}
+  in
+  Alcotest.(check bool) "warm solve ignores the stale deadline" true (is_ok r2);
+  Alcotest.(check bool)
+    "served warm" true
+    (stat t "warm_group_sessions" = Some (Obs.Json.Int 1))
+
+(* A failed group solve is discarded, never checked back in. *)
+let test_serve_warm_group_discarded_on_failure () =
+  let t = fresh () in
+  let l id =
+    Printf.sprintf
+      {|{"id":%d,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"gomcds","deadline_ms":5}|}
+      id
+  in
+  Obs.Failpoint.clear ();
+  Obs.Failpoint.configure "serve.solve=delay:30";
+  (Fun.protect ~finally:Obs.Failpoint.clear @@ fun () ->
+   Alcotest.(check string)
+     "expired in flight" "deadline-exceeded"
+     (error_code (Server.handle_line t (l 1))));
+  Alcotest.(check bool)
+    "nothing parked" true
+    (stat t "warm_entries" = Some (Obs.Json.Int 0));
+  let r =
+    Server.handle_line t
+      {|{"id":2,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"gomcds"}|}
+  in
+  Alcotest.(check bool) "cold again" true (is_ok r);
+  Alcotest.(check bool)
+    "no warm checkout" true
+    (stat t "warm_group_sessions" = Some (Obs.Json.Int 0))
+
+(* A generator refusing its parameters is a typed bad request on both
+   the single-mesh and the group path, never an internal error. *)
+let test_generator_errors_typed () =
+  let t = fresh () in
+  let r =
+    Server.handle_line t {|{"id":1,"workload":"fft","size":24,"algorithm":"scds"}|}
+  in
+  Alcotest.(check string) "single-mesh" "bad-request" (error_code r);
+  let r =
+    Server.handle_line t
+      {|{"id":2,"workload":"fft","size":24,"arrays":"2x2of4x4","algorithm":"scds"}|}
+  in
+  Alcotest.(check string) "group" "bad-request" (error_code r);
+  Alcotest.(check bool)
+    "no crash counted" true
+    (match Server.stats_json t with
+    | Obs.Json.Obj f -> List.assoc_opt "task_crashes" f = Some (Obs.Json.Int 0)
+    | _ -> false)
+
 (* ---- fuzzing: hostile bytes must never crash the daemon ---- *)
 
 let typed_codes =
@@ -837,6 +946,12 @@ let suite =
     Gen.case "cancellation tokens" test_cancel_token;
     Gen.case "deadlines" test_deadline;
     Gen.case "deadline expires mid-solve" test_deadline_mid_solve;
+    Gen.case "warm group problems = cold rebuilds" test_serve_warm_groups;
+    Gen.case "warm group drops its deadline"
+      test_serve_warm_group_detaches_deadline;
+    Gen.case "failed group solve is discarded"
+      test_serve_warm_group_discarded_on_failure;
+    Gen.case "generator errors are bad requests" test_generator_errors_typed;
     Gen.to_alcotest fuzz_garbage;
     Gen.to_alcotest fuzz_truncation;
     Gen.to_alcotest fuzz_nesting;

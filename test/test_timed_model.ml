@@ -518,12 +518,45 @@ let test_fault_detour_stalls_no_deadlock () =
   check_bool "backpressure never speeds up" true
     (squeezed.T.cycles >= free.T.cycles)
 
+(* Depth-1 queues on detoured traffic stall but never wedge. They do not
+   always slow a round down, though. A packet that finishes its hop into
+   a full queue blocks in place, and when a slot frees it competes with
+   every packet finishing its hop that cycle; the engine hands the slot
+   out in injection order. So backpressure can let a long packet
+   overtake a short one it trailed in the unbounded run. That is a
+   list-scheduling anomaly of FIFO networks with crossing routes (the
+   shared-route properties above are the tandem case, where it cannot
+   happen), not a simulator fault: the pins below trace one by hand.
+   What holds in general is termination, conserved volume-hops and the
+   per-round lower bounds. *)
+let round_lower_bound ~fault mesh msgs =
+  let oracle = Pim.Fault.Oracle.create mesh fault in
+  let loads = Hashtbl.create 16 in
+  List.fold_left
+    (fun acc (m : Pim.Router.message) ->
+      let route =
+        Option.get (Pim.Fault.Oracle.route oracle ~src:m.src ~dst:m.dst)
+      in
+      let rec walk = function
+        | a :: (b :: _ as rest) ->
+            let l = Option.value (Hashtbl.find_opt loads (a, b)) ~default:0 in
+            Hashtbl.replace loads (a, b) (l + m.volume);
+            walk rest
+        | _ -> ()
+      in
+      walk route;
+      max acc ((List.length route - 1) * m.volume))
+    0 (live_of msgs)
+  |> Hashtbl.fold (fun _ l acc -> max acc l) loads
+
 let prop_faulty_bounded_queues_terminate (label, mesh, fault) =
   let arb =
     Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:3 ~max_count:3 ()
   in
   QCheck.Test.make
-    ~name:("bounded queues on faulty " ^ label ^ ": stall, never deadlock")
+    ~name:
+      ("bounded queues on faulty " ^ label
+     ^ ": stall, never deadlock, round lower bounds hold")
     ~count:20 arb
     (fun trace ->
       let problem = Sched.Problem.create ~kernel ~fault mesh trace in
@@ -534,8 +567,118 @@ let prop_faulty_bounded_queues_terminate (label, mesh, fault) =
       let squeezed =
         T.run ~fault ~model:(LM.create ~queue_depth:1 ()) mesh rounds
       in
-      squeezed.T.total_cycles >= free.T.total_cycles
-      && squeezed.T.total_volume_hops = free.T.total_volume_hops)
+      squeezed.T.total_volume_hops = free.T.total_volume_hops
+      && List.for_all2
+           (fun (r : T.round_report) { Pim.Simulator.migrations; references } ->
+             r.T.cycles
+             >= round_lower_bound ~fault mesh (migrations @ references))
+           squeezed.T.rounds rounds)
+
+(* The smallest anomaly found, traced by hand (links are BFS detours
+   around [fault_mesh]; one cycle moves one unit):
+   - A = 1->12 (volume 2) over 1-5-4-8-12, B = 5->0 over 5-4-0,
+     C = 5->12 over 5-4-8-12, D = 9->4 over 9-5-4;
+   - unbounded: D finishes its first hop in cycle 0 and queues at link
+     5-4 a cycle ahead of A, so A waits for D there: makespan 9;
+   - depth 1: in cycle 0 the one slot of 5-4's queue still holds C, so
+     D blocks in place; in cycle 1 the slot frees, and A (injected
+     first) takes it ahead of the blocked D: makespan 8. *)
+let test_backpressure_anomaly_pin () =
+  let msgs =
+    [
+      msg ~src:1 ~dst:12 ~volume:2;
+      msg ~src:5 ~dst:0 ~volume:1;
+      msg ~src:5 ~dst:12 ~volume:1;
+      msg ~src:9 ~dst:4 ~volume:1;
+    ]
+  in
+  let free = T.round_stats ~fault:fault_mesh mesh44 msgs in
+  let squeezed =
+    T.round_stats ~fault:fault_mesh ~model:(LM.create ~queue_depth:1 ())
+      mesh44 msgs
+  in
+  check_int "unbounded" 9 free.T.cycles;
+  check_int "depth 1" 8 squeezed.T.cycles;
+  check_bool "depth 1 stalled" true (squeezed.T.queue_stall_cycles > 0);
+  check_int "same volume-hops" free.T.volume_hops squeezed.T.volume_hops
+
+(* The counterexamples QCHECK_SEED 5, 15 and 38 drew against the former
+   "backpressure never speeds up" statement of the property above, pinned
+   as deterministic cases: (seed, topology, unbounded cycles, depth-1
+   cycles, trace). *)
+let seed_anomalies =
+  [
+    ( 5,
+      "mesh",
+      33,
+      32,
+      Gen.trace mesh44 ~n_data:5
+        [
+        [(0, 14, 3); (1, 6, 1); (1, 7, 1); (1, 9, 1); (2, 9, 3); (2, 11, 3);
+         (2, 13, 3); (2, 14, 3); (3, 2, 1); (4, 9, 2); (4, 13, 2) ];
+        [(0, 1, 1); (0, 4, 3); (0, 8, 3); (0, 11, 1); (0, 12, 1); (1, 4, 3);
+         (1, 6, 1); (1, 10, 1); (1, 12, 1); (2, 1, 1); (2, 4, 3); (2, 10, 1);
+         (2, 11, 2); (2, 12, 1); (3, 0, 1); (3, 3, 1); (3, 4, 2); (3, 7, 4);
+         (3, 15, 3); (4, 0, 2); (4, 2, 1); (4, 5, 2); (4, 6, 5); (4, 15, 1) ];
+        [(0, 3, 3); (0, 15, 4); (1, 4, 3); (1, 7, 2); (1, 10, 3); (1, 12, 1);
+         (2, 5, 3); (2, 7, 3); (4, 0, 1); (4, 2, 3); (4, 3, 1); (4, 9, 3) ];
+        ] );
+    ( 15,
+      "torus",
+      46,
+      44,
+      Gen.trace mesh44 ~n_data:2
+        [
+        [(0, 0, 1); (0, 1, 2); (0, 2, 2); (0, 4, 4); (0, 6, 2); (0, 7, 6);
+         (0, 8, 3); (0, 9, 2); (0, 10, 2); (0, 11, 1); (0, 14, 2); (1, 0, 2);
+         (1, 3, 2); (1, 7, 2); (1, 8, 5); (1, 9, 3); (1, 10, 5); (1, 11, 7);
+         (1, 12, 2) ];
+        [(0, 0, 1); (0, 1, 8); (0, 2, 5); (0, 11, 1); (0, 13, 4); (0, 14, 4);
+         (1, 0, 6); (1, 1, 4); (1, 3, 3); (1, 4, 7); (1, 7, 3); (1, 8, 1);
+         (1, 11, 2); (1, 12, 3); (1, 13, 1); (1, 14, 2) ];
+        [(0, 0, 3); (0, 6, 1); (0, 11, 6); (1, 1, 2); (1, 2, 1); (1, 11, 2) ];
+        ] );
+    ( 38,
+      "mesh",
+      41,
+      40,
+      Gen.trace mesh44 ~n_data:3
+        [
+        [(0, 0, 1); (0, 1, 3); (0, 4, 2); (0, 6, 1); (0, 7, 4); (0, 10, 1);
+         (0, 11, 2); (0, 15, 3); (1, 0, 3); (1, 1, 2); (1, 6, 1); (1, 7, 2);
+         (1, 8, 2); (1, 9, 2); (1, 10, 2); (1, 12, 1); (1, 13, 1);
+         (1, 14, 1); (1, 15, 2); (2, 2, 3); (2, 4, 2); (2, 11, 2);
+         (2, 14, 8); (2, 15, 3) ];
+        [(0, 5, 3); (0, 7, 4); (0, 10, 2); (0, 12, 3); (0, 13, 4);
+         (0, 15, 2); (1, 0, 1); (1, 4, 1); (1, 13, 2); (1, 14, 3); (2, 1, 2);
+         (2, 4, 1); (2, 15, 2) ];
+        [(0, 5, 3); (0, 6, 2); (0, 7, 2); (0, 9, 3); (0, 10, 2); (0, 11, 2);
+         (0, 12, 5); (0, 15, 1); (1, 1, 1); (1, 3, 2); (1, 6, 2); (1, 7, 1);
+         (1, 8, 3); (1, 14, 3); (2, 0, 1); (2, 2, 1); (2, 4, 3); (2, 9, 2);
+         (2, 11, 1); (2, 15, 1) ];
+        ] );
+  ]
+
+let test_seed_anomaly_pins () =
+  List.iter
+    (fun (seed, topo, free_cycles, squeezed_cycles, trace) ->
+      let mesh, fault =
+        if topo = "mesh" then (mesh44, fault_mesh) else (torus35, fault_torus)
+      in
+      let name what = Printf.sprintf "seed %d %s: %s" seed topo what in
+      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
+      let rounds = Sched.Schedule.to_rounds schedule trace in
+      let free = T.run ~fault mesh rounds in
+      let squeezed =
+        T.run ~fault ~model:(LM.create ~queue_depth:1 ()) mesh rounds
+      in
+      check_int (name "unbounded cycles") free_cycles free.T.total_cycles;
+      check_int (name "depth-1 cycles") squeezed_cycles
+        squeezed.T.total_cycles;
+      check_int (name "volume-hops") free.T.total_volume_hops
+        squeezed.T.total_volume_hops)
+    seed_anomalies
 
 let faulty_bounded_cases =
   [ ("mesh", mesh44, fault_mesh); ("torus", torus35, fault_torus) ]
@@ -584,5 +727,8 @@ let suite =
       (prop_faulty_bounded_queues_terminate (List.nth faulty_bounded_cases 0));
     Gen.to_alcotest
       (prop_faulty_bounded_queues_terminate (List.nth faulty_bounded_cases 1));
+    Gen.case "backpressure anomaly pin (crossing detours)"
+      test_backpressure_anomaly_pin;
+    Gen.case "backpressure anomalies at seeds 5, 15, 38" test_seed_anomaly_pins;
     Gen.to_alcotest prop_honest_stats_sane;
   ]
