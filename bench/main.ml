@@ -19,6 +19,39 @@ let quick =
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+(* Fastest of the mode's reps of [f], each after a full major GC so one
+   rep's garbage is not collected on the next rep's clock. *)
+let best_wall f =
+  let best = ref infinity in
+  for _ = 1 to if quick then 3 else 5 do
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    f ();
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+(* Best-of retries for a wall-clock gate: take a sample, and while it
+   does not [pass] take another (up to 8 attempts in all) and [merge] it
+   into the running one. Timer noise on a loaded host can sink any single
+   sample; a real regression fails every attempt. Returns the final
+   sample and the attempt count. *)
+let best_of ~pass ~merge measure =
+  let rec go attempts acc =
+    if pass acc || attempts >= 8 then (acc, attempts)
+    else go (attempts + 1) (merge acc (measure ()))
+  in
+  go 1 (measure ())
+
+(* [merge] for a (baseline, candidate) pair of wall times: each side
+   keeps its fastest run. *)
+let min2 (a, b) (a', b') = (Float.min a a', Float.min b b')
+
+(* Both sides of a pair, measured in order ([a] first). *)
+let pair a b () =
+  let x = a () in
+  (x, b ())
+
 let total ?capacity algorithm mesh trace =
   Sched.Schedule.total_cost
     (Sched.Scheduler.run ?capacity algorithm mesh trace)
@@ -558,47 +591,36 @@ let engine_scaling () =
     List.iter (fun a -> ignore (Sched.Scheduler.solve problem a)) algos;
     ignore (Sched.Bounds.lower_bound_in problem)
   in
-  let time f =
-    let reps = if quick then 3 else 5 in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
+  let time = best_wall in
   let baseline = time legacy in
   Printf.printf "%-28s %10.1f ms  %8s\n" "legacy (context per run)"
     (baseline *. 1e3) "1.00x";
-  (* jobs=4 vs jobs=1 is the CI gate (>= 0.95x, serve_bench retry idiom):
+  (* jobs=4 vs jobs=1 is the CI gate (>= 0.95x, [best_of] retries):
      the engine claims chunks of ~n/(k*8) indices, so on a host whose
      effective pool is one domain the two settings run identical work and
      differ only by timer noise, while a real pool must not regress *)
-  let t1 = ref (time (engine 1)) and t4 = ref (time (engine 4)) in
+  let (t1, t4), attempts =
+    best_of ~merge:min2
+      ~pass:(fun (t1, t4) -> t1 >= t4 *. 0.95)
+      (pair (fun () -> time (engine 1)) (fun () -> time (engine 4)))
+  in
   let t2 = time (engine 2) in
-  let attempts = ref 1 in
-  while (!t1 < !t4 *. 0.95) && !attempts < 8 do
-    incr attempts;
-    t1 := Float.min !t1 (time (engine 1));
-    t4 := Float.min !t4 (time (engine 4))
-  done;
   List.iter
     (fun (jobs, s) ->
       Printf.printf "%-28s %10.1f ms  %7.2fx\n"
         (Printf.sprintf "shared Problem.t, jobs=%d" jobs)
         (s *. 1e3) (baseline /. s))
-    [ (1, !t1); (2, t2); (4, !t4) ];
+    [ (1, t1); (2, t2); (4, t4) ];
   Printf.printf
     "jobs=4/jobs=1 %.2fx (best of %d attempt(s))\n\
      (speedup vs. the legacy path: the shared context computes each\n\
     \ (datum, window) cost vector once for all algorithms and the bound)\n"
-    (!t1 /. !t4) !attempts;
-  if !t1 < !t4 *. 0.95 then begin
+    (t1 /. t4) attempts;
+  if t1 < t4 *. 0.95 then begin
     Printf.eprintf
       "FAIL: engine at jobs=4 fell behind jobs=1 on LU 16x16 (%.1f ms vs \
        %.1f ms)\n"
-      (!t4 *. 1e3) (!t1 *. 1e3);
+      (t4 *. 1e3) (t1 *. 1e3);
     exit 1
   end;
   Obs.Json.Obj
@@ -606,19 +628,19 @@ let engine_scaling () =
       ("workload", Obs.Json.String "lu-16x16");
       ("mesh", Obs.Json.String "4x4");
       ("legacy_ms", Obs.Json.Float (baseline *. 1e3));
-      ("jobs1_ms", Obs.Json.Float (!t1 *. 1e3));
+      ("jobs1_ms", Obs.Json.Float (t1 *. 1e3));
       ("jobs2_ms", Obs.Json.Float (t2 *. 1e3));
-      ("jobs4_ms", Obs.Json.Float (!t4 *. 1e3));
-      ("speedup_vs_legacy", Obs.Json.Float (baseline /. !t1));
-      ("jobs4_vs_jobs1", Obs.Json.Float (!t1 /. !t4));
-      ("attempts", Obs.Json.Int !attempts);
+      ("jobs4_ms", Obs.Json.Float (t4 *. 1e3));
+      ("speedup_vs_legacy", Obs.Json.Float (baseline /. t1));
+      ("jobs4_vs_jobs1", Obs.Json.Float (t1 /. t4));
+      ("attempts", Obs.Json.Int attempts);
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernel dimension: separable vs naive cost-vector construction       *)
 (* ------------------------------------------------------------------ *)
 
-(* Three comparisons of the cost-arena fast paths on the LU 16x16 workload
+(* Two comparisons of the cost-arena fast paths on the LU 16x16 workload
    mapped onto a 16x16 array -- the size where the naive O(P x refs) walk
    actually hurts (the separable kernel is O(refs + rows + cols + P) per
    vector, so its edge grows with the reference density and with P). Run
@@ -626,14 +648,10 @@ let engine_scaling () =
    path has its own perf trail in BENCH_<rev>.json:
 
    - cost-vector construction: every referenced (window, datum) vector
-     built directly through [Cost.Naive.cost_vector] (the pre-refactor
+     built directly through [Oracle.Cost_naive.cost_vector] (the pre-refactor
      profile-fold, one coordinate decode per (center, reference) term)
      vs [Cost.cost_vector] (marginals + per-axis prefix sums). Gated:
      separable must not be slower.
-   - end-to-end [Problem.prefetch_all] (jobs=1, fresh context per rep):
-     the same fill through the context layer, where the naive path reads
-     its private distance table and both kernels share the flat-arena
-     fill and cache bookkeeping -- a smaller, honest ratio.
    - [Problem.prefetch_all] vs the retired PR 3 fill: one heap array per
      (window, datum) pair -- zero-reference pairs included -- assembled
      through [Cost.cost_vector] and parked in an option matrix, plus the
@@ -662,15 +680,7 @@ let kernel_bench_on ~topology kmesh =
   let n_windows = Reftrace.Trace.n_windows trace in
   let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
   let reps = if quick then 3 else 5 in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
+  let time = best_wall in
   let n_vectors = ref 0 in
   let build vector_of () =
     n_vectors := 0;
@@ -684,7 +694,7 @@ let kernel_bench_on ~topology kmesh =
       windows
   in
   let naive =
-    time (build (fun w ~data -> Sched.Cost.Naive.cost_vector kmesh w ~data))
+    time (build (fun w ~data -> Oracle.Cost_naive.cost_vector kmesh w ~data))
   in
   let separable =
     time (build (fun w ~data -> Sched.Cost.cost_vector kmesh w ~data))
@@ -693,16 +703,15 @@ let kernel_bench_on ~topology kmesh =
   let capacity =
     Pim.Memory.capacity_for ~data_count:n_data ~mesh:kmesh ~headroom:2
   in
-  let prefetch ?fault kernel =
+  let prefetch ?fault () =
     let best = ref infinity in
     for _ = 1 to reps do
-      (* context creation (incl. the naive kernel's eager distance table)
-         stays outside the timer, and so does collecting the previous
-         rep's garbage -- GC slices inside the timed region otherwise
-         charge one rep's allocation to the next rep's clock *)
+      (* context creation stays outside the timer, and so does collecting
+         the previous rep's garbage -- GC slices inside the timed region
+         otherwise charge one rep's allocation to the next rep's clock *)
       let problem =
         Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity)
-          ~jobs:1 ~kernel ?fault kmesh trace
+          ~jobs:1 ?fault kmesh trace
       in
       Gc.full_major ();
       let t0 = Unix.gettimeofday () in
@@ -711,19 +720,18 @@ let kernel_bench_on ~topology kmesh =
     done;
     !best
   in
-  let pf_naive = prefetch `Naive in
-  let pf_separable = prefetch `Separable in
+  let pf_separable = prefetch () in
   (* Fault.none zero-overhead: a context carrying the explicit healthy
      fault must take the exact same fill path. The timing row is
      informational (wall clocks are noise-prone in CI); the gate is
      byte-identical arena rows. *)
-  let pf_fault_none = prefetch ~fault:Pim.Fault.none `Separable in
+  let pf_fault_none = prefetch ~fault:Pim.Fault.none () in
   let healthy =
     Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~jobs:1
-      ~kernel:`Separable kmesh trace
+      kmesh trace
   and fault_none =
     Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~jobs:1
-      ~kernel:`Separable ~fault:Pim.Fault.none kmesh trace
+      ~fault:Pim.Fault.none kmesh trace
   in
   List.iteri
     (fun w window ->
@@ -749,26 +757,20 @@ let kernel_bench_on ~topology kmesh =
   let windows_arr = Array.of_list windows in
   let size = Pim.Mesh.size kmesh in
   let pf_legacy =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let store = Array.make_matrix n_data n_windows None in
-      for data = 0 to n_data - 1 do
-        for w = 0 to n_windows - 1 do
-          store.(data).(w) <-
-            Some (Sched.Cost.cost_vector kmesh windows_arr.(w) ~data)
-        done
-      done;
-      let dist =
-        Array.init size (fun a ->
-            Array.init size (fun b -> Pim.Mesh.distance kmesh a b))
-      in
-      ignore (store : int array option array array);
-      ignore (dist : int array array);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
+    best_wall (fun () ->
+        let store = Array.make_matrix n_data n_windows None in
+        for data = 0 to n_data - 1 do
+          for w = 0 to n_windows - 1 do
+            store.(data).(w) <-
+              Some (Sched.Cost.cost_vector kmesh windows_arr.(w) ~data)
+          done
+        done;
+        let dist =
+          Array.init size (fun a ->
+              Array.init size (fun b -> Pim.Mesh.distance kmesh a b))
+        in
+        ignore (store : int array option array array);
+        ignore (dist : int array array))
   in
   let arena_speedup = pf_legacy /. pf_separable in
   Printf.printf "%d cost vectors (%d windows, %d data, %d processors)\n"
@@ -776,14 +778,10 @@ let kernel_bench_on ~topology kmesh =
   Printf.printf "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.1fx\n"
     "construction, naive" (naive *. 1e3) "construction, separable"
     (separable *. 1e3) "construction speedup" speedup;
-  Printf.printf
-    "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.1fx\n%-34s \
-     %9.1fx\n"
-    "prefetch_all, naive (table)" (pf_naive *. 1e3)
+  Printf.printf "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.1fx\n"
     "prefetch_all, separable" (pf_separable *. 1e3)
-    "per-vector fill (pre-arena)" (pf_legacy *. 1e3) "prefetch_all speedup"
-    (pf_naive /. pf_separable) "arena speedup vs per-vector"
-    arena_speedup;
+    "per-vector fill (pre-arena)" (pf_legacy *. 1e3)
+    "arena speedup vs per-vector" arena_speedup;
   Printf.printf "%-34s %10.3f ms  (rows gated byte-identical)\n"
     "prefetch_all, Fault.none" (pf_fault_none *. 1e3);
   if separable > naive then begin
@@ -814,9 +812,7 @@ let kernel_bench_on ~topology kmesh =
       ("naive_ms", Obs.Json.Float (naive *. 1e3));
       ("separable_ms", Obs.Json.Float (separable *. 1e3));
       ("speedup", Obs.Json.Float speedup);
-      ("prefetch_naive_ms", Obs.Json.Float (pf_naive *. 1e3));
       ("prefetch_separable_ms", Obs.Json.Float (pf_separable *. 1e3));
-      ("prefetch_speedup", Obs.Json.Float (pf_naive /. pf_separable));
       ("prefetch_legacy_ms", Obs.Json.Float (pf_legacy *. 1e3));
       ("prefetch_fault_none_ms", Obs.Json.Float (pf_fault_none *. 1e3));
       ("arena_speedup_vs_per_vector", Obs.Json.Float arena_speedup);
@@ -882,14 +878,13 @@ let serve_bench () =
     (float_of_int n_requests /. wall, pct 0.50, pct 0.99)
   in
   let thr (t, _, _) = t in
-  let best1 = ref (measure 1) and best4 = ref (measure 4) in
-  let update r m = if thr m > thr !r then r := m in
-  let attempts = ref 1 in
-  while thr !best4 < thr !best1 && !attempts < 8 do
-    incr attempts;
-    update best1 (measure 1);
-    update best4 (measure 4)
-  done;
+  let faster r m = if thr m > thr r then m else r in
+  let (best1, best4), attempts =
+    best_of
+      ~merge:(fun (b1, b4) (m1, m4) -> (faster b1 m1, faster b4 m4))
+      ~pass:(fun (b1, b4) -> thr b4 >= thr b1)
+      (pair (fun () -> measure 1) (fun () -> measure 4))
+  in
   let row jobs (t, p50, p99) =
     Printf.printf
       "jobs=%d  %8.1f req/s   p50 %7.3f ms   p99 %7.3f ms\n" jobs t
@@ -904,16 +899,16 @@ let serve_bench () =
         ("p99_ms", Obs.Json.Float (p99 *. 1e3));
       ]
   in
-  let r1 = row 1 !best1 in
-  let r4 = row 4 !best4 in
+  let r1 = row 1 best1 in
+  let r4 = row 4 best4 in
   let rows = [ r1; r4 ] in
   Printf.printf "best of %d attempt(s); jobs=4/jobs=1 throughput %.2fx\n"
-    !attempts
-    (thr !best4 /. thr !best1);
-  if thr !best4 < 0.95 *. thr !best1 then begin
+    attempts
+    (thr best4 /. thr best1);
+  if thr best4 < 0.95 *. thr best1 then begin
     Printf.printf
       "FAIL: serve wave at jobs=4 fell behind jobs=1 (%.1f vs %.1f req/s)\n"
-      (thr !best4) (thr !best1);
+      (thr best4) (thr best1);
     exit 1
   end;
   (* the chaos hooks are compiled into the serve path unconditionally;
@@ -921,16 +916,18 @@ let serve_bench () =
      1.10x the disabled p50 -- failpoints may not tax production
      latency. Best-of retries absorb timer noise on millisecond p50s. *)
   let p50_of (_, p, _) = p in
-  let rec fp_gate attempt =
-    let base = measure 1 in
-    Obs.Failpoint.configure "";
-    let armed =
-      Fun.protect ~finally:Obs.Failpoint.clear (fun () -> measure 1)
-    in
-    let ratio = p50_of armed /. p50_of base in
-    if ratio > 1.10 && attempt < 8 then fp_gate (attempt + 1) else ratio
+  let fp_ratio, _ =
+    best_of
+      ~merge:(fun _ latest -> latest)
+      ~pass:(fun ratio -> ratio <= 1.10)
+      (fun () ->
+        let base = measure 1 in
+        Obs.Failpoint.configure "";
+        let armed =
+          Fun.protect ~finally:Obs.Failpoint.clear (fun () -> measure 1)
+        in
+        p50_of armed /. p50_of base)
   in
-  let fp_ratio = fp_gate 1 in
   Printf.printf "failpoints armed-but-idle p50 ratio %.2fx (gate 1.10x)\n"
     fp_ratio;
   if fp_ratio > 1.10 then begin
@@ -959,9 +956,9 @@ let serve_bench () =
      wholesale ([Group_solver] hands the member session to
      [Sched.Scheduler.solve]), so the only admissible cost is
      [Group_problem.create]'s thin wrapper. Gate: group wall <= 1.15x
-     plain wall, best-of reps with the serve_bench retry loop to damp
-     timer noise; the lifted schedule must also be identical, because a
-     timing gate on a different answer proves nothing.
+     plain wall, [best_of] retries to damp timer noise; the lifted
+     schedule must also be identical, because a timing gate on a
+     different answer proves nothing.
    - 2x2of8x8 info rows: the migration DP (gomcds) and the static
      two-level path (scds) on LU 16x16 laid out on the group's virtual
      mesh, against the group-metric lower bound. Not gated; the numbers
@@ -977,17 +974,7 @@ let multi_bench () =
       ~mesh:big ~headroom:2
   in
   let policy = Sched.Problem.Bounded capacity in
-  let reps = if quick then 3 else 5 in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
+  let time = best_wall in
   let plain () =
     let problem = Sched.Problem.create ~policy big trace in
     ignore (Sched.Scheduler.solve problem Sched.Scheduler.Gomcds)
@@ -1014,23 +1001,21 @@ let multi_bench () =
         "FAIL: degenerate 1-array group schedule differs from the plain \
          mesh schedule\n";
       exit 1);
-  let t_plain = ref (time plain) and t_group = ref (time grouped) in
-  let attempts = ref 1 in
-  while !t_group > 1.15 *. !t_plain && !attempts < 8 do
-    incr attempts;
-    t_plain := Float.min !t_plain (time plain);
-    t_group := Float.min !t_group (time grouped)
-  done;
-  let overhead = !t_group /. !t_plain in
+  let (t_plain, t_group), attempts =
+    best_of ~merge:min2
+      ~pass:(fun (p, g) -> g <= 1.15 *. p)
+      (pair (fun () -> time plain) (fun () -> time grouped))
+  in
+  let overhead = t_group /. t_plain in
   Printf.printf
     "degenerate 1-array: plain %.2f ms, group %.2f ms (%.2fx, best of %d \
      attempt(s))\n"
-    (!t_plain *. 1e3) (!t_group *. 1e3) overhead !attempts;
-  if !t_group > 1.15 *. !t_plain then begin
+    (t_plain *. 1e3) (t_group *. 1e3) overhead attempts;
+  if t_group > 1.15 *. t_plain then begin
     Printf.eprintf
       "FAIL: degenerate group solve regressed the plain solve (%.2f ms vs \
        %.2f ms, %.2fx > 1.15x)\n"
-      (!t_group *. 1e3) (!t_plain *. 1e3) overhead;
+      (t_group *. 1e3) (t_plain *. 1e3) overhead;
     exit 1
   end;
   let spec = "2x2of8x8" in
@@ -1063,10 +1048,10 @@ let multi_bench () =
       ( "degenerate",
         Obs.Json.Obj
           [
-            ("plain_ms", Obs.Json.Float (!t_plain *. 1e3));
-            ("group_ms", Obs.Json.Float (!t_group *. 1e3));
+            ("plain_ms", Obs.Json.Float (t_plain *. 1e3));
+            ("group_ms", Obs.Json.Float (t_group *. 1e3));
             ("overhead", Obs.Json.Float overhead);
-            ("attempts", Obs.Json.Int !attempts);
+            ("attempts", Obs.Json.Int attempts);
           ] );
       ( "group",
         Obs.Json.Obj
@@ -1116,17 +1101,7 @@ let incremental_bench_on ~topology kmesh =
   let policy = Sched.Problem.Bounded capacity in
   let ctx = Sched.Context.create ~policy kmesh trace in
   let fault = Pim.Fault.create ~dead_nodes:[ 17; 100; 203 ] () in
-  let reps = if quick then 3 else 5 in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
+  let time = best_wall in
   let plan_of problem =
     Sched.Schedule_serial.to_string
       (Sched.Scheduler.solve problem Sched.Scheduler.Gomcds)
@@ -1148,23 +1123,21 @@ let incremental_bench_on ~topology kmesh =
   let warm () =
     Sched.Problem.prefetch_all (Sched.Problem.with_fault_patch base fault)
   in
-  let cold_t = ref (time cold) and warm_t = ref (time warm) in
-  let attempts = ref 1 in
-  while !warm_t > 0.5 *. !cold_t && !attempts < 8 do
-    incr attempts;
-    cold_t := Float.min !cold_t (time cold);
-    warm_t := Float.min !warm_t (time warm)
-  done;
+  let (cold_t, warm_t), attempts =
+    best_of ~merge:min2
+      ~pass:(fun (c, w) -> w <= 0.5 *. c)
+      (pair (fun () -> time cold) (fun () -> time warm))
+  in
   Printf.printf
     "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.1fx  (best of %d attempt(s))\n"
-    "cold of_context + prefetch_all" (!cold_t *. 1e3)
-    "warm with_fault_patch + prefetch" (!warm_t *. 1e3) "warm speedup"
-    (!cold_t /. !warm_t) !attempts;
-  if !warm_t > 0.5 *. !cold_t then begin
+    "cold of_context + prefetch_all" (cold_t *. 1e3)
+    "warm with_fault_patch + prefetch" (warm_t *. 1e3) "warm speedup"
+    (cold_t /. warm_t) attempts;
+  if warm_t > 0.5 *. cold_t then begin
     Printf.eprintf
       "FAIL: warm fault re-solve over 0.5x the cold session on LU 16x16 %s \
        (%.3f ms vs %.3f ms)\n"
-      topology (!warm_t *. 1e3) (!cold_t *. 1e3);
+      topology (warm_t *. 1e3) (cold_t *. 1e3);
     exit 1
   end;
   (* window edit: private trace so the shared [ctx] stays pristine *)
@@ -1236,23 +1209,21 @@ let incremental_bench_on ~topology kmesh =
         Sched.Cost.fill_window_batch ~wrap ~cols ~rows items)
       batches
   in
-  let row_t = ref (time per_row) and batch_t = ref (time batched) in
-  let fill_attempts = ref 1 in
-  while !batch_t > !row_t && !fill_attempts < 8 do
-    incr fill_attempts;
-    row_t := Float.min !row_t (time per_row);
-    batch_t := Float.min !batch_t (time batched)
-  done;
+  let (row_t, batch_t), fill_attempts =
+    best_of ~merge:min2
+      ~pass:(fun (r, b) -> b <= r)
+      (pair (fun () -> time per_row) (fun () -> time batched))
+  in
   Printf.printf
     "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.2fx  (%d rows, best of %d \
      attempt(s))\n"
-    "fill, per-row" (!row_t *. 1e3) "fill, window batch" (!batch_t *. 1e3)
-    "batch speedup" (!row_t /. !batch_t) n_rows !fill_attempts;
-  if !batch_t > !row_t then begin
+    "fill, per-row" (row_t *. 1e3) "fill, window batch" (batch_t *. 1e3)
+    "batch speedup" (row_t /. batch_t) n_rows fill_attempts;
+  if batch_t > row_t then begin
     Printf.eprintf
       "FAIL: window-batched fill slower than per-row fill on LU 16x16 %s \
        (%.3f ms vs %.3f ms)\n"
-      topology (!batch_t *. 1e3) (!row_t *. 1e3);
+      topology (batch_t *. 1e3) (row_t *. 1e3);
     exit 1
   end;
   Obs.Json.Obj
@@ -1260,15 +1231,15 @@ let incremental_bench_on ~topology kmesh =
       ("workload", Obs.Json.String "lu-16x16");
       ("mesh", Obs.Json.String "16x16");
       ("topology", Obs.Json.String topology);
-      ("cold_ms", Obs.Json.Float (!cold_t *. 1e3));
-      ("warm_ms", Obs.Json.Float (!warm_t *. 1e3));
-      ("warm_speedup", Obs.Json.Float (!cold_t /. !warm_t));
+      ("cold_ms", Obs.Json.Float (cold_t *. 1e3));
+      ("warm_ms", Obs.Json.Float (warm_t *. 1e3));
+      ("warm_speedup", Obs.Json.Float (cold_t /. warm_t));
       ("edit_cold_ms", Obs.Json.Float (edit_cold *. 1e3));
       ("edit_warm_ms", Obs.Json.Float (edit_warm *. 1e3));
       ("fill_rows", Obs.Json.Int n_rows);
-      ("fill_per_row_ms", Obs.Json.Float (!row_t *. 1e3));
-      ("fill_batch_ms", Obs.Json.Float (!batch_t *. 1e3));
-      ("fill_batch_speedup", Obs.Json.Float (!row_t /. !batch_t));
+      ("fill_per_row_ms", Obs.Json.Float (row_t *. 1e3));
+      ("fill_batch_ms", Obs.Json.Float (batch_t *. 1e3));
+      ("fill_batch_speedup", Obs.Json.Float (row_t /. batch_t));
     ]
 
 let incremental_bench () =
@@ -1287,10 +1258,9 @@ let incremental_bench () =
 
    - degenerate honesty: under the degenerate model (unit bandwidth,
      store-and-forward, unbounded queues, zero compute) the live engine
-     must reproduce the pinned pre-model [Timed_simulator.Reference]
-     report field-for-field, and must not cost wall time for it —
-     gate: live <= 1.05x Reference, best-of reps with the serve_bench
-     retry loop to damp timer noise. The identity check runs first,
+     must reproduce the pinned pre-model engine ([Oracle.Timed_reference])
+     report field-for-field, and must not cost wall time for it — gate:
+     live <= 1.05x Reference, [best_of] retries to damp timer noise. The identity check runs first,
      because a timing gate on a different answer proves nothing.
    - ranking honesty: across the benchmark zoo at n=16 on the paper's
      4x4 mesh, at least one workload must rank some scheduler
@@ -1300,7 +1270,6 @@ let incremental_bench () =
      the gate fails. *)
 let timed_bench () =
   section "Timed backend (cycle-honest vs hop-volume)";
-  let reps = if quick then 3 else 5 in
   let kmesh = Pim.Mesh.square 16 in
   let trace = Workloads.Lu.trace ~n:16 kmesh in
   let capacity =
@@ -1313,27 +1282,27 @@ let timed_bench () =
   in
   let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
   let rounds = Sched.Schedule.to_rounds schedule trace in
-  let reference = Pim.Timed_simulator.Reference.run kmesh rounds in
+  let reference = Oracle.Timed_reference.run kmesh rounds in
   let live = Pim.Timed_simulator.run kmesh rounds in
   let identical =
-    reference.Pim.Timed_simulator.Reference.total_cycles
+    reference.Oracle.Timed_reference.total_cycles
       = live.Pim.Timed_simulator.total_cycles
-    && reference.Pim.Timed_simulator.Reference.total_volume_hops
+    && reference.Oracle.Timed_reference.total_volume_hops
        = live.Pim.Timed_simulator.total_volume_hops
-    && List.length reference.Pim.Timed_simulator.Reference.rounds
+    && List.length reference.Oracle.Timed_reference.rounds
        = List.length live.Pim.Timed_simulator.rounds
     && List.for_all2
-         (fun (a : Pim.Timed_simulator.Reference.round_report)
+         (fun (a : Oracle.Timed_reference.round_report)
               (b : Pim.Timed_simulator.round_report) ->
-           a.Pim.Timed_simulator.Reference.cycles
+           a.Oracle.Timed_reference.cycles
              = b.Pim.Timed_simulator.cycles
-           && a.Pim.Timed_simulator.Reference.messages
+           && a.Oracle.Timed_reference.messages
               = b.Pim.Timed_simulator.messages
-           && a.Pim.Timed_simulator.Reference.volume_hops
+           && a.Oracle.Timed_reference.volume_hops
               = b.Pim.Timed_simulator.volume_hops
-           && Float.equal a.Pim.Timed_simulator.Reference.utilization
+           && Float.equal a.Oracle.Timed_reference.utilization
                 b.Pim.Timed_simulator.utilization)
-         reference.Pim.Timed_simulator.Reference.rounds
+         reference.Oracle.Timed_reference.rounds
          live.Pim.Timed_simulator.rounds
   in
   if not identical then begin
@@ -1341,45 +1310,34 @@ let timed_bench () =
       "FAIL: degenerate timed engine diverges from the pinned Reference \
        report on LU 16x16 (%d vs %d cycles)\n"
       live.Pim.Timed_simulator.total_cycles
-      reference.Pim.Timed_simulator.Reference.total_cycles;
+      reference.Oracle.Timed_reference.total_cycles;
     exit 1
   end;
-  let wall run =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      run ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
+  let wall = best_wall in
   let measure_ref () =
-    wall (fun () -> ignore (Pim.Timed_simulator.Reference.run kmesh rounds))
+    wall (fun () -> ignore (Oracle.Timed_reference.run kmesh rounds))
   in
   let measure_live () =
     wall (fun () -> ignore (Pim.Timed_simulator.run kmesh rounds))
   in
-  let best_ref = ref (measure_ref ()) and best_live = ref (measure_live ()) in
-  let attempts = ref 1 in
-  while !best_live > 1.05 *. !best_ref && !attempts < 8 do
-    incr attempts;
-    best_ref := Float.min !best_ref (measure_ref ());
-    best_live := Float.min !best_live (measure_live ())
-  done;
-  let overhead = !best_live /. !best_ref in
+  let (best_ref, best_live), attempts =
+    best_of ~merge:min2
+      ~pass:(fun (r, l) -> l <= 1.05 *. r)
+      (pair measure_ref measure_live)
+  in
+  let overhead = best_live /. best_ref in
   Printf.printf
     "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.2fx  (gate <= 1.05x, best \
      of %d attempt(s))\n"
-    "degenerate replay, Reference" (!best_ref *. 1e3)
-    "degenerate replay, live engine" (!best_live *. 1e3)
-    "live/Reference wall" overhead !attempts;
+    "degenerate replay, Reference" (best_ref *. 1e3)
+    "degenerate replay, live engine" (best_live *. 1e3)
+    "live/Reference wall" overhead attempts;
   Printf.printf "%-34s %10s\n" "degenerate report identity" "ok";
   if overhead > 1.05 then begin
     Printf.eprintf
       "FAIL: degenerate timed engine over 1.05x the Reference wall on LU \
        16x16 (%.3f ms vs %.3f ms, %.2fx)\n"
-      (!best_live *. 1e3) (!best_ref *. 1e3) overhead;
+      (best_live *. 1e3) (best_ref *. 1e3) overhead;
     exit 1
   end;
   (* ranking sweep: hop-volume rank vs cycle rank, degenerate model *)
@@ -1446,10 +1404,10 @@ let timed_bench () =
             ("workload", Obs.Json.String "lu-16x16");
             ("mesh", Obs.Json.String "16x16");
             ("identical", Obs.Json.Bool identical);
-            ("reference_ms", Obs.Json.Float (!best_ref *. 1e3));
-            ("live_ms", Obs.Json.Float (!best_live *. 1e3));
+            ("reference_ms", Obs.Json.Float (best_ref *. 1e3));
+            ("live_ms", Obs.Json.Float (best_live *. 1e3));
             ("overhead", Obs.Json.Float overhead);
-            ("attempts", Obs.Json.Int !attempts);
+            ("attempts", Obs.Json.Int attempts);
           ] );
       ( "ranking",
         Obs.Json.List

@@ -156,34 +156,6 @@ let jobs_arg =
            Schedules are identical at any setting; the default fits the \
            machine.")
 
-let kernel_arg =
-  let kernel_conv =
-    let parse = function
-      | "separable" -> Ok `Separable
-      | "naive" -> Ok `Naive
-      | s ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "unknown kernel %S (expected separable or naive)" s))
-    in
-    let print fmt k =
-      Format.pp_print_string fmt
-        (match k with `Separable -> "separable" | `Naive -> "naive")
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt kernel_conv `Separable
-    & info [ "kernel" ] ~docv:"NAME"
-        ~doc:
-          "Cost kernel filling the flat cost arena: $(b,separable) (per-axis \
-           marginals + prefix sums, the default; optimal centers come \
-           straight from the marginals without building vectors) or \
-           $(b,naive) (direct walk over a private distance table, the \
-           cross-check oracle). Both produce identical schedules.")
-
 let arrays_arg =
   Arg.(
     value
@@ -354,7 +326,7 @@ let describe_group_instance ?trace_file workload group trace capacity =
 (* ---------------------------------------------------------------- *)
 
 let run_schedule_group spec inter_cost workload size torus partition
-    unbounded trace_file algorithm jobs kernel simulate plan_out =
+    unbounded trace_file algorithm jobs simulate plan_out =
   if simulate then
     failwith "--simulate is not supported with --arrays (no group simulator)";
   let group = build_group spec inter_cost torus in
@@ -364,7 +336,7 @@ let run_schedule_group spec inter_cost workload size torus partition
   let gp =
     Multi.Group_problem.create
       ~policy:(group_policy_of capacity)
-      ~jobs ~kernel group trace
+      ~jobs group trace
   in
   let plan, breakdown = Multi.Group_solver.evaluate gp algorithm in
   (match plan_out with
@@ -382,20 +354,20 @@ let run_schedule_group spec inter_cost workload size torus partition
     (Multi.Group_schedule.array_moves plan)
 
 let run_schedule workload size mesh_shape torus partition unbounded
-    trace_file algorithm jobs kernel simulate plan_out metrics_json arrays
+    trace_file algorithm jobs simulate plan_out metrics_json arrays
     inter_cost =
   obs_begin metrics_json;
   (match arrays with
   | Some spec ->
       run_schedule_group spec inter_cost workload size torus partition
-        unbounded trace_file algorithm jobs kernel simulate plan_out
+        unbounded trace_file algorithm jobs simulate plan_out
   | None ->
       let mesh = build_mesh mesh_shape torus in
       let trace = build_trace workload size partition mesh trace_file in
       let capacity = capacity_of trace mesh unbounded in
       describe_instance ?trace_file workload mesh trace capacity;
       let problem =
-        Sched.Problem.of_capacity ?capacity ~jobs ~kernel mesh trace
+        Sched.Problem.of_capacity ?capacity ~jobs mesh trace
       in
       let schedule = Sched.Scheduler.solve problem algorithm in
       (match plan_out with
@@ -418,7 +390,7 @@ let run_schedule workload size mesh_shape torus partition unbounded
   obs_finish ~command:"schedule" ~jobs metrics_json
 
 let run_compare_group spec inter_cost workload size torus partition unbounded
-    trace_file jobs kernel =
+    trace_file jobs =
   let group = build_group spec inter_cost torus in
   let trace = build_group_trace workload size partition group trace_file in
   let capacity = group_capacity_of trace group unbounded in
@@ -428,7 +400,7 @@ let run_compare_group spec inter_cost workload size torus partition unbounded
   let gp =
     Multi.Group_problem.create
       ~policy:(group_policy_of capacity)
-      ~jobs ~kernel group trace
+      ~jobs group trace
   in
   let bound = Multi.Group_solver.lower_bound gp in
   let baseline =
@@ -537,14 +509,14 @@ let cycles_table ?(model = Pim.Link_model.degenerate) problem mesh trace =
   (rows, !disagreements)
 
 let run_compare workload size mesh_shape torus partition unbounded trace_file
-    jobs kernel timed metrics_json arrays inter_cost =
+    jobs timed metrics_json arrays inter_cost =
   obs_begin metrics_json;
   (match arrays with
   | Some spec ->
       if timed then
         failwith "--timed is not supported with --arrays (no group simulator)";
       run_compare_group spec inter_cost workload size torus partition
-        unbounded trace_file jobs kernel
+        unbounded trace_file jobs
   | None ->
       let mesh = build_mesh mesh_shape torus in
       let trace = build_trace workload size partition mesh trace_file in
@@ -552,7 +524,7 @@ let run_compare workload size mesh_shape torus partition unbounded trace_file
       describe_instance ?trace_file workload mesh trace capacity;
       (* one context: the bound and all twelve algorithms share its caches *)
       let problem =
-        Sched.Problem.of_capacity ?capacity ~jobs ~kernel mesh trace
+        Sched.Problem.of_capacity ?capacity ~jobs mesh trace
       in
       let bound = Sched.Bounds.lower_bound_in problem in
       let baseline =
@@ -577,7 +549,7 @@ let run_compare workload size mesh_shape torus partition unbounded trace_file
   obs_finish ~command:"compare" ~jobs metrics_json
 
 let run_cycles workload size mesh_shape torus partition unbounded trace_file
-    jobs kernel bandwidth flit wormhole queue_depth compute_cycles json_out
+    jobs bandwidth flit wormhole queue_depth compute_cycles json_out
     metrics_json =
   obs_begin metrics_json;
   let model =
@@ -590,7 +562,7 @@ let run_cycles workload size mesh_shape torus partition unbounded trace_file
   let trace = build_trace workload size partition mesh trace_file in
   let capacity = capacity_of trace mesh unbounded in
   describe_instance ?trace_file workload mesh trace capacity;
-  let problem = Sched.Problem.of_capacity ?capacity ~jobs ~kernel mesh trace in
+  let problem = Sched.Problem.of_capacity ?capacity ~jobs mesh trace in
   let rows, disagreements = cycles_table ~model problem mesh trace in
   (match json_out with
   | Some path ->
@@ -701,7 +673,7 @@ let run_show workload size mesh_shape torus partition unbounded trace_file
   | None -> ()
 
 let run_profile algorithm workload size mesh_shape torus partition unbounded
-    trace_file jobs kernel simulate chrome_out metrics_json =
+    trace_file jobs simulate chrome_out metrics_json =
   Obs.enabled := true;
   Obs.reset ();
   let mesh = build_mesh mesh_shape torus in
@@ -710,7 +682,7 @@ let run_profile algorithm workload size mesh_shape torus partition unbounded
   describe_instance ?trace_file workload mesh trace capacity;
   let t0 = Obs.now_us () in
   let problem =
-    Sched.Problem.of_capacity ?capacity ~jobs ~kernel mesh trace
+    Sched.Problem.of_capacity ?capacity ~jobs mesh trace
   in
   let schedule = Sched.Scheduler.solve problem algorithm in
   let breakdown = Sched.Schedule.cost schedule trace in
@@ -753,7 +725,7 @@ let run_profile algorithm workload size mesh_shape torus partition unbounded
   | None -> ()
 
 let run_faults_group spec inter_cost array_rate algorithm workload size torus
-    partition unbounded trace_file jobs kernel seed rates link_rate at
+    partition unbounded trace_file jobs seed rates link_rate at
     json_out =
   let group = build_group spec inter_cost torus in
   let trace = build_group_trace workload size partition group trace_file in
@@ -762,7 +734,7 @@ let run_faults_group spec inter_cost array_rate algorithm workload size torus
   let gp =
     Multi.Group_problem.create
       ~policy:(group_policy_of capacity)
-      ~jobs ~kernel group trace
+      ~jobs group trace
   in
   let n_windows = Reftrace.Trace.n_windows trace in
   let at =
@@ -847,13 +819,13 @@ let run_faults_group spec inter_cost array_rate algorithm workload size torus
   | None -> ()
 
 let run_faults algorithm workload size mesh_shape torus partition unbounded
-    trace_file jobs kernel seed rates link_rate at json_out metrics_json
+    trace_file jobs seed rates link_rate at json_out metrics_json
     arrays inter_cost array_rate =
   obs_begin metrics_json;
   match arrays with
   | Some spec ->
       run_faults_group spec inter_cost array_rate algorithm workload size
-        torus partition unbounded trace_file jobs kernel seed rates link_rate
+        torus partition unbounded trace_file jobs seed rates link_rate
         at json_out;
       obs_finish ~command:"faults" ~jobs metrics_json
   | None ->
@@ -863,7 +835,7 @@ let run_faults algorithm workload size mesh_shape torus partition unbounded
   let capacity = capacity_of trace mesh unbounded in
   describe_instance ?trace_file workload mesh trace capacity;
   let problem =
-    Sched.Problem.of_capacity ?capacity ~jobs ~kernel mesh trace
+    Sched.Problem.of_capacity ?capacity ~jobs mesh trace
   in
   let n_windows = Reftrace.Trace.n_windows trace in
   let at =
@@ -972,7 +944,7 @@ let schedule_cmd =
     Term.(
       const run_schedule $ workload_arg $ size_arg $ mesh_arg $ torus_arg
       $ partition_arg $ unbounded_arg $ trace_file_arg $ algorithm_arg
-      $ jobs_arg $ kernel_arg $ simulate_arg $ plan_out_arg
+      $ jobs_arg $ simulate_arg $ plan_out_arg
       $ metrics_json_arg $ arrays_arg $ inter_cost_arg)
 
 let timed_arg =
@@ -990,7 +962,7 @@ let compare_cmd =
     Term.(
       const run_compare $ workload_arg $ size_arg $ mesh_arg $ torus_arg
       $ partition_arg $ unbounded_arg $ trace_file_arg $ jobs_arg
-      $ kernel_arg $ timed_arg $ metrics_json_arg $ arrays_arg
+      $ timed_arg $ metrics_json_arg $ arrays_arg
       $ inter_cost_arg)
 
 let cycles_cmd =
@@ -1057,7 +1029,7 @@ let cycles_cmd =
     Term.(
       const run_cycles $ workload_arg $ size_arg $ mesh_arg $ torus_arg
       $ partition_arg $ unbounded_arg $ trace_file_arg $ jobs_arg
-      $ kernel_arg $ bandwidth_arg $ flit_arg $ wormhole_arg
+      $ bandwidth_arg $ flit_arg $ wormhole_arg
       $ queue_depth_arg $ compute_cycles_arg $ json_out_arg
       $ metrics_json_arg)
 
@@ -1086,7 +1058,7 @@ let profile_cmd =
     Term.(
       const run_profile $ algorithm_pos_arg $ workload_arg $ size_arg
       $ mesh_arg $ torus_arg $ partition_arg $ unbounded_arg $ trace_file_arg
-      $ jobs_arg $ kernel_arg $ simulate_arg $ chrome_out_arg
+      $ jobs_arg $ simulate_arg $ chrome_out_arg
       $ metrics_json_arg)
 
 let table_cmd =
@@ -1223,7 +1195,7 @@ let faults_cmd =
     Term.(
       const run_faults $ algorithm_pos_arg $ workload_arg $ size_arg
       $ mesh_arg $ torus_arg $ partition_arg $ unbounded_arg $ trace_file_arg
-      $ jobs_arg $ kernel_arg $ seed_arg $ rates_arg $ link_rate_arg $ at_arg
+      $ jobs_arg $ seed_arg $ rates_arg $ link_rate_arg $ at_arg
       $ json_out_arg $ metrics_json_arg $ arrays_arg $ inter_cost_arg
       $ array_rate_arg)
 

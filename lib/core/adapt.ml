@@ -10,21 +10,39 @@ let validate_initial mesh ~n_data initial =
           (Printf.sprintf "Adapt: datum %d starts at invalid rank %d" d rank))
     initial
 
-(* The GOMCDS problem with the entry cost augmented by the migration from
-   the imposed location into the window-0 center. *)
-let problem_from mesh trace ~data ~start =
-  let p = Gomcds.cost_problem mesh trace ~data in
-  {
-    p with
-    Pathgraph.Layered.enter_cost =
-      (fun j -> Pim.Mesh.distance mesh start j + p.Pathgraph.Layered.enter_cost j);
-  }
+(* The GOMCDS DP with the entry cost augmented by the migration from the
+   imposed location into the window-0 center: the datum's layer rows are
+   copied back to back and the start distance is added to row 0. *)
+let solve_from ?allowed problem ~data ~start =
+  let size = Pim.Mesh.size (Problem.mesh problem) in
+  let n_layers = Problem.n_windows problem in
+  let slab, offs = Problem.layer_slab problem ~data in
+  let rows =
+    Bigarray.Array1.create Bigarray.Int Bigarray.C_layout (n_layers * size)
+  in
+  for l = 0 to n_layers - 1 do
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub slab offs.(l) size)
+      (Bigarray.Array1.sub rows (l * size) size)
+  done;
+  for j = 0 to size - 1 do
+    rows.{j} <- rows.{j} + Problem.distance problem start j
+  done;
+  let block =
+    {
+      Pathgraph.Layered.relaxation = Problem.relaxation problem;
+      vectors = rows;
+      offsets = Array.init n_layers (fun l -> l * size);
+    }
+  in
+  Pathgraph.Layered.solve ?allowed ~n_layers [| block |]
 
 let run ?capacity ~initial mesh trace =
   let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
   let n_windows = Reftrace.Trace.n_windows trace in
   validate_initial mesh ~n_data initial;
   let schedule = Schedule.create mesh ~n_windows ~n_data in
+  let problem = Problem.create mesh trace in
   let memories =
     match capacity with
     | None -> None
@@ -39,14 +57,15 @@ let run ?capacity ~initial mesh trace =
   in
   List.iter
     (fun data ->
-      let p = problem_from mesh trace ~data ~start:initial.(data) in
+      let start = initial.(data) in
       let centers =
         match memories with
-        | None -> snd (Pathgraph.Layered.solve p)
+        | None -> snd (Option.get (solve_from problem ~data ~start))
         | Some mems ->
             let allowed ~layer j = not (Pim.Memory.is_full mems.(layer) j) in
-            let result = Pathgraph.Layered.solve_filtered p ~allowed in
-            let _, centers = Option.get result in
+            let _, centers =
+              Option.get (solve_from ~allowed problem ~data ~start)
+            in
             Array.iteri
               (fun layer rank ->
                 let ok = Pim.Memory.allocate mems.(layer) rank in

@@ -1,23 +1,19 @@
 type capacity_policy = Unbounded | Bounded of int
-type kernel = [ `Separable | `Naive ]
 
 type t = {
   mesh : Pim.Mesh.t;
   trace : Reftrace.Trace.t;
   policy : capacity_policy;
   jobs : int;
-  kernel : kernel;
   windows : Reftrace.Window.t array;
   merged : Reftrace.Window.t;
   size : int;
   xdist : int array array;
   ydist : int array array;
-  naive_dist : int array array option;
   max_arena_bytes : int;
 }
 
-let create ?(policy = Unbounded) ?(jobs = 1) ?(kernel = `Separable) mesh
-    trace =
+let create ?(policy = Unbounded) ?(jobs = 1) mesh trace =
   (match policy with
   | Bounded c when c < 0 -> invalid_arg "Context.create: negative capacity"
   | Bounded _ | Unbounded -> ());
@@ -41,16 +37,11 @@ let create ?(policy = Unbounded) ?(jobs = 1) ?(kernel = `Separable) mesh
     trace;
     policy;
     jobs;
-    kernel;
     windows;
     merged = Reftrace.Trace.merged trace;
     size;
     xdist = Pim.Mesh.x_distance_table mesh;
     ydist = Pim.Mesh.y_distance_table mesh;
-    naive_dist =
-      (match kernel with
-      | `Naive -> Some (Pim.Mesh.distance_table mesh)
-      | `Separable -> None);
     max_arena_bytes = 8 * size * !slots;
   }
 
@@ -58,7 +49,6 @@ let mesh t = t.mesh
 let trace t = t.trace
 let policy t = t.policy
 let jobs t = t.jobs
-let kernel t = t.kernel
 let space t = Reftrace.Trace.space t.trace
 let n_data t = Reftrace.Data_space.size (space t)
 let n_windows t = Array.length t.windows

@@ -3,9 +3,8 @@
     A [Context.t] is everything about an instance that does not change
     once built and carries no per-request mutable state: the mesh and its
     per-axis distance tables, the trace with its window array and merged
-    window forced eagerly, the default capacity policy / domain-pool size
-    / cost kernel, and (under the [`Naive] kernel only) the private full
-    distance table its oracle-role vector builds read.
+    window forced eagerly, and the default capacity policy and
+    domain-pool size.
 
     {!Problem.t} layers the {e request-scoped} half on top: cost arenas,
     marginal/center/candidate caches and the fault overlay. Any number of
@@ -19,22 +18,16 @@
     [?capacity:int] optional, made total). *)
 type capacity_policy = Unbounded | Bounded of int
 
-(** Which cost kernel fills a session's arena rows — see {!Problem.kernel}. *)
-type kernel = [ `Separable | `Naive ]
-
 type t = private {
   mesh : Pim.Mesh.t;
   trace : Reftrace.Trace.t;
   policy : capacity_policy;  (** default for sessions; overridable per request *)
   jobs : int;  (** default domain-pool budget for sessions *)
-  kernel : kernel;
   windows : Reftrace.Window.t array;  (** treat as read-only *)
   merged : Reftrace.Window.t;  (** forced at build time (thread-safe reads) *)
   size : int;  (** [Pim.Mesh.size mesh] *)
   xdist : int array array;  (** per-axis distance tables; read-only *)
   ydist : int array array;
-  naive_dist : int array array option;
-      (** full rank-to-rank table, present iff [kernel = `Naive] *)
   max_arena_bytes : int;
       (** bytes a session's cost arena occupies when {e every} row is
           forced: one [size]-entry row of boxed-free 8-byte ints per
@@ -44,14 +37,12 @@ type t = private {
 (** Exposed for allocation-free field reads; never mutate, and build only
     through {!create}. *)
 
-(** [create ?policy ?jobs ?kernel mesh trace] builds the shared context.
-    Defaults match {!Problem.create}: [Unbounded], [jobs = 1],
-    [`Separable].
+(** [create ?policy ?jobs mesh trace] builds the shared context.
+    Defaults match {!Problem.create}: [Unbounded], [jobs = 1].
     @raise Invalid_argument if [Bounded c] with [c < 0] or [jobs < 1]. *)
 val create :
   ?policy:capacity_policy ->
   ?jobs:int ->
-  ?kernel:kernel ->
   Pim.Mesh.t ->
   Reftrace.Trace.t ->
   t
@@ -60,7 +51,6 @@ val mesh : t -> Pim.Mesh.t
 val trace : t -> Reftrace.Trace.t
 val policy : t -> capacity_policy
 val jobs : t -> int
-val kernel : t -> kernel
 val space : t -> Reftrace.Data_space.t
 val n_data : t -> int
 val n_windows : t -> int

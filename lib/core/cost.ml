@@ -1,11 +1,5 @@
-(* The paper's cost model, answered two ways.
-
-   [Naive] walks the full profile once per candidate center — O(P · refs)
-   per cost vector — and is kept as the executable specification every
-   kernel change is cross-checked against (test/test_kernel.ml).
-
-   The top-level functions are the separable kernel: x-y routing distance
-   decomposes per axis, dist(c, p) = dx(cx, px) + dy(cy, py), so
+(* The paper's cost model. x-y routing distance decomposes per axis,
+   dist(c, p) = dx(cx, px) + dy(cy, py), so
 
      cost(c) = Σ_p w(p)·dist(c, p)
              = Σ_x mx(x)·dx(cx, x) + Σ_y my(y)·dy(cy, y)
@@ -13,66 +7,12 @@
    where mx / my are the window's per-axis weight marginals
    ({!Reftrace.Window.marginals}). Each axis cost array is built in O(E)
    from prefix sums (circular prefix sums on a torus), so a whole cost
-   vector costs O(P + refs) instead of O(P · refs), and the minimum —
-   the paper's Definition 4 — splits into two independent axis minima. *)
+   vector costs O(P + refs) instead of the direct O(P · refs) walk (kept
+   as the test oracle [Oracle.Cost_naive]), and the minimum — the
+   paper's Definition 4 — splits into two independent axis minima. *)
 
-let build_counter = function
-  | `Separable -> "cost.separable_builds"
-  | `Naive -> "cost.naive_builds"
-
-let count_build kernel = if !Obs.enabled then Obs.Metrics.incr (build_counter kernel)
-
-module Naive = struct
-  let reference_cost mesh window ~data ~center =
-    List.fold_left
-      (fun acc (proc, count) ->
-        acc + (count * Pim.Mesh.distance mesh center proc))
-      0
-      (Reftrace.Window.profile window data)
-
-  let cost_vector mesh window ~data =
-    count_build `Naive;
-    let m = Pim.Mesh.size mesh in
-    let v = Array.make m 0 in
-    let profile = Reftrace.Window.profile window data in
-    for center = 0 to m - 1 do
-      v.(center) <-
-        List.fold_left
-          (fun acc (proc, count) ->
-            acc + (count * Pim.Mesh.distance mesh center proc))
-          0 profile
-    done;
-    v
-
-  let local_optimal_center mesh window ~data =
-    let v = cost_vector mesh window ~data in
-    let best = ref 0 in
-    for center = 1 to Array.length v - 1 do
-      if v.(center) < v.(!best) then best := center
-    done;
-    !best
-
-  let movement_cost mesh ~from_ ~to_ = Pim.Mesh.distance mesh from_ to_
-
-  let path_cost mesh pairs ~data =
-    if pairs = [] then invalid_arg "Cost.path_cost: empty window list";
-    let rec go prev acc = function
-      | [] -> acc
-      | (window, center) :: rest ->
-          let refc = reference_cost mesh window ~data ~center in
-          let move =
-            match prev with
-            | None -> 0
-            | Some p -> movement_cost mesh ~from_:p ~to_:center
-          in
-          go (Some center) (acc + refc + move) rest
-    in
-    go None 0 pairs
-end
-
-(* ------------------------------------------------------------------ *)
-(* Separable kernel                                                    *)
-(* ------------------------------------------------------------------ *)
+let count_build () =
+  if !Obs.enabled then Obs.Metrics.incr "cost.separable_builds"
 
 let axis_dist ~wrap ~extent a b =
   let direct = abs (a - b) in
@@ -171,7 +111,7 @@ let fill_slab_of_marginals ~wrap ~cols ~rows (mx, my)
 (* One marginals pass per window: every (marginals, slab row) pair of the
    batch is assembled through the same axis-cost and prefix-sum scratch,
    so a window's worth of rows costs one set of allocations instead of
-   four short-lived arrays per row. Counts one [`Separable] build per row
+   four short-lived arrays per row. Counts one separable build per row
    — the per-row accounting is what the pinned counter tests and the
    marginals cache both key on — plus one [cost.batch_fills] per
    non-empty batch. *)
@@ -191,7 +131,7 @@ let fill_window_batch ~wrap ~cols ~rows items =
       in
       List.iter
         (fun ((mx, my), ((dst : Pathgraph.Layered.buffer), off)) ->
-          count_build `Separable;
+          count_build ();
           if wrap then begin
             axis_cost_circle_into mx ~p:px ~q:qx ~dst:cx;
             axis_cost_circle_into my ~p:py ~q:qy ~dst:cy
@@ -236,7 +176,7 @@ let reference_cost mesh window ~data ~center =
   !acc
 
 let cost_vector mesh window ~data =
-  count_build `Separable;
+  count_build ();
   vector_of_marginals ~wrap:(Pim.Mesh.wraps mesh) ~cols:(Pim.Mesh.cols mesh)
     ~rows:(Pim.Mesh.rows mesh)
     (marginals_of mesh window ~data)
@@ -250,7 +190,7 @@ let argmin_axis a =
 
 (* The minimizers of cx(x) + cy(y) are exactly (argmin cx) × (argmin cy);
    taking the lowest index on each axis picks the lowest row-major rank,
-   the same tie order as [Naive]'s ascending scan (and as the full-vector
+   the same tie order as the direct cost walk's ascending scan (and as the full-vector
    ascending argmin every scheduler fallback uses). *)
 let argmin_of_marginals ~wrap ~cols ~rows:_ (mx, my) =
   let cx = axis_cost ~wrap mx and cy = axis_cost ~wrap my in

@@ -7,14 +7,14 @@
     windows' centers costs their distance (unit data volume — the paper
     keeps one copy of each datum and charges one time unit per hop).
 
-    Two interchangeable kernels answer the model. The top-level functions
-    are the {e separable} kernel: x-y routing distance decomposes per axis,
-    so a whole cost vector follows from the window's per-axis weight
-    marginals ({!Reftrace.Window.marginals}) in O(P + refs) via prefix sums
-    (circular prefix sums on a torus). {!Naive} retains the direct
-    O(P · refs) per-vector evaluation as the executable specification; the
-    two agree byte-for-byte, including argmin tie order — enforced by the
-    property suite in [test/test_kernel.ml]. *)
+    The functions here are the {e separable} kernel: x-y routing distance
+    decomposes per axis, so a whole cost vector follows from the window's
+    per-axis weight marginals ({!Reftrace.Window.marginals}) in
+    O(P + refs) via prefix sums (circular prefix sums on a torus). The
+    direct O(P · refs) per-vector evaluation is kept as the executable
+    specification in the test-only oracle library; the two agree
+    byte-for-byte, including argmin tie order — enforced by the property
+    suite in [test/test_kernel.ml]. *)
 
 (** [reference_cost mesh window ~data ~center] is the total cost of serving
     every reference to [data] in [window] from [center]. *)
@@ -105,22 +105,3 @@ val fill_window_batch :
     and tori. *)
 val argmin_of_marginals :
   wrap:bool -> cols:int -> rows:int -> int array * int array -> int * int
-
-(** The direct O(P · refs) evaluation of the same model — the oracle the
-    separable kernel is cross-checked against, and the implementation
-    behind [~kernel:`Naive] in {!Sched.Problem}. Semantics (including tie
-    order and error behaviour) are identical to the top-level functions. *)
-module Naive : sig
-  val reference_cost :
-    Pim.Mesh.t -> Reftrace.Window.t -> data:int -> center:int -> int
-
-  val cost_vector : Pim.Mesh.t -> Reftrace.Window.t -> data:int -> int array
-
-  val local_optimal_center :
-    Pim.Mesh.t -> Reftrace.Window.t -> data:int -> int
-
-  val movement_cost : Pim.Mesh.t -> from_:int -> to_:int -> int
-
-  val path_cost :
-    Pim.Mesh.t -> (Reftrace.Window.t * int) list -> data:int -> int
-end

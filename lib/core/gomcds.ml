@@ -1,24 +1,3 @@
-let problem mesh trace ~data =
-  let windows = Array.of_list (Reftrace.Trace.windows trace) in
-  let vectors =
-    Array.map (fun w -> Cost.cost_vector mesh w ~data) windows
-  in
-  {
-    Pathgraph.Layered.n_layers = Array.length windows;
-    width = Pim.Mesh.size mesh;
-    enter_cost = (fun j -> vectors.(0).(j));
-    step_cost =
-      (fun ~layer j k -> Pim.Mesh.distance mesh j k + vectors.(layer).(k));
-  }
-
-let cost_problem = problem
-
-let optimal_centers mesh trace ~data =
-  Pathgraph.Layered.solve (problem mesh trace ~data)
-
-let cost_graph mesh trace ~data =
-  Pathgraph.Layered.to_digraph (problem mesh trace ~data)
-
 let schedule problem =
   Problem.check_feasible problem ~who:"Gomcds.schedule";
   let n_data = Problem.n_data problem in

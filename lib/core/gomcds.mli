@@ -20,26 +20,3 @@
     way the schedule is identical at every [jobs] setting.
     @raise Invalid_argument if the capacity policy is infeasible. *)
 val schedule : Problem.t -> Schedule.t
-
-(** [optimal_centers mesh trace ~data] is the unconstrained per-window
-    center sequence and its total (reference + movement) cost for one
-    datum. *)
-val optimal_centers :
-  Pim.Mesh.t -> Reftrace.Trace.t -> data:int -> int * int array
-
-(** [cost_problem mesh trace ~data] is the layered shortest-path problem for
-    one datum (reference cost on nodes, migration on edges) — the object
-    both {!schedule} and {!Refine} solve. {!Problem.layered} is the cached
-    equivalent; this one recomputes its vectors each call. *)
-val cost_problem :
-  Pim.Mesh.t -> Reftrace.Trace.t -> data:int -> Pathgraph.Layered.problem
-
-(** [cost_graph mesh trace ~data] materializes the paper's cost-graph as an
-    explicit DAG and returns [(graph, source, sink, node_id)]; exposed so
-    tests can cross-check the DP against {!Pathgraph.Shortest_path} on the
-    explicit graph. *)
-val cost_graph :
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
-  data:int ->
-  Pathgraph.Digraph.t * int * int * (layer:int -> int -> int)

@@ -9,33 +9,25 @@ let argmin v =
   !best
 
 (* The greedy is generic in how a group's running cost state is represented:
-   full cost vectors (the [`Naive] kernel's currency) or per-axis marginal
-   pairs (the separable kernel's — summing two O(cols + rows) histograms
-   prices a candidate merge without materializing the merged window's
-   O(cols · rows) vector). [best] must return the {e lowest-rank} minimum
-   center so both representations make identical greedy decisions. *)
+   per-axis marginal pairs on a healthy context (summing two
+   O(cols + rows) histograms prices a candidate merge without
+   materializing the merged window's O(cols · rows) vector), or full
+   fault-priced cost vectors on a degraded one. [best] must return the
+   {e lowest-rank} minimum center so both representations make the
+   greedy decisions the vector walk would. *)
 type 'vec ops = {
   copy : 'vec -> 'vec;
   join : 'vec -> 'vec -> 'vec;  (* fresh sum; arguments untouched *)
   best : 'vec -> int * int;  (* (lowest-rank argmin center, its cost) *)
 }
 
-let vector_ops =
-  {
-    copy = Array.copy;
-    join = (fun a b -> Array.init (Array.length a) (fun i -> a.(i) + b.(i)));
-    best =
-      (fun v ->
-        let c = argmin v in
-        (c, v.(c)));
-  }
-
 (* Vector ops whose [best] skips dead ranks (ties still break to the
    lowest alive rank) — the degraded-context currency: arena vectors are
    already fault-priced, only center choice needs the mask. *)
 let masked_vector_ops alive =
   {
-    vector_ops with
+    copy = Array.copy;
+    join = (fun a b -> Array.init (Array.length a) (fun i -> a.(i) + b.(i)));
     best =
       (fun v ->
         let best = ref (-1) in
@@ -47,7 +39,7 @@ let masked_vector_ops alive =
 
 (* The minimizers of cx(x) + cy(y) form a product set, so the lowest
    row-major rank among them is (lowest argmin cy, lowest argmin cx) —
-   the same tie order as [vector_ops.best]'s ascending scan. *)
+   the same tie order as an ascending scan of the full vector. *)
 let marginal_ops ~wrap ~cols =
   let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i)) in
   {
@@ -129,43 +121,24 @@ let greedy_ranges ~ops ~dist ~items ~n =
   List.rev !finalized
 
 (* Re-optimize group centers with the shortest-path DP (GOMCDS over merged
-   windows). [rows] holds one cost row per group, back to back. Healthy
-   and node-faulted contexts relax on the mesh axis tables (dead ranks
-   masked after relaxation); link faults break the separable metric, so
-   they keep the callback DP over the BFS table. *)
+   windows). [rows] holds one cost row per group, back to back; dead ranks
+   are masked after relaxation. *)
 let refine_centers problem rows =
   let size = Pim.Mesh.size (Problem.mesh problem) in
-  let n = Bigarray.Array1.dim rows / size in
-  let fault = Problem.fault problem in
-  let masked = Pim.Fault.has_node_faults fault in
-  let allowed ~layer:_ j = Problem.rank_alive problem j in
-  let result =
-    if Pim.Fault.has_link_faults fault then begin
-      let p =
-        {
-          Pathgraph.Layered.n_layers = n;
-          width = size;
-          enter_cost = (fun j -> rows.{j});
-          step_cost =
-            (fun ~layer j k ->
-              Problem.distance problem j k + rows.{(layer * size) + k});
-        }
-      in
-      if masked then Pathgraph.Layered.solve_filtered p ~allowed
-      else Some (Pathgraph.Layered.solve p)
-    end
-    else begin
-      let xdist, ydist = Problem.axis_tables problem in
-      if masked then
-        Pathgraph.Layered.solve_axes_filtered ~xdist ~ydist ~vectors:rows
-          ~width:size ~n_layers:n ~allowed ()
-      else
-        Some
-          (Pathgraph.Layered.solve_axes ~xdist ~ydist ~vectors:rows
-             ~width:size ~n_layers:n ())
-    end
+  let n_layers = Bigarray.Array1.dim rows / size in
+  let allowed =
+    if Pim.Fault.has_node_faults (Problem.fault problem) then
+      Some (fun ~layer:_ j -> Problem.rank_alive problem j)
+    else None
   in
-  snd (Option.get result)
+  let block =
+    {
+      Pathgraph.Layered.relaxation = Problem.relaxation problem;
+      vectors = rows;
+      offsets = Array.init n_layers (fun l -> l * size);
+    }
+  in
+  snd (Option.get (Pathgraph.Layered.solve ?allowed ~n_layers [| block |]))
 
 (* The [`Global] pass over greedy ranges: [fill state dst off] writes a
    group's cost row from its summed state. *)
@@ -183,7 +156,7 @@ let fill_vector v (dst : Pathgraph.Layered.buffer) off =
   Array.iteri (fun k c -> dst.{off + k} <- c) v
 
 (* Referenced-window subsequence of one datum: window indices plus their
-   (cached) cost vectors. *)
+   (cached, fault-priced) cost vectors. *)
 let referenced_vectors problem ~data =
   let indices = ref [] in
   for w = Problem.n_windows problem - 1 downto 0 do
@@ -219,10 +192,9 @@ let to_groups indices ranges =
 let groups problem ~data ~centers =
   let dist = Problem.distance problem in
   if not (Pim.Fault.is_none (Problem.fault problem)) then begin
-    (* Degraded context: always run the vector path — the arena vectors
-       carry the fault-aware prices under either kernel (marginal pricing
-       would ignore dead links), and the masked ops keep centers off dead
-       ranks. *)
+    (* Degraded context: run the vector path — the arena vectors carry
+       the fault-aware prices (marginal pricing would ignore dead links),
+       and the masked ops keep centers off dead ranks. *)
     let alive = Problem.rank_alive problem in
     let indices, vectors = referenced_vectors problem ~data in
     match Array.length vectors with
@@ -237,43 +209,27 @@ let groups problem ~data ~centers =
         in
         to_groups indices ranges
   end
-  else
-  match Problem.kernel problem with
-  | `Naive -> (
-      let indices, vectors = referenced_vectors problem ~data in
-      match Array.length vectors with
-      | 0 -> []
-      | n ->
-          let ranges =
-            greedy_ranges ~ops:vector_ops ~dist ~items:vectors ~n
-          in
-          let ranges =
-            match centers with
-            | `Local -> ranges
-            | `Global -> refine_ranges problem ~fill:fill_vector ranges
-          in
-          to_groups indices ranges)
-  | `Separable -> (
-      let mesh = Problem.mesh problem in
-      let wrap = Pim.Mesh.wraps mesh
-      and cols = Pim.Mesh.cols mesh
-      and rows = Pim.Mesh.rows mesh in
-      let indices, margs = referenced_marginals problem ~data in
-      match Array.length margs with
-      | 0 -> []
-      | n ->
-          let ranges =
-            greedy_ranges ~ops:(marginal_ops ~wrap ~cols) ~dist ~items:margs
-              ~n
-          in
-          let ranges =
-            match centers with
-            | `Local -> ranges
-            | `Global ->
-                refine_ranges problem ranges ~fill:(fun m dst off ->
-                    Cost.fill_slab_of_marginals ~wrap ~cols ~rows m ~dst ~off)
-          in
-          to_groups indices ranges)
+  else begin
+    let mesh = Problem.mesh problem in
+    let wrap = Pim.Mesh.wraps mesh
+    and cols = Pim.Mesh.cols mesh
+    and rows = Pim.Mesh.rows mesh in
+    let indices, margs = referenced_marginals problem ~data in
+    match Array.length margs with
+    | 0 -> []
+    | n ->
+        let ranges =
+          greedy_ranges ~ops:(marginal_ops ~wrap ~cols) ~dist ~items:margs ~n
+        in
+        let ranges =
+          match centers with
+          | `Local -> ranges
+          | `Global ->
+              refine_ranges problem ranges ~fill:(fun m dst off ->
+                  Cost.fill_slab_of_marginals ~wrap ~cols ~rows m ~dst ~off)
+        in
+        to_groups indices ranges
+  end
 
 (* Exact DP over all (partition, centers) choices for one datum.
    dp.(i).(c) = cheapest cost of covering referenced windows 0..i with the
@@ -391,14 +347,12 @@ let desired_trajectory ~n_windows groups =
 let run_with_partitions problem ~partition_of =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
-  (* The vector-pricing paths (degraded context, [`Naive] kernel) read
-     whole arena rows per datum; fill them window-major on the pool up
-     front so the per-datum partition tasks below only read. The healthy
-     separable path prices from marginals alone and never fills a row. *)
-  if
-    (not (Pim.Fault.is_none (Problem.fault problem)))
-    || Problem.kernel problem = `Naive
-  then Problem.prefetch_all problem;
+  (* The degraded context's vector pricing reads whole arena rows per
+     datum; fill them window-major on the pool up front so the per-datum
+     partition tasks below only read. The healthy path prices from
+     marginals alone and never fills a row. *)
+  if not (Pim.Fault.is_none (Problem.fault problem)) then
+    Problem.prefetch_all problem;
   (* parallel phase: each datum's partition (and the cost vectors it pulls
      in) is independent of every other datum's *)
   let desired =
@@ -464,7 +418,7 @@ let schedule ?(centers = `Local) problem =
       groups problem ~data ~centers)
 
 let optimal_schedule problem =
-  (* the exact DP prices from full cost vectors under every kernel *)
+  (* the exact DP prices from full cost vectors *)
   Problem.prefetch_all problem;
   run_with_partitions problem ~partition_of:(fun ~data ->
       optimal_groups problem ~data)

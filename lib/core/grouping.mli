@@ -37,10 +37,8 @@ val groups :
     holds one cost row per group, back to back (group [i]'s row at
     [i · size]), and the result is one center per group along the
     cheapest trajectory under the mesh metric, with the layered DP's tie
-    rule; dead ranks never host a center. Healthy and node-faulted
-    contexts run {!Pathgraph.Layered.solve_axes} on the context's axis
-    tables; link-faulted ones run the callback DP over
-    {!Problem.distance}. *)
+    rule; dead ranks never host a center. One {!Pathgraph.Layered.solve}
+    block relaxed by {!Problem.relaxation}. *)
 val refine_centers : Problem.t -> Pathgraph.Layered.buffer -> int array
 
 (** [schedule ?centers problem] builds the full schedule; per-datum

@@ -1,5 +1,4 @@
 type capacity_policy = Context.capacity_policy = Unbounded | Bounded of int
-type kernel = Context.kernel
 
 (* Cost charged for serving across a disconnected rank pair (link faults
    can split the mesh). Large enough that any connected alternative wins,
@@ -23,9 +22,9 @@ type t = {
   (* Fault-aware full distance table, present iff the fault kills links
      (node faults keep routers, so distances only change under link
      faults). Built eagerly per session via the BFS oracle; disconnected
-     pairs hold [unreachable_cost]. Its presence is the kernel-downgrade
-     trigger: arena rows fill from this table instead of the separable
-     marginals. *)
+     pairs hold [unreachable_cost]. Its presence switches the session off
+     the separable path: arena rows fill from this table instead of the
+     marginals, and the layered DP relaxes over it ([relaxation]). *)
   fault_dist : int array array option;
   (* Caches below are rows-per-datum so parallel fills have one writer per
      row (see the .mli thread-safety contract). *)
@@ -34,8 +33,8 @@ type t = {
   (* Cost arena: one flat compact buffer per datum. Slot 0 (the first
      [size] entries) is a reserved all-zero row; every window that
      references the datum gets its own slot, assigned in window order, and
-     every window that does not points at slot 0 — both kernels produce
-     the all-zero vector for such a row, so it is never written and is
+     every window that does not points at slot 0 — such a row is the
+     all-zero vector under every fault, so it is never written and is
      shared rather than materialized per window. The slab is a bigarray
      so it can be allocated uninitialized: only the zero row is filled at
      creation, and each referencing slot is written in full on its first
@@ -134,20 +133,20 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     cancel = Cancel.none;
   }
 
-let create ?(policy = Unbounded) ?(jobs = 1) ?(kernel = `Separable)
-    ?(fault = Pim.Fault.none) mesh trace =
+let create ?(policy = Unbounded) ?(jobs = 1) ?(fault = Pim.Fault.none) mesh
+    trace =
   (match policy with
   | Bounded c when c < 0 ->
       invalid_arg "Problem.create: negative capacity"
   | Bounded _ | Unbounded -> ());
   if jobs < 1 then invalid_arg "Problem.create: jobs must be >= 1";
-  of_context ~fault (Context.create ~policy ~jobs ~kernel mesh trace)
+  of_context ~fault (Context.create ~policy ~jobs mesh trace)
 
-let of_capacity ?capacity ?jobs ?kernel mesh trace =
+let of_capacity ?capacity ?jobs mesh trace =
   let policy =
     match capacity with None -> Unbounded | Some c -> Bounded c
   in
-  create ~policy ?jobs ?kernel mesh trace
+  create ~policy ?jobs mesh trace
 
 let context t = t.ctx
 let mesh t = t.ctx.Context.mesh
@@ -155,7 +154,6 @@ let trace t = t.ctx.Context.trace
 let policy t = t.policy
 let capacity t = match t.policy with Unbounded -> None | Bounded c -> Some c
 let jobs t = t.jobs
-let kernel t = t.ctx.Context.kernel
 let fault t = t.fault
 let rank_alive t rank = t.alive.(rank)
 let alive_count t = t.n_alive
@@ -171,13 +169,6 @@ let with_policy t policy =
       invalid_arg "Problem.with_policy: negative capacity"
   | Bounded _ | Unbounded -> ());
   { t with policy }
-
-let with_kernel t kernel =
-  if kernel = t.ctx.Context.kernel then t
-  else
-    of_context ~policy:t.policy ~jobs:t.jobs ~fault:t.fault
-      (Context.create ~policy:t.policy ~jobs:t.jobs ~kernel
-         t.ctx.Context.mesh t.ctx.Context.trace)
 
 let with_fault t fault =
   if Pim.Fault.is_none fault && Pim.Fault.is_none t.fault then t
@@ -204,7 +195,14 @@ let distance t a b =
   | Some d -> d.(a).(b)
   | None -> Context.distance t.ctx a b
 
-let axis_tables t = (t.ctx.Context.xdist, t.ctx.Context.ydist)
+(* The one place a session's DP relaxation is decided: link faults break
+   the separable metric, so they relax over the BFS table. *)
+let relaxation t =
+  match t.fault_dist with
+  | Some d -> Pathgraph.Layered.Table d
+  | None ->
+      Pathgraph.Layered.Axes
+        { xdist = t.ctx.Context.xdist; ydist = t.ctx.Context.ydist }
 
 let set_cancel t c = t.cancel <- c
 let cancel_token t = t.cancel
@@ -271,10 +269,15 @@ let ensure_arena t ~data =
         Obs.Metrics.add "problem.arena_bytes" (8 * len);
       a
 
-(* Same integers as [Cost.Naive.cost_vector], with distances read off a
-   full table and the profile walked once per center; [set] targets either
-   an arena slab or a plain array. *)
-let table_entries t dist w ~data ~set =
+(* Link faults break separability, so rows are built off the BFS
+   distance table, the profile walked once per center — the Obs counter
+   records every row built this way. [set] targets either an arena slab
+   or a plain array. *)
+let fault_entries t w ~data ~set =
+  hit "cost.fault_downgrades";
+  let dist =
+    match t.fault_dist with Some d -> d | None -> assert false
+  in
   let profile = Reftrace.Window.profile w data in
   for center = 0 to t.ctx.Context.size - 1 do
     let row = dist.(center) in
@@ -283,24 +286,6 @@ let table_entries t dist w ~data ~set =
          (fun acc (proc, count) -> acc + (count * row.(proc)))
          0 profile)
   done
-
-(* Only reachable under [`Naive], whose context materialized the table at
-   creation. *)
-let naive_entries t w ~data ~set =
-  hit "cost.naive_builds";
-  let dist =
-    match t.ctx.Context.naive_dist with Some d -> d | None -> assert false
-  in
-  table_entries t dist w ~data ~set
-
-(* Link faults break separability, so both kernels downgrade to the BFS
-   distance table — the Obs counter records every row built this way. *)
-let fault_entries t w ~data ~set =
-  hit "cost.fault_downgrades";
-  let dist =
-    match t.fault_dist with Some d -> d | None -> assert false
-  in
-  table_entries t dist w ~data ~set
 
 let fill_separable t ~window ~data ~dst ~off =
   hit "cost.separable_builds";
@@ -346,19 +331,14 @@ let fill_row t ~window ~data =
       if st = '\003' then hit "problem.rows_refilled";
       if t.shared.(data) then privatize t ~data);
   let a = ensure_arena t ~data in
-  (* zero-reference rows resolve to the shared zero slot — both kernels
-     produce the all-zero vector for them, so no build is charged *)
+  (* zero-reference rows resolve to the shared zero slot — the all-zero
+     vector, so no build is charged *)
   let off = t.row_off.(data).(window) in
   if off > 0 then begin
     if t.fault_dist <> None then
       fault_entries t t.ctx.Context.windows.(window) ~data ~set:(fun center v ->
           a.{off + center} <- v)
-    else
-      match t.ctx.Context.kernel with
-      | `Separable -> fill_separable t ~window ~data ~dst:a ~off
-      | `Naive ->
-          naive_entries t t.ctx.Context.windows.(window) ~data
-            ~set:(fun center v -> a.{off + center} <- v)
+    else fill_separable t ~window ~data ~dst:a ~off
   end;
   Bytes.set t.filled.(data) window '\001';
   a
@@ -410,15 +390,7 @@ let merged_vector t ~data =
               v.(center) <- c);
           v
         end
-        else
-          match t.ctx.Context.kernel with
-          | `Separable ->
-              vector_from_marginals t (merged_marginals t ~data)
-          | `Naive ->
-              let v = Array.make size 0 in
-              naive_entries t t.ctx.Context.merged ~data ~set:(fun center c ->
-                  v.(center) <- c);
-              v
+        else vector_from_marginals t (merged_marginals t ~data)
       in
       t.merged_vectors.(data) <- Some v;
       v
@@ -436,11 +408,11 @@ let masked_argmin t get =
 let faulty t = not (Pim.Fault.is_none t.fault)
 
 (* Vector-free fast path (Definition 4): per-axis argmin straight from the
-   marginals under [`Separable]; ascending arena-row scan under [`Naive].
-   Both orders agree with the full-vector ascending argmin, so unbounded
-   schedulers can take this without changing a single placement. Any fault
-   forces the masked arena scan instead: dead ranks cannot host a center,
-   and under link faults the marginals no longer price the row at all. *)
+   marginals, in the same order as the full-vector ascending argmin, so
+   unbounded schedulers can take this without changing a single
+   placement. Any fault forces the masked arena scan instead: dead ranks
+   cannot host a center, and under link faults the marginals no longer
+   price the row at all. *)
 let optimal_center t ~window ~data =
   let cached = t.opts.(data).(window) in
   if cached >= 0 then cached
@@ -452,24 +424,15 @@ let optimal_center t ~window ~data =
         let a, off = arena_row t ~window ~data in
         masked_argmin t (fun i -> a.{off + i})
       end
-      else
-        match t.ctx.Context.kernel with
-        | `Separable ->
-            hit "cost.argmin_fast";
-            fst
-              (Cost.argmin_of_marginals
-                 ~wrap:(Pim.Mesh.wraps mesh)
-                 ~cols:(Pim.Mesh.cols mesh)
-                 ~rows:(Pim.Mesh.rows mesh)
-                 (marginals t ~window ~data))
-        | `Naive ->
-            hit "cost.argmin_fallback";
-            let a, off = arena_row t ~window ~data in
-            let best = ref 0 in
-            for i = 1 to t.ctx.Context.size - 1 do
-              if a.{off + i} < a.{off + !best} then best := i
-            done;
-            !best
+      else begin
+        hit "cost.argmin_fast";
+        fst
+          (Cost.argmin_of_marginals
+             ~wrap:(Pim.Mesh.wraps mesh)
+             ~cols:(Pim.Mesh.cols mesh)
+             ~rows:(Pim.Mesh.rows mesh)
+             (marginals t ~window ~data))
+      end
     in
     t.opts.(data).(window) <- c;
     c
@@ -485,24 +448,15 @@ let merged_optimal_center t ~data =
         let v = merged_vector t ~data in
         masked_argmin t (fun i -> v.(i))
       end
-      else
-        match t.ctx.Context.kernel with
-        | `Separable ->
-            hit "cost.argmin_fast";
-            fst
-              (Cost.argmin_of_marginals
-                 ~wrap:(Pim.Mesh.wraps mesh)
-                 ~cols:(Pim.Mesh.cols mesh)
-                 ~rows:(Pim.Mesh.rows mesh)
-                 (merged_marginals t ~data))
-        | `Naive ->
-            hit "cost.argmin_fallback";
-            let v = merged_vector t ~data in
-            let best = ref 0 in
-            for i = 1 to t.ctx.Context.size - 1 do
-              if v.(i) < v.(!best) then best := i
-            done;
-            !best
+      else begin
+        hit "cost.argmin_fast";
+        fst
+          (Cost.argmin_of_marginals
+             ~wrap:(Pim.Mesh.wraps mesh)
+             ~cols:(Pim.Mesh.cols mesh)
+             ~rows:(Pim.Mesh.rows mesh)
+             (merged_marginals t ~data))
+      end
     in
     t.merged_opts.(data) <- c;
     c
@@ -531,8 +485,7 @@ let candidates t ~window ~data =
           alive_only t
             (Processor_list.of_costs ~n:size (fun i -> a.{off + i}))
         end
-        else if t.fault_dist = None && t.ctx.Context.kernel = `Separable
-        then
+        else if t.fault_dist = None then
           (* fill-skip: the candidate order is a pure function of the axis
              costs, so bounded schedulers that only consume lists
              ([Scds]/[Lomcds]) never force a slab row. Same values, hence
@@ -676,14 +629,7 @@ let fill_window_rows t ~window =
           ~set:(fun center v -> a.{off + center} <- v);
         Bytes.set t.filled.(data) window '\001'
       end
-      else
-        match t.ctx.Context.kernel with
-        | `Naive ->
-            naive_entries t t.ctx.Context.windows.(window) ~data
-              ~set:(fun center v -> a.{off + center} <- v);
-            Bytes.set t.filled.(data) window '\001'
-        | `Separable ->
-            batch := (data, (marginals t ~window ~data, (a, off))) :: !batch
+      else batch := (data, (marginals t ~window ~data, (a, off))) :: !batch
     end
   done;
   match !batch with
@@ -975,61 +921,17 @@ let fresh_memory t =
     List.iter (Pim.Memory.ban m) (Pim.Fault.dead_nodes t.fault);
   m
 
-let layer_vectors t ~data =
-  let slab, offs = layer_slab t ~data in
-  Array.init (n_windows t) (fun w ->
-      Array.init t.ctx.Context.size (fun i -> slab.{offs.(w) + i}))
-
-let layered t ~data =
-  let slab, offs = layer_slab t ~data in
-  let cols = Pim.Mesh.cols t.ctx.Context.mesh in
-  let width = t.ctx.Context.size in
-  let step_cost =
-    match t.fault_dist with
-    | Some fd ->
-        fun ~layer j k -> fd.(j).(k) + slab.{offs.(layer) + k}
-    | None ->
-        let xd = t.ctx.Context.xdist and yd = t.ctx.Context.ydist in
-        fun ~layer j k ->
-          xd.(j mod cols).(k mod cols)
-          + yd.(j / cols).(k / cols)
-          + slab.{offs.(layer) + k}
-  in
-  {
-    Pathgraph.Layered.n_layers = n_windows t;
-    width;
-    enter_cost = (fun j -> slab.{offs.(0) + j});
-    step_cost;
-  }
-
 let solve_datum ?allowed t ~data =
   poll t;
   (* Compose the caller's filter with the alive mask; no closure is built
      on the healthy unfiltered path. *)
-  let combined =
+  let allowed =
     match (allowed, Pim.Fault.has_node_faults t.fault) with
     | None, false -> None
     | None, true -> Some (fun ~layer:_ j -> t.alive.(j))
     | (Some _ as f), false -> f
     | Some f, true -> Some (fun ~layer j -> t.alive.(j) && f ~layer j)
   in
-  match t.fault_dist with
-  | None -> (
-      let vectors, offsets = layer_slab t ~data in
-      let xdist = t.ctx.Context.xdist and ydist = t.ctx.Context.ydist in
-      let width = t.ctx.Context.size and n_layers = n_windows t in
-      match combined with
-      | None ->
-          Some
-            (Pathgraph.Layered.solve_axes ~offsets ~xdist ~ydist ~vectors
-               ~width ~n_layers ())
-      | Some allowed ->
-          Pathgraph.Layered.solve_axes_filtered ~offsets ~xdist ~ydist
-            ~vectors ~width ~n_layers ~allowed ())
-  | Some _ -> (
-      (* link faults: the axis tables no longer factor the distances, so
-         the DP runs on the callback problem over the BFS table *)
-      let p = layered t ~data in
-      match combined with
-      | None -> Some (Pathgraph.Layered.solve p)
-      | Some allowed -> Pathgraph.Layered.solve_filtered p ~allowed)
+  let vectors, offsets = layer_slab t ~data in
+  Pathgraph.Layered.solve ?allowed ~n_layers:(n_windows t)
+    [| { Pathgraph.Layered.relaxation = relaxation t; vectors; offsets } |]

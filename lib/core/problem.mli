@@ -7,8 +7,7 @@
 
     - per-axis mesh distance tables ({!Pim.Mesh.x_distance_table}), so
       distance probes are two array reads; no O(size²) rank-to-rank matrix
-      exists in the context (the [`Naive] kernel keeps a private one for
-      its oracle-role vector builds only);
+      exists in the context;
     - a flat compact {e cost arena} per datum: one bigarray slab holding a
       row per referencing window plus one shared all-zero row that every
       non-referencing window points at, filled lazily per (datum, window)
@@ -44,14 +43,6 @@
     {!Pim.Memory.capacity_for}). Equal to {!Context.capacity_policy}. *)
 type capacity_policy = Context.capacity_policy = Unbounded | Bounded of int
 
-(** Which cost-kernel fills the arena. [`Separable] (the default) builds
-    each vector row in O(P + refs) from axis marginals via prefix sums
-    ({!Cost}); [`Naive] is the direct O(P · refs) table walk
-    ({!Cost.Naive}), kept as the cross-check oracle and benchmark
-    baseline. Both produce byte-identical entries. Equal to
-    {!Context.kernel}. *)
-type kernel = Context.kernel
-
 type t
 
 (** Cost entry recorded for a (center, referencing rank) pair that link
@@ -59,14 +50,15 @@ type t
     wins, small enough that profile-weighted sums never overflow. *)
 val unreachable_cost : int
 
-(** [create ?policy ?jobs ?kernel ?fault mesh trace] builds the context.
+(** [create ?policy ?jobs ?fault mesh trace] builds the context.
     [policy] defaults to [Unbounded]; [jobs] (default [1]) sizes the domain
-    pool, and {!Engine.default_jobs} picks a machine-fitted value; [kernel]
-    defaults to [`Separable]; [fault] (default {!Pim.Fault.none}) degrades
+    pool, and {!Engine.default_jobs} picks a machine-fitted value; arena
+    rows are built by the separable kernel ({!Cost}) in O(P + refs) from
+    axis marginals; [fault] (default {!Pim.Fault.none}) degrades
     the array — dead processors leave every candidate list, memory tracker
     and argmin (their routers stay alive, so distances are unchanged), and
     dead links rebuild all distances by BFS over the surviving topology,
-    which downgrades the cost kernel off the separable fast path (counters
+    which moves rows and the layered DP off the separable fast path (counters
     [cost.fault_tables] / [cost.fault_downgrades]). With [Fault.none] every
     code path is byte-identical to a fault-oblivious context.
     @raise Invalid_argument if [Bounded c] with [c < 0], [jobs < 1], the
@@ -74,19 +66,17 @@ val unreachable_cost : int
 val create :
   ?policy:capacity_policy ->
   ?jobs:int ->
-  ?kernel:kernel ->
   ?fault:Pim.Fault.t ->
   Pim.Mesh.t ->
   Reftrace.Trace.t ->
   t
 
-(** [of_capacity ?capacity ?jobs ?kernel mesh trace] is the bridge from the
+(** [of_capacity ?capacity ?jobs mesh trace] is the bridge from the
     old optional-argument convention: [None] ↦ [Unbounded], [Some c] ↦
     [Bounded c]. Deprecated shims go through this. *)
 val of_capacity :
   ?capacity:int ->
   ?jobs:int ->
-  ?kernel:kernel ->
   Pim.Mesh.t ->
   Reftrace.Trace.t ->
   t
@@ -119,7 +109,6 @@ val policy : t -> capacity_policy
 val capacity : t -> int option
 
 val jobs : t -> int
-val kernel : t -> kernel
 
 (** [fault t] is the fault model the context was built over
     ({!Pim.Fault.none} for a healthy array). *)
@@ -157,13 +146,6 @@ val alive_count : t -> int
 val with_jobs : t -> int -> t
 
 val with_policy : t -> capacity_policy -> t
-
-(** [with_kernel t kernel] is [t] itself when the kernel is unchanged, and
-    otherwise a {e fresh} context (empty caches) over the same mesh, trace,
-    policy and jobs — the kernels produce identical vectors, but sharing
-    filled caches across kernels would defeat the point of switching
-    (benchmarking, cross-checking). *)
-val with_kernel : t -> kernel -> t
 
 (** [with_fault t fault] is a {e fresh session} (empty caches) with the
     fault replaced — cost entries, candidate orders and distances all
@@ -229,10 +211,12 @@ val merged : t -> Reftrace.Window.t
     tables (two reads — safe in parallel phases). *)
 val distance : t -> int -> int -> int
 
-(** [axis_tables t] is the cached [(x_distance_table, y_distance_table)]
-    pair — the inputs {!Pathgraph.Layered.solve_axes} consumes, so the
-    layered DP never needs a full rank-to-rank matrix. Read-only. *)
-val axis_tables : t -> int array array * int array array
+(** [relaxation t] is how the layered DP relaxes a move on this session
+    — the one place that decision is made: the context's per-axis tables
+    ({!Pathgraph.Layered.Axes}, so the DP never needs a rank-to-rank
+    matrix) on a healthy or node-faulted session, the BFS distance table
+    ({!Pathgraph.Layered.Table}) under link faults. Read-only. *)
+val relaxation : t -> Pathgraph.Layered.relaxation
 
 (** [marginals t ~window ~data] is {!Reftrace.Window.marginals} for the
     pair, cached — the separable kernel's input, also summed directly by
@@ -259,14 +243,14 @@ val cost_vector : t -> window:int -> data:int -> int array
 val merged_vector : t -> data:int -> int array
 
 (** [optimal_center t ~window ~data] is the paper's Definition 4 for the
-    pair — the minimum-cost center, lowest rank on ties — cached, and
-    computed {e without} touching the cost vector under [`Separable]:
+    pair — the minimum-cost center, lowest rank on ties — cached, and on
+    a healthy session computed {e without} touching the cost vector:
     {!Cost.argmin_of_marginals} reads the two axis marginals in
-    O(cols + rows) (counter [cost.argmin_fast]). Under [`Naive] it falls
-    back to an ascending scan of the arena row (counter
-    [cost.argmin_fallback]); both orders equal the full-vector ascending
-    argmin, so unbounded schedulers taking this fast path place every
-    datum exactly where the vector route did. *)
+    O(cols + rows) (counter [cost.argmin_fast]), in the same order as
+    the full-vector ascending argmin, so unbounded schedulers taking this
+    fast path place every datum exactly where the vector route did. A
+    faulted session scans the arena row over alive ranks (counter
+    [cost.argmin_masked]). *)
 val optimal_center : t -> window:int -> data:int -> int
 
 (** [merged_optimal_center t ~data] is {!optimal_center} against
@@ -318,26 +302,15 @@ val trajectory_cost : t -> data:int -> int array -> int
     the buffer holds one row per {e referencing} window plus one — and is
     a bigarray allocated uninitialized (each referencing row is written in
     full before it is readable; only the zero row is cleared eagerly).
-    Exactly the form {!Pathgraph.Layered.solve_axes} consumes via its
-    [offsets] argument; treat both as read-only. *)
+    Exactly the block form {!Pathgraph.Layered.solve} consumes; treat
+    both as read-only. *)
 val layer_slab : t -> data:int -> Pathgraph.Layered.buffer * int array
 
-(** [layer_vectors t ~data] is the datum's cost vector for every window as
-    fresh row copies (the dense {!Pathgraph.Layered.solve_dense} shape —
-    now only the cross-check oracle's input). Forces the arena row. *)
-val layer_vectors : t -> data:int -> int array array
-
-(** [layered t ~data] is the GOMCDS cost-graph DP for one datum
-    ({!Gomcds.cost_problem}) reading the arena slab and, under link faults,
-    the BFS distance table in place of the per-axis pair. Forces the
-    datum's arena rows. *)
-val layered : t -> data:int -> Pathgraph.Layered.problem
-
 (** [solve_datum ?allowed t ~data] runs the per-datum layered DP with the
-    fault folded in: on a healthy context it is exactly
-    {!Pathgraph.Layered.solve_axes}[(_filtered)] over the arena slab; node
-    faults intersect [allowed] with the alive mask; link faults run the
-    callback DP over the BFS distance table. Returns [None] when [allowed]
+    fault folded in: one {!Pathgraph.Layered.solve} block over the arena
+    slab, relaxed by {!relaxation} (the axis tables, or the BFS distance
+    table under link faults); node faults intersect [allowed] with the
+    alive mask. Returns [None] when [allowed]
     leaves some layer empty (never on an unfiltered healthy or node-fault
     context — at least one rank is always alive). The one entry point
     GOMCDS, {!Refine} and {!Bounds} all price trajectories through. *)

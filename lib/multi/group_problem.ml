@@ -3,7 +3,6 @@ type t = {
   trace : Reftrace.Trace.t;
   policy : Sched.Problem.capacity_policy;
   jobs : int;
-  kernel : Sched.Problem.kernel;
   fault : Group_fault.t;
   subs : Sched.Problem.t array;
   (* weights.(w).(d).(m) = combined reference count of datum d from
@@ -21,7 +20,6 @@ let group t = t.group
 let trace t = t.trace
 let policy t = t.policy
 let jobs t = t.jobs
-let kernel t = t.kernel
 let fault t = t.fault
 let n_data t = Reftrace.Data_space.size (Reftrace.Trace.space t.trace)
 let n_windows t = Reftrace.Trace.n_windows t.trace
@@ -69,7 +67,7 @@ let project group trace =
   in
   (member_traces, Array.of_list (List.map Fun.id weights))
 
-let make_subs ~policy ~jobs ~kernel ~fault group member_traces =
+let make_subs ~policy ~jobs ~fault group member_traces =
   Array.init (Array_group.n_members group) (fun m ->
       let mesh = Array_group.member group m in
       let mf = Group_fault.member_fault fault group m in
@@ -80,11 +78,11 @@ let make_subs ~policy ~jobs ~kernel ~fault group member_traces =
       let mf =
         if Pim.Fault.alive_count mf mesh = 0 then Pim.Fault.none else mf
       in
-      Sched.Problem.create ~policy ~jobs ~kernel ~fault:mf mesh
+      Sched.Problem.create ~policy ~jobs ~fault:mf mesh
         member_traces.(m))
 
 let create ?(policy = Sched.Problem.Unbounded) ?(jobs = 1)
-    ?(kernel = `Separable) ?(fault = Group_fault.none) group trace =
+    ?(fault = Group_fault.none) group trace =
   Array_group.validate_trace group trace;
   Group_fault.validate fault group;
   if !Obs.enabled then Obs.Metrics.incr "multi.problems";
@@ -94,9 +92,8 @@ let create ?(policy = Sched.Problem.Unbounded) ?(jobs = 1)
       trace;
       policy;
       jobs;
-      kernel;
       fault;
-      subs = make_subs ~policy ~jobs ~kernel ~fault group [| trace |];
+      subs = make_subs ~policy ~jobs ~fault group [| trace |];
       weights = None;
       merged_weights = None;
       assignment = None;
@@ -120,9 +117,8 @@ let create ?(policy = Sched.Problem.Unbounded) ?(jobs = 1)
       trace;
       policy;
       jobs;
-      kernel;
       fault;
-      subs = make_subs ~policy ~jobs ~kernel ~fault group member_traces;
+      subs = make_subs ~policy ~jobs ~fault group member_traces;
       weights = Some weights;
       merged_weights = Some merged;
       assignment = None;
@@ -331,7 +327,7 @@ let subset_problem t m ids =
       (Reftrace.Trace.windows member_trace)
   in
   let problem =
-    Sched.Problem.create ~policy:t.policy ~jobs:t.jobs ~kernel:t.kernel
+    Sched.Problem.create ~policy:t.policy ~jobs:t.jobs
       ~fault:(Sched.Problem.fault sub)
       (Array_group.member t.group m)
       (Reftrace.Trace.create sub_space windows)

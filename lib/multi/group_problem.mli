@@ -23,9 +23,9 @@
 
 type t
 
-(** [create ?policy ?jobs ?kernel ?fault group trace] builds the
+(** [create ?policy ?jobs ?fault group trace] builds the
     problem. Defaults mirror {!Sched.Problem.create}: [Unbounded],
-    [jobs = 1], [`Separable], {!Group_fault.none}. The trace references
+    [jobs = 1], {!Group_fault.none}. The trace references
     {e global} ranks.
     @raise Invalid_argument if the trace references ranks outside the
     group, the fault does not fit, or a bounded policy cannot hold the
@@ -33,7 +33,6 @@ type t
 val create :
   ?policy:Sched.Problem.capacity_policy ->
   ?jobs:int ->
-  ?kernel:Sched.Problem.kernel ->
   ?fault:Group_fault.t ->
   Array_group.t ->
   Reftrace.Trace.t ->
@@ -43,7 +42,6 @@ val group : t -> Array_group.t
 val trace : t -> Reftrace.Trace.t
 val policy : t -> Sched.Problem.capacity_policy
 val jobs : t -> int
-val kernel : t -> Sched.Problem.kernel
 val fault : t -> Group_fault.t
 val n_data : t -> int
 val n_windows : t -> int

@@ -114,7 +114,6 @@ let run ?(reschedule = true) ?(events = []) gp algorithm =
               Group_problem.create
                 ~policy:(Group_problem.policy gp)
                 ~jobs:(Group_problem.jobs gp)
-                ~kernel:(Group_problem.kernel gp)
                 ~fault:merged group suffix_trace
             in
             let resolved_plan = Group_solver.solve cont_gp algorithm in

@@ -13,32 +13,26 @@ let dp_all gp =
   let nm = Group_problem.n_members gp in
   let nd = Group_problem.n_data gp in
   let nw = Group_problem.n_windows gp in
-  let axes =
-    Array.init nm (fun m -> Sched.Problem.axis_tables (Group_problem.sub gp m))
+  let relaxations =
+    Array.init nm (fun m -> Sched.Problem.relaxation (Group_problem.sub gp m))
   in
   let alive = alive_mask gp in
   let move_cost i j = Array_group.move_cost group i j in
   Sched.Engine.map ~jobs:(Group_problem.jobs gp) nd (fun d ->
-      let members =
+      let blocks =
         Array.init nm (fun m ->
-            let slab, offs =
+            let vectors, offsets =
               Sched.Problem.layer_slab (Group_problem.sub gp m) ~data:d
             in
-            let xdist, ydist = axes.(m) in
-            {
-              Pathgraph.Layered.g_xdist = xdist;
-              g_ydist = ydist;
-              g_vectors = slab;
-              g_offsets = offs;
-            })
+            { Pathgraph.Layered.relaxation = relaxations.(m); vectors; offsets })
       in
       match
-        Pathgraph.Layered.solve_group ~members ~move_cost
+        Pathgraph.Layered.solve ~move_cost
           ~consts:(fun ~layer ~member ->
             Group_problem.cross_cost gp ~window:layer ~data:d ~member)
           ~n_layers:nw
           ~allowed:(fun ~layer:_ g -> alive.(g))
-          ()
+          blocks
       with
       | Some r -> r
       | None -> assert false (* >= 1 alive rank in an alive member *))

@@ -9,8 +9,8 @@
       [multi.degenerate_delegations]).
     - {e Migration DP} — for [Gomcds] under an [Unbounded] policy with
       no member link faults, the per-datum layered DP runs over the
-      whole group at once ({!Pathgraph.Layered.solve_group}): member
-      blocks keep their axis-table relaxation, the flat fabric
+      whole group at once ({!Pathgraph.Layered.solve}, one block per
+      member): member blocks keep their axis-table relaxation, the flat fabric
       contributes one scalar edge per member pair, and the per-layer
       cross-array reference cost enters as a per-member constant — so
       trajectories migrate between arrays mid-trace exactly when the

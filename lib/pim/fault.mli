@@ -83,8 +83,9 @@ val n_dead_nodes : t -> int
 val n_dead_links : t -> int
 
 (** [has_node_faults t] / [has_link_faults t] — the two downgrade triggers:
-    node faults shrink the candidate-center set, link faults force the cost
-    kernel off the separable fast path. *)
+    node faults shrink the candidate-center set, link faults move cost
+    rows and the layered DP off the separable fast path onto the BFS
+    distance table. *)
 val has_node_faults : t -> bool
 
 val has_link_faults : t -> bool

@@ -67,11 +67,10 @@ val y_distance_table : t -> int array array
 (** [distance_table m] materializes the full rank-to-rank distance matrix:
     [(distance_table m).(a).(b) = distance m a b]. {b Oracle-only}: since
     the flat-arena rewrite no scheduling path consumes this — distance
-    probes read the two per-axis tables above and the layered DP runs on
-    them directly ({!Pathgraph.Layered.solve_axes}); the only remaining
-    consumer is the [`Naive] cost kernel's private table
-    ({!Sched.Cost.Naive}), kept as the cross-check oracle. Costs
-    [size m]² words — don't call it on a hot path. *)
+    probes read the two per-axis tables above and the layered DP relaxes
+    on them directly ({!Pathgraph.Layered.Axes}); only the test oracles
+    read the full table. Costs [size m]² words — don't call it on a hot
+    path. *)
 val distance_table : t -> int array array
 
 (** [xy_route m ~src ~dst] is the dimension-ordered (x first, then y) route

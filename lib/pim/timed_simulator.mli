@@ -29,9 +29,9 @@
     The default model is {!Link_model.degenerate} — bandwidth 1,
     store-and-forward, unbounded queues, free compute — under which the
     engine is pinned {e byte-identical} (cycles, messages, volume-hops
-    and the utilization float) to the retained pre-model engine
-    ({!Reference}) by the differential suite in [test_timed_model.ml],
-    across schedulers, topologies, faults and both cost kernels.
+    and the utilization float) to the pre-model engine, kept verbatim
+    as a test oracle by the differential suite in [test_timed_model.ml],
+    across schedulers, topologies and faults.
 
     Two easy lower bounds hold and are property-tested: a round's
     makespan is at least [ceil (volume / bandwidth)] of the most loaded
@@ -128,29 +128,3 @@ val round_stats :
   round_report
 
 val pp_report : Format.formatter -> report -> unit
-
-(** The pre-model engine, retained verbatim as the pinned oracle of the
-    differential suite: bandwidth-1 store-and-forward with unbounded
-    queues and free compute. [run ~model:Link_model.degenerate] must
-    reproduce these reports byte-identically — field by field, including
-    the legacy utilization float. Oracle-only: it still carries the O(n²)
-    [List.mem] activation scan the live engine replaced with a hash-set,
-    so don't call it on a hot path. *)
-module Reference : sig
-  type round_report = {
-    round : int;
-    cycles : int;
-    messages : int;
-    volume_hops : int;
-    utilization : float;
-  }
-
-  type report = {
-    rounds : round_report list;
-    total_cycles : int;
-    total_volume_hops : int;
-  }
-
-  val run : ?fault:Fault.t -> Mesh.t -> Simulator.round list -> report
-  val round_makespan : ?fault:Fault.t -> Mesh.t -> Router.message list -> int
-end

@@ -24,7 +24,6 @@ type instance = {
   arrays : string option;
   inter_cost : int;
   unbounded : bool;
-  kernel : Sched.Problem.kernel;
 }
 
 type op =
@@ -133,13 +132,15 @@ let decode_mesh fields =
       if rows < 1 || cols < 1 then reject "mesh shape must be positive";
       { rows; cols; torus = get_bool m "torus" ~default:false }
 
-let decode_kernel fields =
+(* The cost kernel is no longer a choice: [/1] clients that still spell
+   out the only one left are accepted, anything else is refused. *)
+let check_kernel fields =
   match get_string fields "kernel" ~default:"separable" with
-  | "separable" -> `Separable
-  | "naive" -> `Naive
+  | "separable" -> ()
   | s ->
       reject
-        (Printf.sprintf "unknown kernel %S (expected separable or naive)" s)
+        (Printf.sprintf
+           "field \"kernel\": %S is not supported (only \"separable\" is)" s)
 
 let decode_fault fields =
   match get_obj fields "fault" with
@@ -194,6 +195,7 @@ let decode_instance fields =
   if size < 1 then reject "field \"size\" must be positive";
   let inter_cost = get_int fields "inter_cost" ~default:10 in
   if inter_cost < 1 then reject "field \"inter_cost\" must be >= 1";
+  check_kernel fields;
   {
     workload;
     trace_text;
@@ -203,7 +205,6 @@ let decode_instance fields =
     arrays = get_opt_string fields "arrays";
     inter_cost;
     unbounded = get_bool fields "unbounded" ~default:false;
-    kernel = decode_kernel fields;
   }
 
 let decode_deadline fields =

@@ -8,9 +8,11 @@
       mirror the CLI: [workload]/[size]/[partition] name a generated
       workload, or [trace] carries an inline {!Reftrace.Serial} v1 text;
       [mesh] is [{"rows":R,"cols":C,"torus":bool}]; [unbounded] lifts the
-      paper's headroom-2 capacity; [algorithm] and [kernel] are the CLI
-      spellings; [fault] is either [{"dead_arrays":[...],
-      "dead_nodes":[...], "dead_links":[[a,b],...]}] or [{"seed":s,
+      paper's headroom-2 capacity; [algorithm] is the CLI spelling; an
+      optional [kernel] field is accepted only as ["separable"] (the one
+      cost kernel; any other value is a [bad-request]); [fault] is
+      either [{"dead_arrays":[...], "dead_nodes":[...],
+      "dead_links":[[a,b],...]}] or [{"seed":s,
       "array_rate":f, "node_rate":f, "link_rate":f}]. An [arrays] group
       spec ("2x2of8x8" or "8x8,4x4", {!Multi.Array_group.of_spec})
       switches the instance to the multi-array tier: [mesh] is ignored
@@ -77,7 +79,6 @@ type instance = {
   arrays : string option;  (** {!Multi.Array_group.of_spec} group spec *)
   inter_cost : int;  (** fabric hop price; group instances only *)
   unbounded : bool;
-  kernel : Sched.Problem.kernel;
 }
 
 type op =

@@ -36,7 +36,7 @@ type session = Solo of Sched.Problem.t | Group of Multi.Group_problem.t
 type t = {
   config : config;
   (* shared immutable halves, keyed by canonical instance key; every
-     request with the same mesh/trace/policy/kernel reuses the entry.
+     request with the same mesh/trace/policy reuses the entry.
      Byte-accounted LRU: a cold key landing in a full cache evicts the
      least-recently-served instances (and their warm sessions). *)
   contexts : Sched.Context.t Lru.t;
@@ -183,8 +183,6 @@ let policy_of trace mesh (spec : Protocol.instance) =
            (Reftrace.Data_space.size (Reftrace.Trace.space trace))
          ~mesh ~headroom:2)
 
-let kernel_name = function `Separable -> "separable" | `Naive -> "naive"
-
 (* The canonical key naming a shared context: everything the immutable
    half depends on. Inline traces key by content digest, so two clients
    shipping the same trace text share one context. *)
@@ -196,24 +194,17 @@ let context_key (spec : Protocol.instance) =
         Printf.sprintf "w:%s;n:%d;p:%s" spec.workload spec.size
           spec.partition
   in
-  Printf.sprintf "%s;mesh:%dx%d;torus:%b;unb:%b;k:%s" source spec.mesh.rows
+  Printf.sprintf "%s;mesh:%dx%d;torus:%b;unb:%b" source spec.mesh.rows
     spec.mesh.cols spec.mesh.torus spec.unbounded
-    (kernel_name spec.kernel)
 
-(* Cache weight of a shared context: the axis tables (and the naive
-   kernel's full distance matrix) plus a slice of the arena bound as a
-   proxy for the trace and window structures. An estimate — the LRU
+(* Cache weight of a shared context: the axis tables plus a slice of the
+   arena bound as a proxy for the trace and window structures. An estimate — the LRU
    budget is a shedding threshold, not an allocator. *)
 let context_bytes (ctx : Sched.Context.t) =
   let mesh = ctx.Sched.Context.mesh in
   let cols = Pim.Mesh.cols mesh and rows = Pim.Mesh.rows mesh in
   let axis = 8 * 2 * ((cols * cols) + (rows * rows)) in
-  let naive =
-    match ctx.Sched.Context.naive_dist with
-    | Some _ -> 8 * Pim.Mesh.size mesh * Pim.Mesh.size mesh
-    | None -> 0
-  in
-  axis + naive + (ctx.Sched.Context.max_arena_bytes / 8) + 4096
+  axis + (ctx.Sched.Context.max_arena_bytes / 8) + 4096
 
 let find_context t (spec : Protocol.instance) =
   let key = context_key spec in
@@ -227,8 +218,7 @@ let find_context t (spec : Protocol.instance) =
       let trace = build_trace spec mesh in
       let policy = policy_of trace mesh spec in
       let ctx =
-        Sched.Context.create ~policy ~jobs:t.config.jobs
-          ~kernel:spec.kernel mesh trace
+        Sched.Context.create ~policy ~jobs:t.config.jobs mesh trace
       in
       let evicted = Lru.add t.contexts key ctx ~bytes:(context_bytes ctx) in
       (* an evicted context takes its warm session with it: the session
@@ -275,7 +265,7 @@ let fault_key = function
       Printf.sprintf "s:%d;a:%h;n:%h;l:%h" seed array_rate node_rate link_rate
 
 (* Everything a group problem depends on: the instance's context key
-   (trace source, torus, policy, kernel) plus the group spec, the fabric
+   (trace source, torus, policy) plus the group spec, the fabric
    price and the fault spec. *)
 let group_key (spec : Protocol.instance) arrays fault_spec =
   Printf.sprintf "group:%s;arrays:%s;inter:%d;fault:%s" (context_key spec)
@@ -339,8 +329,8 @@ let build_group_problem t (instance : Protocol.instance) arrays fault_spec =
   let policy = group_policy trace group instance in
   let fault = build_group_fault group fault_spec in
   match
-    Multi.Group_problem.create ~policy ~jobs:t.config.jobs
-      ~kernel:instance.Protocol.kernel ~fault group trace
+    Multi.Group_problem.create ~policy ~jobs:t.config.jobs ~fault group
+      trace
   with
   | gp -> gp
   | exception Invalid_argument m -> Protocol.reject m

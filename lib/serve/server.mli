@@ -1,7 +1,7 @@
 (** The long-lived scheduling daemon behind [pimsched serve].
 
     One server owns a cache of shared immutable {!Sched.Context.t}s keyed
-    by instance (mesh, trace source, capacity policy, kernel) and answers
+    by instance (mesh, trace source, capacity policy) and answers
     {!Protocol} requests. Each solve runs a private request-scoped
     session over the cached context, so thousands of requests on one
     instance reuse the axis tables and trace preprocessing while never

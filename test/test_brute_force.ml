@@ -47,7 +47,7 @@ let prop_pruning_is_safe =
       let ok = ref true in
       for data = 0 to n - 1 do
         let bf, _ = Sched.Brute_force.optimal_cost Gen.mesh22 t ~data in
-        let dp, _ = Sched.Gomcds.optimal_centers Gen.mesh22 t ~data in
+        let dp, _ = Oracle.Gomcds.optimal_centers Gen.mesh22 t ~data in
         if bf <> dp then ok := false
       done;
       !ok)

@@ -263,8 +263,9 @@ let test_jobs_and_kernel_validated () =
     [
       ("jobs 0", "schedule -b 1 -n 8 --jobs 0", "expected N >= 1");
       ("jobs negative", "compare -b 1 -n 8 --jobs=-3", "expected N >= 1");
-      ("unknown kernel", "schedule -b 1 -n 8 --kernel wizardry",
-       "unknown kernel");
+      (* there is one cost kernel, so the flag that chose it is gone *)
+      ("kernel flag retired", "schedule -b 1 -n 8 --kernel separable",
+       "unknown option '--kernel'");
     ]
 
 let test_faults () =

@@ -2,24 +2,15 @@
    paths: every rewritten layer is pinned byte-identical to the surviving
    oracle it replaced.
 
-   - arena-backed vectors vs per-array [Cost.cost_vector] builds;
+   - arena-backed vectors vs per-array [Oracle.Cost_naive] builds;
    - [Cost.argmin_of_marginals] vs the full-vector ascending argmin, on
      meshes and tori (circular prefix sums);
-   - [Layered.solve_axes(_filtered)] vs the pre-rewrite full-table dense
-     DP ([Layered.solve_dense(_filtered)], kept exported as the oracle);
+   - [Layered.solve] on [Axes] and [Table] blocks vs the full-table dense
+     DP ([Oracle.Layered.solve_dense(_filtered)]);
    - the [Problem.t]-ported [Annealing]/[Online] vs verbatim copies of
      their pre-port standalone implementations, at fixed seeds, serial
      and at jobs = 4;
-   - [Window.merge]'s direct row summation vs replaying every reference.
-
-   The whole suite honours PIMSCHED_TEST_KERNEL=naive so CI exercises the
-   oracle pairing under both cost kernels ([Problem]-level comparisons
-   only — the kernels themselves are cross-checked in test_kernel.ml). *)
-
-let kernel =
-  match Sys.getenv_opt "PIMSCHED_TEST_KERNEL" with
-  | Some "naive" -> `Naive
-  | _ -> `Separable
+   - [Window.merge]'s direct row summation vs replaying every reference. *)
 
 let torus44 = Pim.Mesh.torus ~rows:4 ~cols:4
 let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
@@ -28,16 +19,29 @@ let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
 let meshes = [ Gen.mesh44; torus35 ]
 
 let problem_of ?policy ?(jobs = 1) mesh trace =
-  Sched.Problem.create ?policy ~jobs ~kernel mesh trace
+  Sched.Problem.create ?policy ~jobs mesh trace
+
+(* The production DP on one [Axes] block — the shape the dense
+   oracle is compared against. Without [offsets] the layer rows are back
+   to back. *)
+let solve_axes_filtered ?offsets ?allowed ~xdist ~ydist ~vectors ~n_layers () =
+  let width = Array.length xdist * Array.length ydist in
+  let offsets =
+    match offsets with
+    | Some o -> o
+    | None -> Array.init n_layers (fun l -> l * width)
+  in
+  Pathgraph.Layered.solve ?allowed ~n_layers
+    [| { relaxation = Axes { xdist; ydist }; vectors; offsets } |]
+
+let solve_axes ?offsets ~xdist ~ydist ~vectors ~n_layers () =
+  Option.get (solve_axes_filtered ?offsets ~xdist ~ydist ~vectors ~n_layers ())
 
 (* ------------------------------------------------------------------ *)
 (* (a) arena rows vs per-array vectors                                 *)
 (* ------------------------------------------------------------------ *)
 
-let oracle_vector mesh window ~data =
-  match kernel with
-  | `Separable -> Sched.Cost.cost_vector mesh window ~data
-  | `Naive -> Sched.Cost.Naive.cost_vector mesh window ~data
+let oracle_vector = Oracle.Cost_naive.cost_vector
 
 let prop_arena_matches_per_array_vectors mesh label =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in
@@ -152,16 +156,15 @@ let prop_solve_axes_matches_dense mesh label =
       let buffer_of a =
         Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout a
       in
-      let dense = Pathgraph.Layered.solve_dense ~dist ~vectors in
+      let dense = Oracle.Layered.solve_dense ~dist ~vectors in
       let unfiltered_equal =
-        Pathgraph.Layered.solve_axes ~xdist ~ydist
-          ~vectors:(buffer_of flat) ~width:m ~n_layers ()
+        solve_axes ~xdist ~ydist ~vectors:(buffer_of flat) ~n_layers ()
         = dense
       in
       let filtered_equal =
-        Pathgraph.Layered.solve_axes_filtered ~xdist ~ydist
-          ~vectors:(buffer_of flat) ~width:m ~n_layers ~allowed ()
-        = Pathgraph.Layered.solve_dense_filtered ~dist ~vectors ~allowed
+        solve_axes_filtered ~xdist ~ydist ~vectors:(buffer_of flat) ~n_layers
+          ~allowed ()
+        = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed
       in
       (* explicit offsets: store the layer rows in reverse order and point
          offsets.(w) at the right one — the compact-arena access pattern *)
@@ -173,8 +176,7 @@ let prop_solve_axes_matches_dense mesh label =
         (fun w off -> Array.blit flat (w * m) rev off m)
         offsets;
       let offsets_equal =
-        Pathgraph.Layered.solve_axes ~offsets ~xdist ~ydist
-          ~vectors:(buffer_of rev) ~width:m ~n_layers ()
+        solve_axes ~offsets ~xdist ~ydist ~vectors:(buffer_of rev) ~n_layers ()
         = dense
       in
       unfiltered_equal && filtered_equal && offsets_equal)
@@ -244,12 +246,11 @@ let prop_relax_shapes (mesh, label) =
       let vectors = Array.init n_layers (fun w -> Array.sub flat (w * m) m) in
       let allowed ~layer j = mask.((layer * m) + j) in
       let buffer = Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat in
-      Pathgraph.Layered.solve_axes ~xdist ~ydist ~vectors:buffer ~width:m
+      solve_axes ~xdist ~ydist ~vectors:buffer
         ~n_layers ()
-      = Pathgraph.Layered.solve_dense ~dist ~vectors
-      && Pathgraph.Layered.solve_axes_filtered ~xdist ~ydist ~vectors:buffer
-           ~width:m ~n_layers ~allowed ()
-         = Pathgraph.Layered.solve_dense_filtered ~dist ~vectors ~allowed)
+      = Oracle.Layered.solve_dense ~dist ~vectors
+      && solve_axes_filtered ~xdist ~ydist ~vectors:buffer ~n_layers ~allowed ()
+         = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed)
 
 (* The scratch buffers are per domain: the same solves fanned out over
    four domains answer exactly as they do serially. *)
@@ -268,9 +269,9 @@ let prop_relax_jobs_invariant =
       and ydist = Pim.Mesh.y_distance_table mesh in
       let solve i =
         let n_layers, flat, mask = instances.(i) in
-        Pathgraph.Layered.solve_axes_filtered ~xdist ~ydist
+        solve_axes_filtered ~xdist ~ydist
           ~vectors:(Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat)
-          ~width:m ~n_layers
+          ~n_layers
           ~allowed:(fun ~layer j -> mask.((layer * m) + j))
           ()
       in
@@ -290,27 +291,114 @@ let outsized_solve_case =
         Alcotest.(check bool)
           (Printf.sprintf "%d layers of %d" n_layers m)
           true
-          (Pathgraph.Layered.solve_axes
+          (solve_axes
              ~xdist:(Pim.Mesh.x_distance_table mesh)
              ~ydist:(Pim.Mesh.y_distance_table mesh)
              ~vectors:
                (Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat)
-             ~width:m ~n_layers ()
-          = Pathgraph.Layered.solve_dense
+             ~n_layers ()
+          = Oracle.Layered.solve_dense
               ~dist:(Pim.Mesh.distance_table mesh) ~vectors)
       in
       check (Pim.Mesh.torus ~rows:2 ~cols:2) ((1 lsl 18) + 1);
       check torus35 5)
 
-(* Grouped refinement: the axis route [refine_centers] takes on healthy
-   and node-faulted contexts picks the same centers as the callback DP
-   over [Problem.distance]; the rows are the datum's per-window arena
-   rows. *)
+(* ------------------------------------------------------------------ *)
+(* (c'') the Table relaxation vs the dense oracle                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Arbitrary tables — asymmetric, non-metric, with [unreachable_cost]
+   entries — so the ascending scan's tie rule is pinned on its own, not
+   through a distance the sweeps could also express. *)
+let table_instance_gen =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun width ->
+  int_range 1 5 >>= fun n_layers ->
+  array_size
+    (return (width * width))
+    (frequency
+       [ (6, int_range 0 4); (1, return Sched.Problem.unreachable_cost) ])
+  >>= fun table ->
+  array_size (return (n_layers * width)) (int_range 0 6) >>= fun flat ->
+  array_size (return (n_layers * width)) (frequencyl [ (4, true); (1, false) ])
+  >>= fun mask -> return (width, n_layers, table, flat, mask)
+
+let table_print (width, n_layers, table, flat, mask) =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "width %d, %d layers, table [|%s|], vectors [|%s|], mask %s"
+    width n_layers (ints table) (ints flat)
+    (String.concat ""
+       (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
+
+let prop_table_matches_dense =
+  QCheck.Test.make ~name:"Table relaxation equals solve_dense" ~count:300
+    (QCheck.make ~print:table_print table_instance_gen)
+    (fun (width, n_layers, table, flat, mask) ->
+      let dist = Array.init width (fun j -> Array.sub table (j * width) width) in
+      let vectors = Array.init n_layers (fun w -> Array.sub flat (w * width) width) in
+      let allowed ~layer j = mask.((layer * width) + j) in
+      let block =
+        {
+          Pathgraph.Layered.relaxation = Table dist;
+          vectors = Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat;
+          offsets = Array.init n_layers (fun l -> l * width);
+        }
+      in
+      Pathgraph.Layered.solve ~n_layers [| block |]
+      = Some (Oracle.Layered.solve_dense ~dist ~vectors)
+      && Pathgraph.Layered.solve ~allowed ~n_layers [| block |]
+         = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed)
+
+(* Link faults that cut rank 0 off entirely, so the BFS table holds
+   [unreachable_cost] pairs, plus one more dead link elsewhere. *)
+let link_fault_cases =
+  [
+    (Gen.mesh44, Pim.Fault.create ~dead_links:[ (0, 1); (0, 4); (9, 10) ] (),
+     "mesh");
+    ( torus35,
+      Pim.Fault.create ~dead_links:[ (0, 1); (0, 4); (0, 5); (0, 10); (7, 8) ] (),
+      "torus" );
+  ]
+
+(* A link-faulted session relaxes over its BFS table: [solve_datum],
+   filtered or not, equals the dense DP over that table and the
+   session's own arena rows. *)
+let prop_link_fault_solve_matches_dense (mesh, fault, label) =
+  let arb =
+    QCheck.pair
+      (Gen.trace_arbitrary ~mesh ~max_data:4 ~max_windows:4 ~max_count:3 ())
+      QCheck.small_nat
+  in
+  QCheck.Test.make
+    ~name:("link-faulted solve_datum equals solve_dense, " ^ label)
+    ~count:40 arb (fun (trace, salt) ->
+      let problem = Sched.Problem.create ~fault mesh trace in
+      let dist =
+        match Sched.Problem.relaxation problem with
+        | Pathgraph.Layered.Table d -> d
+        | Axes _ -> Alcotest.fail "link faults must relax over the BFS table"
+      in
+      if Sched.Problem.distance problem 0 1 <> Sched.Problem.unreachable_cost
+      then Alcotest.fail "the fault must disconnect rank 0";
+      let allowed ~layer j = (((layer + 1) * 31) + (j * 17) + salt) mod 5 <> 0 in
+      List.for_all
+        (fun data ->
+          let vectors = Oracle.Problem.layer_vectors problem ~data in
+          Sched.Problem.solve_datum problem ~data
+          = Some (Oracle.Layered.solve_dense ~dist ~vectors)
+          && Sched.Problem.solve_datum ~allowed problem ~data
+             = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed)
+        (List.init (Sched.Problem.n_data problem) Fun.id))
+
+(* Grouped refinement: [refine_centers] (axis relaxation on healthy and
+   node-faulted contexts, BFS table under link faults) picks the same
+   centers as the callback DP over [Problem.distance]; the rows are the
+   datum's per-window arena rows. *)
 let closure_centers problem rows =
   let m = Pim.Mesh.size (Sched.Problem.mesh problem) in
   let p =
     {
-      Pathgraph.Layered.n_layers = Bigarray.Array1.dim rows / m;
+      Oracle.Layered.n_layers = Bigarray.Array1.dim rows / m;
       width = m;
       enter_cost = (fun j -> rows.{j});
       step_cost =
@@ -319,7 +407,7 @@ let closure_centers problem rows =
     }
   in
   let allowed ~layer:_ j = Sched.Problem.rank_alive problem j in
-  snd (Option.get (Pathgraph.Layered.solve_filtered p ~allowed))
+  snd (Option.get (Oracle.Layered.solve_filtered p ~allowed))
 
 let prop_refine_routes_agree (mesh, fault, label) =
   let arb =
@@ -328,7 +416,7 @@ let prop_refine_routes_agree (mesh, fault, label) =
   QCheck.Test.make
     ~name:("refine_centers axis route = closure route, " ^ label)
     ~count:40 arb (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let m = Pim.Mesh.size mesh in
       List.for_all
         (fun data ->
@@ -361,7 +449,7 @@ let refine_route_cases =
    the port onto Problem.t — the oracles the ported code must reproduce
    byte-for-byte. They intentionally bypass Problem and price everything
    through Cost directly. *)
-module Oracle = struct
+module Pre_port = struct
   let make_rng seed =
     let state = ref (if seed = 0 then 0xBEEF else seed) in
     fun bound ->
@@ -522,7 +610,7 @@ let prop_annealing_port_matches mesh label =
                 Sched.Annealing.anneal ~seed:7 ~iterations:400 problem
               in
               let oracle =
-                Oracle.anneal ?capacity ~seed:7 ~iterations:400 mesh trace
+                Pre_port.anneal ?capacity ~seed:7 ~iterations:400 mesh trace
               in
               Sched.Schedule.equal ported oracle)
             [ 1; 4 ])
@@ -539,7 +627,7 @@ let prop_online_port_matches mesh label =
             (fun jobs ->
               let problem = problem_of ~policy ~jobs mesh trace in
               let ported = Sched.Online.schedule ~theta:1.5 problem in
-              let oracle = Oracle.online ?capacity ~theta:1.5 mesh trace in
+              let oracle = Pre_port.online ?capacity ~theta:1.5 mesh trace in
               Sched.Schedule.equal ported oracle)
             [ 1; 4 ])
         (policies mesh trace))
@@ -670,10 +758,7 @@ let prop_layer_slab_compact mesh label =
 (* Arena-backed path / trajectory costs vs the Cost-module oracle      *)
 (* ------------------------------------------------------------------ *)
 
-let oracle_path_cost mesh profiles ~data =
-  match kernel with
-  | `Separable -> Sched.Cost.path_cost mesh profiles ~data
-  | `Naive -> Sched.Cost.Naive.path_cost mesh profiles ~data
+let oracle_path_cost = Oracle.Cost_naive.path_cost
 
 let prop_path_cost_matches mesh label =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in
@@ -792,24 +877,24 @@ let solve_axes_validation_cases =
   in
   [
     rejects "solve_axes rejects a short flat buffer" (fun () ->
-        Pathgraph.Layered.solve_axes ~xdist ~ydist
-          ~vectors:(buffer ((2 * m) - 1)) ~width:m ~n_layers:2 ());
+        solve_axes ~xdist ~ydist
+          ~vectors:(buffer ((2 * m) - 1)) ~n_layers:2 ());
     rejects "solve_axes rejects a short offset table" (fun () ->
-        Pathgraph.Layered.solve_axes ~offsets:[| 0 |] ~xdist ~ydist
-          ~vectors:(buffer (2 * m)) ~width:m ~n_layers:2 ());
+        solve_axes ~offsets:[| 0 |] ~xdist ~ydist
+          ~vectors:(buffer (2 * m)) ~n_layers:2 ());
     rejects "solve_axes rejects an out-of-range offset" (fun () ->
-        Pathgraph.Layered.solve_axes ~offsets:[| 0; (m * 2) - 1 |] ~xdist
-          ~ydist ~vectors:(buffer (2 * m)) ~width:m ~n_layers:2 ());
+        solve_axes ~offsets:[| 0; (m * 2) - 1 |] ~xdist
+          ~ydist ~vectors:(buffer (2 * m)) ~n_layers:2 ());
     (* the sweeps need unit |a-b| or ring steps: any other table has no
        separable form and is refused, not silently mis-solved *)
     rejects "solve_axes rejects a scaled distance table" (fun () ->
-        Pathgraph.Layered.solve_axes
+        solve_axes
           ~xdist:(Array.map (Array.map (fun d -> 2 * d)) xdist)
-          ~ydist ~vectors:(buffer (2 * m)) ~width:m ~n_layers:2 ());
+          ~ydist ~vectors:(buffer (2 * m)) ~n_layers:2 ());
     rejects "solve_axes rejects a ragged distance table" (fun () ->
-        Pathgraph.Layered.solve_axes ~xdist
+        solve_axes ~xdist
           ~ydist:(Array.map (fun r -> Array.sub r 0 2) ydist)
-          ~vectors:(buffer (2 * m)) ~width:m ~n_layers:2 ());
+          ~vectors:(buffer (2 * m)) ~n_layers:2 ());
   ]
 
 let merged_memo_case =
@@ -896,3 +981,10 @@ let suite =
        ])
   @ solve_axes_validation_cases
   @ [ merged_memo_case; unreferenced_datum_case; outsized_solve_case ]
+  @ List.map Gen.to_alcotest
+      (prop_table_matches_dense
+      :: prop_refine_routes_agree
+           ( Gen.mesh44,
+             Pim.Fault.create ~dead_nodes:[ 6 ] ~dead_links:[ (0, 1); (0, 4) ] (),
+             "dead links" )
+      :: List.map prop_link_fault_solve_matches_dense link_fault_cases)

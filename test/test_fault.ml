@@ -8,17 +8,10 @@
      measured rerouted cost of every message equals volume times the
      fault-aware BFS distance;
    - zero overhead: every scheduler under [Fault.none] is byte-identical
-     to the fault-oblivious path, serial and at jobs = 4, mesh and torus
-     (the suite honours PIMSCHED_TEST_KERNEL=naive, so CI covers both
-     cost kernels);
+     to the fault-oblivious path, serial and at jobs = 4, mesh and torus;
    - degradation: dead processors never host data, rescheduling never
      loses to riding out the repaired plan, and the paid cost collapses
      to the analytic cost on healthy runs. *)
-
-let kernel =
-  match Sys.getenv_opt "PIMSCHED_TEST_KERNEL" with
-  | Some "naive" -> `Naive
-  | _ -> `Separable
 
 let mesh44 = Gen.mesh44
 let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
@@ -186,7 +179,7 @@ let prop_simulator_matches_analytic (label, mesh, fault) =
     ~name:("simulator cost = volume · BFS distance, faulty " ^ label)
     ~count:30 arb
     (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
       let rounds = Sched.Schedule.to_rounds schedule trace in
       let report = Pim.Simulator.run ~fault mesh rounds in
@@ -201,7 +194,7 @@ let prop_problem_cost_matches_simulator (label, mesh, fault) =
     ~name:("analytic schedule cost = measured cost, faulty " ^ label)
     ~count:20 arb
     (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
       let space = Reftrace.Trace.space trace in
       let analytic = ref 0 in
@@ -232,9 +225,9 @@ let prop_fault_none_zero_overhead (label, mesh) =
     (fun trace ->
       List.for_all
         (fun jobs ->
-          let plain = Sched.Problem.create ~jobs ~kernel mesh trace in
+          let plain = Sched.Problem.create ~jobs mesh trace in
           let with_none =
-            Sched.Problem.create ~jobs ~kernel ~fault:Pim.Fault.none mesh trace
+            Sched.Problem.create ~jobs ~fault:Pim.Fault.none mesh trace
           in
           List.for_all
             (fun algorithm ->
@@ -249,7 +242,7 @@ let test_simulator_fault_none_identical () =
     Gen.trace mesh44 ~n_data:4
       [ [ (0, 3, 2); (1, 7, 1) ]; [ (2, 9, 3); (3, 0, 1); (0, 15, 2) ] ]
   in
-  let problem = Sched.Problem.create ~kernel mesh44 trace in
+  let problem = Sched.Problem.create mesh44 trace in
   let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
   let rounds = Sched.Schedule.to_rounds schedule trace in
   let plain = Pim.Simulator.run mesh44 rounds in
@@ -277,7 +270,7 @@ let prop_dead_nodes_excluded =
     arb
     (fun trace ->
       let fault = Pim.Fault.create ~dead_nodes:[ 0; 6; 11 ] () in
-      let problem = Sched.Problem.create ~kernel ~fault mesh44 trace in
+      let problem = Sched.Problem.create ~fault mesh44 trace in
       List.for_all
         (fun algorithm ->
           let s = Sched.Scheduler.solve problem algorithm in
@@ -294,7 +287,7 @@ let prop_dead_nodes_excluded =
 let test_candidates_exclude_dead () =
   let trace = Gen.trace mesh44 ~n_data:1 [ [ (0, 6, 4); (0, 5, 1) ] ] in
   let fault = Pim.Fault.create ~dead_nodes:[ 6 ] () in
-  let problem = Sched.Problem.create ~kernel ~fault mesh44 trace in
+  let problem = Sched.Problem.create ~fault mesh44 trace in
   check_bool "optimal center alive" true
     (Sched.Problem.rank_alive problem
        (Sched.Problem.optimal_center problem ~window:0 ~data:0));
@@ -305,7 +298,7 @@ let test_candidates_exclude_dead () =
   check_bool "killing every rank is rejected" true
     (try
        ignore
-         (Sched.Problem.create ~kernel
+         (Sched.Problem.create
             ~fault:(Pim.Fault.create ~dead_nodes:(List.init 16 Fun.id) ())
             mesh44 trace);
        false
@@ -314,7 +307,7 @@ let test_candidates_exclude_dead () =
 let test_link_fault_downgrades_distance () =
   let trace = Gen.trace mesh44 ~n_data:2 [ [ (0, 1, 2); (1, 14, 1) ] ] in
   let fault = Pim.Fault.create ~dead_links:[ (0, 1) ] () in
-  let problem = Sched.Problem.create ~kernel ~fault mesh44 trace in
+  let problem = Sched.Problem.create ~fault mesh44 trace in
   let o = Pim.Fault.Oracle.create mesh44 fault in
   for src = 0 to 15 do
     for dst = 0 to 15 do
@@ -333,7 +326,7 @@ let test_resilience_healthy_identity () =
     Gen.trace mesh44 ~n_data:4
       [ [ (0, 3, 2); (1, 7, 1) ]; [ (2, 9, 3); (0, 12, 2) ]; [ (3, 1, 1) ] ]
   in
-  let problem = Sched.Problem.create ~kernel mesh44 trace in
+  let problem = Sched.Problem.create mesh44 trace in
   let r = Sched.Resilience.run problem Sched.Scheduler.Gomcds in
   check_int "paid = planned on a healthy run" r.Sched.Resilience.planned_cost
     r.Sched.Resilience.paid_cost;
@@ -347,7 +340,7 @@ let prop_reschedule_never_loses =
     ~count:25
     QCheck.(pair arb (int_range 0 1000))
     (fun (trace, seed) ->
-      let problem = Sched.Problem.create ~kernel mesh44 trace in
+      let problem = Sched.Problem.create mesh44 trace in
       let fault =
         Pim.Fault.inject ~seed ~node_rate:0.25 ~link_rate:0.1 mesh44
       in
@@ -381,7 +374,7 @@ let test_resilience_eviction_charged () =
   let trace =
     Gen.trace mesh44 ~n_data:1 [ [ (0, 5, 3) ]; [ (0, 5, 2) ] ]
   in
-  let problem = Sched.Problem.create ~kernel mesh44 trace in
+  let problem = Sched.Problem.create mesh44 trace in
   let events =
     [ { Sched.Resilience.window = 1; fault = Pim.Fault.create ~dead_nodes:[ 5 ] () } ]
   in
@@ -395,7 +388,7 @@ let test_resilience_eviction_charged () =
 
 let test_resilience_validates_events () =
   let trace = Gen.trace mesh44 ~n_data:1 [ [ (0, 0, 1) ] ] in
-  let problem = Sched.Problem.create ~kernel mesh44 trace in
+  let problem = Sched.Problem.create mesh44 trace in
   check_bool "out-of-range window rejected" true
     (try
        ignore

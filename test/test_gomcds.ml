@@ -23,7 +23,7 @@ let test_optimal_centers_cost_matches_schedule () =
   let t =
     Gen.trace mesh ~n_data:1 [ [ (0, 3, 2) ]; [ (0, 12, 4) ]; [ (0, 7, 1) ] ]
   in
-  let cost, centers = Sched.Gomcds.optimal_centers mesh t ~data:0 in
+  let cost, centers = Oracle.Gomcds.optimal_centers mesh t ~data:0 in
   let pairs =
     List.mapi
       (fun w window -> (window, centers.(w)))
@@ -60,7 +60,7 @@ let prop_matches_brute_force =
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let ok = ref true in
       for data = 0 to n - 1 do
-        let dp_cost, _ = Sched.Gomcds.optimal_centers Gen.mesh22 t ~data in
+        let dp_cost, _ = Oracle.Gomcds.optimal_centers Gen.mesh22 t ~data in
         let bf_cost, _ = Sched.Brute_force.optimal_cost Gen.mesh22 t ~data in
         if dp_cost <> bf_cost then ok := false
       done;
@@ -84,8 +84,8 @@ let prop_dp_equals_explicit_cost_graph =
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let ok = ref true in
       for data = 0 to n - 1 do
-        let dp_cost, _ = Sched.Gomcds.optimal_centers mesh t ~data in
-        let g, source, sink, _ = Sched.Gomcds.cost_graph mesh t ~data in
+        let dp_cost, _ = Oracle.Gomcds.optimal_centers mesh t ~data in
+        let g, source, sink, _ = Oracle.Gomcds.cost_graph mesh t ~data in
         let r = Pathgraph.Shortest_path.dag g ~source in
         if Pathgraph.Shortest_path.distance r ~target:sink <> Some dp_cost
         then ok := false

@@ -130,7 +130,7 @@ let prop_dag_equals_dijkstra =
 let small_problem =
   (* 3 layers x 2 nodes; costs favour switching to node 1 in layer 1. *)
   {
-    Pathgraph.Layered.n_layers = 3;
+    Oracle.Layered.n_layers = 3;
     width = 2;
     enter_cost = (fun j -> if j = 0 then 0 else 10);
     step_cost =
@@ -143,7 +143,7 @@ let small_problem =
   }
 
 let test_layered_solve () =
-  let cost, centers = Pathgraph.Layered.solve small_problem in
+  let cost, centers = Oracle.Layered.solve small_problem in
   (* enter node 0 free, pay the single switch into node 1 at layer 1, then
      stay: cheaper than the occupancy-5 of staying at node 0 *)
   check_int "cost" 1 cost;
@@ -153,10 +153,10 @@ let test_layered_solve () =
 
 let test_layered_agrees_with_digraph () =
   let g, source, sink, _node_id =
-    Pathgraph.Layered.to_digraph small_problem
+    Oracle.Layered.to_digraph small_problem
   in
   let r = Pathgraph.Shortest_path.dag g ~source in
-  let cost, _ = Pathgraph.Layered.solve small_problem in
+  let cost, _ = Oracle.Layered.solve small_problem in
   Alcotest.(check (option int))
     "same optimum" (Some cost)
     (Pathgraph.Shortest_path.distance r ~target:sink)
@@ -164,7 +164,7 @@ let test_layered_agrees_with_digraph () =
 let test_layered_filtered () =
   (* forbid node 1 in layer 1: forced to pay the occupancy 5 *)
   let allowed ~layer j = not (layer = 1 && j = 1) in
-  match Pathgraph.Layered.solve_filtered small_problem ~allowed with
+  match Oracle.Layered.solve_filtered small_problem ~allowed with
   | None -> Alcotest.fail "feasible problem"
   | Some (cost, centers) ->
       check_int "cost" 5 cost;
@@ -175,18 +175,18 @@ let test_layered_infeasible () =
   Alcotest.(check bool)
     "no path" true
     (Option.is_none
-       (Pathgraph.Layered.solve_filtered small_problem ~allowed))
+       (Oracle.Layered.solve_filtered small_problem ~allowed))
 
 let test_layered_single_layer () =
   let p =
     {
-      Pathgraph.Layered.n_layers = 1;
+      Oracle.Layered.n_layers = 1;
       width = 3;
       enter_cost = (fun j -> 5 - j);
       step_cost = (fun ~layer:_ _ _ -> assert false);
     }
   in
-  let cost, centers = Pathgraph.Layered.solve p in
+  let cost, centers = Oracle.Layered.solve p in
   check_int "picks cheapest" 3 cost;
   check_int "node 2" 2 centers.(0)
 
@@ -205,7 +205,7 @@ let problem_of (n_layers, width, seed) =
   (* deterministic pseudo-random costs from the seed *)
   let cost a b c = 1 + ((seed + (31 * a) + (7 * b) + (3 * c)) mod 13) in
   {
-    Pathgraph.Layered.n_layers;
+    Oracle.Layered.n_layers;
     width;
     enter_cost = (fun j -> cost 0 0 j);
     step_cost = (fun ~layer j k -> cost layer j k);
@@ -215,8 +215,8 @@ let prop_layered_dp_equals_explicit_graph =
   QCheck.Test.make ~name:"layered DP = explicit cost-graph shortest path"
     ~count:100 layered_random_arbitrary (fun spec ->
       let p = problem_of spec in
-      let dp_cost, _ = Pathgraph.Layered.solve p in
-      let g, source, sink, _ = Pathgraph.Layered.to_digraph p in
+      let dp_cost, _ = Oracle.Layered.solve p in
+      let g, source, sink, _ = Oracle.Layered.to_digraph p in
       let r = Pathgraph.Shortest_path.dag g ~source in
       Pathgraph.Shortest_path.distance r ~target:sink = Some dp_cost)
 

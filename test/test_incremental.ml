@@ -2,7 +2,7 @@
    reached by patching ([Problem.with_fault_patch]) or by in-place window
    editing ([Problem.invalidate]) must answer every scheduler
    byte-for-byte like a freshly built session — across mesh and torus,
-   both cost kernels, serial and parallel pools, node and link faults,
+   serial and parallel pools, node and link faults,
    and the serve daemon's warm-session pool. *)
 
 let plan s = Sched.Schedule_serial.to_string s
@@ -47,54 +47,48 @@ let quick_algs =
 let meshes =
   [ ("mesh", Pim.Mesh.square 4); ("torus", Pim.Mesh.torus ~rows:4 ~cols:4) ]
 
-let kernels = [ ("sep", `Separable); ("naive", `Naive) ]
 let lu mesh = Workloads.Benchmarks.trace Workloads.Benchmarks.B1 ~n:6 mesh
 let node_fault = Pim.Fault.create ~dead_nodes:[ 5 ] ()
 
 let link_fault =
   Pim.Fault.create ~dead_nodes:[ 5 ] ~dead_links:[ (0, 1); (9, 10) ] ()
 
-(* ---- fault patches: the full scheduler x topology x kernel x jobs
-   matrix on the LU benchmark ---- *)
+(* ---- fault patches: the full scheduler x topology x jobs matrix on
+   the LU benchmark ---- *)
 
 let test_patch_matrix () =
   List.iter
     (fun (mname, mesh) ->
       let trace = lu mesh in
       List.iter
-        (fun (kname, kernel) ->
-          List.iter
-            (fun jobs ->
-              let ctx = Sched.Context.create ~jobs ~kernel mesh trace in
-              let base = Sched.Problem.of_context ctx in
-              (* warm the caches the patch will carry over *)
-              Sched.Problem.prefetch_all base;
-              ignore (Sched.Scheduler.solve base Sched.Scheduler.Gomcds);
-              let tag f = Printf.sprintf "%s/%s/j%d/%s" mname kname jobs f in
-              (* healthy -> node fault: monotone, reprices no row *)
-              let p1 = Sched.Problem.with_fault_patch base node_fault in
-              check_equiv (tag "node") algorithms
-                (Sched.Problem.of_context ~fault:node_fault ctx)
-                p1;
-              (* node fault -> node+link fault: monotone, BFS repricing *)
-              let p2 = Sched.Problem.with_fault_patch p1 link_fault in
-              check_equiv (tag "link") algorithms
-                (Sched.Problem.of_context ~fault:link_fault ctx)
-                p2;
-              (* back to healthy: non-monotone, argmins and candidate
-                 lists must all drop *)
-              let p3 = Sched.Problem.with_fault_patch p2 Pim.Fault.none in
-              check_equiv (tag "heal") algorithms
-                (Sched.Problem.of_context ctx)
-                p3)
-            [ 1; 4 ])
-        kernels)
+        (fun jobs ->
+          let ctx = Sched.Context.create ~jobs mesh trace in
+          let base = Sched.Problem.of_context ctx in
+          (* warm the caches the patch will carry over *)
+          Sched.Problem.prefetch_all base;
+          ignore (Sched.Scheduler.solve base Sched.Scheduler.Gomcds);
+          let tag f = Printf.sprintf "%s/j%d/%s" mname jobs f in
+          (* healthy -> node fault: monotone, reprices no row *)
+          let p1 = Sched.Problem.with_fault_patch base node_fault in
+          check_equiv (tag "node") algorithms
+            (Sched.Problem.of_context ~fault:node_fault ctx)
+            p1;
+          (* node fault -> node+link fault: monotone, BFS repricing *)
+          let p2 = Sched.Problem.with_fault_patch p1 link_fault in
+          check_equiv (tag "link") algorithms
+            (Sched.Problem.of_context ~fault:link_fault ctx)
+            p2;
+          (* back to healthy: non-monotone, argmins and candidate lists
+             must all drop *)
+          let p3 = Sched.Problem.with_fault_patch p2 Pim.Fault.none in
+          check_equiv (tag "heal") algorithms (Sched.Problem.of_context ctx) p3)
+        [ 1; 4 ])
     meshes
 
 (* ---- fault patches under a Bounded policy: the candidate lists the
    bounded schedulers consume come from the fill-skipping path when the
-   session is healthy and separable, and from slab rows otherwise — both
-   must survive a patch ---- *)
+   session is healthy, and from slab rows otherwise — both must survive
+   a patch ---- *)
 
 let test_patch_bounded () =
   List.iter
@@ -103,25 +97,21 @@ let test_patch_bounded () =
       let capacity =
         Workloads.Benchmarks.capacity Workloads.Benchmarks.B1 ~n:6 mesh
       in
-      List.iter
-        (fun (kname, kernel) ->
-          let ctx =
-            Sched.Context.create
-              ~policy:(Sched.Problem.Bounded capacity)
-              ~kernel mesh trace
-          in
-          let base = Sched.Problem.of_context ctx in
-          (* no prefetch: bounded solves on a healthy separable session
-             exercise the fill-skipping candidates path *)
-          ignore (Sched.Scheduler.solve base Sched.Scheduler.Lomcds);
-          ignore (Sched.Scheduler.solve base Sched.Scheduler.Scds);
-          let p1 = Sched.Problem.with_fault_patch base node_fault in
-          check_equiv
-            (Printf.sprintf "%s/%s/bounded" mname kname)
-            algorithms
-            (Sched.Problem.of_context ~fault:node_fault ctx)
-            p1)
-        kernels)
+      let ctx =
+        Sched.Context.create ~policy:(Sched.Problem.Bounded capacity) mesh
+          trace
+      in
+      let base = Sched.Problem.of_context ctx in
+      (* no prefetch: bounded solves on a healthy session exercise the
+         fill-skipping candidates path *)
+      ignore (Sched.Scheduler.solve base Sched.Scheduler.Lomcds);
+      ignore (Sched.Scheduler.solve base Sched.Scheduler.Scds);
+      let p1 = Sched.Problem.with_fault_patch base node_fault in
+      check_equiv
+        (Printf.sprintf "%s/bounded" mname)
+        algorithms
+        (Sched.Problem.of_context ~fault:node_fault ctx)
+        p1)
     meshes
 
 (* ---- window edits: a datum gaining its first reference in the edited

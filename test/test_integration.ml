@@ -87,7 +87,7 @@ let test_gomcds_equals_per_datum_optimum_on_lu () =
   let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
   let expected = ref 0 in
   for data = 0 to n - 1 do
-    expected := !expected + fst (Sched.Gomcds.optimal_centers mesh t ~data)
+    expected := !expected + fst (Oracle.Gomcds.optimal_centers mesh t ~data)
   done;
   check_int "sum of optima" !expected (Sched.Schedule.total_cost s t)
 

@@ -1,7 +1,9 @@
-(* Cross-checks of the separable cost kernel against the [Cost.Naive]
-   oracle: byte-identical cost vectors, local optima (including tie order)
-   and path costs on random meshes and tori, plus the Problem-level kernel
-   switch, cache-sharing and build-counter contracts. *)
+(* Cross-checks of the separable cost kernel against the
+   [Oracle.Cost_naive] walk: byte-identical cost vectors, local optima
+   (including tie order) and path costs on random meshes and tori; the
+   session rows, centers and candidate lists [Problem] serves, and the
+   marginal-priced grouping greedy, pinned to the same oracle; plus the
+   cache-sharing and build-counter contracts. *)
 
 let check_int = Alcotest.(check int)
 
@@ -41,14 +43,14 @@ let prop_cost_vectors_equal =
     ~count:200 instance_arbitrary (fun inst ->
       for_all_pairs inst (fun mesh w ~data ->
           Sched.Cost.cost_vector mesh w ~data
-          = Sched.Cost.Naive.cost_vector mesh w ~data))
+          = Oracle.Cost_naive.cost_vector mesh w ~data))
 
 let prop_reference_cost_equals_vector_entry =
   QCheck.Test.make
     ~name:"separable reference_cost = its cost_vector entry, every center"
     ~count:100 instance_arbitrary (fun inst ->
       for_all_pairs inst (fun mesh w ~data ->
-          let v = Sched.Cost.Naive.cost_vector mesh w ~data in
+          let v = Oracle.Cost_naive.cost_vector mesh w ~data in
           let ok = ref true in
           for center = 0 to Array.length v - 1 do
             if Sched.Cost.reference_cost mesh w ~data ~center <> v.(center)
@@ -62,7 +64,7 @@ let prop_local_optima_equal =
     ~count:200 instance_arbitrary (fun inst ->
       for_all_pairs inst (fun mesh w ~data ->
           Sched.Cost.local_optimal_center mesh w ~data
-          = Sched.Cost.Naive.local_optimal_center mesh w ~data))
+          = Oracle.Cost_naive.local_optimal_center mesh w ~data))
 
 let prop_path_costs_equal =
   QCheck.Test.make ~name:"separable path_cost = Naive path_cost" ~count:100
@@ -74,7 +76,7 @@ let prop_path_costs_equal =
         (* two trajectories: the per-window local optima, and all-zero *)
         let optima =
           List.map
-            (fun w -> (w, Sched.Cost.Naive.local_optimal_center mesh w ~data))
+            (fun w -> (w, Oracle.Cost_naive.local_optimal_center mesh w ~data))
             windows
         in
         let home = List.map (fun w -> (w, 0)) windows in
@@ -82,7 +84,7 @@ let prop_path_costs_equal =
           (fun pairs ->
             if
               Sched.Cost.path_cost mesh pairs ~data
-              <> Sched.Cost.Naive.path_cost mesh pairs ~data
+              <> Oracle.Cost_naive.path_cost mesh pairs ~data
             then ok := false)
           [ optima; home ]
       done;
@@ -99,56 +101,110 @@ let prop_marginals_conserve_mass =
           let sum = Array.fold_left ( + ) 0 in
           sum mx = Reftrace.Window.references w data && sum mx = sum my))
 
-(* The kernel switch must be invisible in results: identical cached vectors
-   and identical schedules from every algorithm that prices merges or
-   trajectories. *)
-let prop_problem_kernels_agree =
-  QCheck.Test.make ~name:"Problem kernel=naive and separable agree"
-    ~count:50 instance_arbitrary (fun (mesh, trace) ->
-      let sep = Sched.Problem.create ~kernel:`Separable mesh trace in
-      let nai = Sched.Problem.create ~kernel:`Naive mesh trace in
-      let n = Sched.Problem.n_data sep in
-      let vectors_ok = ref true in
-      for data = 0 to n - 1 do
-        for w = 0 to Sched.Problem.n_windows sep - 1 do
-          if
-            Sched.Problem.cost_vector sep ~window:w ~data
-            <> Sched.Problem.cost_vector nai ~window:w ~data
-          then vectors_ok := false
-        done;
-        if
-          Sched.Problem.merged_vector sep ~data
-          <> Sched.Problem.merged_vector nai ~data
-        then vectors_ok := false
-      done;
-      let schedules_ok =
-        List.for_all
-          (fun algo ->
-            Sched.Schedule.equal
-              (Sched.Scheduler.solve sep algo)
-              (Sched.Scheduler.solve nai algo))
-          Sched.Scheduler.
-            [ Scds; Lomcds; Gomcds; Lomcds_grouped; Gomcds_grouped ]
-      in
-      !vectors_ok && schedules_ok)
+(* Session-level pins: every row [Problem] serves — arena cost vectors,
+   merged vectors, optimal centers (vector-free on a healthy session)
+   and candidate lists (fill-skipping on a healthy session) — equals what
+   the direct walk gives, with the alive-masked ascending argmin and
+   alive-filtered candidate order on a faulted session. Caches are filled
+   on the domain pool first, so jobs 1 and 4 both go through the parallel
+   fills. *)
+let oracle_center alive v =
+  let best = ref (-1) in
+  Array.iteri
+    (fun i c -> if alive i && (!best < 0 || c < v.(!best)) then best := i)
+    v;
+  !best
 
-let prop_problem_kernels_agree_bounded =
-  QCheck.Test.make
-    ~name:"Problem kernels agree under a bounded capacity policy" ~count:30
-    instance_arbitrary (fun (mesh, trace) ->
-      let n = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-      let capacity =
-        Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2
+let rows_match_oracle problem =
+  let mesh = Sched.Problem.mesh problem in
+  let alive = Sched.Problem.rank_alive problem in
+  let candidates v =
+    List.filter alive (Sched.Processor_list.of_cost_vector v)
+  in
+  Sched.Problem.prefetch_referenced problem;
+  Sched.Problem.prefetch_centers problem;
+  Sched.Problem.prefetch_merged problem;
+  List.for_all
+    (fun data ->
+      let mv =
+        Oracle.Cost_naive.cost_vector mesh (Sched.Problem.merged problem) ~data
       in
-      let policy = Sched.Problem.Bounded capacity in
-      let sep = Sched.Problem.create ~policy ~kernel:`Separable mesh trace in
-      let nai = Sched.Problem.create ~policy ~kernel:`Naive mesh trace in
+      Sched.Problem.merged_vector problem ~data = mv
+      && Sched.Problem.merged_optimal_center problem ~data
+         = oracle_center alive mv
+      && List.for_all
+           (fun w ->
+             let v =
+               Oracle.Cost_naive.cost_vector mesh
+                 (Sched.Problem.window problem w)
+                 ~data
+             in
+             Sched.Problem.candidates problem ~window:w ~data = candidates v
+             && Sched.Problem.optimal_center problem ~window:w ~data
+                = oracle_center alive v
+             && Sched.Problem.cost_vector problem ~window:w ~data = v)
+           (List.init (Sched.Problem.n_windows problem) Fun.id))
+    (List.init (Sched.Problem.n_data problem) Fun.id)
+
+let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
+
+(* (label, mesh, dead ranks) *)
+let session_meshes =
+  [ ("mesh", Gen.mesh44, [ 0; 5; 6; 15 ]); ("torus", torus35, [ 2; 7 ]) ]
+
+(* How a session is opened: fresh healthy, bounded, node-faulted, or
+   patched onto the node fault from a warmed healthy session. *)
+let session_kinds =
+  [
+    ("healthy", fun ~jobs ~dead:_ mesh trace ->
+        Sched.Problem.create ~jobs mesh trace);
+    ( "bounded",
+      fun ~jobs ~dead:_ mesh trace ->
+        let n = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
+        let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
+        Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~jobs
+          mesh trace );
+    ( "node-faulted",
+      fun ~jobs ~dead mesh trace ->
+        Sched.Problem.create ~jobs
+          ~fault:(Pim.Fault.create ~dead_nodes:dead ())
+          mesh trace );
+    ( "with_fault_patch",
+      fun ~jobs ~dead mesh trace ->
+        let base = Sched.Problem.create ~jobs mesh trace in
+        ignore (rows_match_oracle base);
+        Sched.Problem.prefetch_all base;
+        Sched.Problem.with_fault_patch base
+          (Pim.Fault.create ~dead_nodes:dead ()) );
+  ]
+
+let prop_session_rows (kind, open_session) (label, mesh, dead) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s session rows = Cost_naive, %s" kind label)
+    ~count:25
+    (Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 ())
+    (fun trace ->
       List.for_all
-        (fun algo ->
-          Sched.Schedule.equal
-            (Sched.Scheduler.solve sep algo)
-            (Sched.Scheduler.solve nai algo))
-        Sched.Scheduler.[ Gomcds; Lomcds_grouped; Gomcds_grouped ])
+        (fun jobs -> rows_match_oracle (open_session ~jobs ~dead mesh trace))
+        [ 1; 4 ])
+
+(* The marginal-priced greedy (healthy sessions) makes exactly the
+   decisions of the vector-priced one, datum by datum, under both center
+   policies — so the [Lomcds_grouped]/[Gomcds_grouped] schedules built
+   from those groups are the vector-priced ones too. *)
+let prop_grouping_matches_vector_greedy =
+  QCheck.Test.make
+    ~name:"marginal-priced grouping = vector-priced greedy oracle" ~count:100
+    instance_arbitrary (fun (mesh, trace) ->
+      let problem = Sched.Problem.create mesh trace in
+      List.for_all
+        (fun data ->
+          List.for_all
+            (fun centers ->
+              Sched.Grouping.groups problem ~data ~centers
+              = Oracle.Grouping.groups problem ~data ~centers)
+            [ `Local; `Global ])
+        (List.init (Sched.Problem.n_data problem) Fun.id))
 
 let prop_problem_path_cost_matches_cost =
   QCheck.Test.make
@@ -245,16 +301,6 @@ let test_with_policy_and_jobs_share_caches () =
     "with_jobs serves the same arena slab" true
     (slab == fst (Sched.Problem.layer_slab jobs2 ~data:0))
 
-let test_with_kernel_rebuilds () =
-  let problem = Sched.Problem.create Gen.mesh44 (shared_trace ()) in
-  let v = Sched.Problem.cost_vector problem ~window:0 ~data:0 in
-  let nai = Sched.Problem.with_kernel problem `Naive in
-  let v' = Sched.Problem.cost_vector nai ~window:0 ~data:0 in
-  Alcotest.(check bool) "same kernel is a no-op" true
-    (problem == Sched.Problem.with_kernel problem `Separable);
-  Alcotest.(check bool) "fresh caches across kernels" true (not (v == v'));
-  Alcotest.(check (array int)) "identical values across kernels" v v'
-
 let metric name snapshot = Obs.Metrics.counter snapshot name
 
 let test_build_counters () =
@@ -272,18 +318,10 @@ let test_build_counters () =
          keep the arena's zero fill and charge no build. Each is built
          exactly once despite the second prefetch. *)
       check_int "separable builds" 4 (metric "cost.separable_builds" snap);
-      check_int "no naive builds" 0 (metric "cost.naive_builds" snap);
       check_int "marginal misses" 4 (metric "problem.marginals_miss" snap);
       check_int "arena bytes"
         (8 * 2 * 3 * 16)
-        (metric "problem.arena_bytes" snap);
-      Obs.reset ();
-      let nai = Sched.Problem.create ~kernel:`Naive Gen.mesh44 trace in
-      Sched.Problem.prefetch_all nai;
-      let snap = Obs.Metrics.snapshot () in
-      check_int "naive builds" 4 (metric "cost.naive_builds" snap);
-      check_int "no separable builds" 0
-        (metric "cost.separable_builds" snap))
+        (metric "problem.arena_bytes" snap))
 
 let suite =
   [
@@ -292,14 +330,18 @@ let suite =
     Gen.case "vector assembly layout" test_vector_of_marginals_layout;
     Gen.case "with_policy/with_jobs share caches"
       test_with_policy_and_jobs_share_caches;
-    Gen.case "with_kernel rebuilds caches" test_with_kernel_rebuilds;
     Gen.case "kernel build counters" test_build_counters;
     Gen.to_alcotest prop_cost_vectors_equal;
     Gen.to_alcotest prop_reference_cost_equals_vector_entry;
     Gen.to_alcotest prop_local_optima_equal;
     Gen.to_alcotest prop_path_costs_equal;
     Gen.to_alcotest prop_marginals_conserve_mass;
-    Gen.to_alcotest prop_problem_kernels_agree;
-    Gen.to_alcotest prop_problem_kernels_agree_bounded;
+    Gen.to_alcotest prop_grouping_matches_vector_greedy;
     Gen.to_alcotest prop_problem_path_cost_matches_cost;
   ]
+  @ List.concat_map
+      (fun kind ->
+        List.map
+          (fun m -> Gen.to_alcotest (prop_session_rows kind m))
+          session_meshes)
+      session_kinds

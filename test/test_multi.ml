@@ -5,22 +5,16 @@
      metric, and the virtual-mesh embedding;
    - the migration DP is pinned to a dense oracle: per datum, the full
      group distance matrix + full per-window cost vectors fed to
-     [Layered.solve_dense] must price exactly what [Group_solver] pays
+     [Oracle.Layered.solve_dense] must price exactly what [Group_solver] pays
      under Gomcds — slab projection, cross-array constants and the
      scalar fabric edges all have to agree with the flat metric;
    - single-array degeneracy: a 1-member group is byte-identical to the
      plain Mesh path across every scheduler, mesh and torus, bounded and
-     unbounded, jobs 1 and 4 (the suite honours PIMSCHED_TEST_KERNEL=naive
-     so CI covers both cost kernels);
+     unbounded, jobs 1 and 4;
    - whole-array faults: injection is deterministic and monotone, dead
      arrays never host data, and reschedule-on-failure never loses to
      riding out the repaired plan;
    - plan serialization round-trips heterogeneous groups. *)
-
-let kernel =
-  match Sys.getenv_opt "PIMSCHED_TEST_KERNEL" with
-  | Some "naive" -> `Naive
-  | _ -> `Separable
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -151,7 +145,7 @@ let dense_group_optimum group trace d =
               0
               (Reftrace.Window.profile win d)))
   in
-  Pathgraph.Layered.solve_dense ~dist ~vectors
+  Oracle.Layered.solve_dense ~dist ~vectors
 
 let prop_dp_matches_dense_oracle =
   let group = hetero ~inter_cost:4 () in
@@ -159,7 +153,7 @@ let prop_dp_matches_dense_oracle =
     ~name:"group Gomcds total = sum of dense per-datum group optima" ~count:30
     (group_trace_arbitrary group ~max_data:5 ~max_windows:4 ~max_count:3)
     (fun trace ->
-      let gp = Multi.Group_problem.create ~kernel group trace in
+      let gp = Multi.Group_problem.create group trace in
       let plan, breakdown =
         Multi.Group_solver.evaluate gp Sched.Scheduler.Gomcds
       in
@@ -182,7 +176,23 @@ let prop_dp_matches_dense_oracle =
 (* The group DP as it stood before the separable relaxation: every
    member block relaxed by the O(width²) ascending source × target scan,
    then the scalar fabric edges. Kept verbatim (instrumentation aside)
-   as the byte-identity oracle for [Layered.solve_group]. *)
+   as the byte-identity oracle for [Layered.solve] over several [Axes]
+   blocks. A member is its two axis tables, its flat slab and its
+   per-layer offsets. *)
+type group_member = {
+  g_xdist : int array array;
+  g_ydist : int array array;
+  g_vectors : Pathgraph.Layered.buffer;
+  g_offsets : int array;
+}
+
+let block_of m =
+  {
+    Pathgraph.Layered.relaxation = Axes { xdist = m.g_xdist; ydist = m.g_ydist };
+    vectors = m.g_vectors;
+    offsets = m.g_offsets;
+  }
+
 module Dense_group = struct
   let solve ~members ~move_cost ~consts ~n_layers ~allowed () =
     let n_members = Array.length members in
@@ -190,7 +200,7 @@ module Dense_group = struct
     if n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
     let widths =
       Array.map
-        (fun (m : Pathgraph.Layered.group_member) ->
+        (fun (m : group_member) ->
           let cols = Array.length m.g_xdist and rows = Array.length m.g_ydist in
           if cols <= 0 || rows <= 0 then
             invalid_arg "Layered: member axis tables must be nonempty";
@@ -203,7 +213,7 @@ module Dense_group = struct
     done;
     let total = bases.(n_members) in
     Array.iteri
-      (fun i (m : Pathgraph.Layered.group_member) ->
+      (fun i (m : group_member) ->
         let dim = Bigarray.Array1.dim m.g_vectors in
         if Array.length m.g_offsets < n_layers then
           invalid_arg "Layered: member offset table shorter than n_layers";
@@ -217,7 +227,7 @@ module Dense_group = struct
     let cur = Array.make total inf in
     let choice = Array.make_matrix n_layers total (-1) in
     for i = 0 to n_members - 1 do
-      let (m : Pathgraph.Layered.group_member) = members.(i) in
+      let (m : group_member) = members.(i) in
       let off0 = m.g_offsets.(0) and b = bases.(i) in
       let c0 = consts ~layer:0 ~member:i in
       for j = 0 to widths.(i) - 1 do
@@ -246,7 +256,7 @@ module Dense_group = struct
         done
       done;
       for i = 0 to n_members - 1 do
-        let (m : Pathgraph.Layered.group_member) = members.(i) in
+        let (m : group_member) = members.(i) in
         let cols = Array.length m.g_xdist and rows = Array.length m.g_ydist in
         let b = bases.(i) in
         for j = 0 to widths.(i) - 1 do
@@ -291,7 +301,7 @@ module Dense_group = struct
       done;
       let ch = choice.(layer) in
       for i = 0 to n_members - 1 do
-        let (m : Pathgraph.Layered.group_member) = members.(i) in
+        let (m : group_member) = members.(i) in
         let voff = m.g_offsets.(layer) and b = bases.(i) in
         let ci = consts ~layer ~member:i in
         for k = 0 to widths.(i) - 1 do
@@ -390,7 +400,7 @@ let prop_group_relax_matches_dense =
                let offsets = Array.init n_layers (fun w -> (n_layers - 1 - w) * m) in
                Array.iteri (fun w off -> Array.blit flat (w * m) rev off m) offsets;
                {
-                 Pathgraph.Layered.g_xdist = Pim.Mesh.x_distance_table mesh;
+                 g_xdist = Pim.Mesh.x_distance_table mesh;
                  g_ydist = Pim.Mesh.y_distance_table mesh;
                  g_vectors =
                    Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout rev;
@@ -402,27 +412,27 @@ let prop_group_relax_matches_dense =
       let consts ~layer ~member = consts.((layer * n_members) + member) in
       let total = Array.length mask / n_layers in
       let allowed ~layer g = mask.((layer * total) + g) in
-      Pathgraph.Layered.solve_group ~members ~move_cost ~consts ~n_layers
-        ~allowed ()
+      Pathgraph.Layered.solve ~move_cost ~consts ~n_layers ~allowed
+        (Array.map block_of members)
       = Dense_group.solve ~members ~move_cost ~consts ~n_layers ~allowed ())
 
 let test_group_rejects_non_metric_tables () =
   let mesh = Pim.Mesh.square 2 in
   let member =
     {
-      Pathgraph.Layered.g_xdist = [| [| 0; 3 |]; [| 3; 0 |] |];
+      g_xdist = [| [| 0; 3 |]; [| 3; 0 |] |];
       g_ydist = Pim.Mesh.y_distance_table mesh;
       g_vectors = Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout [| 0; 0; 0; 0 |];
       g_offsets = [| 0 |];
     }
   in
   match
-    Pathgraph.Layered.solve_group ~members:[| member |]
+    Pathgraph.Layered.solve
       ~move_cost:(fun _ _ -> 1)
       ~consts:(fun ~layer:_ ~member:_ -> 0)
       ~n_layers:1
       ~allowed:(fun ~layer:_ _ -> true)
-      ()
+      [| block_of member |]
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a non-|a-b| member table must be refused"
@@ -434,7 +444,7 @@ let prop_dp_beats_static =
     ~count:20
     (group_trace_arbitrary group ~max_data:6 ~max_windows:4 ~max_count:3)
     (fun trace ->
-      let gp = Multi.Group_problem.create ~kernel group trace in
+      let gp = Multi.Group_problem.create group trace in
       let _, dp = Multi.Group_solver.evaluate gp Sched.Scheduler.Gomcds in
       List.for_all
         (fun algo ->
@@ -452,12 +462,12 @@ let prop_jobs_invariance =
         (fun algo ->
           let s1 =
             Multi.Group_solver.solve
-              (Multi.Group_problem.create ~jobs:1 ~kernel group trace)
+              (Multi.Group_problem.create ~jobs:1 group trace)
               algo
           in
           let s4 =
             Multi.Group_solver.solve
-              (Multi.Group_problem.create ~jobs:4 ~kernel group trace)
+              (Multi.Group_problem.create ~jobs:4 group trace)
               algo
           in
           Multi.Group_schedule.equal s1 s4)
@@ -478,10 +488,10 @@ let prop_reused_problem_matches_fresh =
       in
       List.for_all
         (fun policy ->
-          let reused = Multi.Group_problem.create ~policy ~kernel group trace in
+          let reused = Multi.Group_problem.create ~policy group trace in
           List.for_all
             (fun algo ->
-              let fresh = Multi.Group_problem.create ~policy ~kernel group trace in
+              let fresh = Multi.Group_problem.create ~policy group trace in
               Multi.Group_schedule.equal
                 (Multi.Group_solver.solve reused algo)
                 (Multi.Group_solver.solve fresh algo))
@@ -502,7 +512,7 @@ let test_migration_economics () =
       Gen.trace Gen.mesh44 ~n_data:1
         [ [ (0, 5, 9) ]; [ (0, 16 + 3, w1_count) ] ]
     in
-    let gp = Multi.Group_problem.create ~kernel group trace in
+    let gp = Multi.Group_problem.create group trace in
     let plan = Multi.Group_solver.solve gp Sched.Scheduler.Gomcds in
     ( Multi.Group_schedule.array_moves plan,
       Multi.Group_schedule.total_cost plan trace )
@@ -529,10 +539,10 @@ let degenerate_property mesh trace =
       List.for_all
         (fun jobs ->
           let problem =
-            Sched.Problem.create ~policy ~jobs ~kernel mesh trace
+            Sched.Problem.create ~policy ~jobs mesh trace
           in
           let gp =
-            Multi.Group_problem.create ~policy ~jobs ~kernel group trace
+            Multi.Group_problem.create ~policy ~jobs group trace
           in
           List.for_all
             (fun algo ->
@@ -681,7 +691,7 @@ let prop_dead_array_excluded =
     (group_trace_arbitrary group ~max_data:6 ~max_windows:3 ~max_count:3)
     (fun trace ->
       let fault = Multi.Group_fault.create ~dead_arrays:[ 1 ] () in
-      let gp = Multi.Group_problem.create ~kernel ~fault group trace in
+      let gp = Multi.Group_problem.create ~fault group trace in
       List.for_all
         (fun algo ->
           let plan = Multi.Group_solver.solve gp algo in
@@ -711,7 +721,7 @@ let prop_reschedule_never_loses =
           };
         ]
       in
-      let gp = Multi.Group_problem.create ~kernel group trace in
+      let gp = Multi.Group_problem.create group trace in
       List.for_all
         (fun algo ->
           let ride =
@@ -731,7 +741,7 @@ let test_no_events_pays_planned () =
     Gen.trace Gen.mesh44 ~n_data:3
       [ [ (0, 1, 2); (1, 6, 1) ]; [ (2, 8, 3); (0, 3, 1) ] ]
   in
-  let gp = Multi.Group_problem.create ~kernel group trace in
+  let gp = Multi.Group_problem.create group trace in
   let r = Multi.Group_resilience.run gp Sched.Scheduler.Gomcds in
   check_int "paid = planned with no events" r.planned_cost r.paid_cost;
   check_int "no evictions" 0 r.evicted;
@@ -748,7 +758,7 @@ let test_eviction_accounted () =
     Gen.trace Gen.mesh44 ~n_data:2
       [ [ (0, 0, 5); (1, 3, 5) ]; [ (0, 0, 1); (1, 3, 1) ] ]
   in
-  let gp = Multi.Group_problem.create ~kernel group trace in
+  let gp = Multi.Group_problem.create group trace in
   let events =
     [
       {
@@ -778,7 +788,7 @@ let test_bounded_assignment_spreads () =
   let refs = List.init 16 (fun d -> (d, d mod 4, 1)) in
   let trace = Gen.trace Gen.mesh44 ~n_data:16 [ refs ] in
   let gp =
-    Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 2) ~kernel group
+    Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 2) group
       trace
   in
   let asn = Multi.Group_problem.assignment gp in
@@ -805,7 +815,7 @@ let test_bounded_assignment_spreads () =
   check_bool "infeasible refused" true
     (try
        Multi.Group_problem.check_feasible
-         (Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 1) ~kernel
+         (Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 1)
             group
             (Gen.trace Gen.mesh44 ~n_data:9
                [ List.init 9 (fun d -> (d, 0, 1)) ]))
@@ -826,7 +836,7 @@ let test_held_bytes () =
     Gen.trace Gen.mesh44 ~n_data:3
       [ [ (0, 1, 2); (1, 7, 1) ]; [ (2, 4, 3) ] ]
   in
-  let gp = Multi.Group_problem.create ~kernel group trace in
+  let gp = Multi.Group_problem.create group trace in
   let arenas = Multi.Group_problem.max_arena_bytes gp in
   let before = Multi.Group_problem.held_bytes gp in
   check_bool "weight tables counted" true (before > arenas);
@@ -844,7 +854,7 @@ let test_held_bytes () =
   check_bool "admission currency unchanged" true
     (Multi.Group_problem.max_arena_bytes gp = arenas);
   let solo =
-    Multi.Group_problem.create ~kernel
+    Multi.Group_problem.create
       (Multi.Array_group.line [ Pim.Mesh.square 2 ])
       (Gen.trace (Pim.Mesh.square 2) ~n_data:1 [ [ (0, 1, 2) ] ])
   in
@@ -862,7 +872,7 @@ let test_serial_roundtrip () =
     Gen.trace Gen.mesh44 ~n_data:3
       [ [ (0, 1, 2); (1, 7, 1) ]; [ (2, 4, 3) ] ]
   in
-  let gp = Multi.Group_problem.create ~kernel group trace in
+  let gp = Multi.Group_problem.create group trace in
   let plan = Multi.Group_solver.solve gp Sched.Scheduler.Gomcds in
   let text = Multi.Group_serial.to_string plan in
   check_bool "header" true

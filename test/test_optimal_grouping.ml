@@ -47,7 +47,7 @@ let prop_optimal_equals_gomcds_per_datum =
       for data = 0 to n - 1 do
         let groups = Sched.Grouping.optimal_groups (Sched.Problem.create mesh t) ~data in
         if groups <> [] then begin
-          let dp_cost, _ = Sched.Gomcds.optimal_centers mesh t ~data in
+          let dp_cost, _ = Oracle.Gomcds.optimal_centers mesh t ~data in
           if partition_cost mesh t ~data groups <> dp_cost then ok := false
         end
       done;

@@ -95,6 +95,34 @@ let test_bad_requests () =
     "bad-request";
   check_code "typed field" {|{"id":6,"size":"big"}|} "bad-request"
 
+(* There is one cost kernel: ["kernel":"naive"] is a typed bad-request
+   naming the field, while [/1] clients spelling out ["separable"] are
+   answered exactly as if the field were absent. *)
+let test_kernel_field () =
+  let t = fresh () in
+  let solve extra =
+    Server.handle_line t
+      (Printf.sprintf {|{"id":1,"workload":"1","size":8,"algorithm":"gomcds"%s}|}
+         extra)
+  in
+  let r = solve {|,"kernel":"naive"|} in
+  Alcotest.(check string) "naive refused" "bad-request" (error_code r);
+  (match List.assoc_opt "error" (parse_response r) with
+  | Some (Obs.Json.Obj e) -> (
+      match List.assoc_opt "message" e with
+      | Some (Obs.Json.String m) ->
+          Alcotest.(check bool)
+            ("message names the field: " ^ m)
+            true
+            (String.starts_with ~prefix:{|field "kernel"|} m)
+      | _ -> Alcotest.fail "error without message")
+  | _ -> Alcotest.fail "no error object");
+  let r = solve {|,"kernel":"separable"|} in
+  Alcotest.(check bool) "separable accepted" true (is_ok r);
+  Alcotest.(check bool)
+    "same plan as without the field" true
+    (result_field r "plan" = result_field (solve "") "plan")
+
 let test_shutdown () =
   let t = fresh () in
   Alcotest.(check bool) "not stopping" false (Server.stopping t);
@@ -129,8 +157,9 @@ let test_solve_response_shape () =
 (* ---- differential byte-identity vs one-shot solves ---- *)
 
 (* The served plan and cost must equal what a direct in-process solve of
-   the same instance produces, for both kernels, with and without faults,
-   and independently of the server's jobs setting. *)
+   the same instance produces, with the [/1] ["kernel":"separable"] field
+   spelled out or left off, with and without faults, and independently
+   of the server's jobs setting. *)
 let test_differential () =
   let mesh = Pim.Mesh.create ~rows:4 ~cols:4 in
   let trace =
@@ -146,7 +175,7 @@ let test_differential () =
   in
   let dead_nodes = [ 5 ] in
   List.iter
-    (fun (kernel, kernel_name) ->
+    (fun (kernel_name, kernel_json) ->
       List.iter
         (fun faulty ->
           List.iter
@@ -156,8 +185,8 @@ let test_differential () =
               in
               let line =
                 Printf.sprintf
-                  {|{"id":1,"workload":"1","size":8,"algorithm":"%s","kernel":"%s"%s}|}
-                  alg_name kernel_name fault_json
+                  {|{"id":1,"workload":"1","size":8,"algorithm":"%s"%s%s}|}
+                  alg_name kernel_json fault_json
               in
               let responses =
                 List.map
@@ -178,7 +207,7 @@ let test_differential () =
                 else Pim.Fault.none
               in
               let problem =
-                Sched.Problem.create ~policy ~kernel ~fault mesh trace
+                Sched.Problem.create ~policy ~fault mesh trace
               in
               let schedule =
                 Sched.Scheduler.solve problem
@@ -200,7 +229,7 @@ let test_differential () =
                 = Some (Obs.Json.Int breakdown.Sched.Schedule.total)))
             [ "scds"; "gomcds" ])
         [ false; true ])
-    [ (`Separable, "separable"); (`Naive, "naive") ]
+    [ ("default", ""); ("separable", {|,"kernel":"separable"|}) ]
 
 (* An inline serialized trace must solve identically to the generated
    workload it came from. *)
@@ -962,4 +991,6 @@ let suite =
     Gen.case "daemon loop: line cap and overload shedding"
       test_run_line_cap_and_overload;
     Gen.case "chaos episodes (small script)" test_chaos_small;
+    Gen.case "kernel field: naive refused, separable accepted"
+      test_kernel_field;
   ]

@@ -3,10 +3,9 @@
    Four pillars:
    - the degenerate Link_model (bandwidth 1, store-and-forward, unbounded
      queues, free compute) is pinned byte-identical to the retained
-     pre-model engine (Timed_simulator.Reference) — field by field,
+     pre-model engine (Oracle.Timed_reference) — field by field,
      including the legacy utilization float — across every scheduler,
-     both topologies, healthy and faulty arrays, and both cost kernels
-     (the suite honours PIMSCHED_TEST_KERNEL=naive);
+     both topologies, and healthy and faulty arrays;
    - QCheck invariants over random models and traffic: flit conservation,
      cycles >= ceil(load/bw) of the most loaded link and >= the longest
      single-packet serialized path, monotonicity in bandwidth and queue
@@ -19,13 +18,9 @@
      bottleneck link with depth-1 queues stall but never deadlock (the
      watchdog Deadlock exception must not fire). *)
 
-let kernel =
-  match Sys.getenv_opt "PIMSCHED_TEST_KERNEL" with
-  | Some "naive" -> `Naive
-  | _ -> `Separable
-
 module T = Pim.Timed_simulator
 module LM = Pim.Link_model
+module R = Oracle.Timed_reference
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -55,12 +50,12 @@ let topo_cases =
 
 let matches_reference ?fault mesh rounds =
   let n = T.run ?fault ~model:LM.degenerate mesh rounds in
-  let o = T.Reference.run ?fault mesh rounds in
-  n.T.total_cycles = o.T.Reference.total_cycles
-  && n.T.total_volume_hops = o.T.Reference.total_volume_hops
-  && List.length n.T.rounds = List.length o.T.Reference.rounds
+  let o = R.run ?fault mesh rounds in
+  n.T.total_cycles = o.R.total_cycles
+  && n.T.total_volume_hops = o.R.total_volume_hops
+  && List.length n.T.rounds = List.length o.R.rounds
   && List.for_all2
-       (fun (nr : T.round_report) (orr : T.Reference.round_report) ->
+       (fun (nr : T.round_report) (orr : R.round_report) ->
          nr.round = orr.round && nr.cycles = orr.cycles
          && nr.messages = orr.messages
          && nr.volume_hops = orr.volume_hops
@@ -70,7 +65,7 @@ let matches_reference ?fault mesh rounds =
          && nr.flits = nr.messages
          && nr.queue_stall_cycles = 0
          && nr.compute_idle = 0)
-       n.T.rounds o.T.Reference.rounds
+       n.T.rounds o.R.rounds
 
 (* A fixed multi-window trace that fits both topologies (ranks <= 14). *)
 let fixed_trace mesh =
@@ -85,7 +80,7 @@ let test_differential_every_scheduler () =
   List.iter
     (fun (label, mesh, fault) ->
       let trace = fixed_trace mesh in
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       List.iter
         (fun algo ->
           let schedule = Sched.Scheduler.solve problem algo in
@@ -106,7 +101,7 @@ let prop_differential_random_traces (label, mesh, fault) =
     ~name:("degenerate model = reference engine, random traces, " ^ label)
     ~count:20 arb
     (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
       let rounds = Sched.Schedule.to_rounds schedule trace in
       matches_reference ~fault mesh rounds)
@@ -130,7 +125,7 @@ let prop_differential_raw_batches =
     ~name:"degenerate round_makespan = reference, raw message batches"
     ~count:100 random_messages_arbitrary (fun msgs ->
       T.round_makespan ~model:LM.degenerate mesh44 msgs
-      = T.Reference.round_makespan mesh44 msgs)
+      = R.round_makespan mesh44 msgs)
 
 (* ------------------------------------------------------------------ *)
 (* Link_model generators and pure invariants                           *)
@@ -336,7 +331,7 @@ let prop_energy_additivity =
    (same expressions, default parameters). *)
 let test_energy_matches_energy_module () =
   let trace = fixed_trace mesh44 in
-  let problem = Sched.Problem.create ~kernel mesh44 trace in
+  let problem = Sched.Problem.create mesh44 trace in
   let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
   let rounds = Sched.Schedule.to_rounds schedule trace in
   let report = T.run mesh44 rounds in
@@ -559,7 +554,7 @@ let prop_faulty_bounded_queues_terminate (label, mesh, fault) =
      ^ ": stall, never deadlock, round lower bounds hold")
     ~count:20 arb
     (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
       let rounds = Sched.Schedule.to_rounds schedule trace in
       let free = T.run ~fault mesh rounds in
@@ -666,7 +661,7 @@ let test_seed_anomaly_pins () =
         if topo = "mesh" then (mesh44, fault_mesh) else (torus35, fault_torus)
       in
       let name what = Printf.sprintf "seed %d %s: %s" seed topo what in
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
       let rounds = Sched.Schedule.to_rounds schedule trace in
       let free = T.run ~fault mesh rounds in
