@@ -831,9 +831,9 @@ let kernel_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* One wave of requests cycling the five schedulers on LU 16x16 through
-   [Serve.Server.process_batch], memo off so every request actually
-   solves. Throughput is requests/sec over the wave's wall time; p50/p99
-   come from the per-request solve latencies the server reports. Measured
+   [Serve.Server.process_batch]. Throughput is requests/sec over the
+   wave's wall time; p50/p99 come from the per-request solve latencies
+   the server reports. Measured
    at jobs=1 and jobs=4 -- the two settings run identical deterministic
    work per request, so per-request latency should be flat and the
    jobs=4 wave must not fall behind (gate: >= 0.95x, best-of attempts,
@@ -858,7 +858,7 @@ let serve_bench () =
     let server =
       Serve.Server.create
         ~config:
-          { default with Serve.Server.jobs; batch = n_requests; memo = false }
+          { default with Serve.Server.jobs; batch = n_requests }
         ()
     in
     (* warm the shared context (axis tables, merged window) outside the
@@ -968,12 +968,10 @@ let multi_bench () =
   let n = 16 in
   let big = Pim.Mesh.square n in
   let trace = Workloads.Lu.trace ~n big in
-  let capacity =
-    Pim.Memory.capacity_for
-      ~data_count:(Reftrace.Data_space.size (Reftrace.Trace.space trace))
-      ~mesh:big ~headroom:2
+  let policy =
+    Sched.Problem.headroom_policy ~headroom:2
+      ~processors:(Pim.Mesh.size big) trace
   in
-  let policy = Sched.Problem.Bounded capacity in
   let time = best_wall in
   let plain () =
     let problem = Sched.Problem.create ~policy big trace in
@@ -1094,11 +1092,10 @@ let incremental_bench_on ~topology kmesh =
   section
     (Printf.sprintf "Incremental re-solve (LU 16x16 on 16x16 %s)" topology);
   let trace = Workloads.Lu.trace ~n:16 kmesh in
-  let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-  let capacity =
-    Pim.Memory.capacity_for ~data_count:n_data ~mesh:kmesh ~headroom:2
+  let policy =
+    Sched.Problem.headroom_policy ~headroom:2
+      ~processors:(Pim.Mesh.size kmesh) trace
   in
-  let policy = Sched.Problem.Bounded capacity in
   let ctx = Sched.Context.create ~policy kmesh trace in
   let fault = Pim.Fault.create ~dead_nodes:[ 17; 100; 203 ] () in
   let time = best_wall in
@@ -1272,14 +1269,11 @@ let timed_bench () =
   section "Timed backend (cycle-honest vs hop-volume)";
   let kmesh = Pim.Mesh.square 16 in
   let trace = Workloads.Lu.trace ~n:16 kmesh in
-  let capacity =
-    Pim.Memory.capacity_for
-      ~data_count:(Reftrace.Data_space.size (Reftrace.Trace.space trace))
-      ~mesh:kmesh ~headroom:2
+  let policy =
+    Sched.Problem.headroom_policy ~headroom:2
+      ~processors:(Pim.Mesh.size kmesh) trace
   in
-  let problem =
-    Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) kmesh trace
-  in
+  let problem = Sched.Problem.create ~policy kmesh trace in
   let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
   let rounds = Sched.Schedule.to_rounds schedule trace in
   let reference = Oracle.Timed_reference.run kmesh rounds in
@@ -1357,16 +1351,11 @@ let timed_bench () =
   let sweep =
     List.map
       (fun (wl, trace) ->
-        let capacity =
-          Pim.Memory.capacity_for
-            ~data_count:
-              (Reftrace.Data_space.size (Reftrace.Trace.space trace))
-            ~mesh ~headroom:2
+        let policy =
+          Sched.Problem.headroom_policy ~headroom:2
+            ~processors:(Pim.Mesh.size mesh) trace
         in
-        let problem =
-          Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) mesh
-            trace
-        in
+        let problem = Sched.Problem.create ~policy mesh trace in
         let measured =
           List.map
             (fun algo ->
@@ -1460,12 +1449,10 @@ let json_snapshot ~kernel ~serve ~multi ~engine ~incremental ~timed () =
   let entries = ref [] in
   List.iter
     (fun (wl, trace) ->
-      let capacity =
-        Pim.Memory.capacity_for
-          ~data_count:(Reftrace.Data_space.size (Reftrace.Trace.space trace))
-          ~mesh ~headroom:2
+      let policy =
+        Sched.Problem.headroom_policy ~headroom:2
+          ~processors:(Pim.Mesh.size mesh) trace
       in
-      let policy = Sched.Problem.Bounded capacity in
       List.iter
         (fun algo ->
           let walls =

@@ -28,63 +28,12 @@ let mesh_conv =
   let print fmt (rows, cols) = Format.fprintf fmt "%dx%d" rows cols in
   Arg.conv (parse, print)
 
-(* Workloads: the paper's benchmarks 1-5 plus the extension kernels. *)
-type workload =
-  | Paper of Workloads.Benchmarks.t
-  | Stencil
-  | Transitive_closure
-  | Fft
-  | Cholesky
-  | Reduction
-
-let workload_of_string = function
-  | "stencil" -> Ok Stencil
-  | "tc" | "transitive-closure" -> Ok Transitive_closure
-  | "fft" -> Ok Fft
-  | "cholesky" -> Ok Cholesky
-  | "reduction" -> Ok Reduction
-  | s -> (
-      try Ok (Paper (Workloads.Benchmarks.of_label s))
-      with Invalid_argument _ ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown workload %S (expected 1..5, stencil, tc, fft, \
-                cholesky or reduction)"
-               s)))
-
-let workload_to_string = function
-  | Paper b -> Workloads.Benchmarks.label b
-  | Stencil -> "stencil"
-  | Transitive_closure -> "tc"
-  | Fft -> "fft"
-  | Cholesky -> "cholesky"
-  | Reduction -> "reduction"
-
-let workload_conv =
-  Arg.conv
-    ( workload_of_string,
-      fun fmt w -> Format.pp_print_string fmt (workload_to_string w) )
-
 let algorithm_conv =
   let parse s =
     try Ok (Sched.Scheduler.of_name s)
     with Invalid_argument m -> Error (`Msg m)
   in
   let print fmt a = Format.pp_print_string fmt (Sched.Scheduler.name a) in
-  Arg.conv (parse, print)
-
-let partition_conv =
-  let parse = function
-    | "block-2d" -> Ok Workloads.Iteration_space.Block_2d
-    | "row-blocks" -> Ok Workloads.Iteration_space.Row_blocks
-    | "col-blocks" -> Ok Workloads.Iteration_space.Col_blocks
-    | "cyclic-2d" -> Ok Workloads.Iteration_space.Cyclic_2d
-    | s -> Error (`Msg (Printf.sprintf "unknown partition %S" s))
-  in
-  let print fmt p =
-    Format.pp_print_string fmt (Workloads.Iteration_space.name p)
-  in
   Arg.conv (parse, print)
 
 (* ---------------------------------------------------------------- *)
@@ -103,8 +52,7 @@ let torus_arg =
 
 let workload_arg =
   Arg.(
-    value
-    & opt workload_conv (Paper Workloads.Benchmarks.B1)
+    value & opt string "1"
     & info [ "benchmark"; "b" ] ~docv:"W"
         ~doc:
           "Workload: paper benchmark 1..5, or extension kernels $(b,stencil), \
@@ -118,8 +66,7 @@ let size_arg =
 
 let partition_arg =
   Arg.(
-    value
-    & opt partition_conv Workloads.Iteration_space.Block_2d
+    value & opt string "block-2d"
     & info [ "partition" ] ~docv:"NAME" ~doc:"Iteration partition.")
 
 let unbounded_arg =
@@ -137,19 +84,20 @@ let trace_file_arg =
           "Load a serialized reference trace instead of generating a \
            workload (see export-trace).")
 
-let jobs_arg =
-  let pos_int =
-    let parse s =
-      match Cmdliner.Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok n -> Error (`Msg (Printf.sprintf "expected N >= 1, got %d" n))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Cmdliner.Arg.conv_printer Arg.int)
+(* An integer flag that must be >= 1, named [docv] in its error. *)
+let positive docv =
+  let parse s =
+    match Cmdliner.Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "expected %s >= 1, got %d" docv n))
+    | Error _ as e -> e
   in
+  Arg.conv (parse, Cmdliner.Arg.conv_printer Arg.int)
+
+let jobs_arg =
   Arg.(
     value
-    & opt pos_int (Sched.Engine.default_jobs ())
+    & opt (positive "N") (Sched.Engine.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Domains used for per-datum work (cost vectors, per-datum DPs). \
@@ -169,17 +117,8 @@ let arrays_arg =
            $(b,--mesh) is ignored; $(b,--torus) wraps the member arrays.")
 
 let inter_cost_arg =
-  let pos_cost =
-    let parse s =
-      match Cmdliner.Arg.conv_parser Arg.int s with
-      | Ok k when k >= 1 -> Ok k
-      | Ok k -> Error (`Msg (Printf.sprintf "expected K >= 1, got %d" k))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Cmdliner.Arg.conv_printer Arg.int)
-  in
   Arg.(
-    value & opt pos_cost 10
+    value & opt (positive "K") 10
     & info [ "inter-cost" ] ~docv:"K"
         ~doc:
           "Per-hop cost multiplier of the inter-array interconnect (group \
@@ -231,113 +170,91 @@ let obs_finish ?(to_stderr = false) ~command ~jobs metrics_json =
         "metrics written to %s\n" path
 
 (* ---------------------------------------------------------------- *)
-(* Instance construction                                             *)
+(* Instances                                                         *)
 (* ---------------------------------------------------------------- *)
 
-let build_mesh (rows, cols) torus =
-  if torus then Pim.Mesh.torus ~rows ~cols else Pim.Mesh.create ~rows ~cols
+(* An instance as its flags describe it: the serve protocol's record,
+   so both front ends build it with [Serve.Instance.build], plus the
+   file a [--trace-file] text is read from. *)
+type instance = {
+  spec : Serve.Protocol.instance;
+  trace_file : string option;
+}
 
-let build_trace workload size partition mesh trace_file =
-  match trace_file with
-  | Some path ->
-      let t = Reftrace.Serial.load path in
-      Reftrace.Trace.validate t mesh;
-      t
-  | None -> (
-      match workload with
-      | Paper b -> Workloads.Benchmarks.trace ~partition b ~n:size mesh
-      | Stencil -> Workloads.Stencil.trace ~partition ~n:size ~sweeps:8 mesh
-      | Transitive_closure ->
-          Workloads.Transitive_closure.trace ~partition ~n:size mesh
-      | Fft -> Workloads.Fft_transpose.trace ~partition ~n:size mesh
-      | Cholesky -> Workloads.Cholesky.trace ~partition ~n:size mesh
-      | Reduction ->
-          Workloads.Reduction.trace ~partition ~n:size
-            ~bins:(Pim.Mesh.size mesh) mesh)
+(* The instance flags. Every instance-taking subcommand reads the
+   workload, mesh and partition flags; [~unbounded], [~trace_file] and
+   [~arrays] add the capacity, loaded-trace and group flags. Without
+   [--unbounded] among its flags an instance is unbounded. *)
+let instance_term ~unbounded ~trace_file ~arrays =
+  let flag present arg default = if present then arg else Term.const default in
+  let make workload size (rows, cols) torus partition unbounded trace_file
+      arrays inter_cost =
+    {
+      spec =
+        {
+          Serve.Protocol.workload;
+          trace_text = None;
+          size;
+          partition;
+          mesh = { Serve.Protocol.rows; cols; torus };
+          arrays;
+          inter_cost;
+          unbounded;
+        };
+      trace_file;
+    }
+  in
+  Term.(
+    const make $ workload_arg $ size_arg $ mesh_arg $ torus_arg
+    $ partition_arg
+    $ flag unbounded unbounded_arg true
+    $ flag trace_file trace_file_arg None
+    $ flag arrays arrays_arg None
+    $ flag arrays inter_cost_arg 10)
 
-let capacity_of trace mesh unbounded =
-  if unbounded then None
-  else
-    Some
-      (Pim.Memory.capacity_for
-         ~data_count:(Reftrace.Data_space.size (Reftrace.Trace.space trace))
-         ~mesh ~headroom:2)
+let workload_name i = Serve.Instance.workload_name i.spec.workload
 
-let describe_instance ?trace_file workload mesh trace capacity =
+let build i =
+  Serve.Instance.build
+    (match i.trace_file with
+    | None -> i.spec
+    | Some path ->
+        let text = In_channel.with_open_bin path In_channel.input_all in
+        { i.spec with Serve.Protocol.trace_text = Some text })
+
+(* Build the instance and announce it on one line. *)
+let open_instance i =
+  let built = build i in
+  let target, trace, policy =
+    match built with
+    | Serve.Instance.Mesh { mesh; trace; policy } ->
+        (Format.asprintf "%a" Pim.Mesh.pp mesh, trace, policy)
+    | Serve.Instance.Group { group; trace; policy } ->
+        (Format.asprintf "%a" Multi.Array_group.pp group, trace, policy)
+  in
   Printf.printf "workload %s: %s on %s%s\n"
-    (match trace_file with
+    (match i.trace_file with
     | Some path -> Printf.sprintf "from %s" path
-    | None -> workload_to_string workload)
+    | None -> workload_name i)
     (Format.asprintf "%a" Reftrace.Trace.pp trace)
-    (Format.asprintf "%a" Pim.Mesh.pp mesh)
-    (match capacity with
-    | None -> ", unbounded memory"
-    | Some c -> Printf.sprintf ", capacity %d" c)
+    target
+    (match policy with
+    | Sched.Problem.Unbounded -> ", unbounded memory"
+    | Sched.Problem.Bounded c -> Printf.sprintf ", capacity %d" c);
+  built
 
-(* ---------------------------------------------------------------- *)
-(* Multi-array (group) instances                                     *)
-(* ---------------------------------------------------------------- *)
-
-let build_group spec inter_cost torus =
-  try Multi.Array_group.of_spec ~inter_cost ~torus spec
-  with Invalid_argument m -> failwith m
-
-(* Generated workloads are laid out on the group's virtual mesh (members
-   tiled onto the interconnect) and remapped to global ranks; loaded
-   traces already reference global ranks. *)
-let build_group_trace workload size partition group trace_file =
-  match trace_file with
-  | Some path ->
-      let t = Reftrace.Serial.load path in
-      Multi.Array_group.validate_trace group t;
-      t
-  | None ->
-      let vm = Multi.Array_group.virtual_mesh group in
-      Multi.Array_group.remap_virtual_trace group
-        (build_trace workload size partition vm None)
-
-(* The paper's headroom-2 rule over the group's aggregate size. *)
-let group_capacity_of trace group unbounded =
-  if unbounded then None
-  else
-    Some
-      (Pim.Memory.capacity_for
-         ~data_count:(Reftrace.Data_space.size (Reftrace.Trace.space trace))
-         ~mesh:(Pim.Mesh.create ~rows:1 ~cols:(Multi.Array_group.size group))
-         ~headroom:2)
-
-let group_policy_of = function
-  | None -> Sched.Problem.Unbounded
-  | Some c -> Sched.Problem.Bounded c
-
-let describe_group_instance ?trace_file workload group trace capacity =
-  Printf.printf "workload %s: %s on %s%s\n"
-    (match trace_file with
-    | Some path -> Printf.sprintf "from %s" path
-    | None -> workload_to_string workload)
-    (Format.asprintf "%a" Reftrace.Trace.pp trace)
-    (Format.asprintf "%a" Multi.Array_group.pp group)
-    (match capacity with
-    | None -> ", unbounded memory"
-    | Some c -> Printf.sprintf ", capacity %d" c)
+(* Subcommands without [--arrays] only ever build single-mesh
+   instances. *)
+let solo = function
+  | Serve.Instance.Mesh { mesh; trace; policy } -> (mesh, trace, policy)
+  | Serve.Instance.Group _ -> invalid_arg "expected a single-mesh instance"
 
 (* ---------------------------------------------------------------- *)
 (* Subcommand implementations                                        *)
 (* ---------------------------------------------------------------- *)
 
-let run_schedule_group spec inter_cost workload size torus partition
-    unbounded trace_file algorithm jobs simulate plan_out =
-  if simulate then
-    failwith "--simulate is not supported with --arrays (no group simulator)";
-  let group = build_group spec inter_cost torus in
-  let trace = build_group_trace workload size partition group trace_file in
-  let capacity = group_capacity_of trace group unbounded in
-  describe_group_instance ?trace_file workload group trace capacity;
-  let gp =
-    Multi.Group_problem.create
-      ~policy:(group_policy_of capacity)
-      ~jobs group trace
-  in
+let run_schedule_group group trace policy algorithm jobs plan_out =
+  let gp = Multi.Group_problem.create ~policy ~jobs group trace in
   let plan, breakdown = Multi.Group_solver.evaluate gp algorithm in
   (match plan_out with
   | Some path ->
@@ -353,22 +270,15 @@ let run_schedule_group spec inter_cost workload size torus partition
     (Multi.Group_schedule.moves plan)
     (Multi.Group_schedule.array_moves plan)
 
-let run_schedule workload size mesh_shape torus partition unbounded
-    trace_file algorithm jobs simulate plan_out metrics_json arrays
-    inter_cost =
+let run_schedule instance algorithm jobs simulate plan_out metrics_json =
+  if simulate && instance.spec.arrays <> None then
+    failwith "--simulate is not supported with --arrays (no group simulator)";
   obs_begin metrics_json;
-  (match arrays with
-  | Some spec ->
-      run_schedule_group spec inter_cost workload size torus partition
-        unbounded trace_file algorithm jobs simulate plan_out
-  | None ->
-      let mesh = build_mesh mesh_shape torus in
-      let trace = build_trace workload size partition mesh trace_file in
-      let capacity = capacity_of trace mesh unbounded in
-      describe_instance ?trace_file workload mesh trace capacity;
-      let problem =
-        Sched.Problem.of_capacity ?capacity ~jobs mesh trace
-      in
+  (match open_instance instance with
+  | Serve.Instance.Group { group; trace; policy } ->
+      run_schedule_group group trace policy algorithm jobs plan_out
+  | Serve.Instance.Mesh { mesh; trace; policy } ->
+      let problem = Sched.Problem.create ~policy ~jobs mesh trace in
       let schedule = Sched.Scheduler.solve problem algorithm in
       (match plan_out with
       | Some path ->
@@ -389,19 +299,10 @@ let run_schedule workload size mesh_shape torus partition unbounded
       end);
   obs_finish ~command:"schedule" ~jobs metrics_json
 
-let run_compare_group spec inter_cost workload size torus partition unbounded
-    trace_file jobs =
-  let group = build_group spec inter_cost torus in
-  let trace = build_group_trace workload size partition group trace_file in
-  let capacity = group_capacity_of trace group unbounded in
-  describe_group_instance ?trace_file workload group trace capacity;
+let run_compare_group group trace policy jobs =
   (* one group problem: member sessions and weight tables are shared by
      every algorithm *)
-  let gp =
-    Multi.Group_problem.create
-      ~policy:(group_policy_of capacity)
-      ~jobs group trace
-  in
+  let gp = Multi.Group_problem.create ~policy ~jobs group trace in
   let bound = Multi.Group_solver.lower_bound gp in
   let baseline =
     Multi.Group_schedule.total_cost
@@ -508,24 +409,16 @@ let cycles_table ?(model = Pim.Link_model.degenerate) problem mesh trace =
     !disagreements (List.length measured);
   (rows, !disagreements)
 
-let run_compare workload size mesh_shape torus partition unbounded trace_file
-    jobs timed metrics_json arrays inter_cost =
+let run_compare instance jobs timed metrics_json =
+  if timed && instance.spec.arrays <> None then
+    failwith "--timed is not supported with --arrays (no group simulator)";
   obs_begin metrics_json;
-  (match arrays with
-  | Some spec ->
-      if timed then
-        failwith "--timed is not supported with --arrays (no group simulator)";
-      run_compare_group spec inter_cost workload size torus partition
-        unbounded trace_file jobs
-  | None ->
-      let mesh = build_mesh mesh_shape torus in
-      let trace = build_trace workload size partition mesh trace_file in
-      let capacity = capacity_of trace mesh unbounded in
-      describe_instance ?trace_file workload mesh trace capacity;
+  (match open_instance instance with
+  | Serve.Instance.Group { group; trace; policy } ->
+      run_compare_group group trace policy jobs
+  | Serve.Instance.Mesh { mesh; trace; policy } ->
       (* one context: the bound and all twelve algorithms share its caches *)
-      let problem =
-        Sched.Problem.of_capacity ?capacity ~jobs mesh trace
-      in
+      let problem = Sched.Problem.create ~policy ~jobs mesh trace in
       let bound = Sched.Bounds.lower_bound_in problem in
       let baseline =
         Sched.Schedule.total_cost
@@ -548,21 +441,15 @@ let run_compare workload size mesh_shape torus partition unbounded trace_file
       if timed then ignore (cycles_table problem mesh trace));
   obs_finish ~command:"compare" ~jobs metrics_json
 
-let run_cycles workload size mesh_shape torus partition unbounded trace_file
-    jobs bandwidth flit wormhole queue_depth compute_cycles json_out
-    metrics_json =
+let run_cycles instance jobs bandwidth flit wormhole queue_depth
+    compute_cycles json_out metrics_json =
   obs_begin metrics_json;
   let model =
-    try
-      Pim.Link_model.create ~bandwidth ~flit ~wormhole ?queue_depth
-        ~compute_cycles ()
-    with Invalid_argument m -> failwith m
+    Pim.Link_model.create ~bandwidth ~flit ~wormhole ?queue_depth
+      ~compute_cycles ()
   in
-  let mesh = build_mesh mesh_shape torus in
-  let trace = build_trace workload size partition mesh trace_file in
-  let capacity = capacity_of trace mesh unbounded in
-  describe_instance ?trace_file workload mesh trace capacity;
-  let problem = Sched.Problem.of_capacity ?capacity ~jobs mesh trace in
+  let mesh, trace, policy = solo (open_instance instance) in
+  let problem = Sched.Problem.create ~policy ~jobs mesh trace in
   let rows, disagreements = cycles_table ~model problem mesh trace in
   (match json_out with
   | Some path ->
@@ -570,7 +457,7 @@ let run_cycles workload size mesh_shape torus partition unbounded trace_file
         (Obs.Json.Obj
            [
              ("schema", Obs.Json.String "pim-sched-cycles/1");
-             ("workload", Obs.Json.String (workload_to_string workload));
+             ("workload", Obs.Json.String (workload_name instance));
              ( "mesh",
                Obs.Json.String (Format.asprintf "%a" Pim.Mesh.pp mesh) );
              ( "model",
@@ -583,8 +470,8 @@ let run_cycles workload size mesh_shape torus partition unbounded trace_file
   | None -> ());
   obs_finish ~command:"cycles" ~jobs metrics_json
 
-let run_table which mesh_shape sizes jobs =
-  let mesh = build_mesh mesh_shape false in
+let run_table which (rows, cols) sizes jobs =
+  let mesh = Pim.Mesh.create ~rows ~cols in
   let grouped = which = 2 in
   let algos =
     if grouped then Sched.Scheduler.[ Scds; Lomcds_grouped; Gomcds_grouped ]
@@ -641,12 +528,8 @@ let run_example () =
     (fun o -> Format.printf "%a@." Sched.Example.pp_outcome o)
     (Sched.Example.all ())
 
-let run_show workload size mesh_shape torus partition unbounded trace_file
-    algorithm window data =
-  let mesh = build_mesh mesh_shape torus in
-  let trace = build_trace workload size partition mesh trace_file in
-  let capacity = capacity_of trace mesh unbounded in
-  describe_instance ?trace_file workload mesh trace capacity;
+let run_show instance algorithm window data =
+  let mesh, trace, policy = solo (open_instance instance) in
   if window < 0 || window >= Reftrace.Trace.n_windows trace then
     failwith
       (Printf.sprintf "window %d out of range (trace has %d)" window
@@ -661,7 +544,9 @@ let run_show workload size mesh_shape torus partition unbounded trace_file
         window;
       print_string (Sched.Viz.window_heatmap mesh w ~data:d)
   | None -> ());
-  let schedule = Sched.Scheduler.run ?capacity algorithm mesh trace in
+  let schedule =
+    Sched.Scheduler.solve (Sched.Problem.create ~policy mesh trace) algorithm
+  in
   Printf.printf "\n%s data placement (load per processor) in window %d:\n"
     (Sched.Scheduler.name algorithm)
     window;
@@ -672,18 +557,12 @@ let run_show workload size mesh_shape torus partition unbounded trace_file
         (Sched.Viz.trajectory mesh schedule ~data:d)
   | None -> ()
 
-let run_profile algorithm workload size mesh_shape torus partition unbounded
-    trace_file jobs simulate chrome_out metrics_json =
+let run_profile algorithm instance jobs simulate chrome_out metrics_json =
   Obs.enabled := true;
   Obs.reset ();
-  let mesh = build_mesh mesh_shape torus in
-  let trace = build_trace workload size partition mesh trace_file in
-  let capacity = capacity_of trace mesh unbounded in
-  describe_instance ?trace_file workload mesh trace capacity;
+  let mesh, trace, policy = solo (open_instance instance) in
   let t0 = Obs.now_us () in
-  let problem =
-    Sched.Problem.of_capacity ?capacity ~jobs mesh trace
-  in
+  let problem = Sched.Problem.create ~policy ~jobs mesh trace in
   let schedule = Sched.Scheduler.solve problem algorithm in
   let breakdown = Sched.Schedule.cost schedule trace in
   if simulate then begin
@@ -714,7 +593,7 @@ let run_profile algorithm workload size mesh_shape torus partition unbounded
            ~extra:
              [
                ("command", Obs.Json.String "profile");
-               ("workload", Obs.Json.String (workload_to_string workload));
+               ("workload", Obs.Json.String (workload_name instance));
                ( "algorithm",
                  Obs.Json.String (Sched.Scheduler.name algorithm) );
                ("jobs", Obs.Json.Int jobs);
@@ -724,18 +603,9 @@ let run_profile algorithm workload size mesh_shape torus partition unbounded
       Printf.printf "metrics written to %s\n" path
   | None -> ()
 
-let run_faults_group spec inter_cost array_rate algorithm workload size torus
-    partition unbounded trace_file jobs seed rates link_rate at
-    json_out =
-  let group = build_group spec inter_cost torus in
-  let trace = build_group_trace workload size partition group trace_file in
-  let capacity = group_capacity_of trace group unbounded in
-  describe_group_instance ?trace_file workload group trace capacity;
-  let gp =
-    Multi.Group_problem.create
-      ~policy:(group_policy_of capacity)
-      ~jobs group trace
-  in
+let run_faults_group instance group trace policy array_rate algorithm jobs
+    seed rates link_rate at json_out =
+  let gp = Multi.Group_problem.create ~policy ~jobs group trace in
   let n_windows = Reftrace.Trace.n_windows trace in
   let at =
     match at with
@@ -808,9 +678,9 @@ let run_faults_group spec inter_cost array_rate algorithm workload size torus
            [
              ("schema", Obs.Json.String "pim-sched-group-faults/1");
              ("algorithm", Obs.Json.String (Sched.Scheduler.name algorithm));
-             ("workload", Obs.Json.String (workload_to_string workload));
-             ("arrays", Obs.Json.String spec);
-             ("inter_cost", Obs.Json.Int inter_cost);
+             ("workload", Obs.Json.String (workload_name instance));
+             ("arrays", Obs.Json.String (Option.get instance.spec.arrays));
+             ("inter_cost", Obs.Json.Int instance.spec.inter_cost);
              ("seed", Obs.Json.Int seed);
              ("event_window", Obs.Json.Int at);
              ("rows", Obs.Json.List rows);
@@ -818,25 +688,18 @@ let run_faults_group spec inter_cost array_rate algorithm workload size torus
       Printf.printf "ablation written to %s\n" path
   | None -> ()
 
-let run_faults algorithm workload size mesh_shape torus partition unbounded
-    trace_file jobs seed rates link_rate at json_out metrics_json
-    arrays inter_cost array_rate =
+let run_faults algorithm instance jobs seed rates link_rate at json_out
+    metrics_json array_rate =
+  if array_rate <> 0. && instance.spec.arrays = None then
+    failwith "--array-rate requires --arrays";
   obs_begin metrics_json;
-  match arrays with
-  | Some spec ->
-      run_faults_group spec inter_cost array_rate algorithm workload size
-        torus partition unbounded trace_file jobs seed rates link_rate
-        at json_out;
+  match open_instance instance with
+  | Serve.Instance.Group { group; trace; policy } ->
+      run_faults_group instance group trace policy array_rate algorithm jobs
+        seed rates link_rate at json_out;
       obs_finish ~command:"faults" ~jobs metrics_json
-  | None ->
-  if array_rate <> 0. then failwith "--array-rate requires --arrays";
-  let mesh = build_mesh mesh_shape torus in
-  let trace = build_trace workload size partition mesh trace_file in
-  let capacity = capacity_of trace mesh unbounded in
-  describe_instance ?trace_file workload mesh trace capacity;
-  let problem =
-    Sched.Problem.of_capacity ?capacity ~jobs mesh trace
-  in
+  | Serve.Instance.Mesh { mesh; trace; policy } ->
+  let problem = Sched.Problem.create ~policy ~jobs mesh trace in
   let n_windows = Reftrace.Trace.n_windows trace in
   let at =
     match at with
@@ -898,7 +761,7 @@ let run_faults algorithm workload size mesh_shape torus partition unbounded
            [
              ("schema", Obs.Json.String "pim-sched-faults/1");
              ("algorithm", Obs.Json.String (Sched.Scheduler.name algorithm));
-             ("workload", Obs.Json.String (workload_to_string workload));
+             ("workload", Obs.Json.String (workload_name instance));
              ("seed", Obs.Json.Int seed);
              ("event_window", Obs.Json.Int at);
              ("rows", Obs.Json.List rows);
@@ -907,12 +770,11 @@ let run_faults algorithm workload size mesh_shape torus partition unbounded
   | None -> ());
   obs_finish ~command:"faults" ~jobs metrics_json
 
-let run_export workload size mesh_shape torus partition output =
-  let mesh = build_mesh mesh_shape torus in
-  let trace = build_trace workload size partition mesh None in
+let run_export instance output =
+  let _, trace, _ = solo (build instance) in
   Reftrace.Serial.save trace output;
   Printf.printf "wrote %s (%d windows, %d references) to %s\n"
-    (workload_to_string workload)
+    (workload_name instance)
     (Reftrace.Trace.n_windows trace)
     (Reftrace.Trace.total_references trace)
     output
@@ -920,6 +782,9 @@ let run_export workload size mesh_shape torus partition output =
 (* ---------------------------------------------------------------- *)
 (* Command definitions                                               *)
 (* ---------------------------------------------------------------- *)
+
+let full_instance = instance_term ~unbounded:true ~trace_file:true ~arrays:true
+let mesh_instance = instance_term ~unbounded:true ~trace_file:true ~arrays:false
 
 let algorithm_arg =
   Arg.(
@@ -942,10 +807,8 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Run one scheduling algorithm")
     Term.(
-      const run_schedule $ workload_arg $ size_arg $ mesh_arg $ torus_arg
-      $ partition_arg $ unbounded_arg $ trace_file_arg $ algorithm_arg
-      $ jobs_arg $ simulate_arg $ plan_out_arg
-      $ metrics_json_arg $ arrays_arg $ inter_cost_arg)
+      const run_schedule $ full_instance $ algorithm_arg $ jobs_arg
+      $ simulate_arg $ plan_out_arg $ metrics_json_arg)
 
 let timed_arg =
   Arg.(
@@ -960,30 +823,19 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare" ~doc:"Run every algorithm on one instance")
     Term.(
-      const run_compare $ workload_arg $ size_arg $ mesh_arg $ torus_arg
-      $ partition_arg $ unbounded_arg $ trace_file_arg $ jobs_arg
-      $ timed_arg $ metrics_json_arg $ arrays_arg
-      $ inter_cost_arg)
+      const run_compare $ full_instance $ jobs_arg $ timed_arg
+      $ metrics_json_arg)
 
 let cycles_cmd =
-  let pos_int_conv =
-    let parse s =
-      match Cmdliner.Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok n -> Error (`Msg (Printf.sprintf "expected N >= 1, got %d" n))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Cmdliner.Arg.conv_printer Arg.int)
-  in
   let bandwidth_arg =
     Arg.(
-      value & opt pos_int_conv 1
+      value & opt (positive "N") 1
       & info [ "bandwidth" ] ~docv:"N"
           ~doc:"Volume units per link per cycle.")
   in
   let flit_arg =
     Arg.(
-      value & opt pos_int_conv 1
+      value & opt (positive "N") 1
       & info [ "flit" ] ~docv:"N"
           ~doc:"Fragment size for wormhole pipelining (with --wormhole).")
   in
@@ -998,7 +850,7 @@ let cycles_cmd =
   let queue_depth_arg =
     Arg.(
       value
-      & opt (some pos_int_conv) None
+      & opt (some (positive "N")) None
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
             "Bound router input queues at N waiting packets; a full \
@@ -1027,10 +879,8 @@ let cycles_cmd =
           rank vs cycle rank under a configurable link model, disagreements \
           flagged")
     Term.(
-      const run_cycles $ workload_arg $ size_arg $ mesh_arg $ torus_arg
-      $ partition_arg $ unbounded_arg $ trace_file_arg $ jobs_arg
-      $ bandwidth_arg $ flit_arg $ wormhole_arg
-      $ queue_depth_arg $ compute_cycles_arg $ json_out_arg
+      const run_cycles $ mesh_instance $ jobs_arg $ bandwidth_arg $ flit_arg
+      $ wormhole_arg $ queue_depth_arg $ compute_cycles_arg $ json_out_arg
       $ metrics_json_arg)
 
 let profile_cmd =
@@ -1056,10 +906,8 @@ let profile_cmd =
          "Run one scheduler with the observability layer on; print the \
           span tree and metrics table")
     Term.(
-      const run_profile $ algorithm_pos_arg $ workload_arg $ size_arg
-      $ mesh_arg $ torus_arg $ partition_arg $ unbounded_arg $ trace_file_arg
-      $ jobs_arg $ simulate_arg $ chrome_out_arg
-      $ metrics_json_arg)
+      const run_profile $ algorithm_pos_arg $ mesh_instance $ jobs_arg
+      $ simulate_arg $ chrome_out_arg $ metrics_json_arg)
 
 let table_cmd =
   let which_arg =
@@ -1097,16 +945,15 @@ let show_cmd =
   Cmd.v
     (Cmd.info "show" ~doc:"Render heatmaps of a window and a schedule")
     Term.(
-      const run_show $ workload_arg $ size_arg $ mesh_arg $ torus_arg
-      $ partition_arg $ unbounded_arg $ trace_file_arg $ algorithm_arg
-      $ window_arg $ data_arg)
+      const run_show $ mesh_instance $ algorithm_arg $ window_arg $ data_arg)
 
-let run_replicate workload size mesh_shape torus partition unbounded
-    trace_file max_copies =
-  let mesh = build_mesh mesh_shape torus in
-  let trace = build_trace workload size partition mesh trace_file in
-  let capacity = capacity_of trace mesh unbounded in
-  describe_instance ?trace_file workload mesh trace capacity;
+let run_replicate instance max_copies =
+  let mesh, trace, policy = solo (open_instance instance) in
+  let capacity =
+    match policy with
+    | Sched.Problem.Unbounded -> None
+    | Sched.Problem.Bounded c -> Some c
+  in
   Printf.printf "single-copy lower bound: %d\n"
     (Sched.Bounds.lower_bound_in (Sched.Problem.create mesh trace));
   List.iter
@@ -1129,8 +976,7 @@ let replicate_cmd =
     (Cmd.info "replicate"
        ~doc:"Schedule with read replication (write-invalidate coherence)")
     Term.(
-      const run_replicate $ workload_arg $ size_arg $ mesh_arg $ torus_arg
-      $ partition_arg $ unbounded_arg $ trace_file_arg $ copies_arg)
+      const run_replicate $ mesh_instance $ copies_arg)
 
 let faults_cmd =
   let algorithm_pos_arg =
@@ -1193,11 +1039,9 @@ let faults_cmd =
           compare reschedule-on-failure against riding out the original \
           plan")
     Term.(
-      const run_faults $ algorithm_pos_arg $ workload_arg $ size_arg
-      $ mesh_arg $ torus_arg $ partition_arg $ unbounded_arg $ trace_file_arg
-      $ jobs_arg $ seed_arg $ rates_arg $ link_rate_arg $ at_arg
-      $ json_out_arg $ metrics_json_arg $ arrays_arg $ inter_cost_arg
-      $ array_rate_arg)
+      const run_faults $ algorithm_pos_arg $ full_instance $ jobs_arg
+      $ seed_arg $ rates_arg $ link_rate_arg $ at_arg $ json_out_arg
+      $ metrics_json_arg $ array_rate_arg)
 
 let export_cmd =
   let output_arg =
@@ -1209,13 +1053,12 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export-trace" ~doc:"Serialize a workload's reference trace")
     Term.(
-      const run_export $ workload_arg $ size_arg $ mesh_arg $ torus_arg
-      $ partition_arg $ output_arg)
+      const run_export
+      $ instance_term ~unbounded:false ~trace_file:false ~arrays:false
+      $ output_arg)
 
-let run_stats workload size mesh_shape torus partition trace_file =
-  let mesh = build_mesh mesh_shape torus in
-  let trace = build_trace workload size partition mesh trace_file in
-  describe_instance ?trace_file workload mesh trace None;
+let run_stats instance =
+  let mesh, trace, _ = solo (open_instance instance) in
   let p = Reftrace.Stats.profile mesh trace in
   Format.printf "%a@." Reftrace.Stats.pp_profile p;
   Printf.printf
@@ -1227,12 +1070,14 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"Characterize a workload's reference pattern")
     Term.(
-      const run_stats $ workload_arg $ size_arg $ mesh_arg $ torus_arg
-      $ partition_arg $ trace_file_arg)
+      const run_stats
+      $ instance_term ~unbounded:false ~trace_file:true ~arrays:false)
 
-let run_sweep sizes mesh_shape torus output headroom jobs metrics_json =
+let run_sweep sizes (rows, cols) torus output headroom jobs metrics_json =
   obs_begin metrics_json;
-  let mesh = build_mesh mesh_shape torus in
+  let mesh =
+    if torus then Pim.Mesh.torus ~rows ~cols else Pim.Mesh.create ~rows ~cols
+  in
   let instances =
     List.concat_map
       (fun bench ->
@@ -1289,17 +1134,10 @@ let arm_failpoints spec_flag =
     | Some s -> Some s
     | None -> Sys.getenv_opt "PIMSCHED_FAILPOINTS"
   in
-  match spec with
-  | None -> ()
-  | Some s -> (
-      match Obs.Failpoint.configure s with
-      | () -> ()
-      | exception Invalid_argument m ->
-          prerr_endline ("pimsched: " ^ m);
-          exit 2)
+  Option.iter Obs.Failpoint.configure spec
 
-let run_serve jobs batch max_arena_mb no_memo max_cache_mb max_line_bytes
-    max_queue write_timeout_ms failpoints metrics_json =
+let run_serve jobs batch max_arena_mb max_cache_mb max_line_bytes max_queue
+    write_timeout_ms failpoints metrics_json =
   obs_begin metrics_json;
   arm_failpoints failpoints;
   let default = Serve.Server.default_config () in
@@ -1308,7 +1146,6 @@ let run_serve jobs batch max_arena_mb no_memo max_cache_mb max_line_bytes
       Serve.Server.jobs;
       batch;
       max_arena_bytes = Option.map (fun mb -> mb * 1024 * 1024) max_arena_mb;
-      memo = not no_memo;
       max_cache_bytes =
         (match max_cache_mb with
         | None -> default.Serve.Server.max_cache_bytes
@@ -1342,20 +1179,14 @@ let serve_cmd =
             "Reject requests whose cost arenas would exceed this budget \
              (admission control); unlimited when absent.")
   in
-  let no_memo_arg =
-    Arg.(
-      value & flag
-      & info [ "no-memo" ]
-          ~doc:"Disable the response memo keyed by raw request line.")
-  in
   let max_cache_mb_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "max-cache-mb" ] ~docv:"MB"
           ~doc:
-            "Byte budget shared by the context, memo and warm-session \
-             caches (default 256); 0 disables caching.")
+            "Bound on the bytes the context and warm-session caches hold \
+             together (default 256); 0 disables caching.")
   in
   let max_line_bytes_arg =
     Arg.(
@@ -1400,7 +1231,7 @@ let serve_cmd =
          "Run a long-lived scheduling daemon over stdin/stdout \
           (line-delimited JSON, protocol pim-sched-serve/1)")
     Term.(
-      const run_serve $ jobs_arg $ batch_arg $ max_arena_mb_arg $ no_memo_arg
+      const run_serve $ jobs_arg $ batch_arg $ max_arena_mb_arg
       $ max_cache_mb_arg $ max_line_bytes_arg $ max_queue_arg
       $ write_timeout_ms_arg $ failpoints_arg $ metrics_json_arg)
 
@@ -1530,4 +1361,11 @@ let main =
       chaos_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* A refused instance or option surfaces as one [pimsched: <message>]
+   line and exit code 123, never as Cmdliner's uncaught-exception 125. *)
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception (Invalid_argument m | Failure m | Sys_error m) ->
+      prerr_endline ("pimsched: " ^ m);
+      exit Cmd.Exit.some_error

@@ -148,6 +148,15 @@ let of_capacity ?capacity ?jobs mesh trace =
   in
   create ~policy ?jobs mesh trace
 
+let headroom_policy ~headroom ~processors trace =
+  if headroom = 0 then Unbounded
+  else
+    Bounded
+      (Pim.Memory.capacity_for
+         ~data_count:(Reftrace.Data_space.size (Reftrace.Trace.space trace))
+         ~mesh:(Pim.Mesh.create ~rows:1 ~cols:processors)
+         ~headroom)
+
 let context t = t.ctx
 let mesh t = t.ctx.Context.mesh
 let trace t = t.ctx.Context.trace

@@ -81,6 +81,17 @@ val of_capacity :
   Reftrace.Trace.t ->
   t
 
+(** [headroom_policy ~headroom ~processors trace] is the paper's capacity
+    rule: every processor gets [headroom] times the fewest slots that
+    hold the trace's data on [processors] processors
+    ({!Pim.Memory.capacity_for}); [headroom = 0] is [Unbounded]. The
+    paper's experiments use [headroom = 2]; a multi-array group passes
+    its aggregate processor count.
+    @raise Invalid_argument on a negative [headroom] or an empty data
+    space. *)
+val headroom_policy :
+  headroom:int -> processors:int -> Reftrace.Trace.t -> capacity_policy
+
 (** [of_context ?policy ?jobs ?fault ctx] opens a {e request-scoped
     session} over a shared immutable {!Context.t}: fresh empty caches and
     arenas, the fault overlay built here, and [policy]/[jobs] defaulting

@@ -13,13 +13,8 @@ let run ?(headroom = 2) ?(jobs = 1) mesh instances algorithms =
   List.concat_map
     (fun (workload, trace) ->
       let policy =
-        if headroom = 0 then Problem.Unbounded
-        else
-          Problem.Bounded
-            (Pim.Memory.capacity_for
-               ~data_count:
-                 (Reftrace.Data_space.size (Reftrace.Trace.space trace))
-               ~mesh ~headroom)
+        Problem.headroom_policy ~headroom ~processors:(Pim.Mesh.size mesh)
+          trace
       in
       (* one context per instance: the lower bound, the baseline and every
          algorithm share its cost-vector cache *)

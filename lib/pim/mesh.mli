@@ -64,15 +64,6 @@ val x_distance_table : t -> int array array
 
 val y_distance_table : t -> int array array
 
-(** [distance_table m] materializes the full rank-to-rank distance matrix:
-    [(distance_table m).(a).(b) = distance m a b]. {b Oracle-only}: since
-    the flat-arena rewrite no scheduling path consumes this — distance
-    probes read the two per-axis tables above and the layered DP relaxes
-    on them directly ({!Pathgraph.Layered.Axes}); only the test oracles
-    read the full table. Costs [size m]² words — don't call it on a hot
-    path. *)
-val distance_table : t -> int array array
-
 (** [xy_route m ~src ~dst] is the dimension-ordered (x first, then y) route
     from [src] to [dst] as the list of ranks visited, {e including} both
     endpoints. Its length is [distance m src dst + 1]; a route from a

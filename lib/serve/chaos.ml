@@ -320,7 +320,7 @@ let run ?(seed = 0) ?(jobs = 2) ?(requests = 20) ?script () =
      bytes against. Failpoints must be dark for it. *)
   let baseline config script =
     Obs.Failpoint.clear ();
-    let t = Server.create ~config:{ config with Server.memo = false } () in
+    let t = Server.create ~config () in
     List.map (fun l -> Server.handle_line t l) script
   in
   let expected_base = List.map (fun r -> Identical r) (baseline base base_script) in

@@ -1,5 +1,5 @@
 (** Byte-accounted LRU cache — the bounded form of every server-side
-    table ({!Server}'s contexts, response memo and warm-session pool).
+    table ({!Server}'s contexts and warm-session pool).
 
     Each entry carries a caller-supplied byte weight; {!add} evicts from
     the least-recently-used end until the new entry fits the byte

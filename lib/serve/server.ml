@@ -2,7 +2,6 @@ type config = {
   jobs : int;
   batch : int;
   max_arena_bytes : int option;
-  memo : bool;
   max_cache_bytes : int;
   max_line_bytes : int;
   max_queue : int;
@@ -14,7 +13,6 @@ let default_config () =
     jobs = Sched.Engine.default_jobs ();
     batch = 16;
     max_arena_bytes = None;
-    memo = true;
     max_cache_bytes = 256 * 1024 * 1024;
     max_line_bytes = 4 * 1024 * 1024;
     max_queue = 1024;
@@ -40,10 +38,6 @@ type t = {
      Byte-accounted LRU: a cold key landing in a full cache evicts the
      least-recently-served instances (and their warm sessions). *)
   contexts : Sched.Context.t Lru.t;
-  (* response memo: raw request line -> response line (solve ops only).
-     Solves are pure functions of the request, so a repeat costs one
-     probe. *)
-  memo_tbl : string Lru.t;
   (* warm sessions: context key -> last solved Problem session. A repeat
      instance (possibly under a different fault) is answered by patching
      the checked-out session ([Problem.with_fault_patch]) instead of
@@ -56,18 +50,9 @@ type t = {
      instance under the same fault spec reuses the solved member
      sessions, trace projection and weight tables wholesale. *)
   warm : session Lru.t;
-  mutable requests : int;
-  mutable errors : int;
-  mutable rejected : int;
-  mutable batches : int;
-  mutable memo_hits : int;
-  mutable warm_sessions : int;
-  mutable warm_group_sessions : int;
-  mutable overloaded : int;
-  mutable deadline_exceeded : int;
-  mutable task_crashes : int;
-  mutable line_overflows : int;
-  mutable wave_retries : int;
+  (* event counters by name, written only on the single-writer paths;
+     [stats] reads them and Obs mirrors them as [serve.<name>] *)
+  counts : (string, int) Hashtbl.t;
   mutable last_wave_ms : float; (* the overloaded retry_after_ms hint *)
   mutable stopping : bool;
 }
@@ -89,99 +74,34 @@ let create ?config () =
     config;
     (* split of the byte budget: warm sessions are the point of the
        server (and the heaviest entries), contexts amortize instance
-       preprocessing, the memo is cheap opportunism *)
+       preprocessing. The shares sum to 7/8, so [max_cache_bytes] is a
+       bound on the two caches together, not a target. *)
     contexts = Lru.create ~budget:(b / 2);
-    memo_tbl = Lru.create ~budget:(b / 8);
     warm = Lru.create ~budget:(b * 3 / 8);
-    requests = 0;
-    errors = 0;
-    rejected = 0;
-    batches = 0;
-    memo_hits = 0;
-    warm_sessions = 0;
-    warm_group_sessions = 0;
-    overloaded = 0;
-    deadline_exceeded = 0;
-    task_crashes = 0;
-    line_overflows = 0;
-    wave_retries = 0;
+    counts = Hashtbl.create 16;
     last_wave_ms = 1.;
     stopping = false;
   }
 
-let hit name = if !Obs.enabled then Obs.Metrics.incr name
+let counter t name = Option.value (Hashtbl.find_opt t.counts name) ~default:0
 
-let note_evictions t evicted =
-  match evicted with
+let count ?(n = 1) t name =
+  Hashtbl.replace t.counts name (counter t name + n);
+  if !Obs.enabled then Obs.Metrics.add ("serve." ^ name) n
+
+let note_evictions t = function
   | [] -> ()
-  | l ->
-      ignore t;
-      if !Obs.enabled then
-        Obs.Metrics.add "serve.cache_evictions" (List.length l)
+  | l -> count ~n:(List.length l) t "cache_evictions"
 
 (* ---------------------------------------------------------------- *)
-(* Instance construction (mirrors the CLI's build_mesh/build_trace)  *)
+(* Instances                                                         *)
 (* ---------------------------------------------------------------- *)
 
-let build_mesh (m : Protocol.mesh_spec) =
-  if m.torus then Pim.Mesh.torus ~rows:m.rows ~cols:m.cols
-  else Pim.Mesh.create ~rows:m.rows ~cols:m.cols
-
-let partition_of_name = function
-  | "block-2d" -> Workloads.Iteration_space.Block_2d
-  | "row-blocks" -> Workloads.Iteration_space.Row_blocks
-  | "col-blocks" -> Workloads.Iteration_space.Col_blocks
-  | "cyclic-2d" -> Workloads.Iteration_space.Cyclic_2d
-  | s -> Protocol.reject (Printf.sprintf "unknown partition %S" s)
-
-let build_trace (spec : Protocol.instance) mesh =
-  match spec.trace_text with
-  | Some text -> (
-      match Reftrace.Serial.of_string text with
-      | t -> (
-          match Reftrace.Trace.validate t mesh with
-          | () -> t
-          | exception Invalid_argument m -> Protocol.reject m)
-      | exception Failure m ->
-          Protocol.reject (Printf.sprintf "inline trace: %s" m))
-  | None -> (
-      let partition = partition_of_name spec.partition in
-      let n = spec.size in
-      (* a generator refusing its parameters (an fft size that is not a
-         power of two, say) is the client's mistake, not a crash *)
-      match
-        match spec.workload with
-        | "stencil" -> Workloads.Stencil.trace ~partition ~n ~sweeps:8 mesh
-        | "tc" | "transitive-closure" ->
-            Workloads.Transitive_closure.trace ~partition ~n mesh
-        | "fft" -> Workloads.Fft_transpose.trace ~partition ~n mesh
-        | "cholesky" -> Workloads.Cholesky.trace ~partition ~n mesh
-        | "reduction" ->
-            Workloads.Reduction.trace ~partition ~n
-              ~bins:(Pim.Mesh.size mesh) mesh
-        | label -> (
-            match Workloads.Benchmarks.of_label label with
-            | b -> Workloads.Benchmarks.trace ~partition b ~n mesh
-            | exception Invalid_argument _ ->
-                Protocol.reject
-                  (Printf.sprintf
-                     "unknown workload %S (expected 1..5, stencil, tc, fft, \
-                      cholesky or reduction)"
-                     label))
-      with
-      | t -> t
-      | exception Invalid_argument m ->
-          Protocol.reject
-            (Printf.sprintf "workload %S at size %d: %s" spec.workload n m))
-
-let policy_of trace mesh (spec : Protocol.instance) =
-  if spec.unbounded then Sched.Problem.Unbounded
-  else
-    Sched.Problem.Bounded
-      (Pim.Memory.capacity_for
-         ~data_count:
-           (Reftrace.Data_space.size (Reftrace.Trace.space trace))
-         ~mesh ~headroom:2)
+(* Built on a cache miss only; a refused instance is a [bad-request]. *)
+let build_instance spec =
+  match Instance.build spec with
+  | i -> i
+  | exception Invalid_argument m -> Protocol.reject m
 
 (* The canonical key naming a shared context: everything the immutable
    half depends on. Inline traces key by content digest, so two clients
@@ -210,15 +130,16 @@ let find_context t (spec : Protocol.instance) =
   let key = context_key spec in
   match Lru.find t.contexts key with
   | Some ctx ->
-      hit "serve.context_hits";
+      count t "context_hits";
       ctx
   | None ->
-      hit "serve.context_misses";
-      let mesh = build_mesh spec.mesh in
-      let trace = build_trace spec mesh in
-      let policy = policy_of trace mesh spec in
+      count t "context_misses";
       let ctx =
-        Sched.Context.create ~policy ~jobs:t.config.jobs mesh trace
+        match build_instance spec with
+        | Instance.Mesh { mesh; trace; policy } ->
+            Sched.Context.create ~policy ~jobs:t.config.jobs mesh trace
+        | Instance.Group _ ->
+            invalid_arg "Server.find_context: a group instance has no context"
       in
       let evicted = Lru.add t.contexts key ctx ~bytes:(context_bytes ctx) in
       (* an evicted context takes its warm session with it: the session
@@ -271,41 +192,6 @@ let group_key (spec : Protocol.instance) arrays fault_spec =
   Printf.sprintf "group:%s;arrays:%s;inter:%d;fault:%s" (context_key spec)
     arrays spec.inter_cost (fault_key fault_spec)
 
-let build_group (spec : Protocol.instance) arrays =
-  match
-    Multi.Array_group.of_spec ~inter_cost:spec.inter_cost
-      ~torus:spec.mesh.torus arrays
-  with
-  | g -> g
-  | exception Invalid_argument m -> Protocol.reject m
-
-let build_group_trace (spec : Protocol.instance) group =
-  match spec.trace_text with
-  | Some text -> (
-      match Reftrace.Serial.of_string text with
-      | t -> (
-          match Multi.Array_group.validate_trace group t with
-          | () -> t
-          | exception Invalid_argument m -> Protocol.reject m)
-      | exception Failure m ->
-          Protocol.reject (Printf.sprintf "inline trace: %s" m))
-  | None ->
-      (* generated workloads are laid out on the virtual mesh (the
-         members tiled onto the interconnect) and remapped to global
-         ranks; a 1-member group's virtual mesh is the member itself *)
-      let vm = Multi.Array_group.virtual_mesh group in
-      Multi.Array_group.remap_virtual_trace group (build_trace spec vm)
-
-let group_policy trace group (spec : Protocol.instance) =
-  if spec.unbounded then Sched.Problem.Unbounded
-  else
-    (* same headroom-2 rule, over the group's aggregate processor count *)
-    Sched.Problem.Bounded
-      (Pim.Memory.capacity_for
-         ~data_count:(Reftrace.Data_space.size (Reftrace.Trace.space trace))
-         ~mesh:(Pim.Mesh.create ~rows:1 ~cols:(Multi.Array_group.size group))
-         ~headroom:2)
-
 let build_group_fault group = function
   | None -> Multi.Group_fault.none
   | Some (Protocol.Fault_explicit { dead_arrays; dead_nodes; dead_links }) -> (
@@ -323,17 +209,18 @@ let build_group_fault group = function
       | f -> f
       | exception Invalid_argument m -> Protocol.reject m)
 
-let build_group_problem t (instance : Protocol.instance) arrays fault_spec =
-  let group = build_group instance arrays in
-  let trace = build_group_trace instance group in
-  let policy = group_policy trace group instance in
-  let fault = build_group_fault group fault_spec in
-  match
-    Multi.Group_problem.create ~policy ~jobs:t.config.jobs ~fault group
-      trace
-  with
-  | gp -> gp
-  | exception Invalid_argument m -> Protocol.reject m
+let build_group_problem t (instance : Protocol.instance) fault_spec =
+  match build_instance instance with
+  | Instance.Group { group; trace; policy } -> (
+      let fault = build_group_fault group fault_spec in
+      match
+        Multi.Group_problem.create ~policy ~jobs:t.config.jobs ~fault group
+          trace
+      with
+      | gp -> gp
+      | exception Invalid_argument m -> Protocol.reject m)
+  | Instance.Mesh _ ->
+      invalid_arg "Server.build_group_problem: not a group instance"
 
 let solve_error m = Protocol.make_error "solve-error" m
 
@@ -471,34 +358,28 @@ let solve id ctx ~key ~base ~cancel algorithm fault_spec timed =
         Some (key, Solo problem) )
   | exception Invalid_argument m -> raise (Protocol.Reject (solve_error m))
 
-let cache_bytes t =
-  Lru.used_bytes t.contexts + Lru.used_bytes t.memo_tbl
-  + Lru.used_bytes t.warm
-
-let cache_evictions t =
-  Lru.evictions t.contexts + Lru.evictions t.memo_tbl + Lru.evictions t.warm
-
 let stats_fields t =
+  let c name = (name, Obs.Json.Int (counter t name)) in
   [
     ("protocol", Obs.Json.String Protocol.version);
-    ("requests", Obs.Json.Int t.requests);
-    ("errors", Obs.Json.Int t.errors);
-    ("rejected", Obs.Json.Int t.rejected);
-    ("batches", Obs.Json.Int t.batches);
+    c "requests";
+    c "errors";
+    c "rejected";
+    c "batches";
     ("contexts", Obs.Json.Int (Lru.length t.contexts));
-    ("memo_entries", Obs.Json.Int (Lru.length t.memo_tbl));
-    ("memo_hits", Obs.Json.Int t.memo_hits);
     ("warm_entries", Obs.Json.Int (Lru.length t.warm));
-    ("warm_sessions", Obs.Json.Int t.warm_sessions);
-    ("warm_group_sessions", Obs.Json.Int t.warm_group_sessions);
-    ("cache_bytes", Obs.Json.Int (cache_bytes t));
+    c "warm_sessions";
+    c "warm_group_sessions";
+    ( "cache_bytes",
+      Obs.Json.Int (Lru.used_bytes t.contexts + Lru.used_bytes t.warm) );
     ("cache_budget", Obs.Json.Int t.config.max_cache_bytes);
-    ("cache_evictions", Obs.Json.Int (cache_evictions t));
-    ("overloaded", Obs.Json.Int t.overloaded);
-    ("deadline_exceeded", Obs.Json.Int t.deadline_exceeded);
-    ("task_crashes", Obs.Json.Int t.task_crashes);
-    ("line_overflows", Obs.Json.Int t.line_overflows);
-    ("wave_retries", Obs.Json.Int t.wave_retries);
+    ( "cache_evictions",
+      Obs.Json.Int (Lru.evictions t.contexts + Lru.evictions t.warm) );
+    c "overloaded";
+    c "deadline_exceeded";
+    c "task_crashes";
+    c "line_overflows";
+    c "wave_retries";
     ("jobs", Obs.Json.Int t.config.jobs);
   ]
 
@@ -519,12 +400,11 @@ let deadline_error phase =
 
 (* What the serial prepare pass leaves for the parallel wave: either a
    finished response, or a solve closure still to run. Everything that
-   mutates server state (cache fills, counters, memo probes) happens in
+   mutates server state (cache fills, warm checkouts, counters) happens in
    prepare; the fan-out only runs pure per-request solves. *)
 type prepared =
   | Done of string
   | Todo of {
-      line : string;
       id : Obs.Json.t;
       cancel : Sched.Cancel.t;
       work : unit -> string * (string * session) option;
@@ -532,18 +412,14 @@ type prepared =
               check back into the warm pool (solo solves only) *)
     }
 
-let note_error t =
-  t.errors <- t.errors + 1;
-  hit "serve.errors"
+let note_error t = count t "errors"
 
 let note_deadline t =
-  t.deadline_exceeded <- t.deadline_exceeded + 1;
-  hit "serve.deadline_exceeded";
+  count t "deadline_exceeded";
   note_error t
 
 let note_crash t =
-  t.task_crashes <- t.task_crashes + 1;
-  hit "serve.task_crashes";
+  count t "task_crashes";
   note_error t
 
 let prepare_inner t line =
@@ -576,81 +452,66 @@ let prepare_inner t line =
             Done (Protocol.error_response id (deadline_error "at admission"))
           end
           else
+            (* context resolution, group construction and admission (with
+               their possible rejections) are part of prepare so server
+               state has a single writer; only the pure solve closure
+               escapes onto the parallel wave *)
             match
-              if t.config.memo then Lru.find t.memo_tbl line else None
+              match instance.Protocol.arrays with
+              | Some arrays ->
+                  if timed <> None then
+                    Protocol.reject
+                      "\"timed\" replay is single-mesh only (no group \
+                       simulator); drop the \"arrays\" field";
+                  let key = group_key instance arrays fault in
+                  let gp =
+                    match Lru.find t.warm key with
+                    | Some (Group gp) ->
+                        Lru.remove t.warm key;
+                        count t "warm_group_sessions";
+                        gp
+                    | Some (Solo _) | None ->
+                        build_group_problem t instance fault
+                  in
+                  admit_bytes t (Multi.Group_problem.max_arena_bytes gp);
+                  count t "group_requests";
+                  fun () -> solve_group id gp ~key ~cancel algorithm
+              | None ->
+                  let ctx = find_context t instance in
+                  admit t ctx;
+                  (* warm checkout: the serial prepare pass owns the table,
+                     so two same-key requests in one wave race on nothing —
+                     the second simply opens cold *)
+                  let key = context_key instance in
+                  let base =
+                    match Lru.find t.warm key with
+                    | Some (Solo p) ->
+                        Lru.remove t.warm key;
+                        count t "warm_sessions";
+                        Some p
+                    | Some (Group _) | None -> None
+                  in
+                  fun () ->
+                    solve id ctx ~key ~base ~cancel algorithm fault timed
             with
-            | Some response ->
-                t.memo_hits <- t.memo_hits + 1;
-                hit "serve.memo_hits";
-                Done response
-            | None -> (
-                (* context resolution, group construction and admission
-                   (with their possible rejections) are part of prepare so
-                   server state has a single writer; only the pure solve
-                   closure escapes onto the parallel wave *)
-                match
-                  match instance.Protocol.arrays with
-                  | Some arrays ->
-                      if timed <> None then
-                        Protocol.reject
-                          "\"timed\" replay is single-mesh only (no group \
-                           simulator); drop the \"arrays\" field";
-                      let key = group_key instance arrays fault in
-                      let gp =
-                        match Lru.find t.warm key with
-                        | Some (Group gp) ->
-                            Lru.remove t.warm key;
-                            t.warm_group_sessions <- t.warm_group_sessions + 1;
-                            hit "serve.warm_group_sessions";
-                            gp
-                        | Some (Solo _) | None ->
-                            build_group_problem t instance arrays fault
-                      in
-                      admit_bytes t (Multi.Group_problem.max_arena_bytes gp);
-                      hit "serve.group_requests";
-                      fun () -> solve_group id gp ~key ~cancel algorithm
-                  | None ->
-                      let ctx = find_context t instance in
-                      admit t ctx;
-                      (* warm checkout: the serial prepare pass owns the
-                         table, so two same-key requests in one wave race
-                         on nothing — the second simply opens cold *)
-                      let key = context_key instance in
-                      let base =
-                        match Lru.find t.warm key with
-                        | Some (Solo p) ->
-                            Lru.remove t.warm key;
-                            t.warm_sessions <- t.warm_sessions + 1;
-                            hit "serve.warm_sessions";
-                            Some p
-                        | Some (Group _) | None -> None
-                      in
-                      fun () ->
-                        solve id ctx ~key ~base ~cancel algorithm fault timed
-                with
-                | work ->
-                    if Sched.Cancel.expired cancel then begin
-                      note_deadline t;
-                      Done
-                        (Protocol.error_response id
-                           (deadline_error "at admission"))
-                    end
-                    else Todo { line; id; cancel; work }
-                | exception Protocol.Reject e ->
-                    (if e.Protocol.code = "over-budget" then begin
-                       t.rejected <- t.rejected + 1;
-                       hit "serve.rejected"
-                     end
-                     else note_error t);
-                    Done (Protocol.error_response id e))))
+            | work ->
+                if Sched.Cancel.expired cancel then begin
+                  note_deadline t;
+                  Done
+                    (Protocol.error_response id (deadline_error "at admission"))
+                end
+                else Todo { id; cancel; work }
+            | exception Protocol.Reject e ->
+                if e.Protocol.code = "over-budget" then count t "rejected"
+                else note_error t;
+                Done (Protocol.error_response id e)))
 
 (* [prepare] is total: any exception the admission path leaks — a crash
    in a workload generator, a failpoint injection at [serve.decode] —
    becomes a typed [internal-error] response for that one request
    instead of killing the daemon. *)
 let prepare t line =
-  t.requests <- t.requests + 1;
-  hit "serve.requests";
+  count t "requests";
   match prepare_inner t line with
   | p -> p
   | exception Protocol.Reject e ->
@@ -666,7 +527,7 @@ let now () = Obs.Clock.now_s ()
 
 type outcome =
   | Passthrough
-  | Solved of string * (string * session) option
+  | Solved of (string * session) option
   | Failed
   | Deadlined
   | Crashed
@@ -679,7 +540,7 @@ type outcome =
    deferred to the serial post-pass (the wave must not race on them). *)
 let run_prepared _t = function
   | Done response -> (response, 0., Passthrough)
-  | Todo { line; id; cancel; work } -> (
+  | Todo { id; cancel; work } -> (
       let t0 = now () in
       if Sched.Cancel.expired cancel then
         ( Protocol.error_response id
@@ -691,8 +552,7 @@ let run_prepared _t = function
           Obs.Failpoint.hit fp_solve;
           work ()
         with
-        | response, session ->
-            (response, now () -. t0, Solved (line, session))
+        | response, session -> (response, now () -. t0, Solved session)
         | exception Protocol.Reject e ->
             (Protocol.error_response id e, now () -. t0, Failed)
         | exception Sched.Cancel.Expired ->
@@ -711,8 +571,7 @@ let run_prepared _t = function
    ops). Responses depend only on the request, never on batching or
    [jobs], so a client cannot observe the wave boundaries. *)
 let process_batch t lines =
-  t.batches <- t.batches + 1;
-  hit "serve.batches";
+  count t "batches";
   let prepared = Array.of_list (List.map (prepare t) lines) in
   let results =
     match
@@ -726,29 +585,22 @@ let process_batch t lines =
            failpoint or an engine bug): re-run it serially. The work
            closures are deterministic and server state is only written
            in the post-pass below, so the re-run answers identically. *)
-        t.wave_retries <- t.wave_retries + 1;
-        hit "serve.wave_retries";
+        count t "wave_retries";
         Array.init (Array.length prepared) (fun i ->
             run_prepared t prepared.(i))
   in
-  (* memo inserts, warm check-ins and failure accounting back on the
-     single writer *)
+  (* warm check-ins and failure accounting back on the single writer *)
   let observe dt =
     if !Obs.enabled then
       Obs.Metrics.observe "serve.solve_us" (int_of_float (dt *. 1e6))
   in
   Array.iter
-    (fun (response, dt, outcome) ->
+    (fun (_, dt, outcome) ->
       match outcome with
       | Passthrough -> ()
-      | Solved (line, session) ->
+      | Solved session -> (
           observe dt;
-          if t.config.memo then
-            note_evictions t
-              (Lru.add t.memo_tbl line response
-                 ~bytes:
-                   (String.length line + String.length response + 64));
-          (match session with
+          match session with
           | Some (key, session) ->
               (* first same-key solve of the wave wins the slot; later
                  sessions are dropped rather than replacing it *)
@@ -952,10 +804,8 @@ let write_line ~timeout_ms fd s =
 (* ---- overload and overflow responses ---- *)
 
 let overflow_response t =
-  t.requests <- t.requests + 1;
-  t.line_overflows <- t.line_overflows + 1;
-  hit "serve.requests";
-  hit "serve.line_overflows";
+  count t "requests";
+  count t "line_overflows";
   note_error t;
   Protocol.error_response Obs.Json.Null
     (Protocol.make_error "parse-error"
@@ -982,10 +832,8 @@ let shed_backlog t r =
       | None -> List.rev acc
       | Some Too_long -> go (overflow_response t :: acc)
       | Some (Req line) ->
-          t.requests <- t.requests + 1;
-          t.overloaded <- t.overloaded + 1;
-          hit "serve.requests";
-          hit "serve.overloaded";
+          count t "requests";
+          count t "overloaded";
           note_error t;
           go
             (Protocol.error_response (Protocol.request_id line)
@@ -1056,4 +904,4 @@ let run t ~input ~output =
             loop ()
     in
     loop ()
-  with Client_gone -> hit "serve.client_gone"
+  with Client_gone -> count t "client_gone"

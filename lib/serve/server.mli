@@ -2,8 +2,10 @@
 
     One server owns a cache of shared immutable {!Sched.Context.t}s keyed
     by instance (mesh, trace source, capacity policy) and answers
-    {!Protocol} requests. Each solve runs a private request-scoped
-    session over the cached context, so thousands of requests on one
+    {!Protocol} requests. A cache miss builds the instance with
+    {!Instance.build}, the builder the one-shot CLI uses too. Each solve
+    runs a private request-scoped session over the cached context, so
+    thousands of requests on one
     instance reuse the axis tables and trace preprocessing while never
     sharing a mutable slab. The last session solved per context is kept
     warm: a repeat instance — even under a different fault — checks it
@@ -30,10 +32,10 @@
       admission, at wave start and at per-datum poll points inside the
       solve ({!Sched.Cancel}); expiry answers a typed
       [deadline-exceeded].
-    - {b Bounded caches}: contexts, response memo and warm sessions live
-      in byte-accounted {!Lru} caches sharing [max_cache_bytes]
-      (contexts 1/2, warm sessions 3/8, memo 1/8); evicting a context
-      cascades to its warm session.
+    - {b Bounded caches}: contexts and warm sessions live in
+      byte-accounted {!Lru} caches with fixed shares of [max_cache_bytes]
+      (contexts 1/2, warm sessions 3/8), so their sum stays under it;
+      evicting a context cascades to its warm session.
     - {b Overload shedding}: buffered backlog beyond [max_queue] lines
       is answered [overloaded] (with a [retry_after_ms] hint) without
       being decoded or solved.
@@ -53,23 +55,23 @@
       [serve.solve], [serve.write] (plus [engine.task] underneath) —
       no-ops unless a chaos schedule is armed.
 
-    Obs metrics (when {!Obs.enabled}): [serve.requests], [serve.errors],
-    [serve.rejected], [serve.batches], [serve.context_hits],
-    [serve.context_misses], [serve.memo_hits], [serve.warm_sessions],
-    [serve.warm_group_sessions],
-    [serve.overloaded], [serve.deadline_exceeded], [serve.task_crashes],
-    [serve.line_overflows], [serve.wave_retries],
-    [serve.cache_evictions], [serve.client_gone], histogram
+    Event counters: every counter the [stats] op reports ([requests],
+    [errors], [rejected], [batches], [warm_sessions],
+    [warm_group_sessions], [overloaded], [deadline_exceeded],
+    [task_crashes], [line_overflows], [wave_retries]) is bumped on one
+    path that, when {!Obs.enabled}, also bumps the Obs counter
+    [serve.<name>]; so do [serve.context_hits], [serve.context_misses],
+    [serve.group_requests], [serve.cache_evictions] and
+    [serve.client_gone], which [stats] does not report. Histogram
     [serve.solve_us]. *)
 
 type config = {
   jobs : int;  (** domain pool size for waves and within sessions *)
   batch : int;  (** max requests answered per wave *)
   max_arena_bytes : int option;  (** admission budget; [None] = unlimited *)
-  memo : bool;  (** cache responses by raw request line *)
   max_cache_bytes : int;
-      (** byte budget shared by the context, memo and warm-session
-          caches; [0] disables caching entirely *)
+      (** bound on the bytes the context and warm-session caches hold
+          together; [0] disables caching entirely *)
   max_line_bytes : int;  (** request line cap; longer lines are rejected *)
   max_queue : int;
       (** buffered request lines tolerated beyond the current wave;
@@ -78,8 +80,8 @@ type config = {
       (** per-response write budget before a slow reader is dropped *)
 }
 
-(** Machine-fitted jobs, batch 16, no arena budget, memo on, 256 MiB
-    cache budget, 4 MiB line cap, queue 1024, 5 s write timeout. *)
+(** Machine-fitted jobs, batch 16, no arena budget, 256 MiB cache
+    budget, 4 MiB line cap, queue 1024, 5 s write timeout. *)
 val default_config : unit -> config
 
 type t

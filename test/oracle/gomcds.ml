@@ -2,7 +2,7 @@
    and trace: reference cost on nodes, migration on edges, vectors
    recomputed each call. [optimal_centers] solves it with the callback
    DP and [cost_graph] materializes it as an explicit DAG for
-   [Pathgraph.Shortest_path] — the oracles [Sched.Gomcds.schedule] is
+   [Shortest_path] — the oracles [Sched.Gomcds.schedule] is
    pinned against. *)
 
 let problem mesh trace ~data =

@@ -1,7 +1,7 @@
 (* The explicit and full-table forms of the layered DP, kept as oracles
    for the production DP [Pathgraph.Layered.solve]: the callback DP
    (closures per edge, O(n·m²)), the dense full-table DP and the
-   materialized cost-graph for [Pathgraph.Shortest_path]. Verbatim,
+   materialized cost-graph for [Shortest_path]. Verbatim,
    instrumentation aside. *)
 
 type problem = {
@@ -137,15 +137,15 @@ let to_digraph p =
   validate p;
   let node_id ~layer j = 2 + (layer * p.width) + j in
   let source = 0 and sink = 1 in
-  let g = Pathgraph.Digraph.create ~n_nodes:(2 + (p.n_layers * p.width)) in
+  let g = Digraph.create ~n_nodes:(2 + (p.n_layers * p.width)) in
   for j = 0 to p.width - 1 do
-    Pathgraph.Digraph.add_edge g ~src:source ~dst:(node_id ~layer:0 j)
+    Digraph.add_edge g ~src:source ~dst:(node_id ~layer:0 j)
       ~weight:(p.enter_cost j)
   done;
   for layer = 1 to p.n_layers - 1 do
     for j = 0 to p.width - 1 do
       for k = 0 to p.width - 1 do
-        Pathgraph.Digraph.add_edge g
+        Digraph.add_edge g
           ~src:(node_id ~layer:(layer - 1) j)
           ~dst:(node_id ~layer k)
           ~weight:(p.step_cost ~layer j k)
@@ -153,7 +153,7 @@ let to_digraph p =
     done
   done;
   for j = 0 to p.width - 1 do
-    Pathgraph.Digraph.add_edge g ~src:(node_id ~layer:(p.n_layers - 1) j) ~dst:sink
+    Digraph.add_edge g ~src:(node_id ~layer:(p.n_layers - 1) j) ~dst:sink
       ~weight:0
   done;
   (g, source, sink, node_id)

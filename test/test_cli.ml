@@ -6,6 +6,12 @@ let binary =
   Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "pimsched.exe"
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let run_cli args =
   let out = Filename.temp_file "pimsched_cli" ".out" in
   Fun.protect
@@ -16,13 +22,7 @@ let run_cli args =
           (Filename.quote out)
       in
       let code = Sys.command cmd in
-      let ic = open_in out in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (code, text))
+      (code, read_file out))
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -109,13 +109,7 @@ let run_serve_cli flags requests =
           flags (Filename.quote infile) (Filename.quote out)
       in
       let code = Sys.command cmd in
-      let ic = open_in out in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (code, String.split_on_char '\n' (String.trim text)))
+      (code, String.split_on_char '\n' (String.trim (read_file out))))
 
 let test_serve_smoke () =
   let code, lines =
@@ -145,37 +139,68 @@ let test_serve_smoke () =
     ]
 
 (* The served plan must be byte-identical to what the one-shot CLI writes
-   with --plan-out for the same instance. *)
+   with --plan-out for the same instance, on every instance path: mesh
+   shape and partition, capacity policy, loaded vs inline trace text, and
+   the group tier. *)
 let test_serve_matches_plan_out () =
-  let path = Filename.temp_file "pimsched_cli" ".plan" in
+  let trace = Filename.temp_file "pimsched_cli" ".trace" in
+  let plan = Filename.temp_file "pimsched_cli" ".plan" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () ->
+      Sys.remove trace;
+      Sys.remove plan)
     (fun () ->
-      check_ok "plan-out"
-        (Printf.sprintf "schedule -b 1 -n 8 -a gomcds --plan-out %s" path)
-        [ "plan written" ];
-      let ic = open_in_bin path in
-      let file_plan =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+      check_ok "export" (Printf.sprintf "export-trace -b 2 -n 8 -o %s" trace)
+        [ "wrote 2" ];
+      let inline =
+        Obs.Json.to_string (Obs.Json.String (read_file trace))
+      in
+      let cases =
+        [
+          ("generated", "-b 1 -n 8", {|"workload":"1","size":8|});
+          ( "torus, cyclic-2d",
+            "-b 1 -n 8 --torus --partition cyclic-2d",
+            {|"workload":"1","size":8,"mesh":{"rows":4,"cols":4,"torus":true},"partition":"cyclic-2d"|}
+          );
+          ( "unbounded stencil",
+            "--unbounded -b stencil -n 8",
+            {|"workload":"stencil","size":8,"unbounded":true|} );
+          ( "trace file = inline trace",
+            "--trace-file " ^ Filename.quote trace,
+            {|"trace":|} ^ inline );
+          ( "group",
+            "--arrays 2x2of4x4 -b 1 -n 8",
+            {|"workload":"1","size":8,"arrays":"2x2of4x4"|} );
+        ]
       in
       let code, lines =
         run_serve_cli ""
-          [ {|{"id":1,"workload":"1","size":8,"algorithm":"gomcds"}|} ]
+          (List.mapi
+             (fun i (_, _, fields) ->
+               Printf.sprintf {|{"id":%d,%s,"algorithm":"gomcds"}|} i fields)
+             cases)
       in
-      Alcotest.(check int) "exit code" 0 code;
-      match Obs.Json.parse (List.nth lines 0) with
-      | Ok (Obs.Json.Obj fields) -> (
-          match List.assoc_opt "result" fields with
-          | Some (Obs.Json.Obj r) -> (
-              match List.assoc_opt "plan" r with
-              | Some (Obs.Json.String served_plan) ->
-                  Alcotest.(check string)
-                    "served plan = --plan-out bytes" file_plan served_plan
-              | _ -> Alcotest.fail "no plan in served result")
-          | _ -> Alcotest.fail "no result in served response")
-      | _ -> Alcotest.failf "unparseable response: %s" (List.nth lines 0))
+      Alcotest.(check int) "serve exit code" 0 code;
+      Alcotest.(check int) "one response per case" (List.length cases)
+        (List.length lines);
+      List.iter2
+        (fun (name, flags, _) line ->
+          check_ok name
+            (Printf.sprintf "schedule %s -a gomcds --plan-out %s" flags plan)
+            [ "plan written" ];
+          match Obs.Json.parse line with
+          | Ok (Obs.Json.Obj fields) -> (
+              match List.assoc_opt "result" fields with
+              | Some (Obs.Json.Obj r) -> (
+                  match List.assoc_opt "plan" r with
+                  | Some (Obs.Json.String served_plan) ->
+                      Alcotest.(check string)
+                        (name ^ ": served plan = --plan-out bytes")
+                        (read_file plan) served_plan
+                  | _ -> Alcotest.failf "%s: no plan in %s" name line)
+              | _ -> Alcotest.failf "%s: no result in %s" name line)
+          | _ -> Alcotest.failf "%s: unparseable response %s" name line)
+        cases lines)
 
 let test_serve_rejects_over_budget () =
   let code, lines =
@@ -211,12 +236,7 @@ let test_metrics_json () =
       check_ok "schedule metrics"
         (Printf.sprintf "schedule -b 1 -n 8 -a gomcds --metrics-json %s" path)
         [ "gomcds" ];
-      let ic = open_in path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let text = read_file path in
       List.iter
         (fun needle ->
           if not (contains text needle) then
@@ -235,12 +255,7 @@ let test_profile_chrome_trace () =
       check_ok "profile chrome"
         (Printf.sprintf "profile gomcds -b 1 -n 8 --chrome-out %s" path)
         [ "scheduler.gomcds" ];
-      let ic = open_in path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let text = read_file path in
       List.iter
         (fun needle ->
           if not (contains text needle) then
@@ -253,11 +268,16 @@ let test_bad_arguments_fail () =
   let code, _ = run_cli "schedule -a wizardry" in
   Alcotest.(check bool) "rejects unknown algorithm" true (code <> 0)
 
+(* Refused flags and instances: a nonzero exit that is not Cmdliner's
+   uncaught-exception 125, with the message serve sends for the same
+   instance. *)
 let test_jobs_and_kernel_validated () =
   List.iter
     (fun (name, args, needle) ->
       let code, text = run_cli args in
       Alcotest.(check bool) (name ^ ": nonzero exit") true (code <> 0);
+      Alcotest.(check bool) (name ^ ": not an uncaught exception") true
+        (code <> 125 && not (contains text "uncaught exception"));
       if not (contains text needle) then
         Alcotest.failf "%s: missing %S in:\n%s" name needle text)
     [
@@ -266,6 +286,10 @@ let test_jobs_and_kernel_validated () =
       (* there is one cost kernel, so the flag that chose it is gone *)
       ("kernel flag retired", "schedule -b 1 -n 8 --kernel separable",
        "unknown option '--kernel'");
+      ("generator refuses size", "schedule -b fft -n 6",
+       "workload \"fft\" at size 6: Fft_transpose.trace: ");
+      ("bad group spec", "schedule --arrays 2x2ofzz -b 1 -n 8",
+       "Array_group.of_spec: bad dimensions \"zz\"");
     ]
 
 let test_faults () =
@@ -284,12 +308,7 @@ let test_faults_json () =
             0.1 --json-out %s"
            path)
         [ "ablation written" ];
-      let ic = open_in path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let text = read_file path in
       List.iter
         (fun needle ->
           if not (contains text needle) then
@@ -315,12 +334,7 @@ let test_faults_reschedule_beats () =
             0.0,0.1,0.2,0.3 --json-out %s"
            path)
         [ "degradation ablation" ];
-      let ic = open_in path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let text = read_file path in
       (* pull every "field":int occurrence, in row order *)
       let ints field =
         let key = Printf.sprintf "%S:" field in

@@ -146,7 +146,7 @@ let prop_solve_axes_matches_dense mesh label =
     ~name:("solve_axes equals full-table solve_dense, " ^ label)
     ~count:60 arb (fun (n_layers, flat, mask) ->
       let m = Pim.Mesh.size mesh in
-      let dist = Pim.Mesh.distance_table mesh in
+      let dist = Oracle.Mesh_distance.table mesh in
       let xdist = Pim.Mesh.x_distance_table mesh
       and ydist = Pim.Mesh.y_distance_table mesh in
       let vectors =
@@ -240,7 +240,7 @@ let prop_relax_shapes (mesh, label) =
     ~name:("separable relaxation equals solve_dense, " ^ label)
     ~count:60 arb (fun (n_layers, flat, mask) ->
       let m = Pim.Mesh.size mesh in
-      let dist = Pim.Mesh.distance_table mesh in
+      let dist = Oracle.Mesh_distance.table mesh in
       let xdist = Pim.Mesh.x_distance_table mesh
       and ydist = Pim.Mesh.y_distance_table mesh in
       let vectors = Array.init n_layers (fun w -> Array.sub flat (w * m) m) in
@@ -298,7 +298,7 @@ let outsized_solve_case =
                (Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat)
              ~n_layers ()
           = Oracle.Layered.solve_dense
-              ~dist:(Pim.Mesh.distance_table mesh) ~vectors)
+              ~dist:(Oracle.Mesh_distance.table mesh) ~vectors)
       in
       check (Pim.Mesh.torus ~rows:2 ~cols:2) ((1 lsl 18) + 1);
       check torus35 5)

@@ -86,8 +86,8 @@ let prop_dp_equals_explicit_cost_graph =
       for data = 0 to n - 1 do
         let dp_cost, _ = Oracle.Gomcds.optimal_centers mesh t ~data in
         let g, source, sink, _ = Oracle.Gomcds.cost_graph mesh t ~data in
-        let r = Pathgraph.Shortest_path.dag g ~source in
-        if Pathgraph.Shortest_path.distance r ~target:sink <> Some dp_cost
+        let r = Oracle.Shortest_path.dag g ~source in
+        if Oracle.Shortest_path.distance r ~target:sink <> Some dp_cost
         then ok := false
       done;
       !ok)

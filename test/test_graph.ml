@@ -1,4 +1,5 @@
-(* Tests for Pathgraph: Digraph, Topo, Shortest_path, Layered. *)
+(* Tests for Pathgraph.Layered and the graph oracles Digraph, Topo and
+   Shortest_path. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -6,42 +7,42 @@ let check_bool = Alcotest.(check bool)
 (* -- Digraph ------------------------------------------------------------ *)
 
 let test_digraph_basics () =
-  let g = Pathgraph.Digraph.create ~n_nodes:3 in
-  check_int "no edges" 0 (Pathgraph.Digraph.n_edges g);
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:5;
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:2 ~weight:7;
-  check_int "two edges" 2 (Pathgraph.Digraph.n_edges g);
+  let g = Oracle.Digraph.create ~n_nodes:3 in
+  check_int "no edges" 0 (Oracle.Digraph.n_edges g);
+  Oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:5;
+  Oracle.Digraph.add_edge g ~src:0 ~dst:2 ~weight:7;
+  check_int "two edges" 2 (Oracle.Digraph.n_edges g);
   Alcotest.(check (list (pair int int)))
     "succ in insertion order"
     [ (1, 5); (2, 7) ]
-    (Pathgraph.Digraph.succ g 0);
+    (Oracle.Digraph.succ g 0);
   Alcotest.(check (list int))
     "in degrees" [ 0; 1; 1 ]
-    (Array.to_list (Pathgraph.Digraph.in_degrees g))
+    (Array.to_list (Oracle.Digraph.in_degrees g))
 
 let test_digraph_validation () =
   Alcotest.check_raises "empty graph"
     (Invalid_argument "Digraph.create: n_nodes must be positive") (fun () ->
-      ignore (Pathgraph.Digraph.create ~n_nodes:0));
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
+      ignore (Oracle.Digraph.create ~n_nodes:0));
+  let g = Oracle.Digraph.create ~n_nodes:2 in
   Alcotest.check_raises "bad node"
     (Invalid_argument "Digraph: node 9 out of range") (fun () ->
-      Pathgraph.Digraph.add_edge g ~src:0 ~dst:9 ~weight:1)
+      Oracle.Digraph.add_edge g ~src:0 ~dst:9 ~weight:1)
 
 let test_digraph_negative_flag () =
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
-  check_bool "clean" false (Pathgraph.Digraph.has_negative_weight g);
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-1);
-  check_bool "flagged" true (Pathgraph.Digraph.has_negative_weight g)
+  let g = Oracle.Digraph.create ~n_nodes:2 in
+  check_bool "clean" false (Oracle.Digraph.has_negative_weight g);
+  Oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-1);
+  check_bool "flagged" true (Oracle.Digraph.has_negative_weight g)
 
 (* -- Topo ---------------------------------------------------------------- *)
 
 let test_topo_sorts_dag () =
-  let g = Pathgraph.Digraph.create ~n_nodes:4 in
-  Pathgraph.Digraph.add_edge g ~src:2 ~dst:3 ~weight:0;
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:2 ~weight:0;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:2 ~weight:0;
-  match Pathgraph.Topo.sort g with
+  let g = Oracle.Digraph.create ~n_nodes:4 in
+  Oracle.Digraph.add_edge g ~src:2 ~dst:3 ~weight:0;
+  Oracle.Digraph.add_edge g ~src:0 ~dst:2 ~weight:0;
+  Oracle.Digraph.add_edge g ~src:1 ~dst:2 ~weight:0;
+  match Oracle.Topo.sort g with
   | None -> Alcotest.fail "expected a DAG"
   | Some order ->
       let pos = Array.make 4 0 in
@@ -51,53 +52,53 @@ let test_topo_sorts_dag () =
       check_bool "2 before 3" true (pos.(2) < pos.(3))
 
 let test_topo_detects_cycle () =
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:0;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:0 ~weight:0;
-  check_bool "cyclic" false (Pathgraph.Topo.is_dag g);
+  let g = Oracle.Digraph.create ~n_nodes:2 in
+  Oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:0;
+  Oracle.Digraph.add_edge g ~src:1 ~dst:0 ~weight:0;
+  check_bool "cyclic" false (Oracle.Topo.is_dag g);
   Alcotest.check_raises "sort_exn"
     (Invalid_argument "Topo.sort_exn: graph has a cycle") (fun () ->
-      ignore (Pathgraph.Topo.sort_exn g))
+      ignore (Oracle.Topo.sort_exn g))
 
 (* -- Shortest_path ------------------------------------------------------- *)
 
 let diamond () =
   (* 0 -> 1 (1), 0 -> 2 (4), 1 -> 2 (1), 1 -> 3 (5), 2 -> 3 (1) *)
-  let g = Pathgraph.Digraph.create ~n_nodes:5 in
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:2 ~weight:4;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:2 ~weight:1;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:3 ~weight:5;
-  Pathgraph.Digraph.add_edge g ~src:2 ~dst:3 ~weight:1;
+  let g = Oracle.Digraph.create ~n_nodes:5 in
+  Oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
+  Oracle.Digraph.add_edge g ~src:0 ~dst:2 ~weight:4;
+  Oracle.Digraph.add_edge g ~src:1 ~dst:2 ~weight:1;
+  Oracle.Digraph.add_edge g ~src:1 ~dst:3 ~weight:5;
+  Oracle.Digraph.add_edge g ~src:2 ~dst:3 ~weight:1;
   g
 
 let test_dijkstra_diamond () =
-  let r = Pathgraph.Shortest_path.dijkstra (diamond ()) ~source:0 in
+  let r = Oracle.Shortest_path.dijkstra (diamond ()) ~source:0 in
   Alcotest.(check (option int))
     "dist to 3" (Some 3)
-    (Pathgraph.Shortest_path.distance r ~target:3);
+    (Oracle.Shortest_path.distance r ~target:3);
   Alcotest.(check (option (list int)))
     "path" (Some [ 0; 1; 2; 3 ])
-    (Pathgraph.Shortest_path.path r ~target:3);
+    (Oracle.Shortest_path.path r ~target:3);
   Alcotest.(check (option int))
     "unreachable" None
-    (Pathgraph.Shortest_path.distance r ~target:4)
+    (Oracle.Shortest_path.distance r ~target:4)
 
 let test_dag_matches_dijkstra () =
   let g = diamond () in
-  let a = Pathgraph.Shortest_path.dijkstra g ~source:0 in
-  let b = Pathgraph.Shortest_path.dag g ~source:0 in
+  let a = Oracle.Shortest_path.dijkstra g ~source:0 in
+  let b = Oracle.Shortest_path.dag g ~source:0 in
   Alcotest.(check (list int))
     "same distances"
-    (Array.to_list a.Pathgraph.Shortest_path.dist)
-    (Array.to_list b.Pathgraph.Shortest_path.dist)
+    (Array.to_list a.Oracle.Shortest_path.dist)
+    (Array.to_list b.Oracle.Shortest_path.dist)
 
 let test_dijkstra_rejects_negative () =
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-2);
+  let g = Oracle.Digraph.create ~n_nodes:2 in
+  Oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-2);
   Alcotest.check_raises "negative"
     (Invalid_argument "Shortest_path.dijkstra: negative edge weight")
-    (fun () -> ignore (Pathgraph.Shortest_path.dijkstra g ~source:0))
+    (fun () -> ignore (Oracle.Shortest_path.dijkstra g ~source:0))
 
 let random_dag_arbitrary =
   (* Random DAG: edges only from lower to higher node ids. *)
@@ -107,23 +108,23 @@ let random_dag_arbitrary =
     list_size (int_range 0 (3 * n))
       (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 9))
     >>= fun edges ->
-    let g = Pathgraph.Digraph.create ~n_nodes:n in
+    let g = Oracle.Digraph.create ~n_nodes:n in
     List.iter
       (fun (a, b, w) ->
-        if a < b then Pathgraph.Digraph.add_edge g ~src:a ~dst:b ~weight:w)
+        if a < b then Oracle.Digraph.add_edge g ~src:a ~dst:b ~weight:w)
       edges;
     return g
   in
   QCheck.make
-    ~print:(fun g -> Format.asprintf "%a" Pathgraph.Digraph.pp g)
+    ~print:(fun g -> Format.asprintf "%a" Oracle.Digraph.pp g)
     gen
 
 let prop_dag_equals_dijkstra =
   QCheck.Test.make ~name:"DAG relaxation = Dijkstra on random DAGs" ~count:100
     random_dag_arbitrary (fun g ->
-      let a = Pathgraph.Shortest_path.dijkstra g ~source:0 in
-      let b = Pathgraph.Shortest_path.dag g ~source:0 in
-      a.Pathgraph.Shortest_path.dist = b.Pathgraph.Shortest_path.dist)
+      let a = Oracle.Shortest_path.dijkstra g ~source:0 in
+      let b = Oracle.Shortest_path.dag g ~source:0 in
+      a.Oracle.Shortest_path.dist = b.Oracle.Shortest_path.dist)
 
 (* -- Layered ------------------------------------------------------------- *)
 
@@ -155,11 +156,11 @@ let test_layered_agrees_with_digraph () =
   let g, source, sink, _node_id =
     Oracle.Layered.to_digraph small_problem
   in
-  let r = Pathgraph.Shortest_path.dag g ~source in
+  let r = Oracle.Shortest_path.dag g ~source in
   let cost, _ = Oracle.Layered.solve small_problem in
   Alcotest.(check (option int))
     "same optimum" (Some cost)
-    (Pathgraph.Shortest_path.distance r ~target:sink)
+    (Oracle.Shortest_path.distance r ~target:sink)
 
 let test_layered_filtered () =
   (* forbid node 1 in layer 1: forced to pay the occupancy 5 *)
@@ -217,8 +218,8 @@ let prop_layered_dp_equals_explicit_graph =
       let p = problem_of spec in
       let dp_cost, _ = Oracle.Layered.solve p in
       let g, source, sink, _ = Oracle.Layered.to_digraph p in
-      let r = Pathgraph.Shortest_path.dag g ~source in
-      Pathgraph.Shortest_path.distance r ~target:sink = Some dp_cost)
+      let r = Oracle.Shortest_path.dag g ~source in
+      Oracle.Shortest_path.distance r ~target:sink = Some dp_cost)
 
 let suite =
   [

@@ -237,7 +237,7 @@ let prop_invalidate_equiv =
 
 let test_serve_warm_reuse () =
   let config =
-    { (Serve.Server.default_config ()) with Serve.Server.memo = false; jobs = 1 }
+    { (Serve.Server.default_config ()) with Serve.Server.jobs = 1 }
   in
   let t = Serve.Server.create ~config () in
   let healthy = {|{"id":1,"workload":"1","size":8,"algorithm":"gomcds"}|} in

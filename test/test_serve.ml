@@ -3,8 +3,8 @@
 
 open Serve
 
-let fresh ?(jobs = 1) ?(batch = 16) ?max_arena_bytes ?(memo = true)
-    ?max_cache_bytes ?max_queue () =
+let fresh ?(jobs = 1) ?(batch = 16) ?max_arena_bytes ?max_cache_bytes
+    ?max_queue () =
   let d = Server.default_config () in
   Server.create
     ~config:
@@ -12,7 +12,6 @@ let fresh ?(jobs = 1) ?(batch = 16) ?max_arena_bytes ?(memo = true)
         Server.jobs;
         batch;
         max_arena_bytes;
-        memo;
         max_cache_bytes =
           Option.value max_cache_bytes ~default:d.Server.max_cache_bytes;
         max_line_bytes = d.Server.max_line_bytes;
@@ -413,22 +412,33 @@ let test_batch_order_and_identity () =
         = Some (Obs.Json.String expect)))
     batched
 
-let test_memo_and_context_reuse () =
+(* A repeated line re-solves on the cached context and answers
+   byte-identically; another algorithm on the same instance shares that
+   context too. *)
+let test_repeat_and_context_reuse () =
+  Obs.reset ();
+  Obs.with_enabled @@ fun () ->
   let t = fresh () in
   let line = {|{"id":1,"workload":"1","size":8,"algorithm":"gomcds"}|} in
   let r1 = Server.handle_line t line in
   let r2 = Server.handle_line t line in
-  Alcotest.(check string) "memoized repeat" r1 r2;
+  Alcotest.(check string) "repeat answers identically" r1 r2;
+  let snap = Obs.Metrics.snapshot () in
+  Alcotest.(check (pair int int))
+    "second request is a context hit" (1, 1)
+    ( Obs.Metrics.counter snap "serve.context_misses",
+      Obs.Metrics.counter snap "serve.context_hits" );
   (match Server.stats_json t with
   | Obs.Json.Obj fields ->
       Alcotest.(check bool)
-        "memo hit" true
-        (List.assoc_opt "memo_hits" fields = Some (Obs.Json.Int 1));
-      Alcotest.(check bool)
         "one context" true
-        (List.assoc_opt "contexts" fields = Some (Obs.Json.Int 1))
+        (List.assoc_opt "contexts" fields = Some (Obs.Json.Int 1));
+      Alcotest.(check bool)
+        "no memo fields" true
+        (List.for_all
+           (fun k -> not (List.mem_assoc k fields))
+           [ "memo_entries"; "memo_hits" ])
   | _ -> Alcotest.fail "stats is not an object");
-  (* same instance, different algorithm: context is shared, memo is not *)
   let r3 =
     Server.handle_line t {|{"id":1,"workload":"1","size":8,"algorithm":"scds"}|}
   in
@@ -438,20 +448,6 @@ let test_memo_and_context_reuse () =
       Alcotest.(check bool)
         "still one context" true
         (List.assoc_opt "contexts" fields = Some (Obs.Json.Int 1))
-  | _ -> Alcotest.fail "stats is not an object"
-
-(* memo off: repeats recompute but must still answer identically *)
-let test_no_memo () =
-  let t = fresh ~memo:false () in
-  let line = {|{"id":1,"workload":"1","size":8,"algorithm":"scds"}|} in
-  let r1 = Server.handle_line t line in
-  let r2 = Server.handle_line t line in
-  Alcotest.(check string) "deterministic without memo" r1 r2;
-  match Server.stats_json t with
-  | Obs.Json.Obj fields ->
-      Alcotest.(check bool)
-        "no memo hits" true
-        (List.assoc_opt "memo_hits" fields = Some (Obs.Json.Int 0))
   | _ -> Alcotest.fail "stats is not an object"
 
 (* ---- LRU ---- *)
@@ -597,10 +593,10 @@ let test_serve_warm_groups () =
       line ~extra:faulted 6 "lomcds";
     ]
   in
-  let t = fresh ~memo:false () in
+  let t = fresh () in
   List.iter
     (fun l ->
-      let cold = fresh ~memo:false () in
+      let cold = fresh () in
       Alcotest.(check string)
         "warm group = cold rebuild"
         (Server.handle_line cold l)
@@ -934,6 +930,108 @@ let test_run_line_cap_and_overload () =
         (List.assoc_opt "overloaded" fields = Some (Obs.Json.Int 7))
   | _ -> Alcotest.fail "stats is not an object"
 
+(* ---- stats counters and their Obs mirrors ---- *)
+
+(* One script that moves every counter [stats] reports — an error, an
+   over-budget rejection, a deadline, a crash and a wave retry from
+   failpoints, warm checkouts, then a line overflow and overload
+   shedding through the daemon loop — after which each stats field must
+   equal the Obs counter [serve.<field>]. *)
+let test_stats_counters_match_obs () =
+  Obs.Failpoint.clear ();
+  Obs.reset ();
+  Obs.with_enabled @@ fun () ->
+  let d = Server.default_config () in
+  let t =
+    Server.create
+      ~config:
+        {
+          d with
+          Server.jobs = 2;
+          batch = 2;
+          max_queue = 2;
+          max_line_bytes = 512;
+          max_arena_bytes = Some 200_000;
+        }
+      ()
+  in
+  let solve = {|{"id":1,"workload":"1","size":8,"algorithm":"scds"}|} in
+  let group =
+    {|{"id":2,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"scds"}|}
+  in
+  List.iter
+    (fun (expect, failpoints, lines) ->
+      Option.iter Obs.Failpoint.configure failpoints;
+      let got =
+        Fun.protect ~finally:Obs.Failpoint.clear (fun () ->
+            Server.process_batch t lines)
+      in
+      List.iter2
+        (fun e (r, _) ->
+          Alcotest.(check string) r e (if is_ok r then "ok" else error_code r))
+        expect got)
+    [
+      ([ "bad-request" ], None, [ {|{"id":3,"workload":"nope"}|} ]);
+      ( [ "over-budget" ],
+        None,
+        [ {|{"id":4,"workload":"1","size":16,"mesh":{"rows":8,"cols":8}}|} ]
+      );
+      ( [ "deadline-exceeded" ],
+        None,
+        [ {|{"id":5,"workload":"1","deadline_ms":0}|} ] );
+      ([ "internal-error" ], Some "serve.solve=raise,n=1", [ solve ]);
+      (* a two-request wave reaches the engine's task boundary *)
+      ([ "ok"; "ok" ], Some "engine.task=raise,n=1", [ solve; solve ]);
+      ([ "ok" ], None, [ solve ]);
+      ([ "ok" ], None, [ group ]);
+      ([ "ok" ], None, [ group ]);
+    ];
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  (* pre-buffered: wave {0,1}, shed {2,3}, wave {4, oversized} *)
+  write_fd_all req_w
+    (String.concat ""
+       (List.init 5 (fun _ -> solve ^ "\n") @ [ String.make 1024 'x' ^ "\n" ]));
+  Unix.close req_w;
+  let srv =
+    Domain.spawn (fun () ->
+        Server.run t ~input:req_r ~output:resp_w;
+        Unix.close resp_w;
+        Unix.close req_r)
+  in
+  let ic = Unix.in_channel_of_descr resp_r in
+  (try
+     while true do
+       ignore (input_line ic)
+     done
+   with End_of_file -> ());
+  Domain.join srv;
+  Unix.close resp_r;
+  let snap = Obs.Metrics.snapshot () in
+  List.iter
+    (fun field ->
+      match stat t field with
+      | Some (Obs.Json.Int n) ->
+          Alcotest.(check bool) (field ^ " moved") true (n > 0);
+          Alcotest.(check int)
+            (field ^ " = serve." ^ field)
+            (Obs.Metrics.counter snap ("serve." ^ field))
+            n
+      | _ -> Alcotest.failf "stats has no counter %S" field)
+    [
+      "requests";
+      "errors";
+      "rejected";
+      "batches";
+      "warm_sessions";
+      "warm_group_sessions";
+      "overloaded";
+      "deadline_exceeded";
+      "task_crashes";
+      "line_overflows";
+      "wave_retries";
+    ]
+
 (* ---- chaos smoke (library-level, small instances) ---- *)
 
 let test_chaos_small () =
@@ -969,8 +1067,7 @@ let suite =
     Gen.case "timed replay rejections" test_timed_rejections;
     Gen.case "admission control" test_admission;
     Gen.case "batch order and identity" test_batch_order_and_identity;
-    Gen.case "memo and context reuse" test_memo_and_context_reuse;
-    Gen.case "no-memo determinism" test_no_memo;
+    Gen.case "repeat and context reuse" test_repeat_and_context_reuse;
     Gen.case "lru cache" test_lru;
     Gen.case "cancellation tokens" test_cancel_token;
     Gen.case "deadlines" test_deadline;
@@ -990,6 +1087,8 @@ let suite =
     Gen.case "zero cache budget" test_zero_cache_budget;
     Gen.case "daemon loop: line cap and overload shedding"
       test_run_line_cap_and_overload;
+    Gen.case "stats counters = Obs serve.* counters"
+      test_stats_counters_match_obs;
     Gen.case "chaos episodes (small script)" test_chaos_small;
     Gen.case "kernel field: naive refused, separable accepted"
       test_kernel_field;
