@@ -13,7 +13,7 @@ let validate_initial mesh ~n_data initial =
 (* The GOMCDS DP with the entry cost augmented by the migration from the
    imposed location into the window-0 center: the datum's layer rows are
    copied back to back and the start distance is added to row 0. *)
-let solve_from ?allowed problem ~data ~start =
+let solve_from ?admit problem ~data ~start =
   let size = Pim.Mesh.size (Problem.mesh problem) in
   let n_layers = Problem.n_windows problem in
   let slab, offs = Problem.layer_slab problem ~data in
@@ -35,7 +35,7 @@ let solve_from ?allowed problem ~data ~start =
       offsets = Array.init n_layers (fun l -> l * size);
     }
   in
-  Pathgraph.Layered.solve ?allowed ~n_layers [| block |]
+  Pathgraph.Layered.solve ?admit ~n_layers [| block |]
 
 let run ?capacity ~initial mesh trace =
   let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
@@ -62,9 +62,9 @@ let run ?capacity ~initial mesh trace =
         match memories with
         | None -> snd (Option.get (solve_from problem ~data ~start))
         | Some mems ->
-            let allowed ~layer j = not (Pim.Memory.is_full mems.(layer) j) in
+            let admit layer = Pim.Memory.admit_row mems.(layer) in
             let _, centers =
-              Option.get (solve_from ~allowed problem ~data ~start)
+              Option.get (solve_from ~admit problem ~data ~start)
             in
             Array.iteri
               (fun layer rank ->

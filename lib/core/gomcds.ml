@@ -32,11 +32,11 @@ let schedule problem =
       in
       List.iter
         (fun data ->
-          let allowed ~layer j = not (Pim.Memory.is_full mems.(layer) j) in
+          let admit layer = Pim.Memory.admit_row mems.(layer) in
           (* Placing data one at a time into capacity c with
              n_data <= c * alive processors means every layer always
              retains a free slot, so a feasible path exists. *)
-          let result = Problem.solve_datum problem ~allowed ~data in
+          let result = Problem.solve_datum problem ~admit ~data in
           let _, centers = Option.get result in
           Array.iteri
             (fun layer rank ->

@@ -126,11 +126,7 @@ let greedy_ranges ~ops ~dist ~items ~n =
 let refine_centers problem rows =
   let size = Pim.Mesh.size (Problem.mesh problem) in
   let n_layers = Bigarray.Array1.dim rows / size in
-  let allowed =
-    if Pim.Fault.has_node_faults (Problem.fault problem) then
-      Some (fun ~layer:_ j -> Problem.rank_alive problem j)
-    else None
-  in
+  let admit = Problem.alive_admit problem in
   let block =
     {
       Pathgraph.Layered.relaxation = Problem.relaxation problem;
@@ -138,7 +134,7 @@ let refine_centers problem rows =
       offsets = Array.init n_layers (fun l -> l * size);
     }
   in
-  snd (Option.get (Pathgraph.Layered.solve ?allowed ~n_layers [| block |]))
+  snd (Option.get (Pathgraph.Layered.solve ?admit ~n_layers [| block |]))
 
 (* The [`Global] pass over greedy ranges: [fill state dst off] writes a
    group's cost row from its summed state. *)

@@ -2,7 +2,10 @@ type capacity_policy = Context.capacity_policy = Unbounded | Bounded of int
 
 (* Cost charged for serving across a disconnected rank pair (link faults
    can split the mesh). Large enough that any connected alternative wins,
-   small enough that profile-weighted sums stay far from overflow. *)
+   small enough that profile-weighted sums stay far from overflow. As a
+   BFS-table entry it is the largest single DP step; the layered DP
+   checks that it packs beside the layer's ranks (DESIGN.md §16,
+   "Packed cells": up to 2^19 ranks per layer). *)
 let unreachable_cost = 1 lsl 40
 
 (* A [Problem.t] is one request-scoped session over an immutable shared
@@ -17,7 +20,7 @@ type t = {
   policy : capacity_policy;
   jobs : int;
   fault : Pim.Fault.t;
-  alive : bool array; (* alive.(rank) — dense mask of fault's dead nodes *)
+  alive : Bytes.t; (* admit row: byte rank <> '\000' iff rank is alive *)
   n_alive : int;
   (* Fault-aware full distance table, present iff the fault kills links
      (node faults keep routers, so distances only change under link
@@ -90,6 +93,12 @@ let build_fault_dist mesh size fault =
                | None -> unreachable_cost)))
   end
 
+(* The alive mask as an admit row ({!Pathgraph.Layered.solve}'s form). *)
+let alive_row size fault =
+  let row = Bytes.make size '\001' in
+  List.iter (fun r -> Bytes.set row r '\000') (Pim.Fault.dead_nodes fault);
+  row
+
 let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
   let policy = match policy with Some p -> p | None -> ctx.Context.policy in
   let jobs = match jobs with Some j -> j | None -> ctx.Context.jobs in
@@ -101,8 +110,7 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
   let mesh = ctx.Context.mesh in
   Pim.Fault.validate fault mesh;
   let size = ctx.Context.size in
-  let alive = Array.make size true in
-  List.iter (fun r -> alive.(r) <- false) (Pim.Fault.dead_nodes fault);
+  let alive = alive_row size fault in
   let n_alive = Pim.Fault.alive_count fault mesh in
   if n_alive = 0 then
     invalid_arg "Problem.create: every processor is dead";
@@ -164,7 +172,7 @@ let policy t = t.policy
 let capacity t = match t.policy with Unbounded -> None | Bounded c -> Some c
 let jobs t = t.jobs
 let fault t = t.fault
-let rank_alive t rank = t.alive.(rank)
+let rank_alive t rank = Bytes.get t.alive rank <> '\000'
 let alive_count t = t.n_alive
 let max_arena_bytes t = t.ctx.Context.max_arena_bytes
 
@@ -410,7 +418,7 @@ let masked_argmin t get =
   hit "cost.argmin_masked";
   let best = ref (-1) in
   for i = 0 to t.ctx.Context.size - 1 do
-    if t.alive.(i) && (!best < 0 || get i < get !best) then best := i
+    if rank_alive t i && (!best < 0 || get i < get !best) then best := i
   done;
   !best
 
@@ -475,7 +483,7 @@ let merged_optimal_center t ~data =
    machinery that skips full memories then never proposes them. *)
 let alive_only t l =
   if Pim.Fault.has_node_faults t.fault then
-    List.filter (fun r -> t.alive.(r)) l
+    List.filter (rank_alive t) l
   else l
 
 let candidates t ~window ~data =
@@ -744,8 +752,8 @@ let with_fault_patch t fault =
     let mesh = t.ctx.Context.mesh in
     Pim.Fault.validate fault mesh;
     let size = t.ctx.Context.size in
-    let alive = Array.make size true in
-    List.iter (fun r -> alive.(r) <- false) (Pim.Fault.dead_nodes fault);
+    let alive = alive_row size fault in
+    let is_alive r = Bytes.get alive r <> '\000' in
     let n_alive = Pim.Fault.alive_count fault mesh in
     if n_alive = 0 then
       invalid_arg "Problem.with_fault_patch: every processor is dead";
@@ -802,7 +810,7 @@ let with_fault_patch t fault =
     in
     let filter_alive l =
       if Pim.Fault.has_node_faults fault then
-        List.filter (fun r -> alive.(r)) l
+        List.filter is_alive l
       else l
     in
     let nd = n_data t in
@@ -830,7 +838,7 @@ let with_fault_patch t fault =
              center itself is still alive; a candidate order survives a
              monotone fault filtered down to the new alive set *)
           let o = opts.(data).(w) in
-          if o >= 0 && not (monotone && alive.(o)) then
+          if o >= 0 && not (monotone && is_alive o) then
             opts.(data).(w) <- -1;
           if monotone then
             cands.(data).(w) <-
@@ -848,7 +856,7 @@ let with_fault_patch t fault =
       if not (row_dirty merged data) then begin
         merged_vectors.(data) <- t.merged_vectors.(data);
         let o = t.merged_opts.(data) in
-        if o >= 0 && monotone && alive.(o) then merged_opts.(data) <- o;
+        if o >= 0 && monotone && is_alive o then merged_opts.(data) <- o;
         if monotone then
           merged_cands.(data) <-
             (match t.merged_cands.(data) with
@@ -930,17 +938,29 @@ let fresh_memory t =
     List.iter (Pim.Memory.ban m) (Pim.Fault.dead_nodes t.fault);
   m
 
-let solve_datum ?allowed t ~data =
+let alive_admit t =
+  if Pim.Fault.has_node_faults t.fault then Some (fun _ -> t.alive) else None
+
+let solve_datum ?admit t ~data =
   poll t;
-  (* Compose the caller's filter with the alive mask; no closure is built
-     on the healthy unfiltered path. *)
-  let allowed =
-    match (allowed, Pim.Fault.has_node_faults t.fault) with
-    | None, false -> None
-    | None, true -> Some (fun ~layer:_ j -> t.alive.(j))
-    | (Some _ as f), false -> f
-    | Some f, true -> Some (fun ~layer j -> t.alive.(j) && f ~layer j)
+  (* Compose the caller's rows with the alive row; a healthy session
+     hands the caller's rows (or none) straight through. *)
+  let admit =
+    match (admit, alive_admit t) with
+    | None, a | a, None -> a
+    | Some f, Some _ ->
+        let both = Bytes.create t.ctx.Context.size in
+        Some
+          (fun layer ->
+            let row = f layer in
+            for r = 0 to Bytes.length both - 1 do
+              Bytes.set both r
+                (if Bytes.get row r = '\000' || Bytes.get t.alive r = '\000'
+                 then '\000'
+                 else '\001')
+            done;
+            both)
   in
   let vectors, offsets = layer_slab t ~data in
-  Pathgraph.Layered.solve ?allowed ~n_layers:(n_windows t)
+  Pathgraph.Layered.solve ?admit ~n_layers:(n_windows t)
     [| { Pathgraph.Layered.relaxation = relaxation t; vectors; offsets } |]

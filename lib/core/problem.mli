@@ -317,16 +317,23 @@ val trajectory_cost : t -> data:int -> int array -> int
     both as read-only. *)
 val layer_slab : t -> data:int -> Pathgraph.Layered.buffer * int array
 
-(** [solve_datum ?allowed t ~data] runs the per-datum layered DP with the
+(** [alive_admit t] is the alive mask as {!Pathgraph.Layered.solve}
+    admit rows (every layer the same row, byte [rank] is ['\000'] iff
+    the fault killed [rank]), or [None] when no node is dead. *)
+val alive_admit : t -> (int -> Bytes.t) option
+
+(** [solve_datum ?admit t ~data] runs the per-datum layered DP with the
     fault folded in: one {!Pathgraph.Layered.solve} block over the arena
     slab, relaxed by {!relaxation} (the axis tables, or the BFS distance
-    table under link faults); node faults intersect [allowed] with the
-    alive mask. Returns [None] when [allowed]
+    table under link faults). [admit layer] is layer [layer]'s admit row
+    ({!Pathgraph.Layered.solve}'s contract: byte [rank] ['\000'] masks
+    [rank] out; called once per layer, ascending); node faults intersect
+    it with {!alive_admit}. Returns [None] when [admit]
     leaves some layer empty (never on an unfiltered healthy or node-fault
     context — at least one rank is always alive). The one entry point
     GOMCDS, {!Refine} and {!Bounds} all price trajectories through. *)
 val solve_datum :
-  ?allowed:(layer:int -> int -> bool) ->
+  ?admit:(int -> Bytes.t) ->
   t ->
   data:int ->
   (int * int array) option

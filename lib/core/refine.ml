@@ -26,17 +26,22 @@ let refine ?(max_sweeps = 8) problem schedule =
   let sched = Schedule.copy schedule in
   let m = Pim.Mesh.size (Problem.mesh problem) in
   let loads = Array.make_matrix n_windows m 0 in
+  (* under a capacity, [rows.(w)] is window w's admit row, byte r
+     '\001' iff loads.(w).(r) < c, kept in step with every load change *)
+  let rows = Array.init n_windows (fun _ -> Bytes.make m '\001') in
+  let add_load w r delta =
+    loads.(w).(r) <- loads.(w).(r) + delta;
+    match capacity with
+    | Some c ->
+        Bytes.set rows.(w) r (if loads.(w).(r) < c then '\001' else '\000')
+    | None -> ()
+  in
   for w = 0 to n_windows - 1 do
     for d = 0 to n_data - 1 do
-      let r = Schedule.center sched ~window:w ~data:d in
-      loads.(w).(r) <- loads.(w).(r) + 1
+      add_load w (Schedule.center sched ~window:w ~data:d) 1
     done
   done;
-  let allowed =
-    match capacity with
-    | None -> fun ~layer:_ _ -> true
-    | Some c -> fun ~layer j -> loads.(layer).(j) < c
-  in
+  let admit = Option.map (fun _ w -> rows.(w)) capacity in
   let sweeps = ref 0 and improved = ref 0 and saved = ref 0 in
   let space = Reftrace.Trace.space trace in
   let order = Problem.by_total_references problem in
@@ -47,17 +52,15 @@ let refine ?(max_sweeps = 8) problem schedule =
     List.iter
       (fun data ->
         let traj = Schedule.centers_of_data sched ~data in
-        Array.iteri
-          (fun w r -> loads.(w).(r) <- loads.(w).(r) - 1)
-          traj;
+        Array.iteri (fun w r -> add_load w r (-1)) traj;
         let current = Problem.trajectory_cost problem ~data traj in
         let adopted =
-          match Problem.solve_datum problem ~allowed ~data with
+          match Problem.solve_datum problem ?admit ~data with
           | Some (cost, centers) when cost < current ->
               Array.iteri
                 (fun w rank ->
                   Schedule.set_center sched ~window:w ~data rank;
-                  loads.(w).(rank) <- loads.(w).(rank) + 1)
+                  add_load w rank 1)
                 centers;
               saved :=
                 !saved
@@ -69,7 +72,7 @@ let refine ?(max_sweeps = 8) problem schedule =
           | Some _ | None -> false
         in
         if not adopted then
-          Array.iteri (fun w r -> loads.(w).(r) <- loads.(w).(r) + 1) traj)
+          Array.iteri (fun w r -> add_load w r 1) traj)
       order
   done;
   (sched, { sweeps = !sweeps; improved = !improved; saved = !saved })

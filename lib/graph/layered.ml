@@ -6,8 +6,6 @@ type relaxation =
 
 type block = { relaxation : relaxation; vectors : buffer; offsets : int array }
 
-let inf = max_int
-
 (* DP work counters, reported once per solve (see DESIGN.md
    "Observability"): per layer [nodes] = sources with a finite cost and
    [edges] = relaxation steps actually taken — sweep steps for an [Axes]
@@ -22,6 +20,40 @@ let report_solve ~nodes ~edges =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Packed cells                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A cell is one int, ((cost - m) lsl bits) lor rank: [m] is the finite
+   minimum of the layer's sources, [bits] the bit width of the layer's
+   global ranks. Ranks fit below bit [bits], so comparing two cells as
+   ints is the lexicographic (cost, source rank) compare every
+   relaxation breaks ties by, and a hop of length [l] adds [l lsl bits]
+   and keeps the rank.
+
+   Range (DESIGN.md §16 "Packed cells"): let [dmax] bound every single
+   step — axis diameters, [Table] entries, fabric prices. A source more
+   than [dmax] above [m] can win no target (the minimum source reaches
+   every target for at most [m + dmax], strictly cheaper), so it is
+   stored as [inf]. Every finite cell then stays below
+   (2·dmax + 1)·2^bits <= 2^61 = [inf] when dmax < 2^(60 - bits), and
+   [inf] plus one more step stays below 2^62: no sum or difference of
+   cells overflows. *)
+let inf = 1 lsl 61
+
+(* Branch-free minimum of two cells; both lie in [0, 2^62), so [a - b]
+   cannot overflow and its sign bit selects the smaller. *)
+let[@inline] pmin a b =
+  let d = a - b in
+  b + (d land (d asr 62))
+
+let bits_for n =
+  let b = ref 0 in
+  while 1 lsl !b < n do
+    incr b
+  done;
+  !b
+
+(* ------------------------------------------------------------------ *)
 (* Axes: the separable relaxation                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -32,11 +64,10 @@ let report_solve ~nodes ~edges =
    same way (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
    Functions"). O(width) per layer instead of O(width²).
 
-   The sweeps carry (cost, source rank) pairs compared lexicographically,
-   so the relaxed [best.(k)]/[from.(k)] is the lexicographic minimum of
-   (cur(j) + dist(j,k), j) over finite sources j — exactly what the
-   [Table] scan with strict [<] computes (lowest source rank wins ties).
-   Three facts make the sweeps exact: adding a constant keeps the
+   The sweeps carry packed cells, so the relaxed cell of k is the
+   lexicographic minimum of (cur(j) + dist(j,k), j) over finite sources
+   j — exactly what the [Table] scan computes (lowest source rank wins
+   ties). Three facts make the sweeps exact: adding a constant keeps the
    lexicographic order, so a minimum of minima is the minimum of the
    union; every candidate a sweep produces is (cur(j) + L, j) for the
    length L of some walk from j, so it is never better than j's direct
@@ -73,41 +104,56 @@ let axis_wrap what t =
    a ring round twice less one cell. *)
 let sweep_cells ~n ~wrap = if wrap then (2 * n) - 1 else n
 
-(* Lexicographic forward + backward sweep of the (cost, source) pairs in
-   [c]/[s] along the [n] cells [base + i·stride]. *)
-let sweep c s ~base ~stride ~n ~wrap =
-  let cells = sweep_cells ~n ~wrap in
-  let last = base + ((n - 1) * stride) in
-  let rc = ref inf and rs = ref 0 in
-  let p = ref base in
-  for _ = 1 to cells do
-    let cp = c.(!p) and r = !rc + 1 in
-    if !rc <> inf && (r < cp || (r = cp && !rs < s.(!p))) then begin
-      rc := r;
-      c.(!p) <- r;
-      s.(!p) <- !rs
-    end
-    else begin
-      rc := cp;
-      rs := s.(!p)
-    end;
-    if !p = last then p := base else p := !p + stride
-  done;
-  rc := inf;
-  p := last;
-  for _ = 1 to cells do
-    let cp = c.(!p) and r = !rc + 1 in
-    if !rc <> inf && (r < cp || (r = cp && !rs < s.(!p))) then begin
-      rc := r;
-      c.(!p) <- r;
-      s.(!p) <- !rs
-    end
-    else begin
-      rc := cp;
-      rs := s.(!p)
-    end;
-    if !p = base then p := last else p := !p - stride
+(* Largest entry of a line or ring table of extent [n]. *)
+let diameter ~n ~wrap = if wrap then n / 2 else n - 1
+
+(* One sweep step on every line of an axis at once: on each of the
+   [lines] lines (each [ls] cells after the last) the cell at [dst]
+   takes the minimum of itself and the cell at [src] plus one hop. The
+   lines are independent, so consecutive minima never wait on each
+   other, and each cell sees the same minima as in a one-line walk. *)
+let step c ~hop ~lines ~ls ~src ~dst =
+  let off = src - dst and last = dst + ((lines - 1) * ls) in
+  let p = ref dst in
+  while !p <= last do
+    let q = !p in
+    c.(q) <- pmin c.(q) (c.(q + off) + hop);
+    p := q + ls
   done
+
+(* Two consecutive steps of every line, [src] to [mid] to [dst]: the
+   middle cell's new value feeds the second minimum from a register. *)
+let step2 c ~hop ~lines ~ls ~src ~mid ~dst =
+  let o1 = src - mid and o2 = dst - mid and last = mid + ((lines - 1) * ls) in
+  let p = ref mid in
+  while !p <= last do
+    let q = !p in
+    let x = pmin c.(q) (c.(q + o1) + hop) in
+    c.(q) <- x;
+    c.(q + o2) <- pmin c.(q + o2) (x + hop);
+    p := q + ls
+  done
+
+(* Forward then backward sweep of one axis of extent [n] (cells
+   [stride] apart) over all [lines] lines of a block at [base]. A
+   directed walk visits [sweep_cells] positions, each step updating the
+   next position from the current one (on a ring round twice less one
+   cell), two steps at a time. *)
+let sweep_axis c ~hop ~base ~n ~wrap ~stride ~lines ~ls =
+  let at p = base + (p * stride) in
+  let walk next start =
+    let p = ref start and left = ref (sweep_cells ~n ~wrap - 1) in
+    while !left >= 2 do
+      let q = next !p in
+      let r = next q in
+      step2 c ~hop ~lines ~ls ~src:(at !p) ~mid:(at q) ~dst:(at r);
+      p := r;
+      left := !left - 2
+    done;
+    if !left = 1 then step c ~hop ~lines ~ls ~src:(at !p) ~dst:(at (next !p))
+  in
+  walk (fun p -> if p = n - 1 then 0 else p + 1) 0;
+  walk (fun p -> if p = 0 then n - 1 else p - 1) (n - 1)
 
 (* ------------------------------------------------------------------ *)
 (* The forward DP                                                      *)
@@ -121,6 +167,12 @@ type relax =
 let width_of = function
   | Sweep { cols; rows; _ } -> cols * rows
   | Scan t -> Array.length t
+
+(* Longest single step of a relaxation. *)
+let max_step = function
+  | Sweep { cols; rows; wrap_x; wrap_y } ->
+      diameter ~n:cols ~wrap:wrap_x + diameter ~n:rows ~wrap:wrap_y
+  | Scan t -> Array.fold_left (Array.fold_left max) 0 t
 
 let compile ~n_layers b =
   let r =
@@ -142,7 +194,12 @@ let compile ~n_layers b =
         Array.iter
           (fun row ->
             if Array.length row <> n then
-              invalid_arg "Layered: distance table is not square")
+              invalid_arg "Layered: distance table is not square";
+            Array.iter
+              (fun d ->
+                if d < 0 then
+                  invalid_arg "Layered: distance table has a negative entry")
+              row)
           t;
         Scan t
   in
@@ -170,7 +227,10 @@ let relax_steps r ~finite =
   | Scan t -> finite * Array.length t
 
 (* Per-domain solve buffers: a solve allocates only the centers it
-   returns and a few words per block. [choice] is flat, layer [l]'s predecessors at
+   returns and a few words per block. [cell] holds the packed cells
+   (a layer's absolute costs between the two finalize passes), [tmp] a
+   [Table] block's relaxed cells, [ones] the admit-everything
+   row. [choice] is flat, layer [l]'s predecessors at
    [l·width .. l·width + width - 1]; entries are read back only along
    the finite witness path, and each of those was written by the same
    solve, so buffers are never cleared. A solve larger than
@@ -178,9 +238,9 @@ let relax_steps r ~finite =
    outsized request does not pin its buffers in every domain for the
    life of the process. *)
 type scratch = {
-  mutable cur : int array;
-  mutable best : int array;
-  mutable from : int array;
+  mutable cell : int array;
+  mutable tmp : int array;
+  mutable ones : Bytes.t;
   mutable choice : int array;
 }
 
@@ -188,10 +248,10 @@ let max_kept_words = 1 lsl 20
 
 let fresh_scratch ~width ~n_layers =
   {
-    cur = Array.make width inf;
-    best = Array.make width inf;
-    from = Array.make width (-1);
-    choice = Array.make (width * n_layers) (-1);
+    cell = Array.make width inf;
+    tmp = Array.make width inf;
+    ones = Bytes.make width '\001';
+    choice = Array.make (width * n_layers) 0;
   }
 
 let scratch_key =
@@ -201,180 +261,225 @@ let scratch ~width ~n_layers =
   if width * n_layers > max_kept_words then fresh_scratch ~width ~n_layers
   else begin
     let sc = Domain.DLS.get scratch_key in
-    if Array.length sc.cur < width then begin
-      sc.cur <- Array.make width inf;
-      sc.best <- Array.make width inf;
-      sc.from <- Array.make width (-1)
+    if Array.length sc.cell < width then begin
+      sc.cell <- Array.make width inf;
+      sc.tmp <- Array.make width inf;
+      sc.ones <- Bytes.make width '\001'
     end;
     if Array.length sc.choice < width * n_layers then
-      sc.choice <- Array.make (width * n_layers) (-1);
+      sc.choice <- Array.make (width * n_layers) 0;
     sc
   end
 
-(* Relax block [r] at global base [b] from [cur] into [best]/[from];
-   returns the number of finite sources. A [Sweep] seeds each node as
-   its own source and runs the lexicographic sweeps; a [Scan] is the
-   ascending full-table scan, sources outer, strict [<]. *)
-let relax_block sc r ~b =
-  let cur = sc.cur and best = sc.best and from = sc.from in
+(* Relax block [r] at global base [b] in place. A [Sweep] runs the
+   interleaved sweeps, x then y; a [Scan] is the ascending full-table
+   scan, sources outer, into [tmp] and back. *)
+let relax_block sc r ~b ~bits =
+  let c = sc.cell in
   match r with
   | Sweep { cols; rows; wrap_x; wrap_y } ->
-      let finite = ref 0 in
-      for j = b to b + (cols * rows) - 1 do
-        let d = cur.(j) in
-        best.(j) <- d;
-        from.(j) <- j;
-        if d <> inf then incr finite
-      done;
-      if !finite > 0 then begin
-        for y = 0 to rows - 1 do
-          sweep best from ~base:(b + (y * cols)) ~stride:1 ~n:cols ~wrap:wrap_x
-        done;
-        for x = 0 to cols - 1 do
-          sweep best from ~base:(b + x) ~stride:cols ~n:rows ~wrap:wrap_y
-        done
-      end;
-      !finite
+      let hop = 1 lsl bits in
+      sweep_axis c ~hop ~base:b ~n:cols ~wrap:wrap_x ~stride:1 ~lines:rows
+        ~ls:cols;
+      sweep_axis c ~hop ~base:b ~n:rows ~wrap:wrap_y ~stride:cols ~lines:cols
+        ~ls:1
   | Scan t ->
-      let w = Array.length t in
-      Array.fill best b w inf;
-      let finite = ref 0 in
+      let w = Array.length t and tmp = sc.tmp in
+      Array.fill tmp 0 w inf;
       for j = 0 to w - 1 do
-        let dj = cur.(b + j) in
-        if dj <> inf then begin
-          incr finite;
+        let s = c.(b + j) in
+        if s < inf then begin
           let row = t.(j) in
           for k = 0 to w - 1 do
-            let c = dj + row.(k) in
-            if c < best.(b + k) then begin
-              best.(b + k) <- c;
-              from.(b + k) <- b + j
-            end
+            tmp.(k) <- pmin tmp.(k) (s + (row.(k) lsl bits))
           done
         end
       done;
-      !finite
+      Array.blit tmp 0 c b w
 
-let admits allowed ~layer k =
-  match allowed with None -> true | Some f -> f ~layer k
-
-(* Lowest final cost, lowest index on ties; then walk the predecessors
-   back from the last layer. *)
-let finish sc ~width ~n_layers =
-  let cur = sc.cur in
-  let best_node = ref (-1) in
-  for j = 0 to width - 1 do
-    if cur.(j) <> inf && (!best_node = -1 || cur.(j) < cur.(!best_node))
-    then best_node := j
+(* Finalize pass 1 over the cells [b, e) of one block: record each
+   cell's predecessor (its rank bits) in [choice] at [cb], then replace
+   every finite cell [row] admits by its absolute cost — unpacked cost
+   plus [base] (layer minimum and const) plus the layer row at [voff] —
+   and every other cell by [max_int]. Returns the least such cost. *)
+let settle cell choice ~cb ~row ~(vs : buffer) ~voff ~base ~bits ~b ~e =
+  let lo = ref max_int in
+  for g = b to e - 1 do
+    let c = cell.(g) in
+    choice.(cb + g) <- c land ((1 lsl bits) - 1);
+    if c < inf && Bytes.get row g <> '\000' then begin
+      let v = (c lsr bits) + base + vs.{voff + g} in
+      cell.(g) <- v;
+      if v < !lo then lo := v
+    end
+    else cell.(g) <- max_int
   done;
-  if !best_node = -1 then None
-  else begin
-    let centers = Array.make n_layers (-1) in
-    centers.(n_layers - 1) <- !best_node;
-    for layer = n_layers - 1 downto 1 do
-      centers.(layer - 1) <- sc.choice.((layer * width) + centers.(layer))
-    done;
-    Some (cur.(!best_node), centers)
-  end
+  !lo
+
+(* Finalize pass 2: repack the absolute costs of the cells [b, e)
+   against the layer minimum [lo]; a cost more than [dmax] above it can
+   win no target and becomes [inf]. Returns the number of finite costs,
+   far ones included. *)
+let repack cell ~lo ~dmax ~bits ~b ~e =
+  let f = ref 0 in
+  for g = b to e - 1 do
+    let v = cell.(g) in
+    if v = max_int then cell.(g) <- inf
+    else begin
+      incr f;
+      cell.(g) <- (if v - lo > dmax then inf else ((v - lo) lsl bits) lor g)
+    end
+  done;
+  !f
+
+(* Apply one fabric candidate [cv] to the cells [b, e) with a strict [<]
+   on cost alone: [cv] with every rank bit set loses every cost tie. *)
+let offer cell ~cv ~mask ~b ~e =
+  let beat = cv lor mask in
+  for g = b to e - 1 do
+    if beat < cell.(g) then cell.(g) <- cv
+  done
+
+(* Lexicographic minimum of the cells [b, e). *)
+let cell_min cell ~b ~e =
+  let mv = ref inf in
+  for g = b to e - 1 do
+    mv := pmin !mv cell.(g)
+  done;
+  !mv
 
 (* The forward DP. Each layer is the concatenation of the blocks (global
    node = block base + local index). A layer relaxes every block on its
    own relaxation; with several blocks the flat fabric then offers each
    block one scalar edge per source block — that block's entry minimum
    (lowest global rank on ties) plus [move_cost] — applied after the
-   intra-block pass with the same strict [<], sources ascending, so
+   intra-block pass with a strict [<] on cost, sources ascending, so
    staying inside a block wins every tie. A single block runs no fabric
-   pass at all. *)
-let solve ?allowed ?move_cost ?consts ~n_layers blocks =
+   pass at all. Each layer then finalizes in two passes: add the layer
+   row and const to every admitted finite cell and record its
+   predecessor, then repack against the new minimum. Layer 0 starts
+   from cells [g] (every node its own source at cost 0). *)
+let solve ?admit ?move_cost ?consts ~n_layers blocks =
   let nb = Array.length blocks in
   if nb = 0 then invalid_arg "Layered: blocks must be nonempty";
   if n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-  let move_cost =
+  let rs = Array.map (compile ~n_layers) blocks in
+  let fabric =
     match move_cost with
-    | Some f -> f
+    | Some f ->
+        Array.init (nb * nb) (fun k ->
+            let src = k / nb and dst = k mod nb in
+            if src = dst then 0
+            else begin
+              let c = f src dst in
+              if c < 0 then invalid_arg "Layered: negative move_cost";
+              c
+            end)
     | None ->
         if nb > 1 then invalid_arg "Layered: several blocks need ~move_cost";
-        fun _ _ -> 0
+        [| 0 |]
   in
-  let const ~layer i =
-    match consts with None -> 0 | Some f -> f ~layer ~member:i
-  in
-  let rs = Array.map (compile ~n_layers) blocks in
   let bases = Array.make (nb + 1) 0 in
   for i = 0 to nb - 1 do
     bases.(i + 1) <- bases.(i) + width_of rs.(i)
   done;
   let total = bases.(nb) in
+  let bits = bits_for total in
+  let dmax =
+    Array.fold_left max (Array.fold_left max 0 fabric) (Array.map max_step rs)
+  in
+  if bits > 60 || dmax >= 1 lsl (60 - bits) then
+    invalid_arg
+      (Printf.sprintf
+         "Layered: a step of %d does not pack beside %d-bit ranks (limit 2^%d)"
+         dmax bits (60 - bits));
+  let const ~layer i =
+    match consts with None -> 0 | Some f -> f ~layer ~member:i
+  in
   Obs.Span.with_
     ~name:(if nb = 1 then "layered.solve" else "layered.solve_group")
   @@ fun () ->
   let sc = scratch ~width:total ~n_layers in
-  let cur = sc.cur and best = sc.best and from = sc.from in
-  for i = 0 to nb - 1 do
-    let blk = blocks.(i) and b = bases.(i) in
-    let off0 = blk.offsets.(0) and c0 = const ~layer:0 i in
-    for j = 0 to bases.(i + 1) - b - 1 do
-      cur.(b + j) <-
-        (if admits allowed ~layer:0 (b + j) then blk.vectors.{off0 + j} + c0
-         else inf)
-    done
+  let cell = sc.cell and choice = sc.choice in
+  let mask = (1 lsl bits) - 1 in
+  let row_of layer =
+    match admit with
+    | None -> sc.ones
+    | Some f ->
+        let row = f layer in
+        if Bytes.length row < total then
+          invalid_arg "Layered: admit row shorter than the layer";
+        row
+  in
+  (* [fin.(i)]: finite sources of block i in the current layer, counted
+     before the far ones are set to [inf]; [m]: the layer minimum *)
+  let fin = Array.make nb 0 and minv = Array.make nb inf in
+  let m = ref 0 in
+  (* Finalize [layer] from its relaxed cells; [false] when it is empty. *)
+  let finalize layer =
+    let row = row_of layer in
+    let lo = ref max_int in
+    for i = 0 to nb - 1 do
+      let blk = blocks.(i) and b = bases.(i) in
+      lo :=
+        min !lo
+          (settle cell choice ~cb:(layer * total) ~row ~vs:blk.vectors
+             ~voff:(blk.offsets.(layer) - b)
+             ~base:(!m + const ~layer i)
+             ~bits ~b ~e:bases.(i + 1))
+    done;
+    let lo = !lo in
+    m := lo;
+    for i = 0 to nb - 1 do
+      fin.(i) <-
+        repack cell ~lo ~dmax ~bits
+          ~b:bases.(i) ~e:bases.(i + 1)
+    done;
+    lo <> max_int
+  in
+  for g = 0 to total - 1 do
+    cell.(g) <- g
   done;
-  let minv = Array.make nb inf and minr = Array.make nb (-1) in
   let nodes = ref 0 and steps = ref 0 in
-  for layer = 1 to n_layers - 1 do
+  let live = ref (finalize 0) and layer = ref 1 in
+  while !live && !layer < n_layers do
     if nb > 1 then
       (* per-block entry minima over the previous layer: the single
          source every outgoing fabric edge of that block reroots at *)
       for i = 0 to nb - 1 do
-        minv.(i) <- inf;
-        minr.(i) <- -1;
-        for g = bases.(i) to bases.(i + 1) - 1 do
-          if cur.(g) < minv.(i) then begin
-            minv.(i) <- cur.(g);
-            minr.(i) <- g
-          end
-        done
+        minv.(i) <- cell_min cell ~b:bases.(i) ~e:bases.(i + 1)
       done;
     for i = 0 to nb - 1 do
-      let finite = relax_block sc rs.(i) ~b:bases.(i) in
+      let finite = fin.(i) in
       nodes := !nodes + finite;
-      steps := !steps + relax_steps rs.(i) ~finite
+      steps := !steps + relax_steps rs.(i) ~finite;
+      if finite > 0 then relax_block sc rs.(i) ~b:bases.(i) ~bits
     done;
     if nb > 1 then
       for i = 0 to nb - 1 do
-        let cv = ref inf and cf = ref (-1) in
-        for jm = 0 to nb - 1 do
-          if jm <> i && minv.(jm) <> inf then begin
-            let c = minv.(jm) + move_cost jm i in
-            if c < !cv then begin
-              cv := c;
-              cf := minr.(jm)
-            end
+        let cv = ref inf and offered = ref false in
+        for src = 0 to nb - 1 do
+          if src <> i then begin
+            if fin.(src) > 0 then offered := true;
+            cv := pmin !cv (minv.(src) + (fabric.((src * nb) + i) lsl bits))
           end
         done;
-        if !cf >= 0 then begin
-          for g = bases.(i) to bases.(i + 1) - 1 do
-            if !cv < best.(g) then begin
-              best.(g) <- !cv;
-              from.(g) <- !cf
-            end
-          done;
-          steps := !steps + bases.(i + 1) - bases.(i)
-        end
+        if !offered then steps := !steps + bases.(i + 1) - bases.(i);
+        if !cv < inf then offer cell ~cv:!cv ~mask ~b:bases.(i) ~e:bases.(i + 1)
       done;
-    let cb = layer * total in
-    for i = 0 to nb - 1 do
-      let blk = blocks.(i) and b = bases.(i) in
-      let voff = blk.offsets.(layer) - b and ci = const ~layer i in
-      for g = b to bases.(i + 1) - 1 do
-        let bg = best.(g) in
-        if bg <> inf && admits allowed ~layer g then begin
-          cur.(g) <- bg + blk.vectors.{voff + g} + ci;
-          sc.choice.(cb + g) <- from.(g)
-        end
-        else cur.(g) <- inf
-      done
-    done
+    live := finalize !layer;
+    incr layer
   done;
   report_solve ~nodes:!nodes ~edges:!steps;
-  finish sc ~width:total ~n_layers
+  if not !live then None
+  else begin
+    (* lowest final cost, lowest rank on ties; then walk the
+       predecessors back from the last layer *)
+    let best = cell_min cell ~b:0 ~e:total in
+    let centers = Array.make n_layers (-1) in
+    centers.(n_layers - 1) <- best land mask;
+    for layer = n_layers - 1 downto 1 do
+      centers.(layer - 1) <- choice.((layer * total) + centers.(layer))
+    done;
+    Some (!m + (best lsr bits), centers)
+  end

@@ -24,8 +24,11 @@
 
     Every relaxation breaks ties the same way: a target's predecessor is
     the lowest-ranked source among those reaching it at minimal cost, and
-    the final node is the lowest-ranked minimal one. The work buffers are
-    per domain, so a solve allocates little beyond the returned centers. *)
+    the final node is the lowest-ranked minimal one. The DP carries each
+    node as one packed int, (cost above the layer minimum, source rank),
+    so that rule is one integer compare; DESIGN.md §16 "Packed cells"
+    proves the range. The work buffers are per domain, so a solve
+    allocates little beyond the returned centers. *)
 
 (** Flat layer-vector buffer: a 1-D [int] bigarray, so arena slabs can be
     allocated {e uninitialized} (only rows actually written cost memory
@@ -50,17 +53,22 @@ type relaxation =
     shared zero row. *)
 type block = { relaxation : relaxation; vectors : buffer; offsets : int array }
 
-(** [solve ?allowed ?move_cost ?consts ~n_layers blocks] returns the
+(** [solve ?admit ?move_cost ?consts ~n_layers blocks] returns the
     minimal trajectory cost and one witness, the global node chosen in
     each layer; the global node of block [i]'s local node [j] is
     [Σ_{i' < i} width(i') + j] (the {!Multi.Array_group} rank).
 
-    - [allowed ~layer g] (default: everything) masks global node [g] out
-      of layer [layer] after relaxation (memory-capacity exclusion, dead
-      ranks).
+    - [admit layer] (default: everything) is layer [layer]'s admit row:
+      global node [g] may host the layer iff byte [g] of the row is not
+      ['\000'] (memory-capacity exclusion, dead ranks). The mask applies
+      after relaxation. [admit] is called once per layer, layers
+      ascending, and the row it returns is read before the next call and
+      never kept, so a caller may hand back one buffer it updates in
+      place (e.g. {!Pim.Memory.admit_row}).
     - [move_cost src dst] prices a migration from any node of block [src]
       to any node of block [dst] ([src <> dst]); required when there is
-      more than one block, never read with one.
+      more than one block, never read with one. It is read once per
+      ordered pair per solve.
     - [consts ~layer ~member] (default 0) is added to every node of block
       [member] in that layer (the cross-array reference cost of hosting
       the datum there — DESIGN.md §12).
@@ -69,13 +77,22 @@ type block = { relaxation : relaxation; vectors : buffer; offsets : int array }
     same strict [<] (the source is each block's previous-layer entry
     minimum, lowest global rank on ties, blocks visited ascending), so
     staying inside a block beats migrating at equal cost. Returns [None]
-    when [allowed] empties some layer.
+    when [admit] empties some layer.
+
+    Range precondition: let [D] be the largest single step — the axis
+    diameters of every [Axes] block, the largest entry of every [Table]
+    (so {!Sched.Problem.unreachable_cost} counts) and the largest
+    [move_cost] — and [b] the bit width of the total layer width. Then
+    [D < 2^(60 - b)] must hold; costs themselves (layer rows, consts and
+    path sums) are unbounded apart from native-int overflow.
     @raise Invalid_argument on empty [blocks], non-positive [n_layers], an
-    empty or non-square table, an axis table that is neither a line nor a
-    ring metric, an offset table shorter than [n_layers], an offset row
-    outside its buffer, or several blocks without [move_cost]. *)
+    empty or non-square table, a negative table entry or [move_cost], an
+    axis table that is neither a line nor a ring metric, an offset table
+    shorter than [n_layers], an offset row outside its buffer, several
+    blocks without [move_cost], an admit row shorter than the layer, or
+    [D >= 2^(60 - b)]. *)
 val solve :
-  ?allowed:(layer:int -> int -> bool) ->
+  ?admit:(int -> Bytes.t) ->
   ?move_cost:(int -> int -> int) ->
   ?consts:(layer:int -> member:int -> int) ->
   n_layers:int ->

@@ -15,6 +15,19 @@ let create ?(inter_cost = 10) ~inter members =
          (Pim.Mesh.rows inter) (Pim.Mesh.cols inter));
   if inter_cost < 1 then
     invalid_arg "Array_group: inter_cost must be >= 1";
+  (* the layered DP packs a move beside its ranks only up to the BFS
+     ceiling, so the dearest move may not pass it (nor overflow) *)
+  let hops = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      hops := max !hops (Pim.Mesh.distance inter i j)
+    done
+  done;
+  if !hops > 0 && inter_cost > Sched.Problem.unreachable_cost / !hops then
+    invalid_arg
+      (Printf.sprintf
+         "Array_group: inter_cost %d prices a %d-hop move above %d" inter_cost
+         !hops Sched.Problem.unreachable_cost);
   let bases = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     bases.(i + 1) <- bases.(i) + Pim.Mesh.size members.(i)

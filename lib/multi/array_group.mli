@@ -33,7 +33,10 @@ type t
     [Array.length members = Pim.Mesh.size inter]). [inter_cost] (default
     [10]) is the fabric's per-hop cost multiplier.
     @raise Invalid_argument if the member count does not match the
-    interconnect size, or [inter_cost < 1]. *)
+    interconnect size, [inter_cost < 1], or the dearest move (across the
+    interconnect's diameter) would cost more than
+    {!Sched.Problem.unreachable_cost} — the largest step the layered DP
+    packs (DESIGN.md §16, "Packed cells"). *)
 val create : ?inter_cost:int -> inter:Pim.Mesh.t -> Pim.Mesh.t array -> t
 
 (** [line ?inter_cost members] joins the members along a 1×n interconnect

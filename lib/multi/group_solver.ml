@@ -1,6 +1,12 @@
-let alive_mask gp =
+(* The alive mask as one admit row over global ranks, or [None] when
+   every rank of the group is alive. *)
+let alive_admit gp =
   let group = Group_problem.group gp in
-  Array.init (Array_group.size group) (fun g -> Group_problem.rank_alive gp g)
+  let row =
+    Bytes.init (Array_group.size group) (fun g ->
+        if Group_problem.rank_alive gp g then '\001' else '\000')
+  in
+  if Bytes.contains row '\000' then Some (fun _ -> row) else None
 
 (* Per-datum migration DP over the whole group: member blocks read their
    arena slabs in place, the fabric is one scalar edge per member pair,
@@ -16,7 +22,7 @@ let dp_all gp =
   let relaxations =
     Array.init nm (fun m -> Sched.Problem.relaxation (Group_problem.sub gp m))
   in
-  let alive = alive_mask gp in
+  let admit = alive_admit gp in
   let move_cost i j = Array_group.move_cost group i j in
   Sched.Engine.map ~jobs:(Group_problem.jobs gp) nd (fun d ->
       let blocks =
@@ -30,9 +36,7 @@ let dp_all gp =
         Pathgraph.Layered.solve ~move_cost
           ~consts:(fun ~layer ~member ->
             Group_problem.cross_cost gp ~window:layer ~data:d ~member)
-          ~n_layers:nw
-          ~allowed:(fun ~layer:_ g -> alive.(g))
-          blocks
+          ~n_layers:nw ?admit blocks
       with
       | Some r -> r
       | None -> assert false (* >= 1 alive rank in an alive member *))

@@ -3,6 +3,7 @@ type t = {
   capacity : int option;
   used : int array; (* occupied slot count per rank *)
   dead : bool array; (* banned ranks hold nothing, even unbounded *)
+  row : Bytes.t; (* row.[rank] <> '\000' iff rank has a free slot *)
 }
 
 let create mesh ~capacity =
@@ -13,6 +14,7 @@ let create mesh ~capacity =
     capacity = Some capacity;
     used = Array.make (Mesh.size mesh) 0;
     dead = Array.make (Mesh.size mesh) false;
+    row = Bytes.make (Mesh.size mesh) (if capacity > 0 then '\001' else '\000');
   }
 
 let unbounded mesh =
@@ -21,6 +23,7 @@ let unbounded mesh =
     capacity = None;
     used = Array.make (Mesh.size mesh) 0;
     dead = Array.make (Mesh.size mesh) false;
+    row = Bytes.make (Mesh.size mesh) '\001';
   }
 
 let capacity_for ~data_count ~mesh ~headroom =
@@ -42,14 +45,6 @@ let used t rank =
   check_rank t rank;
   t.used.(rank)
 
-let ban t rank =
-  check_rank t rank;
-  t.dead.(rank) <- true
-
-let banned t rank =
-  check_rank t rank;
-  t.dead.(rank)
-
 let free t rank =
   check_rank t rank;
   if t.dead.(rank) then 0
@@ -60,11 +55,25 @@ let free t rank =
 
 let is_full t rank = free t rank <= 0
 
+(* Bring [rank]'s admit-row byte in step after any change to it. *)
+let sync t rank =
+  Bytes.set t.row rank (if is_full t rank then '\000' else '\001')
+
+let ban t rank =
+  check_rank t rank;
+  t.dead.(rank) <- true;
+  sync t rank
+
+let banned t rank =
+  check_rank t rank;
+  t.dead.(rank)
+
 let allocate t rank =
   check_rank t rank;
   if is_full t rank then false
   else begin
     t.used.(rank) <- t.used.(rank) + 1;
+    sync t rank;
     true
   end
 
@@ -72,10 +81,22 @@ let release t rank =
   check_rank t rank;
   if t.used.(rank) = 0 then
     invalid_arg (Printf.sprintf "Memory.release: rank %d already empty" rank);
-  t.used.(rank) <- t.used.(rank) - 1
+  t.used.(rank) <- t.used.(rank) - 1;
+  sync t rank
 
-let reset t = Array.fill t.used 0 (Array.length t.used) 0
-let copy t = { t with used = Array.copy t.used; dead = Array.copy t.dead }
+let reset t =
+  Array.fill t.used 0 (Array.length t.used) 0;
+  Array.iteri (fun rank _ -> sync t rank) t.used
+
+let copy t =
+  {
+    t with
+    used = Array.copy t.used;
+    dead = Array.copy t.dead;
+    row = Bytes.copy t.row;
+  }
+
+let admit_row t = t.row
 let total_used t = Array.fold_left ( + ) 0 t.used
 
 let pp fmt t =

@@ -59,6 +59,14 @@ val reset : t -> unit
 (** [copy t] is an independent snapshot. *)
 val copy : t -> t
 
+(** [admit_row t] is the tracker's admit row: byte [rank] is ['\001']
+    iff [rank] has a free slot ([not (is_full t rank)]), ['\000']
+    otherwise. It is the tracker's own buffer, kept in step by
+    {!allocate}, {!release}, {!ban} and {!reset} — read it, never write
+    it. The form {!Pathgraph.Layered.solve}'s [?admit] takes, so bounded
+    placement masks full ranks without a per-node test. *)
+val admit_row : t -> Bytes.t
+
 (** [total_used t] is the sum of occupied slots over the whole array. *)
 val total_used : t -> int
 

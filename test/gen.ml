@@ -65,3 +65,12 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 
 (* Shorthand for a plain unit test case. *)
 let case name f = Alcotest.test_case name `Quick f
+
+(* The two forms of one flat per-(layer, node) mask, [mask.(layer·width
+   + g)]: the closure the oracles take and the admit rows
+   [Pathgraph.Layered.solve] takes. *)
+let allowed_of_mask ~width mask ~layer g = mask.((layer * width) + g)
+
+let admit_of_mask ~width mask layer =
+  Bytes.init width (fun g ->
+      if mask.((layer * width) + g) then '\001' else '\000')

@@ -226,7 +226,27 @@ let test_profile () =
       "layered.nodes_expanded";
       "problem.vector_hit";
       "counters:";
-    ]
+    ];
+  (* the work counters of a bounded 16x16 solve are pinned: the DP's cell
+     format may change, the work it counts may not *)
+  let path = Filename.temp_file "pimsched_cli" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check_ok "profile 16x16"
+        (Printf.sprintf
+           "profile gomcds -b 1 -n 16 --mesh 16x16 -j 1 --metrics-json %s" path)
+        [ "total= 12768" ];
+      let text = read_file path in
+      List.iter
+        (fun needle ->
+          if not (contains text needle) then
+            Alcotest.failf "profile metrics missing %S in:\n%s" needle text)
+        [
+          {|"layered.edges_relaxed":3440640|};
+          {|"layered.nodes_expanded":745703|};
+          {|"layered.solves":256|};
+        ])
 
 let test_metrics_json () =
   let path = Filename.temp_file "pimsched_cli" ".json" in

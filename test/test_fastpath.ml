@@ -24,14 +24,14 @@ let problem_of ?policy ?(jobs = 1) mesh trace =
 (* The production DP on one [Axes] block — the shape the dense
    oracle is compared against. Without [offsets] the layer rows are back
    to back. *)
-let solve_axes_filtered ?offsets ?allowed ~xdist ~ydist ~vectors ~n_layers () =
+let solve_axes_filtered ?offsets ?admit ~xdist ~ydist ~vectors ~n_layers () =
   let width = Array.length xdist * Array.length ydist in
   let offsets =
     match offsets with
     | Some o -> o
     | None -> Array.init n_layers (fun l -> l * width)
   in
-  Pathgraph.Layered.solve ?allowed ~n_layers
+  Pathgraph.Layered.solve ?admit ~n_layers
     [| { relaxation = Axes { xdist; ydist }; vectors; offsets } |]
 
 let solve_axes ?offsets ~xdist ~ydist ~vectors ~n_layers () =
@@ -152,7 +152,8 @@ let prop_solve_axes_matches_dense mesh label =
       let vectors =
         Array.init n_layers (fun w -> Array.sub flat (w * m) m)
       in
-      let allowed ~layer j = mask.((layer * m) + j) in
+      let allowed = Gen.allowed_of_mask ~width:m mask
+      and admit = Gen.admit_of_mask ~width:m mask in
       let buffer_of a =
         Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout a
       in
@@ -163,7 +164,7 @@ let prop_solve_axes_matches_dense mesh label =
       in
       let filtered_equal =
         solve_axes_filtered ~xdist ~ydist ~vectors:(buffer_of flat) ~n_layers
-          ~allowed ()
+          ~admit ()
         = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed
       in
       (* explicit offsets: store the layer rows in reverse order and point
@@ -187,7 +188,8 @@ let prop_solve_axes_matches_dense mesh label =
 
 (* Shapes where the distance transform's sweeps degenerate: extents 1
    and 2 (a 2-ring is a line), single rows and columns, rings in either
-   orientation, and an odd torus. *)
+   orientation, and an odd torus; and total widths 2^4 and 2^4 + 1, where
+   the packed cell's rank field gains a bit. *)
 let relax_shapes =
   [
     (Pim.Mesh.create ~rows:1 ~cols:1, "1x1");
@@ -201,11 +203,17 @@ let relax_shapes =
     (Pim.Mesh.torus ~rows:2 ~cols:5, "2x5 torus");
     (torus35, "3x5 torus");
     (Pim.Mesh.torus ~rows:4 ~cols:6, "4x6 torus");
+    (Pim.Mesh.create ~rows:4 ~cols:4, "4x4, width 2^4");
+    (Pim.Mesh.create ~rows:1 ~cols:17, "1x17 line, width 2^4+1");
+    (Pim.Mesh.torus ~rows:17 ~cols:1, "17x1 ring, width 2^4+1");
   ]
 
-(* Vectors are random, tie-heavy (values in {0, 1}) or all equal; the
-   mask is all-true, random, or empties whole rows and columns of some
-   layers (possibly all of a layer, which must come back [None]). *)
+(* Vectors are random, tie-heavy (values in {0, 1}), all equal, or
+   random with one entry per layer far above the rest (a source the DP
+   sets to infinity); the mask is all-true, random, empties whole rows
+   and columns of some layers (possibly all of a layer, which must come
+   back [None]), or fills a third of the ranks with a full set that
+   shifts every layer, as bounded placement's rows do. *)
 let relax_instance_gen mesh =
   let open QCheck.Gen in
   let rows = Pim.Mesh.rows mesh and cols = Pim.Mesh.cols mesh in
@@ -217,6 +225,13 @@ let relax_instance_gen mesh =
       array_size (return cells) (int_range 0 20);
       array_size (return cells) (int_range 0 1);
       map (fun v -> Array.make cells v) (int_range 0 9);
+      ( pair
+          (array_size (return cells) (int_range 0 20))
+          (array_size (return n_layers)
+             (pair (int_range 0 (m - 1)) (int_range 100 (1 lsl 40))))
+      >|= fun (flat, far) ->
+        Array.iteri (fun layer (j, v) -> flat.((layer * m) + j) <- v) far;
+        flat );
     ]
   >>= fun flat ->
   oneof
@@ -231,52 +246,54 @@ let relax_instance_gen mesh =
                let layer = i / m and j = i mod m in
                let row, col = cuts.(layer) in
                j / cols <> row && j mod cols <> col)) );
+      ( array_size (return n_layers) (int_range 0 2) >|= fun shifts ->
+        Array.init cells (fun i ->
+            let layer = i / m and j = i mod m in
+            (j + shifts.(layer) + layer) mod 3 <> 0) );
     ]
   >>= fun mask -> return (n_layers, flat, mask)
 
+(* A batch of instances on one shape, each solved unfiltered and
+   filtered, at jobs 1 and 4 (the scratch buffers are per domain), must
+   equal the dense oracle on every instance. *)
 let prop_relax_shapes (mesh, label) =
-  let arb = QCheck.make ~print:layered_print (relax_instance_gen mesh) in
+  let arb =
+    QCheck.make
+      ~print:(fun l -> String.concat "\n" (List.map layered_print l))
+      QCheck.Gen.(list_size (int_range 1 4) (relax_instance_gen mesh))
+  in
   QCheck.Test.make
     ~name:("separable relaxation equals solve_dense, " ^ label)
-    ~count:60 arb (fun (n_layers, flat, mask) ->
+    ~count:60 arb (fun instances ->
+      let instances = Array.of_list instances in
       let m = Pim.Mesh.size mesh in
       let dist = Oracle.Mesh_distance.table mesh in
       let xdist = Pim.Mesh.x_distance_table mesh
       and ydist = Pim.Mesh.y_distance_table mesh in
-      let vectors = Array.init n_layers (fun w -> Array.sub flat (w * m) m) in
-      let allowed ~layer j = mask.((layer * m) + j) in
-      let buffer = Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat in
-      solve_axes ~xdist ~ydist ~vectors:buffer
-        ~n_layers ()
-      = Oracle.Layered.solve_dense ~dist ~vectors
-      && solve_axes_filtered ~xdist ~ydist ~vectors:buffer ~n_layers ~allowed ()
-         = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed)
-
-(* The scratch buffers are per domain: the same solves fanned out over
-   four domains answer exactly as they do serially. *)
-let prop_relax_jobs_invariant =
-  let mesh = torus35 in
-  let arb =
-    QCheck.make
-      ~print:(fun l -> String.concat "\n" (List.map layered_print l))
-      QCheck.Gen.(list_size (int_range 1 12) (relax_instance_gen mesh))
-  in
-  QCheck.Test.make ~name:"separable relaxation is identical at jobs 1 and 4"
-    ~count:20 arb (fun instances ->
-      let instances = Array.of_list instances in
-      let m = Pim.Mesh.size mesh in
-      let xdist = Pim.Mesh.x_distance_table mesh
-      and ydist = Pim.Mesh.y_distance_table mesh in
+      let expected =
+        Array.map
+          (fun (n_layers, flat, mask) ->
+            let vectors =
+              Array.init n_layers (fun w -> Array.sub flat (w * m) m)
+            in
+            ( Some (Oracle.Layered.solve_dense ~dist ~vectors),
+              Oracle.Layered.solve_dense_filtered ~dist ~vectors
+                ~allowed:(Gen.allowed_of_mask ~width:m mask) ))
+          instances
+      in
       let solve i =
         let n_layers, flat, mask = instances.(i) in
-        solve_axes_filtered ~xdist ~ydist
-          ~vectors:(Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat)
-          ~n_layers
-          ~allowed:(fun ~layer j -> mask.((layer * m) + j))
-          ()
+        let buffer =
+          Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat
+        in
+        ( solve_axes_filtered ~xdist ~ydist ~vectors:buffer ~n_layers (),
+          solve_axes_filtered ~xdist ~ydist ~vectors:buffer ~n_layers
+            ~admit:(Gen.admit_of_mask ~width:m mask) () )
       in
       let n = Array.length instances in
-      Sched.Engine.map ~jobs:1 n solve = Sched.Engine.map ~jobs:4 n solve)
+      List.for_all
+        (fun jobs -> Sched.Engine.map ~jobs n solve = expected)
+        [ 1; 4 ])
 
 (* A solve past the per-domain scratch cap (2^20 choice words) runs on
    buffers of its own; it and the kept-scratch solve after it both
@@ -336,7 +353,8 @@ let prop_table_matches_dense =
     (fun (width, n_layers, table, flat, mask) ->
       let dist = Array.init width (fun j -> Array.sub table (j * width) width) in
       let vectors = Array.init n_layers (fun w -> Array.sub flat (w * width) width) in
-      let allowed ~layer j = mask.((layer * width) + j) in
+      let allowed = Gen.allowed_of_mask ~width mask
+      and admit = Gen.admit_of_mask ~width mask in
       let block =
         {
           Pathgraph.Layered.relaxation = Table dist;
@@ -346,24 +364,75 @@ let prop_table_matches_dense =
       in
       Pathgraph.Layered.solve ~n_layers [| block |]
       = Some (Oracle.Layered.solve_dense ~dist ~vectors)
-      && Pathgraph.Layered.solve ~allowed ~n_layers [| block |]
+      && Pathgraph.Layered.solve ~admit ~n_layers [| block |]
          = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed)
 
+(* A [Table] step must pack beside the ranks: with 4 ranks (2 bits) a
+   step below 2^58 solves — here the only path takes it — and one at
+   2^58 is refused. *)
+let table_ceiling_case =
+  Gen.case "a Table entry at the packing ceiling is refused" (fun () ->
+      let width = 4 and n_layers = 2 in
+      let table top =
+        Array.init width (fun j ->
+            Array.init width (fun k ->
+                if j = k then 0 else if (j, k) = (0, width - 1) then top else 1))
+      in
+      let vectors = Array.make_matrix n_layers width 0 in
+      (* layer 0 admits rank 0 only, layer 1 rank 3 only *)
+      let mask = Array.init (n_layers * width) (fun i -> i = 0 || i = 7) in
+      let solve top =
+        Pathgraph.Layered.solve ~n_layers
+          ~admit:(Gen.admit_of_mask ~width mask)
+          [|
+            {
+              relaxation = Table (table top);
+              vectors =
+                Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout
+                  (Array.make (n_layers * width) 0);
+              offsets = [| 0; width |];
+            };
+          |]
+      in
+      let top = (1 lsl 58) - 1 in
+      Alcotest.(check bool)
+        "a step just below the ceiling solves like the oracle" true
+        (solve top = Some (top, [| 0; width - 1 |])
+        && solve top
+           = Oracle.Layered.solve_dense_filtered ~dist:(table top) ~vectors
+               ~allowed:(Gen.allowed_of_mask ~width mask));
+      match solve (1 lsl 58) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "a step at 2^58 beside 2-bit ranks must be refused")
+
 (* Link faults that cut rank 0 off entirely, so the BFS table holds
-   [unreachable_cost] pairs, plus one more dead link elsewhere. *)
+   [unreachable_cost] pairs, plus one more dead link elsewhere; and a
+   32x32 mesh cut in two halves, where [unreachable_cost] packs beside
+   10-bit ranks. The last field is the QCheck count. *)
 let link_fault_cases =
+  let split32 =
+    Pim.Fault.create
+      ~dead_links:(List.init 32 (fun r -> ((r * 32) + 15, (r * 32) + 16)))
+      ()
+  in
   [
     (Gen.mesh44, Pim.Fault.create ~dead_links:[ (0, 1); (0, 4); (9, 10) ] (),
-     "mesh");
+     "mesh", 40);
     ( torus35,
       Pim.Fault.create ~dead_links:[ (0, 1); (0, 4); (0, 5); (0, 10); (7, 8) ] (),
-      "torus" );
+      "torus", 40 );
+    (Pim.Mesh.square 32, split32, "32x32 split in two", 3);
+    ( Gen.mesh44,
+      Pim.Fault.create ~dead_nodes:[ 5; 10 ] ~dead_links:[ (0, 1); (0, 4) ] (),
+      "mesh, dead nodes too",
+      40 );
   ]
 
 (* A link-faulted session relaxes over its BFS table: [solve_datum],
-   filtered or not, equals the dense DP over that table and the
-   session's own arena rows. *)
-let prop_link_fault_solve_matches_dense (mesh, fault, label) =
+   filtered or not, at jobs 1 and 4, equals the dense DP over that table
+   and the session's own arena rows, with dead ranks masked on top of
+   the caller's rows. *)
+let prop_link_fault_solve_matches_dense (mesh, fault, label, count) =
   let arb =
     QCheck.pair
       (Gen.trace_arbitrary ~mesh ~max_data:4 ~max_windows:4 ~max_count:3 ())
@@ -371,24 +440,42 @@ let prop_link_fault_solve_matches_dense (mesh, fault, label) =
   in
   QCheck.Test.make
     ~name:("link-faulted solve_datum equals solve_dense, " ^ label)
-    ~count:40 arb (fun (trace, salt) ->
+    ~count arb (fun (trace, salt) ->
       let problem = Sched.Problem.create ~fault mesh trace in
       let dist =
         match Sched.Problem.relaxation problem with
         | Pathgraph.Layered.Table d -> d
         | Axes _ -> Alcotest.fail "link faults must relax over the BFS table"
       in
-      if Sched.Problem.distance problem 0 1 <> Sched.Problem.unreachable_cost
-      then Alcotest.fail "the fault must disconnect rank 0";
-      let allowed ~layer j = (((layer + 1) * 31) + (j * 17) + salt) mod 5 <> 0 in
+      if not (Array.mem Sched.Problem.unreachable_cost dist.(0)) then
+        Alcotest.fail "the fault must disconnect rank 0 from some rank";
+      let m = Pim.Mesh.size mesh in
+      let mask =
+        Array.init (Sched.Problem.n_windows problem * m) (fun i ->
+            let layer = i / m and j = i mod m in
+            (((layer + 1) * 31) + (j * 17) + salt) mod 5 <> 0)
+      in
+      let allowed = Gen.allowed_of_mask ~width:m mask
+      and admit = Gen.admit_of_mask ~width:m mask in
+      let alive ~layer:_ j = Sched.Problem.rank_alive problem j in
+      let n = Sched.Problem.n_data problem in
+      let expected =
+        Array.init n (fun data ->
+            let vectors = Oracle.Problem.layer_vectors problem ~data in
+            ( (if Pim.Fault.has_node_faults fault then
+                 Oracle.Layered.solve_dense_filtered ~dist ~vectors
+                   ~allowed:alive
+               else Some (Oracle.Layered.solve_dense ~dist ~vectors)),
+              Oracle.Layered.solve_dense_filtered ~dist ~vectors
+                ~allowed:(fun ~layer j -> alive ~layer j && allowed ~layer j) ))
+      in
+      let solve data =
+        ( Sched.Problem.solve_datum problem ~data,
+          Sched.Problem.solve_datum ~admit problem ~data )
+      in
       List.for_all
-        (fun data ->
-          let vectors = Oracle.Problem.layer_vectors problem ~data in
-          Sched.Problem.solve_datum problem ~data
-          = Some (Oracle.Layered.solve_dense ~dist ~vectors)
-          && Sched.Problem.solve_datum ~allowed problem ~data
-             = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed)
-        (List.init (Sched.Problem.n_data problem) Fun.id))
+        (fun jobs -> Sched.Engine.map ~jobs n solve = expected)
+        [ 1; 4 ])
 
 (* Grouped refinement: [refine_centers] (axis relaxation on healthy and
    node-faulted contexts, BFS table under link faults) picks the same
@@ -972,7 +1059,6 @@ let suite =
            edge_meshes;
          List.map prop_relax_shapes relax_shapes;
          List.map prop_refine_routes_agree refine_route_cases;
-         [ prop_relax_jobs_invariant ];
          [
            prop_axis_cost_oracle ~wrap:false "line";
            prop_axis_cost_oracle ~wrap:true "circle";
@@ -980,7 +1066,12 @@ let suite =
          ];
        ])
   @ solve_axes_validation_cases
-  @ [ merged_memo_case; unreferenced_datum_case; outsized_solve_case ]
+  @ [
+      merged_memo_case;
+      unreferenced_datum_case;
+      outsized_solve_case;
+      table_ceiling_case;
+    ]
   @ List.map Gen.to_alcotest
       (prop_table_matches_dense
       :: prop_refine_routes_agree

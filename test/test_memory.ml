@@ -72,6 +72,55 @@ let prop_allocation_conserves =
       List.iter (fun r -> assert (Pim.Memory.allocate m r)) ranks;
       Pim.Memory.total_used m = List.length ranks)
 
+(* The admit row stays in step with [is_full] through any sequence of
+   allocations, releases, bans, resets and copies, bounded or not. *)
+type op = Alloc of int | Release of int | Ban of int | Reset | Copy
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun r -> Alloc r) (int_bound 15));
+        (3, map (fun r -> Release r) (int_bound 15));
+        (1, map (fun r -> Ban r) (int_bound 15));
+        (1, return Reset);
+        (1, return Copy);
+      ])
+
+let prop_admit_row_in_step =
+  QCheck.Test.make ~name:"admit_row follows is_full" ~count:200
+    QCheck.(
+      make
+        Gen.(pair (int_range (-1) 3) (list_size (int_range 0 40) op_gen)))
+    (fun (cap, ops) ->
+      let m =
+        ref
+          (if cap < 0 then Pim.Memory.unbounded mesh
+           else Pim.Memory.create mesh ~capacity:cap)
+      in
+      let in_step () =
+        let row = Pim.Memory.admit_row !m in
+        List.for_all
+          (fun r ->
+            (Bytes.get row r <> '\000') = not (Pim.Memory.is_full !m r))
+          (List.init 16 Fun.id)
+      in
+      in_step ()
+      && List.for_all
+           (fun op ->
+             (match op with
+             | Alloc r -> ignore (Pim.Memory.allocate !m r)
+             | Release r ->
+                 if Pim.Memory.used !m r > 0 then Pim.Memory.release !m r
+             | Ban r -> Pim.Memory.ban !m r
+             | Reset -> Pim.Memory.reset !m
+             | Copy ->
+                 let before = Bytes.copy (Pim.Memory.admit_row !m) in
+                 m := Pim.Memory.copy !m;
+                 assert (Bytes.equal before (Pim.Memory.admit_row !m)));
+             in_step ())
+           ops)
+
 let suite =
   [
     Gen.case "fresh is empty" test_fresh_is_empty;
@@ -83,4 +132,5 @@ let suite =
     Gen.case "paper capacity rule" test_capacity_for_paper_rule;
     Gen.case "invalid arguments" test_invalid_arguments;
     Gen.to_alcotest prop_allocation_conserves;
+    Gen.to_alcotest prop_admit_row_in_step;
   ]

@@ -61,6 +61,28 @@ let test_spec_rejects () =
          with Invalid_argument _ -> true))
     [ ""; "4"; "2x"; "x4"; "0x4"; "2x2of"; "of4x4"; "2x2of0x3"; "4x4,," ]
 
+(* The dearest move may cost at most [unreachable_cost]: exactly there is
+   fine, one past it (or an overflowing price) is refused, and a lone
+   member never moves, so any price goes. *)
+let test_inter_cost_ceiling () =
+  let cap = Sched.Problem.unreachable_cost in
+  let members = [ Gen.mesh22; Gen.mesh22; Gen.mesh22 ] in
+  let g = Multi.Array_group.line ~inter_cost:(cap / 2) members in
+  check_int "dearest move at the ceiling" cap (Multi.Array_group.move_cost g 0 2);
+  List.iter
+    (fun inter_cost ->
+      check_bool
+        (Printf.sprintf "inter_cost %d refused" inter_cost)
+        true
+        (try
+           ignore (Multi.Array_group.line ~inter_cost members);
+           false
+         with Invalid_argument _ -> true))
+    [ (cap / 2) + 1; max_int ];
+  check_int "a lone member takes any price" max_int
+    (Multi.Array_group.inter_cost
+       (Multi.Array_group.line ~inter_cost:max_int [ Gen.mesh22 ]))
+
 let test_metric () =
   let g = group_2x2of4x4 ~inter_cost:7 () in
   (* same member: the member's own mesh distance *)
@@ -331,22 +353,30 @@ module Dense_group = struct
 end
 
 (* Members of different shapes (mesh and torus, lines, rings, a lone
-   node), each with a slab of random, tie-heavy or constant rows laid
-   out in reverse layer order; random cross constants, fabric prices and
-   a mask that may empty a member's row, column or whole layer. *)
+   node), each with a slab of random, tie-heavy or constant rows, or
+   random rows with one entry per layer far above the rest (a source the
+   DP sets to infinity), laid out in reverse layer order; random cross
+   constants, fabric prices and a mask that may empty a member's row,
+   column or whole layer, or fill a shifting third of the ranks on every
+   layer as bounded placement does. [shapes] fixes the members. *)
 let member_shapes =
   [|
     (1, 1, false); (2, 2, true); (1, 5, false); (4, 1, true); (3, 5, true);
     (2, 3, false); (3, 3, true);
   |]
 
-let group_relax_gen =
+let group_relax_gen ?shapes () =
   let open QCheck.Gen in
-  int_range 1 4 >>= fun n_members ->
+  (match shapes with
+  | Some shapes -> return shapes
+  | None ->
+      int_range 1 4 >>= fun n_members ->
+      list_size (return n_members)
+        (map (fun i -> member_shapes.(i))
+           (int_range 0 (Array.length member_shapes - 1))))
+  >>= fun shapes ->
+  let n_members = List.length shapes in
   int_range 1 4 >>= fun n_layers ->
-  list_size (return n_members) (int_range 0 (Array.length member_shapes - 1))
-  >>= fun picks ->
-  let shapes = List.map (fun i -> member_shapes.(i)) picks in
   let member_gen (rows, cols, torus) =
     let m = rows * cols in
     oneof
@@ -354,6 +384,13 @@ let group_relax_gen =
         array_size (return (n_layers * m)) (int_range 0 20);
         array_size (return (n_layers * m)) (int_range 0 1);
         map (fun v -> Array.make (n_layers * m) v) (int_range 0 5);
+        ( pair
+            (array_size (return (n_layers * m)) (int_range 0 20))
+            (array_size (return n_layers)
+               (pair (int_range 0 (m - 1)) (int_range 100 (1 lsl 40))))
+        >|= fun (flat, far) ->
+          Array.iteri (fun layer (j, v) -> flat.((layer * m) + j) <- v) far;
+          flat );
       ]
     >>= fun flat -> return ((rows, cols, torus), flat)
   in
@@ -366,6 +403,10 @@ let group_relax_gen =
       return (Array.make (n_layers * total) true);
       array_size (return (n_layers * total))
         (frequencyl [ (5, true); (1, false) ]);
+      ( array_size (return n_layers) (int_range 0 2) >|= fun shifts ->
+        Array.init (n_layers * total) (fun i ->
+            let layer = i / total and g = i mod total in
+            (g + shifts.(layer) + layer) mod 3 <> 0) );
     ]
   >>= fun mask -> return (n_layers, members, consts, fabric, mask)
 
@@ -382,39 +423,73 @@ let group_relax_print (n_layers, members, consts, fabric, mask) =
     (String.concat ";"
        (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
 
+(* One instance as (production solve, oracle answer); the mask feeds the
+   oracle as a closure and the solve as admit rows. *)
+let group_relax_case (n_layers, members, consts, fabric, mask) =
+  let n_members = List.length members in
+  let members =
+    Array.of_list
+      (List.map
+         (fun ((rows, cols, torus), flat) ->
+           let mesh =
+             if torus then Pim.Mesh.torus ~rows ~cols
+             else Pim.Mesh.create ~rows ~cols
+           in
+           let m = rows * cols in
+           let rev = Array.make (n_layers * m) 0 in
+           let offsets = Array.init n_layers (fun w -> (n_layers - 1 - w) * m) in
+           Array.iteri (fun w off -> Array.blit flat (w * m) rev off m) offsets;
+           {
+             g_xdist = Pim.Mesh.x_distance_table mesh;
+             g_ydist = Pim.Mesh.y_distance_table mesh;
+             g_vectors =
+               Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout rev;
+             g_offsets = offsets;
+           })
+         members)
+  in
+  let move_cost i j = fabric.((i * n_members) + j) in
+  let consts ~layer ~member = consts.((layer * n_members) + member) in
+  let total = Array.length mask / n_layers in
+  let allowed = Gen.allowed_of_mask ~width:total mask
+  and admit = Gen.admit_of_mask ~width:total mask in
+  ( (fun () ->
+      Pathgraph.Layered.solve ~move_cost ~consts ~n_layers ~admit
+        (Array.map block_of members)),
+    Dense_group.solve ~members ~move_cost ~consts ~n_layers ~allowed () )
+
+(* A batch of instances, solved at jobs 1 and 4, equals the oracle on
+   every one. *)
+let prop_group_relax ?shapes ~name ~count () =
+  QCheck.Test.make ~name ~count
+    (QCheck.make
+       ~print:(fun l -> String.concat "\n" (List.map group_relax_print l))
+       QCheck.Gen.(list_size (int_range 1 4) (group_relax_gen ?shapes ())))
+    (fun instances ->
+      let cases = Array.of_list (List.map group_relax_case instances) in
+      let n = Array.length cases in
+      List.for_all
+        (fun jobs ->
+          Sched.Engine.map ~jobs n (fun i -> fst cases.(i) ())
+          = Array.map snd cases)
+        [ 1; 4 ])
+
 let prop_group_relax_matches_dense =
-  QCheck.Test.make ~name:"solve_group equals the dense group oracle" ~count:200
-    (QCheck.make ~print:group_relax_print group_relax_gen)
-    (fun (n_layers, members, consts, fabric, mask) ->
-      let n_members = List.length members in
-      let members =
-        Array.of_list
-          (List.map
-             (fun ((rows, cols, torus), flat) ->
-               let mesh =
-                 if torus then Pim.Mesh.torus ~rows ~cols
-                 else Pim.Mesh.create ~rows ~cols
-               in
-               let m = rows * cols in
-               let rev = Array.make (n_layers * m) 0 in
-               let offsets = Array.init n_layers (fun w -> (n_layers - 1 - w) * m) in
-               Array.iteri (fun w off -> Array.blit flat (w * m) rev off m) offsets;
-               {
-                 g_xdist = Pim.Mesh.x_distance_table mesh;
-                 g_ydist = Pim.Mesh.y_distance_table mesh;
-                 g_vectors =
-                   Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout rev;
-                 g_offsets = offsets;
-               })
-             members)
-      in
-      let move_cost i j = fabric.((i * n_members) + j) in
-      let consts ~layer ~member = consts.((layer * n_members) + member) in
-      let total = Array.length mask / n_layers in
-      let allowed ~layer g = mask.((layer * total) + g) in
-      Pathgraph.Layered.solve ~move_cost ~consts ~n_layers ~allowed
-        (Array.map block_of members)
-      = Dense_group.solve ~members ~move_cost ~consts ~n_layers ~allowed ())
+  prop_group_relax ~name:"solve_group equals the dense group oracle"
+    ~count:200 ()
+
+(* Total widths at the packed rank field's bit boundary. *)
+let prop_group_relax_bit_boundary =
+  [
+    prop_group_relax ~shapes:[ (4, 4, false) ]
+      ~name:"solve_group equals the dense group oracle, 4x4 alone (width 2^4)"
+      ~count:60 ();
+    prop_group_relax
+      ~shapes:[ (4, 4, false); (1, 1, false) ]
+      ~name:
+        "solve_group equals the dense group oracle, 4x4 + 1x1 (width 2^4+1)"
+      ~count:60 ();
+  ]
 
 let test_group_rejects_non_metric_tables () =
   let mesh = Pim.Mesh.square 2 in
@@ -430,9 +505,7 @@ let test_group_rejects_non_metric_tables () =
     Pathgraph.Layered.solve
       ~move_cost:(fun _ _ -> 1)
       ~consts:(fun ~layer:_ ~member:_ -> 0)
-      ~n_layers:1
-      ~allowed:(fun ~layer:_ _ -> true)
-      [| block_of member |]
+      ~n_layers:1 [| block_of member |]
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a non-|a-b| member table must be refused"
@@ -891,10 +964,15 @@ let suite =
     Gen.case "spec: grid form" test_spec_grid;
     Gen.case "spec: heterogeneous list form" test_spec_list;
     Gen.case "spec: malformed rejected" test_spec_rejects;
+    Gen.case "inter_cost: the dearest move stays under the ceiling"
+      test_inter_cost_ceiling;
     Gen.case "two-level flat metric" test_metric;
     Gen.case "virtual-mesh embedding" test_virtual_embedding;
     Gen.to_alcotest prop_dp_matches_dense_oracle;
     Gen.to_alcotest prop_group_relax_matches_dense;
+  ]
+  @ List.map Gen.to_alcotest prop_group_relax_bit_boundary
+  @ [
     Gen.case "group DP refuses non-metric member tables"
       test_group_rejects_non_metric_tables;
     Gen.to_alcotest prop_dp_beats_static;

@@ -92,7 +92,10 @@ let test_bad_requests () =
   check_code "bad fault node"
     {|{"id":5,"workload":"1","fault":{"dead_nodes":[99]}}|}
     "bad-request";
-  check_code "typed field" {|{"id":6,"size":"big"}|} "bad-request"
+  check_code "typed field" {|{"id":6,"size":"big"}|} "bad-request";
+  check_code "inter_cost past the move ceiling"
+    {|{"id":7,"workload":"1","size":8,"arrays":"2x2of4x4","inter_cost":4611686018427387903}|}
+    "bad-request"
 
 (* There is one cost kernel: ["kernel":"naive"] is a typed bad-request
    naming the field, while [/1] clients spelling out ["separable"] are
