@@ -949,16 +949,13 @@ let show_cmd =
 
 let run_replicate instance max_copies =
   let mesh, trace, policy = solo (open_instance instance) in
-  let capacity =
-    match policy with
-    | Sched.Problem.Unbounded -> None
-    | Sched.Problem.Bounded c -> Some c
-  in
+  let problem = Sched.Problem.create ~policy mesh trace in
   Printf.printf "single-copy lower bound: %d\n"
-    (Sched.Bounds.lower_bound_in (Sched.Problem.create mesh trace));
+    (Sched.Bounds.lower_bound_in
+       (Sched.Problem.with_policy problem Sched.Problem.Unbounded));
   List.iter
     (fun k ->
-      let r = Sched.Replicated.run ?capacity ~max_copies:k mesh trace in
+      let r = Sched.Replicated.schedule ~max_copies:k problem in
       let c = Sched.Replicated.cost r mesh trace in
       Printf.printf
         "max_copies=%-2d total=%6d (reads %6d + creation %5d + movement %5d)\n"

@@ -12,13 +12,14 @@
 let mesh = Pim.Mesh.square 4
 
 let study name trace =
-  let bound = Sched.Bounds.lower_bound_in (Sched.Problem.create mesh trace) in
+  let problem = Sched.Problem.create mesh trace in
+  let bound = Sched.Bounds.lower_bound_in problem in
   Printf.printf "\n%s: single-copy lower bound = %d\n" name bound;
   Printf.printf "%10s %10s %12s %10s %10s\n" "copies" "total" "reads"
     "creation" "movement";
   List.iter
     (fun k ->
-      let r = Sched.Replicated.run ~max_copies:k mesh trace in
+      let r = Sched.Replicated.schedule ~max_copies:k problem in
       let c = Sched.Replicated.cost r mesh trace in
       Printf.printf "%10d %10d %12d %10d %10d%s\n" k c.Sched.Replicated.total
         c.Sched.Replicated.reads c.Sched.Replicated.creation
@@ -49,7 +50,9 @@ let () =
   let trace = Workloads.Matmul.trace ~n mesh in
   let space = Reftrace.Trace.space trace in
   let a03 = Reftrace.Data_space.id space ~array_name:"A" ~row:0 ~col:3 in
-  let r = Sched.Replicated.run ~max_copies:4 mesh trace in
+  let r =
+    Sched.Replicated.schedule ~max_copies:4 (Sched.Problem.create mesh trace)
+  in
   Printf.printf "\ncopy sets of A(0,3) (hot in window 3):\n";
   for w = 0 to min 5 (Sched.Replicated.n_windows r - 1) do
     Printf.printf "  window %d: %s\n" w

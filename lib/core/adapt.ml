@@ -37,23 +37,22 @@ let solve_from ?admit problem ~data ~start =
   in
   Pathgraph.Layered.solve ?admit ~n_layers [| block |]
 
-let run ?capacity ~initial mesh trace =
-  let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-  let n_windows = Reftrace.Trace.n_windows trace in
+let schedule ~initial problem =
+  (* no fault semantics: the admit rows carry no alive mask and the
+     recovery costs use raw mesh distances *)
+  if not (Pim.Fault.is_none (Problem.fault problem)) then
+    invalid_arg "Adapt.schedule: sessions with a fault model are not supported";
+  let mesh = Problem.mesh problem in
+  let n_data = Problem.n_data problem in
+  let n_windows = Problem.n_windows problem in
   validate_initial mesh ~n_data initial;
+  Problem.check_feasible problem ~who:"Adapt.schedule";
   let schedule = Schedule.create mesh ~n_windows ~n_data in
-  let problem = Problem.create mesh trace in
   let memories =
-    match capacity with
+    match Problem.capacity problem with
     | None -> None
-    | Some c ->
-        if c * Pim.Mesh.size mesh < n_data then
-          invalid_arg
-            (Printf.sprintf
-               "Adapt.run: %d data cannot fit in %d processors of capacity %d"
-               n_data (Pim.Mesh.size mesh) c);
-        Some
-          (Array.init n_windows (fun _ -> Pim.Memory.create mesh ~capacity:c))
+    | Some _ ->
+        Some (Array.init n_windows (fun _ -> Problem.fresh_memory problem))
   in
   List.iter
     (fun data ->
@@ -76,12 +75,8 @@ let run ?capacity ~initial mesh trace =
       Array.iteri
         (fun w rank -> Schedule.set_center schedule ~window:w ~data rank)
         centers)
-    (Ordering.by_total_references trace);
+    (Ordering.by_total_references (Problem.trace problem));
   schedule
-
-let from_row_wise ?capacity mesh trace =
-  let initial = Baseline.row_wise mesh (Reftrace.Trace.space trace) in
-  run ?capacity ~initial mesh trace
 
 type recovery = {
   imposed_static : int;
@@ -122,13 +117,15 @@ let adaptive_cost mesh trace initial schedule =
   done;
   base + !entry
 
-let recovery ?capacity ~initial mesh trace =
-  let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-  validate_initial mesh ~n_data initial;
+let recovery ~initial problem =
+  let mesh = Problem.mesh problem and trace = Problem.trace problem in
+  let schedule = schedule ~initial problem in
   let imposed_static = static_cost mesh trace initial in
-  let schedule = run ?capacity ~initial mesh trace in
   let adaptive = adaptive_cost mesh trace initial schedule in
-  let free_optimal = Bounds.lower_bound_in (Problem.create mesh trace) in
+  (* the free optimum reads the session's caches under no capacity *)
+  let free_optimal =
+    Bounds.lower_bound_in (Problem.with_policy problem Problem.Unbounded)
+  in
   let recovered =
     let headroom = imposed_static - free_optimal in
     if headroom <= 0 then 1.

@@ -13,21 +13,16 @@
     costs more than running the imposed placement statically; and it can
     never beat free-choice GOMCDS. Both facts are property-tested. *)
 
-(** [run ?capacity ~initial mesh trace] computes the adaptive schedule.
-    [initial.(d)] is the imposed rank of datum [d] before execution starts.
+(** [schedule ~initial problem] computes the adaptive schedule on a
+    shared {!Problem.t}: the DP reads the session's cost rows, and a
+    [Bounded] policy is enforced per window through
+    {!Problem.fresh_memory}. [initial.(d)] is the imposed rank of datum
+    [d] before execution starts.
     @raise Invalid_argument if [initial] has the wrong length, contains an
-    invalid rank, or capacity is infeasible. *)
-val run :
-  ?capacity:int ->
-  initial:int array ->
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
-  Schedule.t
-
-(** [from_row_wise ?capacity mesh trace] is {!run} seeded with the paper's
-    straight-forward row-wise distribution. *)
-val from_row_wise :
-  ?capacity:int -> Pim.Mesh.t -> Reftrace.Trace.t -> Schedule.t
+    invalid rank, the policy is infeasible ({!Problem.check_feasible}), or
+    the session's fault is not {!Pim.Fault.none} — adaptation has no
+    fault semantics. *)
+val schedule : initial:int array -> Problem.t -> Schedule.t
 
 type recovery = {
   imposed_static : int;  (** cost of never moving off the imposed placement *)
@@ -38,12 +33,11 @@ type recovery = {
           recovers, in [0, 1]; [1.] when there is no headroom *)
 }
 
-(** [recovery ?capacity ~initial mesh trace] quantifies how much of the gap
-    between the imposed static placement and the free optimum run-time
-    movement wins back. *)
-val recovery :
-  ?capacity:int ->
-  initial:int array ->
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
-  recovery
+(** [recovery ~initial problem] quantifies how much of the gap between
+    the imposed static placement and the free optimum run-time movement
+    wins back. The adaptive schedule follows the session's policy; the
+    free optimum is {!Bounds.lower_bound_in} on
+    [Problem.with_policy problem Unbounded], which shares the session's
+    caches.
+    @raise Invalid_argument as {!schedule}. *)
+val recovery : initial:int array -> Problem.t -> recovery

@@ -18,7 +18,7 @@ let make_rng seed =
 
 let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
   if iterations < 0 then
-    invalid_arg "Annealing.run: iterations must be non-negative";
+    invalid_arg "Annealing.anneal: iterations must be non-negative";
   let mesh = Problem.mesh problem in
   let trace = Problem.trace problem in
   let space = Problem.space problem in
@@ -29,7 +29,7 @@ let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
     match initial with
     | Some s ->
         if Schedule.n_data s <> n_data || Schedule.n_windows s <> n_windows
-        then invalid_arg "Annealing.run: initial schedule shape mismatch";
+        then invalid_arg "Annealing.anneal: initial schedule shape mismatch";
         Schedule.copy s
     | None ->
         Baseline.schedule (Baseline.row_wise mesh space) mesh trace
@@ -39,7 +39,7 @@ let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
   | Some c -> (
       match Schedule.check_capacity sched ~capacity:c with
       | Some _ ->
-          invalid_arg "Annealing.run: initial schedule violates capacity"
+          invalid_arg "Annealing.anneal: initial schedule violates capacity"
       | None -> ())
   | None -> ());
   (* every move probes two arena entries: fill the whole arena on the pool
@@ -141,6 +141,3 @@ let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
       initial_cost;
       final_cost = !current;
     } )
-
-let run ?capacity ?seed ?iterations ?initial mesh trace =
-  anneal ?seed ?iterations ?initial (Problem.of_capacity ?capacity mesh trace)

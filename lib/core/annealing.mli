@@ -26,8 +26,9 @@ type stats = {
     every move's reference-cost delta is then two {!Problem.cost_entry}
     reads — so annealing shares (and warms) the same caches as every
     other scheduler run on the context. [iterations] defaults to
-    [50_000], [seed] to [0xBEEF]. Results are byte-identical to the old
-    standalone [run] at equal seeds (pinned by [test/test_fastpath.ml]).
+    [50_000], [seed] to [0xBEEF]. Results are byte-identical to the
+    pre-port standalone annealer at equal seeds (kept as an oracle in
+    [test/test_fastpath.ml]).
     @raise Invalid_argument if [initial] has the wrong shape, violates
     the context's capacity, or [iterations < 0]. *)
 val anneal :
@@ -35,15 +36,4 @@ val anneal :
   ?iterations:int ->
   ?initial:Schedule.t ->
   Problem.t ->
-  Schedule.t * stats
-
-(** [run ?capacity ?seed ?iterations ?initial mesh trace] is {!anneal} on
-    a throwaway context — the historical entry point. *)
-val run :
-  ?capacity:int ->
-  ?seed:int ->
-  ?iterations:int ->
-  ?initial:Schedule.t ->
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
   Schedule.t * stats

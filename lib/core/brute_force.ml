@@ -62,6 +62,3 @@ let total_optimal_cost_in problem =
         * fst (optimal_cost_in problem ~data))
   in
   Array.fold_left ( + ) 0 costs
-
-let total_optimal_cost mesh trace =
-  total_optimal_cost_in (Problem.create mesh trace)

@@ -25,7 +25,3 @@ val optimal_static_cost : Pim.Mesh.t -> Reftrace.Trace.t -> data:int -> int * in
     concurrently on the context's domain pool (the sum is merged by datum
     index, so it is deterministic). *)
 val total_optimal_cost_in : Problem.t -> int
-
-(** @deprecated [total_optimal_cost mesh trace] is
-    {!total_optimal_cost_in} on a throwaway serial context. *)
-val total_optimal_cost : Pim.Mesh.t -> Reftrace.Trace.t -> int

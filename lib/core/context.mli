@@ -14,8 +14,8 @@
     service ({!Serve}) keep axis tables and trace preprocessing hot across
     thousands of requests while every request still gets private slabs. *)
 
-(** How much data each processor's local memory holds (the historical
-    [?capacity:int] optional, made total). *)
+(** How much data each processor's local memory holds: [Unbounded], or
+    [Bounded c] slots per processor. *)
 type capacity_policy = Unbounded | Bounded of int
 
 type t = private {

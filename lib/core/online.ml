@@ -1,5 +1,5 @@
 let schedule ?(theta = 2.) ?initial problem =
-  if theta <= 0. then invalid_arg "Online.run: theta must be positive";
+  if theta <= 0. then invalid_arg "Online.schedule: theta must be positive";
   let mesh = Problem.mesh problem in
   let space = Problem.space problem in
   let n_data = Problem.n_data problem in
@@ -8,18 +8,18 @@ let schedule ?(theta = 2.) ?initial problem =
     match initial with
     | Some p ->
         if Array.length p <> n_data then
-          invalid_arg "Online.run: initial placement has the wrong length";
+          invalid_arg "Online.schedule: initial placement has the wrong length";
         Array.iteri
           (fun d rank ->
             if rank < 0 || rank >= Pim.Mesh.size mesh then
               invalid_arg
-                (Printf.sprintf "Online.run: datum %d at invalid rank %d" d
+                (Printf.sprintf "Online.schedule: datum %d at invalid rank %d" d
                    rank))
           p;
         Array.copy p
     | None -> Baseline.row_wise mesh space
   in
-  Problem.check_feasible problem ~who:"Online.run";
+  Problem.check_feasible problem ~who:"Online.schedule";
   (match Problem.capacity problem with
   | Some c ->
       (* the imposed layout itself must fit *)
@@ -30,7 +30,7 @@ let schedule ?(theta = 2.) ?initial problem =
           if l > c then
             invalid_arg
               (Printf.sprintf
-                 "Online.run: initial placement packs %d > %d data at rank %d"
+                 "Online.schedule: initial placement packs %d > %d data at rank %d"
                  l c rank))
         load
   | None -> ());
@@ -88,6 +88,3 @@ let schedule ?(theta = 2.) ?initial problem =
       current
   done;
   schedule
-
-let run ?capacity ?theta ?initial mesh trace =
-  schedule ?theta ?initial (Problem.of_capacity ?capacity mesh trace)

@@ -34,13 +34,3 @@
     the context's capacity is infeasible. *)
 val schedule :
   ?theta:float -> ?initial:int array -> Problem.t -> Schedule.t
-
-(** [run ?capacity ?theta ?initial mesh trace] is {!schedule} on a
-    throwaway context — the historical entry point. *)
-val run :
-  ?capacity:int ->
-  ?theta:float ->
-  ?initial:int array ->
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
-  Schedule.t

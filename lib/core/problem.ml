@@ -150,12 +150,6 @@ let create ?(policy = Unbounded) ?(jobs = 1) ?(fault = Pim.Fault.none) mesh
   if jobs < 1 then invalid_arg "Problem.create: jobs must be >= 1";
   of_context ~fault (Context.create ~policy ~jobs mesh trace)
 
-let of_capacity ?capacity ?jobs mesh trace =
-  let policy =
-    match capacity with None -> Unbounded | Some c -> Bounded c
-  in
-  create ~policy ?jobs mesh trace
-
 let headroom_policy ~headroom ~processors trace =
   if headroom = 0 then Unbounded
   else

@@ -1,9 +1,9 @@
 (** The scheduling problem context shared by every algorithm.
 
-    A [Problem.t] bundles what used to be threaded through every signature
-    separately — the mesh, the trace and a [?capacity:int] optional — and
-    adds the shared state that makes running several schedulers on one
-    instance cheap:
+    A [Problem.t] is the only way a scheduler is given an instance: the
+    mesh, the trace and the capacity policy (the paper's rule is
+    {!headroom_policy} at headroom 2), plus the shared state that makes
+    running several schedulers on one instance cheap:
 
     - per-axis mesh distance tables ({!Pim.Mesh.x_distance_table}), so
       distance probes are two array reads; no O(size²) rank-to-rank matrix
@@ -67,16 +67,6 @@ val create :
   ?policy:capacity_policy ->
   ?jobs:int ->
   ?fault:Pim.Fault.t ->
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
-  t
-
-(** [of_capacity ?capacity ?jobs mesh trace] is the bridge from the
-    old optional-argument convention: [None] ↦ [Unbounded], [Some c] ↦
-    [Bounded c]. Deprecated shims go through this. *)
-val of_capacity :
-  ?capacity:int ->
-  ?jobs:int ->
   Pim.Mesh.t ->
   Reftrace.Trace.t ->
   t

@@ -35,11 +35,18 @@ let kind_cost mesh set ~kind window data =
       acc := !acc + (count * Pim.Mesh.distance mesh (nearest mesh set proc) proc));
   !acc
 
-let run ?capacity ?(max_copies = 2) mesh trace =
+let schedule ?(max_copies = 2) problem =
   if max_copies < 1 then
-    invalid_arg "Replicated.run: max_copies must be at least 1";
-  let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-  let n_windows = Reftrace.Trace.n_windows trace in
+    invalid_arg "Replicated.schedule: max_copies must be at least 1";
+  (* no fault semantics: nearest-copy pricing uses raw mesh distances and
+     the greedy has no alive mask *)
+  if not (Pim.Fault.is_none (Problem.fault problem)) then
+    invalid_arg
+      "Replicated.schedule: sessions with a fault model are not supported";
+  let mesh = Problem.mesh problem and trace = Problem.trace problem in
+  let capacity = Problem.capacity problem in
+  let n_data = Problem.n_data problem in
+  let n_windows = Problem.n_windows problem in
   let m = Pim.Mesh.size mesh in
   let windows = Array.of_list (Reftrace.Trace.windows trace) in
   (* per-axis distance tables: candidate pricing decomposes every
@@ -48,7 +55,7 @@ let run ?capacity ?(max_copies = 2) mesh trace =
   and yd = Pim.Mesh.y_distance_table mesh in
   let cols = Pim.Mesh.cols mesh in
   (* the primary copy follows the exact GOMCDS trajectory *)
-  let primary = Gomcds.schedule (Problem.of_capacity ?capacity mesh trace) in
+  let primary = Gomcds.schedule problem in
   let loads = Array.make_matrix n_windows m 0 in
   for w = 0 to n_windows - 1 do
     for d = 0 to n_data - 1 do

@@ -33,11 +33,14 @@ val n_data : t -> int
     primary first; always non-empty. *)
 val copies : t -> window:int -> data:int -> int list
 
-(** [run ?capacity ?max_copies mesh trace] builds the replicated schedule.
-    [max_copies] defaults to 2. @raise Invalid_argument if
-    [max_copies < 1] or capacity is infeasible for the primaries. *)
-val run :
-  ?capacity:int -> ?max_copies:int -> Pim.Mesh.t -> Reftrace.Trace.t -> t
+(** [schedule ?max_copies problem] builds the replicated schedule on a
+    shared {!Problem.t}: the primaries are {!Gomcds.schedule} on the
+    session and every live copy counts against {!Problem.capacity}.
+    [max_copies] defaults to 2.
+    @raise Invalid_argument if [max_copies < 1], the capacity is
+    infeasible for the primaries, or the session's fault is not
+    {!Pim.Fault.none} — replication has no fault semantics. *)
+val schedule : ?max_copies:int -> Problem.t -> t
 
 type cost_breakdown = {
   reads : int;  (** Σ count · distance-to-nearest-copy *)

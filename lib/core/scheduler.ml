@@ -96,12 +96,6 @@ let evaluate_in problem algorithm =
   let schedule = solve problem algorithm in
   (schedule, Schedule.cost schedule (Problem.trace problem))
 
-let run ?capacity ?jobs algorithm mesh trace =
-  solve (Problem.of_capacity ?capacity ?jobs mesh trace) algorithm
-
-let evaluate ?capacity ?jobs algorithm mesh trace =
-  evaluate_in (Problem.of_capacity ?capacity ?jobs mesh trace) algorithm
-
 let improvement ~baseline ~cost =
   if baseline = 0 then 0.
   else float_of_int (baseline - cost) /. float_of_int baseline *. 100.

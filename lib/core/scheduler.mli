@@ -1,11 +1,11 @@
 (** Unified front-end over every scheduling algorithm in the library.
 
-    The preferred entry point is {!solve}: build one {!Problem.t} for the
+    The entry point is {!solve}: build one {!Problem.t} for the
     instance (mesh + trace + capacity policy + domain-pool size) and
     dispatch any number of algorithms against it — they share the context's
     cost-vector cache and distance table, and their per-datum work fans out
-    across the pool. The [mesh]-and-[trace] signatures remain as thin
-    shims. *)
+    across the pool. A {!Problem.t} is the only way an instance and its
+    capacity reach a scheduler. *)
 
 type algorithm =
   | Row_wise  (** the paper's straight-forward baseline *)
@@ -56,26 +56,6 @@ val solve : Problem.t -> algorithm -> Schedule.t
 
 (** [evaluate_in problem algorithm] runs and prices the schedule. *)
 val evaluate_in : Problem.t -> algorithm -> Schedule.t * Schedule.cost_breakdown
-
-(** [run ?capacity ?jobs algorithm mesh trace] is {!solve} on a one-shot
-    context — kept for existing call sites; [jobs] defaults to serial. *)
-val run :
-  ?capacity:int ->
-  ?jobs:int ->
-  algorithm ->
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
-  Schedule.t
-
-(** [evaluate ?capacity ?jobs algorithm mesh trace] runs and prices the
-    schedule on a one-shot context. *)
-val evaluate :
-  ?capacity:int ->
-  ?jobs:int ->
-  algorithm ->
-  Pim.Mesh.t ->
-  Reftrace.Trace.t ->
-  Schedule.t * Schedule.cost_breakdown
 
 (** [improvement ~baseline ~cost] is the paper's "%" column:
     [(baseline - cost) / baseline * 100.]; [0.] when [baseline] is 0. *)

@@ -74,3 +74,7 @@ let allowed_of_mask ~width mask ~layer g = mask.((layer * width) + g)
 let admit_of_mask ~width mask layer =
   Bytes.init width (fun g ->
       if mask.((layer * width) + g) then '\001' else '\000')
+
+(* A session on [mesh] whose processors hold [capacity] data each. *)
+let bounded capacity mesh trace =
+  Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) mesh trace

@@ -36,8 +36,13 @@ let prop_bound_below_every_schedule =
       List.for_all
         (fun a ->
           bound
-          <= Sched.Schedule.total_cost (Sched.Scheduler.run ~capacity a mesh t) t
-          && bound <= Sched.Schedule.total_cost (Sched.Scheduler.run a mesh t) t)
+          <= Sched.Schedule.total_cost
+               (Sched.Scheduler.solve (Gen.bounded capacity mesh t) a)
+               t
+          && bound
+             <= Sched.Schedule.total_cost
+                  (Sched.Scheduler.solve (Sched.Problem.create mesh t) a)
+                  t)
         Sched.Scheduler.[ Row_wise; Scds; Lomcds; Gomcds; Best_refined ])
 
 let suite =

@@ -25,7 +25,8 @@ let test_movement_beats_static_when_profitable () =
 
 let test_total_optimal_cost_sums () =
   let t = Gen.trace mesh ~n_data:2 [ [ (0, 0, 2); (1, 3, 2) ] ] in
-  check_int "both served locally" 0 (Sched.Brute_force.total_optimal_cost mesh t)
+  check_int "both served locally" 0
+    (Sched.Brute_force.total_optimal_cost_in (Sched.Problem.create mesh t))
 
 let test_refuses_large_instances () =
   let big = Gen.mesh44 in

@@ -59,9 +59,20 @@ let test_show () =
   check_ok "show" "show -b 1 -n 8 -w 2 -d 0 -a gomcds"
     [ "total references in window 2"; "trajectory of datum 0" ]
 
+(* The whole output, byte for byte. *)
 let test_replicate () =
-  check_ok "replicate" "replicate -b 2 -n 8 -k 4"
-    [ "single-copy lower bound"; "max_copies=4" ]
+  let code, text = run_cli "replicate -b 2 -n 8 -k 4" in
+  Alcotest.(check int) "replicate: exit code" 0 code;
+  Alcotest.(check string)
+    "replicate: output"
+    "workload 2: trace over data space {A:8x8, C:8x8} (128 elements): 8 \
+     windows, 1536 references on 4x4 mesh, capacity 16\n\
+     single-copy lower bound: 1112\n\
+     max_copies=1  total=  1112 (reads   1056 + creation     0 + movement    \
+     56)\n\
+     max_copies=4  total=   466 (reads     48 + creation   362 + movement    \
+     56)\n"
+    text
 
 let test_sweep_stdout () =
   check_ok "sweep" "sweep --sizes 8" [ "workload,algorithm,total"; "b5-8x8" ]

@@ -62,7 +62,7 @@ let prop_everything_agrees mesh =
       let bound = Sched.Bounds.lower_bound_in (Sched.Problem.create mesh t) in
       List.for_all
         (fun algo ->
-          let s = Sched.Scheduler.run ~capacity algo mesh t in
+          let s = Sched.Scheduler.solve (Gen.bounded capacity mesh t) algo in
           let total = Sched.Schedule.total_cost s t in
           (* 1. simulated traffic = analytic cost *)
           let simulated =

@@ -30,7 +30,7 @@ let test_random_matrix_deterministic_and_dominant () =
 let run_with algo n =
   let matrix = Exec.Distributed_lu.random_matrix ~seed:42 n in
   let trace = Workloads.Lu.trace ~n mesh in
-  let schedule = Sched.Scheduler.run algo mesh trace in
+  let schedule = Sched.Scheduler.solve (Sched.Problem.create mesh trace) algo in
   Exec.Distributed_lu.run mesh ~matrix schedule
 
 let test_factors_match_reference_under_every_schedule () =
@@ -61,7 +61,9 @@ let test_better_schedules_move_less_data () =
 let test_shape_mismatch_rejected () =
   let matrix = Exec.Distributed_lu.random_matrix ~seed:1 8 in
   let wrong =
-    Sched.Scheduler.run Sched.Scheduler.Scds mesh (Workloads.Lu.trace ~n:6 mesh)
+    Sched.Scheduler.solve
+      (Sched.Problem.create mesh (Workloads.Lu.trace ~n:6 mesh))
+      Sched.Scheduler.Scds
   in
   Alcotest.check_raises "mismatch"
     (Invalid_argument

@@ -48,7 +48,7 @@ let test_capacity_infeasible_rejected () =
   Alcotest.check_raises "too small"
     (Invalid_argument
        "Gomcds.schedule: 33 data cannot fit in 16 processors of capacity 2")
-    (fun () -> ignore (Sched.Gomcds.schedule (Sched.Problem.of_capacity ~capacity:2 mesh t)))
+    (fun () -> ignore (Sched.Gomcds.schedule (Gen.bounded 2 mesh t)))
 
 let prop_matches_brute_force =
   let arb =
@@ -97,7 +97,7 @@ let prop_capacity_never_violated =
   QCheck.Test.make ~name:"GOMCDS respects capacity" ~count:100 arb (fun t ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
-      let s = Sched.Gomcds.schedule (Sched.Problem.of_capacity ~capacity mesh t) in
+      let s = Sched.Gomcds.schedule (Gen.bounded capacity mesh t) in
       Option.is_none (Sched.Schedule.check_capacity s ~capacity))
 
 let suite =

@@ -114,7 +114,7 @@ let prop_capacity_never_violated =
   QCheck.Test.make ~name:"grouping respects capacity" ~count:100 arb (fun t ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
-      let s = Sched.Grouping.schedule (Sched.Problem.of_capacity ~capacity mesh t) in
+      let s = Sched.Grouping.schedule (Gen.bounded capacity mesh t) in
       Option.is_none (Sched.Schedule.check_capacity s ~capacity))
 
 let suite =

@@ -12,7 +12,7 @@ let test_simulator_agrees_on_benchmark () =
   let t = Workloads.Benchmarks.trace Workloads.Benchmarks.B1 ~n:8 mesh in
   List.iter
     (fun algo ->
-      let s = Sched.Scheduler.run algo mesh t in
+      let s = Sched.Scheduler.solve (Sched.Problem.create mesh t) algo in
       check_int
         (Sched.Scheduler.name algo ^ ": simulated = analytic")
         (Sched.Schedule.total_cost s t)
@@ -21,7 +21,9 @@ let test_simulator_agrees_on_benchmark () =
 
 let test_simulator_splits_movement_and_reference () =
   let t = Workloads.Code_kernel.trace ~n:8 mesh in
-  let s = Sched.Scheduler.run Sched.Scheduler.Gomcds mesh t in
+  let s =
+    Sched.Scheduler.solve (Sched.Problem.create mesh t) Sched.Scheduler.Gomcds
+  in
   let b = Sched.Schedule.cost s t in
   let report = Pim.Simulator.run mesh (Sched.Schedule.to_rounds s t) in
   check_int "migration" b.Sched.Schedule.movement
@@ -35,7 +37,7 @@ let prop_simulator_agrees_on_random_traces =
     ~count:50 arb (fun t ->
       List.for_all
         (fun algo ->
-          let s = Sched.Scheduler.run algo mesh t in
+          let s = Sched.Scheduler.solve (Sched.Problem.create mesh t) algo in
           Sched.Schedule.total_cost s t = simulated_cost s t)
         Sched.Scheduler.all)
 
@@ -47,7 +49,7 @@ let test_paper_capacity_respected_end_to_end () =
       let capacity = Workloads.Benchmarks.capacity b ~n mesh in
       List.iter
         (fun algo ->
-          let s = Sched.Scheduler.run ~capacity algo mesh t in
+          let s = Sched.Scheduler.solve (Gen.bounded capacity mesh t) algo in
           match Sched.Schedule.check_capacity s ~capacity with
           | None -> ()
           | Some (w, rank, load) ->
@@ -64,7 +66,9 @@ let test_hierarchy_on_paper_benchmarks_unbounded () =
     (fun b ->
       let t = Workloads.Benchmarks.trace b ~n:8 mesh in
       let total algo =
-        Sched.Schedule.total_cost (Sched.Scheduler.run algo mesh t) t
+        Sched.Schedule.total_cost
+          (Sched.Scheduler.solve (Sched.Problem.create mesh t) algo)
+          t
       in
       let label = Workloads.Benchmarks.label b in
       let sf = total Sched.Scheduler.Row_wise in
@@ -114,7 +118,7 @@ let test_single_window_trace_degenerates_gracefully () =
   let t = Gen.trace mesh ~n_data:3 [ [ (0, 5, 2); (1, 3, 1); (2, 3, 1) ] ] in
   List.iter
     (fun algo ->
-      let s = Sched.Scheduler.run algo mesh t in
+      let s = Sched.Scheduler.solve (Sched.Problem.create mesh t) algo in
       check_int (Sched.Scheduler.name algo ^ " no moves") 0
         (Sched.Schedule.moves s))
     Sched.Scheduler.all
@@ -126,7 +130,8 @@ let test_scale_smoke_8x8_mesh () =
   let capacity =
     Pim.Memory.capacity_for ~data_count:(32 * 32) ~mesh:big ~headroom:2
   in
-  let s = Sched.Scheduler.run ~capacity Sched.Scheduler.Gomcds big t in
+  let problem = Gen.bounded capacity big t in
+  let s = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
   let total = Sched.Schedule.total_cost s t in
   Alcotest.(check bool) "nontrivial cost" true (total > 0);
   Alcotest.(check (option (triple int int int)))
@@ -134,7 +139,7 @@ let test_scale_smoke_8x8_mesh () =
     (Sched.Schedule.check_capacity s ~capacity);
   let baseline =
     Sched.Schedule.total_cost
-      (Sched.Scheduler.run ~capacity Sched.Scheduler.Row_wise big t)
+      (Sched.Scheduler.solve problem Sched.Scheduler.Row_wise)
       t
   in
   Alcotest.(check bool) "halves the baseline" true (2 * total < baseline)

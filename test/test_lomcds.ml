@@ -75,7 +75,7 @@ let prop_capacity_never_violated =
   QCheck.Test.make ~name:"LOMCDS respects capacity" ~count:100 arb (fun t ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
-      let s = Sched.Lomcds.schedule (Sched.Problem.of_capacity ~capacity mesh t) in
+      let s = Sched.Lomcds.schedule (Gen.bounded capacity mesh t) in
       Option.is_none (Sched.Schedule.check_capacity s ~capacity))
 
 let prop_no_gratuitous_movement =

@@ -103,7 +103,7 @@ let prop_optimal_run_capacity_respected =
     (fun t ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
-      let s = Sched.Grouping.optimal_schedule (Sched.Problem.of_capacity ~capacity mesh t) in
+      let s = Sched.Grouping.optimal_schedule (Gen.bounded capacity mesh t) in
       Option.is_none (Sched.Schedule.check_capacity s ~capacity))
 
 let suite =

@@ -15,17 +15,17 @@ let test_noop_on_unconstrained_gomcds () =
 let test_input_not_mutated () =
   let t = Workloads.Lu.trace ~n:8 mesh in
   let capacity = capacity_for t in
-  let seed = Sched.Grouping.schedule (Sched.Problem.of_capacity ~capacity mesh t) in
+  let seed = Sched.Grouping.schedule (Gen.bounded capacity mesh t) in
   let before = Sched.Schedule.total_cost seed t in
-  let _refined, _ = Sched.Refine.refine (Sched.Problem.of_capacity ~capacity mesh t) seed in
+  let _refined, _ = Sched.Refine.refine (Gen.bounded capacity mesh t) seed in
   Alcotest.(check int) "seed untouched" before
     (Sched.Schedule.total_cost seed t)
 
 let test_improves_grouped_lu () =
   let t = Workloads.Lu.trace ~n:16 mesh in
   let capacity = capacity_for t in
-  let seed = Sched.Grouping.schedule (Sched.Problem.of_capacity ~capacity mesh t) in
-  let refined, stats = Sched.Refine.refine (Sched.Problem.of_capacity ~capacity mesh t) seed in
+  let seed = Sched.Grouping.schedule (Gen.bounded capacity mesh t) in
+  let refined, stats = Sched.Refine.refine (Gen.bounded capacity mesh t) seed in
   Alcotest.(check bool) "strictly better" true
     (Sched.Schedule.total_cost refined t < Sched.Schedule.total_cost seed t);
   Alcotest.(check bool) "stats recorded" true (stats.Sched.Refine.saved > 0);
@@ -36,8 +36,8 @@ let test_improves_grouped_lu () =
 let test_saved_matches_cost_delta () =
   let t = Workloads.Lu.trace ~n:8 mesh in
   let capacity = capacity_for t in
-  let seed = Sched.Grouping.schedule (Sched.Problem.of_capacity ~capacity mesh t) in
-  let refined, stats = Sched.Refine.refine (Sched.Problem.of_capacity ~capacity mesh t) seed in
+  let seed = Sched.Grouping.schedule (Gen.bounded capacity mesh t) in
+  let refined, stats = Sched.Refine.refine (Gen.bounded capacity mesh t) seed in
   Alcotest.(check int)
     "saved = before - after" stats.Sched.Refine.saved
     (Sched.Schedule.total_cost seed t - Sched.Schedule.total_cost refined t)
@@ -49,13 +49,15 @@ let test_rejects_infeasible_input () =
     (Invalid_argument
        "Refine.refine: input schedule already violates capacity (window 0, \
         rank 0, load 3 > 1)") (fun () ->
-      ignore (Sched.Refine.refine (Sched.Problem.of_capacity ~capacity:1 mesh t) bad))
+      ignore (Sched.Refine.refine (Gen.bounded 1 mesh t) bad))
 
 let test_fixed_point_is_idempotent () =
   let t = Workloads.Lu.trace ~n:8 mesh in
   let capacity = capacity_for t in
-  let refined = Sched.Refine.best_schedule (Sched.Problem.of_capacity ~capacity mesh t) in
-  let again, stats = Sched.Refine.refine (Sched.Problem.of_capacity ~capacity mesh t) refined in
+  let refined = Sched.Refine.best_schedule (Gen.bounded capacity mesh t) in
+  let again, stats =
+    Sched.Refine.refine (Gen.bounded capacity mesh t) refined
+  in
   Alcotest.(check int) "no further gain" 0 stats.Sched.Refine.improved;
   Alcotest.(check bool) "stable" true (Sched.Schedule.equal refined again)
 
@@ -66,8 +68,9 @@ let prop_never_worse_and_feasible =
       let capacity = capacity_for t in
       List.for_all
         (fun seed_algo ->
-          let seed = Sched.Scheduler.run ~capacity seed_algo mesh t in
-          let refined, _ = Sched.Refine.refine (Sched.Problem.of_capacity ~capacity mesh t) seed in
+          let problem = Gen.bounded capacity mesh t in
+          let seed = Sched.Scheduler.solve problem seed_algo in
+          let refined, _ = Sched.Refine.refine problem seed in
           Sched.Schedule.total_cost refined t
           <= Sched.Schedule.total_cost seed t
           && Option.is_none (Sched.Schedule.check_capacity refined ~capacity))
@@ -80,12 +83,16 @@ let prop_best_refined_dominates_components =
     ~count:50 arb (fun t ->
       let capacity = capacity_for t in
       let best =
-        Sched.Schedule.total_cost (Sched.Refine.best_schedule (Sched.Problem.of_capacity ~capacity mesh t)) t
+        Sched.Schedule.total_cost
+          (Sched.Refine.best_schedule (Gen.bounded capacity mesh t))
+          t
       in
       List.for_all
         (fun a ->
           best
-          <= Sched.Schedule.total_cost (Sched.Scheduler.run ~capacity a mesh t) t)
+          <= Sched.Schedule.total_cost
+               (Sched.Scheduler.solve (Gen.bounded capacity mesh t) a)
+               t)
         Sched.Scheduler.[ Scds; Lomcds; Gomcds; Lomcds_grouped; Gomcds_grouped ])
 
 let prop_refined_respects_lower_bound =
@@ -93,7 +100,7 @@ let prop_refined_respects_lower_bound =
   QCheck.Test.make ~name:"refined cost >= per-datum lower bound" ~count:50 arb
     (fun t ->
       let capacity = capacity_for t in
-      let best = Sched.Refine.best_schedule (Sched.Problem.of_capacity ~capacity mesh t) in
+      let best = Sched.Refine.best_schedule (Gen.bounded capacity mesh t) in
       Sched.Schedule.total_cost best t >= Sched.Bounds.lower_bound_in (Sched.Problem.create mesh t))
 
 let suite =

@@ -1,15 +1,16 @@
 let mesh = Gen.mesh44
+let problem t = Sched.Problem.create mesh t
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let total ?capacity ?max_copies trace =
-  let r = Sched.Replicated.run ?capacity ?max_copies mesh trace in
+let total ?max_copies trace =
+  let r = Sched.Replicated.schedule ?max_copies (problem trace) in
   (Sched.Replicated.cost r mesh trace).Sched.Replicated.total
 
 let test_single_copy_equals_gomcds () =
   let t = Workloads.Code_kernel.trace ~n:8 mesh in
   check_int "max_copies=1 is GOMCDS"
-    (Sched.Schedule.total_cost (Sched.Gomcds.schedule (Sched.Problem.create mesh t)) t)
+    (Sched.Schedule.total_cost (Sched.Gomcds.schedule (problem t)) t)
     (total ~max_copies:1 t)
 
 let test_broadcast_window_replicates () =
@@ -18,15 +19,15 @@ let test_broadcast_window_replicates () =
     Gen.trace mesh ~n_data:1
       [ [ (0, 0, 6); (0, 3, 6); (0, 12, 6); (0, 15, 6) ] ]
   in
-  let r = Sched.Replicated.run ~max_copies:4 mesh t in
+  let r = Sched.Replicated.schedule ~max_copies:4 (problem t) in
   check_bool "replicated" true (Sched.Replicated.max_live_copies r ~data:0 > 1);
   check_bool "beats single-copy optimum" true
-    (total ~max_copies:4 t < Sched.Bounds.lower_bound_in (Sched.Problem.create mesh t))
+    (total ~max_copies:4 t < Sched.Bounds.lower_bound_in (problem t))
 
 let test_no_benefit_no_copies () =
   (* all reads at one processor: a second copy can never pay *)
   let t = Gen.trace mesh ~n_data:1 [ [ (0, 5, 9) ]; [ (0, 5, 9) ] ] in
-  let r = Sched.Replicated.run ~max_copies:4 mesh t in
+  let r = Sched.Replicated.schedule ~max_copies:4 (problem t) in
   check_int "one copy" 1 (Sched.Replicated.max_live_copies r ~data:0)
 
 let test_carried_copy_is_free () =
@@ -34,7 +35,7 @@ let test_carried_copy_is_free () =
      into window 1 with no second creation charge *)
   let spec = [ (0, 0, 6); (0, 15, 6) ] in
   let t = Gen.trace mesh ~n_data:1 [ spec; spec ] in
-  let r = Sched.Replicated.run ~max_copies:2 mesh t in
+  let r = Sched.Replicated.schedule ~max_copies:2 (problem t) in
   let b = Sched.Replicated.cost r mesh t in
   check_int "copies in both windows" 2
     (List.length (Sched.Replicated.copies r ~window:1 ~data:0));
@@ -44,14 +45,27 @@ let test_carried_copy_is_free () =
 let test_rejects_zero_copies () =
   let t = Gen.trace mesh ~n_data:1 [ [ (0, 0, 1) ] ] in
   Alcotest.check_raises "zero"
-    (Invalid_argument "Replicated.run: max_copies must be at least 1")
-    (fun () -> ignore (Sched.Replicated.run ~max_copies:0 mesh t))
+    (Invalid_argument "Replicated.schedule: max_copies must be at least 1")
+    (fun () -> ignore (Sched.Replicated.schedule ~max_copies:0 (problem t)))
+
+let test_rejects_faulted_session () =
+  (* no fault semantics: a session with any fault model is refused *)
+  let t = Gen.trace mesh ~n_data:1 [ [ (0, 0, 1) ] ] in
+  let faulted =
+    Sched.Problem.create
+      ~fault:(Pim.Fault.create ~dead_links:[ (0, 1) ] ())
+      mesh t
+  in
+  Alcotest.check_raises "faulted"
+    (Invalid_argument
+       "Replicated.schedule: sessions with a fault model are not supported")
+    (fun () -> ignore (Sched.Replicated.schedule faulted))
 
 let prop_never_worse_than_gomcds =
   let arb = Gen.trace_arbitrary ~max_data:5 ~max_windows:4 ~max_count:5 () in
   QCheck.Test.make ~name:"replication never costs more than GOMCDS"
     ~count:100 arb (fun t ->
-      let gomcds = Sched.Schedule.total_cost (Sched.Gomcds.schedule (Sched.Problem.create mesh t)) t in
+      let gomcds = Sched.Schedule.total_cost (Sched.Gomcds.schedule (problem t)) t in
       total ~max_copies:3 t <= gomcds)
 
 let prop_simulated_equals_analytic =
@@ -59,7 +73,7 @@ let prop_simulated_equals_analytic =
   QCheck.Test.make
     ~name:"replicated schedule: simulated traffic = analytic cost" ~count:60
     arb (fun t ->
-      let r = Sched.Replicated.run ~max_copies:3 mesh t in
+      let r = Sched.Replicated.schedule ~max_copies:3 (problem t) in
       let analytic = (Sched.Replicated.cost r mesh t).Sched.Replicated.total in
       let report =
         Pim.Simulator.run mesh (Sched.Replicated.to_rounds r mesh t)
@@ -72,7 +86,9 @@ let prop_capacity_respected_with_copies =
     (fun t ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
-      let r = Sched.Replicated.run ~capacity ~max_copies:4 mesh t in
+      let r =
+        Sched.Replicated.schedule ~max_copies:4 (Gen.bounded capacity mesh t)
+      in
       Option.is_none (Sched.Replicated.check_capacity r ~capacity))
 
 let prop_more_copies_never_fewer_wins =
@@ -89,7 +105,7 @@ let test_matmul_pivot_row_benefits () =
   (* window k of C = A*A broadcasts row/column k of A: replication should
      strictly beat single-copy scheduling *)
   let t = Workloads.Matmul.trace ~n:8 mesh in
-  let single = Sched.Schedule.total_cost (Sched.Gomcds.schedule (Sched.Problem.create mesh t)) t in
+  let single = Sched.Schedule.total_cost (Sched.Gomcds.schedule (problem t)) t in
   let replicated = total ~max_copies:4 t in
   check_bool "strict win" true (replicated < single)
 
@@ -103,7 +119,7 @@ let test_written_datum_stays_single_copy () =
     [ 0; 3; 12; 15 ];
   Reftrace.Window.add ~kind:Reftrace.Window.Write w ~data:0 ~proc:0 ~count:1;
   let t = Reftrace.Trace.create space [ w ] in
-  let r = Sched.Replicated.run ~max_copies:4 mesh t in
+  let r = Sched.Replicated.schedule ~max_copies:4 (problem t) in
   Alcotest.(check int)
     "pinned" 1
     (Sched.Replicated.max_live_copies r ~data:0)
@@ -114,7 +130,7 @@ let test_write_traffic_charged_to_primary () =
   Reftrace.Window.add ~kind:Reftrace.Window.Write w ~data:0 ~proc:15 ~count:2;
   Reftrace.Window.add w ~data:0 ~proc:15 ~count:1;
   let t = Reftrace.Trace.create space [ w ] in
-  let r = Sched.Replicated.run mesh t in
+  let r = Sched.Replicated.schedule (problem t) in
   (* all activity at rank 15: primary sits there, everything local *)
   Alcotest.(check int)
     "free" 0
@@ -136,7 +152,7 @@ let test_coherent_simulation_matches () =
   Reftrace.Window.add ~kind:Reftrace.Window.Write w1 ~data:0 ~proc:5 ~count:1;
   Reftrace.Window.add w1 ~data:1 ~proc:9 ~count:3;
   let t = Reftrace.Trace.create space [ w0; w1 ] in
-  let r = Sched.Replicated.run ~max_copies:3 mesh t in
+  let r = Sched.Replicated.schedule ~max_copies:3 (problem t) in
   let analytic = (Sched.Replicated.cost r mesh t).Sched.Replicated.total in
   let report = Pim.Simulator.run mesh (Sched.Replicated.to_rounds r mesh t) in
   Alcotest.(check int) "identity" analytic report.Pim.Simulator.total_cost
@@ -145,8 +161,8 @@ let test_lu_replication_limited_by_writes () =
   (* LU writes most touched elements every window; replication should gain
      far less than on the read-only matmul inputs *)
   let lu = Workloads.Lu.trace ~n:8 mesh in
-  let single = Sched.Schedule.total_cost (Sched.Gomcds.schedule (Sched.Problem.create mesh lu)) lu in
-  let r = Sched.Replicated.run ~max_copies:8 mesh lu in
+  let single = Sched.Schedule.total_cost (Sched.Gomcds.schedule (problem lu)) lu in
+  let r = Sched.Replicated.schedule ~max_copies:8 (problem lu) in
   let replicated = (Sched.Replicated.cost r mesh lu).Sched.Replicated.total in
   Alcotest.(check bool) "still helps a bit" true (replicated <= single);
   Alcotest.(check bool)
@@ -178,12 +194,15 @@ module Pricing_oracle = struct
       0 profile
 
   (* copy sets and total creation charge of the pre-rewrite greedy *)
-  let run ?capacity ?(max_copies = 2) mesh trace =
+  let run ?(max_copies = 2) problem =
+    let mesh = Sched.Problem.mesh problem in
+    let trace = Sched.Problem.trace problem in
+    let capacity = Sched.Problem.capacity problem in
     let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
     let n_windows = Reftrace.Trace.n_windows trace in
     let m = Pim.Mesh.size mesh in
     let windows = Array.of_list (Reftrace.Trace.windows trace) in
-    let primary = Sched.Gomcds.schedule (Sched.Problem.of_capacity ?capacity mesh trace) in
+    let primary = Sched.Gomcds.schedule problem in
     let loads = Array.make_matrix n_windows m 0 in
     for w = 0 to n_windows - 1 do
       for d = 0 to n_data - 1 do
@@ -250,10 +269,13 @@ let prop_pricing_matches_old_oracle =
       let n_windows = Reftrace.Trace.n_windows t in
       let tight = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
       List.for_all
-        (fun (capacity, max_copies) ->
-          let r = Sched.Replicated.run ?capacity ~max_copies mesh t in
+        (fun (policy, max_copies) ->
+          let r =
+            Sched.Replicated.schedule ~max_copies
+              (Sched.Problem.create ~policy mesh t)
+          in
           let oracle_copies, oracle_creation =
-            Pricing_oracle.run ?capacity ~max_copies mesh t
+            Pricing_oracle.run ~max_copies (Sched.Problem.create ~policy mesh t)
           in
           (Sched.Replicated.cost r mesh t).Sched.Replicated.creation
           = oracle_creation
@@ -265,7 +287,10 @@ let prop_pricing_matches_old_oracle =
                      = oracle_copies.(w).(data))
                    (List.init n Fun.id))
                (List.init n_windows Fun.id))
-        [ (None, 1); (None, 3); (None, 4); (Some tight, 4) ])
+        Sched.Problem.
+          [
+            (Unbounded, 1); (Unbounded, 3); (Unbounded, 4); (Bounded tight, 4);
+          ])
 
 let suite =
   [
@@ -279,6 +304,7 @@ let suite =
     Gen.case "no benefit, no copies" test_no_benefit_no_copies;
     Gen.case "carried copy is free" test_carried_copy_is_free;
     Gen.case "rejects zero copies" test_rejects_zero_copies;
+    Gen.case "rejects faulted session" test_rejects_faulted_session;
     Gen.to_alcotest prop_never_worse_than_gomcds;
     Gen.to_alcotest prop_simulated_equals_analytic;
     Gen.to_alcotest prop_capacity_respected_with_copies;

@@ -15,7 +15,7 @@ let test_picks_merged_optimum () =
 let test_capacity_spills_to_next_best () =
   (* two data both want rank 5; capacity 1 forces the lighter one away *)
   let t = Gen.trace mesh ~n_data:2 [ [ (0, 5, 3); (1, 5, 2) ] ] in
-  let s = Sched.Scds.schedule (Sched.Problem.of_capacity ~capacity:1 mesh t) in
+  let s = Sched.Scds.schedule (Gen.bounded 1 mesh t) in
   check_int "heavy datum keeps the center" 5
     (Sched.Schedule.center s ~window:0 ~data:0);
   let spilled = Sched.Schedule.center s ~window:0 ~data:1 in
@@ -30,7 +30,7 @@ let test_infeasible_capacity_rejected () =
   Alcotest.check_raises "too small"
     (Invalid_argument
        "Scds.schedule: 20 data cannot fit in 16 processors of capacity 1")
-    (fun () -> ignore (Sched.Scds.schedule (Sched.Problem.of_capacity ~capacity:1 mesh t)))
+    (fun () -> ignore (Sched.Scds.schedule (Gen.bounded 1 mesh t)))
 
 let test_example_matches_paper_structure () =
   (* On the worked example, SCDS picks the overall hot spot (1,0). *)
@@ -66,7 +66,7 @@ let prop_capacity_never_violated =
   QCheck.Test.make ~name:"SCDS respects capacity" ~count:100 arb (fun t ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
-      let s = Sched.Scds.schedule (Sched.Problem.of_capacity ~capacity mesh t) in
+      let s = Sched.Scds.schedule (Gen.bounded capacity mesh t) in
       Option.is_none (Sched.Schedule.check_capacity s ~capacity))
 
 let suite =

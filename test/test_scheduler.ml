@@ -58,7 +58,9 @@ let test_dispatch_all () =
   let t = Gen.trace mesh ~n_data:4 [ [ (0, 5, 2); (1, 3, 1) ]; [ (2, 9, 1) ] ] in
   List.iter
     (fun a ->
-      let s, breakdown = Sched.Scheduler.evaluate a mesh t in
+      let s, breakdown =
+        Sched.Scheduler.evaluate_in (Sched.Problem.create mesh t) a
+      in
       Alcotest.(check int)
         (Sched.Scheduler.name a ^ " consistent")
         breakdown.Sched.Schedule.total
@@ -73,7 +75,9 @@ let prop_scheduler_hierarchy_unbounded =
       (* NB: lomcds <= scds is NOT a theorem — chasing local optima can pay
          more in movement than it saves — so it is not asserted here. *)
       let total a =
-        Sched.Schedule.total_cost (Sched.Scheduler.run a mesh t) t
+        Sched.Schedule.total_cost
+          (Sched.Scheduler.solve (Sched.Problem.create mesh t) a)
+          t
       in
       let scds = total Sched.Scheduler.Scds in
       let lomcds = total Sched.Scheduler.Lomcds in
@@ -89,7 +93,9 @@ let prop_static_baselines_never_move =
     (fun t ->
       List.for_all
         (fun a ->
-          Sched.Schedule.moves (Sched.Scheduler.run a mesh t) = 0)
+          Sched.Schedule.moves
+            (Sched.Scheduler.solve (Sched.Problem.create mesh t) a)
+          = 0)
         Sched.Scheduler.
           [ Row_wise; Column_wise; Block_2d; Cyclic; Random 1; Scds ])
 

@@ -167,7 +167,7 @@ let prop_makespan_at_most_serialized =
 let test_schedules_cut_makespan () =
   let t = Workloads.Code_kernel.trace ~n:16 mesh in
   let cycles algo =
-    let s = Sched.Scheduler.run algo mesh t in
+    let s = Sched.Scheduler.solve (Sched.Problem.create mesh t) algo in
     (Pim.Timed_simulator.run mesh (Sched.Schedule.to_rounds s t))
       .Pim.Timed_simulator.total_cycles
   in

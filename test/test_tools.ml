@@ -133,7 +133,7 @@ let test_energy_arithmetic () =
 let test_energy_prefers_good_schedules () =
   let t = Workloads.Code_kernel.trace ~n:16 mesh in
   let energy algo =
-    let s = Sched.Scheduler.run algo mesh t in
+    let s = Sched.Scheduler.solve (Sched.Problem.create mesh t) algo in
     Pim.Energy.of_report mesh
       (Pim.Timed_simulator.run mesh (Sched.Schedule.to_rounds s t))
   in

@@ -78,7 +78,9 @@ let prop_schedulers_work_on_torus =
   QCheck.Test.make ~name:"scheduler hierarchy holds on the torus" ~count:50
     arb (fun t ->
       let total a =
-        Sched.Schedule.total_cost (Sched.Scheduler.run a torus t) t
+        Sched.Schedule.total_cost
+          (Sched.Scheduler.solve (Sched.Problem.create torus t) a)
+          t
       in
       let g = total Sched.Scheduler.Gomcds in
       g <= total Sched.Scheduler.Lomcds && g <= total Sched.Scheduler.Scds)
@@ -89,7 +91,10 @@ let prop_torus_simulation_matches_analytic =
   in
   QCheck.Test.make ~name:"torus simulated cost = analytic cost" ~count:50 arb
     (fun t ->
-      let s = Sched.Scheduler.run Sched.Scheduler.Gomcds torus t in
+      let s =
+        Sched.Scheduler.solve (Sched.Problem.create torus t)
+          Sched.Scheduler.Gomcds
+      in
       let report =
         Pim.Simulator.run torus (Sched.Schedule.to_rounds s t)
       in

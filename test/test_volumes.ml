@@ -35,7 +35,11 @@ let test_cost_scales_linearly () =
   let heavy = weighted_trace ~volume:5 specs in
   List.iter
     (fun algo ->
-      let cost t = Sched.Schedule.total_cost (Sched.Scheduler.run algo mesh t) t in
+      let cost t =
+        Sched.Schedule.total_cost
+          (Sched.Scheduler.solve (Sched.Problem.create mesh t) algo)
+          t
+      in
       check_int
         (Sched.Scheduler.name algo ^ " scales by 5")
         (5 * cost unit) (cost heavy))
@@ -68,7 +72,7 @@ let test_simulator_identity_with_volumes () =
   let t = weighted_trace ~volume:7 [ [ (0, 5, 2); (2, 1, 1) ]; [ (0, 12, 3) ] ] in
   List.iter
     (fun algo ->
-      let s = Sched.Scheduler.run algo mesh t in
+      let s = Sched.Scheduler.solve (Sched.Problem.create mesh t) algo in
       let report = Pim.Simulator.run mesh (Sched.Schedule.to_rounds s t) in
       check_int
         (Sched.Scheduler.name algo ^ " measured = analytic")
@@ -117,7 +121,7 @@ let test_heavy_data_win_contended_slots () =
   Reftrace.Window.add w ~data:1 ~proc:5 ~count:5;
   (* light: 5 refs x vol 1 *)
   let t = Reftrace.Trace.create space [ w ] in
-  let s = Sched.Scds.schedule (Sched.Problem.of_capacity ~capacity:1 mesh t) in
+  let s = Sched.Scds.schedule (Gen.bounded 1 mesh t) in
   check_int "heavy datum keeps the hot slot" 5
     (Sched.Schedule.center s ~window:0 ~data:0)
 

@@ -68,7 +68,8 @@ let test_fft_fft_phases_local_under_block_partition () =
   check_bool "cost dominated by transpose+movement" true
     (breakdown.Sched.Schedule.total
     < Sched.Schedule.total_cost
-        (Sched.Scheduler.run Sched.Scheduler.Row_wise mesh t)
+        (Sched.Scheduler.solve (Sched.Problem.create mesh t)
+           Sched.Scheduler.Row_wise)
         t)
 
 (* -- Viz ------------------------------------------------------------------ *)

@@ -91,7 +91,9 @@ let test_reduction_replication_useless () =
   (* every histogram access is a write: write-invalidate pins each bin *)
   let t = Workloads.Reduction.trace ~n:16 ~bins:4 mesh in
   let single = Sched.Schedule.total_cost (Sched.Gomcds.schedule (Sched.Problem.create mesh t)) t in
-  let r = Sched.Replicated.run ~max_copies:8 mesh t in
+  let r =
+    Sched.Replicated.schedule ~max_copies:8 (Sched.Problem.create mesh t)
+  in
   check_int "no replication win" single
     (Sched.Replicated.cost r mesh t).Sched.Replicated.total
 
