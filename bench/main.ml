@@ -607,7 +607,7 @@ let engine_scaling () =
 (* Kernel dimension: separable vs naive cost-vector construction       *)
 (* ------------------------------------------------------------------ *)
 
-(* The cost-arena fast paths on the LU 16x16 workload mapped onto a 16x16
+(* The cost-row fast paths on the LU 16x16 workload mapped onto a 16x16
    array -- the size where the naive O(P x refs) walk actually hurts (the
    separable kernel is O(refs + rows + cols + P) per vector, so its edge
    grows with the reference density and with P). Run once on the plain
@@ -620,12 +620,13 @@ let engine_scaling () =
      sums). Separable must not be slower.
    - [Problem.prefetch_all] work, pinned exactly (obs counters): one
      [cost.batch_fills] per window (15), [problem.arena_bytes] =
-     (1495 referenced rows + 256 shared zero rows) x 256 processors x 8
-     bytes = 3586048 on both topologies, and no [cost.fault_tables] on a
+     1495 referenced axis-sum rows x (16 + 16) words x 8 bytes = 382720
+     on both topologies (the session's zero row is charged when the
+     session opens, outside the count), and no [cost.fault_tables] on a
      healthy session. A faster fill may change how it fills, never how
-     much; its wall gate is [incremental_bench]'s batch >= per-row.
+     much.
    - Fault.none: a session carrying the explicit healthy fault must
-     produce byte-identical arena rows (its wall row is informational).
+     produce byte-identical rows (its wall row is informational).
 
    Runs in quick mode too: the process exits nonzero on any failure, on
    both topologies. *)
@@ -682,7 +683,7 @@ let kernel_bench_on ~topology kmesh =
             <> Sched.Problem.cost_vector fault_none ~window:w ~data
           then begin
             Printf.eprintf
-              "FAIL: Fault.none arena row differs from healthy (window %d, \
+              "FAIL: Fault.none row differs from healthy (window %d, \
                datum %d, %s)\n"
               w data topology;
             exit 1
@@ -697,7 +698,7 @@ let kernel_bench_on ~topology kmesh =
   let pins =
     [
       ("cost.batch_fills", 15);
-      ("problem.arena_bytes", 3586048);
+      ("problem.arena_bytes", 382720);
       ("cost.fault_tables", 0);
     ]
   in
@@ -976,23 +977,19 @@ let multi_bench () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-solve (warm sessions, dirty rows, batched fills)     *)
+(* Incremental re-solve (warm sessions, dirty rows)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Three facts about the incremental core on LU 16x16, the first two CI
-   gates on both topologies (the process exits nonzero on regression):
+(* Two facts about the incremental core on LU 16x16, the first a CI gate
+   on both topologies (the process exits nonzero on regression):
 
    - warm re-solve: patching a running session to a node fault
      ([Problem.with_fault_patch] + [prefetch_all]) must prepare in
      <= 0.5x the wall of a cold [of_context] + [prefetch_all] under the
-     same fault — a pure node fault reprices no slab row, so the patch
-     carries every filled byte over. The patched session's gomcds plan
+     same fault — a pure node fault reprices no row, so the patch
+     carries every built row over. The patched session's gomcds plan
      is checked byte-identical to the cold session's first (a faster
      wrong answer proves nothing).
-   - batched fills: assembling each window's slab rows through
-     [Cost.fill_window_batch] (axis-cost and prefix-sum scratch shared
-     across the window) must not lose to the per-row
-     [Cost.fill_slab_of_marginals] loop it replaced.
    - window edit (info rows): [Problem.invalidate] after an in-place
      [Window.add] edit, then re-prefetch. Not wall-gated — the refill
      set depends on the edit — but the edited session's plan is checked
@@ -1073,65 +1070,6 @@ let incremental_bench_on ~topology kmesh =
   Printf.printf "%-34s %10.3f ms\n%-34s %10.3f ms\n"
     "edit: cold rebuild + prefetch" (edit_cold *. 1e3)
     "edit: invalidate + re-prefetch" (edit_warm *. 1e3);
-  (* batch vs per-row fill over the same marginals and slab *)
-  let windows = Reftrace.Trace.windows trace in
-  let cols = Pim.Mesh.cols kmesh
-  and rows = Pim.Mesh.rows kmesh
-  and wrap = Pim.Mesh.wraps kmesh
-  and size = Pim.Mesh.size kmesh in
-  let batches =
-    List.map
-      (fun w ->
-        List.map
-          (fun data -> Reftrace.Window.marginals w ~data ~cols ~rows)
-          (Reftrace.Window.referenced_data w))
-      windows
-  in
-  let n_rows = List.fold_left (fun a b -> a + List.length b) 0 batches in
-  let slab =
-    Bigarray.Array1.create Bigarray.Int Bigarray.C_layout (n_rows * size)
-  in
-  let per_row () =
-    let off = ref 0 in
-    List.iter
-      (List.iter (fun m ->
-           Sched.Cost.fill_slab_of_marginals ~wrap ~cols ~rows m ~dst:slab
-             ~off:!off;
-           off := !off + size))
-      batches
-  in
-  let batched () =
-    let off = ref 0 in
-    List.iter
-      (fun ms ->
-        let items =
-          List.map
-            (fun m ->
-              let o = !off in
-              off := o + size;
-              (m, (slab, o)))
-            ms
-        in
-        Sched.Cost.fill_window_batch ~wrap ~cols ~rows items)
-      batches
-  in
-  let (row_t, batch_t), fill_attempts =
-    best_of ~merge:min2
-      ~pass:(fun (r, b) -> b <= r)
-      (pair (fun () -> time per_row) (fun () -> time batched))
-  in
-  Printf.printf
-    "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.2fx  (%d rows, best of %d \
-     attempt(s))\n"
-    "fill, per-row" (row_t *. 1e3) "fill, window batch" (batch_t *. 1e3)
-    "batch speedup" (row_t /. batch_t) n_rows fill_attempts;
-  if batch_t > row_t then begin
-    Printf.eprintf
-      "FAIL: window-batched fill slower than per-row fill on LU 16x16 %s \
-       (%.3f ms vs %.3f ms)\n"
-      topology (batch_t *. 1e3) (row_t *. 1e3);
-    exit 1
-  end;
   Obs.Json.Obj
     [
       ("workload", Obs.Json.String "lu-16x16");
@@ -1142,10 +1080,6 @@ let incremental_bench_on ~topology kmesh =
       ("warm_speedup", Obs.Json.Float (cold_t /. warm_t));
       ("edit_cold_ms", Obs.Json.Float (edit_cold *. 1e3));
       ("edit_warm_ms", Obs.Json.Float (edit_warm *. 1e3));
-      ("fill_rows", Obs.Json.Int n_rows);
-      ("fill_per_row_ms", Obs.Json.Float (row_t *. 1e3));
-      ("fill_batch_ms", Obs.Json.Float (batch_t *. 1e3));
-      ("fill_batch_speedup", Obs.Json.Float (row_t /. batch_t));
     ]
 
 let incremental_bench () = on_topologies incremental_bench_on
@@ -1419,7 +1353,7 @@ let json_snapshot sections =
   Obs.Json.write_file path
     (Obs.Json.Obj
        ([
-          ("schema", Obs.Json.String "pim-sched-bench/3");
+          ("schema", Obs.Json.String "pim-sched-bench/4");
           ("rev", Obs.Json.String rev);
           ("quick", Obs.Json.Bool quick);
           ("mesh", Obs.Json.String "4x4");

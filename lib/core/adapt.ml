@@ -11,31 +11,27 @@ let validate_initial mesh ~n_data initial =
     initial
 
 (* The GOMCDS DP with the entry cost augmented by the migration from the
-   imposed location into the window-0 center: the datum's layer rows are
-   copied back to back and the start distance is added to row 0. *)
+   imposed location into the window-0 center: row 0 gains the start
+   distance, which splits per axis like the row itself. *)
 let solve_from ?admit problem ~data ~start =
-  let size = Pim.Mesh.size (Problem.mesh problem) in
-  let n_layers = Problem.n_windows problem in
-  let slab, offs = Problem.layer_slab problem ~data in
-  let rows =
-    Bigarray.Array1.create Bigarray.Int Bigarray.C_layout (n_layers * size)
-  in
-  for l = 0 to n_layers - 1 do
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub slab offs.(l) size)
-      (Bigarray.Array1.sub rows (l * size) size)
-  done;
-  for j = 0 to size - 1 do
-    rows.{j} <- rows.{j} + Problem.distance problem start j
-  done;
-  let block =
-    {
-      Pathgraph.Layered.relaxation = Problem.relaxation problem;
-      vectors = rows;
-      offsets = Array.init n_layers (fun l -> l * size);
-    }
-  in
-  Pathgraph.Layered.solve ?admit ~n_layers [| block |]
+  let rows = Problem.layer_rows problem ~data in
+  let relaxation = Problem.relaxation problem in
+  rows.(0) <-
+    (match (relaxation, rows.(0)) with
+    | Pathgraph.Layered.Axes { xdist; ydist }, Problem.Axis_sum (cx, cy) ->
+        let cols = Array.length cx in
+        let sx = xdist.(start mod cols) and sy = ydist.(start / cols) in
+        Problem.Axis_sum
+          (Array.mapi (fun x c -> c + sx.(x)) cx,
+           Array.mapi (fun y c -> c + sy.(y)) cy)
+    | _, r ->
+        let size = Pim.Mesh.size (Problem.mesh problem) in
+        Problem.Full
+          (Array.init size (fun j ->
+               Pathgraph.Layered.entry r j
+               + Problem.distance problem start j)));
+  Pathgraph.Layered.solve ?admit ~n_layers:(Array.length rows)
+    [| { Pathgraph.Layered.relaxation; rows } |]
 
 let schedule ~initial problem =
   (* no fault semantics: the admit rows carry no alive mask and the

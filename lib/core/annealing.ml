@@ -42,19 +42,16 @@ let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
           invalid_arg "Annealing.anneal: initial schedule violates capacity"
       | None -> ())
   | None -> ());
-  (* every move probes two arena entries: fill the whole arena on the pool
+  (* every move probes two row entries: build every row on the pool
      once, then the search loop only reads *)
   Problem.prefetch_all problem;
-  (* window-major slab views over the freshly filled arena: the delta
-     evaluator's two reads per probe become direct bigarray loads with no
-     per-probe fill check or arena dispatch *)
-  let views =
-    Array.init n_windows (fun w -> Problem.window_rows problem ~window:w)
+  (* the freshly built rows, read directly: the delta evaluator's two
+     reads per probe pay no cache lookup *)
+  let rows =
+    Array.init n_windows (fun w ->
+        Array.init n_data (fun d -> Problem.row problem ~window:w ~data:d))
   in
-  let entry w d rank =
-    let slabs, offs = views.(w) in
-    slabs.(d).{offs.(d) + rank}
-  in
+  let entry w d rank = Pathgraph.Layered.entry rows.(w).(d) rank in
   let volume = Array.init n_data (Reftrace.Data_space.volume_of space) in
   let loads = Array.make_matrix n_windows m 0 in
   for w = 0 to n_windows - 1 do
@@ -66,7 +63,7 @@ let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
   let rng = make_rng seed in
   let dist = Problem.distance problem in
   (* weighted delta of relocating datum d in window w from r to r' —
-     reference-cost diffs are two arena reads ([Problem.cost_entry]
+     reference-cost diffs are two row reads ([Problem.cost_entry]
      equals [Cost.reference_cost] entry-for-entry) *)
   let delta w d r r' =
     let refs = entry w d r' - entry w d r in
@@ -81,7 +78,7 @@ let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
     volume.(d) * (refs + moves)
   in
   (* Fault-aware pricing: on a degraded context the healthy
-     Schedule.total_cost no longer matches the arena entries the deltas
+     Schedule.total_cost no longer matches the row entries the deltas
      read, so total from the context instead (identical when healthy, but
      the healthy path keeps the exact historical call). *)
   let total_now () =

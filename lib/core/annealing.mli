@@ -22,10 +22,10 @@ type stats = {
 
 (** [anneal ?seed ?iterations ?initial problem] anneals from [initial]
     (default: the row-wise static schedule) on a shared {!Problem.t}: the
-    whole cost arena is prefetched on the context's domain pool once, and
-    every move's reference-cost delta is then two {!Problem.cost_entry}
-    reads — so annealing shares (and warms) the same caches as every
-    other scheduler run on the context. [iterations] defaults to
+    session's rows are built on the context's domain pool once, and
+    every move's reference-cost delta is then two row-entry reads — so
+    annealing shares (and warms) the same caches as every other
+    scheduler run on the context. [iterations] defaults to
     [50_000], [seed] to [0xBEEF]. Results are byte-identical to the
     pre-port standalone annealer at equal seeds (kept as an oracle in
     [test/test_fastpath.ml]).

@@ -18,7 +18,9 @@ let static_lower_bound_in problem =
       ~jobs:(Problem.jobs problem)
       (Problem.n_data problem)
       (fun data ->
-        let v = Problem.merged_vector problem ~data in
+        let v =
+          Problem.cost_vector problem ~window:(Problem.n_windows problem) ~data
+        in
         Reftrace.Data_space.volume_of space data
         * Array.fold_left min max_int v)
   in

@@ -31,7 +31,6 @@ let optimal_cost mesh trace ~data =
     ~m:(Pim.Mesh.size mesh) ~n:(Array.length windows)
 
 let optimal_cost_in problem ~data =
-  Problem.prefetch_data problem ~data;
   let n = Problem.n_windows problem in
   let vectors =
     Array.init n (fun w -> Problem.cost_vector problem ~window:w ~data)

@@ -21,10 +21,10 @@ let create ?(policy = Unbounded) ?(jobs = 1) mesh trace =
   let size = Pim.Mesh.size mesh in
   let windows = Array.of_list (Reftrace.Trace.windows trace) in
   let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-  (* Full-fill arena footprint: per datum, one row per referencing window
-     plus the shared zero row — exactly what [Problem.ensure_arena]
-     allocates (8-byte entries). Computed here, once, so a service can
-     admission-control a request before any slab exists. *)
+  (* Dense worst case of a session's rows: per datum, one [Full] row per
+     referencing window plus its merged-window row (8-byte entries).
+     Computed here, once, so a service can admission-control a request
+     before any row exists. *)
   let slots = ref 0 in
   for data = 0 to n_data - 1 do
     incr slots;

@@ -6,13 +6,13 @@
     window forced eagerly, and the default capacity policy and
     domain-pool size.
 
-    {!Problem.t} layers the {e request-scoped} half on top: cost arenas,
+    {!Problem.t} layers the {e request-scoped} half on top: cost rows,
     marginal/center/candidate caches and the fault overlay. Any number of
     concurrent sessions ({!Problem.of_context}) may share one context from
     different domains — nothing here is written after {!create}, so there
     is nothing to race on. This split is what lets a long-lived scheduler
     service ({!Serve}) keep axis tables and trace preprocessing hot across
-    thousands of requests while every request still gets private slabs. *)
+    thousands of requests while every request still gets private caches. *)
 
 (** How much data each processor's local memory holds: [Unbounded], or
     [Bounded c] slots per processor. *)
@@ -29,10 +29,12 @@ type t = private {
   xdist : int array array;  (** per-axis distance tables; read-only *)
   ydist : int array array;
   max_arena_bytes : int;
-      (** bytes a session's cost arena occupies when {e every} row is
-          forced: one [size]-entry row of boxed-free 8-byte ints per
-          (datum, referencing window) pair plus the shared zero row per
-          datum. The admission-control currency of {!Serve}. *)
+      (** the dense worst case of a session's cost rows: one
+          [size]-entry row of 8-byte ints per (datum, referencing window)
+          pair plus one per datum for the merged window — every row
+          [Full], as under link faults. Healthy and node-faulted sessions
+          hold [cols + rows]-word axis sums instead, far below it. The
+          admission-control currency of {!Serve}. *)
 }
 (** Exposed for allocation-free field reads; never mutate, and build only
     through {!create}. *)

@@ -20,10 +20,10 @@ let axis_dist ~wrap ~extent a b =
 
 (* Linear axis: cost(0) = Σ j·m(j); stepping the center right by one adds
    one hop for every unit of weight at or left of the old center and
-   removes one for every unit strictly right of it. Writes every entry of
-   [dst] (length = extent), so callers may hand it stale scratch. *)
-let axis_cost_line_into m ~dst =
+   removes one for every unit strictly right of it. *)
+let axis_cost_line m =
   let e = Array.length m in
+  let dst = Array.make e 0 in
   let total = ref 0 and c0 = ref 0 in
   for j = 0 to e - 1 do
     total := !total + m.(j);
@@ -34,7 +34,8 @@ let axis_cost_line_into m ~dst =
   for c = 0 to e - 2 do
     left := !left + m.(c);
     dst.(c + 1) <- dst.(c) + (2 * !left) - !total
-  done
+  done;
+  dst
 
 (* Circular axis: every point sits either on the forward arc (offsets
    1 .. ⌊E/2⌋ from the center) or the backward arc (offsets
@@ -42,15 +43,13 @@ let axis_cost_line_into m ~dst =
    the forward side, matching min(o, E-o). Prefix sums over the doubled
    ring make both arc sums O(1) per center:
      forward(c)  = Σ_{i=c+1..c+hf} (i-c)·m(i mod E)
-     backward(c) = Σ_{i=c+E-hb..c+E-1} (c+E-i)·m(i mod E)
-   [p] and [q] are prefix-sum scratch of length ≥ 2·extent + 1 whose
-   index 0 must be 0 — the loop rewrites entries 1 .. 2·extent and never
-   touches index 0, so zero-initialized scratch stays reusable. *)
-let axis_cost_circle_into m ~p ~q ~dst =
+     backward(c) = Σ_{i=c+E-hb..c+E-1} (c+E-i)·m(i mod E) *)
+let axis_cost_circle m =
   let e = Array.length m in
-  if e = 1 then dst.(0) <- 0
-  else begin
+  let dst = Array.make e 0 in
+  if e > 1 then begin
     let hf = e / 2 and hb = (e - 1) / 2 in
+    let p = Array.make ((2 * e) + 1) 0 and q = Array.make ((2 * e) + 1) 0 in
     for i = 0 to (2 * e) - 1 do
       let w = m.(if i < e then i else i - e) in
       p.(i + 1) <- p.(i) + w;
@@ -66,92 +65,15 @@ let axis_cost_circle_into m ~p ~q ~dst =
       in
       dst.(c) <- fwd + bwd
     done
-  end
-
-let axis_cost_circle m =
-  let e = Array.length m in
-  let dst = Array.make e 0 in
-  let p = Array.make ((2 * e) + 1) 0 and q = Array.make ((2 * e) + 1) 0 in
-  axis_cost_circle_into m ~p ~q ~dst;
-  dst
-
-let axis_cost_line m =
-  let dst = Array.make (Array.length m) 0 in
-  axis_cost_line_into m ~dst;
+  end;
   dst
 
 let axis_cost ~wrap m = if wrap then axis_cost_circle m else axis_cost_line m
 
-(* Shared assembly loop: writes the cols*rows cost entries into [dst]
-   starting at [off]. [vector_of_marginals] allocates a fresh array;
-   [fill_of_marginals] targets a caller-owned arena row, so a prefetch
-   batch reuses one flat buffer instead of one heap array per vector. *)
-let fill_of_marginals ~wrap ~cols ~rows (mx, my) ~dst ~off =
-  let cx = axis_cost ~wrap mx and cy = axis_cost ~wrap my in
-  for y = 0 to rows - 1 do
-    let base = cy.(y) and r = off + (y * cols) in
-    for x = 0 to cols - 1 do
-      dst.(r + x) <- base + cx.(x)
-    done
-  done
-
-(* Same assembly into a bigarray arena slab ({!Pathgraph.Layered.buffer});
-   every entry of the row is written, so the slab never needs the
-   zero-initialization an [int array] allocation would pay. *)
-let fill_slab_of_marginals ~wrap ~cols ~rows (mx, my)
-    ~(dst : Pathgraph.Layered.buffer) ~off =
-  let cx = axis_cost ~wrap mx and cy = axis_cost ~wrap my in
-  for y = 0 to rows - 1 do
-    let base = cy.(y) and r = off + (y * cols) in
-    for x = 0 to cols - 1 do
-      dst.{r + x} <- base + cx.(x)
-    done
-  done
-
-(* One marginals pass per window: every (marginals, slab row) pair of the
-   batch is assembled through the same axis-cost and prefix-sum scratch,
-   so a window's worth of rows costs one set of allocations instead of
-   four short-lived arrays per row. Counts one separable build per row
-   — the per-row accounting is what the pinned counter tests and the
-   marginals cache both key on — plus one [cost.batch_fills] per
-   non-empty batch. *)
-let fill_window_batch ~wrap ~cols ~rows items =
-  match items with
-  | [] -> ()
-  | _ :: _ ->
-      if !Obs.enabled then Obs.Metrics.incr "cost.batch_fills";
-      let cx = Array.make cols 0 and cy = Array.make rows 0 in
-      let px, qx, py, qy =
-        if wrap then
-          ( Array.make ((2 * cols) + 1) 0,
-            Array.make ((2 * cols) + 1) 0,
-            Array.make ((2 * rows) + 1) 0,
-            Array.make ((2 * rows) + 1) 0 )
-        else ([||], [||], [||], [||])
-      in
-      List.iter
-        (fun ((mx, my), ((dst : Pathgraph.Layered.buffer), off)) ->
-          count_build ();
-          if wrap then begin
-            axis_cost_circle_into mx ~p:px ~q:qx ~dst:cx;
-            axis_cost_circle_into my ~p:py ~q:qy ~dst:cy
-          end
-          else begin
-            axis_cost_line_into mx ~dst:cx;
-            axis_cost_line_into my ~dst:cy
-          end;
-          for y = 0 to rows - 1 do
-            let base = cy.(y) and r = off + (y * cols) in
-            for x = 0 to cols - 1 do
-              dst.{r + x} <- base + cx.(x)
-            done
-          done)
-        items
-
-let vector_of_marginals ~wrap ~cols ~rows m =
-  let v = Array.make (cols * rows) 0 in
-  fill_of_marginals ~wrap ~cols ~rows m ~dst:v ~off:0;
-  v
+(* [v.(y·cols + x) = cx.(x) + cy.(y)]: the marginals fix both extents. *)
+let vector_of_marginals ~wrap ~cols:_ ~rows:_ (mx, my) =
+  Pathgraph.Layered.(
+    to_array (Axis_sum (axis_cost ~wrap mx, axis_cost ~wrap my)))
 
 let marginals_of mesh window ~data =
   Reftrace.Window.marginals window ~data ~cols:(Pim.Mesh.cols mesh)
@@ -181,21 +103,16 @@ let cost_vector mesh window ~data =
     ~rows:(Pim.Mesh.rows mesh)
     (marginals_of mesh window ~data)
 
-let argmin_axis a =
-  let best = ref 0 in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) < a.(!best) then best := i
-  done;
-  !best
-
-(* The minimizers of cx(x) + cy(y) are exactly (argmin cx) × (argmin cy);
-   taking the lowest index on each axis picks the lowest row-major rank,
-   the same tie order as the direct cost walk's ascending scan (and as the full-vector
-   ascending argmin every scheduler fallback uses). *)
-let argmin_of_marginals ~wrap ~cols ~rows:_ (mx, my) =
-  let cx = axis_cost ~wrap mx and cy = axis_cost ~wrap my in
-  let bx = argmin_axis cx and by = argmin_axis cy in
-  ((by * cols) + bx, cx.(bx) + cy.(by))
+(* {!Pathgraph.Layered.argmin} of the axis sum takes the lowest index on
+   each axis, hence the lowest row-major rank — the same tie order as the
+   direct cost walk's ascending scan (and as the full-vector ascending
+   argmin every scheduler fallback uses). *)
+let argmin_of_marginals ~wrap ~cols:_ ~rows:_ (mx, my) =
+  let row =
+    Pathgraph.Layered.Axis_sum (axis_cost ~wrap mx, axis_cost ~wrap my)
+  in
+  let c = Pathgraph.Layered.argmin row in
+  (c, Pathgraph.Layered.entry row c)
 
 let local_optimal_center mesh window ~data =
   let wrap = Pim.Mesh.wraps mesh

@@ -56,46 +56,6 @@ val axis_cost : wrap:bool -> int array -> int array
 val vector_of_marginals :
   wrap:bool -> cols:int -> rows:int -> int array * int array -> int array
 
-(** [fill_of_marginals ~wrap ~cols ~rows m ~dst ~off] is
-    {!vector_of_marginals} written into [dst.(off) ..
-    dst.(off + cols·rows - 1)] instead of a fresh array — the arena-backed
-    fill {!Sched.Problem} batches one flat buffer per datum with. *)
-val fill_of_marginals :
-  wrap:bool ->
-  cols:int ->
-  rows:int ->
-  int array * int array ->
-  dst:int array ->
-  off:int ->
-  unit
-
-(** [fill_slab_of_marginals] is {!fill_of_marginals} targeting a bigarray
-    arena slab ({!Pathgraph.Layered.buffer}). Every entry of the
-    [cols·rows] row is written, which is what lets {!Sched.Problem}
-    allocate slabs uninitialized. *)
-val fill_slab_of_marginals :
-  wrap:bool ->
-  cols:int ->
-  rows:int ->
-  int array * int array ->
-  dst:Pathgraph.Layered.buffer ->
-  off:int ->
-  unit
-
-(** [fill_window_batch ~wrap ~cols ~rows items] assembles one slab row per
-    [(marginals, (slab, offset))] pair, sharing the axis-cost and
-    prefix-sum scratch across the whole batch — the per-window fill
-    {!Sched.Problem.prefetch_all} batches all of a window's referenced
-    data through. Counts one separable build per row (same accounting as
-    {!fill_slab_of_marginals}) and one [cost.batch_fills] metric per
-    non-empty batch. *)
-val fill_window_batch :
-  wrap:bool ->
-  cols:int ->
-  rows:int ->
-  ((int array * int array) * (Pathgraph.Layered.buffer * int)) list ->
-  unit
-
 (** [argmin_of_marginals ~wrap ~cols ~rows m] is the vector-free fast path
     of Definition 4: the minimum-cost center and its cost, computed
     directly from the axis marginals in O(cols + rows) without assembling

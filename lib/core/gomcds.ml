@@ -9,8 +9,8 @@ let schedule problem =
   | Problem.Unbounded ->
       (* Every datum's DP is independent: fan the whole solve out across
          the domain pool and merge by datum index. The axis-table DP reads
-         each datum's arena slab in place — no full distance matrix, no
-         per-window vector rows. Problem.solve_datum folds the fault in
+         each datum's cached rows in place — no full distance matrix, no
+         per-window vectors. Problem.solve_datum folds the fault in
          (alive mask, BFS distances). *)
       let centers =
         Engine.map ~jobs:(Problem.jobs problem) n_data (fun data ->

@@ -1,13 +1,6 @@
 type center_policy = [ `Local | `Global ]
 type group = { first : int; last : int; center : int }
 
-let argmin v =
-  let best = ref 0 in
-  for i = 1 to Array.length v - 1 do
-    if v.(i) < v.(!best) then best := i
-  done;
-  !best
-
 (* The greedy is generic in how a group's running cost state is represented:
    per-axis marginal pairs on a healthy context (summing two
    O(cols + rows) histograms prices a candidate merge without
@@ -22,7 +15,7 @@ type 'vec ops = {
 }
 
 (* Vector ops whose [best] skips dead ranks (ties still break to the
-   lowest alive rank) — the degraded-context currency: arena vectors are
+   lowest alive rank) — the degraded-context currency: session rows are
    already fault-priced, only center choice needs the mask. *)
 let masked_vector_ops alive =
   {
@@ -37,19 +30,15 @@ let masked_vector_ops alive =
         (!best, v.(!best)));
   }
 
-(* The minimizers of cx(x) + cy(y) form a product set, so the lowest
-   row-major rank among them is (lowest argmin cy, lowest argmin cx) —
-   the same tie order as an ascending scan of the full vector. *)
-let marginal_ops ~wrap ~cols =
+(* {!Cost.argmin_of_marginals} takes the lowest row-major rank among
+   the minimizers — the same tie order as an ascending scan of the full
+   vector. *)
+let marginal_ops ~wrap ~cols ~rows =
   let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i)) in
   {
     copy = (fun (mx, my) -> (Array.copy mx, Array.copy my));
     join = (fun (ax, ay) (bx, by) -> (sum ax bx, sum ay by));
-    best =
-      (fun (mx, my) ->
-        let cx = Cost.axis_cost ~wrap mx and cy = Cost.axis_cost ~wrap my in
-        let x = argmin cx and y = argmin cy in
-        ((y * cols) + x, cx.(x) + cy.(y)));
+    best = Cost.argmin_of_marginals ~wrap ~cols ~rows;
   }
 
 (* Greedy partition of the referenced-window subsequence, following
@@ -121,35 +110,23 @@ let greedy_ranges ~ops ~dist ~items ~n =
   List.rev !finalized
 
 (* Re-optimize group centers with the shortest-path DP (GOMCDS over merged
-   windows). [rows] holds one cost row per group, back to back; dead ranks
-   are masked after relaxation. *)
+   windows), one row per group; dead ranks are masked after relaxation. *)
 let refine_centers problem rows =
-  let size = Pim.Mesh.size (Problem.mesh problem) in
-  let n_layers = Bigarray.Array1.dim rows / size in
   let admit = Problem.alive_admit problem in
   let block =
-    {
-      Pathgraph.Layered.relaxation = Problem.relaxation problem;
-      vectors = rows;
-      offsets = Array.init n_layers (fun l -> l * size);
-    }
+    { Pathgraph.Layered.relaxation = Problem.relaxation problem; rows }
   in
-  snd (Option.get (Pathgraph.Layered.solve ?admit ~n_layers [| block |]))
+  snd
+    (Option.get
+       (Pathgraph.Layered.solve ?admit ~n_layers:(Array.length rows)
+          [| block |]))
 
-(* The [`Global] pass over greedy ranges: [fill state dst off] writes a
-   group's cost row from its summed state. *)
-let refine_ranges problem ~fill ranges =
-  let size = Pim.Mesh.size (Problem.mesh problem) in
-  let rows =
-    Bigarray.Array1.create Bigarray.Int Bigarray.C_layout
-      (List.length ranges * size)
-  in
-  List.iteri (fun i (_, _, v, _) -> fill v rows (i * size)) ranges;
+(* The [`Global] pass over greedy ranges: [row_of state] is a group's
+   cost row from its summed state. *)
+let refine_ranges problem ~row_of ranges =
+  let rows = Array.of_list (List.map (fun (_, _, v, _) -> row_of v) ranges) in
   let centers = refine_centers problem rows in
   List.mapi (fun i (lo, hi, v, _) -> (lo, hi, v, centers.(i))) ranges
-
-let fill_vector v (dst : Pathgraph.Layered.buffer) off =
-  Array.iteri (fun k c -> dst.{off + k} <- c) v
 
 (* Referenced-window subsequence of one datum: window indices plus their
    (cached, fault-priced) cost vectors. *)
@@ -188,7 +165,7 @@ let to_groups indices ranges =
 let groups problem ~data ~centers =
   let dist = Problem.distance problem in
   if not (Pim.Fault.is_none (Problem.fault problem)) then begin
-    (* Degraded context: run the vector path — the arena vectors carry
+    (* Degraded context: run the vector path — the session rows carry
        the fault-aware prices (marginal pricing would ignore dead links),
        and the masked ops keep centers off dead ranks. *)
     let alive = Problem.rank_alive problem in
@@ -201,7 +178,8 @@ let groups problem ~data ~centers =
         let ranges =
           match centers with
           | `Local -> ranges
-          | `Global -> refine_ranges problem ~fill:fill_vector ranges
+          | `Global ->
+              refine_ranges problem ranges ~row_of:(fun v -> Problem.Full v)
         in
         to_groups indices ranges
   end
@@ -215,14 +193,16 @@ let groups problem ~data ~centers =
     | 0 -> []
     | n ->
         let ranges =
-          greedy_ranges ~ops:(marginal_ops ~wrap ~cols) ~dist ~items:margs ~n
+          greedy_ranges ~ops:(marginal_ops ~wrap ~cols ~rows) ~dist
+            ~items:margs ~n
         in
         let ranges =
           match centers with
           | `Local -> ranges
           | `Global ->
-              refine_ranges problem ranges ~fill:(fun m dst off ->
-                  Cost.fill_slab_of_marginals ~wrap ~cols ~rows m ~dst ~off)
+              refine_ranges problem ranges ~row_of:(fun (mx, my) ->
+                  Problem.Axis_sum
+                    (Cost.axis_cost ~wrap mx, Cost.axis_cost ~wrap my))
         in
         to_groups indices ranges
   end
@@ -343,10 +323,10 @@ let desired_trajectory ~n_windows groups =
 let run_with_partitions problem ~partition_of =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
-  (* The degraded context's vector pricing reads whole arena rows per
-     datum; fill them window-major on the pool up front so the per-datum
-     partition tasks below only read. The healthy path prices from
-     marginals alone and never fills a row. *)
+  (* The degraded context's vector pricing reads whole rows per datum;
+     build them on the pool up front so the per-datum partition tasks
+     below only read. The healthy path prices from marginals alone and
+     never builds a row. *)
   if not (Pim.Fault.is_none (Problem.fault problem)) then
     Problem.prefetch_all problem;
   (* parallel phase: each datum's partition (and the cost vectors it pulls
@@ -361,6 +341,9 @@ let run_with_partitions problem ~partition_of =
       !r
     in
     Engine.map ~jobs:(Problem.jobs problem) n_data (fun data ->
+        (* the deadline poll: a warm session's partition may hit every
+           cache it reads *)
+        Cancel.check (Problem.cancel_token problem);
         match desired_trajectory ~n_windows (partition_of ~data) with
         | Some traj -> traj
         | None -> Array.make n_windows home)

@@ -34,12 +34,12 @@ val groups :
   Problem.t -> data:int -> centers:center_policy -> group list
 
 (** [refine_centers problem rows] is the [`Global] center pass: [rows]
-    holds one cost row per group, back to back (group [i]'s row at
-    [i · size]), and the result is one center per group along the
-    cheapest trajectory under the mesh metric, with the layered DP's tie
-    rule; dead ranks never host a center. One {!Pathgraph.Layered.solve}
-    block relaxed by {!Problem.relaxation}. *)
-val refine_centers : Problem.t -> Pathgraph.Layered.buffer -> int array
+    holds one cost row per group, in order, and the result is one center
+    per group along the cheapest trajectory under the mesh metric, with
+    the layered DP's tie rule; dead ranks never host a center. One
+    {!Pathgraph.Layered.solve} block relaxed by {!Problem.relaxation}, so
+    an [Axis_sum] row needs a session without link faults. *)
+val refine_centers : Problem.t -> Problem.row array -> int array
 
 (** [schedule ?centers problem] builds the full schedule; per-datum
     partitions fan out across the context's domain pool, gaps keep data in

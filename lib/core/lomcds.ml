@@ -32,7 +32,7 @@ let schedule_unbounded problem schedule first =
   let current =
     Array.init n_data (fun data ->
         if first.(data) >= n_windows then
-          Problem.merged_optimal_center problem ~data
+          Problem.optimal_center problem ~window:n_windows ~data
         else Problem.optimal_center problem ~window:first.(data) ~data)
   in
   for w = 0 to n_windows - 1 do
@@ -75,7 +75,7 @@ let schedule_bounded problem schedule first =
     (fun data ->
       let candidates =
         if first.(data) >= n_windows then
-          Problem.merged_candidates problem ~data
+          Problem.candidates problem ~window:n_windows ~data
         else Problem.candidates problem ~window:first.(data) ~data
       in
       initial.(data) <- Processor_list.assign init_memory candidates)

@@ -41,10 +41,12 @@ let schedule ?(theta = 2.) ?initial problem =
     let window = Problem.window problem w in
     if w > 0 then begin
       (* window-major view: the stay/go probes for every datum of this
-         window read one batched row set instead of paying a cost_entry
-         dispatch (arena lookup + fill check) per probe *)
-      let slabs, offs = Problem.window_rows problem ~window:w in
-      let entry data rank = slabs.(data).{offs.(data) + rank} in
+         window read the window's rows directly instead of paying a
+         cost_entry cache lookup per probe *)
+      let rows =
+        Array.init n_data (fun data -> Problem.row problem ~window:w ~data)
+      in
+      let entry data rank = Pathgraph.Layered.entry rows.(data) rank in
       (* one fresh memory per window, pre-filled with the carried data *)
       let memory = Problem.fresh_memory problem in
       Array.iter

@@ -22,9 +22,9 @@
     competitive ratio across [theta]. *)
 
 (** [schedule ?theta ?initial problem] computes the online schedule on a
-    shared {!Problem.t}: stay/go probes are {!Problem.cost_entry} arena
-    reads, candidate lists come from the context's caches, and under an
-    unbounded policy the go-target is the vector-free
+    shared {!Problem.t}: stay/go probes read the session's cached rows
+    ({!Problem.row}), candidate lists come from the context's caches,
+    and under an unbounded policy the go-target is the vector-free
     {!Problem.optimal_center} (the list head it replaces — byte-identical
     schedules, pinned by [test/test_fastpath.ml]). [theta] defaults to
     [2.]; [initial] to the row-wise placement. Window 0 always serves from

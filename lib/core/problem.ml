@@ -8,11 +8,15 @@ type capacity_policy = Context.capacity_policy = Unbounded | Bounded of int
    "Packed cells": up to 2^19 ranks per layer). *)
 let unreachable_cost = 1 lsl 40
 
+type row = Pathgraph.Layered.row =
+  | Full of int array
+  | Axis_sum of int array * int array
+
 (* A [Problem.t] is one request-scoped session over an immutable shared
    [Context.t]: the context carries the mesh, trace, windows and per-axis
    tables (never written after creation, so any number of sessions may
    share it from any domain); the session carries the fault overlay and
-   every mutable cache — the cost arenas, marginals, centers, candidate
+   every mutable cache — cost rows, marginals, centers, candidate
    lists. [policy] and [jobs] are per-session so [with_policy]/[with_jobs]
    can override the context defaults while still sharing cache rows. *)
 type t = {
@@ -26,59 +30,56 @@ type t = {
      (node faults keep routers, so distances only change under link
      faults). Built eagerly per session via the BFS oracle; disconnected
      pairs hold [unreachable_cost]. Its presence switches the session off
-     the separable path: arena rows fill from this table instead of the
-     marginals, and the layered DP relaxes over it ([relaxation]). *)
+     the separable path: rows are built [Full] from this table instead of
+     [Axis_sum] from the marginals, and the layered DP relaxes over it
+     ([relaxation]). *)
   fault_dist : int array array option;
-  (* Caches below are rows-per-datum so parallel fills have one writer per
-     row (see the .mli thread-safety contract). *)
-  margs : (int array * int array) option array array; (* margs.(data).(window) *)
-  merged_margs : (int array * int array) option array;
-  (* Cost arena: one flat compact buffer per datum. Slot 0 (the first
-     [size] entries) is a reserved all-zero row; every window that
-     references the datum gets its own slot, assigned in window order, and
-     every window that does not points at slot 0 — such a row is the
-     all-zero vector under every fault, so it is never written and is
-     shared rather than materialized per window. The slab is a bigarray
-     so it can be allocated uninitialized: only the zero row is filled at
-     creation, and each referencing slot is written in full on its first
-     [fill_row] (reads are gated by [filled]). [row_off.(data).(window)]
-     maps a window to its row's start offset (0 for the shared zero row);
-     it is [| |] until the slab exists. [filled.(data)] flags which rows
-     hold valid entries. *)
-  arena : Pathgraph.Layered.buffer option array; (* arena.(data) *)
-  row_off : int array array; (* row_off.(data).(window), 0 = zero row *)
-  (* Per-row fill state, one byte per window:
-       '\000'  clean, never filled
-       '\001'  filled, valid
-       '\002'  dirty (invalidated), never filled under the old model
-       '\003'  dirty (invalidated), holds stale bytes from the old model
-     Dirty states only appear through [invalidate] / [with_fault_patch];
-     [fill_row] collapses any state back to '\001'. The two dirty states
-     are distinguished so a copy-on-write session knows whether a fill is
-     a first fill or a refill ([problem.rows_refilled]) — and, crucially,
-     so it privatizes a shared slab before writing values the base
-     session would disagree with (see [privatize]). *)
-  filled : Bytes.t array; (* filled.(data), one byte per window *)
-  (* shared.(data): the slab behind [arena.(data)] is aliased from a base
-     session ([with_fault_patch]); it may be read freely and written only
-     with values the base would also produce (clean rows). Writing a
-     dirty row first copies the slab ([privatize]). *)
-  shared : bool array;
-  (* Cached per-axis optimal centers; -1 = not computed yet. *)
-  opts : int array array; (* opts.(data).(window) *)
-  merged_opts : int array;
-  cands : int list option array array; (* cands.(data).(window) *)
-  merged_vectors : int array option array;
-  merged_cands : int list option array;
+  (* The row every window that does not reference a datum gets: all
+     zeros under any fault, in the session's row form. It is never
+     cached per cell, so a patch that changes the row form only swaps
+     this field. *)
+  zero : row;
+  (* Per-(datum, window) caches, indexed [.(data).(window)]; window
+     [n_windows] is the merged window. Each cell has a single writer in
+     any parallel phase (see the .mli thread-safety contract). Rows are
+     immutable once cached. *)
+  margs : (int array * int array) option array array;
+  rows : row option array array;
+  (* [stale.(data)] byte [window] is '\001' while the cell's row has been
+     invalidated and not rebuilt ([problem.rows_invalidated] counts each
+     clean-to-stale step, [problem.rows_refilled] each rebuild). *)
+  stale : Bytes.t array;
+  opts : int array array; (* optimal centers; -1 = not computed yet *)
+  cands : int list option array array;
   near : int list option array; (* near.(target): serial phases only *)
   mutable order : int list option; (* serial phases only *)
-  (* Cooperative cancellation: polled at the fill/solve funnels below.
+  (* Cooperative cancellation: polled at the cache funnels below.
      [Cancel.none] (the default) makes every poll a pointer compare; an
-     armed token adds one monotonic-clock read per datum-or-row of work.
+     armed token adds one monotonic-clock read per cell or datum of work.
      Written only from the serial admission path ([set_cancel]) before
      the solve starts; parallel tasks just read it. *)
   mutable cancel : Cancel.t;
 }
+
+let words = function
+  | Full v -> Array.length v
+  | Axis_sum (cx, cy) -> Array.length cx + Array.length cy
+
+(* Every row a session allocates is charged here, by its size. *)
+let charge row =
+  if !Obs.enabled then Obs.Metrics.add "problem.arena_bytes" (8 * words row)
+
+let zero_row ctx ~fault_dist =
+  let mesh = ctx.Context.mesh in
+  let z =
+    match fault_dist with
+    | Some _ -> Full (Array.make ctx.Context.size 0)
+    | None ->
+        Axis_sum
+          (Array.make (Pim.Mesh.cols mesh) 0, Array.make (Pim.Mesh.rows mesh) 0)
+  in
+  charge z;
+  z
 
 let build_fault_dist mesh size fault =
   if not (Pim.Fault.has_link_faults fault) then None
@@ -116,7 +117,8 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     invalid_arg "Problem.create: every processor is dead";
   let fault_dist = build_fault_dist mesh size fault in
   let n_data = Context.n_data ctx in
-  let n_windows = Array.length ctx.Context.windows in
+  (* one cache column per window, plus the merged window's *)
+  let cells = Array.length ctx.Context.windows + 1 in
   {
     ctx;
     policy;
@@ -125,17 +127,12 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     alive;
     n_alive;
     fault_dist;
-    margs = Array.init n_data (fun _ -> Array.make n_windows None);
-    merged_margs = Array.make n_data None;
-    arena = Array.make n_data None;
-    row_off = Array.make n_data [||];
-    filled = Array.init n_data (fun _ -> Bytes.make n_windows '\000');
-    shared = Array.make n_data false;
-    opts = Array.init n_data (fun _ -> Array.make n_windows (-1));
-    merged_opts = Array.make n_data (-1);
-    cands = Array.init n_data (fun _ -> Array.make n_windows None);
-    merged_vectors = Array.make n_data None;
-    merged_cands = Array.make n_data None;
+    zero = zero_row ctx ~fault_dist;
+    margs = Array.init n_data (fun _ -> Array.make cells None);
+    rows = Array.init n_data (fun _ -> Array.make cells None);
+    stale = Array.init n_data (fun _ -> Bytes.make cells '\000');
+    opts = Array.init n_data (fun _ -> Array.make cells (-1));
+    cands = Array.init n_data (fun _ -> Array.make cells None);
     near = Array.make size None;
     order = None;
     cancel = Cancel.none;
@@ -220,256 +217,131 @@ let cancel_token t = t.cancel
 
 (* The cooperative poll: free against [Cancel.none] (one physical-equality
    branch inside [Cancel.expired] short-circuits to the float compare),
-   one clock read against an armed token. Sits at the per-row / per-datum
-   funnels so an expired solve unwinds within one row's work. *)
+   one clock read against an armed token. Every cache funnel below polls,
+   hit or miss, so a solve over a warm session unwinds as promptly as
+   over a cold one. *)
 let poll t = Cancel.check t.cancel
 
-(* Cache accounting (merged-window lookups fold into the same names):
-   totals are per-(datum, window) and each row has a single writer, so
-   hit/miss sums do not depend on the [jobs] setting. *)
+(* Cache accounting (the merged window is one more column, so its
+   lookups fold into the same names): totals are per-(datum, window)
+   and each cell has a single writer, so hit/miss sums do not depend on
+   the [jobs] setting. *)
 let hit name = if !Obs.enabled then Obs.Metrics.incr name
 
-let compute_marginals t w ~data =
-  Reftrace.Window.marginals w ~data
-    ~cols:(Pim.Mesh.cols t.ctx.Context.mesh)
-    ~rows:(Pim.Mesh.rows t.ctx.Context.mesh)
+(* Window [n_windows] is the merged window. *)
+let window_at t w =
+  if w = n_windows t then t.ctx.Context.merged else t.ctx.Context.windows.(w)
 
-let marginals t ~window ~data =
+(* [keep] stores a miss in the cache. A row build passes [false]: the
+   row holds everything later reads need, and keeping the marginals
+   beside every built row would double the heap a warm session holds. *)
+let lookup_marginals t ~window ~data ~keep =
+  poll t;
   match t.margs.(data).(window) with
   | Some m ->
       hit "problem.marginals_hit";
       m
   | None ->
       hit "problem.marginals_miss";
-      let m = compute_marginals t t.ctx.Context.windows.(window) ~data in
-      t.margs.(data).(window) <- Some m;
+      let m =
+        Reftrace.Window.marginals (window_at t window) ~data
+          ~cols:(Pim.Mesh.cols t.ctx.Context.mesh)
+          ~rows:(Pim.Mesh.rows t.ctx.Context.mesh)
+      in
+      if keep then t.margs.(data).(window) <- Some m;
       m
 
-let merged_marginals t ~data =
-  match t.merged_margs.(data) with
-  | Some m ->
-      hit "problem.marginals_hit";
-      m
-  | None ->
-      hit "problem.marginals_miss";
-      let m = compute_marginals t t.ctx.Context.merged ~data in
-      t.merged_margs.(data) <- Some m;
-      m
+let marginals t ~window ~data = lookup_marginals t ~window ~data ~keep:true
 
-let ensure_arena t ~data =
-  match t.arena.(data) with
-  | Some a -> a
-  | None ->
-      let windows = t.ctx.Context.windows in
-      let size = t.ctx.Context.size in
-      let n_windows = Array.length windows in
-      let off = Array.make n_windows 0 in
-      let slots = ref 1 in
-      for w = 0 to n_windows - 1 do
-        if Reftrace.Window.references windows.(w) data > 0 then begin
-          off.(w) <- !slots * size;
-          incr slots
-        end
-      done;
-      let len = !slots * size in
-      let a = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout len in
-      Bigarray.Array1.fill (Bigarray.Array1.sub a 0 size) 0;
-      t.row_off.(data) <- off;
-      t.arena.(data) <- Some a;
-      if !Obs.enabled then
-        Obs.Metrics.add "problem.arena_bytes" (8 * len);
-      a
-
-(* Link faults break separability, so rows are built off the BFS
-   distance table, the profile walked once per center — the Obs counter
-   records every row built this way. [set] targets either an arena slab
-   or a plain array. *)
-let fault_entries t w ~data ~set =
+(* Link faults break separability, so such a row is built [Full] off the
+   BFS distance table, the profile walked once per center — the Obs
+   counter records every row built this way. *)
+let table_row t dist w ~data =
   hit "cost.fault_downgrades";
-  let dist =
-    match t.fault_dist with Some d -> d | None -> assert false
-  in
   let profile = Reftrace.Window.profile w data in
-  for center = 0 to t.ctx.Context.size - 1 do
-    let row = dist.(center) in
-    set center
-      (List.fold_left
-         (fun acc (proc, count) -> acc + (count * row.(proc)))
-         0 profile)
-  done
+  Full
+    (Array.init t.ctx.Context.size (fun center ->
+         let row = dist.(center) in
+         List.fold_left
+           (fun acc (proc, count) -> acc + (count * row.(proc)))
+           0 profile))
 
-let fill_separable t ~window ~data ~dst ~off =
-  hit "cost.separable_builds";
-  let mesh = t.ctx.Context.mesh in
-  Cost.fill_slab_of_marginals
-    ~wrap:(Pim.Mesh.wraps mesh)
-    ~cols:(Pim.Mesh.cols mesh)
-    ~rows:(Pim.Mesh.rows mesh)
-    (marginals t ~window ~data)
-    ~dst ~off
-
-(* Copy-on-write: a patched session aliases its base's slabs until it has
-   to write a row whose bytes the base would disagree with (any dirty
-   state, even never-filled — the base may later fill that row with
-   old-model values, which must not leak into this session, nor the
-   reverse). Clean rows may be filled in place even while shared: both
-   sessions would write identical bytes there. *)
-let privatize t ~data =
-  (match t.arena.(data) with
-  | None -> ()
-  | Some a ->
-      let len = Bigarray.Array1.dim a in
-      let copy = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout len in
-      Bigarray.Array1.blit a copy;
-      t.arena.(data) <- Some copy;
-      if !Obs.enabled then Obs.Metrics.add "problem.arena_bytes" (8 * len));
-  t.shared.(data) <- false
-
-let datum_has_dirty t ~data =
-  let b = t.filled.(data) in
-  let n = Bytes.length b in
-  let found = ref false in
-  for w = 0 to n - 1 do
-    if Bytes.get b w >= '\002' then found := true
-  done;
-  !found
-
-let fill_row t ~window ~data =
-  poll t;
-  (match Bytes.get t.filled.(data) window with
-  | '\000' | '\001' -> ()
-  | st ->
-      if st = '\003' then hit "problem.rows_refilled";
-      if t.shared.(data) then privatize t ~data);
-  let a = ensure_arena t ~data in
-  (* zero-reference rows resolve to the shared zero slot — the all-zero
-     vector, so no build is charged *)
-  let off = t.row_off.(data).(window) in
-  if off > 0 then begin
-    if t.fault_dist <> None then
-      fault_entries t t.ctx.Context.windows.(window) ~data ~set:(fun center v ->
-          a.{off + center} <- v)
-    else fill_separable t ~window ~data ~dst:a ~off
+let build_row t ~window ~data =
+  if Bytes.get t.stale.(data) window <> '\000' then begin
+    hit "problem.rows_refilled";
+    Bytes.set t.stale.(data) window '\000'
   end;
-  Bytes.set t.filled.(data) window '\001';
-  a
+  let r =
+    match t.fault_dist with
+    | Some dist -> table_row t dist (window_at t window) ~data
+    | None ->
+        hit "cost.separable_builds";
+        let wrap = Pim.Mesh.wraps t.ctx.Context.mesh in
+        let mx, my = lookup_marginals t ~window ~data ~keep:false in
+        Axis_sum (Cost.axis_cost ~wrap mx, Cost.axis_cost ~wrap my)
+  in
+  charge r;
+  r
 
-let arena_row t ~window ~data =
-  if Bytes.get t.filled.(data) window <> '\001' then begin
-    hit "problem.vector_miss";
-    let a = fill_row t ~window ~data in
-    (a, t.row_off.(data).(window))
-  end
-  else begin
-    hit "problem.vector_hit";
-    ((match t.arena.(data) with Some a -> a | None -> assert false),
-     t.row_off.(data).(window))
-  end
+let row t ~window ~data =
+  poll t;
+  match t.rows.(data).(window) with
+  | Some r ->
+      hit "problem.vector_hit";
+      r
+  | None ->
+      if Reftrace.Window.references (window_at t window) data = 0 then begin
+        hit "problem.vector_hit";
+        t.zero
+      end
+      else begin
+        hit "problem.vector_miss";
+        let r = build_row t ~window ~data in
+        t.rows.(data).(window) <- Some r;
+        r
+      end
 
 let cost_entry t ~window ~data center =
-  let a, off = arena_row t ~window ~data in
-  a.{off + center}
+  Pathgraph.Layered.entry (row t ~window ~data) center
 
 let cost_vector t ~window ~data =
-  let a, off = arena_row t ~window ~data in
-  Array.init t.ctx.Context.size (fun i -> a.{off + i})
+  Pathgraph.Layered.to_array (row t ~window ~data)
 
-let vector_from_marginals t m =
-  hit "cost.separable_builds";
-  let mesh = t.ctx.Context.mesh in
-  Cost.vector_of_marginals
-    ~wrap:(Pim.Mesh.wraps mesh)
-    ~cols:(Pim.Mesh.cols mesh)
-    ~rows:(Pim.Mesh.rows mesh)
-    m
-
-let merged_vector t ~data =
-  match t.merged_vectors.(data) with
-  | Some v ->
-      hit "problem.vector_hit";
-      v
-  | None ->
-      hit "problem.vector_miss";
-      poll t;
-      let size = t.ctx.Context.size in
-      let v =
-        if Reftrace.Window.references t.ctx.Context.merged data = 0 then
-          Array.make size 0
-        else if t.fault_dist <> None then begin
-          let v = Array.make size 0 in
-          fault_entries t t.ctx.Context.merged ~data ~set:(fun center c ->
-              v.(center) <- c);
-          v
-        end
-        else vector_from_marginals t (merged_marginals t ~data)
-      in
-      t.merged_vectors.(data) <- Some v;
-      v
-
-(* Ascending argmin over alive ranks only — the placement rule once a
-   fault kills nodes (ties still break to the lowest alive rank). *)
-let masked_argmin t get =
-  hit "cost.argmin_masked";
-  let best = ref (-1) in
-  for i = 0 to t.ctx.Context.size - 1 do
-    if rank_alive t i && (!best < 0 || get i < get !best) then best := i
-  done;
-  !best
+let layer_rows t ~data =
+  Array.init (n_windows t) (fun w -> row t ~window:w ~data)
 
 let faulty t = not (Pim.Fault.is_none t.fault)
 
-(* Vector-free fast path (Definition 4): per-axis argmin straight from the
-   marginals, in the same order as the full-vector ascending argmin, so
-   unbounded schedulers can take this without changing a single
-   placement. Any fault forces the masked arena scan instead: dead ranks
-   cannot host a center, and under link faults the marginals no longer
-   price the row at all. *)
+(* Definition 4 off the cached row: on a healthy session the two axis
+   minima of the axis sum, in the same order as the full-vector
+   ascending argmin (counter [cost.argmin_fast]). Any fault forces the
+   ascending scan over alive ranks — dead ranks cannot host a center
+   (ties still break to the lowest alive rank). *)
 let optimal_center t ~window ~data =
+  poll t;
   let cached = t.opts.(data).(window) in
   if cached >= 0 then cached
   else begin
-    poll t;
-    let mesh = t.ctx.Context.mesh in
+    let r = row t ~window ~data in
     let c =
       if faulty t then begin
-        let a, off = arena_row t ~window ~data in
-        masked_argmin t (fun i -> a.{off + i})
+        hit "cost.argmin_masked";
+        let best = ref (-1) in
+        for i = 0 to t.ctx.Context.size - 1 do
+          if
+            rank_alive t i
+            && (!best < 0
+               || Pathgraph.Layered.entry r i < Pathgraph.Layered.entry r !best)
+          then best := i
+        done;
+        !best
       end
       else begin
         hit "cost.argmin_fast";
-        fst
-          (Cost.argmin_of_marginals
-             ~wrap:(Pim.Mesh.wraps mesh)
-             ~cols:(Pim.Mesh.cols mesh)
-             ~rows:(Pim.Mesh.rows mesh)
-             (marginals t ~window ~data))
+        Pathgraph.Layered.argmin r
       end
     in
     t.opts.(data).(window) <- c;
-    c
-  end
-
-let merged_optimal_center t ~data =
-  let cached = t.merged_opts.(data) in
-  if cached >= 0 then cached
-  else begin
-    let mesh = t.ctx.Context.mesh in
-    let c =
-      if faulty t then begin
-        let v = merged_vector t ~data in
-        masked_argmin t (fun i -> v.(i))
-      end
-      else begin
-        hit "cost.argmin_fast";
-        fst
-          (Cost.argmin_of_marginals
-             ~wrap:(Pim.Mesh.wraps mesh)
-             ~cols:(Pim.Mesh.cols mesh)
-             ~rows:(Pim.Mesh.rows mesh)
-             (merged_marginals t ~data))
-      end
-    in
-    t.merged_opts.(data) <- c;
     c
   end
 
@@ -481,60 +353,20 @@ let alive_only t l =
   else l
 
 let candidates t ~window ~data =
+  poll t;
   match t.cands.(data).(window) with
   | Some l ->
       hit "problem.candidates_hit";
       l
   | None ->
       hit "problem.candidates_miss";
-      poll t;
-      let size = t.ctx.Context.size in
+      let r = row t ~window ~data in
       let l =
-        if Bytes.get t.filled.(data) window = '\001' then begin
-          (* row already materialized: sort straight off the slab *)
-          let a, off = arena_row t ~window ~data in
-          alive_only t
-            (Processor_list.of_costs ~n:size (fun i -> a.{off + i}))
-        end
-        else if t.fault_dist = None then
-          (* fill-skip: the candidate order is a pure function of the axis
-             costs, so bounded schedulers that only consume lists
-             ([Scds]/[Lomcds]) never force a slab row. Same values, hence
-             the same (cost, rank) order, as the materialized row. *)
-          if
-            Reftrace.Window.references t.ctx.Context.windows.(window) data
-            = 0
-          then alive_only t (Processor_list.of_costs ~n:size (fun _ -> 0))
-          else begin
-            hit "cost.separable_builds";
-            let mesh = t.ctx.Context.mesh in
-            let wrap = Pim.Mesh.wraps mesh in
-            let cols = Pim.Mesh.cols mesh in
-            let mx, my = marginals t ~window ~data in
-            let cx = Cost.axis_cost ~wrap mx
-            and cy = Cost.axis_cost ~wrap my in
-            alive_only t
-              (Processor_list.of_costs ~n:size (fun i ->
-                   cx.(i mod cols) + cy.(i / cols)))
-          end
-        else begin
-          let a, off = arena_row t ~window ~data in
-          alive_only t
-            (Processor_list.of_costs ~n:size (fun i -> a.{off + i}))
-        end
+        alive_only t
+          (Processor_list.of_costs ~n:t.ctx.Context.size
+             (Pathgraph.Layered.entry r))
       in
       t.cands.(data).(window) <- Some l;
-      l
-
-let merged_candidates t ~data =
-  match t.merged_cands.(data) with
-  | Some l ->
-      hit "problem.candidates_hit";
-      l
-  | None ->
-      hit "problem.candidates_miss";
-      let l = alive_only t (Processor_list.of_cost_vector (merged_vector t ~data)) in
-      t.merged_cands.(data) <- Some l;
       l
 
 let ranks_near t ~target =
@@ -602,123 +434,51 @@ let trajectory_cost t ~data centers =
   done;
   !cost
 
-let prefetch_data t ~data =
-  for w = 0 to n_windows t - 1 do
-    ignore (arena_row t ~window:w ~data)
-  done
-
-let layer_slab t ~data =
-  prefetch_data t ~data;
-  (ensure_arena t ~data, t.row_off.(data))
-
-(* One window's worth of rows, batched: every referencing datum whose row
-   is not yet valid goes through one [Cost.fill_window_batch] pass on the
-   healthy separable path (axis and prefix-sum scratch shared across the
-   whole window), and through the per-row table fills otherwise.
-   Zero-reference rows flip straight to valid. When run from the parallel
-   fan-out in [prefetch_all], the serial pre-pass there has already
-   created every arena and privatized every shared slab holding dirty
-   rows, so this task only writes its own window's column (slab row,
-   filled byte, margs cell per datum) — one writer per cell. *)
-let fill_window_rows t ~window =
-  poll t;
-  let nd = n_data t in
-  let mesh = t.ctx.Context.mesh in
-  let batch = ref [] in
-  for data = nd - 1 downto 0 do
-    let st = Bytes.get t.filled.(data) window in
-    if st = '\001' then hit "problem.vector_hit"
-    else begin
-      hit "problem.vector_miss";
-      if st = '\003' then hit "problem.rows_refilled";
-      if st >= '\002' && t.shared.(data) then privatize t ~data;
-      let a = ensure_arena t ~data in
-      let off = t.row_off.(data).(window) in
-      if off = 0 then Bytes.set t.filled.(data) window '\001'
-      else if t.fault_dist <> None then begin
-        fault_entries t t.ctx.Context.windows.(window) ~data
-          ~set:(fun center v -> a.{off + center} <- v);
-        Bytes.set t.filled.(data) window '\001'
-      end
-      else batch := (data, (marginals t ~window ~data, (a, off))) :: !batch
-    end
-  done;
-  match !batch with
-  | [] -> ()
-  | rows ->
-      Cost.fill_window_batch
-        ~wrap:(Pim.Mesh.wraps mesh)
-        ~cols:(Pim.Mesh.cols mesh)
-        ~rows:(Pim.Mesh.rows mesh)
-        (List.map snd rows);
-      List.iter
-        (fun (data, _) -> Bytes.set t.filled.(data) window '\001')
-        rows
-
+(* Window-major: each pool task builds one window's column of rows
+   across all data — one writer per cell, so no pre-pass is needed.
+   [cost.batch_fills] counts the window tasks that built an axis-sum
+   row. *)
 let prefetch_all t =
   Obs.Span.with_ ~name:"problem.prefetch_all" @@ fun () ->
-  (* serial pre-pass: every arena exists and no shared slab still holds
-     dirty rows before the window tasks fan out — a task must never swap
-     a datum-level slab another task is writing into *)
-  let nd = n_data t in
-  for data = 0 to nd - 1 do
-    ignore (ensure_arena t ~data);
-    if t.shared.(data) && datum_has_dirty t ~data then privatize t ~data
-  done;
-  Engine.iter ~jobs:t.jobs (n_windows t) (fun w ->
-      fill_window_rows t ~window:w)
-
-(* Window-major view: the slab row of every datum for [window], forced
-   valid. [Online] and [Annealing] batch their per-probe delta reads
-   through this view instead of paying a [cost_entry] dispatch per probe:
-   the entry for (data, rank) is [slabs.(data).{offs.(data) + rank}]. *)
-let window_rows t ~window =
-  fill_window_rows t ~window;
-  let slabs =
-    Array.init (n_data t) (fun data ->
-        match t.arena.(data) with Some a -> a | None -> assert false)
-  in
-  let offs =
-    Array.init (n_data t) (fun data -> t.row_off.(data).(window))
-  in
-  (slabs, offs)
+  Engine.iter ~jobs:t.jobs (n_windows t) (fun window ->
+      let w = t.ctx.Context.windows.(window) in
+      let built = ref false in
+      for data = 0 to n_data t - 1 do
+        if
+          Option.is_none t.rows.(data).(window)
+          && Reftrace.Window.references w data > 0
+        then built := true;
+        ignore (row t ~window ~data)
+      done;
+      if !built && t.fault_dist = None then hit "cost.batch_fills")
 
 (* ------------------------------------------------------------------ *)
-(* Incremental invalidation and copy-on-write fault patching           *)
+(* Incremental invalidation and fault patching                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Drop the cached row of a cell whose costs may have changed, counting
+   its clean-to-stale step. *)
+let mark_stale stale rows ~data ~window =
+  rows.(data).(window) <- None;
+  if Bytes.get stale.(data) window = '\000' then begin
+    Bytes.set stale.(data) window '\001';
+    hit "problem.rows_invalidated"
+  end
 
 let invalidate t ~window =
-  let nw = n_windows t in
-  if window < 0 || window >= nw then
+  if window < 0 || window >= n_windows t then
     invalid_arg
       (Printf.sprintf "Problem.invalidate: window %d out of range" window);
   let w = t.ctx.Context.windows.(window) in
-  let nd = n_data t in
-  for data = 0 to nd - 1 do
+  for data = 0 to n_data t - 1 do
     (* [Reftrace.Window.add] only ever adds references, so a datum with
        zero references now was untouched by the edit and keeps its whole
        column *)
     if Reftrace.Window.references w data > 0 then begin
-      if t.row_off.(data) <> [||] && t.row_off.(data).(window) = 0 then begin
-        (* the datum gained its first reference in this window after the
-           slab layout was fixed: drop the slab so [ensure_arena] re-maps
-           windows to rows (the other windows refill identically) *)
-        t.arena.(data) <- None;
-        t.row_off.(data) <- [||];
-        t.shared.(data) <- false;
-        Bytes.fill t.filled.(data) 0 nw '\000'
-      end;
       t.margs.(data).(window) <- None;
       t.opts.(data).(window) <- -1;
       t.cands.(data).(window) <- None;
-      match Bytes.get t.filled.(data) window with
-      | '\000' ->
-          Bytes.set t.filled.(data) window '\002';
-          hit "problem.rows_invalidated"
-      | '\001' ->
-          Bytes.set t.filled.(data) window '\003';
-          hit "problem.rows_invalidated"
-      | _ -> ()
+      mark_stale t.stale t.rows ~data ~window
     end
   done
 
@@ -759,7 +519,7 @@ let with_fault_patch t fault =
     (* Dirty processors: ranks whose distance column changed between the
        two models. Node faults keep routers, so when the dead-link set is
        unchanged the tables are physically shared and nothing is dirty —
-       a pure node-fault patch reuses every slab row. *)
+       a pure node-fault patch reuses every row. *)
     let dirty =
       if fault_dist == t.fault_dist then None
       else begin
@@ -807,27 +567,36 @@ let with_fault_patch t fault =
         List.filter is_alive l
       else l
     in
+    (* Rows are immutable, so a clean one is shared as it is — except
+       that a [Table] session cannot read an axis sum, so entering link
+       faults spells carried axis sums out in full. *)
+    let separable = fault_dist = None in
+    let carry r =
+      match r with
+      | Axis_sum _ when not separable ->
+          let full = Full (Pathgraph.Layered.to_array r) in
+          charge full;
+          full
+      | Axis_sum _ | Full _ -> r
+    in
+    let zero =
+      if separable = (t.fault_dist = None) then t.zero
+      else zero_row t.ctx ~fault_dist
+    in
     let nd = n_data t in
-    let windows = t.ctx.Context.windows in
-    let nw = Array.length windows in
-    let filled = Array.init nd (fun d -> Bytes.copy t.filled.(d)) in
-    let opts = Array.init nd (fun d -> Array.copy t.opts.(d)) in
-    let cands = Array.init nd (fun _ -> Array.make nw None) in
+    let rows = Array.map Array.copy t.rows in
+    let stale = Array.map Bytes.copy t.stale in
+    let opts = Array.map Array.copy t.opts in
+    let cands = Array.map (fun c -> Array.make (Array.length c) None) t.cands in
     for data = 0 to nd - 1 do
-      for w = 0 to nw - 1 do
-        if row_dirty windows.(w) data then begin
-          (match Bytes.get filled.(data) w with
-          | '\000' ->
-              Bytes.set filled.(data) w '\002';
-              hit "problem.rows_invalidated"
-          | '\001' ->
-              Bytes.set filled.(data) w '\003';
-              hit "problem.rows_invalidated"
-          | _ -> ());
+      for w = 0 to n_windows t do
+        if row_dirty (window_at t w) data then begin
+          mark_stale stale rows ~data ~window:w;
           opts.(data).(w) <- -1
         end
         else begin
-          (* clean row: the cached argmin survives iff dead ranks only
+          rows.(data).(w) <- Option.map carry rows.(data).(w);
+          (* clean cell: the cached argmin survives iff dead ranks only
              grew (subset argmin, lowest-rank ties preserved) and the
              center itself is still alive; a candidate order survives a
              monotone fault filtered down to the new alive set *)
@@ -835,80 +604,53 @@ let with_fault_patch t fault =
           if o >= 0 && not (monotone && is_alive o) then
             opts.(data).(w) <- -1;
           if monotone then
-            cands.(data).(w) <-
-              (match t.cands.(data).(w) with
-              | Some l -> Some (filter_alive l)
-              | None -> None)
+            cands.(data).(w) <- Option.map filter_alive t.cands.(data).(w)
         end
       done
     done;
-    let merged = t.ctx.Context.merged in
-    let merged_vectors = Array.make nd None in
-    let merged_opts = Array.make nd (-1) in
-    let merged_cands = Array.make nd None in
-    for data = 0 to nd - 1 do
-      if not (row_dirty merged data) then begin
-        merged_vectors.(data) <- t.merged_vectors.(data);
-        let o = t.merged_opts.(data) in
-        if o >= 0 && monotone && is_alive o then merged_opts.(data) <- o;
-        if monotone then
-          merged_cands.(data) <-
-            (match t.merged_cands.(data) with
-            | Some l -> Some (filter_alive l)
-            | None -> None)
-      end
-    done;
-    let arena = Array.copy t.arena in
-    let shared = Array.map (function Some _ -> true | None -> false) arena in
     {
       t with
       fault;
       alive;
       n_alive;
       fault_dist;
-      arena;
-      row_off = Array.copy t.row_off;
-      filled;
-      shared;
+      zero;
+      rows;
+      stale;
       opts;
       cands;
-      merged_vectors;
-      merged_opts;
-      merged_cands;
       near = Array.make size None;
     }
   end
 
-let prefetch_referenced t =
-  Obs.Span.with_ ~name:"problem.prefetch_referenced" @@ fun () ->
+(* Per datum, [f] on every window that references it — or on the merged
+   window when none does. *)
+let prefetch_per_datum t ~name f =
+  Obs.Span.with_ ~name @@ fun () ->
+  let windows = t.ctx.Context.windows in
   Engine.iter ~jobs:t.jobs (n_data t) (fun data ->
       let referenced = ref false in
       Array.iteri
         (fun w window ->
           if Reftrace.Window.references window data > 0 then begin
             referenced := true;
-            ignore (candidates t ~window:w ~data)
+            f t ~window:w ~data
           end)
-        t.ctx.Context.windows;
-      if not !referenced then ignore (merged_candidates t ~data))
+        windows;
+      if not !referenced then f t ~window:(Array.length windows) ~data)
+
+let prefetch_referenced t =
+  prefetch_per_datum t ~name:"problem.prefetch_referenced"
+    (fun t ~window ~data -> ignore (candidates t ~window ~data))
 
 let prefetch_centers t =
-  Obs.Span.with_ ~name:"problem.prefetch_centers" @@ fun () ->
-  Engine.iter ~jobs:t.jobs (n_data t) (fun data ->
-      let referenced = ref false in
-      Array.iteri
-        (fun w window ->
-          if Reftrace.Window.references window data > 0 then begin
-            referenced := true;
-            ignore (optimal_center t ~window:w ~data)
-          end)
-        t.ctx.Context.windows;
-      if not !referenced then ignore (merged_optimal_center t ~data))
+  prefetch_per_datum t ~name:"problem.prefetch_centers"
+    (fun t ~window ~data -> ignore (optimal_center t ~window ~data))
 
 let prefetch_merged t =
   Obs.Span.with_ ~name:"problem.prefetch_merged" @@ fun () ->
   Engine.iter ~jobs:t.jobs (n_data t) (fun data ->
-      ignore (merged_candidates t ~data))
+      ignore (candidates t ~window:(n_windows t) ~data))
 
 let check_feasible t ~who =
   match t.policy with
@@ -955,6 +697,5 @@ let solve_datum ?admit t ~data =
             done;
             both)
   in
-  let vectors, offsets = layer_slab t ~data in
   Pathgraph.Layered.solve ?admit ~n_layers:(n_windows t)
-    [| { Pathgraph.Layered.relaxation = relaxation t; vectors; offsets } |]
+    [| { relaxation = relaxation t; rows = layer_rows t ~data } |]

@@ -8,13 +8,13 @@
     - per-axis mesh distance tables ({!Pim.Mesh.x_distance_table}), so
       distance probes are two array reads; no O(size²) rank-to-rank matrix
       exists in the context;
-    - a flat compact {e cost arena} per datum: one bigarray slab holding a
-      row per referencing window plus one shared all-zero row that every
-      non-referencing window points at, filled lazily per (datum, window)
-      row. The slab is allocated uninitialized — no memory traffic is
-      spent zeroing rows that are either written in full or never
-      materialized. Consumers read through {!cost_entry}/{!layer_slab}
-      (allocation-free) or {!cost_vector} (a copy);
+    - one cache of immutable cost {e rows} per (datum, window), built
+      lazily: [Axis_sum (cx, cy)] from the axis marginals on a healthy
+      or node-faulted session (x-y routing distance splits per axis, so
+      a row is cols + rows words, not P), [Full] only under link faults,
+      whose BFS distances do not split. Every window that does not
+      reference a datum reads one shared all-zero row. The merged window
+      is window index {!n_windows}: one more column of the same caches;
     - per-(datum, window) axis marginals, optimal centers and
       capacity-fallback candidate lists, filled lazily and kept for every
       later algorithm, sweep or refinement pass on the same instance;
@@ -27,15 +27,14 @@
     [Problem.t] at [jobs = 8] yields byte-identical schedules to [jobs = 1].
 
     Thread-safety contract for the caches: every cache cell is owned by a
-    single (datum, window) pair — an arena row and its filled byte, a
+    single (datum, window) pair — a row and its stale byte, a
     marginal/center/candidate cell. Parallel phases must partition the
     cells across domains so each has one writer; both partitions in use
-    are safe: per-datum tasks ({!prefetch_referenced}, {!prefetch_centers}
-    — a task owns a datum's whole row of cells) and per-window tasks
-    ({!prefetch_all}'s batched window-major fill — a task owns one
-    window's column, after a serial pre-pass has created every arena so
-    no task swaps a datum-level slab). Everything else in [t] is immutable
-    after {!create}. *)
+    are safe: per-datum tasks ({!prefetch_referenced}, {!prefetch_centers},
+    {!prefetch_merged} — a task owns a datum's whole row of cells) and
+    per-window tasks ({!prefetch_all} — a task owns one window's column).
+    A cached row is never written again, so it may be read from any
+    domain. Everything else in [t] is immutable after {!create}. *)
 
 (** How much data each processor's local memory holds. [Unbounded] models
     infinite memories; [Bounded c] gives every processor [c] slots (the
@@ -52,13 +51,14 @@ val unreachable_cost : int
 
 (** [create ?policy ?jobs ?fault mesh trace] builds the context.
     [policy] defaults to [Unbounded]; [jobs] (default [1]) sizes the domain
-    pool, and {!Engine.default_jobs} picks a machine-fitted value; arena
-    rows are built by the separable kernel ({!Cost}) in O(P + refs) from
-    axis marginals; [fault] (default {!Pim.Fault.none}) degrades
-    the array — dead processors leave every candidate list, memory tracker
-    and argmin (their routers stay alive, so distances are unchanged), and
+    pool, and {!Engine.default_jobs} picks a machine-fitted value; cost
+    rows are built by the separable kernel ({!Cost.axis_cost}) in
+    O(cols + rows + refs) from axis marginals; [fault] (default
+    {!Pim.Fault.none}) degrades the array — dead processors leave every
+    candidate list, memory tracker and argmin (their routers stay alive,
+    so distances are unchanged), and
     dead links rebuild all distances by BFS over the surviving topology,
-    which moves rows and the layered DP off the separable fast path (counters
+    which moves rows and the layered DP off the separable path (counters
     [cost.fault_tables] / [cost.fault_downgrades]). With [Fault.none] every
     code path is byte-identical to a fault-oblivious context.
     @raise Invalid_argument if [Bounded c] with [c < 0], [jobs < 1], the
@@ -83,9 +83,9 @@ val headroom_policy :
   headroom:int -> processors:int -> Reftrace.Trace.t -> capacity_policy
 
 (** [of_context ?policy ?jobs ?fault ctx] opens a {e request-scoped
-    session} over a shared immutable {!Context.t}: fresh empty caches and
-    arenas, the fault overlay built here, and [policy]/[jobs] defaulting
-    to the context's values. The mesh, trace, windows, merged window and
+    session} over a shared immutable {!Context.t}: fresh empty caches,
+    the fault overlay built here, and [policy]/[jobs] defaulting to the
+    context's values. The mesh, trace, windows, merged window and
     axis tables are shared with [ctx] — and with every other session on
     it, from any domain: the context is never written after creation.
     This is the entry point a long-lived service uses so per-request
@@ -98,8 +98,8 @@ val of_context :
 val context : t -> Context.t
 
 (** [max_arena_bytes t] is {!Context.t.max_arena_bytes}: the session's
-    cost-arena footprint with every row forced — the admission-control
-    currency of the serve path. *)
+    dense worst case (every row [Full], as under link faults) — the
+    admission-control currency of the serve path. *)
 val max_arena_bytes : t -> int
 
 val mesh : t -> Pim.Mesh.t
@@ -116,15 +116,16 @@ val jobs : t -> int
 val fault : t -> Pim.Fault.t
 
 (** [set_cancel t c] arms cooperative cancellation for the session:
-    every fill/solve funnel — {!solve_datum}, the arena row fills behind
-    {!cost_entry}/{!layer_slab}/{!prefetch_all}, the {!candidates} and
-    {!optimal_center} miss paths — polls [c] and raises
-    {!Cancel.Expired} once it expires (deadline passed on the monotonic
-    clock, or {!Cancel.cancel} called from any domain). Polls sit at
-    per-row / per-datum granularity, so a solve overruns its budget by
-    at most one row's work; against the default {!Cancel.none} a poll
-    costs a pointer compare. Call from the serial admission path before
-    the solve starts — parallel phases only read the token. A session
+    every cache funnel — {!row} (and so {!cost_entry}, {!layer_rows},
+    {!prefetch_all}), {!marginals}, {!candidates} and
+    {!optimal_center}, hit or miss — and {!solve_datum} poll [c] and
+    raise {!Cancel.Expired} once it expires (deadline passed on the
+    monotonic clock, or {!Cancel.cancel} called from any domain). Polls
+    sit at per-cell / per-datum granularity, so a solve over a cold or a
+    warm session overruns its budget by at most one cell's work; against
+    the default {!Cancel.none} a poll costs a pointer compare. Call from
+    the serial admission path before the solve starts — parallel phases
+    only read the token. A session
     whose solve raised [Expired] has internally consistent but partial
     caches; re-arm it with a fresh token (or {!Cancel.none}) before
     reusing it, or discard it. *)
@@ -160,39 +161,38 @@ val with_fault : t -> Pim.Fault.t -> t
 
 (** [with_fault_patch t fault] is {!with_fault} with {e dirty-row
     invalidation} instead of a cold start: the new session shares [t]'s
-    marginal caches and aliases its arena slabs copy-on-write, and only
-    the rows whose cost entries can actually differ under the new fault
-    are marked dirty (counter [problem.rows_invalidated]) for refill on
-    next touch (counter [problem.rows_refilled]).
+    marginal caches and copies its cache arrays, so it holds [t]'s
+    immutable rows; only the rows whose cost entries can actually differ
+    under the new fault are dropped (counter [problem.rows_invalidated])
+    for a rebuild on next touch (counter [problem.rows_refilled]).
 
     Node faults keep routers, so a pure node-fault change dirties {e no}
-    row — every slab byte carries over; only the alive mask, argmins and
+    row — every row carries over; only the alive mask, argmins and
     candidate orders adjust (cached argmins survive when the dead set only
     grew and the cached center is still alive; candidate lists survive a
     monotone change filtered to the new alive set). A link-fault change
     rebuilds the BFS distance table (reusing [t]'s when the dead-link set
     is unchanged) and dirties exactly the rows whose window profile
-    touches a rank with a changed distance column.
+    touches a rank with a changed distance column; entering link faults
+    spells the clean axis-sum rows out as [Full] rows of the same
+    values.
 
-    [t] is never written through: a dirty row is refilled only after the
-    datum's slab has been privatized, so [t] and the patched session stay
-    independently correct — answers from the patched session are
-    byte-identical to a fresh [of_context ~fault] session (pinned by
-    [test/test_incremental.ml]). Returns [t] itself when [fault] equals
-    [t]'s fault.
+    [t] is never written through: the two sessions share rows, never
+    cache arrays, so both stay independently correct — answers from the
+    patched session are byte-identical to a fresh [of_context ~fault]
+    session (pinned by [test/test_incremental.ml]). Returns [t] itself
+    when [fault] equals [t]'s fault.
     @raise Invalid_argument under the same conditions as {!with_fault}. *)
 val with_fault_patch : t -> Pim.Fault.t -> t
 
 (** [invalidate t ~window] tells the session that the contents of window
     [window] were edited in place (references {e added} via
     {!Reftrace.Window.add} after the context was built): every cached
-    value derived from that window — marginals, arena row, argmin,
-    candidate list — is dropped or marked dirty for every datum the
-    window now references, so subsequent reads refill from the edited
-    profile and agree byte-for-byte with a freshly built session over the
-    same context. A datum whose first reference in [window] appeared
-    after its slab layout was fixed has its whole arena dropped so the
-    window→row map is recomputed. The memoized {e merged} window is not
+    value derived from that window — marginals, row, argmin, candidate
+    list — is dropped for every datum the window now references, so
+    subsequent reads rebuild from the edited profile and agree
+    byte-for-byte with a freshly built session over the same context.
+    The memoized {e merged} window is not
     recomputed (it is fixed at {!Context.create} time for every session,
     cold or warm, so all sessions stay consistent).
     @raise Invalid_argument when [window] is out of range. *)
@@ -205,7 +205,9 @@ val n_windows : t -> int
 (** [window t i] is the [i]-th execution window (array-backed, O(1)). *)
 val window : t -> int -> Reftrace.Window.t
 
-(** [merged t] is the whole-execution window, computed once per context. *)
+(** [merged t] is the whole-execution window, computed once per context.
+    The per-(datum, window) accessors below serve it as window index
+    [n_windows t]. *)
 val merged : t -> Reftrace.Window.t
 
 (** [distance t a b] is [Pim.Mesh.distance] served from the cached per-axis
@@ -219,56 +221,58 @@ val distance : t -> int -> int -> int
     ({!Pathgraph.Layered.Table}) under link faults. Read-only. *)
 val relaxation : t -> Pathgraph.Layered.relaxation
 
+(** A cost row: {!Pathgraph.Layered.row}. *)
+type row = Pathgraph.Layered.row =
+  | Full of int array
+  | Axis_sum of int array * int array
+
+(** The accessors below take [window] in [0 .. n_windows t]; index
+    [n_windows t] is the merged window. *)
+
 (** [marginals t ~window ~data] is {!Reftrace.Window.marginals} for the
     pair, cached — the separable kernel's input, also summed directly by
     {!Grouping} to price candidate merges without materializing merged
-    windows. The returned arrays are shared: treat them as read-only. *)
+    windows. A {!row} build reads this cache but does not fill it: the
+    row keeps all a later read needs. The returned arrays are shared:
+    treat them as read-only. *)
 val marginals : t -> window:int -> data:int -> int array * int array
 
-(** [merged_marginals t ~data] is the marginal pair against {!merged}. *)
-val merged_marginals : t -> data:int -> int array * int array
+(** [row t ~window ~data] is the datum's cost row in the window, cached
+    and immutable: entry [c] ({!Pathgraph.Layered.entry}) is
+    {!Cost.reference_cost} of serving the window from [c] — fault-priced
+    under link faults. [Axis_sum] on a healthy or node-faulted session,
+    [Full] under link faults; a window that does not reference the datum
+    reads the session's one shared zero row. *)
+val row : t -> window:int -> data:int -> row
 
-(** [cost_entry t ~window ~data center] is the datum's communication cost
-    served from [center] in the window — one arena read after the row's
-    first touch, no allocation. The workhorse accessor for incremental
-    evaluators (annealing deltas, trajectory sums). *)
+(** [cost_entry t ~window ~data center] is entry [center] of {!row} —
+    the workhorse accessor for incremental evaluators (annealing deltas,
+    trajectory sums). *)
 val cost_entry : t -> window:int -> data:int -> int -> int
 
-(** [cost_vector t ~window ~data] is {!Cost.cost_vector} for the pair as a
-    {e fresh copy} of the arena row — callers may mutate it freely. Prefer
-    {!cost_entry}/{!layer_slab} on hot paths. *)
+(** [cost_vector t ~window ~data] is every entry of {!row} as a {e fresh}
+    array — callers may mutate it freely. Prefer {!row} or {!cost_entry}
+    on hot paths. *)
 val cost_vector : t -> window:int -> data:int -> int array
 
-(** [merged_vector t ~data] is the cost vector against {!merged}, cached
-    (shared array — treat as read-only). *)
-val merged_vector : t -> data:int -> int array
+(** [layer_rows t ~data] is the datum's row in every window but the
+    merged one — exactly the block rows {!Pathgraph.Layered.solve}
+    consumes. *)
+val layer_rows : t -> data:int -> row array
 
 (** [optimal_center t ~window ~data] is the paper's Definition 4 for the
-    pair — the minimum-cost center, lowest rank on ties — cached, and on
-    a healthy session computed {e without} touching the cost vector:
-    {!Cost.argmin_of_marginals} reads the two axis marginals in
-    O(cols + rows) (counter [cost.argmin_fast]), in the same order as
-    the full-vector ascending argmin, so unbounded schedulers taking this
-    fast path place every datum exactly where the vector route did. A
-    faulted session scans the arena row over alive ranks (counter
-    [cost.argmin_masked]). *)
+    pair — the minimum-cost center, lowest rank on ties — cached. On a
+    healthy session it is the two axis minima of the axis-sum row
+    (counter [cost.argmin_fast]), in the same order as the full-vector
+    ascending argmin, so unbounded schedulers taking it place every datum
+    exactly where the vector route did. A faulted session scans the row
+    over alive ranks (counter [cost.argmin_masked]). *)
 val optimal_center : t -> window:int -> data:int -> int
-
-(** [merged_optimal_center t ~data] is {!optimal_center} against
-    {!merged}. *)
-val merged_optimal_center : t -> data:int -> int
 
 (** [candidates t ~window ~data] is the paper's processor list for the
     pair: ranks sorted by cost entry, ties by rank
-    ({!Processor_list.of_costs}), cached. On the healthy separable path
-    the order is computed straight from the axis costs without forcing
-    the arena row ({e fill-skip}) — bounded [Scds]/[Lomcds] runs that
-    only consume candidate lists never materialize a slab. The order is
-    identical either way (same cost values). *)
+    ({!Processor_list.of_costs}), alive ranks only, cached. *)
 val candidates : t -> window:int -> data:int -> int list
-
-(** [merged_candidates t ~data] is the processor list against {!merged}. *)
-val merged_candidates : t -> data:int -> int list
 
 (** [ranks_near t ~target] is every rank sorted by distance from [target]
     (ties by rank), cached — the grouping repair's fallback order. Serial
@@ -281,7 +285,7 @@ val ranks_near : t -> target:int -> int list
 val by_total_references : t -> int list
 
 (** [path_cost t ~data pairs] is {!Cost.path_cost} with window {e indices}
-    instead of window values, reading arena entries and the distance
+    instead of window values, reading row entries and the distance
     tables: Σ entry(center) over the [(window, center)] pairs plus
     movement between consecutive centers. The cheap way to reconstruct or
     audit a per-datum schedule cost on a context that has already priced
@@ -295,28 +299,16 @@ val path_cost : t -> data:int -> (int * int) list -> int
     @raise Invalid_argument unless [Array.length centers = n_windows t]. *)
 val trajectory_cost : t -> data:int -> int array -> int
 
-(** [layer_slab t ~data] forces every window row of the datum's arena
-    buffer and returns [(slab, offsets)]: window [w]'s vector occupies
-    [slab.{offsets.(w)} .. slab.{offsets.(w) + P - 1}] with
-    [P = Pim.Mesh.size]. The slab is compact — windows that never
-    reference the datum all share the reserved zero row at offset 0, so
-    the buffer holds one row per {e referencing} window plus one — and is
-    a bigarray allocated uninitialized (each referencing row is written in
-    full before it is readable; only the zero row is cleared eagerly).
-    Exactly the block form {!Pathgraph.Layered.solve} consumes; treat
-    both as read-only. *)
-val layer_slab : t -> data:int -> Pathgraph.Layered.buffer * int array
-
 (** [alive_admit t] is the alive mask as {!Pathgraph.Layered.solve}
     admit rows (every layer the same row, byte [rank] is ['\000'] iff
     the fault killed [rank]), or [None] when no node is dead. *)
 val alive_admit : t -> (int -> Bytes.t) option
 
 (** [solve_datum ?admit t ~data] runs the per-datum layered DP with the
-    fault folded in: one {!Pathgraph.Layered.solve} block over the arena
-    slab, relaxed by {!relaxation} (the axis tables, or the BFS distance
-    table under link faults). [admit layer] is layer [layer]'s admit row
-    ({!Pathgraph.Layered.solve}'s contract: byte [rank] ['\000'] masks
+    fault folded in: one {!Pathgraph.Layered.solve} block over
+    {!layer_rows}, relaxed by {!relaxation} (the axis tables, or the BFS
+    distance table under link faults). [admit layer] is layer [layer]'s
+    admit row ({!Pathgraph.Layered.solve}'s contract: byte [rank] ['\000'] masks
     [rank] out; called once per layer, ascending); node faults intersect
     it with {!alive_admit}. Returns [None] when [admit]
     leaves some layer empty (never on an unfiltered healthy or node-fault
@@ -328,45 +320,28 @@ val solve_datum :
   data:int ->
   (int * int array) option
 
-(** [prefetch_data t ~data] forces every window row of one datum's arena
-    buffer — the unit of work a pool domain claims. *)
-val prefetch_data : t -> data:int -> unit
-
-(** [prefetch_all t] fills every (datum, window) arena row on the domain
-    pool, window-major: after a serial pre-pass that creates every arena
-    (and privatizes shared slabs still holding dirty rows), each pool
-    task fills one window's rows across all data in a single batched
-    marginals pass ({!Cost.fill_window_batch} — one axis/prefix-sum
-    scratch set per window). Bounded-memory algorithms and window-major
-    sweeps ({!Refine}, {!Grouping}) call this so their serial loops only
+(** [prefetch_all t] builds every (datum, window) row on the domain
+    pool, window-major: each pool task builds one window's column across
+    all data (counter [cost.batch_fills]: one per task that built an
+    axis-sum row). Bounded-memory algorithms and window-major sweeps
+    ({!Refine}, {!Grouping}) call this so their serial loops only
     read. *)
 val prefetch_all : t -> unit
 
-(** [window_rows t ~window] forces every datum's arena row for [window]
-    (batched, as one {!prefetch_all} task would) and returns
-    [(slabs, offs)] with the entry for (data, rank) at
-    [slabs.(data).{offs.(data) + rank}] — the window-major view
-    {!Online}'s walk and {!Annealing}'s delta evaluator batch their
-    probes through instead of a {!cost_entry} dispatch per probe. Treat
-    both arrays as read-only; they stay valid until the row is
-    invalidated ({!invalidate} / {!with_fault_patch}). *)
-val window_rows :
-  t -> window:int -> Pathgraph.Layered.buffer array * int array
-
-(** [prefetch_referenced t] fills, in parallel, arena rows {e and}
-    candidate lists for every (datum, window) pair where the window
-    references the datum, plus the merged row for data never referenced —
-    exactly what LOMCDS's bounded serial loop reads. *)
+(** [prefetch_referenced t] fills, in parallel, rows {e and} candidate
+    lists for every (datum, window) pair where the window references the
+    datum, plus the merged window's for data never referenced — exactly
+    what LOMCDS's bounded serial loop reads. *)
 val prefetch_referenced : t -> unit
 
 (** [prefetch_centers t] fills, in parallel, the {!optimal_center} cache
-    for every referencing (datum, window) pair plus
-    {!merged_optimal_center} for data never referenced — the vector-free
-    working set of the unbounded LOMCDS fast path. *)
+    for every referencing (datum, window) pair plus the merged window's
+    for data never referenced — the working set of the unbounded LOMCDS
+    walk. *)
 val prefetch_centers : t -> unit
 
-(** [prefetch_merged t] fills every datum's merged vector and candidate
-    list on the pool (SCDS's working set). *)
+(** [prefetch_merged t] fills every datum's merged-window row and
+    candidate list on the pool (SCDS's working set). *)
 val prefetch_merged : t -> unit
 
 (** [check_feasible t ~who] raises the algorithms' historical

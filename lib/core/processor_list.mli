@@ -7,7 +7,7 @@
 
 (** [of_costs ~n cost] sorts ranks [0 .. n-1] by [(cost rank, rank)]
     ascending. The callback form lets {!Sched.Problem} build lists straight
-    off an arena row without copying the vector out first. Dense cost
+    off a cost row without copying the vector out first. Dense cost
     ranges (≤ 4n + 1024) take a stable counting pass instead of a
     comparison sort; both orders are identical, including ties. *)
 val of_costs : n:int -> (int -> int) -> int list

@@ -5,11 +5,14 @@ let placement problem =
       (* Vector-free fast path: with unbounded memories [assign] always
          takes the head of the processor list, which is exactly the
          lowest-rank cost argmin — so each datum's center is
-         [merged_optimal_center] (O(cols + rows) from marginals under the
-         separable kernel), no vector or candidate list needed. Per-datum
+         the merged window's [optimal_center] (the axis minima of its
+         O(cols + rows) row under the separable kernel), no candidate list
+         needed. Per-datum
          and order-free, so it fans out across the pool. *)
       Engine.map ~jobs:(Problem.jobs problem) (Problem.n_data problem)
-        (fun data -> Problem.merged_optimal_center problem ~data)
+        (fun data ->
+          Problem.optimal_center problem ~window:(Problem.n_windows problem)
+            ~data)
   | Problem.Bounded _ ->
       (* parallel phase: merged-window processor lists, one row per datum *)
       Problem.prefetch_merged problem;
@@ -21,7 +24,8 @@ let placement problem =
         (fun data ->
           result.(data) <-
             Processor_list.assign memory
-              (Problem.merged_candidates problem ~data))
+              (Problem.candidates problem ~window:(Problem.n_windows problem)
+               ~data))
         (Problem.by_total_references problem);
       result
 

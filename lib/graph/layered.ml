@@ -1,10 +1,36 @@
-type buffer = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type relaxation =
   | Axes of { xdist : int array array; ydist : int array array }
   | Table of int array array
 
-type block = { relaxation : relaxation; vectors : buffer; offsets : int array }
+type row = Full of int array | Axis_sum of int array * int array
+type block = { relaxation : relaxation; rows : row array }
+
+let entry row g =
+  match row with
+  | Full v -> v.(g)
+  | Axis_sum (cx, cy) ->
+      let cols = Array.length cx in
+      cx.(g mod cols) + cy.(g / cols)
+
+let to_array = function
+  | Full v -> Array.copy v
+  | Axis_sum (cx, cy) as r ->
+      Array.init (Array.length cx * Array.length cy) (entry r)
+
+(* On an axis sum the minimizers form the product (argmin cx) x
+   (argmin cy), so the lowest index on each axis is the lowest
+   row-major rank, as an ascending scan would find. *)
+let argmin row =
+  let lowest a =
+    let best = ref 0 in
+    for i = 1 to Array.length a - 1 do
+      if a.(i) < a.(!best) then best := i
+    done;
+    !best
+  in
+  match row with
+  | Full v -> lowest v
+  | Axis_sum (cx, cy) -> (lowest cy * Array.length cx) + lowest cx
 
 (* DP work counters, reported once per solve (see DESIGN.md
    "Observability"): per layer [nodes] = sources with a finite cost and
@@ -203,14 +229,19 @@ let compile ~n_layers b =
           t;
         Scan t
   in
-  let width = width_of r and dim = Bigarray.Array1.dim b.vectors in
-  if Array.length b.offsets < n_layers then
-    invalid_arg "Layered: offset table shorter than n_layers";
-  Array.iter
-    (fun off ->
-      if off < 0 || off + width > dim then
-        invalid_arg "Layered: layer offset outside the vector buffer")
-    b.offsets;
+  if Array.length b.rows < n_layers then
+    invalid_arg "Layered: fewer rows than n_layers";
+  for l = 0 to n_layers - 1 do
+    match (b.rows.(l), r) with
+    | Full v, _ ->
+        if Array.length v <> width_of r then
+          invalid_arg "Layered: a row's length differs from the block width"
+    | Axis_sum (cx, cy), Sweep { cols; rows; _ } ->
+        if Array.length cx <> cols || Array.length cy <> rows then
+          invalid_arg "Layered: an axis-sum row does not match the axis tables"
+    | Axis_sum _, Scan _ ->
+        invalid_arg "Layered: an axis-sum row on a Table block"
+  done;
   r
 
 (* Relaxation steps a block performs on a layer with [finite] finite
@@ -297,23 +328,47 @@ let relax_block sc r ~b ~bits =
       done;
       Array.blit tmp 0 c b w
 
-(* Finalize pass 1 over the cells [b, e) of one block: record each
-   cell's predecessor (its rank bits) in [choice] at [cb], then replace
-   every finite cell [row] admits by its absolute cost — unpacked cost
-   plus [base] (layer minimum and const) plus the layer row at [voff] —
-   and every other cell by [max_int]. Returns the least such cost. *)
-let settle cell choice ~cb ~row ~(vs : buffer) ~voff ~base ~bits ~b ~e =
+(* Finalize one cell [g]: record its predecessor (its rank bits) in
+   [choice] at [cb], then replace it by its absolute cost — unpacked
+   cost plus [add] (layer minimum, const and row entry) — when it is
+   finite and [admit] admits it, by [max_int] otherwise. Returns the
+   lesser of [lo] and the new cost. *)
+let[@inline] settle_cell cell choice ~cb ~admit ~bits g ~add lo =
+  let c = cell.(g) in
+  choice.(cb + g) <- c land ((1 lsl bits) - 1);
+  if c < inf && Bytes.get admit g <> '\000' then begin
+    let v = (c lsr bits) + add in
+    cell.(g) <- v;
+    if v < lo then v else lo
+  end
+  else begin
+    cell.(g) <- max_int;
+    lo
+  end
+
+(* Finalize pass 1 over the cells [b, e) of one block, adding [base]
+   and the block's layer row: [v.(g - b)] for a full row,
+   [cx.(x) + cy.(y)] at each target of an axis sum. Returns the least
+   new cost. *)
+let settle cell choice ~cb ~admit ~row ~base ~bits ~b ~e =
   let lo = ref max_int in
-  for g = b to e - 1 do
-    let c = cell.(g) in
-    choice.(cb + g) <- c land ((1 lsl bits) - 1);
-    if c < inf && Bytes.get row g <> '\000' then begin
-      let v = (c lsr bits) + base + vs.{voff + g} in
-      cell.(g) <- v;
-      if v < !lo then lo := v
-    end
-    else cell.(g) <- max_int
-  done;
+  (match row with
+  | Full v ->
+      for g = b to e - 1 do
+        lo :=
+          settle_cell cell choice ~cb ~admit ~bits g
+            ~add:(base + v.(g - b)) !lo
+      done
+  | Axis_sum (cx, cy) ->
+      let cols = Array.length cx in
+      for y = 0 to Array.length cy - 1 do
+        let by = base + cy.(y) and r = b + (y * cols) in
+        for x = 0 to cols - 1 do
+          lo :=
+            settle_cell cell choice ~cb ~admit ~bits (r + x)
+              ~add:(by + cx.(x)) !lo
+        done
+      done);
   !lo
 
 (* Finalize pass 2: repack the absolute costs of the cells [b, e)
@@ -402,7 +457,7 @@ let solve ?admit ?move_cost ?consts ~n_layers blocks =
   let sc = scratch ~width:total ~n_layers in
   let cell = sc.cell and choice = sc.choice in
   let mask = (1 lsl bits) - 1 in
-  let row_of layer =
+  let admit_row layer =
     match admit with
     | None -> sc.ones
     | Some f ->
@@ -417,16 +472,15 @@ let solve ?admit ?move_cost ?consts ~n_layers blocks =
   let m = ref 0 in
   (* Finalize [layer] from its relaxed cells; [false] when it is empty. *)
   let finalize layer =
-    let row = row_of layer in
+    let admit = admit_row layer in
     let lo = ref max_int in
     for i = 0 to nb - 1 do
-      let blk = blocks.(i) and b = bases.(i) in
       lo :=
         min !lo
-          (settle cell choice ~cb:(layer * total) ~row ~vs:blk.vectors
-             ~voff:(blk.offsets.(layer) - b)
+          (settle cell choice ~cb:(layer * total) ~admit
+             ~row:blocks.(i).rows.(layer)
              ~base:(!m + const ~layer i)
-             ~bits ~b ~e:bases.(i + 1))
+             ~bits ~b:bases.(i) ~e:bases.(i + 1))
     done;
     let lo = !lo in
     m := lo;

@@ -4,7 +4,7 @@
     per layer, pays that node's layer cost, and pays the move cost
     between consecutive nodes. {!solve} is the one forward DP every
     scheduler here runs. A layer is a concatenation of {e blocks} — one
-    per PIM array — each priced by its own flat buffer of layer rows and
+    per PIM array — each priced by its own layer rows ({!row}) and
     relaxed by one of two relaxations:
 
     - {!Axes}: the mesh metric as two per-axis tables, relaxed by a
@@ -30,11 +30,6 @@
     proves the range. The work buffers are per domain, so a solve
     allocates little beyond the returned centers. *)
 
-(** Flat layer-vector buffer: a 1-D [int] bigarray, so arena slabs can be
-    allocated {e uninitialized} (only rows actually written cost memory
-    traffic — an [int array] would zero-fill every row on allocation). *)
-type buffer = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (** How a block prices a move between two of its nodes. *)
 type relaxation =
   | Axes of { xdist : int array array; ydist : int array array }
@@ -45,13 +40,30 @@ type relaxation =
   | Table of int array array
       (** Width×width table, [dist(j, k) = t.(j).(k)]. *)
 
-(** One block: its relaxation, its flat layer-vector buffer and the row
-    offset of each layer in it — layer [w] occupies
-    [vectors.{offsets.(w)} .. vectors.{offsets.(w) + width - 1}].
-    Offsets may repeat: a compact arena slab from
-    {!Sched.Problem.layer_slab} points every non-referencing layer at one
-    shared zero row. *)
-type block = { relaxation : relaxation; vectors : buffer; offsets : int array }
+(** A layer row: the cost of hosting the layer at each node of a
+    block.
+    - [Full v]: [v.(j)] at local node [j]; [v] has the block's width.
+    - [Axis_sum (cx, cy)]: [cx.(j mod cols) + cy.(j / cols)], with [cx]
+      of length [cols] and [cy] of length [rows] — the form a
+      reference's cost takes under x-y routing, which splits per axis.
+      Only an {!Axes} block of that shape takes it: link faults break
+      the split, and a {!Table} block has no axes. *)
+type row = Full of int array | Axis_sum of int array * int array
+
+(** [entry row j] is [row]'s cost at local node [j]. *)
+val entry : row -> int -> int
+
+(** [to_array row] is every entry of [row], as a fresh array. *)
+val to_array : row -> int array
+
+(** [argmin row] is the lowest node of least cost: a scan of a full
+    row, the two axis minima of an axis sum. *)
+val argmin : row -> int
+
+(** One block: its relaxation and one row per layer ([rows.(w)] prices
+    layer [w]). Rows may be shared between layers and blocks: they are
+    only read. *)
+type block = { relaxation : relaxation; rows : row array }
 
 (** [solve ?admit ?move_cost ?consts ~n_layers blocks] returns the
     minimal trajectory cost and one witness, the global node chosen in
@@ -87,9 +99,10 @@ type block = { relaxation : relaxation; vectors : buffer; offsets : int array }
     path sums) are unbounded apart from native-int overflow.
     @raise Invalid_argument on empty [blocks], non-positive [n_layers], an
     empty or non-square table, a negative table entry or [move_cost], an
-    axis table that is neither a line nor a ring metric, an offset table
-    shorter than [n_layers], an offset row outside its buffer, several
-    blocks without [move_cost], an admit row shorter than the layer, or
+    axis table that is neither a line nor a ring metric, fewer rows than
+    [n_layers], a [Full] row whose length is not the block width, an
+    [Axis_sum] row on a [Table] block or with axes of the wrong lengths,
+    several blocks without [move_cost], an admit row shorter than the layer, or
     [D >= 2^(60 - b)]. *)
 val solve :
   ?admit:(int -> Bytes.t) ->

@@ -261,9 +261,12 @@ let assignment t =
             (fun m ->
               if room.(m) > 0 then begin
                 let s = sub t m in
-                let center = Sched.Problem.merged_optimal_center s ~data:d in
+                let merged = Sched.Problem.n_windows s in
+                let center =
+                  Sched.Problem.optimal_center s ~window:merged ~data:d
+                in
                 let local =
-                  (Sched.Problem.merged_vector s ~data:d).(center)
+                  Sched.Problem.cost_entry s ~window:merged ~data:d center
                 in
                 let score = merged_cross_cost t ~data:d ~member:m + local in
                 if score < !best_score then begin

@@ -7,7 +7,7 @@
     only the references issued from [m]'s processors, localized to
     member ranks) and opens an ordinary per-member problem session over
     each, so the whole separable-kernel machinery (marginal caches, flat
-    cost arenas, axis tables) is reused per array, unchanged.
+    cost rows, axis tables) is reused per array, unchanged.
 
     On top it caches the {e member weight} tables the cross-array layer
     consumes: [W(w, d, m)] — the total reference count datum [d]

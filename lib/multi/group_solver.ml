@@ -9,7 +9,7 @@ let alive_admit gp =
   if Bytes.contains row '\000' then Some (fun _ -> row) else None
 
 (* Per-datum migration DP over the whole group: member blocks read their
-   arena slabs in place, the fabric is one scalar edge per member pair,
+   cached rows in place, the fabric is one scalar edge per member pair,
    and the cross-array reference cost of window w enters as the
    per-member constant Σ_{j≠i} W(w,d,j)·move_cost(j,i). Returns the raw
    (volume-unweighted) per-datum optima — scaling by a datum's volume
@@ -27,10 +27,10 @@ let dp_all gp =
   Sched.Engine.map ~jobs:(Group_problem.jobs gp) nd (fun d ->
       let blocks =
         Array.init nm (fun m ->
-            let vectors, offsets =
-              Sched.Problem.layer_slab (Group_problem.sub gp m) ~data:d
-            in
-            { Pathgraph.Layered.relaxation = relaxations.(m); vectors; offsets })
+            {
+              Pathgraph.Layered.relaxation = relaxations.(m);
+              rows = Sched.Problem.layer_rows (Group_problem.sub gp m) ~data:d;
+            })
       in
       match
         Pathgraph.Layered.solve ~move_cost

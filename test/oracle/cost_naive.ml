@@ -11,18 +11,18 @@ let reference_cost mesh window ~data ~center =
     0
     (Reftrace.Window.profile window data)
 
-let cost_vector mesh window ~data =
-  let m = Pim.Mesh.size mesh in
-  let v = Array.make m 0 in
+(* [cost_vector_over ~size ~dist] walks the profile under an arbitrary
+   rank-to-rank distance (e.g. BFS distances around dead links). *)
+let cost_vector_over ~size ~dist window ~data =
   let profile = Reftrace.Window.profile window data in
-  for center = 0 to m - 1 do
-    v.(center) <-
+  Array.init size (fun center ->
       List.fold_left
-        (fun acc (proc, count) ->
-          acc + (count * Pim.Mesh.distance mesh center proc))
-        0 profile
-  done;
-  v
+        (fun acc (proc, count) -> acc + (count * dist center proc))
+        0 profile)
+
+let cost_vector mesh window ~data =
+  cost_vector_over ~size:(Pim.Mesh.size mesh) ~dist:(Pim.Mesh.distance mesh)
+    window ~data
 
 let local_optimal_center mesh window ~data =
   let v = cost_vector mesh window ~data in

@@ -88,20 +88,14 @@ let greedy_ranges ~ops ~dist ~items ~n =
   finalize (n - 1);
   List.rev !finalized
 
-(* The [`Global] pass over greedy ranges: [fill state dst off] writes a
-   group's cost row from its summed state. *)
-let refine_ranges problem ~fill ranges =
-  let size = Pim.Mesh.size (Problem.mesh problem) in
+(* The [`Global] pass over greedy ranges: each group's summed vector is
+   its full cost row. *)
+let refine_ranges problem ranges =
   let rows =
-    Bigarray.Array1.create Bigarray.Int Bigarray.C_layout
-      (List.length ranges * size)
+    Array.of_list (List.map (fun (_, _, v, _) -> Problem.Full v) ranges)
   in
-  List.iteri (fun i (_, _, v, _) -> fill v rows (i * size)) ranges;
   let centers = Sched.Grouping.refine_centers problem rows in
   List.mapi (fun i (lo, hi, v, _) -> (lo, hi, v, centers.(i))) ranges
-
-let fill_vector v (dst : Pathgraph.Layered.buffer) off =
-  Array.iteri (fun k c -> dst.{off + k} <- c) v
 
 (* Referenced-window subsequence of one datum: window indices plus their
    (cached) cost vectors. *)
@@ -133,6 +127,6 @@ let groups problem ~data ~centers =
       let ranges =
         match centers with
         | `Local -> ranges
-        | `Global -> refine_ranges problem ~fill:fill_vector ranges
+        | `Global -> refine_ranges problem ranges
       in
       to_groups indices ranges

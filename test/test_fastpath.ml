@@ -1,12 +1,14 @@
-(* Differential harness for the flat-arena / argmin / axis-table fast
+(* Differential harness for the row-store / argmin / axis-table fast
    paths: every rewritten layer is pinned byte-identical to the surviving
    oracle it replaced.
 
-   - arena-backed vectors vs per-array [Oracle.Cost_naive] builds;
+   - session rows (the merged window's included) vs per-array
+     [Oracle.Cost_naive] builds, healthy and faulted;
    - [Cost.argmin_of_marginals] vs the full-vector ascending argmin, on
      meshes and tori (circular prefix sums);
    - [Layered.solve] on [Axes] and [Table] blocks vs the full-table dense
-     DP ([Oracle.Layered.solve_dense(_filtered)]);
+     DP ([Oracle.Layered.solve_dense(_filtered)]), on full and
+     axis-sum rows;
    - the [Problem.t]-ported [Annealing]/[Online] vs verbatim copies of
      their pre-port standalone implementations, at fixed seeds, serial
      and at jobs = 4;
@@ -22,20 +24,21 @@ let problem_of ?policy ?(jobs = 1) mesh trace =
   Sched.Problem.create ?policy ~jobs mesh trace
 
 (* The production DP on one [Axes] block — the shape the dense
-   oracle is compared against. Without [offsets] the layer rows are back
-   to back. *)
-let solve_axes_filtered ?offsets ?admit ~xdist ~ydist ~vectors ~n_layers () =
-  let width = Array.length xdist * Array.length ydist in
-  let offsets =
-    match offsets with
-    | Some o -> o
-    | None -> Array.init n_layers (fun l -> l * width)
-  in
+   oracle is compared against. *)
+let solve_axes_filtered ?admit ~xdist ~ydist ~rows ~n_layers () =
   Pathgraph.Layered.solve ?admit ~n_layers
-    [| { relaxation = Axes { xdist; ydist }; vectors; offsets } |]
+    [| { relaxation = Axes { xdist; ydist }; rows } |]
 
-let solve_axes ?offsets ~xdist ~ydist ~vectors ~n_layers () =
-  Option.get (solve_axes_filtered ?offsets ~xdist ~ydist ~vectors ~n_layers ())
+let solve_axes ~xdist ~ydist ~rows ~n_layers () =
+  Option.get (solve_axes_filtered ~xdist ~ydist ~rows ~n_layers ())
+
+(* Layer [w] of a flat buffer of [n_layers] rows of width [m], as full
+   rows. *)
+let full_rows ~m ~n_layers flat =
+  Array.init n_layers (fun w ->
+      Pathgraph.Layered.Full (Array.sub flat (w * m) m))
+
+let dense rows = Array.map Pathgraph.Layered.to_array rows
 
 (* ------------------------------------------------------------------ *)
 (* (a) arena rows vs per-array vectors                                 *)
@@ -53,20 +56,17 @@ let prop_arena_matches_per_array_vectors mesh label =
       let windows = Reftrace.Trace.windows trace in
       List.for_all
         (fun data ->
-          let slab, offs = Sched.Problem.layer_slab problem ~data in
+          let rows = Sched.Problem.layer_rows problem ~data in
           List.mapi (fun w window -> (w, window)) windows
           |> List.for_all (fun (w, window) ->
                  let oracle = oracle_vector mesh window ~data in
                  let copy =
                    Sched.Problem.cost_vector problem ~window:w ~data
                  in
-                 (* non-referencing windows must share the zero row *)
-                 (Reftrace.Window.references window data > 0
-                 || offs.(w) = 0)
-                 && oracle = copy
+                 oracle = copy
                  && Array.for_all Fun.id
                       (Array.init m (fun c ->
-                           slab.{offs.(w) + c} = oracle.(c)
+                           Pathgraph.Layered.entry rows.(w) c = oracle.(c)
                            && Sched.Problem.cost_entry problem ~window:w
                                 ~data c
                               = oracle.(c)))
@@ -109,14 +109,12 @@ let prop_problem_centers_match_vector mesh label =
       let n_windows = Sched.Problem.n_windows problem in
       List.for_all
         (fun data ->
-          Sched.Problem.merged_optimal_center problem ~data
-          = vector_argmin (Sched.Problem.merged_vector problem ~data)
-          && List.for_all
-               (fun w ->
-                 Sched.Problem.optimal_center problem ~window:w ~data
-                 = vector_argmin
-                     (Sched.Problem.cost_vector problem ~window:w ~data))
-               (List.init n_windows Fun.id))
+          List.for_all
+            (fun w ->
+              Sched.Problem.optimal_center problem ~window:w ~data
+              = vector_argmin
+                  (Sched.Problem.cost_vector problem ~window:w ~data))
+            (List.init (n_windows + 1) Fun.id))
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)
@@ -154,33 +152,31 @@ let prop_solve_axes_matches_dense mesh label =
       in
       let allowed = Gen.allowed_of_mask ~width:m mask
       and admit = Gen.admit_of_mask ~width:m mask in
-      let buffer_of a =
-        Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout a
-      in
-      let dense = Oracle.Layered.solve_dense ~dist ~vectors in
+      let rows = full_rows ~m ~n_layers flat in
       let unfiltered_equal =
-        solve_axes ~xdist ~ydist ~vectors:(buffer_of flat) ~n_layers ()
-        = dense
+        solve_axes ~xdist ~ydist ~rows ~n_layers ()
+        = Oracle.Layered.solve_dense ~dist ~vectors
       in
       let filtered_equal =
-        solve_axes_filtered ~xdist ~ydist ~vectors:(buffer_of flat) ~n_layers
-          ~admit ()
+        solve_axes_filtered ~xdist ~ydist ~rows ~n_layers ~admit ()
         = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed
       in
-      (* explicit offsets: store the layer rows in reverse order and point
-         offsets.(w) at the right one — the compact-arena access pattern *)
-      let rev = Array.make (n_layers * m) 0 in
-      let offsets =
-        Array.init n_layers (fun w -> (n_layers - 1 - w) * m)
+      (* axis-sum rows: layer [w] as the sum of its first row and first
+         column, one array shared by every layer as its x axis *)
+      let cols = Pim.Mesh.cols mesh and nrows = Pim.Mesh.rows mesh in
+      let shared_x = Array.sub flat 0 cols in
+      let axes =
+        Array.init n_layers (fun w ->
+            Pathgraph.Layered.Axis_sum
+              ( shared_x,
+                Array.init nrows (fun y -> flat.((w * m) + (y * cols))) ))
       in
-      Array.iteri
-        (fun w off -> Array.blit flat (w * m) rev off m)
-        offsets;
-      let offsets_equal =
-        solve_axes ~offsets ~xdist ~ydist ~vectors:(buffer_of rev) ~n_layers ()
-        = dense
+      let axes_equal =
+        solve_axes_filtered ~xdist ~ydist ~rows:axes ~n_layers ~admit ()
+        = Oracle.Layered.solve_dense_filtered ~dist ~vectors:(dense axes)
+            ~allowed
       in
-      unfiltered_equal && filtered_equal && offsets_equal)
+      unfiltered_equal && filtered_equal && axes_equal)
 
 (* ------------------------------------------------------------------ *)
 (* (c') separable relaxation on edge shapes, ties and emptied lines    *)
@@ -208,9 +204,10 @@ let relax_shapes =
     (Pim.Mesh.torus ~rows:17 ~cols:1, "17x1 ring, width 2^4+1");
   ]
 
-(* Vectors are random, tie-heavy (values in {0, 1}), all equal, or
+(* Full rows are random, tie-heavy (values in {0, 1}), all equal, or
    random with one entry per layer far above the rest (a source the DP
-   sets to infinity); the mask is all-true, random, empties whole rows
+   sets to infinity); axis-sum rows are random or tie-heavy per axis;
+   the mask is all-true, random, empties whole rows
    and columns of some layers (possibly all of a layer, which must come
    back [None]), or fills a third of the ranks with a full set that
    shifts every layer, as bounded placement's rows do. *)
@@ -220,20 +217,30 @@ let relax_instance_gen mesh =
   let m = rows * cols in
   int_range 1 5 >>= fun n_layers ->
   let cells = n_layers * m in
+  let full flat = return (full_rows ~m ~n_layers flat) in
+  let axes top =
+    array_size (return n_layers)
+      (pair
+         (array_size (return cols) (int_range 0 top))
+         (array_size (return rows) (int_range 0 top)))
+    >|= Array.map (fun (cx, cy) -> Pathgraph.Layered.Axis_sum (cx, cy))
+  in
   oneof
     [
-      array_size (return cells) (int_range 0 20);
-      array_size (return cells) (int_range 0 1);
-      map (fun v -> Array.make cells v) (int_range 0 9);
+      array_size (return cells) (int_range 0 20) >>= full;
+      array_size (return cells) (int_range 0 1) >>= full;
+      map (fun v -> Array.make cells v) (int_range 0 9) >>= full;
       ( pair
           (array_size (return cells) (int_range 0 20))
           (array_size (return n_layers)
              (pair (int_range 0 (m - 1)) (int_range 100 (1 lsl 40))))
-      >|= fun (flat, far) ->
+      >>= fun (flat, far) ->
         Array.iteri (fun layer (j, v) -> flat.((layer * m) + j) <- v) far;
-        flat );
+        full flat );
+      axes 20;
+      axes 1;
     ]
-  >>= fun flat ->
+  >>= fun layer_rows ->
   oneof
     [
       return (Array.make cells true);
@@ -251,7 +258,16 @@ let relax_instance_gen mesh =
             let layer = i / m and j = i mod m in
             (j + shifts.(layer) + layer) mod 3 <> 0) );
     ]
-  >>= fun mask -> return (n_layers, flat, mask)
+  >>= fun mask -> return (n_layers, layer_rows, mask)
+
+let relax_print (n_layers, rows, mask) =
+  let kind =
+    match rows.(0) with
+    | Pathgraph.Layered.Full _ -> "full"
+    | Axis_sum _ -> "axis-sum"
+  in
+  kind ^ " rows, "
+  ^ layered_print (n_layers, Array.concat (Array.to_list (dense rows)), mask)
 
 (* A batch of instances on one shape, each solved unfiltered and
    filtered, at jobs 1 and 4 (the scratch buffers are per domain), must
@@ -259,7 +275,7 @@ let relax_instance_gen mesh =
 let prop_relax_shapes (mesh, label) =
   let arb =
     QCheck.make
-      ~print:(fun l -> String.concat "\n" (List.map layered_print l))
+      ~print:(fun l -> String.concat "\n" (List.map relax_print l))
       QCheck.Gen.(list_size (int_range 1 4) (relax_instance_gen mesh))
   in
   QCheck.Test.make
@@ -272,22 +288,17 @@ let prop_relax_shapes (mesh, label) =
       and ydist = Pim.Mesh.y_distance_table mesh in
       let expected =
         Array.map
-          (fun (n_layers, flat, mask) ->
-            let vectors =
-              Array.init n_layers (fun w -> Array.sub flat (w * m) m)
-            in
+          (fun (_, rows, mask) ->
+            let vectors = dense rows in
             ( Some (Oracle.Layered.solve_dense ~dist ~vectors),
               Oracle.Layered.solve_dense_filtered ~dist ~vectors
                 ~allowed:(Gen.allowed_of_mask ~width:m mask) ))
           instances
       in
       let solve i =
-        let n_layers, flat, mask = instances.(i) in
-        let buffer =
-          Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat
-        in
-        ( solve_axes_filtered ~xdist ~ydist ~vectors:buffer ~n_layers (),
-          solve_axes_filtered ~xdist ~ydist ~vectors:buffer ~n_layers
+        let n_layers, rows, mask = instances.(i) in
+        ( solve_axes_filtered ~xdist ~ydist ~rows ~n_layers (),
+          solve_axes_filtered ~xdist ~ydist ~rows ~n_layers
             ~admit:(Gen.admit_of_mask ~width:m mask) () )
       in
       let n = Array.length instances in
@@ -311,8 +322,7 @@ let outsized_solve_case =
           (solve_axes
              ~xdist:(Pim.Mesh.x_distance_table mesh)
              ~ydist:(Pim.Mesh.y_distance_table mesh)
-             ~vectors:
-               (Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat)
+             ~rows:(full_rows ~m ~n_layers flat)
              ~n_layers ()
           = Oracle.Layered.solve_dense
               ~dist:(Oracle.Mesh_distance.table mesh) ~vectors)
@@ -358,8 +368,7 @@ let prop_table_matches_dense =
       let block =
         {
           Pathgraph.Layered.relaxation = Table dist;
-          vectors = Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout flat;
-          offsets = Array.init n_layers (fun l -> l * width);
+          rows = full_rows ~m:width ~n_layers flat;
         }
       in
       Pathgraph.Layered.solve ~n_layers [| block |]
@@ -387,10 +396,7 @@ let table_ceiling_case =
           [|
             {
               relaxation = Table (table top);
-              vectors =
-                Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout
-                  (Array.make (n_layers * width) 0);
-              offsets = [| 0; width |];
+              rows = Array.map (fun v -> Pathgraph.Layered.Full v) vectors;
             };
           |]
       in
@@ -480,17 +486,17 @@ let prop_link_fault_solve_matches_dense (mesh, fault, label, count) =
 (* Grouped refinement: [refine_centers] (axis relaxation on healthy and
    node-faulted contexts, BFS table under link faults) picks the same
    centers as the callback DP over [Problem.distance]; the rows are the
-   datum's per-window arena rows. *)
+   datum's per-window session rows (axis sums unless links are dead). *)
 let closure_centers problem rows =
-  let m = Pim.Mesh.size (Sched.Problem.mesh problem) in
   let p =
     {
-      Oracle.Layered.n_layers = Bigarray.Array1.dim rows / m;
-      width = m;
-      enter_cost = (fun j -> rows.{j});
+      Oracle.Layered.n_layers = Array.length rows;
+      width = Pim.Mesh.size (Sched.Problem.mesh problem);
+      enter_cost = Pathgraph.Layered.entry rows.(0);
       step_cost =
         (fun ~layer j k ->
-          Sched.Problem.distance problem j k + rows.{(layer * m) + k});
+          Sched.Problem.distance problem j k
+          + Pathgraph.Layered.entry rows.(layer) k);
     }
   in
   let allowed ~layer:_ j = Sched.Problem.rank_alive problem j in
@@ -504,18 +510,9 @@ let prop_refine_routes_agree (mesh, fault, label) =
     ~name:("refine_centers axis route = closure route, " ^ label)
     ~count:40 arb (fun trace ->
       let problem = Sched.Problem.create ~fault mesh trace in
-      let m = Pim.Mesh.size mesh in
       List.for_all
         (fun data ->
-          let nw = Sched.Problem.n_windows problem in
-          let rows =
-            Bigarray.Array1.create Bigarray.Int Bigarray.C_layout (nw * m)
-          in
-          for w = 0 to nw - 1 do
-            Array.iteri
-              (fun k c -> rows.{(w * m) + k} <- c)
-              (Sched.Problem.cost_vector problem ~window:w ~data)
-          done;
+          let rows = Sched.Problem.layer_rows problem ~data in
           Sched.Grouping.refine_centers problem rows
           = closure_centers problem rows)
         (List.init (Sched.Problem.n_data problem) Fun.id))
@@ -803,43 +800,77 @@ let prop_merge_equals_replay =
            [ 0; 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
-(* Compact-slab structure                                              *)
+(* The row store                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The arena invariants [Problem.layer_slab] promises: one row per
-   referencing window plus the shared zero row; non-referencing windows
-   all point at offset 0; referencing rows are laid out back-to-back in
-   window order; the zero row really is all zeros. *)
-let prop_layer_slab_compact mesh label =
+(* Every row a session serves, the merged window's (index [n_windows])
+   included, equals the direct profile walk entry for entry — over mesh
+   distances, or the BFS distances around dead links — read lazily and
+   after a window-major [prefetch_all] at jobs 4. Rows are axis sums
+   unless links are dead, and every window that does not reference a
+   datum reads one physically shared all-zero row. *)
+let store_faults =
+  [
+    ("healthy", Pim.Fault.none);
+    ("node-faulted", Pim.Fault.create ~dead_nodes:[ 1; 6 ] ());
+    ("link-faulted", Pim.Fault.create ~dead_links:[ (0, 1); (5, 6) ] ());
+  ]
+
+let prop_row_store mesh label (kind, fault) =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in
+  let size = Pim.Mesh.size mesh in
+  let dist =
+    if Pim.Fault.has_link_faults fault then begin
+      let bfs = Pim.Fault.Oracle.create mesh fault in
+      fun src dst ->
+        Option.value ~default:Sched.Problem.unreachable_cost
+          (Pim.Fault.Oracle.distance bfs ~src ~dst)
+    end
+    else Pim.Mesh.distance mesh
+  in
   QCheck.Test.make
-    ~name:("layer_slab is compact with a shared zero row, " ^ label)
-    ~count:40 arb (fun trace ->
-      let problem = problem_of mesh trace in
-      let m = Pim.Mesh.size mesh in
-      let windows = Array.of_list (Reftrace.Trace.windows trace) in
+    ~name:(Printf.sprintf "row store = Cost_naive, %s %s" kind label)
+    ~count:30 arb (fun trace ->
+      let lazy_ = Sched.Problem.create ~fault mesh trace in
+      let eager = Sched.Problem.create ~jobs:4 ~fault mesh trace in
+      Sched.Problem.prefetch_all eager;
+      let nw = Sched.Problem.n_windows lazy_ in
+      let window w =
+        if w = nw then Sched.Problem.merged lazy_
+        else Sched.Problem.window lazy_ w
+      in
+      let zeros = ref [] in
+      let cells =
+        List.concat_map
+          (fun data -> List.init (nw + 1) (fun w -> (data, w)))
+          (List.init (Sched.Problem.n_data lazy_) Fun.id)
+      in
       List.for_all
-        (fun data ->
-          let slab, offs = Sched.Problem.layer_slab problem ~data in
-          let referencing =
-            List.filter
-              (fun w -> Reftrace.Window.references windows.(w) data > 0)
-              (List.init (Array.length windows) Fun.id)
-          in
-          Bigarray.Array1.dim slab = (1 + List.length referencing) * m
-          && Array.for_all Fun.id
-               (Array.init m (fun i -> slab.{i} = 0))
-          && List.for_all2
-               (fun w slot -> offs.(w) = slot * m)
-               referencing
-               (List.init (List.length referencing) (fun s -> s + 1))
-          && Array.for_all Fun.id
-               (Array.mapi
-                  (fun w off ->
-                    Reftrace.Window.references windows.(w) data > 0
-                    || off = 0)
-                  offs))
-        (List.init (Sched.Problem.n_data problem) Fun.id))
+        (fun problem ->
+          List.for_all
+            (fun (data, w) ->
+              let row = Sched.Problem.row problem ~window:w ~data in
+              if Reftrace.Window.references (window w) data = 0 then
+                zeros := row :: !zeros;
+              let form_ok =
+                match row with
+                | Pathgraph.Layered.Axis_sum _ ->
+                    not (Pim.Fault.has_link_faults fault)
+                | Full _ -> Pim.Fault.has_link_faults fault
+              in
+              form_ok
+              && Pathgraph.Layered.to_array row
+                 = Oracle.Cost_naive.cost_vector_over ~size ~dist (window w)
+                     ~data)
+            cells
+          &&
+          match !zeros with
+          | [] -> true
+          | z :: rest ->
+              zeros := [];
+              List.for_all (fun r -> r == z) rest
+              && Array.for_all (( = ) 0) (Pathgraph.Layered.to_array z))
+        [ lazy_; eager ])
 
 (* ------------------------------------------------------------------ *)
 (* Arena-backed path / trajectory costs vs the Cost-module oracle      *)
@@ -872,7 +903,7 @@ let prop_path_cost_matches mesh label =
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* Merged-window caches vs the merge_list oracle                       *)
+(* Merged-window cells vs the merge_list oracle                        *)
 (* ------------------------------------------------------------------ *)
 
 let prop_merged_matches mesh label =
@@ -884,13 +915,14 @@ let prop_merged_matches mesh label =
       let merged =
         Reftrace.Window.merge_list (Reftrace.Trace.windows trace)
       in
+      let window = Sched.Problem.n_windows problem in
       List.for_all
         (fun data ->
           let oracle = oracle_vector mesh merged ~data in
-          Sched.Problem.merged_vector problem ~data = oracle
-          && Sched.Problem.merged_optimal_center problem ~data
+          Sched.Problem.cost_vector problem ~window ~data = oracle
+          && Sched.Problem.optimal_center problem ~window ~data
              = vector_argmin oracle
-          && Sched.Problem.merged_candidates problem ~data
+          && Sched.Problem.candidates problem ~window ~data
              = Sched.Processor_list.of_cost_vector oracle)
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
@@ -953,35 +985,42 @@ let solve_axes_validation_cases =
   let xdist = Pim.Mesh.x_distance_table Gen.mesh44
   and ydist = Pim.Mesh.y_distance_table Gen.mesh44 in
   let m = Pim.Mesh.size Gen.mesh44 in
-  let buffer n =
-    Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout
-      (Array.make n 1)
-  in
+  let full n = Pathgraph.Layered.Full (Array.make n 1) in
+  let two = [| full m; full m |] in
   let rejects name f = Gen.case name (fun () ->
       match f () with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail (name ^ ": expected Invalid_argument"))
   in
   [
-    rejects "solve_axes rejects a short flat buffer" (fun () ->
+    rejects "solve_axes rejects a short row" (fun () ->
         solve_axes ~xdist ~ydist
-          ~vectors:(buffer ((2 * m) - 1)) ~n_layers:2 ());
-    rejects "solve_axes rejects a short offset table" (fun () ->
-        solve_axes ~offsets:[| 0 |] ~xdist ~ydist
-          ~vectors:(buffer (2 * m)) ~n_layers:2 ());
-    rejects "solve_axes rejects an out-of-range offset" (fun () ->
-        solve_axes ~offsets:[| 0; (m * 2) - 1 |] ~xdist
-          ~ydist ~vectors:(buffer (2 * m)) ~n_layers:2 ());
+          ~rows:[| full m; full (m - 1) |]
+          ~n_layers:2 ());
+    rejects "solve_axes rejects fewer rows than layers" (fun () ->
+        solve_axes ~xdist ~ydist ~rows:[| full m |] ~n_layers:2 ());
+    rejects "solve_axes rejects an axis sum of the wrong shape" (fun () ->
+        solve_axes ~xdist ~ydist
+          ~rows:[| full m; Axis_sum (Array.make 4 0, Array.make 3 0) |]
+          ~n_layers:2 ());
+    rejects "a Table block rejects an axis-sum row" (fun () ->
+        Pathgraph.Layered.solve ~n_layers:1
+          [|
+            {
+              relaxation = Table (Oracle.Mesh_distance.table Gen.mesh44);
+              rows = [| Axis_sum (Array.make 4 0, Array.make 4 0) |];
+            };
+          |]);
     (* the sweeps need unit |a-b| or ring steps: any other table has no
        separable form and is refused, not silently mis-solved *)
     rejects "solve_axes rejects a scaled distance table" (fun () ->
         solve_axes
           ~xdist:(Array.map (Array.map (fun d -> 2 * d)) xdist)
-          ~ydist ~vectors:(buffer (2 * m)) ~n_layers:2 ());
+          ~ydist ~rows:two ~n_layers:2 ());
     rejects "solve_axes rejects a ragged distance table" (fun () ->
         solve_axes ~xdist
           ~ydist:(Array.map (fun r -> Array.sub r 0 2) ydist)
-          ~vectors:(buffer (2 * m)) ~n_layers:2 ());
+          ~rows:two ~n_layers:2 ());
   ]
 
 let merged_memo_case =
@@ -999,21 +1038,23 @@ let merged_memo_case =
            (Reftrace.Window.merge_list (Reftrace.Trace.windows trace))))
 
 let unreferenced_datum_case =
-  Gen.case "unreferenced datum slab is just the zero row" (fun () ->
-      (* datum 1 is never referenced: its compact slab must be a single
-         shared zero row with every window offset pointing at it *)
+  Gen.case "unreferenced datum rows are the shared zero row" (fun () ->
+      (* datum 1 is never referenced: every window, the merged one
+         included, serves it the same all-zero row *)
       let trace =
         Gen.trace Gen.mesh44 ~n_data:2 [ [ (0, 1, 2) ]; [ (0, 5, 1) ] ]
       in
       let problem = problem_of Gen.mesh44 trace in
-      let slab, offs = Sched.Problem.layer_slab problem ~data:1 in
-      Alcotest.(check int) "slab is one row"
-        (Pim.Mesh.size Gen.mesh44)
-        (Bigarray.Array1.dim slab);
-      Alcotest.(check (array int)) "all offsets zero" (Array.make 2 0) offs;
-      for i = 0 to Bigarray.Array1.dim slab - 1 do
-        Alcotest.(check int) "zero row" 0 slab.{i}
-      done)
+      let rows =
+        List.init 3 (fun w -> Sched.Problem.row problem ~window:w ~data:1)
+      in
+      let z = List.hd rows in
+      Alcotest.(check bool)
+        "one shared row" true
+        (List.for_all (( == ) z) rows);
+      Alcotest.(check (array int)) "all zero"
+        (Array.make (Pim.Mesh.size Gen.mesh44) 0)
+        (Pathgraph.Layered.to_array z))
 
 let per_mesh f = List.concat_map (fun (mesh, label) -> f mesh label)
     [ (Gen.mesh44, "mesh"); (torus44, "torus"); (torus35, "odd torus") ]
@@ -1044,7 +1085,6 @@ let suite =
                prop_annealing_port_matches mesh label;
                prop_online_port_matches mesh label;
                prop_unbounded_fast_paths_match mesh label;
-               prop_layer_slab_compact mesh label;
                prop_path_cost_matches mesh label;
                prop_merged_matches mesh label;
              ])
@@ -1053,7 +1093,8 @@ let suite =
              [
                prop_argmin_matches_vector mesh label;
                prop_marginals_oracle mesh label;
-             ]);
+             ]
+             @ List.map (prop_row_store mesh label) store_faults);
          List.map
            (fun (mesh, label) -> prop_argmin_matches_vector mesh label)
            edge_meshes;

@@ -101,9 +101,9 @@ let prop_marginals_conserve_mass =
           let sum = Array.fold_left ( + ) 0 in
           sum mx = Reftrace.Window.references w data && sum mx = sum my))
 
-(* Session-level pins: every row [Problem] serves — arena cost vectors,
-   merged vectors, optimal centers (vector-free on a healthy session)
-   and candidate lists (fill-skipping on a healthy session) — equals what
+(* Session-level pins: every row [Problem] serves — per-window and
+   merged-window cost rows, optimal centers (axis minima on a healthy
+   session) and candidate lists — equals what
    the direct walk gives, with the alive-masked ascending argmin and
    alive-filtered candidate order on a faulted session. Caches are filled
    on the domain pool first, so jobs 1 and 4 both go through the parallel
@@ -124,26 +124,21 @@ let rows_match_oracle problem =
   Sched.Problem.prefetch_referenced problem;
   Sched.Problem.prefetch_centers problem;
   Sched.Problem.prefetch_merged problem;
+  let nw = Sched.Problem.n_windows problem in
   List.for_all
     (fun data ->
-      let mv =
-        Oracle.Cost_naive.cost_vector mesh (Sched.Problem.merged problem) ~data
-      in
-      Sched.Problem.merged_vector problem ~data = mv
-      && Sched.Problem.merged_optimal_center problem ~data
-         = oracle_center alive mv
-      && List.for_all
-           (fun w ->
-             let v =
-               Oracle.Cost_naive.cost_vector mesh
-                 (Sched.Problem.window problem w)
-                 ~data
-             in
-             Sched.Problem.candidates problem ~window:w ~data = candidates v
-             && Sched.Problem.optimal_center problem ~window:w ~data
-                = oracle_center alive v
-             && Sched.Problem.cost_vector problem ~window:w ~data = v)
-           (List.init (Sched.Problem.n_windows problem) Fun.id))
+      List.for_all
+        (fun w ->
+          let window =
+            if w = nw then Sched.Problem.merged problem
+            else Sched.Problem.window problem w
+          in
+          let v = Oracle.Cost_naive.cost_vector mesh window ~data in
+          Sched.Problem.candidates problem ~window:w ~data = candidates v
+          && Sched.Problem.optimal_center problem ~window:w ~data
+             = oracle_center alive v
+          && Sched.Problem.cost_vector problem ~window:w ~data = v)
+        (List.init (nw + 1) Fun.id))
     (List.init (Sched.Problem.n_data problem) Fun.id)
 
 let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
@@ -280,10 +275,21 @@ let shared_trace () =
 
 let test_with_policy_and_jobs_share_caches () =
   let problem = Sched.Problem.create Gen.mesh44 (shared_trace ()) in
-  (* cost_vector copies out of the shared arena, so physical sharing is
-     observed through the candidate-list cache and the slab itself *)
+  (* cost_vector copies a row out, so physical sharing is observed
+     through the candidate-list cache and the rows themselves *)
   let l = Sched.Problem.candidates problem ~window:0 ~data:0 in
-  let slab = fst (Sched.Problem.layer_slab problem ~data:0) in
+  Sched.Problem.prefetch_all problem;
+  (* two windows of datum 0 and the merged window (index 3) of datum 1 *)
+  let rows p =
+    List.map
+      (fun (window, data) -> Sched.Problem.row p ~window ~data)
+      [ (0, 0); (1, 0); (3, 1) ]
+  in
+  let same name p =
+    Alcotest.(check bool)
+      (name ^ " serves the same rows") true
+      (List.for_all2 ( == ) (rows problem) (rows p))
+  in
   let bounded =
     Sched.Problem.with_policy problem (Sched.Problem.Bounded 2)
   in
@@ -291,15 +297,15 @@ let test_with_policy_and_jobs_share_caches () =
   Alcotest.(check bool)
     "with_policy serves the same cached list" true
     (l == Sched.Problem.candidates bounded ~window:0 ~data:0);
-  Alcotest.(check bool)
-    "with_policy serves the same arena slab" true
-    (slab == fst (Sched.Problem.layer_slab bounded ~data:0));
+  same "with_policy" bounded;
   Alcotest.(check bool)
     "with_jobs serves the same cached list" true
     (l == Sched.Problem.candidates jobs2 ~window:0 ~data:0);
-  Alcotest.(check bool)
-    "with_jobs serves the same arena slab" true
-    (slab == fst (Sched.Problem.layer_slab jobs2 ~data:0))
+  same "with_jobs" jobs2;
+  (* node faults keep routers: every row stays clean across the patch *)
+  same "a clean-row with_fault_patch"
+    (Sched.Problem.with_fault_patch problem
+       (Pim.Fault.create ~dead_nodes:[ 3; 12 ] ()))
 
 let metric name snapshot = Obs.Metrics.counter snapshot name
 
@@ -315,12 +321,14 @@ let test_build_counters () =
       Sched.Problem.prefetch_all sep;
       let snap = Obs.Metrics.snapshot () in
       (* 4 of the 2 data x 3 window pairs carry references; the other two
-         keep the arena's zero fill and charge no build. Each is built
-         exactly once despite the second prefetch. *)
+         read the session's zero row and charge no build. Each is built
+         exactly once despite the second prefetch, as an axis sum of
+         4 + 4 words; the zero row is charged once, when the session
+         opens. *)
       check_int "separable builds" 4 (metric "cost.separable_builds" snap);
       check_int "marginal misses" 4 (metric "problem.marginals_miss" snap);
       check_int "arena bytes"
-        (8 * 2 * 3 * 16)
+        (8 * (4 + 1) * (4 + 4))
         (metric "problem.arena_bytes" snap))
 
 let suite =

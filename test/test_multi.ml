@@ -199,23 +199,28 @@ let prop_dp_matches_dense_oracle =
    member block relaxed by the O(width²) ascending source × target scan,
    then the scalar fabric edges. Kept verbatim (instrumentation aside)
    as the byte-identity oracle for [Layered.solve] over several [Axes]
-   blocks. A member is its two axis tables, its flat slab and its
-   per-layer offsets. *)
+   blocks. A member is its two axis tables and one row per layer. *)
 type group_member = {
   g_xdist : int array array;
   g_ydist : int array array;
-  g_vectors : Pathgraph.Layered.buffer;
-  g_offsets : int array;
+  g_rows : Pathgraph.Layered.row array;
 }
 
 let block_of m =
   {
     Pathgraph.Layered.relaxation = Axes { xdist = m.g_xdist; ydist = m.g_ydist };
-    vectors = m.g_vectors;
-    offsets = m.g_offsets;
+    rows = m.g_rows;
   }
 
 module Dense_group = struct
+  (* entry [k] of a member's layer row, spelled out *)
+  let row_entry row k =
+    match row with
+    | Pathgraph.Layered.Full v -> v.(k)
+    | Axis_sum (cx, cy) ->
+        let cols = Array.length cx in
+        cx.(k mod cols) + cy.(k / cols)
+
   let solve ~members ~move_cost ~consts ~n_layers ~allowed () =
     let n_members = Array.length members in
     if n_members <= 0 then invalid_arg "Layered: members must be nonempty";
@@ -234,26 +239,21 @@ module Dense_group = struct
       bases.(i + 1) <- bases.(i) + widths.(i)
     done;
     let total = bases.(n_members) in
-    Array.iteri
-      (fun i (m : group_member) ->
-        let dim = Bigarray.Array1.dim m.g_vectors in
-        if Array.length m.g_offsets < n_layers then
-          invalid_arg "Layered: member offset table shorter than n_layers";
-        Array.iter
-          (fun off ->
-            if off < 0 || off + widths.(i) > dim then
-              invalid_arg "Layered: member layer offset outside the vector buffer")
-          m.g_offsets)
+    Array.iter
+      (fun (m : group_member) ->
+        if Array.length m.g_rows < n_layers then
+          invalid_arg "Layered: fewer member rows than n_layers")
       members;
     let inf = max_int in
     let cur = Array.make total inf in
     let choice = Array.make_matrix n_layers total (-1) in
     for i = 0 to n_members - 1 do
       let (m : group_member) = members.(i) in
-      let off0 = m.g_offsets.(0) and b = bases.(i) in
+      let b = bases.(i) in
       let c0 = consts ~layer:0 ~member:i in
       for j = 0 to widths.(i) - 1 do
-        if allowed ~layer:0 (b + j) then cur.(b + j) <- m.g_vectors.{off0 + j} + c0
+        if allowed ~layer:0 (b + j) then
+          cur.(b + j) <- row_entry m.g_rows.(0) j + c0
       done
     done;
     let best = Array.make total inf in
@@ -324,12 +324,12 @@ module Dense_group = struct
       let ch = choice.(layer) in
       for i = 0 to n_members - 1 do
         let (m : group_member) = members.(i) in
-        let voff = m.g_offsets.(layer) and b = bases.(i) in
+        let b = bases.(i) in
         let ci = consts ~layer ~member:i in
         for k = 0 to widths.(i) - 1 do
           let g = b + k in
           if best.(g) <> inf && allowed ~layer g then begin
-            cur.(g) <- best.(g) + m.g_vectors.{voff + k} + ci;
+            cur.(g) <- best.(g) + row_entry m.g_rows.(layer) k + ci;
             ch.(g) <- from.(g)
           end
           else cur.(g) <- inf
@@ -355,7 +355,9 @@ end
 (* Members of different shapes (mesh and torus, lines, rings, a lone
    node), each with a slab of random, tie-heavy or constant rows, or
    random rows with one entry per layer far above the rest (a source the
-   DP sets to infinity), laid out in reverse layer order; random cross
+   DP sets to infinity); a member whose first entry is odd reads each
+   layer as the axis sum of that layer's first row and first column, so
+   full and axis-sum blocks mix in one solve; random cross
    constants, fabric prices and a mask that may empty a member's row,
    column or whole layer, or fill a shifting third of the ranks on every
    layer as bounded placement does. [shapes] fixes the members. *)
@@ -436,15 +438,17 @@ let group_relax_case (n_layers, members, consts, fabric, mask) =
              else Pim.Mesh.create ~rows ~cols
            in
            let m = rows * cols in
-           let rev = Array.make (n_layers * m) 0 in
-           let offsets = Array.init n_layers (fun w -> (n_layers - 1 - w) * m) in
-           Array.iteri (fun w off -> Array.blit flat (w * m) rev off m) offsets;
+           let row w =
+             if flat.(0) land 1 = 1 then
+               Pathgraph.Layered.Axis_sum
+                 ( Array.sub flat (w * m) cols,
+                   Array.init rows (fun y -> flat.((w * m) + (y * cols))) )
+             else Full (Array.sub flat (w * m) m)
+           in
            {
              g_xdist = Pim.Mesh.x_distance_table mesh;
              g_ydist = Pim.Mesh.y_distance_table mesh;
-             g_vectors =
-               Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout rev;
-             g_offsets = offsets;
+             g_rows = Array.init n_layers row;
            })
          members)
   in
@@ -497,8 +501,7 @@ let test_group_rejects_non_metric_tables () =
     {
       g_xdist = [| [| 0; 3 |]; [| 3; 0 |] |];
       g_ydist = Pim.Mesh.y_distance_table mesh;
-      g_vectors = Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout [| 0; 0; 0; 0 |];
-      g_offsets = [| 0 |];
+      g_rows = [| Full [| 0; 0; 0; 0 |] |];
     }
   in
   match
@@ -509,6 +512,26 @@ let test_group_rejects_non_metric_tables () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a non-|a-b| member table must be refused"
+
+(* A member's axis-sum row must match its axis tables: a 2x2 member
+   given a 3-wide x axis is refused, beside a well-formed member. *)
+let test_group_rejects_misshaped_rows () =
+  let member cx =
+    let mesh = Pim.Mesh.square 2 in
+    {
+      g_xdist = Pim.Mesh.x_distance_table mesh;
+      g_ydist = Pim.Mesh.y_distance_table mesh;
+      g_rows = [| Axis_sum (cx, [| 0; 0 |]) |];
+    }
+  in
+  match
+    Pathgraph.Layered.solve
+      ~move_cost:(fun _ _ -> 1)
+      ~n_layers:1
+      [| block_of (member [| 0; 0 |]); block_of (member [| 0; 0; 0 |]) |]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a mis-shaped axis-sum row must be refused"
 
 let prop_dp_beats_static =
   let group = group_2x2of4x4 ~inter_cost:6 () in
@@ -975,6 +998,8 @@ let suite =
   @ [
     Gen.case "group DP refuses non-metric member tables"
       test_group_rejects_non_metric_tables;
+    Gen.case "group DP refuses a mis-shaped axis-sum row"
+      test_group_rejects_misshaped_rows;
     Gen.to_alcotest prop_dp_beats_static;
     Gen.to_alcotest prop_jobs_invariance;
     Gen.to_alcotest prop_reused_problem_matches_fresh;

@@ -509,6 +509,54 @@ let test_cancel_token () =
     (Invalid_argument "Cancel.cancel: the none token") (fun () ->
       Sched.Cancel.cancel Sched.Cancel.none)
 
+(* An expired token armed on a session stops every algorithm that does
+   per-datum work, bounded or not, on a cold session and on a warm one
+   whose caches a first solve has already filled. The static placements
+   (row-wise and friends) do no per-datum work and are exempt. *)
+let test_expired_token_stops_solves () =
+  let mesh = Pim.Mesh.square 8 in
+  let trace = Workloads.Benchmarks.trace Workloads.Benchmarks.B1 ~n:8 mesh in
+  let policies =
+    [
+      ("unbounded", Sched.Problem.Unbounded);
+      ( "bounded",
+        Sched.Problem.headroom_policy ~headroom:2
+          ~processors:(Pim.Mesh.size mesh) trace );
+    ]
+  in
+  let ctx = Sched.Context.create mesh trace in
+  List.iter
+    (fun alg ->
+      List.iter
+        (fun (pname, policy) ->
+          let warm = Sched.Problem.of_context ~policy ctx in
+          Sched.Problem.prefetch_all warm;
+          ignore (Sched.Scheduler.solve warm alg);
+          List.iter
+            (fun (state, session) ->
+              Sched.Problem.set_cancel session
+                (Sched.Cancel.after ~budget_ms:0.);
+              match Sched.Scheduler.solve session alg with
+              | exception Sched.Cancel.Expired -> ()
+              | _ ->
+                  Alcotest.failf
+                    "%s, %s, %s session: solve ignored the deadline"
+                    (Sched.Scheduler.name alg) pname state)
+            [ ("cold", Sched.Problem.of_context ~policy ctx); ("warm", warm) ])
+        policies)
+    Sched.Scheduler.
+      [
+        Scds;
+        Lomcds;
+        Gomcds;
+        Lomcds_grouped;
+        Gomcds_grouped;
+        Gomcds_refined;
+        Best_refined;
+        Annealing 7;
+        Online 2.0;
+      ]
+
 (* ---- deadlines ---- *)
 
 let test_deadline () =
@@ -1074,6 +1122,8 @@ let suite =
     Gen.case "lru cache" test_lru;
     Gen.case "cancellation tokens" test_cancel_token;
     Gen.case "deadlines" test_deadline;
+    Gen.case "an expired token stops every per-datum solve"
+      test_expired_token_stops_solves;
     Gen.case "deadline expires mid-solve" test_deadline_mid_solve;
     Gen.case "warm group problems = cold rebuilds" test_serve_warm_groups;
     Gen.case "warm group drops its deadline"
