@@ -644,10 +644,17 @@ let degenerate_property mesh trace =
             (fun algo ->
               let plain = Sched.Scheduler.solve problem algo in
               let lifted = Multi.Group_solver.solve gp algo in
-              match Multi.Group_schedule.to_mesh_schedule lifted with
-              | None -> false
-              | Some s ->
+              let round_trip =
+                Multi.Group_schedule.to_mesh_schedule
+                  (Multi.Group_schedule.of_mesh_schedule group plain)
+              in
+              match
+                (Multi.Group_schedule.to_mesh_schedule lifted, round_trip)
+              with
+              | None, _ | _, None -> false
+              | Some s, Some back ->
                   Sched.Schedule.equal plain s
+                  && Sched.Schedule.equal plain back
                   && Multi.Group_schedule.total_cost lifted trace
                      = Sched.Schedule.total_cost plain trace)
             Sched.Scheduler.all)
@@ -976,11 +983,51 @@ let test_serial_roundtrip () =
     && String.sub text 0 25 = "# pim-sched group-plan v1");
   let back = Multi.Group_serial.of_string text in
   check_bool "round trip" true (Multi.Group_schedule.equal plan back);
+  Alcotest.(check string) "golden plan text"
+    "# pim-sched group-plan v1\ninter mesh 1 2 cost 9\nmember 0 mesh 2 2\n\
+     member 1 torus 3 2\nshape 2 3\nw 0 1 7 4\nw 1 1 7 4\n"
+    text;
   check_bool "garbage rejected" true
     (try
        ignore (Multi.Group_serial.of_string "# pim-sched group-plan v1\nnope");
        false
      with Failure _ -> true)
+
+(* Random group plans (members mesh or torus, any centers) survive
+   to_string/of_string. *)
+let group_plan_gen =
+  let open QCheck.Gen in
+  let member =
+    map3
+      (fun torus rows cols ->
+        if torus then Pim.Mesh.torus ~rows ~cols else Pim.Mesh.create ~rows ~cols)
+      bool (int_range 1 3) (int_range 1 3)
+  in
+  int_range 1 3 >>= fun n_members ->
+  list_size (return n_members) member >>= fun members ->
+  int_range 1 20 >>= fun inter_cost ->
+  int_range 1 4 >>= fun n_windows ->
+  int_range 1 5 >>= fun n_data ->
+  let group = Multi.Array_group.line ~inter_cost members in
+  let size = Multi.Array_group.size group in
+  list_size (return (n_windows * n_data)) (int_range 0 (size - 1))
+  >>= fun ranks ->
+  let plan = Multi.Group_schedule.create group ~n_windows ~n_data in
+  List.iteri
+    (fun i r ->
+      Multi.Group_schedule.set_center plan ~window:(i / n_data)
+        ~data:(i mod n_data) r)
+    ranks;
+  return plan
+
+let prop_group_plan_roundtrip =
+  QCheck.Test.make ~name:"group-plan of_string (to_string p) = p" ~count:100
+    (QCheck.make
+       ~print:(Format.asprintf "%a" Multi.Group_schedule.pp)
+       group_plan_gen)
+    (fun plan ->
+      Multi.Group_schedule.equal plan
+        (Multi.Group_serial.of_string (Multi.Group_serial.to_string plan)))
 
 let suite =
   [
@@ -1020,6 +1067,7 @@ let suite =
     Gen.case "bounded assignment spreads across members"
       test_bounded_assignment_spreads;
     Gen.case "group-plan serialization round-trips" test_serial_roundtrip;
+    Gen.to_alcotest prop_group_plan_roundtrip;
     Gen.case "held_bytes counts weights and stage-two sessions"
       test_held_bytes;
   ]

@@ -52,6 +52,34 @@ let test_schedule_parse_errors () =
   check_fails "mesh 4 4\nshape 1 1\nw 1 0\n"
     "Schedule_serial.of_string: line 3: expected window 0, got 1"
 
+(* Golden plan text: the exact bytes of a gomcds plan, pinned so a change
+   to the plan representation or its codec cannot drift the format. *)
+let golden_trace =
+  Gen.trace mesh ~n_data:3
+    [
+      [ (0, 5, 2); (1, 14, 1); (2, 3, 2) ];
+      [ (0, 12, 3); (2, 3, 1) ];
+      [ (1, 0, 2); (2, 10, 4); (0, 6, 1) ];
+    ]
+
+let check_golden host expected =
+  let s =
+    Sched.Scheduler.solve
+      (Sched.Problem.create host golden_trace)
+      Sched.Scheduler.Gomcds
+  in
+  Alcotest.(check string) "plan text" expected (Sched.Schedule_serial.to_string s)
+
+let test_golden_mesh () = check_golden mesh
+    "# pim-sched schedule v1\nmesh 4 4\nshape 3 3\nw 0 5 0 3\nw 1 12 0 3\n\
+     w 2 4 0 10\n"
+
+let test_golden_torus () =
+  check_golden
+    (Pim.Mesh.torus ~rows:3 ~cols:5)
+    "# pim-sched schedule v1\ntorus 3 5\nshape 3 3\nw 0 5 0 3\nw 1 12 0 3\n\
+     w 2 6 0 10\n"
+
 let prop_schedule_roundtrip_random =
   let arb = Gen.trace_arbitrary ~max_data:6 ~max_windows:4 ~max_count:3 () in
   QCheck.Test.make ~name:"schedule serialization roundtrip" ~count:50 arb
@@ -147,6 +175,8 @@ let suite =
     Gen.case "schedule file roundtrip" test_schedule_file_roundtrip;
     Gen.case "schedule parse errors" test_schedule_parse_errors;
     Gen.to_alcotest prop_schedule_roundtrip_random;
+    Gen.case "golden plan text: 4x4 mesh" test_golden_mesh;
+    Gen.case "golden plan text: 3x5 torus" test_golden_torus;
     Gen.case "sweep shape and csv" test_sweep_shape_and_csv;
     Gen.case "sweep gap nonnegative" test_sweep_gap_nonnegative;
     Gen.case "sweep unbounded headroom" test_sweep_unbounded_headroom;
