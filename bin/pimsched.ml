@@ -253,22 +253,28 @@ let solo = function
 (* Subcommand implementations                                        *)
 (* ---------------------------------------------------------------- *)
 
+(* Write the plan when asked, then print the result line the mesh and
+   group paths share ([extra] ends it). *)
+let report_plan ~plan_out ~save ?(extra = "") algorithm
+    (b : Sched.Schedule.cost_breakdown) plan =
+  Option.iter
+    (fun path ->
+      save plan path;
+      Printf.printf "plan written to %s\n" path)
+    plan_out;
+  Printf.printf "%-16s total=%6d  reference=%6d  movement=%6d  moves=%d%s\n"
+    (Sched.Scheduler.name algorithm)
+    b.total b.reference b.movement
+    (Sched.Schedule.moves plan)
+    extra
+
 let run_schedule_group group trace policy algorithm jobs plan_out =
   let gp = Multi.Group_problem.create ~policy ~jobs group trace in
   let plan, breakdown = Multi.Group_solver.evaluate gp algorithm in
-  (match plan_out with
-  | Some path ->
-      Multi.Group_serial.save plan path;
-      Printf.printf "plan written to %s\n" path
-  | None -> ());
-  Printf.printf
-    "%-16s total=%6d  reference=%6d  movement=%6d  moves=%d  array-moves=%d\n"
-    (Sched.Scheduler.name algorithm)
-    breakdown.Multi.Group_schedule.total
-    breakdown.Multi.Group_schedule.reference
-    breakdown.Multi.Group_schedule.movement
-    (Multi.Group_schedule.moves plan)
-    (Multi.Group_schedule.array_moves plan)
+  report_plan ~plan_out ~save:Multi.Group_serial.save
+    ~extra:
+      (Printf.sprintf "  array-moves=%d" (Multi.Group_schedule.array_moves plan))
+    algorithm breakdown plan
 
 let run_schedule instance algorithm jobs simulate plan_out metrics_json =
   if simulate && instance.spec.arrays <> None then
@@ -280,17 +286,9 @@ let run_schedule instance algorithm jobs simulate plan_out metrics_json =
   | Serve.Instance.Mesh { mesh; trace; policy } ->
       let problem = Sched.Problem.create ~policy ~jobs mesh trace in
       let schedule = Sched.Scheduler.solve problem algorithm in
-      (match plan_out with
-      | Some path ->
-          Sched.Schedule_serial.save schedule path;
-          Printf.printf "plan written to %s\n" path
-      | None -> ());
-      let breakdown = Sched.Schedule.cost schedule trace in
-      Printf.printf "%-16s total=%6d  reference=%6d  movement=%6d  moves=%d\n"
-        (Sched.Scheduler.name algorithm)
-        breakdown.Sched.Schedule.total breakdown.Sched.Schedule.reference
-        breakdown.Sched.Schedule.movement
-        (Sched.Schedule.moves schedule);
+      report_plan ~plan_out ~save:Sched.Schedule_serial.save algorithm
+        (Sched.Schedule.cost schedule trace)
+        schedule;
       if simulate then begin
         let report =
           Pim.Simulator.run mesh (Sched.Schedule.to_rounds schedule trace)
@@ -305,9 +303,10 @@ let run_compare_group group trace policy jobs =
   let gp = Multi.Group_problem.create ~policy ~jobs group trace in
   let bound = Multi.Group_solver.lower_bound gp in
   let baseline =
-    Multi.Group_schedule.total_cost
-      (Multi.Group_solver.solve gp Sched.Scheduler.Row_wise)
-      trace
+    (Multi.Group_schedule.cost
+       (Multi.Group_solver.solve gp Sched.Scheduler.Row_wise)
+       trace)
+      .total
   in
   List.iter
     (fun algorithm ->

@@ -53,13 +53,7 @@ let anneal ?(seed = 0xBEEF) ?(iterations = 50_000) ?initial problem =
   in
   let entry w d rank = Pathgraph.Layered.entry rows.(w).(d) rank in
   let volume = Array.init n_data (Reftrace.Data_space.volume_of space) in
-  let loads = Array.make_matrix n_windows m 0 in
-  for w = 0 to n_windows - 1 do
-    for d = 0 to n_data - 1 do
-      let r = Schedule.center sched ~window:w ~data:d in
-      loads.(w).(r) <- loads.(w).(r) + 1
-    done
-  done;
+  let loads = Schedule.loads sched in
   let rng = make_rng seed in
   let dist = Problem.distance problem in
   (* weighted delta of relocating datum d in window w from r to r' —

@@ -71,7 +71,7 @@ let axis_cost_circle m =
 let axis_cost ~wrap m = if wrap then axis_cost_circle m else axis_cost_line m
 
 (* [v.(y·cols + x) = cx.(x) + cy.(y)]: the marginals fix both extents. *)
-let vector_of_marginals ~wrap ~cols:_ ~rows:_ (mx, my) =
+let vector_of_marginals ~wrap (mx, my) =
   Pathgraph.Layered.(
     to_array (Axis_sum (axis_cost ~wrap mx, axis_cost ~wrap my)))
 
@@ -99,15 +99,14 @@ let reference_cost mesh window ~data ~center =
 
 let cost_vector mesh window ~data =
   count_build ();
-  vector_of_marginals ~wrap:(Pim.Mesh.wraps mesh) ~cols:(Pim.Mesh.cols mesh)
-    ~rows:(Pim.Mesh.rows mesh)
+  vector_of_marginals ~wrap:(Pim.Mesh.wraps mesh)
     (marginals_of mesh window ~data)
 
 (* {!Pathgraph.Layered.argmin} of the axis sum takes the lowest index on
    each axis, hence the lowest row-major rank — the same tie order as the
    direct cost walk's ascending scan (and as the full-vector ascending
    argmin every scheduler fallback uses). *)
-let argmin_of_marginals ~wrap ~cols:_ ~rows:_ (mx, my) =
+let argmin_of_marginals ~wrap (mx, my) =
   let row =
     Pathgraph.Layered.Axis_sum (axis_cost ~wrap mx, axis_cost ~wrap my)
   in
@@ -115,11 +114,9 @@ let argmin_of_marginals ~wrap ~cols:_ ~rows:_ (mx, my) =
   (c, Pathgraph.Layered.entry row c)
 
 let local_optimal_center mesh window ~data =
-  let wrap = Pim.Mesh.wraps mesh
-  and cols = Pim.Mesh.cols mesh
-  and rows = Pim.Mesh.rows mesh in
   fst
-    (argmin_of_marginals ~wrap ~cols ~rows (marginals_of mesh window ~data))
+    (argmin_of_marginals ~wrap:(Pim.Mesh.wraps mesh)
+       (marginals_of mesh window ~data))
 
 let movement_cost mesh ~from_ ~to_ = Pim.Mesh.distance mesh from_ to_
 

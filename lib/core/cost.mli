@@ -49,19 +49,18 @@ val path_cost :
     [d] the wrap-aware 1-D distance. O(E) via (circular) prefix sums. *)
 val axis_cost : wrap:bool -> int array -> int array
 
-(** [vector_of_marginals ~wrap ~cols ~rows (mx, my)] assembles a full cost
-    vector from per-axis marginals: [v.(y·cols + x) = cx.(x) + cy.(y)]. The
+(** [vector_of_marginals ~wrap (mx, my)] assembles a full cost vector from
+    per-axis marginals: [v.(y·cols + x) = cx.(x) + cy.(y)], the marginals'
+    lengths fixing [cols] and [rows]. The
     entry point for callers that already hold marginals (e.g. merged-window
     pricing in {!Sched.Grouping}) and want to skip re-projection. *)
-val vector_of_marginals :
-  wrap:bool -> cols:int -> rows:int -> int array * int array -> int array
+val vector_of_marginals : wrap:bool -> int array * int array -> int array
 
-(** [argmin_of_marginals ~wrap ~cols ~rows m] is the vector-free fast path
+(** [argmin_of_marginals ~wrap m] is the vector-free fast path
     of Definition 4: the minimum-cost center and its cost, computed
     directly from the axis marginals in O(cols + rows) without assembling
     the cols·rows cost vector. Tie order (lowest index per axis, hence
     lowest row-major rank) is identical to an ascending full-vector argmin
     — the property suite in [test/test_fastpath.ml] pins this on meshes
     and tori. *)
-val argmin_of_marginals :
-  wrap:bool -> cols:int -> rows:int -> int array * int array -> int * int
+val argmin_of_marginals : wrap:bool -> int array * int array -> int * int

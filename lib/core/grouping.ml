@@ -33,12 +33,12 @@ let masked_vector_ops alive =
 (* {!Cost.argmin_of_marginals} takes the lowest row-major rank among
    the minimizers — the same tie order as an ascending scan of the full
    vector. *)
-let marginal_ops ~wrap ~cols ~rows =
+let marginal_ops ~wrap =
   let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i)) in
   {
     copy = (fun (mx, my) -> (Array.copy mx, Array.copy my));
     join = (fun (ax, ay) (bx, by) -> (sum ax bx, sum ay by));
-    best = Cost.argmin_of_marginals ~wrap ~cols ~rows;
+    best = Cost.argmin_of_marginals ~wrap;
   }
 
 (* Greedy partition of the referenced-window subsequence, following
@@ -184,16 +184,13 @@ let groups problem ~data ~centers =
         to_groups indices ranges
   end
   else begin
-    let mesh = Problem.mesh problem in
-    let wrap = Pim.Mesh.wraps mesh
-    and cols = Pim.Mesh.cols mesh
-    and rows = Pim.Mesh.rows mesh in
+    let wrap = Pim.Mesh.wraps (Problem.mesh problem) in
     let indices, margs = referenced_marginals problem ~data in
     match Array.length margs with
     | 0 -> []
     | n ->
         let ranges =
-          greedy_ranges ~ops:(marginal_ops ~wrap ~cols ~rows) ~dist
+          greedy_ranges ~ops:(marginal_ops ~wrap) ~dist
             ~items:margs ~n
         in
         let ranges =

@@ -178,14 +178,6 @@ let with_policy t policy =
   | Bounded _ | Unbounded -> ());
   { t with policy }
 
-let with_fault t fault =
-  if Pim.Fault.is_none fault && Pim.Fault.is_none t.fault then t
-  else
-    (* fresh session (cost entries, candidate orders and distances all
-       depend on the fault) over the *same* shared context — the axis
-       tables, windows and merged window carry over untouched *)
-    of_context ~policy:t.policy ~jobs:t.jobs ~fault t.ctx
-
 let space t = Context.space t.ctx
 let n_data t = Context.n_data t.ctx
 let n_windows t = Array.length t.ctx.Context.windows

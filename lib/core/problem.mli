@@ -149,17 +149,9 @@ val with_jobs : t -> int -> t
 
 val with_policy : t -> capacity_policy -> t
 
-(** [with_fault t fault] is a {e fresh session} (empty caches) with the
-    fault replaced — cost entries, candidate orders and distances all
-    depend on the fault — over the {e same} shared {!Context.t}, so the
-    axis tables and trace preprocessing carry over untouched. [t] itself
-    when both the old and new fault are {!Pim.Fault.none}. How the
-    reschedule-on-failure path degrades a problem mid-run — see
-    {!with_fault_patch} for the incremental variant that carries clean
-    cache rows over. *)
-val with_fault : t -> Pim.Fault.t -> t
-
-(** [with_fault_patch t fault] is {!with_fault} with {e dirty-row
+(** [with_fault_patch t fault] is [t] with the fault replaced, over the
+    {e same} shared {!Context.t} — how the reschedule-on-failure path and
+    the serve daemon degrade a problem mid-run. It uses {e dirty-row
     invalidation} instead of a cold start: the new session shares [t]'s
     marginal caches and copies its cache arrays, so it holds [t]'s
     immutable rows; only the rows whose cost entries can actually differ
@@ -182,7 +174,8 @@ val with_fault : t -> Pim.Fault.t -> t
     patched session are byte-identical to a fresh [of_context ~fault]
     session (pinned by [test/test_incremental.ml]). Returns [t] itself
     when [fault] equals [t]'s fault.
-    @raise Invalid_argument under the same conditions as {!with_fault}. *)
+    @raise Invalid_argument when [fault] does not fit the mesh or leaves
+    no processor alive. *)
 val with_fault_patch : t -> Pim.Fault.t -> t
 
 (** [invalidate t ~window] tells the session that the contents of window

@@ -25,22 +25,19 @@ let refine ?(max_sweeps = 8) problem schedule =
   Problem.prefetch_all problem;
   let sched = Schedule.copy schedule in
   let m = Pim.Mesh.size (Problem.mesh problem) in
-  let loads = Array.make_matrix n_windows m 0 in
+  let loads = Schedule.loads sched in
   (* under a capacity, [rows.(w)] is window w's admit row, byte r
      '\001' iff loads.(w).(r) < c, kept in step with every load change *)
-  let rows = Array.init n_windows (fun _ -> Bytes.make m '\001') in
+  let admitted w r =
+    match capacity with
+    | Some c when loads.(w).(r) >= c -> '\000'
+    | Some _ | None -> '\001'
+  in
+  let rows = Array.init n_windows (fun w -> Bytes.init m (admitted w)) in
   let add_load w r delta =
     loads.(w).(r) <- loads.(w).(r) + delta;
-    match capacity with
-    | Some c ->
-        Bytes.set rows.(w) r (if loads.(w).(r) < c then '\001' else '\000')
-    | None -> ()
+    Bytes.set rows.(w) r (admitted w r)
   in
-  for w = 0 to n_windows - 1 do
-    for d = 0 to n_data - 1 do
-      add_load w (Schedule.center sched ~window:w ~data:d) 1
-    done
-  done;
   let admit = Option.map (fun _ w -> rows.(w)) capacity in
   let sweeps = ref 0 and improved = ref 0 and saved = ref 0 in
   let space = Reftrace.Trace.space trace in

@@ -56,13 +56,7 @@ let schedule ?(max_copies = 2) problem =
   let cols = Pim.Mesh.cols mesh in
   (* the primary copy follows the exact GOMCDS trajectory *)
   let primary = Gomcds.schedule problem in
-  let loads = Array.make_matrix n_windows m 0 in
-  for w = 0 to n_windows - 1 do
-    for d = 0 to n_data - 1 do
-      let r = Schedule.center primary ~window:w ~data:d in
-      loads.(w).(r) <- loads.(w).(r) + 1
-    done
-  done;
+  let loads = Schedule.loads primary in
   let has_room w r =
     match capacity with None -> true | Some c -> loads.(w).(r) < c
   in

@@ -40,11 +40,6 @@ let repair_map mesh fault =
         !best
       end)
 
-let plan_of schedule =
-  Array.init (Schedule.n_windows schedule) (fun w ->
-      Array.init (Schedule.n_data schedule) (fun d ->
-          Schedule.center schedule ~window:w ~data:d))
-
 (* Price datum [d]'s continuation [first..n-1] of [plan] from [from_pos]
    on the degraded array — the exact accounting the executor below
    charges, with unreachable messages priced at the sentinel so
@@ -53,7 +48,7 @@ let plan_of schedule =
    adopt-vs-keep can be decided per datum. *)
 let price_datum problem ~oracle ~repair ~windows ~volume ~plan ~from_pos
     ~first d =
-  let n_windows = Array.length plan in
+  let n_windows = Schedule.n_windows plan in
   let dist src dst =
     match oracle with
     | None -> Problem.distance problem src dst
@@ -66,7 +61,7 @@ let price_datum problem ~oracle ~repair ~windows ~volume ~plan ~from_pos
   (* before the very first window data have no position: placement free *)
   let pos = ref (Option.map (fun p -> p.(d)) from_pos) in
   for w = first to n_windows - 1 do
-    let c = plan.(w).(d) in
+    let c = Schedule.center plan ~window:w ~data:d in
     (match !pos with
     | Some p when p <> c -> total := !total + (volume.(d) * dist p c)
     | Some _ | None -> ());
@@ -96,9 +91,11 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
              window n_windows);
       Pim.Fault.validate fault mesh)
     events;
-  let initial = Scheduler.solve problem algorithm in
-  let planned_cost = Schedule.total_cost initial trace in
-  let plan = plan_of initial in
+  (* the plan being executed, repaired and merged in place *)
+  let plan = Scheduler.solve problem algorithm in
+  let planned_cost = Schedule.total_cost plan trace in
+  let center w d = Schedule.center plan ~window:w ~data:d in
+  let set_center w d c = Schedule.set_center plan ~window:w ~data:d c in
   (* mutable execution state *)
   let cur_fault = ref (Problem.fault problem) in
   let cur_problem = ref problem in
@@ -131,8 +128,8 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
       cur_fault := f;
       (* patch the running session instead of opening a cold one: faults
          only accumulate here, so only rows the new fault actually
-         repriced are refilled — a pure node-fault event reuses every
-         slab row of the previous session *)
+         repriced are rebuilt — a pure node-fault event reuses every
+         cost row of the previous session *)
       cur_problem := Problem.with_fault_patch !cur_problem f;
       oracle :=
         (if Pim.Fault.is_none f then None
@@ -161,7 +158,7 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
       (* 3. repair the remaining plan: no planned center may be dead *)
       for w' = w to n_windows - 1 do
         for d = 0 to n_data - 1 do
-          plan.(w').(d) <- !repair.(plan.(w').(d))
+          set_center w' d !repair.(center w' d)
         done
       done;
       (* 4. reschedule-on-failure: re-solve the degraded problem, then
@@ -171,7 +168,7 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
          repaired plan and wins whenever the re-solve improves any single
          datum. *)
       if reschedule then begin
-        let candidate = plan_of (Scheduler.solve !cur_problem algorithm) in
+        let candidate = Scheduler.solve !cur_problem algorithm in
         let price p d =
           price_datum !cur_problem ~oracle:!oracle ~repair:!repair ~windows
             ~volume ~plan:p ~from_pos:!pos ~first:w d
@@ -181,7 +178,7 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
           if price candidate d < price plan d then begin
             incr adopted;
             for w' = w to n_windows - 1 do
-              plan.(w').(d) <- candidate.(w').(d)
+              set_center w' d (Schedule.center candidate ~window:w' ~data:d)
             done
           end
         done;
@@ -190,10 +187,10 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
     end;
     (* 5. migrate into this window's centers (initial placement is free) *)
     (match !pos with
-    | None -> pos := Some (Array.copy plan.(w))
+    | None -> pos := Some (Array.init n_data (center w))
     | Some pos ->
         for d = 0 to n_data - 1 do
-          let src = pos.(d) and dst = plan.(w).(d) in
+          let src = pos.(d) and dst = center w d in
           if src <> dst then begin
             match fault_dist src dst with
             | Some dist ->

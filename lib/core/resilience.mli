@@ -18,7 +18,7 @@
       nearest alive rank (a schedule may never host data on a dead
       processor);
     + with [~reschedule:true], the surviving windows are re-solved on the
-      degraded {!Problem.t} ({!Problem.with_fault}) and merged {e per
+      degraded {!Problem.t} ({!Problem.with_fault_patch}) and merged {e per
       datum}: each datum keeps whichever continuation — re-solved or
       repaired original — prices cheaper under the same routine that
       charges execution. The continuation price is separable across data,

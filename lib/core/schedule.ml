@@ -1,13 +1,19 @@
-type t = {
-  mesh : Pim.Mesh.t;
-  centers : int array array; (* centers.(window).(data) = rank *)
+type 'host plan = {
+  host : 'host;
+  size : int; (* ranks the host offers *)
+  n_data : int;
+  centers : int array; (* centers.(window * n_data + data) = rank *)
 }
 
-let create mesh ~n_windows ~n_data =
+type t = Pim.Mesh.t plan
+
+let create_on host ~size ~n_windows ~n_data =
   if n_windows <= 0 then
     invalid_arg "Schedule.create: n_windows must be positive";
   if n_data <= 0 then invalid_arg "Schedule.create: n_data must be positive";
-  { mesh; centers = Array.make_matrix n_windows n_data 0 }
+  { host; size; n_data; centers = Array.make (n_windows * n_data) 0 }
+
+let create mesh = create_on mesh ~size:(Pim.Mesh.size mesh)
 
 let constant mesh ~n_windows placement =
   let size = Pim.Mesh.size mesh in
@@ -18,45 +24,55 @@ let constant mesh ~n_windows placement =
           (Printf.sprintf "Schedule.constant: datum %d at invalid rank %d" d
              rank))
     placement;
-  let t = create mesh ~n_windows ~n_data:(Array.length placement) in
-  Array.iter (fun row -> Array.blit placement 0 row 0 (Array.length placement))
-    t.centers;
+  let n_data = Array.length placement in
+  let t = create mesh ~n_windows ~n_data in
+  for w = 0 to n_windows - 1 do
+    Array.blit placement 0 t.centers (w * n_data) n_data
+  done;
   t
 
-let mesh t = t.mesh
-let n_windows t = Array.length t.centers
-let n_data t = Array.length t.centers.(0)
+let host t = t.host
+let host_size t = t.size
+let mesh = host
+let n_windows t = Array.length t.centers / t.n_data
+let n_data t = t.n_data
+
+let with_host t host ~size =
+  if size <> t.size then
+    invalid_arg
+      (Printf.sprintf "Schedule.with_host: host has %d ranks, plan has %d"
+         size t.size);
+  { t with host; centers = Array.copy t.centers }
 
 let check t ~window ~data =
   if window < 0 || window >= n_windows t then
     invalid_arg (Printf.sprintf "Schedule: window %d out of range" window);
-  if data < 0 || data >= n_data t then
+  if data < 0 || data >= t.n_data then
     invalid_arg (Printf.sprintf "Schedule: data %d out of range" data)
 
 let center t ~window ~data =
   check t ~window ~data;
-  t.centers.(window).(data)
+  t.centers.((window * t.n_data) + data)
 
 let set_center t ~window ~data rank =
   check t ~window ~data;
-  if rank < 0 || rank >= Pim.Mesh.size t.mesh then
+  if rank < 0 || rank >= t.size then
     invalid_arg (Printf.sprintf "Schedule.set_center: invalid rank %d" rank);
-  t.centers.(window).(data) <- rank
+  t.centers.((window * t.n_data) + data) <- rank
 
 let centers_of_data t ~data =
   check t ~window:0 ~data;
-  Array.map (fun row -> row.(data)) t.centers
+  Array.init (n_windows t) (fun w -> t.centers.((w * t.n_data) + data))
 
 let is_static t ~data =
   let cs = centers_of_data t ~data in
   Array.for_all (fun c -> c = cs.(0)) cs
 
+(* a cell differs from the one a row above it: one migration *)
 let moves t =
   let count = ref 0 in
-  for w = 1 to n_windows t - 1 do
-    for d = 0 to n_data t - 1 do
-      if t.centers.(w).(d) <> t.centers.(w - 1).(d) then incr count
-    done
+  for i = t.n_data to Array.length t.centers - 1 do
+    if t.centers.(i) <> t.centers.(i - t.n_data) then incr count
   done;
   !count
 
@@ -69,49 +85,55 @@ let check_trace t trace =
          (Reftrace.Trace.n_windows trace)
          (n_windows t));
   let trace_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-  if trace_data <> n_data t then
+  if trace_data <> t.n_data then
     invalid_arg
       (Printf.sprintf "Schedule: trace has %d data, schedule has %d"
-         trace_data (n_data t))
+         trace_data t.n_data)
 
-let cost t trace =
+let weighted_cost ~distance t trace =
   check_trace t trace;
   let space = Reftrace.Trace.space trace in
   let volume data = Reftrace.Data_space.volume_of space data in
+  let n = t.n_data in
   let reference = ref 0 and movement = ref 0 in
   List.iteri
     (fun w window ->
       List.iter
         (fun data ->
-          reference :=
-            !reference
-            + volume data
-              * Cost.reference_cost t.mesh window ~data
-                  ~center:t.centers.(w).(data))
+          let c = t.centers.((w * n) + data) and v = volume data in
+          Reftrace.Window.iter_profile window data (fun ~proc ~count ->
+              reference := !reference + (v * count * distance proc c)))
         (Reftrace.Window.referenced_data window);
       if w > 0 then
-        for data = 0 to n_data t - 1 do
-          movement :=
-            !movement
-            + volume data
-              * Cost.movement_cost t.mesh
-                  ~from_:t.centers.(w - 1).(data)
-                  ~to_:t.centers.(w).(data)
+        for data = 0 to n - 1 do
+          let i = (w * n) + data in
+          if t.centers.(i) <> t.centers.(i - n) then
+            movement :=
+              !movement
+              + (volume data * distance t.centers.(i - n) t.centers.(i))
         done)
     (Reftrace.Trace.windows trace);
   { reference = !reference; movement = !movement;
     total = !reference + !movement }
 
+let cost t trace = weighted_cost ~distance:(Pim.Mesh.distance t.host) t trace
 let total_cost t trace = (cost t trace).total
 
+let window_load t w =
+  let load = Array.make t.size 0 in
+  for i = w * t.n_data to ((w + 1) * t.n_data) - 1 do
+    load.(t.centers.(i)) <- load.(t.centers.(i)) + 1
+  done;
+  load
+
+let loads t = Array.init (n_windows t) (window_load t)
+
 let check_capacity t ~capacity =
-  let size = Pim.Mesh.size t.mesh in
   let violation = ref None in
   (try
      for w = 0 to n_windows t - 1 do
-       let load = Array.make size 0 in
-       Array.iter (fun rank -> load.(rank) <- load.(rank) + 1) t.centers.(w);
-       for rank = 0 to size - 1 do
+       let load = window_load t w in
+       for rank = 0 to t.size - 1 do
          if load.(rank) > capacity then begin
            violation := Some (w, rank, load.(rank));
            raise Exit
@@ -125,14 +147,15 @@ let to_rounds ?(prefetch = false) t trace =
   check_trace t trace;
   let space = Reftrace.Trace.space trace in
   let volume data = Reftrace.Data_space.volume_of space data in
+  let n = t.n_data in
   (* migration messages feeding window [target] *)
   let migrations_into target =
     if target <= 0 || target >= n_windows t then []
     else begin
       let acc = ref [] in
-      for data = n_data t - 1 downto 0 do
-        let src = t.centers.(target - 1).(data)
-        and dst = t.centers.(target).(data) in
+      for data = n - 1 downto 0 do
+        let src = t.centers.(((target - 1) * n) + data)
+        and dst = t.centers.((target * n) + data) in
         if src <> dst then
           acc := Pim.Router.message ~src ~dst ~volume:(volume data) :: !acc
       done;
@@ -147,7 +170,7 @@ let to_rounds ?(prefetch = false) t trace =
       let references =
         List.concat_map
           (fun data ->
-            let src = t.centers.(w).(data) in
+            let src = t.centers.((w * n) + data) in
             List.filter_map
               (fun (proc, count) ->
                 if proc = src then None
@@ -161,13 +184,9 @@ let to_rounds ?(prefetch = false) t trace =
       { Pim.Simulator.migrations; references })
     (Reftrace.Trace.windows trace)
 
-let copy t = { t with centers = Array.map Array.copy t.centers }
-
-let equal a b =
-  n_windows a = n_windows b
-  && n_data a = n_data b
-  && a.centers = b.centers
+let copy t = { t with centers = Array.copy t.centers }
+let equal a b = a.n_data = b.n_data && a.centers = b.centers
 
 let pp fmt t =
   Format.fprintf fmt "schedule(%a, %d windows, %d data, %d moves)"
-    Pim.Mesh.pp t.mesh (n_windows t) (n_data t) (moves t)
+    Pim.Mesh.pp t.host (n_windows t) (n_data t) (moves t)

@@ -135,7 +135,7 @@ let with_fault t fault =
         let mf =
           if Pim.Fault.alive_count mf mesh = 0 then Pim.Fault.none else mf
         in
-        (* patch, not rebuild: member sessions keep every slab row the
+        (* patch, not rebuild: member sessions keep every cost row the
            member's fault change did not reprice (a fully-dead member
            substitutes Fault.none, a non-monotone change — the patch's
            carry rules gate on monotonicity, so that stays correct) *)

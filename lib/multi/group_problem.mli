@@ -49,7 +49,7 @@ val n_members : t -> int
 
 (** [with_fault t fault] is a fresh problem over the same group and
     trace with the fault replaced — member sessions are reopened over
-    their shared contexts ({!Sched.Problem.with_fault}), so trace
+    their shared contexts ({!Sched.Problem.with_fault_patch}), so trace
     projections and axis tables carry over untouched. How the
     reschedule-on-failure path degrades a group problem mid-run. *)
 val with_fault : t -> Group_fault.t -> t

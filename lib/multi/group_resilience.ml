@@ -34,15 +34,14 @@ let run ?(reschedule = true) ?(events = []) gp algorithm =
           | Some f -> Group_fault.union f ev.fault))
     events;
   let plan = Group_solver.solve gp algorithm in
-  let planned_cost = Group_schedule.total_cost plan trace in
-  let active =
-    Array.init nw (fun w ->
-        Array.init nd (fun d -> Group_schedule.center plan ~window:w ~data:d))
-  in
+  let planned_cost = (Group_schedule.cost plan trace).total in
+  (* the plan being executed, repaired and re-solved in place *)
+  let active = Sched.Schedule.copy plan in
+  let center = Sched.Schedule.center active in
   (* current problem under the accumulated fault: repair pricing reads
      its member cost rows, so evolving link faults stay priced right *)
   let cur_gp = ref gp in
-  let prev = Array.copy active.(0) in
+  let prev = Array.init nd (fun d -> center ~window:0 ~data:d) in
   let paid = ref 0 in
   let evicted = ref 0 and evicted_cost = ref 0 and reschedules = ref 0 in
   let alive g = Group_problem.rank_alive !cur_gp g in
@@ -95,65 +94,60 @@ let run ?(reschedule = true) ?(events = []) gp algorithm =
         let merged = Group_fault.union (Group_problem.fault !cur_gp) ev_fault in
         cur_gp := Group_problem.with_fault !cur_gp merged;
         (* repair: remap every dead center of the remaining plan *)
-        let repaired =
-          Array.init (nw - w) (fun i ->
-              Array.init nd (fun d ->
-                  let c = active.(w + i).(d) in
-                  if alive c then c else repair_center d (w + i)))
-        in
-        let chosen =
-          if not reschedule then repaired
-          else begin
-            let suffix_windows =
-              List.filteri
-                (fun i _ -> i >= w)
-                (Reftrace.Trace.windows trace)
+        for w' = w to nw - 1 do
+          for d = 0 to nd - 1 do
+            if not (alive (center ~window:w' ~data:d)) then
+              Sched.Schedule.set_center active ~window:w' ~data:d
+                (repair_center d w')
+          done
+        done;
+        if reschedule then begin
+          let suffix_windows =
+            List.filteri
+              (fun i _ -> i >= w)
+              (Reftrace.Trace.windows trace)
+          in
+          let suffix_trace = Reftrace.Trace.create space suffix_windows in
+          let cont_gp =
+            Group_problem.create
+              ~policy:(Group_problem.policy gp)
+              ~jobs:(Group_problem.jobs gp)
+              ~fault:merged group suffix_trace
+          in
+          let resolved_plan = Group_solver.solve cont_gp algorithm in
+          let improved = ref false in
+          for d = 0 to nd - 1 do
+            let rep =
+              Array.sub (Sched.Schedule.centers_of_data active ~data:d) w
+                (nw - w)
             in
-            let suffix_trace = Reftrace.Trace.create space suffix_windows in
-            let cont_gp =
-              Group_problem.create
-                ~policy:(Group_problem.policy gp)
-                ~jobs:(Group_problem.jobs gp)
-                ~fault:merged group suffix_trace
-            in
-            let resolved_plan = Group_solver.solve cont_gp algorithm in
-            let improved = ref false in
-            let pick = Array.make nd false in
-            for d = 0 to nd - 1 do
-              let rep = Array.init (nw - w) (fun i -> repaired.(i).(d)) in
-              let res =
-                Array.init (nw - w) (fun i ->
-                    Group_schedule.center resolved_plan ~window:i ~data:d)
-              in
-              if
-                price_continuation d ~from_window:w res
-                < price_continuation d ~from_window:w rep
-              then begin
-                pick.(d) <- true;
-                improved := true
-              end
-            done;
-            if !improved then incr reschedules;
-            Array.init (nw - w) (fun i ->
-                Array.init nd (fun d ->
-                    if pick.(d) then
-                      Group_schedule.center resolved_plan ~window:i ~data:d
-                    else repaired.(i).(d)))
-          end
-        in
-        Array.iteri (fun i row -> active.(w + i) <- row) chosen;
+            let res = Sched.Schedule.centers_of_data resolved_plan ~data:d in
+            if
+              price_continuation d ~from_window:w res
+              < price_continuation d ~from_window:w rep
+            then begin
+              improved := true;
+              Array.iteri
+                (fun i c ->
+                  Sched.Schedule.set_center active ~window:(w + i) ~data:d c)
+                res
+            end
+          done;
+          if !improved then incr reschedules
+        end;
         (* eviction accounting: data sitting on a rank the event killed *)
         for d = 0 to nd - 1 do
           if not (alive prev.(d)) then begin
             incr evicted;
             evicted_cost :=
-              !evicted_cost + (vol d * gdist prev.(d) active.(w).(d));
+              !evicted_cost
+              + (vol d * gdist prev.(d) (center ~window:w ~data:d));
             if !Obs.enabled then Obs.Metrics.incr "multi.resilience_evictions"
           end
         done);
     let win = Reftrace.Trace.window trace w in
     for d = 0 to nd - 1 do
-      let c = active.(w).(d) in
+      let c = center ~window:w ~data:d in
       if c <> prev.(d) then paid := !paid + (vol d * gdist prev.(d) c);
       Reftrace.Window.iter_profile win d (fun ~proc ~count ->
           paid := !paid + (vol d * count * gdist proc c));

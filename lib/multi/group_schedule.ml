@@ -1,132 +1,46 @@
-type t = {
-  group : Array_group.t;
-  centers : int array array; (* centers.(window).(data) = global rank *)
+type t = Array_group.t Sched.Schedule.plan
+
+type cost_breakdown = Sched.Schedule.cost_breakdown = {
+  reference : int;
+  movement : int;
+  total : int;
 }
 
-let create group ~n_windows ~n_data =
-  if n_windows <= 0 then invalid_arg "Group_schedule: n_windows must be positive";
-  if n_data <= 0 then invalid_arg "Group_schedule: n_data must be positive";
-  { group; centers = Array.make_matrix n_windows n_data 0 }
-
-let group t = t.group
-let n_windows t = Array.length t.centers
-let n_data t = Array.length t.centers.(0)
-
-let check t ~window ~data =
-  if window < 0 || window >= n_windows t then
-    invalid_arg (Printf.sprintf "Group_schedule: window %d out of range" window);
-  if data < 0 || data >= n_data t then
-    invalid_arg (Printf.sprintf "Group_schedule: data %d out of range" data)
-
-let center t ~window ~data =
-  check t ~window ~data;
-  t.centers.(window).(data)
-
-let set_center t ~window ~data g =
-  check t ~window ~data;
-  if g < 0 || g >= Array_group.size t.group then
-    invalid_arg
-      (Printf.sprintf "Group_schedule: rank %d outside the group (size %d)" g
-         (Array_group.size t.group));
-  t.centers.(window).(data) <- g
-
-let centers_of_data t ~data =
-  check t ~window:0 ~data;
-  Array.map (fun row -> row.(data)) t.centers
-
-let moves t =
-  let count = ref 0 in
-  for w = 1 to n_windows t - 1 do
-    for d = 0 to n_data t - 1 do
-      if t.centers.(w).(d) <> t.centers.(w - 1).(d) then incr count
-    done
-  done;
-  !count
+let create group = Sched.Schedule.create_on group ~size:(Array_group.size group)
+let group = Sched.Schedule.host
+let moves = Sched.Schedule.moves
 
 let array_moves t =
+  let member w d =
+    Array_group.member_of_rank (group t) (Sched.Schedule.center t ~window:w ~data:d)
+  in
   let count = ref 0 in
-  for w = 1 to n_windows t - 1 do
-    for d = 0 to n_data t - 1 do
-      if
-        Array_group.member_of_rank t.group t.centers.(w).(d)
-        <> Array_group.member_of_rank t.group t.centers.(w - 1).(d)
-      then incr count
+  for w = 1 to Sched.Schedule.n_windows t - 1 do
+    for d = 0 to Sched.Schedule.n_data t - 1 do
+      if member w d <> member (w - 1) d then incr count
     done
   done;
   !count
 
-type cost_breakdown = { reference : int; movement : int; total : int }
-
-(* Mirrors Sched.Schedule.cost: every hop weighted by element volume,
-   movement charged from window 1 on (initial placement is free, as in
-   the paper — every method pays it alike), with the group metric in
-   place of Mesh.distance. *)
 let cost t trace =
-  let space = Reftrace.Trace.space trace in
-  if Reftrace.Trace.n_windows trace <> n_windows t then
-    invalid_arg "Group_schedule.cost: window counts disagree";
-  if Reftrace.Data_space.size space <> n_data t then
-    invalid_arg "Group_schedule.cost: data counts disagree";
-  let reference = ref 0 and movement = ref 0 in
-  for w = 0 to n_windows t - 1 do
-    let win = Reftrace.Trace.window trace w in
-    for d = 0 to n_data t - 1 do
-      let volume = Reftrace.Data_space.volume_of space d in
-      let c = t.centers.(w).(d) in
-      Reftrace.Window.iter_profile win d (fun ~proc ~count ->
-          reference :=
-            !reference + (volume * count * Array_group.distance t.group proc c));
-      if w > 0 then begin
-        let prev = t.centers.(w - 1).(d) in
-        if prev <> c then
-          movement := !movement + (volume * Array_group.distance t.group prev c)
-      end
-    done
-  done;
-  { reference = !reference; movement = !movement; total = !reference + !movement }
-
-let total_cost t trace = (cost t trace).total
+  Sched.Schedule.weighted_cost ~distance:(Array_group.distance (group t)) t
+    trace
 
 let of_mesh_schedule group sched =
-  (match Array_group.degenerate group with
+  match Array_group.degenerate group with
   | None -> invalid_arg "Group_schedule.of_mesh_schedule: group is not 1-member"
-  | Some m ->
-      if Pim.Mesh.size m <> Pim.Mesh.size (Sched.Schedule.mesh sched) then
-        invalid_arg "Group_schedule.of_mesh_schedule: member size mismatch");
-  let t =
-    create group
-      ~n_windows:(Sched.Schedule.n_windows sched)
-      ~n_data:(Sched.Schedule.n_data sched)
-  in
-  for w = 0 to n_windows t - 1 do
-    for d = 0 to n_data t - 1 do
-      t.centers.(w).(d) <- Sched.Schedule.center sched ~window:w ~data:d
-    done
-  done;
-  t
+  | Some _ ->
+      Sched.Schedule.with_host sched group ~size:(Array_group.size group)
 
 let to_mesh_schedule t =
-  match Array_group.degenerate t.group with
-  | None -> None
-  | Some mesh ->
-      let s =
-        Sched.Schedule.create mesh ~n_windows:(n_windows t) ~n_data:(n_data t)
-      in
-      for w = 0 to n_windows t - 1 do
-        for d = 0 to n_data t - 1 do
-          Sched.Schedule.set_center s ~window:w ~data:d t.centers.(w).(d)
-        done
-      done;
-      Some s
-
-let copy t = { t with centers = Array.map Array.copy t.centers }
+  Option.map
+    (fun mesh -> Sched.Schedule.with_host t mesh ~size:(Pim.Mesh.size mesh))
+    (Array_group.degenerate (group t))
 
 let equal a b =
-  Array_group.equal a.group b.group
-  && n_windows a = n_windows b
-  && n_data a = n_data b
-  && Array.for_all2 (fun ra rb -> ra = rb) a.centers b.centers
+  Array_group.equal (group a) (group b) && Sched.Schedule.equal a b
 
 let pp fmt t =
   Format.fprintf fmt "group-schedule(%a, %d windows x %d data, %d moves/%d fabric)"
-    Array_group.pp t.group (n_windows t) (n_data t) (moves t) (array_moves t)
+    Array_group.pp (group t) (Sched.Schedule.n_windows t)
+    (Sched.Schedule.n_data t) (moves t) (array_moves t)

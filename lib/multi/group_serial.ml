@@ -1,134 +1,54 @@
-let mesh_kind m = if Pim.Mesh.wraps m then "torus" else "mesh"
+let header = "# pim-sched group-plan v1"
 
 let to_string plan =
-  let buf = Buffer.create 1024 in
   let group = Group_schedule.group plan in
-  Buffer.add_string buf "# pim-sched group-plan v1\n";
-  let inter = Array_group.inter group in
-  Printf.bprintf buf "inter %s %d %d cost %d\n" (mesh_kind inter)
-    (Pim.Mesh.rows inter) (Pim.Mesh.cols inter)
+  let head = Buffer.create 256 in
+  Printf.bprintf head "%s\ninter %s cost %d\n" header
+    (Sched.Schedule_serial.mesh_line (Array_group.inter group))
     (Array_group.inter_cost group);
   for m = 0 to Array_group.n_members group - 1 do
-    let mesh = Array_group.member group m in
-    Printf.bprintf buf "member %d %s %d %d\n" m (mesh_kind mesh)
-      (Pim.Mesh.rows mesh) (Pim.Mesh.cols mesh)
+    Printf.bprintf head "member %d %s\n" m
+      (Sched.Schedule_serial.mesh_line (Array_group.member group m))
   done;
-  let n_windows = Group_schedule.n_windows plan in
-  let n_data = Group_schedule.n_data plan in
-  Printf.bprintf buf "shape %d %d\n" n_windows n_data;
-  for w = 0 to n_windows - 1 do
-    Printf.bprintf buf "w %d" w;
-    for d = 0 to n_data - 1 do
-      Printf.bprintf buf " %d" (Group_schedule.center plan ~window:w ~data:d)
-    done;
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-
-let fail line msg = failwith (Printf.sprintf "group-plan line %d: %s" line msg)
-
-let mesh_of line kind rows cols =
-  match kind with
-  | "mesh" -> Pim.Mesh.create ~rows ~cols
-  | "torus" -> Pim.Mesh.torus ~rows ~cols
-  | k -> fail line (Printf.sprintf "unknown topology %S" k)
+  Sched.Schedule_serial.encode ~head:(Buffer.contents head) plan
 
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let inter = ref None in
-  let members = ref [] (* (index, mesh), reversed *) in
-  let shape = ref None in
-  let rows = ref [] (* (line, window, ranks), reversed *) in
-  List.iteri
-    (fun i line ->
-      let lno = i + 1 in
-      let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then
-        match
-          String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
-        with
-        | [ "inter"; kind; r; c; "cost"; k ] -> (
-            match
-              (int_of_string_opt r, int_of_string_opt c, int_of_string_opt k)
-            with
-            | Some r, Some c, Some k ->
-                inter := Some (mesh_of lno kind r c, k)
-            | _ -> fail lno "bad inter line")
-        | "inter" :: _ -> fail lno "bad inter line"
-        | [ "member"; idx; kind; r; c ] -> (
-            match
-              (int_of_string_opt idx, int_of_string_opt r, int_of_string_opt c)
-            with
-            | Some idx, Some r, Some c ->
-                members := (idx, mesh_of lno kind r c) :: !members
-            | _ -> fail lno "bad member line")
-        | "member" :: _ -> fail lno "bad member line"
-        | [ "shape"; w; d ] -> (
-            match (int_of_string_opt w, int_of_string_opt d) with
-            | Some w, Some d when w > 0 && d > 0 -> shape := Some (w, d)
-            | _ -> fail lno "bad shape line")
-        | "w" :: widx :: ranks -> (
-            match int_of_string_opt widx with
-            | Some w ->
-                let ranks =
-                  List.map
-                    (fun r ->
-                      match int_of_string_opt r with
-                      | Some r -> r
-                      | None -> fail lno (Printf.sprintf "bad rank %S" r))
-                    ranks
-                in
-                rows := (lno, w, ranks) :: !rows
-            | None -> fail lno "bad window index")
-        | _ -> fail lno (Printf.sprintf "unrecognized line %S" line))
-    lines;
-  let inter, inter_cost =
-    match !inter with Some v -> v | None -> fail 0 "missing inter line"
+  let inter = ref None and members = ref [] and built = ref false in
+  let header = function
+    | [ "inter"; kind; rows; cols; "cost"; cost ] ->
+        if !inter <> None then failwith "duplicate inter line";
+        let cost =
+          match int_of_string_opt cost with
+          | Some c when c >= 1 -> c
+          | _ -> failwith "inter cost must be an integer >= 1"
+        in
+        inter := Some (Sched.Schedule_serial.mesh_of kind rows cols, cost);
+        true
+    | "inter" :: _ -> failwith "malformed inter line"
+    | [ "member"; index; kind; rows; cols ] ->
+        if !built then failwith "member line after shape";
+        let expected = List.length !members in
+        if int_of_string_opt index <> Some expected then
+          failwith (Printf.sprintf "expected member %d, got %s" expected index);
+        members := Sched.Schedule_serial.mesh_of kind rows cols :: !members;
+        true
+    | "member" :: _ -> failwith "malformed member line"
+    | _ -> false
   in
-  let members = List.sort compare (List.rev !members) in
-  List.iteri
-    (fun i (idx, _) ->
-      if idx <> i then fail 0 (Printf.sprintf "missing member %d" i))
-    members;
-  let group =
-    Array_group.create ~inter_cost ~inter
-      (Array.of_list (List.map snd members))
+  let host ~line:_ =
+    built := true;
+    match (!inter, !members) with
+    | None, _ -> failwith "missing inter line"
+    | Some _, [] -> failwith "no member line"
+    | Some (inter, inter_cost), members ->
+        let group =
+          Array_group.create ~inter_cost ~inter (Array.of_list (List.rev members))
+        in
+        (group, Array_group.size group)
   in
-  let n_windows, n_data =
-    match !shape with Some v -> v | None -> fail 0 "missing shape line"
-  in
-  let plan = Group_schedule.create group ~n_windows ~n_data in
-  let seen = Array.make n_windows false in
-  List.iter
-    (fun (lno, w, ranks) ->
-      if w < 0 || w >= n_windows then
-        fail lno (Printf.sprintf "window %d out of range" w);
-      if seen.(w) then fail lno (Printf.sprintf "duplicate window %d" w);
-      seen.(w) <- true;
-      if List.length ranks <> n_data then
-        fail lno
-          (Printf.sprintf "window %d has %d ranks, expected %d" w
-             (List.length ranks) n_data);
-      List.iteri
-        (fun d r ->
-          if r < 0 || r >= Array_group.size group then
-            fail lno (Printf.sprintf "rank %d outside the group" r)
-          else Group_schedule.set_center plan ~window:w ~data:d r)
-        ranks)
-    (List.rev !rows);
-  Array.iteri
-    (fun w s -> if not s then fail 0 (Printf.sprintf "missing window %d" w))
-    seen;
-  plan
+  Sched.Schedule_serial.decode ~what:"Group_serial.of_string" ~header ~host s
 
 let save plan path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string plan))
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string plan))
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
+let load path = of_string (In_channel.with_open_text path In_channel.input_all)

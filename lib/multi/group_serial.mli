@@ -13,14 +13,19 @@
     w 1 ...
     v}
 
-    Blank lines and [#] comments are ignored. *)
+    Blank lines and [#] comments are ignored. Only the [inter] and
+    [member] header lines are this module's; the [shape] and [w] rows are
+    {!Sched.Schedule_serial}'s shared row codec. *)
 
 (** [to_string plan] renders it. *)
 val to_string : Group_schedule.t -> string
 
 (** [of_string s] parses a plan, reconstructing the group.
-    @raise Failure with a line-numbered message on malformed input,
-    out-of-range ranks, or missing windows/members. *)
+    @raise Failure with a line-numbered message on a malformed line or an
+    out-of-range rank, and with an unnumbered one on an error about the
+    whole document: a missing [inter] line, no [member] line, members
+    that do not fit the interconnect, a missing shape or missing
+    windows. *)
 val of_string : string -> Group_schedule.t
 
 (** [save plan path] / [load path] — file wrappers.

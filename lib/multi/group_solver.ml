@@ -51,7 +51,7 @@ let migration_dp gp =
   Array.iteri
     (fun d (_cost, centers) ->
       Array.iteri
-        (fun w g -> Group_schedule.set_center plan ~window:w ~data:d g)
+        (fun w g -> Sched.Schedule.set_center plan ~window:w ~data:d g)
         centers)
     results;
   if !Obs.enabled then begin
@@ -92,7 +92,7 @@ let static_two_level gp algo =
           for w = 0 to Group_problem.n_windows gp - 1 do
             Array.iteri
               (fun idx d ->
-                Group_schedule.set_center plan ~window:w ~data:d
+                Sched.Schedule.set_center plan ~window:w ~data:d
                   (base + Sched.Schedule.center sched ~window:w ~data:idx))
               ids
           done)

@@ -41,8 +41,8 @@ type t = {
   (* warm sessions: context key -> last solved Problem session. A repeat
      instance (possibly under a different fault) is answered by patching
      the checked-out session ([Problem.with_fault_patch]) instead of
-     opening a cold one, so only slab rows the fault change repriced are
-     refilled. Checkout happens in the serial prepare pass and check-in
+     opening a cold one, so only cost rows the fault change repriced are
+     rebuilt. Checkout happens in the serial prepare pass and check-in
      after the wave, so the table has a single writer and no session is
      ever shared by two in-flight solves. Sessions are the heavy entries
      (their weight is the full-force arena bound), so they get the
@@ -224,6 +224,21 @@ let build_group_problem t (instance : Protocol.instance) fault_spec =
 
 let solve_error m = Protocol.make_error "solve-error" m
 
+(* The fields every solve answer carries, in protocol order: the
+   algorithm, [head], the cost breakdown and move count, [extra], then
+   the plan [text]. *)
+let plan_fields algorithm ?(head = []) ?(extra = [])
+    (b : Sched.Schedule.cost_breakdown) plan ~text =
+  (("algorithm", Obs.Json.String (Sched.Scheduler.name algorithm)) :: head)
+  @ [
+      ("total", Obs.Json.Int b.total);
+      ("reference", Obs.Json.Int b.reference);
+      ("movement", Obs.Json.Int b.movement);
+      ("moves", Obs.Json.Int (Sched.Schedule.moves plan));
+    ]
+  @ extra
+  @ [ ("plan", Obs.Json.String text) ]
+
 let solve_group id gp ~key ~cancel algorithm =
   let algorithm =
     match Sched.Scheduler.of_name algorithm with
@@ -238,19 +253,21 @@ let solve_group id gp ~key ~cancel algorithm =
       (* disarm every session before the problem rejoins the warm pool *)
       Multi.Group_problem.set_cancel gp Sched.Cancel.none;
       ( Protocol.ok_response id
-        [
-          ("algorithm", Obs.Json.String (Sched.Scheduler.name algorithm));
-          ( "arrays",
-            Obs.Json.Int
-              (Multi.Array_group.n_members (Multi.Group_problem.group gp)) );
-          ("total", Obs.Json.Int breakdown.Multi.Group_schedule.total);
-          ("reference", Obs.Json.Int breakdown.Multi.Group_schedule.reference);
-          ("movement", Obs.Json.Int breakdown.Multi.Group_schedule.movement);
-          ("moves", Obs.Json.Int (Multi.Group_schedule.moves plan));
-          ( "array_moves",
-            Obs.Json.Int (Multi.Group_schedule.array_moves plan) );
-          ("plan", Obs.Json.String (Multi.Group_serial.to_string plan));
-        ],
+          (plan_fields algorithm
+             ~head:
+               [
+                 ( "arrays",
+                   Obs.Json.Int
+                     (Multi.Array_group.n_members (Multi.Group_problem.group gp))
+                 );
+               ]
+             ~extra:
+               [
+                 ( "array_moves",
+                   Obs.Json.Int (Multi.Group_schedule.array_moves plan) );
+               ]
+             breakdown plan
+             ~text:(Multi.Group_serial.to_string plan)),
         Some (key, Group gp) )
   | exception Invalid_argument m -> raise (Protocol.Reject (solve_error m))
 
@@ -319,7 +336,7 @@ let solve id ctx ~key ~base ~cancel algorithm fault_spec timed =
   let fault = build_fault ctx.Sched.Context.mesh fault_spec in
   (* request-scoped session over the shared context: either a warm
      session checked out of the pool and patched to this request's fault
-     (only repriced slab rows refill), or a cold one. Either way the
+     (only repriced cost rows rebuild), or a cold one. Either way the
      session is private to this solve and checked back in after the
      wave, so answers stay byte-identical to a cold rebuild. *)
   let problem =
@@ -345,15 +362,8 @@ let solve id ctx ~key ~base ~cancel algorithm fault_spec timed =
          request-scoped, the session is not *)
       Sched.Problem.set_cancel problem Sched.Cancel.none;
       ( Protocol.ok_response id
-          ([
-             ("algorithm", Obs.Json.String (Sched.Scheduler.name algorithm));
-             ("total", Obs.Json.Int breakdown.Sched.Schedule.total);
-             ("reference", Obs.Json.Int breakdown.Sched.Schedule.reference);
-             ("movement", Obs.Json.Int breakdown.Sched.Schedule.movement);
-             ("moves", Obs.Json.Int (Sched.Schedule.moves schedule));
-             ( "plan",
-               Obs.Json.String (Sched.Schedule_serial.to_string schedule) );
-           ]
+          (plan_fields algorithm breakdown schedule
+             ~text:(Sched.Schedule_serial.to_string schedule)
           @ timed_part),
         Some (key, Solo problem) )
   | exception Invalid_argument m -> raise (Protocol.Reject (solve_error m))

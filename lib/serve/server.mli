@@ -7,10 +7,10 @@
     runs a private request-scoped session over the cached context, so
     thousands of requests on one
     instance reuse the axis tables and trace preprocessing while never
-    sharing a mutable slab. The last session solved per context is kept
+    sharing a mutable row cache. The last session solved per context is kept
     warm: a repeat instance — even under a different fault — checks it
     out and patches it ({!Sched.Problem.with_fault_patch}), refilling
-    only the slab rows the fault change repriced, instead of opening a
+    only the cost rows the fault change repriced, instead of opening a
     cold {!Sched.Problem.of_context} session. A solved group
     ([arrays]) problem is kept warm the same way, keyed on the instance,
     group spec, fabric price and fault spec, and reused as is. Request
@@ -27,7 +27,7 @@
     - {b Admission by arena footprint}: a request whose context would
       need more than [max_arena_bytes] cost-arena bytes if fully forced
       ({!Sched.Context.t.max_arena_bytes}) is rejected with code
-      [over-budget] before any slab is allocated.
+      [over-budget] before any cost row is built.
     - {b Deadlines}: a solve carrying [deadline_ms] is checked at
       admission, at wave start and at per-datum poll points inside the
       solve ({!Sched.Cancel}); expiry answers a typed

@@ -96,7 +96,7 @@ let prop_argmin_matches_vector mesh label =
       let m =
         Reftrace.Window.marginals window ~data:0 ~cols ~rows
       in
-      let center, cost = Sched.Cost.argmin_of_marginals ~wrap ~cols ~rows m in
+      let center, cost = Sched.Cost.argmin_of_marginals ~wrap m in
       let v = Sched.Cost.cost_vector mesh window ~data:0 in
       center = vector_argmin v && cost = v.(center))
 

@@ -260,8 +260,7 @@ let test_axis_cost_circle () =
 let test_vector_of_marginals_layout () =
   (* 2x3 mesh (rows=2, cols=3), weight at (x=2, y=1) = rank 5 *)
   let v =
-    Sched.Cost.vector_of_marginals ~wrap:false ~cols:3 ~rows:2
-      ([| 0; 0; 1 |], [| 0; 1 |])
+    Sched.Cost.vector_of_marginals ~wrap:false ([| 0; 0; 1 |], [| 0; 1 |])
   in
   Alcotest.(check (array int)) "row-major assembly" [| 3; 2; 1; 2; 1; 0 |] v
 

@@ -189,7 +189,7 @@ let prop_dp_matches_dense_oracle =
          must agree with the DP's own accounting *)
       breakdown.Multi.Group_schedule.total = !oracle
       && Multi.Group_solver.lower_bound gp = Some !oracle
-      && Multi.Group_schedule.total_cost plan trace = !oracle)
+      && (Multi.Group_schedule.cost plan trace).total = !oracle)
 
 (* ------------------------------------------------------------------ *)
 (* Group relaxation vs the dense per-member oracle                     *)
@@ -611,7 +611,7 @@ let test_migration_economics () =
     let gp = Multi.Group_problem.create group trace in
     let plan = Multi.Group_solver.solve gp Sched.Scheduler.Gomcds in
     ( Multi.Group_schedule.array_moves plan,
-      Multi.Group_schedule.total_cost plan trace )
+      (Multi.Group_schedule.cost plan trace).total )
   in
   let moves_tie, cost_tie = run 1 in
   check_int "tie stays home" 0 moves_tie;
@@ -655,7 +655,7 @@ let degenerate_property mesh trace =
               | Some s, Some back ->
                   Sched.Schedule.equal plain s
                   && Sched.Schedule.equal plain back
-                  && Multi.Group_schedule.total_cost lifted trace
+                  && (Multi.Group_schedule.cost lifted trace).total
                      = Sched.Schedule.total_cost plain trace)
             Sched.Scheduler.all)
         [ 1; 4 ])
@@ -776,11 +776,11 @@ let dead_member_hosts_nothing plan gp =
   let group = Multi.Group_problem.group gp in
   let dead = Multi.Group_fault.dead_arrays (Multi.Group_problem.fault gp) in
   let ok = ref true in
-  for w = 0 to Multi.Group_schedule.n_windows plan - 1 do
-    for d = 0 to Multi.Group_schedule.n_data plan - 1 do
+  for w = 0 to Sched.Schedule.n_windows plan - 1 do
+    for d = 0 to Sched.Schedule.n_data plan - 1 do
       let m =
         Multi.Array_group.member_of_rank group
-          (Multi.Group_schedule.center plan ~window:w ~data:d)
+          (Sched.Schedule.center plan ~window:w ~data:d)
       in
       if List.mem m dead then ok := false
     done
@@ -904,10 +904,10 @@ let test_bounded_assignment_spreads () =
   check_bool "bounded plan respects capacity" true
     (let load = Hashtbl.create 16 in
      let ok = ref true in
-     for w = 0 to Multi.Group_schedule.n_windows plan - 1 do
+     for w = 0 to Sched.Schedule.n_windows plan - 1 do
        Hashtbl.reset load;
        for d = 0 to 15 do
-         let c = Multi.Group_schedule.center plan ~window:w ~data:d in
+         let c = Sched.Schedule.center plan ~window:w ~data:d in
          let cur = Option.value ~default:0 (Hashtbl.find_opt load c) in
          Hashtbl.replace load c (cur + 1);
          if cur + 1 > 2 then ok := false
@@ -993,6 +993,58 @@ let test_serial_roundtrip () =
        false
      with Failure _ -> true)
 
+(* Every malformed group plan raises [Failure]: line errors carry their
+   line number, errors about the whole document none. *)
+let group_plan_errors =
+  let head = "inter mesh 1 2 cost 9\nmember 0 mesh 2 2\nmember 1 torus 3 2\n" in
+  let line n msg = Printf.sprintf "Group_serial.of_string: line %d: %s" n msg in
+  let doc msg = "Group_serial.of_string: " ^ msg in
+  [
+    ("unrecognized line", "nope\n", line 1 "unrecognized line \"nope\"");
+    ("malformed inter", "inter mesh 1 2\n", line 1 "malformed inter line");
+    ( "duplicate inter",
+      "inter mesh 1 2 cost 9\ninter mesh 1 2 cost 9\n",
+      line 2 "duplicate inter line" );
+    ( "inter cost 0",
+      "inter mesh 1 2 cost 0\n",
+      line 1 "inter cost must be an integer >= 1" );
+    ( "unknown topology",
+      "inter ring 1 2 cost 9\n",
+      line 1 "unknown topology \"ring\"" );
+    ( "malformed member",
+      "inter mesh 1 2 cost 9\nmember 0 mesh 2\n",
+      line 2 "malformed member line" );
+    ( "member out of order",
+      "inter mesh 1 2 cost 9\nmember 1 mesh 2 2\n",
+      line 2 "expected member 0, got 1" );
+    ( "member dimensions",
+      "inter mesh 1 2 cost 9\nmember 0 mesh 0 2\n",
+      line 2 "malformed mesh dimensions" );
+    ( "member after shape",
+      "inter mesh 1 1 cost 9\nmember 0 mesh 2 2\nshape 1 1\nmember 1 mesh 2 2\n",
+      line 4 "member line after shape" );
+    ( "rank outside the group",
+      head ^ "shape 1 1\nw 0 10\n",
+      line 5 "Schedule.set_center: invalid rank 10" );
+    ( "missing inter",
+      "member 0 mesh 2 2\nshape 1 1\nw 0 0\n",
+      doc "missing inter line" );
+    ( "no member",
+      "inter mesh 1 1 cost 9\nshape 1 1\nw 0 0\n",
+      doc "no member line" );
+    ( "members overflow the interconnect",
+      "inter mesh 1 1 cost 10\nmember 0 mesh 2 2\nmember 1 mesh 2 2\nshape 1 1\n",
+      doc "Array_group: 2 members do not fit a 1x1 interconnect" );
+    ("no shape", head, doc "no schedule found");
+    ( "missing window",
+      head ^ "shape 2 1\nw 0 0\n",
+      doc "1 of 2 windows present" );
+  ]
+  |> List.map (fun (name, input, expected) ->
+         Gen.case ("group-plan rejects: " ^ name) (fun () ->
+             Alcotest.check_raises name (Failure expected) (fun () ->
+                 ignore (Multi.Group_serial.of_string input))))
+
 (* Random group plans (members mesh or torus, any centers) survive
    to_string/of_string. *)
 let group_plan_gen =
@@ -1015,7 +1067,7 @@ let group_plan_gen =
   let plan = Multi.Group_schedule.create group ~n_windows ~n_data in
   List.iteri
     (fun i r ->
-      Multi.Group_schedule.set_center plan ~window:(i / n_data)
+      Sched.Schedule.set_center plan ~window:(i / n_data)
         ~data:(i mod n_data) r)
     ranks;
   return plan
@@ -1068,6 +1120,9 @@ let suite =
       test_bounded_assignment_spreads;
     Gen.case "group-plan serialization round-trips" test_serial_roundtrip;
     Gen.to_alcotest prop_group_plan_roundtrip;
+  ]
+  @ group_plan_errors
+  @ [
     Gen.case "held_bytes counts weights and stage-two sessions"
       test_held_bytes;
   ]
