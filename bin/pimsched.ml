@@ -273,7 +273,8 @@ let run_schedule_group group trace policy algorithm jobs plan_out =
   let plan, breakdown = Multi.Group_solver.evaluate gp algorithm in
   report_plan ~plan_out ~save:Multi.Group_serial.save
     ~extra:
-      (Printf.sprintf "  array-moves=%d" (Multi.Group_schedule.array_moves plan))
+      (Printf.sprintf "  array-moves=%d"
+         (Multi.Group_schedule.array_moves plan))
     algorithm breakdown plan
 
 let run_schedule instance algorithm jobs simulate plan_out metrics_json =

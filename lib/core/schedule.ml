@@ -1,6 +1,7 @@
 type 'host plan = {
   host : 'host;
   size : int; (* ranks the host offers *)
+  n_windows : int;
   n_data : int;
   centers : int array; (* centers.(window * n_data + data) = rank *)
 }
@@ -11,7 +12,8 @@ let create_on host ~size ~n_windows ~n_data =
   if n_windows <= 0 then
     invalid_arg "Schedule.create: n_windows must be positive";
   if n_data <= 0 then invalid_arg "Schedule.create: n_data must be positive";
-  { host; size; n_data; centers = Array.make (n_windows * n_data) 0 }
+  let centers = Array.make (n_windows * n_data) 0 in
+  { host; size; n_windows; n_data; centers }
 
 let create mesh = create_on mesh ~size:(Pim.Mesh.size mesh)
 
@@ -34,7 +36,7 @@ let constant mesh ~n_windows placement =
 let host t = t.host
 let host_size t = t.size
 let mesh = host
-let n_windows t = Array.length t.centers / t.n_data
+let n_windows t = t.n_windows
 let n_data t = t.n_data
 
 let with_host t host ~size =

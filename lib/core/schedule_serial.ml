@@ -39,9 +39,8 @@ let mesh_of kind rows cols =
   | _ -> failwith (Printf.sprintf "unknown topology %S" kind)
 
 let to_string schedule =
-  encode
-    ~head:(Printf.sprintf "%s\n%s\n" header (mesh_line (Schedule.mesh schedule)))
-    schedule
+  let mesh = Schedule.mesh schedule in
+  encode ~head:(Printf.sprintf "%s\n%s\n" header (mesh_line mesh)) schedule
 
 let decode ~what ~header ~host s =
   let fail lineno msg =
@@ -90,7 +89,9 @@ let decode ~what ~header ~host s =
         | false -> fail lineno (Printf.sprintf "unrecognized line %S" line)
         | exception (Failure msg | Invalid_argument msg) -> fail lineno msg)
   in
-  List.iteri (fun i line -> parse_line (i + 1) line) (String.split_on_char '\n' s);
+  List.iteri
+    (fun i line -> parse_line (i + 1) line)
+    (String.split_on_char '\n' s);
   match !plan with
   | None -> failwith (Printf.sprintf "%s: no schedule found" what)
   | Some plan ->

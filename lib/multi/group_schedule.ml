@@ -12,7 +12,8 @@ let moves = Sched.Schedule.moves
 
 let array_moves t =
   let member w d =
-    Array_group.member_of_rank (group t) (Sched.Schedule.center t ~window:w ~data:d)
+    Array_group.member_of_rank (group t)
+      (Sched.Schedule.center t ~window:w ~data:d)
   in
   let count = ref 0 in
   for w = 1 to Sched.Schedule.n_windows t - 1 do

@@ -41,9 +41,8 @@ let of_string s =
     | None, _ -> failwith "missing inter line"
     | Some _, [] -> failwith "no member line"
     | Some (inter, inter_cost), members ->
-        let group =
-          Array_group.create ~inter_cost ~inter (Array.of_list (List.rev members))
-        in
+        let members = Array.of_list (List.rev members) in
+        let group = Array_group.create ~inter_cost ~inter members in
         (group, Array_group.size group)
   in
   Sched.Schedule_serial.decode ~what:"Group_serial.of_string" ~header ~host s

@@ -258,8 +258,8 @@ let solve_group id gp ~key ~cancel algorithm =
                [
                  ( "arrays",
                    Obs.Json.Int
-                     (Multi.Array_group.n_members (Multi.Group_problem.group gp))
-                 );
+                     (Multi.Array_group.n_members
+                        (Multi.Group_problem.group gp)) );
                ]
              ~extra:
                [

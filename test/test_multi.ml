@@ -1021,7 +1021,8 @@ let group_plan_errors =
       "inter mesh 1 2 cost 9\nmember 0 mesh 0 2\n",
       line 2 "malformed mesh dimensions" );
     ( "member after shape",
-      "inter mesh 1 1 cost 9\nmember 0 mesh 2 2\nshape 1 1\nmember 1 mesh 2 2\n",
+      "inter mesh 1 1 cost 9\nmember 0 mesh 2 2\nshape 1 1\n\
+       member 1 mesh 2 2\n",
       line 4 "member line after shape" );
     ( "rank outside the group",
       head ^ "shape 1 1\nw 0 10\n",
@@ -1033,7 +1034,8 @@ let group_plan_errors =
       "inter mesh 1 1 cost 9\nshape 1 1\nw 0 0\n",
       doc "no member line" );
     ( "members overflow the interconnect",
-      "inter mesh 1 1 cost 10\nmember 0 mesh 2 2\nmember 1 mesh 2 2\nshape 1 1\n",
+      "inter mesh 1 1 cost 10\nmember 0 mesh 2 2\nmember 1 mesh 2 2\n\
+       shape 1 1\n",
       doc "Array_group: 2 members do not fit a 1x1 interconnect" );
     ("no shape", head, doc "no schedule found");
     ( "missing window",
@@ -1052,7 +1054,8 @@ let group_plan_gen =
   let member =
     map3
       (fun torus rows cols ->
-        if torus then Pim.Mesh.torus ~rows ~cols else Pim.Mesh.create ~rows ~cols)
+        if torus then Pim.Mesh.torus ~rows ~cols
+        else Pim.Mesh.create ~rows ~cols)
       bool (int_range 1 3) (int_range 1 3)
   in
   int_range 1 3 >>= fun n_members ->

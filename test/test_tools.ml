@@ -68,7 +68,9 @@ let check_golden host expected =
       (Sched.Problem.create host golden_trace)
       Sched.Scheduler.Gomcds
   in
-  Alcotest.(check string) "plan text" expected (Sched.Schedule_serial.to_string s)
+  Alcotest.(check string)
+    "plan text" expected
+    (Sched.Schedule_serial.to_string s)
 
 let test_golden_mesh () = check_golden mesh
     "# pim-sched schedule v1\nmesh 4 4\nshape 3 3\nw 0 5 0 3\nw 1 12 0 3\n\
