@@ -51,9 +51,9 @@ val axis_cost : wrap:bool -> int array -> int array
 
 (** [vector_of_marginals ~wrap (mx, my)] assembles a full cost vector from
     per-axis marginals: [v.(y·cols + x) = cx.(x) + cy.(y)], the marginals'
-    lengths fixing [cols] and [rows]. The
-    entry point for callers that already hold marginals (e.g. merged-window
-    pricing in {!Sched.Grouping}) and want to skip re-projection. *)
+    lengths fixing [cols] and [rows]. The entry point for callers that
+    already hold marginals (e.g. merged-window pricing in
+    {!Sched.Grouping}) and want to skip re-projection. *)
 val vector_of_marginals : wrap:bool -> int array * int array -> int array
 
 (** [argmin_of_marginals ~wrap m] is the vector-free fast path

@@ -52,6 +52,7 @@ let decode ~what ~header ~host s =
     | [ "" ] -> ()
     | word :: _ when String.length word > 0 && word.[0] = '#' -> ()
     | [ "shape"; windows; data ] -> (
+        if Option.is_some !plan then fail lineno "duplicate shape";
         let host, size =
           match host ~line:lineno with
           | v -> v

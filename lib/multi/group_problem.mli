@@ -47,9 +47,9 @@ val n_data : t -> int
 val n_windows : t -> int
 val n_members : t -> int
 
-(** [with_fault t fault] is a fresh problem over the same group and
-    trace with the fault replaced — member sessions are reopened over
-    their shared contexts ({!Sched.Problem.with_fault_patch}), so trace
+(** [with_fault t fault] is the problem over the same group and trace
+    with the fault replaced — member sessions are patched over their
+    shared contexts ({!Sched.Problem.with_fault_patch}), so trace
     projections and axis tables carry over untouched. How the
     reschedule-on-failure path degrades a group problem mid-run. *)
 val with_fault : t -> Group_fault.t -> t

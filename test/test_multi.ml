@@ -1038,6 +1038,9 @@ let group_plan_errors =
        shape 1 1\n",
       doc "Array_group: 2 members do not fit a 1x1 interconnect" );
     ("no shape", head, doc "no schedule found");
+    ( "duplicate shape",
+      head ^ "shape 1 1\nw 0 0\nshape 1 1\n",
+      line 6 "duplicate shape" );
     ( "missing window",
       head ^ "shape 2 1\nw 0 0\n",
       doc "1 of 2 windows present" );

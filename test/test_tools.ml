@@ -50,7 +50,10 @@ let test_schedule_parse_errors () =
   check_fails "mesh 4 4\nshape 2 1\nw 0 0\n"
     "Schedule_serial.of_string: 1 of 2 windows present";
   check_fails "mesh 4 4\nshape 1 1\nw 1 0\n"
-    "Schedule_serial.of_string: line 3: expected window 0, got 1"
+    "Schedule_serial.of_string: line 3: expected window 0, got 1";
+  (* a second shape line would drop the rows read so far *)
+  check_fails "mesh 4 4\nshape 1 1\nw 0 0\nshape 2 1\nw 1 0\n"
+    "Schedule_serial.of_string: line 4: duplicate shape"
 
 (* Golden plan text: the exact bytes of a gomcds plan, pinned so a change
    to the plan representation or its codec cannot drift the format. *)
