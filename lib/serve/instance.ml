@@ -66,8 +66,10 @@ let generate (spec : Protocol.instance) mesh =
       invalid_arg
         (Printf.sprintf "workload %S at size %d: %s" spec.workload spec.size m)
 
-let parse text =
-  match Reftrace.Serial.of_string text with
+(* Ranks are checked against the target while the text is read, so an
+   out-of-range rank is refused before any window row is sized by it. *)
+let parse ~processors text =
+  match Reftrace.Serial.of_string ~processors text with
   | t -> t
   | exception Failure m -> invalid_arg (Printf.sprintf "inline trace: %s" m)
 
@@ -86,10 +88,7 @@ let build (spec : Protocol.instance) =
       in
       let trace =
         match spec.trace_text with
-        | Some text ->
-            let t = parse text in
-            Reftrace.Trace.validate t mesh;
-            t
+        | Some text -> parse ~processors:(Pim.Mesh.size mesh) text
         | None -> generate spec mesh
       in
       Mesh { mesh; trace; policy = policy trace (Pim.Mesh.size mesh) }
@@ -100,10 +99,7 @@ let build (spec : Protocol.instance) =
       in
       let trace =
         match spec.trace_text with
-        | Some text ->
-            let t = parse text in
-            Multi.Array_group.validate_trace group t;
-            t
+        | Some text -> parse ~processors:(Multi.Array_group.size group) text
         | None ->
             (* generated workloads are laid out on the virtual mesh (the
                members tiled onto the interconnect) and remapped to global

@@ -23,9 +23,12 @@
     equal trace. *)
 val to_string : Trace.t -> string
 
-(** [of_string s] parses a trace.
+(** [of_string ?processors s] parses a trace. With [processors], a
+    reference of positive count to a rank at or past it is refused as it
+    is read, before any window row grows out to that rank (so a hostile
+    rank costs no memory); without it every rank is accepted.
     @raise Failure with a line-numbered message on malformed input. *)
-val of_string : string -> Trace.t
+val of_string : ?processors:int -> string -> Trace.t
 
 (** [save t path] / [load path] — file convenience wrappers.
     @raise Sys_error on I/O failure, [Failure] on parse errors. *)

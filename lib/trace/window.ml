@@ -2,26 +2,27 @@ type kind = Read | Write
 
 type t = {
   n_data : int;
-  (* per datum, per kind: processor rank -> reference count *)
-  reads : (int, int) Hashtbl.t array;
-  writes_ : (int, int) Hashtbl.t array;
-  (* dense combined (reads + writes) counts, indexed by processor rank and
-     grown on demand; the source the separable cost kernel reads marginals
-     from. [combined.(data).(proc)] is maintained incrementally by [add]
-     and summed row-wise by [merge]. *)
-  mutable combined : int array array;
-  (* per-datum combined reference totals, maintained by [add] *)
+  (* Dense per-datum rows indexed by processor rank, grown on demand.
+     [combined.(data).(proc)] counts reads and writes together — the
+     paper's reference string, and the source the separable cost kernel
+     reads marginals from; [writes_.(data).(proc)] counts writes only
+     (empty until the datum is first written), and a read count is their
+     difference. Past a row's end every count is zero. *)
+  combined : int array array;
+  writes_ : int array array;
+  (* per-datum combined and write totals *)
   totals : int array;
+  write_totals : int array;
 }
 
 let create ~n_data =
   if n_data <= 0 then invalid_arg "Window.create: n_data must be positive";
   {
     n_data;
-    reads = Array.init n_data (fun _ -> Hashtbl.create 4);
-    writes_ = Array.init n_data (fun _ -> Hashtbl.create 1);
     combined = Array.make n_data [||];
+    writes_ = Array.make n_data [||];
     totals = Array.make n_data 0;
+    write_totals = Array.make n_data 0;
   }
 
 let n_data t = t.n_data
@@ -30,59 +31,62 @@ let check_data t data =
   if data < 0 || data >= t.n_data then
     invalid_arg (Printf.sprintf "Window: data id %d out of range" data)
 
-let table t kind data =
-  match kind with Read -> t.reads.(data) | Write -> t.writes_.(data)
+(* [ensure rows data len] is [rows.(data)], first grown to at least [len]
+   entries; growth doubles, so a run of [add]s costs amortized O(1)
+   each. *)
+let ensure rows data len =
+  let r = rows.(data) in
+  if len <= Array.length r then r
+  else begin
+    let grown = Array.make (max len (2 * Array.length r)) 0 in
+    Array.blit r 0 grown 0 (Array.length r);
+    rows.(data) <- grown;
+    grown
+  end
 
-let bump_combined t ~data ~proc ~count =
-  let row = t.combined.(data) in
-  let row =
-    if proc < Array.length row then row
-    else begin
-      let grown = Array.make (max (proc + 1) (2 * Array.length row)) 0 in
-      Array.blit row 0 grown 0 (Array.length row);
-      t.combined.(data) <- grown;
-      grown
-    end
-  in
-  row.(proc) <- row.(proc) + count;
-  t.totals.(data) <- t.totals.(data) + count
+let bump rows totals ~data ~proc ~count =
+  let r = ensure rows data (proc + 1) in
+  r.(proc) <- r.(proc) + count;
+  totals.(data) <- totals.(data) + count
 
 let add ?(kind = Read) t ~data ~proc ~count =
   check_data t data;
   if proc < 0 then invalid_arg "Window.add: negative processor rank";
   if count < 0 then invalid_arg "Window.add: negative count";
   if count > 0 then begin
-    let tbl = table t kind data in
-    (match Hashtbl.find_opt tbl proc with
-    | Some c -> Hashtbl.replace tbl proc (c + count)
-    | None -> Hashtbl.add tbl proc count);
-    bump_combined t ~data ~proc ~count
+    bump t.combined t.totals ~data ~proc ~count;
+    match kind with
+    | Read -> ()
+    | Write -> bump t.writes_ t.write_totals ~data ~proc ~count
   end
 
-let profile_of_table tbl =
-  Hashtbl.fold
-    (fun proc count acc -> if count > 0 then (proc, count) :: acc else acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* [count_at row proc] reads a dense row, zero past its end. *)
+let count_at row proc = if proc < Array.length row then row.(proc) else 0
+
+(* Every profile is a descending scan consed into ascending rank order:
+   the rows are already sorted, so no table copy and no sort. *)
+let profile_of_row count_of len =
+  let acc = ref [] in
+  for proc = len - 1 downto 0 do
+    let c = count_of proc in
+    if c > 0 then acc := (proc, c) :: !acc
+  done;
+  !acc
 
 let read_profile t data =
   check_data t data;
-  profile_of_table t.reads.(data)
+  let row = t.combined.(data) and w = t.writes_.(data) in
+  profile_of_row (fun proc -> row.(proc) - count_at w proc) (Array.length row)
 
 let write_profile t data =
   check_data t data;
-  profile_of_table t.writes_.(data)
+  let w = t.writes_.(data) in
+  profile_of_row (fun proc -> w.(proc)) (Array.length w)
 
-(* The dense row is naturally in ascending rank order, so the combined
-   profile needs no hashtable copy and no sort. *)
 let profile t data =
   check_data t data;
   let row = t.combined.(data) in
-  let acc = ref [] in
-  for proc = Array.length row - 1 downto 0 do
-    if row.(proc) > 0 then acc := (proc, row.(proc)) :: !acc
-  done;
-  !acc
+  profile_of_row (fun proc -> row.(proc)) (Array.length row)
 
 let iter_profile t data f =
   check_data t data;
@@ -93,9 +97,18 @@ let iter_profile t data f =
 
 let iter_kind_profile ~kind t data f =
   check_data t data;
-  Hashtbl.iter
-    (fun proc count -> if count > 0 then f ~proc ~count)
-    (table t kind data)
+  match kind with
+  | Write ->
+      let w = t.writes_.(data) in
+      for proc = 0 to Array.length w - 1 do
+        if w.(proc) > 0 then f ~proc ~count:w.(proc)
+      done
+  | Read ->
+      let row = t.combined.(data) and w = t.writes_.(data) in
+      for proc = 0 to Array.length row - 1 do
+        let count = row.(proc) - count_at w proc in
+        if count > 0 then f ~proc ~count
+      done
 
 let marginals t ~data ~cols ~rows =
   check_data t data;
@@ -126,15 +139,13 @@ let marginals t ~data ~cols ~rows =
   done;
   (mx, my)
 
-let count_table tbl = Hashtbl.fold (fun _ c acc -> acc + c) tbl 0
-
 let references t data =
   check_data t data;
   t.totals.(data)
 
 let writes t data =
   check_data t data;
-  count_table t.writes_.(data)
+  t.write_totals.(data)
 
 let total_references t = Array.fold_left ( + ) 0 t.totals
 
@@ -147,60 +158,67 @@ let referenced_data t =
 
 let is_empty t = Array.for_all (fun c -> c = 0) t.totals
 
-(* Merging sums the dense combined rows and totals directly and adds the
-   kind tables entry-wise — no per-reference [add] round-trip through
-   [bump_combined]. Equal to replaying every (proc, count) reference of
-   [src] into [into] (the regression property in test/test_fastpath.ml):
-   every operation is a commutative sum, so table iteration order is
-   immaterial. *)
-let merge_table ~into src =
-  Hashtbl.iter
-    (fun proc count ->
-      match Hashtbl.find_opt into proc with
-      | Some c -> Hashtbl.replace into proc (c + count)
-      | None -> Hashtbl.add into proc count)
-    src
+(* Merging sums the dense rows and totals directly — no per-reference
+   [add] round-trip. Equal to replaying every (proc, count) reference of
+   [src] into [into] (the regression property in test/test_fastpath.ml). *)
+let add_row rows data src =
+  let n = Array.length src in
+  if n > 0 then begin
+    let r = ensure rows data n in
+    for proc = 0 to n - 1 do
+      r.(proc) <- r.(proc) + src.(proc)
+    done
+  end
 
 let merge_into ~into src =
   for data = 0 to into.n_data - 1 do
-    merge_table ~into:into.reads.(data) src.reads.(data);
-    merge_table ~into:into.writes_.(data) src.writes_.(data);
-    let srow = src.combined.(data) in
-    let slen = Array.length srow in
-    if slen > 0 then begin
-      let row = into.combined.(data) in
-      let row =
-        if slen <= Array.length row then row
-        else begin
-          let grown = Array.make (max slen (2 * Array.length row)) 0 in
-          Array.blit row 0 grown 0 (Array.length row);
-          into.combined.(data) <- grown;
-          grown
-        end
-      in
-      for proc = 0 to slen - 1 do
-        row.(proc) <- row.(proc) + srow.(proc)
-      done
-    end;
-    into.totals.(data) <- into.totals.(data) + src.totals.(data)
+    add_row into.combined data src.combined.(data);
+    add_row into.writes_ data src.writes_.(data);
+    into.totals.(data) <- into.totals.(data) + src.totals.(data);
+    into.write_totals.(data) <-
+      into.write_totals.(data) + src.write_totals.(data)
   done
 
-let merge a b =
+let check_same_space a b =
   if a.n_data <> b.n_data then
-    invalid_arg "Window.merge: mismatched data spaces";
-  let m = create ~n_data:a.n_data in
-  merge_into ~into:m a;
+    invalid_arg "Window.merge: mismatched data spaces"
+
+let copy t =
+  {
+    n_data = t.n_data;
+    combined = Array.map Array.copy t.combined;
+    writes_ = Array.map Array.copy t.writes_;
+    totals = Array.copy t.totals;
+    write_totals = Array.copy t.write_totals;
+  }
+
+let merge a b =
+  check_same_space a b;
+  let m = copy a in
   merge_into ~into:m b;
   m
 
-let copy t =
-  let c = create ~n_data:t.n_data in
-  merge_into ~into:c t;
-  c
-
+(* One copy, then one row sum per further window: linear in the windows'
+   rows, where a left fold of [merge] would rebuild the sum every step. *)
 let merge_list = function
   | [] -> invalid_arg "Window.merge_list: empty list"
-  | w :: ws -> List.fold_left merge (copy w) ws
+  | w :: ws ->
+      let m = copy w in
+      List.iter
+        (fun x ->
+          check_same_space m x;
+          merge_into ~into:m x)
+        ws;
+      m
+
+(* Rows compare as count sequences: trailing zeros from doubling growth
+   are not part of a profile. *)
+let rows_equal a b =
+  let n = max (Array.length a) (Array.length b) in
+  let rec go proc =
+    proc >= n || (count_at a proc = count_at b proc && go (proc + 1))
+  in
+  go 0
 
 let equal a b =
   a.n_data = b.n_data
@@ -208,8 +226,9 @@ let equal a b =
        let ok = ref true in
        for data = 0 to a.n_data - 1 do
          if
-           read_profile a data <> read_profile b data
-           || write_profile a data <> write_profile b data
+           not
+             (rows_equal a.combined.(data) b.combined.(data)
+             && rows_equal a.writes_.(data) b.writes_.(data))
          then ok := false
        done;
        !ok

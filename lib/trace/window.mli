@@ -3,8 +3,12 @@
     The paper divides an application's execution into windows; within a
     window, the {e processor reference string with respect to a datum} is the
     multiset of processors that require that datum. A window here stores, per
-    datum, a sparse profile [(processor rank, reference count)]. Windows are
-    mutable while being built and are treated as immutable afterwards.
+    datum, two dense rows indexed by processor rank and grown on demand: the
+    combined (reads + writes) counts, and the write counts, allocated only
+    once the datum is written; a read count is their difference. Building
+    is two array bumps per reference, merging sums rows, and every profile
+    is an ascending scan. Windows are mutable while being built and are
+    treated as immutable afterwards.
 
     References carry an access {!kind}. The paper's cost model does not
     distinguish reads from writes — both cost the distance to the datum's
@@ -32,7 +36,9 @@ val add : ?kind:kind -> t -> data:int -> proc:int -> count:int -> unit
 
 (** [profile t data] is the {e combined} (reads + writes) reference profile
     of [data], sorted by processor rank, zero counts omitted. This is the
-    paper's processor reference string. *)
+    paper's processor reference string, read straight off the dense
+    combined row; the per-kind views below subtract the dense write row
+    from it. *)
 val profile : t -> int -> (int * int) list
 
 (** [iter_profile t data f] applies [f ~proc ~count] to every combined
@@ -43,8 +49,8 @@ val profile : t -> int -> (int * int) list
 val iter_profile : t -> int -> (proc:int -> count:int -> unit) -> unit
 
 (** [iter_kind_profile ~kind t data f] folds one kind's profile without
-    materializing it. Iteration order is {e unspecified} (hashtable order) —
-    use only for commutative folds such as cost sums. *)
+    materializing it: the same pairs as {!read_profile} or
+    {!write_profile}, in ascending processor-rank order. *)
 val iter_kind_profile :
   kind:kind -> t -> int -> (proc:int -> count:int -> unit) -> unit
 
@@ -59,7 +65,7 @@ val iter_kind_profile :
 val marginals : t -> data:int -> cols:int -> rows:int -> int array * int array
 
 (** [read_profile t data] / [write_profile t data] are the per-kind
-    views. *)
+    views, sorted by processor rank, zero counts omitted. *)
 val read_profile : t -> int -> (int * int) list
 
 val write_profile : t -> int -> (int * int) list
@@ -85,8 +91,10 @@ val is_empty : t -> bool
     differs. *)
 val merge : t -> t -> t
 
-(** [merge_list ws] merges one or more windows.
-    @raise Invalid_argument on the empty list. *)
+(** [merge_list ws] merges one or more windows: one copy of the first,
+    then one row sum per further window, so linear in the windows' rows.
+    @raise Invalid_argument on the empty list, or (as {!merge}) if
+    [n_data] differs. *)
 val merge_list : t list -> t
 
 (** [copy t] is an independent duplicate. *)

@@ -12,7 +12,8 @@
    - the [Problem.t]-ported [Annealing]/[Online] vs verbatim copies of
      their pre-port standalone implementations, at fixed seeds, serial
      and at jobs = 4;
-   - [Window.merge]'s direct row summation vs replaying every reference. *)
+   - [Window.merge]'s direct row summation vs replaying every reference,
+     and a context's merged window vs the hashtable [Oracle.Window]. *)
 
 let torus44 = Pim.Mesh.torus ~rows:4 ~cols:4
 let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
@@ -1037,6 +1038,41 @@ let merged_memo_case =
         (Reftrace.Window.equal a
            (Reftrace.Window.merge_list (Reftrace.Trace.windows trace))))
 
+(* A context's merged window and its admission bytes, on an instance of
+   real size (LU n=24 on 16x16, 576 data), equal those of the hashtable
+   oracle: per-window replays folded pairwise into one window. *)
+let context_oracle_case =
+  Gen.case "Context on LU 24 / 16x16 = hashtable oracle" (fun () ->
+      let mesh = Pim.Mesh.square 16 in
+      let trace = Workloads.Lu.trace ~n:24 mesh in
+      let oracle =
+        List.map Oracle.Window.of_window (Reftrace.Trace.windows trace)
+      in
+      let merged = Oracle.Window.merge_list oracle in
+      let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
+      let referencing =
+        List.fold_left
+          (fun acc w ->
+            acc
+            + List.length
+                (List.filter
+                   (fun data -> Oracle.Window.references w data > 0)
+                   (List.init n_data Fun.id)))
+          0 oracle
+      in
+      List.iter
+        (fun jobs ->
+          let ctx = Sched.Context.create ~jobs mesh trace in
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d: merged window" jobs)
+            true
+            (Oracle.Window.agrees merged ctx.Sched.Context.merged);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: max_arena_bytes" jobs)
+            (8 * Pim.Mesh.size mesh * (n_data + referencing))
+            ctx.Sched.Context.max_arena_bytes)
+        [ 1; 4 ])
+
 let unreferenced_datum_case =
   Gen.case "unreferenced datum rows are the shared zero row" (fun () ->
       (* datum 1 is never referenced: every window, the merged one
@@ -1109,6 +1145,7 @@ let suite =
   @ solve_axes_validation_cases
   @ [
       merged_memo_case;
+      context_oracle_case;
       unreferenced_datum_case;
       outsized_solve_case;
       table_ceiling_case;

@@ -81,6 +81,123 @@ let prop_roundtrip_random =
     ~count:100 arb (fun t ->
       trace_equal t (Reftrace.Serial.of_string (Reftrace.Serial.to_string t)))
 
+(* ---- the one-pass scanner against the split-based parser ---- *)
+
+(* Whatever a parse did: the trace's text, or the exception it raised. *)
+let outcome parse text =
+  match parse text with
+  | t -> Ok (Reftrace.Serial.to_string t, Reftrace.Trace.n_windows t)
+  | exception e -> Error (Printexc.to_string e)
+
+(* Lines near and off the grammar: padding, tabs, carriage returns,
+   doubled spaces, signs, radix prefixes, underscores, overlong numbers,
+   wrong field counts and unknown words, among well-formed lines (most
+   of them, so a text is read well past its first lines). *)
+let line_gen =
+  let open QCheck.Gen in
+  let small = map string_of_int (int_range 0 3) in
+  let odd =
+    oneofl
+      [
+        "9"; "-1"; "+2"; "0x3"; "0b1"; "1_0"; "007"; ""; "x";
+        "99999999999999999999"; "1000000000000000000";
+      ]
+  in
+  let refline word num =
+    map
+      (fun (w, (d, p, c)) -> String.concat " " [ w; d; p; c ])
+      (pair word (triple num num num))
+  in
+  let pad =
+    frequency
+      [
+        (6, return ("", ""));
+        ( 1,
+          pair (oneofl [ " "; "\t"; "  " ]) (oneofl [ " "; "\r"; "\t"; " \r" ])
+        );
+      ]
+  in
+  map2
+    (fun (l, r) body -> l ^ body ^ r)
+    pad
+    (frequency
+       [
+         (12, refline (oneofl [ "ref"; "write" ]) small);
+         ( 2,
+           refline
+             (oneofl [ "ref"; "write"; "REF"; "refs" ])
+             (frequency [ (2, small); (1, odd) ]) );
+         (1, map (Printf.sprintf "window %d") (int_range 1 3));
+         (1, oneofl [ "array A 2 2"; "array B 1 3 2"; "array  A 1 1" ]);
+         (1, oneofl [ "array A 2"; "array A 2 2 2 2"; "array A 0 2" ]);
+         ( 1,
+           oneofl
+             [
+               ""; "# note"; "wibble"; "window"; "ref 0 1"; "ref 0 1 2 3";
+               "ref  0 1 2"; "ref\t0 1 2"; "window 0 1";
+             ] );
+       ])
+
+(* Most texts open with a well-formed header, so the lines after it are
+   reached. *)
+let text_gen =
+  let open QCheck.Gen in
+  map3
+    (fun header lines final_newline ->
+      (if header then "array A 2 2\nwindow 0\n" else "")
+      ^ String.concat "\n" lines
+      ^ if final_newline then "\n" else "")
+    (map (fun k -> k > 0) (int_range 0 3))
+    (list_size (int_range 0 14) line_gen)
+    bool
+
+let prop_scanner_matches_split_parser =
+  QCheck.Test.make ~name:"one-pass scanner = split-based parser" ~count:1000
+    (QCheck.make ~print:String.escaped text_gen) (fun text ->
+      outcome Reftrace.Serial.of_string text
+      = outcome Oracle.Serial_split.of_string text)
+
+(* The same, on texts that parse: every well-formed line a generated
+   workload writes. *)
+let test_scanner_on_workloads () =
+  List.iter
+    (fun t ->
+      let text = Reftrace.Serial.to_string t in
+      Alcotest.(check bool)
+        "same trace" true
+        (outcome Reftrace.Serial.of_string text
+        = outcome Oracle.Serial_split.of_string text))
+    [
+      Workloads.Benchmarks.trace Workloads.Benchmarks.B3 ~n:8 mesh;
+      Workloads.Lu.trace ~n:8 mesh;
+    ]
+
+(* [~processors] refuses a rank at or past the target as it is read. *)
+let test_processor_limit () =
+  let text = "array A 2 2\nwindow 0\nref 0 3 1\nwindow 1\nwrite 1 4 2\n" in
+  Alcotest.check_raises "rank past the limit"
+    (Failure
+       "Serial.of_string: line 5: processor rank 4 out of range (4 \
+        processors)") (fun () ->
+      ignore (Reftrace.Serial.of_string ~processors:4 text));
+  Alcotest.check_raises "huge rank, generic path"
+    (Failure
+       "Serial.of_string: line 3: processor rank 20000000 out of range (4 \
+        processors)") (fun () ->
+      ignore
+        (Reftrace.Serial.of_string ~processors:4
+           "array A 2 2\nwindow 0\nref +0 20000000 1\n"));
+  let t = Reftrace.Serial.of_string ~processors:5 text in
+  Alcotest.(check int) "in range" 4
+    (Reftrace.Window.max_proc (Reftrace.Trace.window t 1));
+  (* a zero count adds nothing, so it is not refused *)
+  let t =
+    Reftrace.Serial.of_string ~processors:4
+      "array A 2 2\nwindow 0\nref 0 20000000 0\n"
+  in
+  Alcotest.(check bool) "zero count kept out" true
+    (Reftrace.Window.is_empty (Reftrace.Trace.window t 0))
+
 let suite =
   [
     Gen.case "roundtrip simple" test_roundtrip_simple;
@@ -91,4 +208,7 @@ let suite =
     Gen.case "out-of-range data rejected" test_out_of_range_data_rejected;
     Gen.case "file roundtrip" test_file_roundtrip;
     Gen.to_alcotest prop_roundtrip_random;
+    Gen.to_alcotest prop_scanner_matches_split_parser;
+    Gen.case "scanner on workloads" test_scanner_on_workloads;
+    Gen.case "processor limit" test_processor_limit;
   ]

@@ -261,6 +261,52 @@ let test_inline_trace () =
     "inline plan = generated plan" true
     (result_field r "plan" = result_field generated "plan")
 
+(* An inline trace naming a rank far past the mesh is refused as it is
+   parsed: no window row is sized by the rank first (20000000 would be a
+   153 MiB row, a rank near 10^9 about 8 GiB), on the mesh and the group
+   path alike. *)
+let test_inline_huge_rank () =
+  let t = fresh () in
+  let text = "array A 2 2\nwindow 0\nref 0 1 1\nref 0 20000000 1\n" in
+  List.iter
+    (fun (name, processors, target) ->
+      let line =
+        Obs.Json.to_string
+          (Obs.Json.Obj
+             ([ ("id", Obs.Json.Int 1); ("trace", Obs.Json.String text) ]
+             @ target))
+      in
+      let before = Gc.quick_stat () and allocated = Gc.allocated_bytes () in
+      let r = Server.handle_line t line in
+      let after = Gc.quick_stat () in
+      Alcotest.(check string) (name ^ ": code") "bad-request" (error_code r);
+      Alcotest.(check (option string))
+        (name ^ ": names the line and the rank")
+        (Some
+           (Printf.sprintf
+              "inline trace: Serial.of_string: line 4: processor rank \
+               20000000 out of range (%d processors)"
+              processors))
+        (match List.assoc_opt "error" (parse_response r) with
+        | Some (Obs.Json.Obj e) -> (
+            match List.assoc_opt "message" e with
+            | Some (Obs.Json.String m) -> Some m
+            | _ -> None)
+        | _ -> None);
+      (* under 1 MiB of heap growth and 4 MiB allocated *)
+      Alcotest.(check bool)
+        (name ^ ": top_heap_words stays small")
+        true
+        (after.Gc.top_heap_words - before.Gc.top_heap_words < 1 lsl 17);
+      Alcotest.(check bool)
+        (name ^ ": little allocated")
+        true
+        (Gc.allocated_bytes () -. allocated < 4e6))
+    [
+      ("mesh", 16, []);
+      ("group", 64, [ ("arrays", Obs.Json.String "2x2of4x4") ]);
+    ]
+
 (* ---- timed replay ---- *)
 
 (* A "timed":true solve must carry a timed object whose figures equal a
@@ -1114,6 +1160,8 @@ let suite =
     Gen.case "differential vs one-shot (kernels x faults x jobs)"
       test_differential;
     Gen.case "inline trace matches generated" test_inline_trace;
+    Gen.case "inline trace: huge rank refused while parsing"
+      test_inline_huge_rank;
     Gen.case "timed replay matches direct simulation" test_timed_solve;
     Gen.case "timed replay rejections" test_timed_rejections;
     Gen.case "admission control" test_admission;

@@ -126,6 +126,118 @@ let test_merge_preserves_kinds () =
   Alcotest.check profile_t "read kept" [ (3, 1) ]
     (Reftrace.Window.read_profile m 0)
 
+(* ---- the dense rows against the hashtable oracle ---- *)
+
+module W = Reftrace.Window
+module O = Oracle.Window
+
+(* A random add sequence over 4 data and ranks 0..19: zero counts and
+   repeated ranks are frequent, and about a third of adds are writes. *)
+let adds_gen =
+  let open QCheck.Gen in
+  list_size (int_range 0 40)
+    (quad (int_range 0 3) (int_range 0 19) (int_range 0 4)
+       (map (fun k -> k = 0) (int_range 0 2)))
+
+let adds_print =
+  QCheck.Print.list (fun (d, p, c, w) ->
+      Printf.sprintf "%s %d %d %d" (if w then "write" else "ref") d p c)
+
+let kind_of write = if write then W.Write else W.Read
+
+let build adds =
+  let w = W.create ~n_data:4 and o = O.create ~n_data:4 in
+  List.iter
+    (fun (data, proc, count, write) ->
+      W.add ~kind:(kind_of write) w ~data ~proc ~count;
+      O.add ~kind:(kind_of write) o ~data ~proc ~count)
+    adds;
+  (w, o)
+
+let prop_views_match_oracle =
+  QCheck.Test.make ~name:"every per-datum view matches the oracle" ~count:300
+    (QCheck.make ~print:adds_print adds_gen) (fun adds ->
+      let w, o = build adds in
+      O.agrees o w && O.agrees (O.copy o) (W.copy w))
+
+(* The second sequence is a shuffle of the first (equal windows whose
+   rows grew in a different order, so differ in trailing zeros), the
+   first with one add changed, or unrelated. *)
+let pair_gen =
+  let open QCheck.Gen in
+  adds_gen >>= fun a ->
+  oneof
+    [
+      map (fun b -> (a, b)) (shuffle_l a);
+      (match a with
+      | [] -> return (a, [ (0, 0, 1, false) ])
+      | (d, p, c, k) :: rest ->
+          map
+            (fun flip ->
+              let changed =
+                if flip then (d, p, c, not k) else (d, p, c + 1, k)
+              in
+              (a, changed :: rest))
+            bool);
+      map (fun b -> (a, b)) adds_gen;
+    ]
+
+let prop_equal_matches_oracle =
+  QCheck.Test.make ~name:"equal matches the oracle" ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.pair adds_print adds_print)
+       pair_gen)
+    (fun (a, b) ->
+      let wa, oa = build a and wb, ob = build b in
+      W.equal wa wb = O.equal oa ob && W.equal wb wa = O.equal ob oa)
+
+let prop_merge_list_is_left_fold =
+  QCheck.Test.make ~name:"merge_list equals the left fold of merge" ~count:200
+    (QCheck.make
+       ~print:(QCheck.Print.list adds_print)
+       QCheck.Gen.(list_size (int_range 1 6) adds_gen))
+    (fun specs ->
+      let built = List.map build specs in
+      let ws = List.map fst built and os = List.map snd built in
+      let merged = W.merge_list ws in
+      let folded =
+        List.fold_left W.merge (W.copy (List.hd ws)) (List.tl ws)
+      in
+      W.equal merged folded
+      && O.agrees (O.merge_list os) merged
+      (* the inputs are left untouched *)
+      && List.for_all2 O.agrees os ws)
+
+let prop_iter_kind_sums_match_oracle =
+  QCheck.Test.make ~name:"iter_kind_profile folds match the oracle" ~count:300
+    (QCheck.make ~print:adds_print adds_gen) (fun adds ->
+      let w, o = build adds in
+      let fold iter kind data =
+        let n = ref 0 and weighted = ref 0 in
+        iter ~kind data (fun ~proc ~count ->
+            n := !n + count;
+            weighted := !weighted + ((proc + 1) * count));
+        (!n, !weighted)
+      in
+      List.for_all
+        (fun kind ->
+          List.for_all
+            (fun data ->
+              fold (W.iter_kind_profile w) kind data
+              = fold (O.iter_kind_profile o) kind data)
+            [ 0; 1; 2; 3 ])
+        [ W.Read; W.Write ])
+
+let test_merge_list_mismatched () =
+  let a = W.create ~n_data:2 and b = W.create ~n_data:2 in
+  let c = W.create ~n_data:3 in
+  Alcotest.check_raises "mismatch in the tail"
+    (Invalid_argument "Window.merge: mismatched data spaces") (fun () ->
+      ignore (W.merge_list [ a; b; c ]));
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Window.merge_list: empty list") (fun () ->
+      ignore (W.merge_list []))
+
 let suite =
   [
     Gen.case "empty" test_empty;
@@ -143,4 +255,9 @@ let suite =
     Gen.case "equal" test_equal;
     Gen.to_alcotest prop_merge_commutative;
     Gen.to_alcotest prop_merge_total_references_additive;
+    Gen.case "merge_list mismatched" test_merge_list_mismatched;
+    Gen.to_alcotest prop_views_match_oracle;
+    Gen.to_alcotest prop_equal_matches_oracle;
+    Gen.to_alcotest prop_merge_list_is_left_fold;
+    Gen.to_alcotest prop_iter_kind_sums_match_oracle;
   ]
