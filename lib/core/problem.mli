@@ -302,8 +302,9 @@ val alive_admit : t -> (int -> Bytes.t) option
     {!layer_rows}, relaxed by {!relaxation} (the axis tables, or the BFS
     distance table under link faults). [admit layer] is layer [layer]'s
     admit row ({!Pathgraph.Layered.solve}'s contract: byte [rank] ['\000'] masks
-    [rank] out; called once per layer, ascending); node faults intersect
-    it with {!alive_admit}. Returns [None] when [admit]
+    [rank] out; asked in up to two ascending passes, each row read before
+    the next is asked for); node faults intersect it with {!alive_admit}
+    in one buffer shared by every layer. Returns [None] when [admit]
     leaves some layer empty (never on an unfiltered healthy or node-fault
     context — at least one rank is always alive). The one entry point
     GOMCDS, {!Refine} and {!Bounds} all price trajectories through. *)

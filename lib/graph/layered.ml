@@ -116,7 +116,7 @@ let axis_wrap what t =
       let d = abs (a - b) in
       let v = row.(b) in
       if v <> d then line := false;
-      if v <> min d (n - d) then ring := false
+      if v <> (if 2 * d <= n then d else n - d) then ring := false
     done
   done;
   if !line then false
@@ -403,6 +403,156 @@ let cell_min cell ~b ~e =
   done;
   !mv
 
+(* ------------------------------------------------------------------ *)
+(* The separable solve                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* On one [Axes] block whose rows are all axis sums, a trajectory's cost
+   is an x trajectory's plus a y trajectory's: Σ cx_l(x_l) plus the |Δx|
+   hops, and the same in y. So the DP splits into one 1-D DP per axis,
+   O(W·(cols + rows)) instead of O(W·cols·rows). Each keeps the
+   lowest index on ties; the 2-D minimizers of every predecessor and of
+   the final step are the product of the per-axis ones, whose lowest
+   row-major rank y·cols + x is the lowest y with the lowest x, so the
+   per-axis centers are the 2-D DP's (DESIGN.md §16 "Separable
+   solves"). *)
+
+(* [costs.(l)] per axis of the first [n_layers] rows, or [None] when one
+   of them is [Full]. *)
+let split_rows ~n_layers rows =
+  let xs = Array.make n_layers [||] and ys = Array.make n_layers [||] in
+  let rec split l =
+    l = n_layers
+    ||
+    match rows.(l) with
+    | Axis_sum (cx, cy) ->
+        xs.(l) <- cx;
+        ys.(l) <- cy;
+        split (l + 1)
+    | Full _ -> false
+  in
+  if split 0 then Some (xs, ys) else None
+
+(* Both walks of {!sweep_axis} along a single line of [n] cells, the
+   running best carried in a register: the same steps in the same
+   order. *)
+let sweep_line c ~hop ~n ~wrap =
+  let last = n - 1 in
+  let run = ref c.(0) in
+  for g = 1 to last do
+    run := pmin c.(g) (!run + hop);
+    c.(g) <- !run
+  done;
+  if wrap then
+    for g = 0 to last - 1 do
+      run := pmin c.(g) (!run + hop);
+      c.(g) <- !run
+    done;
+  run := c.(last);
+  for g = last - 1 downto 0 do
+    run := pmin c.(g) (!run + hop);
+    c.(g) <- !run
+  done;
+  if wrap then
+    for g = last downto 1 do
+      run := pmin c.(g) (!run + hop);
+      c.(g) <- !run
+    done
+
+(* The 1-D DP of one axis of extent [n], layer [l] priced by
+   [costs.(l)]: the forward DP below on a single line with no admit
+   row — the same packed cells, tie rule and two finalize passes. Every
+   relaxed cell is finite (the minimum source reaches every cell), and
+   the cells pack, since the 2-D solve's range check covers one axis.
+   Returns the least cost and its centers. *)
+let axis_dp ~n_layers ~n ~wrap costs =
+  let bits = bits_for n and dmax = diameter ~n ~wrap in
+  let hop = 1 lsl bits in
+  let sc = scratch ~width:n ~n_layers in
+  let cell = sc.cell and choice = sc.choice in
+  (* pass 1: record each predecessor, add the previous minimum [m] and
+     the layer's costs; returns the new minimum *)
+  let settle l m =
+    let row = costs.(l) and cb = l * n and lo = ref max_int in
+    for g = 0 to n - 1 do
+      let c = cell.(g) in
+      choice.(cb + g) <- c land (hop - 1);
+      let v = (c lsr bits) + m + row.(g) in
+      cell.(g) <- v;
+      if v < !lo then lo := v
+    done;
+    !lo
+  in
+  for g = 0 to n - 1 do
+    cell.(g) <- g
+  done;
+  let m = ref (settle 0 0) in
+  for l = 1 to n_layers - 1 do
+    (* pass 2, then relax *)
+    for g = 0 to n - 1 do
+      let v = cell.(g) - !m in
+      cell.(g) <- (if v > dmax then inf else (v lsl bits) lor g)
+    done;
+    sweep_line cell ~hop ~n ~wrap;
+    m := settle l !m
+  done;
+  let best = ref 0 in
+  for g = 1 to n - 1 do
+    if cell.(g) < cell.(!best) then best := g
+  done;
+  let centers = Array.make n_layers !best in
+  for l = n_layers - 1 downto 1 do
+    centers.(l - 1) <- choice.((l * n) + centers.(l))
+  done;
+  (cell.(!best), centers)
+
+let checked_row f ~total layer =
+  let row = f layer in
+  if Bytes.length row < total then
+    invalid_arg "Layered: admit row shorter than the layer";
+  row
+
+(* Whether every layer admits its center. Layer [l]'s row is read
+   before layer [l + 1]'s is asked for, and the walk stops at the first
+   center not admitted. *)
+let admits ~total admit centers =
+  match admit with
+  | None -> true
+  | Some f ->
+      let rec from l =
+        l = Array.length centers
+        || Bytes.get (checked_row f ~total l) centers.(l) <> '\000'
+           && from (l + 1)
+      in
+      from 0
+
+(* The per-axis answer when every layer admits it, else [None]. Admit
+   rows only remove cells, so an admitted unbounded optimum is the
+   bounded DP's answer, witness included (DESIGN.md §16). A single
+   block's const is the same at every node of a layer, so it only adds
+   to the cost. *)
+let separable ?admit ?consts ~n_layers ~cols ~rows ~wrap_x ~wrap_y (xs, ys) =
+  let cost_x, cx = axis_dp ~n_layers ~n:cols ~wrap:wrap_x xs in
+  let cost_y, cy = axis_dp ~n_layers ~n:rows ~wrap:wrap_y ys in
+  let centers = Array.init n_layers (fun l -> (cy.(l) * cols) + cx.(l)) in
+  if !Obs.enabled then Obs.Metrics.incr "layered.separable_solves";
+  if not (admits ~total:(cols * rows) admit centers) then None
+  else begin
+    if !Obs.enabled then Obs.Metrics.incr "layered.separable_answers";
+    let cost = ref (cost_x + cost_y) in
+    Option.iter
+      (fun f ->
+        for layer = 0 to n_layers - 1 do
+          cost := !cost + f ~layer ~member:0
+        done)
+      consts;
+    Some (!cost, centers)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Entry point                                                         *)
+(* ------------------------------------------------------------------ *)
+
 (* The forward DP. Each layer is the concatenation of the blocks (global
    node = block base + local index). A layer relaxes every block on its
    own relaxation; with several blocks the flat fabric then offers each
@@ -413,7 +563,11 @@ let cell_min cell ~b ~e =
    pass at all. Each layer then finalizes in two passes: add the layer
    row and const to every admitted finite cell and record its
    predecessor, then repack against the new minimum. Layer 0 starts
-   from cells [g] (every node its own source at cost 0). *)
+   from cells [g] (every node its own source at cost 0).
+
+   After every check, and inside the solve's span, a single [Axes] block
+   whose rows are all axis sums is first solved per axis; the forward DP
+   runs only when that answer is not admitted. *)
 let solve ?admit ?move_cost ?consts ~n_layers blocks =
   let nb = Array.length blocks in
   if nb = 0 then invalid_arg "Layered: blocks must be nonempty";
@@ -454,86 +608,93 @@ let solve ?admit ?move_cost ?consts ~n_layers blocks =
   Obs.Span.with_
     ~name:(if nb = 1 then "layered.solve" else "layered.solve_group")
   @@ fun () ->
-  let sc = scratch ~width:total ~n_layers in
-  let cell = sc.cell and choice = sc.choice in
-  let mask = (1 lsl bits) - 1 in
-  let admit_row layer =
-    match admit with
-    | None -> sc.ones
-    | Some f ->
-        let row = f layer in
-        if Bytes.length row < total then
-          invalid_arg "Layered: admit row shorter than the layer";
-        row
-  in
-  (* [fin.(i)]: finite sources of block i in the current layer, counted
-     before the far ones are set to [inf]; [m]: the layer minimum *)
-  let fin = Array.make nb 0 and minv = Array.make nb inf in
-  let m = ref 0 in
-  (* Finalize [layer] from its relaxed cells; [false] when it is empty. *)
-  let finalize layer =
-    let admit = admit_row layer in
-    let lo = ref max_int in
-    for i = 0 to nb - 1 do
-      lo :=
-        min !lo
-          (settle cell choice ~cb:(layer * total) ~admit
-             ~row:blocks.(i).rows.(layer)
-             ~base:(!m + const ~layer i)
-             ~bits ~b:bases.(i) ~e:bases.(i + 1))
-    done;
-    let lo = !lo in
-    m := lo;
-    for i = 0 to nb - 1 do
-      fin.(i) <-
-        repack cell ~lo ~dmax ~bits
-          ~b:bases.(i) ~e:bases.(i + 1)
-    done;
-    lo <> max_int
-  in
-  for g = 0 to total - 1 do
-    cell.(g) <- g
-  done;
-  let nodes = ref 0 and steps = ref 0 in
-  let live = ref (finalize 0) and layer = ref 1 in
-  while !live && !layer < n_layers do
-    if nb > 1 then
-      (* per-block entry minima over the previous layer: the single
-         source every outgoing fabric edge of that block reroots at *)
-      for i = 0 to nb - 1 do
-        minv.(i) <- cell_min cell ~b:bases.(i) ~e:bases.(i + 1)
-      done;
-    for i = 0 to nb - 1 do
-      let finite = fin.(i) in
-      nodes := !nodes + finite;
-      steps := !steps + relax_steps rs.(i) ~finite;
-      if finite > 0 then relax_block sc rs.(i) ~b:bases.(i) ~bits
-    done;
-    if nb > 1 then
-      for i = 0 to nb - 1 do
-        let cv = ref inf and offered = ref false in
-        for src = 0 to nb - 1 do
-          if src <> i then begin
-            if fin.(src) > 0 then offered := true;
-            cv := pmin !cv (minv.(src) + (fabric.((src * nb) + i) lsl bits))
-          end
+  match
+    match rs with
+    | [| Sweep { cols; rows; wrap_x; wrap_y } |] ->
+        Option.bind
+          (split_rows ~n_layers blocks.(0).rows)
+          (separable ?admit ?consts ~n_layers ~cols ~rows ~wrap_x ~wrap_y)
+    | _ -> None
+  with
+  | Some _ as answer -> answer
+  | None ->
+      let sc = scratch ~width:total ~n_layers in
+      let cell = sc.cell and choice = sc.choice in
+      let mask = (1 lsl bits) - 1 in
+      let admit_row layer =
+        match admit with
+        | None -> sc.ones
+        | Some f -> checked_row f ~total layer
+      in
+      (* [fin.(i)]: finite sources of block i in the current layer, counted
+         before the far ones are set to [inf]; [m]: the layer minimum *)
+      let fin = Array.make nb 0 and minv = Array.make nb inf in
+      let m = ref 0 in
+      (* Finalize [layer] from its relaxed cells; [false] when it is empty. *)
+      let finalize layer =
+        let admit = admit_row layer in
+        let lo = ref max_int in
+        for i = 0 to nb - 1 do
+          lo :=
+            min !lo
+              (settle cell choice ~cb:(layer * total) ~admit
+                 ~row:blocks.(i).rows.(layer)
+                 ~base:(!m + const ~layer i)
+                 ~bits ~b:bases.(i) ~e:bases.(i + 1))
         done;
-        if !offered then steps := !steps + bases.(i + 1) - bases.(i);
-        if !cv < inf then offer cell ~cv:!cv ~mask ~b:bases.(i) ~e:bases.(i + 1)
+        let lo = !lo in
+        m := lo;
+        for i = 0 to nb - 1 do
+          fin.(i) <-
+            repack cell ~lo ~dmax ~bits
+              ~b:bases.(i) ~e:bases.(i + 1)
+        done;
+        lo <> max_int
+      in
+      for g = 0 to total - 1 do
+        cell.(g) <- g
       done;
-    live := finalize !layer;
-    incr layer
-  done;
-  report_solve ~nodes:!nodes ~edges:!steps;
-  if not !live then None
-  else begin
-    (* lowest final cost, lowest rank on ties; then walk the
-       predecessors back from the last layer *)
-    let best = cell_min cell ~b:0 ~e:total in
-    let centers = Array.make n_layers (-1) in
-    centers.(n_layers - 1) <- best land mask;
-    for layer = n_layers - 1 downto 1 do
-      centers.(layer - 1) <- choice.((layer * total) + centers.(layer))
-    done;
-    Some (!m + (best lsr bits), centers)
-  end
+      let nodes = ref 0 and steps = ref 0 in
+      let live = ref (finalize 0) and layer = ref 1 in
+      while !live && !layer < n_layers do
+        if nb > 1 then
+          (* per-block entry minima over the previous layer: the single
+             source every outgoing fabric edge of that block reroots at *)
+          for i = 0 to nb - 1 do
+            minv.(i) <- cell_min cell ~b:bases.(i) ~e:bases.(i + 1)
+          done;
+        for i = 0 to nb - 1 do
+          let finite = fin.(i) in
+          nodes := !nodes + finite;
+          steps := !steps + relax_steps rs.(i) ~finite;
+          if finite > 0 then relax_block sc rs.(i) ~b:bases.(i) ~bits
+        done;
+        if nb > 1 then
+          for i = 0 to nb - 1 do
+            let cv = ref inf and offered = ref false in
+            for src = 0 to nb - 1 do
+              if src <> i then begin
+                if fin.(src) > 0 then offered := true;
+                cv := pmin !cv (minv.(src) + (fabric.((src * nb) + i) lsl bits))
+              end
+            done;
+            if !offered then steps := !steps + bases.(i + 1) - bases.(i);
+            if !cv < inf then
+              offer cell ~cv:!cv ~mask ~b:bases.(i) ~e:bases.(i + 1)
+          done;
+        live := finalize !layer;
+        incr layer
+      done;
+      report_solve ~nodes:!nodes ~edges:!steps;
+      if not !live then None
+      else begin
+        (* lowest final cost, lowest rank on ties; then walk the
+           predecessors back from the last layer *)
+        let best = cell_min cell ~b:0 ~e:total in
+        let centers = Array.make n_layers (-1) in
+        centers.(n_layers - 1) <- best land mask;
+        for layer = n_layers - 1 downto 1 do
+          centers.(layer - 1) <- choice.((layer * total) + centers.(layer))
+        done;
+        Some (!m + (best lsr bits), centers)
+      end

@@ -28,7 +28,14 @@
     node as one packed int, (cost above the layer minimum, source rank),
     so that rule is one integer compare; DESIGN.md §16 "Packed cells"
     proves the range. The work buffers are per domain, so a solve
-    allocates little beyond the returned centers. *)
+    allocates little beyond the returned centers.
+
+    A single {!Axes} block whose rows are all {!Axis_sum} separates: its
+    cost is an x trajectory's plus a y trajectory's, so {!solve} first
+    runs one 1-D DP per axis, O(n_layers · (cols + rows)), with the
+    same tie rule, and returns that answer when [admit] admits every
+    center of it. Otherwise it runs the DP above. The answer is the same
+    either way (DESIGN.md §16 "Separable solves"). *)
 
 (** How a block prices a move between two of its nodes. *)
 type relaxation =
@@ -73,10 +80,13 @@ type block = { relaxation : relaxation; rows : row array }
     - [admit layer] (default: everything) is layer [layer]'s admit row:
       global node [g] may host the layer iff byte [g] of the row is not
       ['\000'] (memory-capacity exclusion, dead ranks). The mask applies
-      after relaxation. [admit] is called once per layer, layers
-      ascending, and the row it returns is read before the next call and
-      never kept, so a caller may hand back one buffer it updates in
-      place (e.g. {!Pim.Memory.admit_row}).
+      after relaxation. The rows are read in up to two passes, each
+      from layer 0 upward: the check of the per-axis answer, which stops
+      at the first layer that does not admit its center, then the full
+      DP when that check fails. Within a pass, a row is read before the
+      next layer's is asked for and is never kept, so a caller may hand
+      back one buffer it updates in place (e.g. {!Pim.Memory.admit_row}),
+      but [admit] must return the same row for a layer each time.
     - [move_cost src dst] prices a migration from any node of block [src]
       to any node of block [dst] ([src <> dst]); required when there is
       more than one block, never read with one. It is read once per

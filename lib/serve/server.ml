@@ -368,6 +368,19 @@ let solve id ctx ~key ~base ~cancel algorithm fault_spec timed =
         Some (key, Solo problem) )
   | exception Invalid_argument m -> raise (Protocol.Reject (solve_error m))
 
+(* The process heap as [Gc.quick_stat] reports it, which walks
+   nothing. *)
+let heap_json () =
+  let g = Gc.quick_stat () in
+  Obs.Json.Obj
+    [
+      ("heap_words", Obs.Json.Int g.heap_words);
+      ("top_heap_words", Obs.Json.Int g.top_heap_words);
+      ("minor_words", Obs.Json.Int (int_of_float g.minor_words));
+      ("minor_collections", Obs.Json.Int g.minor_collections);
+      ("major_collections", Obs.Json.Int g.major_collections);
+    ]
+
 let stats_fields t =
   let c name = (name, Obs.Json.Int (counter t name)) in
   [
@@ -391,6 +404,7 @@ let stats_fields t =
     c "line_overflows";
     c "wave_retries";
     ("jobs", Obs.Json.Int t.config.jobs);
+    ("heap", heap_json ());
   ]
 
 (* ---------------------------------------------------------------- *)

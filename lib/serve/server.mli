@@ -102,7 +102,10 @@ val handle_line : t -> string -> string
 (** [stopping t] is true once a shutdown op has been answered. *)
 val stopping : t -> bool
 
-(** [stats_json t] is the same object a [stats] op returns. *)
+(** [stats_json t] is the same object a [stats] op returns. Beside the
+    counters and cache sizes it holds a [heap] object from
+    [Gc.quick_stat]: [heap_words], [top_heap_words], [minor_words],
+    [minor_collections] and [major_collections]. *)
 val stats_json : t -> Obs.Json.t
 
 (** [run t ~input ~output] is the daemon loop: block for a request line

@@ -44,19 +44,6 @@ let merged t =
       t.merged_memo <- Some w;
       w
 
-let validate t mesh =
-  let limit = Pim.Mesh.size mesh in
-  Array.iteri
-    (fun i w ->
-      let mx = Window.max_proc w in
-      if mx >= limit then
-        invalid_arg
-          (Printf.sprintf
-             "Trace.validate: window %d references rank %d but mesh has %d \
-              processors"
-             i mx limit))
-    t.windows
-
 let remap_window ~n_data ~translate w =
   let out = Window.create ~n_data in
   List.iter

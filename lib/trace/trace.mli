@@ -38,10 +38,6 @@ val total_references : t -> int
     — what SCDS schedules against. *)
 val merged : t -> Window.t
 
-(** [validate t mesh] checks that every referenced processor rank exists on
-    [mesh]. @raise Invalid_argument otherwise. *)
-val validate : t -> Pim.Mesh.t -> unit
-
 (** [append a b] runs [b] after [a]: data spaces are merged per
     {!Data_space.concat} (shared array names are identified) and [b]'s
     windows are remapped onto the merged ids. Used for the paper's combined

@@ -238,26 +238,56 @@ let test_profile () =
       "problem.vector_hit";
       "counters:";
     ];
-  (* the work counters of a bounded 16x16 solve are pinned: the DP's cell
-     format may change, the work it counts may not *)
-  let path = Filename.temp_file "pimsched_cli" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      check_ok "profile 16x16"
-        (Printf.sprintf
-           "profile gomcds -b 1 -n 16 --mesh 16x16 -j 1 --metrics-json %s" path)
-        [ "total= 12768" ];
-      let text = read_file path in
-      List.iter
-        (fun needle ->
-          if not (contains text needle) then
-            Alcotest.failf "profile metrics missing %S in:\n%s" needle text)
-        [
-          {|"layered.edges_relaxed":3440640|};
-          {|"layered.nodes_expanded":745703|};
-          {|"layered.solves":256|};
-        ])
+  (* the work counters of a 16x16 GOMCDS are pinned, bounded and
+     unbounded: the DP's cell format may change, the work it counts may
+     not. [layered.*] is the 2-D DP's work; every solve is first tried
+     per axis ([layered.separable_solves]), and a bounded one whose
+     per-axis path every window admits, like every unbounded one, skips
+     the 2-D DP ([layered.separable_answers]). *)
+  let pins flags ~total ~present ~absent =
+    let path = Filename.temp_file "pimsched_cli" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        check_ok ("profile 16x16" ^ flags)
+          (Printf.sprintf
+             "profile gomcds -b 1 -n 16 --mesh 16x16 -j 1%s --metrics-json %s"
+             flags path)
+          [ total ];
+        let text = read_file path in
+        List.iter
+          (fun needle ->
+            if not (contains text needle) then
+              Alcotest.failf "profile metrics missing %S in:\n%s" needle text)
+          present;
+        List.iter
+          (fun needle ->
+            if contains text needle then
+              Alcotest.failf "profile metrics hold %S in:\n%s" needle text)
+          absent)
+  in
+  pins "" ~total:"total= 12768"
+    ~present:
+      [
+        {|"layered.edges_relaxed":2365440|};
+        {|"layered.nodes_expanded":483272|};
+        {|"layered.solves":176|};
+        {|"layered.separable_solves":256|};
+        {|"layered.separable_answers":80|};
+      ]
+    ~absent:[];
+  pins " --unbounded" ~total:"total=  9199"
+    ~present:
+      [
+        {|"layered.separable_solves":256|};
+        {|"layered.separable_answers":256|};
+      ]
+    ~absent:
+      [
+        {|"layered.edges_relaxed"|};
+        {|"layered.nodes_expanded"|};
+        {|"layered.solves"|};
+      ]
 
 let test_metrics_json () =
   let path = Filename.temp_file "pimsched_cli" ".json" in

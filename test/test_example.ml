@@ -7,7 +7,7 @@ let test_trace_shape () =
   Alcotest.(check int)
     "single datum" 1
     (Reftrace.Data_space.size (Reftrace.Trace.space Sched.Example.trace));
-  Reftrace.Trace.validate Sched.Example.trace Sched.Example.mesh
+  Oracle.Trace.validate Sched.Example.trace Sched.Example.mesh
 
 let test_scds_is_static () =
   let o = Sched.Example.scds () in

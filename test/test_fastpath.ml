@@ -332,6 +332,241 @@ let outsized_solve_case =
       check torus35 5)
 
 (* ------------------------------------------------------------------ *)
+(* (c''') the per-axis solve vs the 2-D DP                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A single [Axes] block of axis-sum rows is solved per axis; the same
+   rows as [Full] rows ([to_array]) always take the 2-D DP. Both must
+   equal each other and the dense oracle, on meshes, tori, odd rings and
+   1×n, n×1 and 2×2 shapes. *)
+let separable_shapes =
+  [
+    (Pim.Mesh.create ~rows:4 ~cols:6, "4x6 mesh");
+    (torus44, "4x4 torus");
+    (torus35, "3x5 torus");
+    (Pim.Mesh.torus ~rows:1 ~cols:7, "1x7 ring");
+    (Pim.Mesh.torus ~rows:5 ~cols:1, "5x1 ring");
+    (Pim.Mesh.create ~rows:1 ~cols:6, "1x6 line");
+    (Pim.Mesh.create ~rows:6 ~cols:1, "6x1 line");
+    (Pim.Mesh.create ~rows:2 ~cols:2, "2x2");
+  ]
+
+(* Per-axis costs: random, all zero, constant, tie-heavy ({0, 1}) or
+   with one minimum repeated at two to four places. *)
+let axis_costs_gen n =
+  let open QCheck.Gen in
+  oneof
+    [
+      array_size (return n) (int_range 0 20);
+      return (Array.make n 0);
+      map (Array.make n) (int_range 0 9);
+      array_size (return n) (int_range 0 1);
+      ( pair
+          (array_size (return n) (int_range 3 12))
+          (list_size (int_range 2 4) (int_range 0 (n - 1)))
+      >|= fun (a, at) ->
+        List.iter (fun i -> a.(i) <- 2) at;
+        a );
+    ]
+
+(* How a case filters its layers: not at all; a random mask that keeps
+   every center of the per-axis path; everything but the path's center
+   at one layer; or one alive row for every layer (node faults). The
+   first two are answered per axis, the third falls back to the 2-D DP,
+   the fourth either. *)
+type separable_filter =
+  | Unfiltered
+  | Keep_path of bool array
+  | Cut_one of int
+  | Alive of bool array
+
+let separable_case_gen mesh =
+  let open QCheck.Gen in
+  let rows = Pim.Mesh.rows mesh and cols = Pim.Mesh.cols mesh in
+  let m = rows * cols in
+  int_range 1 5 >>= fun n_layers ->
+  array_size (return n_layers)
+    (pair (axis_costs_gen cols) (axis_costs_gen rows))
+  >>= fun axes ->
+  oneof
+    [
+      return Unfiltered;
+      array_size (return (n_layers * m)) (frequencyl [ (2, true); (1, false) ])
+      >|= (fun mask -> Keep_path mask);
+      (int_range 0 (n_layers - 1) >|= fun l -> Cut_one l);
+      array_size (return m) (frequencyl [ (4, true); (1, false) ])
+      >|= (fun alive -> Alive alive);
+    ]
+  >>= fun filter ->
+  return
+    ( Array.map (fun (cx, cy) -> Pathgraph.Layered.Axis_sum (cx, cy)) axes,
+      filter )
+
+let separable_print (rows, filter) =
+  let filter =
+    match filter with
+    | Unfiltered -> "unfiltered"
+    | Keep_path _ -> "keeps the path"
+    | Cut_one l -> Printf.sprintf "cuts layer %d" l
+    | Alive _ -> "alive row"
+  in
+  relax_print (Array.length rows, rows, [||]) ^ ", " ^ filter
+
+(* The flat mask of one case, [None] when it filters nothing; [path] is
+   the unfiltered per-axis centers. *)
+let separable_mask ~m ~n_layers ~path = function
+  | Unfiltered -> None
+  | Keep_path mask ->
+      let mask = Array.copy mask in
+      Array.iteri (fun l g -> mask.((l * m) + g) <- true) path;
+      Some mask
+  | Cut_one layer ->
+      Some
+        (Array.init (n_layers * m) (fun i -> i <> (layer * m) + path.(layer)))
+  | Alive alive -> Some (Array.init (n_layers * m) (fun i -> alive.(i mod m)))
+
+let prop_separable_matches_2d (mesh, label) =
+  let arb =
+    QCheck.make
+      ~print:(fun l -> String.concat "\n" (List.map separable_print l))
+      QCheck.Gen.(list_size (int_range 1 4) (separable_case_gen mesh))
+  in
+  QCheck.Test.make
+    ~name:("per-axis solve equals the 2-D DP and solve_dense, " ^ label)
+    ~count:80 arb (fun cases ->
+      let cases = Array.of_list cases in
+      let m = Pim.Mesh.size mesh in
+      let dist = Oracle.Mesh_distance.table mesh in
+      let xdist = Pim.Mesh.x_distance_table mesh
+      and ydist = Pim.Mesh.y_distance_table mesh in
+      let masks =
+        Array.map
+          (fun (rows, filter) ->
+            let n_layers = Array.length rows in
+            let _, path = solve_axes ~xdist ~ydist ~rows ~n_layers () in
+            separable_mask ~m ~n_layers ~path filter)
+          cases
+      in
+      let expected =
+        Array.mapi
+          (fun i (rows, _) ->
+            let vectors = dense rows in
+            let e =
+              match masks.(i) with
+              | None -> Some (Oracle.Layered.solve_dense ~dist ~vectors)
+              | Some mask ->
+                  Oracle.Layered.solve_dense_filtered ~dist ~vectors
+                    ~allowed:(Gen.allowed_of_mask ~width:m mask)
+            in
+            (e, e))
+          cases
+      in
+      let solve i =
+        let rows, _ = cases.(i) in
+        let n_layers = Array.length rows in
+        let admit = Option.map (Gen.admit_of_mask ~width:m) masks.(i) in
+        let full = Array.map (fun r -> Pathgraph.Layered.Full r) (dense rows) in
+        ( solve_axes_filtered ?admit ~xdist ~ydist ~rows ~n_layers (),
+          solve_axes_filtered ?admit ~xdist ~ydist ~rows:full ~n_layers () )
+      in
+      let n = Array.length cases in
+      List.for_all
+        (fun jobs -> Sched.Engine.map ~jobs n solve = expected)
+        [ 1; 4 ])
+
+(* Which path answered: an unfiltered solve runs no 2-D DP, a solve
+   whose per-axis path loses one center runs it once, and the per-axis
+   DP runs in both. The counts are per solve, the same at jobs 1 and
+   4. *)
+let separable_counters_case =
+  Gen.case "per-axis answers and 2-D fallbacks are counted per solve"
+    (fun () ->
+      let mesh = torus35 in
+      let m = Pim.Mesh.size mesh and n_layers = 4 in
+      let xdist = Pim.Mesh.x_distance_table mesh
+      and ydist = Pim.Mesh.y_distance_table mesh in
+      let rows =
+        Array.init n_layers (fun l ->
+            Pathgraph.Layered.Axis_sum
+              ( Array.init 5 (fun x -> (x + l) * 7 mod 5),
+                Array.init 3 (fun y -> (y + (2 * l)) * 5 mod 3) ))
+      in
+      let _, path = solve_axes ~xdist ~ydist ~rows ~n_layers () in
+      let cut =
+        Gen.admit_of_mask ~width:m
+          (Array.init (n_layers * m) (fun i -> i <> (2 * m) + path.(2)))
+      in
+      let counters jobs =
+        Obs.with_enabled (fun () ->
+            Obs.reset ();
+            ignore
+              (Sched.Engine.map ~jobs 6 (fun i ->
+                   if i mod 2 = 0 then
+                     solve_axes_filtered ~xdist ~ydist ~rows ~n_layers ()
+                   else
+                     solve_axes_filtered ~admit:cut ~xdist ~ydist ~rows
+                       ~n_layers ()));
+            let snap = Obs.Metrics.snapshot () in
+            Obs.reset ();
+            List.map (Obs.Metrics.counter snap)
+              [
+                "layered.separable_solves";
+                "layered.separable_answers";
+                "layered.solves";
+              ])
+      in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "separable solves, answers, 2-D solves at jobs %d"
+               jobs)
+            [ 6; 3; 3 ] (counters jobs))
+        [ 1; 4 ])
+
+(* The admit contract under composition: a node-faulted session ANDs
+   the caller's rows with its alive row into one buffer shared by every
+   layer, and the caller hands back one buffer it rewrites per layer, as
+   [Pim.Memory] does. The per-axis check and the 2-D fallback each read
+   layer [l]'s row before asking for layer [l + 1]'s, so [solve_datum]
+   equals the dense DP masked by both, at jobs 1 and 4. *)
+let prop_faulted_capacity_admit mesh label =
+  let arb =
+    QCheck.pair
+      (Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 ())
+      QCheck.small_nat
+  in
+  let fault = Pim.Fault.create ~dead_nodes:[ 1; 6 ] () in
+  QCheck.Test.make
+    ~name:("node faults and a capacity admit together, " ^ label)
+    ~count:60 arb (fun (trace, salt) ->
+      let m = Pim.Mesh.size mesh in
+      let dist = Oracle.Mesh_distance.table mesh in
+      let full ~layer j = (((layer + 3) * 13) + (j * 7) + salt) mod 4 = 0 in
+      let run jobs =
+        let problem = Sched.Problem.create ~jobs ~fault mesh trace in
+        let n = Sched.Problem.n_data problem in
+        let expected =
+          Array.init n (fun data ->
+              Oracle.Layered.solve_dense_filtered ~dist
+                ~vectors:(dense (Sched.Problem.layer_rows problem ~data))
+                ~allowed:(fun ~layer j ->
+                  Sched.Problem.rank_alive problem j && not (full ~layer j)))
+        in
+        let solve data =
+          let row = Bytes.make m '\001' in
+          let admit layer =
+            for j = 0 to m - 1 do
+              Bytes.set row j (if full ~layer j then '\000' else '\001')
+            done;
+            row
+          in
+          Sched.Problem.solve_datum ~admit problem ~data
+        in
+        Sched.Engine.map ~jobs n solve = expected
+      in
+      run 1 && run 4)
+
+(* ------------------------------------------------------------------ *)
 (* (c'') the Table relaxation vs the dense oracle                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1135,6 +1370,12 @@ let suite =
            (fun (mesh, label) -> prop_argmin_matches_vector mesh label)
            edge_meshes;
          List.map prop_relax_shapes relax_shapes;
+         List.map prop_separable_matches_2d separable_shapes;
+         List.map
+           (fun mesh ->
+             prop_faulted_capacity_admit mesh
+               (if Pim.Mesh.wraps mesh then "torus" else "mesh"))
+           meshes;
          List.map prop_refine_routes_agree refine_route_cases;
          [
            prop_axis_cost_oracle ~wrap:false "line";
@@ -1148,6 +1389,7 @@ let suite =
       context_oracle_case;
       unreferenced_datum_case;
       outsized_solve_case;
+      separable_counters_case;
       table_ceiling_case;
     ]
   @ List.map Gen.to_alcotest

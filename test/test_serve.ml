@@ -1129,6 +1129,46 @@ let test_stats_counters_match_obs () =
       "wave_retries";
     ]
 
+(* [stats] carries the heap as [Gc.quick_stat] reports it: five
+   non-negative ints, the top never below the current heap, and the same
+   object over the wire. *)
+let test_stats_heap () =
+  let t = fresh () in
+  ignore (Server.handle_line t {|{"id":1,"workload":"1","size":8}|});
+  Gc.full_major ();
+  let heap fields =
+    match List.assoc_opt "heap" fields with
+    | Some (Obs.Json.Obj h) ->
+        List.map
+          (fun k ->
+            match List.assoc_opt k h with
+            | Some (Obs.Json.Int n) ->
+                Alcotest.(check bool) (k ^ " >= 0") true (n >= 0);
+                n
+            | _ -> Alcotest.failf "heap has no int %S" k)
+          [
+            "heap_words";
+            "top_heap_words";
+            "minor_words";
+            "minor_collections";
+            "major_collections";
+          ]
+    | _ -> Alcotest.fail "stats has no heap object"
+  in
+  (match Server.stats_json t with
+  | Obs.Json.Obj fields ->
+      let h = heap fields in
+      Alcotest.(check bool)
+        "top_heap_words >= heap_words" true
+        (List.nth h 1 >= List.nth h 0)
+  | _ -> Alcotest.fail "stats is not an object");
+  match Obs.Json.parse (Server.handle_line t {|{"id":2,"op":"stats"}|}) with
+  | Ok (Obs.Json.Obj r) -> (
+      match List.assoc_opt "result" r with
+      | Some (Obs.Json.Obj fields) -> ignore (heap fields)
+      | _ -> Alcotest.fail "stats response has no result")
+  | _ -> Alcotest.fail "stats response is not an object"
+
 (* ---- chaos smoke (library-level, small instances) ---- *)
 
 let test_chaos_small () =
@@ -1190,6 +1230,7 @@ let suite =
       test_run_line_cap_and_overload;
     Gen.case "stats counters = Obs serve.* counters"
       test_stats_counters_match_obs;
+    Gen.case "stats reports the heap" test_stats_heap;
     Gen.case "chaos episodes (small script)" test_chaos_small;
     Gen.case "kernel field: naive refused, separable accepted"
       test_kernel_field;

@@ -23,12 +23,12 @@ let test_merged () =
 
 let test_validate () =
   let t = simple_trace () in
-  Reftrace.Trace.validate t mesh;
+  Oracle.Trace.validate t mesh;
   let tiny = Pim.Mesh.square 2 in
   Alcotest.check_raises "rank 5 on 2x2"
     (Invalid_argument
        "Trace.validate: window 1 references rank 5 but mesh has 4 processors")
-    (fun () -> Reftrace.Trace.validate t tiny)
+    (fun () -> Oracle.Trace.validate t tiny)
 
 let test_reversed () =
   let t = simple_trace () in

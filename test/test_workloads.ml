@@ -50,7 +50,7 @@ let test_lu_shape () =
   check_int "n-1 windows" 7 (Reftrace.Trace.n_windows t);
   check_int "data = n^2" 64
     (Reftrace.Data_space.size (Reftrace.Trace.space t));
-  Reftrace.Trace.validate t mesh
+  Oracle.Trace.validate t mesh
 
 let test_lu_reference_count () =
   (* step k: 2(n-1-k) scaling refs + 3(n-1-k)^2 update refs *)
@@ -199,7 +199,7 @@ let prop_all_benchmarks_validate =
       List.for_all
         (fun b ->
           let t = Workloads.Benchmarks.trace b ~n mesh in
-          Reftrace.Trace.validate t mesh;
+          Oracle.Trace.validate t mesh;
           Reftrace.Trace.total_references t > 0)
         Workloads.Benchmarks.all)
 
