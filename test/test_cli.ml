@@ -238,21 +238,21 @@ let test_profile () =
       "problem.vector_hit";
       "counters:";
     ];
-  (* the work counters of a 16x16 GOMCDS are pinned, bounded and
-     unbounded: the DP's cell format may change, the work it counts may
-     not. [layered.*] is the 2-D DP's work; every solve is first tried
-     per axis ([layered.separable_solves]), and a bounded one whose
-     per-axis path every window admits, like every unbounded one, skips
-     the 2-D DP ([layered.separable_answers]). *)
+  (* the work counters of a GOMCDS profile are pinned on a 16x16 mesh,
+     bounded and unbounded, and on two tori: the DP's cell format may
+     change, the work it counts may not. [layered.*] is the 2-D DP's
+     work; every solve is first tried per axis
+     ([layered.separable_solves]), and a bounded one whose per-axis path
+     every window admits, like every unbounded one, skips the 2-D DP
+     ([layered.separable_answers]). On the 2x8 torus the 2-wide axis
+     wraps onto itself and is relaxed as a line. *)
   let pins flags ~total ~present ~absent =
     let path = Filename.temp_file "pimsched_cli" ".json" in
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
-        check_ok ("profile 16x16" ^ flags)
-          (Printf.sprintf
-             "profile gomcds -b 1 -n 16 --mesh 16x16 -j 1%s --metrics-json %s"
-             flags path)
+        check_ok ("profile " ^ flags)
+          (Printf.sprintf "profile gomcds -b 1 %s --metrics-json %s" flags path)
           [ total ];
         let text = read_file path in
         List.iter
@@ -266,7 +266,7 @@ let test_profile () =
               Alcotest.failf "profile metrics hold %S in:\n%s" needle text)
           absent)
   in
-  pins "" ~total:"total= 12768"
+  pins "-n 16 --mesh 16x16 -j 1" ~total:"total= 12768"
     ~present:
       [
         {|"layered.edges_relaxed":2365440|};
@@ -276,7 +276,7 @@ let test_profile () =
         {|"layered.separable_answers":80|};
       ]
     ~absent:[];
-  pins " --unbounded" ~total:"total=  9199"
+  pins "-n 16 --mesh 16x16 -j 1 --unbounded" ~total:"total=  9199"
     ~present:
       [
         {|"layered.separable_solves":256|};
@@ -287,7 +287,27 @@ let test_profile () =
         {|"layered.edges_relaxed"|};
         {|"layered.nodes_expanded"|};
         {|"layered.solves"|};
+      ];
+  pins "-n 16 --mesh 16x16 --torus -j 1" ~total:"total= 10840"
+    ~present:
+      [
+        {|"layered.edges_relaxed":3736320|};
+        {|"layered.nodes_expanded":394123|};
+        {|"layered.solves":139|};
+        {|"layered.separable_solves":256|};
+        {|"layered.separable_answers":117|};
       ]
+    ~absent:[];
+  pins "-n 8 --mesh 2x8 --torus" ~total:"total=   396"
+    ~present:
+      [
+        {|"layered.edges_relaxed":5184|};
+        {|"layered.nodes_expanded":1119|};
+        {|"layered.solves":12|};
+        {|"layered.separable_solves":64|};
+        {|"layered.separable_answers":52|};
+      ]
+    ~absent:[]
 
 let test_metrics_json () =
   let path = Filename.temp_file "pimsched_cli" ".json" in
