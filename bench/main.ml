@@ -796,7 +796,7 @@ let serve_bench () =
         ~config:{ default with Serve.Server.jobs; batch = n_requests }
         ()
     in
-    (* warm the shared context (axis tables, merged window) outside the
+    (* warm the shared context (windows, merged window) outside the
        timer; a daemon pays that once per instance, not per request *)
     ignore (Serve.Server.process_batch server [ List.hd lines ]);
     Gc.full_major ();

@@ -15,23 +15,23 @@ let validate_initial mesh ~n_data initial =
    distance, which splits per axis like the row itself. *)
 let solve_from ?admit problem ~data ~start =
   let rows = Problem.layer_rows problem ~data in
-  let relaxation = Problem.relaxation problem in
+  let mesh = Problem.mesh problem in
   rows.(0) <-
-    (match (relaxation, rows.(0)) with
-    | Pathgraph.Layered.Axes { xdist; ydist }, Problem.Axis_sum (cx, cy) ->
-        let cols = Array.length cx in
-        let sx = xdist.(start mod cols) and sy = ydist.(start / cols) in
-        Problem.Axis_sum
-          (Array.mapi (fun x c -> c + sx.(x)) cx,
-           Array.mapi (fun y c -> c + sy.(y)) cy)
-    | _, r ->
-        let size = Pim.Mesh.size (Problem.mesh problem) in
+    (match rows.(0) with
+    | Problem.Axis_sum (cx, cy) ->
+        let cols = Array.length cx and wrap = Pim.Mesh.wraps mesh in
+        let from s a =
+          let extent = Array.length a in
+          Array.mapi (fun i c -> c + Pim.Mesh.axis_hops ~wrap ~extent s i) a
+        in
+        Problem.Axis_sum (from (start mod cols) cx, from (start / cols) cy)
+    | r ->
         Problem.Full
-          (Array.init size (fun j ->
+          (Array.init (Pim.Mesh.size mesh) (fun j ->
                Pathgraph.Layered.entry r j
                + Problem.distance problem start j)));
   Pathgraph.Layered.solve ?admit ~n_layers:(Array.length rows)
-    [| { Pathgraph.Layered.relaxation; rows } |]
+    [| { relaxation = Problem.relaxation problem; rows } |]
 
 let schedule ~initial problem =
   (* no fault semantics: the admit rows carry no alive mask and the

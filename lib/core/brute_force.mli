@@ -13,7 +13,7 @@
 val optimal_cost : Pim.Mesh.t -> Reftrace.Trace.t -> data:int -> int * int array
 
 (** [optimal_cost_in problem ~data] is {!optimal_cost} reading the
-    context's cached cost vectors and distance table. *)
+    session's cached cost rows and its {!Problem.distance}. *)
 val optimal_cost_in : Problem.t -> data:int -> int * int array
 
 (** [optimal_static_cost mesh trace ~data] is the cheapest cost achievable

@@ -8,8 +8,6 @@ type t = {
   windows : Reftrace.Window.t array;
   merged : Reftrace.Window.t;
   size : int;
-  xdist : int array array;
-  ydist : int array array;
   max_arena_bytes : int;
 }
 
@@ -40,8 +38,6 @@ let create ?(policy = Unbounded) ?(jobs = 1) mesh trace =
     windows;
     merged = Reftrace.Trace.merged trace;
     size;
-    xdist = Pim.Mesh.x_distance_table mesh;
-    ydist = Pim.Mesh.y_distance_table mesh;
     max_arena_bytes = 8 * size * !slots;
   }
 
@@ -52,7 +48,3 @@ let jobs t = t.jobs
 let space t = Reftrace.Trace.space t.trace
 let n_data t = Reftrace.Data_space.size (space t)
 let n_windows t = Array.length t.windows
-
-let distance t a b =
-  let c = Pim.Mesh.cols t.mesh in
-  t.xdist.(a mod c).(b mod c) + t.ydist.(a / c).(b / c)

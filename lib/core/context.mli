@@ -1,17 +1,16 @@
 (** The immutable half of a scheduling instance, shared across requests.
 
     A [Context.t] is everything about an instance that does not change
-    once built and carries no per-request mutable state: the mesh and its
-    per-axis distance tables, the trace with its window array and merged
-    window forced eagerly, and the default capacity policy and
-    domain-pool size.
+    once built and carries no per-request mutable state: the mesh, the
+    trace with its window array and merged window forced eagerly, and the
+    default capacity policy and domain-pool size.
 
     {!Problem.t} layers the {e request-scoped} half on top: cost rows,
     marginal/center/candidate caches and the fault overlay. Any number of
     concurrent sessions ({!Problem.of_context}) may share one context from
     different domains — nothing here is written after {!create}, so there
     is nothing to race on. This split is what lets a long-lived scheduler
-    service ({!Serve}) keep axis tables and trace preprocessing hot across
+    service ({!Serve}) keep trace preprocessing hot across
     thousands of requests while every request still gets private caches. *)
 
 (** How much data each processor's local memory holds: [Unbounded], or
@@ -26,8 +25,6 @@ type t = private {
   windows : Reftrace.Window.t array;  (** treat as read-only *)
   merged : Reftrace.Window.t;  (** forced at build time (thread-safe reads) *)
   size : int;  (** [Pim.Mesh.size mesh] *)
-  xdist : int array array;  (** per-axis distance tables; read-only *)
-  ydist : int array array;
   max_arena_bytes : int;
       (** the dense worst case of a session's cost rows: one
           [size]-entry row of 8-byte ints per (datum, referencing window)
@@ -56,7 +53,3 @@ val jobs : t -> int
 val space : t -> Reftrace.Data_space.t
 val n_data : t -> int
 val n_windows : t -> int
-
-(** [distance t a b] is the healthy per-axis routing distance (two table
-    reads; fault overlays live on the session, not here). *)
-val distance : t -> int -> int -> int

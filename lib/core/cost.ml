@@ -14,10 +14,6 @@
 let count_build () =
   if !Obs.enabled then Obs.Metrics.incr "cost.separable_builds"
 
-let axis_dist ~wrap ~extent a b =
-  let direct = abs (a - b) in
-  if wrap then min direct (extent - direct) else direct
-
 (* Linear axis: cost(0) = Σ j·m(j); stepping the center right by one adds
    one hop for every unit of weight at or left of the old center and
    removes one for every unit strictly right of it. *)
@@ -79,22 +75,11 @@ let marginals_of mesh window ~data =
   Reftrace.Window.marginals window ~data ~cols:(Pim.Mesh.cols mesh)
     ~rows:(Pim.Mesh.rows mesh)
 
-(* O(refs), allocation-free: one axis decomposition per referencing
-   processor instead of a materialized profile list. *)
+(* O(refs), with no materialized profile list. *)
 let reference_cost mesh window ~data ~center =
-  let cols = Pim.Mesh.cols mesh and rows = Pim.Mesh.rows mesh in
-  let wrap = Pim.Mesh.wraps mesh in
-  let cx = Pim.Mesh.x_of_rank mesh center
-  and cy = Pim.Mesh.y_of_rank mesh center in
   let acc = ref 0 in
   Reftrace.Window.iter_profile window data (fun ~proc ~count ->
-      let px = Pim.Mesh.x_of_rank mesh proc
-      and py = Pim.Mesh.y_of_rank mesh proc in
-      acc :=
-        !acc
-        + count
-          * (axis_dist ~wrap ~extent:cols cx px
-            + axis_dist ~wrap ~extent:rows cy py));
+      acc := !acc + (count * Pim.Mesh.distance mesh center proc));
   !acc
 
 let cost_vector mesh window ~data =
@@ -118,8 +103,6 @@ let local_optimal_center mesh window ~data =
     (argmin_of_marginals ~wrap:(Pim.Mesh.wraps mesh)
        (marginals_of mesh window ~data))
 
-let movement_cost mesh ~from_ ~to_ = Pim.Mesh.distance mesh from_ to_
-
 let path_cost mesh pairs ~data =
   if pairs = [] then invalid_arg "Cost.path_cost: empty window list";
   let rec go prev acc = function
@@ -129,7 +112,7 @@ let path_cost mesh pairs ~data =
         let move =
           match prev with
           | None -> 0
-          | Some p -> movement_cost mesh ~from_:p ~to_:center
+          | Some p -> Pim.Mesh.distance mesh p center
         in
         go (Some center) (acc + refc + move) rest
   in

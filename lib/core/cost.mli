@@ -33,9 +33,6 @@ val cost_vector : Pim.Mesh.t -> Reftrace.Window.t -> data:int -> int array
 val local_optimal_center :
   Pim.Mesh.t -> Reftrace.Window.t -> data:int -> int
 
-(** [movement_cost mesh ~from_ ~to_] is the cost of migrating one datum. *)
-val movement_cost : Pim.Mesh.t -> from_:int -> to_:int -> int
-
 (** [path_cost mesh window_profiles centers] is the full per-datum schedule
     cost: reference cost of each window (paired with its center) plus
     movement between consecutive centers. [window_profiles] and [centers]

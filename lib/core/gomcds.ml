@@ -8,7 +8,7 @@ let schedule problem =
   (match Problem.policy problem with
   | Problem.Unbounded ->
       (* Every datum's DP is independent: fan the whole solve out across
-         the domain pool and merge by datum index. The axis-table DP reads
+         the domain pool and merge by datum index. The mesh-shaped DP reads
          each datum's cached rows in place — no full distance matrix, no
          per-window vectors. Problem.solve_datum folds the fault in
          (alive mask, BFS distances). *)

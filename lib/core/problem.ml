@@ -13,8 +13,8 @@ type row = Pathgraph.Layered.row =
   | Axis_sum of int array * int array
 
 (* A [Problem.t] is one request-scoped session over an immutable shared
-   [Context.t]: the context carries the mesh, trace, windows and per-axis
-   tables (never written after creation, so any number of sessions may
+   [Context.t]: the context carries the mesh, trace and windows (never
+   written after creation, so any number of sessions may
    share it from any domain); the session carries the fault overlay and
    every mutable cache — cost rows, marginals, centers, candidate
    lists. [policy] and [jobs] are per-session so [with_policy]/[with_jobs]
@@ -26,14 +26,14 @@ type t = {
   fault : Pim.Fault.t;
   alive : Bytes.t; (* admit row: byte rank <> '\000' iff rank is alive *)
   n_alive : int;
-  (* Fault-aware full distance table, present iff the fault kills links
-     (node faults keep routers, so distances only change under link
-     faults). Built eagerly per session via the BFS oracle; disconnected
-     pairs hold [unreachable_cost]. Its presence switches the session off
-     the separable path: rows are built [Full] from this table instead of
-     [Axis_sum] from the marginals, and the layered DP relaxes over it
-     ([relaxation]). *)
-  fault_dist : int array array option;
+  (* The session's metric, as the layered DP relaxes it: the mesh's
+     [Axes], or, iff the fault kills links (node faults keep routers, so
+     distances only change under link faults), a [Table] of BFS
+     distances built eagerly via the oracle, disconnected pairs holding
+     [unreachable_cost]. A [Table] switches the session off the separable
+     path: rows are built [Full] from it instead of [Axis_sum] from the
+     marginals. *)
+  relax : Pathgraph.Layered.relaxation;
   (* The row every window that does not reference a datum gets: all
      zeros under any fault, in the session's row form. It is never
      cached per cell, so a patch that changes the row form only swaps
@@ -69,30 +69,32 @@ let words = function
 let charge row =
   if !Obs.enabled then Obs.Metrics.add "problem.arena_bytes" (8 * words row)
 
-let zero_row ctx ~fault_dist =
-  let mesh = ctx.Context.mesh in
+let zero_row ctx relax =
   let z =
-    match fault_dist with
-    | Some _ -> Full (Array.make ctx.Context.size 0)
-    | None ->
-        Axis_sum
-          (Array.make (Pim.Mesh.cols mesh) 0, Array.make (Pim.Mesh.rows mesh) 0)
+    match relax with
+    | Pathgraph.Layered.Table _ -> Full (Array.make ctx.Context.size 0)
+    | Axes { cols; rows; _ } -> Axis_sum (Array.make cols 0, Array.make rows 0)
   in
   charge z;
   z
 
-let build_fault_dist mesh size fault =
-  if not (Pim.Fault.has_link_faults fault) then None
+let relaxation_of mesh size fault =
+  if not (Pim.Fault.has_link_faults fault) then
+    Pathgraph.Layered.axes ~cols:(Pim.Mesh.cols mesh) ~rows:(Pim.Mesh.rows mesh)
+      ~wrap:(Pim.Mesh.wraps mesh)
   else begin
     if !Obs.enabled then Obs.Metrics.incr "cost.fault_tables";
     let oracle = Pim.Fault.Oracle.create mesh fault in
-    Some
+    Pathgraph.Layered.table
       (Array.init size (fun src ->
            Array.init size (fun dst ->
                match Pim.Fault.Oracle.distance oracle ~src ~dst with
                | Some d -> d
                | None -> unreachable_cost)))
   end
+
+let separable relax =
+  match relax with Pathgraph.Layered.Axes _ -> true | Table _ -> false
 
 (* The alive mask as an admit row ({!Pathgraph.Layered.solve}'s form). *)
 let alive_row size fault =
@@ -115,7 +117,7 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
   let n_alive = Pim.Fault.alive_count fault mesh in
   if n_alive = 0 then
     invalid_arg "Problem.create: every processor is dead";
-  let fault_dist = build_fault_dist mesh size fault in
+  let relax = relaxation_of mesh size fault in
   let n_data = Context.n_data ctx in
   (* one cache column per window, plus the merged window's *)
   let cells = Array.length ctx.Context.windows + 1 in
@@ -126,8 +128,8 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     fault;
     alive;
     n_alive;
-    fault_dist;
-    zero = zero_row ctx ~fault_dist;
+    relax;
+    zero = zero_row ctx relax;
     margs = Array.init n_data (fun _ -> Array.make cells None);
     rows = Array.init n_data (fun _ -> Array.make cells None);
     stale = Array.init n_data (fun _ -> Bytes.make cells '\000');
@@ -190,19 +192,14 @@ let window t i =
 
 let merged t = t.ctx.Context.merged
 
-let distance t a b =
-  match t.fault_dist with
-  | Some d -> d.(a).(b)
-  | None -> Context.distance t.ctx a b
+let metric mesh relax a b =
+  match relax with
+  | Pathgraph.Layered.Table { dist; _ } -> dist.(a).(b)
+  | Axes _ -> Pim.Mesh.distance mesh a b
 
-(* The one place a session's DP relaxation is decided: link faults break
-   the separable metric, so they relax over the BFS table. *)
-let relaxation t =
-  match t.fault_dist with
-  | Some d -> Pathgraph.Layered.Table d
-  | None ->
-      Pathgraph.Layered.Axes
-        { xdist = t.ctx.Context.xdist; ydist = t.ctx.Context.ydist }
+let distance t a b = metric t.ctx.Context.mesh t.relax a b
+
+let relaxation t = t.relax
 
 let set_cancel t c = t.cancel <- c
 let cancel_token t = t.cancel
@@ -264,11 +261,11 @@ let build_row t ~window ~data =
     Bytes.set t.stale.(data) window '\000'
   end;
   let r =
-    match t.fault_dist with
-    | Some dist -> table_row t dist (window_at t window) ~data
-    | None ->
+    match t.relax with
+    | Pathgraph.Layered.Table { dist; _ } ->
+        table_row t dist (window_at t window) ~data
+    | Axes { wrap; _ } ->
         hit "cost.separable_builds";
-        let wrap = Pim.Mesh.wraps t.ctx.Context.mesh in
         let mx, my = lookup_marginals t ~window ~data ~keep:false in
         Axis_sum (Cost.axis_cost ~wrap mx, Cost.axis_cost ~wrap my)
   in
@@ -442,7 +439,7 @@ let prefetch_all t =
         then built := true;
         ignore (row t ~window ~data)
       done;
-      if !built && t.fault_dist = None then hit "cost.batch_fills")
+      if !built && separable t.relax then hit "cost.batch_fills")
 
 (* ------------------------------------------------------------------ *)
 (* Incremental invalidation and fault patching                         *)
@@ -503,28 +500,19 @@ let with_fault_patch t fault =
     let n_alive = Pim.Fault.alive_count fault mesh in
     if n_alive = 0 then
       invalid_arg "Problem.with_fault_patch: every processor is dead";
-    let fault_dist =
+    let relax =
       if Pim.Fault.dead_links fault = Pim.Fault.dead_links t.fault then
-        t.fault_dist (* same dead-link set: identical BFS distances *)
-      else build_fault_dist mesh size fault
+        t.relax (* same dead-link set: identical distances *)
+      else relaxation_of mesh size fault
     in
     (* Dirty processors: ranks whose distance column changed between the
        two models. Node faults keep routers, so when the dead-link set is
-       unchanged the tables are physically shared and nothing is dirty —
+       unchanged the relaxation is physically shared and nothing is dirty —
        a pure node-fault patch reuses every row. *)
     let dirty =
-      if fault_dist == t.fault_dist then None
+      if relax == t.relax then None
       else begin
-        let old_d =
-          match t.fault_dist with
-          | Some d -> fun c p -> d.(c).(p)
-          | None -> fun c p -> Context.distance t.ctx c p
-        in
-        let new_d =
-          match fault_dist with
-          | Some d -> fun c p -> d.(c).(p)
-          | None -> fun c p -> Context.distance t.ctx c p
-        in
+        let old_d = metric mesh t.relax and new_d = metric mesh relax in
         let d = Array.make size false in
         let any = ref false in
         for p = 0 to size - 1 do
@@ -562,18 +550,17 @@ let with_fault_patch t fault =
     (* Rows are immutable, so a clean one is shared as it is — except
        that a [Table] session cannot read an axis sum, so entering link
        faults spells carried axis sums out in full. *)
-    let separable = fault_dist = None in
     let carry r =
       match r with
-      | Axis_sum _ when not separable ->
+      | Axis_sum _ when not (separable relax) ->
           let full = Full (Pathgraph.Layered.to_array r) in
           charge full;
           full
       | Axis_sum _ | Full _ -> r
     in
     let zero =
-      if separable = (t.fault_dist = None) then t.zero
-      else zero_row t.ctx ~fault_dist
+      if separable relax = separable t.relax then t.zero
+      else zero_row t.ctx relax
     in
     let nd = n_data t in
     let rows = Array.map Array.copy t.rows in
@@ -605,7 +592,7 @@ let with_fault_patch t fault =
       fault;
       alive;
       n_alive;
-      fault_dist;
+      relax;
       zero;
       rows;
       stale;
@@ -690,4 +677,4 @@ let solve_datum ?admit t ~data =
             both)
   in
   Pathgraph.Layered.solve ?admit ~n_layers:(n_windows t)
-    [| { relaxation = relaxation t; rows = layer_rows t ~data } |]
+    [| { relaxation = t.relax; rows = layer_rows t ~data } |]

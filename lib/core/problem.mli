@@ -5,9 +5,10 @@
     {!headroom_policy} at headroom 2), plus the shared state that makes
     running several schedulers on one instance cheap:
 
-    - per-axis mesh distance tables ({!Pim.Mesh.x_distance_table}), so
-      distance probes are two array reads; no O(size²) rank-to-rank matrix
-      exists in the context;
+    - the session's metric ({!relaxation}): the mesh's own x-y routing
+      distance, worked out from the ranks, on a healthy or node-faulted
+      session, so no O(size²) rank-to-rank matrix exists; a BFS table
+      only under link faults;
     - one cache of immutable cost {e rows} per (datum, window), built
       lazily: [Axis_sum (cx, cy)] from the axis marginals on a healthy
       or node-faulted session (x-y routing distance splits per axis, so
@@ -85,8 +86,8 @@ val headroom_policy :
 (** [of_context ?policy ?jobs ?fault ctx] opens a {e request-scoped
     session} over a shared immutable {!Context.t}: fresh empty caches,
     the fault overlay built here, and [policy]/[jobs] defaulting to the
-    context's values. The mesh, trace, windows, merged window and
-    axis tables are shared with [ctx] — and with every other session on
+    context's values. The mesh, trace, windows and merged window are
+    shared with [ctx] — and with every other session on
     it, from any domain: the context is never written after creation.
     This is the entry point a long-lived service uses so per-request
     state stays private while instance preprocessing stays hot.
@@ -203,15 +204,16 @@ val window : t -> int -> Reftrace.Window.t
     [n_windows t]. *)
 val merged : t -> Reftrace.Window.t
 
-(** [distance t a b] is [Pim.Mesh.distance] served from the cached per-axis
-    tables (two reads — safe in parallel phases). *)
+(** [distance t a b] is the session's move distance: {!Pim.Mesh.distance}
+    on a healthy or node-faulted session, the BFS table's entry under link
+    faults. It allocates nothing and is safe in parallel phases. *)
 val distance : t -> int -> int -> int
 
-(** [relaxation t] is how the layered DP relaxes a move on this session
-    — the one place that decision is made: the context's per-axis tables
+(** [relaxation t] is how the layered DP relaxes a move on this session,
+    chosen once when the session is opened or patched: the mesh's shape
     ({!Pathgraph.Layered.Axes}, so the DP never needs a rank-to-rank
     matrix) on a healthy or node-faulted session, the BFS distance table
-    ({!Pathgraph.Layered.Table}) under link faults. Read-only. *)
+    ({!Pathgraph.Layered.Table}) under link faults. *)
 val relaxation : t -> Pathgraph.Layered.relaxation
 
 (** A cost row: {!Pathgraph.Layered.row}. *)
@@ -299,7 +301,7 @@ val alive_admit : t -> (int -> Bytes.t) option
 
 (** [solve_datum ?admit t ~data] runs the per-datum layered DP with the
     fault folded in: one {!Pathgraph.Layered.solve} block over
-    {!layer_rows}, relaxed by {!relaxation} (the axis tables, or the BFS
+    {!layer_rows}, relaxed by {!relaxation} (the mesh's shape, or the BFS
     distance table under link faults). [admit layer] is layer [layer]'s
     admit row ({!Pathgraph.Layered.solve}'s contract: byte [rank] ['\000'] masks
     [rank] out; asked in up to two ascending passes, each row read before

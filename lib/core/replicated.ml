@@ -49,11 +49,6 @@ let schedule ?(max_copies = 2) problem =
   let n_windows = Problem.n_windows problem in
   let m = Pim.Mesh.size mesh in
   let windows = Array.of_list (Reftrace.Trace.windows trace) in
-  (* per-axis distance tables: candidate pricing decomposes every
-     copy-to-reader distance into two table reads *)
-  let xd = Pim.Mesh.x_distance_table mesh
-  and yd = Pim.Mesh.y_distance_table mesh in
-  let cols = Pim.Mesh.cols mesh in
   (* the primary copy follows the exact GOMCDS trajectory *)
   let primary = Gomcds.schedule problem in
   let loads = Schedule.loads primary in
@@ -75,19 +70,11 @@ let schedule ?(max_copies = 2) problem =
         if profile <> [] && not written then begin
           (* Snapshot the read profile into parallel arrays once per
              (window, datum): the greedy prices every candidate rank
-             against it, and per-axis decomposition turns each reader
-             distance into two table reads instead of a profile re-walk. *)
-          let np = List.length profile in
-          let counts = Array.make np 0 in
-          let px = Array.make np 0
-          and py = Array.make np 0 in
-          List.iteri
-            (fun i (p, c) ->
-              counts.(i) <- c;
-              px.(i) <- p mod cols;
-              py.(i) <- p / cols)
-            profile;
-          let dist_to r i = xd.(r mod cols).(px.(i)) + yd.(r / cols).(py.(i)) in
+             against it instead of re-walking the profile. *)
+          let readers = Array.of_list (List.map fst profile)
+          and counts = Array.of_list (List.map snd profile) in
+          let np = Array.length readers in
+          let dist_to r i = Pim.Mesh.distance mesh r readers.(i) in
           let base = Array.make np 0 in
           (* greedy secondary placement: best strict improvement first *)
           let continue = ref true in

@@ -3,7 +3,7 @@
     The entry point is {!solve}: build one {!Problem.t} for the
     instance (mesh + trace + capacity policy + domain-pool size) and
     dispatch any number of algorithms against it — they share the context's
-    cost-vector cache and distance table, and their per-datum work fans out
+    cost-row cache, and their per-datum work fans out
     across the pool. A {!Problem.t} is the only way an instance and its
     capacity reach a scheduler. *)
 

@@ -1,6 +1,28 @@
 type relaxation =
-  | Axes of { xdist : int array array; ydist : int array array }
-  | Table of int array array
+  | Axes of { cols : int; rows : int; wrap : bool }
+  | Table of { dist : int array array; max_step : int }
+
+let axes ~cols ~rows ~wrap =
+  if cols <= 0 || rows <= 0 then
+    invalid_arg "Layered.axes: extents must be positive";
+  Axes { cols; rows; wrap }
+
+let table dist =
+  let n = Array.length dist in
+  if n <= 0 then invalid_arg "Layered.table: the table must be nonempty";
+  let max_step =
+    Array.fold_left
+      (fun acc row ->
+        if Array.length row <> n then
+          invalid_arg "Layered.table: the table is not square";
+        Array.fold_left
+          (fun acc d ->
+            if d < 0 then invalid_arg "Layered.table: a negative entry";
+            max acc d)
+          acc row)
+      0 dist
+  in
+  Table { dist; max_step }
 
 type row = Full of int array | Axis_sum of int array * int array
 type block = { relaxation : relaxation; rows : row array }
@@ -101,36 +123,15 @@ let bits_for n =
    sweeps go round twice less one cell, so each source reaches each
    target the short way). DESIGN.md §16 has the argument in full. *)
 
-(* Wrap flag of one axis table, derived from its entries: [false] for
-   |a - b|, [true] for the ring distance min(|a - b|, n - |a - b|) (on
-   extents <= 2 the two coincide and read as a line). Anything else has
-   no sweep form. *)
-let axis_wrap what t =
-  let n = Array.length t in
-  let line = ref true and ring = ref true in
-  for a = 0 to n - 1 do
-    let row = t.(a) in
-    if Array.length row <> n then
-      invalid_arg (Printf.sprintf "Layered: %s is not square" what);
-    for b = 0 to n - 1 do
-      let d = abs (a - b) in
-      let v = row.(b) in
-      if v <> d then line := false;
-      if v <> (if 2 * d <= n then d else n - d) then ring := false
-    done
-  done;
-  if !line then false
-  else if !ring then true
-  else
-    invalid_arg
-      (Printf.sprintf "Layered: %s is neither a |a-b| nor a ring distance table"
-         what)
+(* Whether a wrapping axis of extent [n] is swept as a ring: on extents
+   <= 2 the ring distance is |a - b|, so such an axis is a line. *)
+let ring ~n ~wrap = wrap && n > 2
 
 (* Cells visited by one directed sweep along a line of [n]: a line once,
    a ring round twice less one cell. *)
-let sweep_cells ~n ~wrap = if wrap then (2 * n) - 1 else n
+let sweep_cells ~n ~wrap = if ring ~n ~wrap then (2 * n) - 1 else n
 
-(* Largest entry of a line or ring table of extent [n]. *)
+(* Longest distance along a line or ring of extent [n]. *)
 let diameter ~n ~wrap = if wrap then n / 2 else n - 1
 
 (* One sweep step on every line of an axis at once: on each of the
@@ -185,64 +186,31 @@ let sweep_axis c ~hop ~base ~n ~wrap ~stride ~lines ~ls =
 (* The forward DP                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A block's relaxation, checked and resolved once per solve. *)
-type relax =
-  | Sweep of { cols : int; rows : int; wrap_x : bool; wrap_y : bool }
-  | Scan of int array array
-
 let width_of = function
-  | Sweep { cols; rows; _ } -> cols * rows
-  | Scan t -> Array.length t
+  | Axes { cols; rows; _ } -> cols * rows
+  | Table { dist; _ } -> Array.length dist
 
 (* Longest single step of a relaxation. *)
 let max_step = function
-  | Sweep { cols; rows; wrap_x; wrap_y } ->
-      diameter ~n:cols ~wrap:wrap_x + diameter ~n:rows ~wrap:wrap_y
-  | Scan t -> Array.fold_left (Array.fold_left max) 0 t
+  | Axes { cols; rows; wrap } -> diameter ~n:cols ~wrap + diameter ~n:rows ~wrap
+  | Table { max_step; _ } -> max_step
 
-let compile ~n_layers b =
-  let r =
-    match b.relaxation with
-    | Axes { xdist; ydist } ->
-        let cols = Array.length xdist and rows = Array.length ydist in
-        if cols <= 0 || rows <= 0 then
-          invalid_arg "Layered: axis tables must be nonempty";
-        Sweep
-          {
-            cols;
-            rows;
-            wrap_x = axis_wrap "xdist" xdist;
-            wrap_y = axis_wrap "ydist" ydist;
-          }
-    | Table t ->
-        let n = Array.length t in
-        if n <= 0 then invalid_arg "Layered: distance table must be nonempty";
-        Array.iter
-          (fun row ->
-            if Array.length row <> n then
-              invalid_arg "Layered: distance table is not square";
-            Array.iter
-              (fun d ->
-                if d < 0 then
-                  invalid_arg "Layered: distance table has a negative entry")
-              row)
-          t;
-        Scan t
-  in
+(* The relaxation was checked when it was made; a solve checks only that
+   the block's first [n_layers] rows fit it. *)
+let check_rows ~n_layers b =
   if Array.length b.rows < n_layers then
     invalid_arg "Layered: fewer rows than n_layers";
   for l = 0 to n_layers - 1 do
-    match (b.rows.(l), r) with
-    | Full v, _ ->
+    match (b.rows.(l), b.relaxation) with
+    | Full v, r ->
         if Array.length v <> width_of r then
           invalid_arg "Layered: a row's length differs from the block width"
-    | Axis_sum (cx, cy), Sweep { cols; rows; _ } ->
+    | Axis_sum (cx, cy), Axes { cols; rows; _ } ->
         if Array.length cx <> cols || Array.length cy <> rows then
-          invalid_arg "Layered: an axis-sum row does not match the axis tables"
-    | Axis_sum _, Scan _ ->
+          invalid_arg "Layered: an axis-sum row does not match the block's axes"
+    | Axis_sum _, Table _ ->
         invalid_arg "Layered: an axis-sum row on a Table block"
-  done;
-  r
+  done
 
 (* Relaxation steps a block performs on a layer with [finite] finite
    sources — the [layered.edges_relaxed] unit: the sweep steps of an
@@ -250,12 +218,12 @@ let compile ~n_layers b =
    [Table] block. *)
 let relax_steps r ~finite =
   match r with
-  | Sweep { cols; rows; wrap_x; wrap_y } ->
+  | Axes { cols; rows; wrap } ->
       if finite = 0 then 0
       else
-        (rows * 2 * (sweep_cells ~n:cols ~wrap:wrap_x - 1))
-        + (cols * 2 * (sweep_cells ~n:rows ~wrap:wrap_y - 1))
-  | Scan t -> finite * Array.length t
+        (rows * 2 * (sweep_cells ~n:cols ~wrap - 1))
+        + (cols * 2 * (sweep_cells ~n:rows ~wrap - 1))
+  | Table { dist; _ } -> finite * Array.length dist
 
 (* Per-domain solve buffers: a solve allocates only the centers it
    returns and a few words per block. [cell] holds the packed cells
@@ -302,19 +270,17 @@ let scratch ~width ~n_layers =
     sc
   end
 
-(* Relax block [r] at global base [b] in place. A [Sweep] runs the
-   interleaved sweeps, x then y; a [Scan] is the ascending full-table
+(* Relax block [r] at global base [b] in place. [Axes] runs the
+   interleaved sweeps, x then y; [Table] is the ascending full-table
    scan, sources outer, into [tmp] and back. *)
 let relax_block sc r ~b ~bits =
   let c = sc.cell in
   match r with
-  | Sweep { cols; rows; wrap_x; wrap_y } ->
+  | Axes { cols; rows; wrap } ->
       let hop = 1 lsl bits in
-      sweep_axis c ~hop ~base:b ~n:cols ~wrap:wrap_x ~stride:1 ~lines:rows
-        ~ls:cols;
-      sweep_axis c ~hop ~base:b ~n:rows ~wrap:wrap_y ~stride:cols ~lines:cols
-        ~ls:1
-  | Scan t ->
+      sweep_axis c ~hop ~base:b ~n:cols ~wrap ~stride:1 ~lines:rows ~ls:cols;
+      sweep_axis c ~hop ~base:b ~n:rows ~wrap ~stride:cols ~lines:cols ~ls:1
+  | Table { dist = t; _ } ->
       let w = Array.length t and tmp = sc.tmp in
       Array.fill tmp 0 w inf;
       for j = 0 to w - 1 do
@@ -437,7 +403,7 @@ let split_rows ~n_layers rows =
    running best carried in a register: the same steps in the same
    order. *)
 let sweep_line c ~hop ~n ~wrap =
-  let last = n - 1 in
+  let wrap = ring ~n ~wrap and last = n - 1 in
   let run = ref c.(0) in
   for g = 1 to last do
     run := pmin c.(g) (!run + hop);
@@ -531,9 +497,9 @@ let admits ~total admit centers =
    bounded DP's answer, witness included (DESIGN.md §16). A single
    block's const is the same at every node of a layer, so it only adds
    to the cost. *)
-let separable ?admit ?consts ~n_layers ~cols ~rows ~wrap_x ~wrap_y (xs, ys) =
-  let cost_x, cx = axis_dp ~n_layers ~n:cols ~wrap:wrap_x xs in
-  let cost_y, cy = axis_dp ~n_layers ~n:rows ~wrap:wrap_y ys in
+let separable ?admit ?consts ~n_layers ~cols ~rows ~wrap (xs, ys) =
+  let cost_x, cx = axis_dp ~n_layers ~n:cols ~wrap xs in
+  let cost_y, cy = axis_dp ~n_layers ~n:rows ~wrap ys in
   let centers = Array.init n_layers (fun l -> (cy.(l) * cols) + cx.(l)) in
   if !Obs.enabled then Obs.Metrics.incr "layered.separable_solves";
   if not (admits ~total:(cols * rows) admit centers) then None
@@ -572,7 +538,8 @@ let solve ?admit ?move_cost ?consts ~n_layers blocks =
   let nb = Array.length blocks in
   if nb = 0 then invalid_arg "Layered: blocks must be nonempty";
   if n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-  let rs = Array.map (compile ~n_layers) blocks in
+  Array.iter (check_rows ~n_layers) blocks;
+  let rs = Array.map (fun b -> b.relaxation) blocks in
   let fabric =
     match move_cost with
     | Some f ->
@@ -610,10 +577,10 @@ let solve ?admit ?move_cost ?consts ~n_layers blocks =
   @@ fun () ->
   match
     match rs with
-    | [| Sweep { cols; rows; wrap_x; wrap_y } |] ->
+    | [| Axes { cols; rows; wrap } |] ->
         Option.bind
           (split_rows ~n_layers blocks.(0).rows)
-          (separable ?admit ?consts ~n_layers ~cols ~rows ~wrap_x ~wrap_y)
+          (separable ?admit ?consts ~n_layers ~cols ~rows ~wrap)
     | _ -> None
   with
   | Some _ as answer -> answer

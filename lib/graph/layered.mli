@@ -7,15 +7,15 @@
     per PIM array — each priced by its own layer rows ({!row}) and
     relaxed by one of two relaxations:
 
-    - {!Axes}: the mesh metric as two per-axis tables, relaxed by a
+    - {!Axes}: the x-y routing metric of a mesh or torus
+      ({!Pim.Mesh.distance}), given by its shape and relaxed by a
       separable L1 distance transform (two lexicographic sweeps per row
-      and per column), O(width) per layer. Precondition: every axis
-      table is the [|a - b|] line metric or the ring metric
-      [min (|a - b|, e - |a - b|)] of its extent [e] (exactly what
-      {!Pim.Mesh.x_distance_table} and {!Pim.Mesh.y_distance_table}
-      return); any other table raises [Invalid_argument].
+      and per column), O(width) per layer.
     - {!Table}: a full rank-to-rank table (the BFS distances around dead
       links), relaxed by an ascending O(width²) scan.
+
+    Both are made by {!axes} and {!table}, which check them once, so a
+    solve does no work on a relaxation beyond relaxing it.
 
     With more than one block, a trajectory may also migrate to any node
     of another block at a flat per-block-pair price; the fabric collapses
@@ -38,14 +38,28 @@
     either way (DESIGN.md §16 "Separable solves"). *)
 
 (** How a block prices a move between two of its nodes. *)
-type relaxation =
-  | Axes of { xdist : int array array; ydist : int array array }
-      (** Row-major [rows]×[cols] mesh: [xdist] is [cols]×[cols],
-          [ydist] [rows]×[rows], width [cols·rows], and
-          [dist(j, k) = xdist.(j mod cols).(k mod cols) +
-          ydist.(j / cols).(k / cols)]. *)
-  | Table of int array array
-      (** Width×width table, [dist(j, k) = t.(j).(k)]. *)
+type relaxation = private
+  | Axes of { cols : int; rows : int; wrap : bool }
+      (** Row-major [rows]×[cols] mesh, width [cols·rows]:
+          [dist(j, k)] is the x-y routing distance between the
+          coordinates [(j mod cols, j / cols)] and
+          [(k mod cols, k / cols)]: per axis [|a - b|], or the shorter
+          way round when [wrap] ({!Pim.Mesh.axis_hops}). A wrapping axis
+          of extent at most 2 is the line it equals. *)
+  | Table of { dist : int array array; max_step : int }
+      (** Width×width table, [dist(j, k) = dist.(j).(k)]; [max_step] is
+          its largest entry. *)
+
+(** [axes ~cols ~rows ~wrap] is the metric of a [rows]×[cols] mesh, or
+    torus when [wrap].
+    @raise Invalid_argument if [cols] or [rows] is not positive. *)
+val axes : cols:int -> rows:int -> wrap:bool -> relaxation
+
+(** [table dist] relaxes over [dist]. The table is read once here for its
+    shape, sign and largest entry, and never copied: do not mutate it.
+    @raise Invalid_argument if [dist] is empty or not square, or has a
+    negative entry. *)
+val table : int array array -> relaxation
 
 (** A layer row: the cost of hosting the layer at each node of a
     block.
@@ -102,17 +116,16 @@ type block = { relaxation : relaxation; rows : row array }
     when [admit] empties some layer.
 
     Range precondition: let [D] be the largest single step — the axis
-    diameters of every [Axes] block, the largest entry of every [Table]
+    diameters of every [Axes] block, the [max_step] of every [Table]
     (so {!Sched.Problem.unreachable_cost} counts) and the largest
     [move_cost] — and [b] the bit width of the total layer width. Then
     [D < 2^(60 - b)] must hold; costs themselves (layer rows, consts and
     path sums) are unbounded apart from native-int overflow.
-    @raise Invalid_argument on empty [blocks], non-positive [n_layers], an
-    empty or non-square table, a negative table entry or [move_cost], an
-    axis table that is neither a line nor a ring metric, fewer rows than
-    [n_layers], a [Full] row whose length is not the block width, an
-    [Axis_sum] row on a [Table] block or with axes of the wrong lengths,
-    several blocks without [move_cost], an admit row shorter than the layer, or
+    @raise Invalid_argument on empty [blocks], non-positive [n_layers], a
+    negative [move_cost], fewer rows than [n_layers], a [Full] row whose
+    length is not the block width, an [Axis_sum] row on a [Table] block
+    or with axes of the wrong lengths, several blocks without
+    [move_cost], an admit row shorter than the layer, or
     [D >= 2^(60 - b)]. *)
 val solve :
   ?admit:(int -> Bytes.t) ->

@@ -6,8 +6,9 @@
     [m]'s projection keeps every window — indices stay aligned — but
     only the references issued from [m]'s processors, localized to
     member ranks) and opens an ordinary per-member problem session over
-    each, so the whole separable-kernel machinery (marginal caches, flat
-    cost rows, axis tables) is reused per array, unchanged.
+    each, so the whole separable-kernel machinery (marginal caches,
+    axis-sum cost rows, the mesh-shaped DP relaxation) is reused per
+    array, unchanged.
 
     On top it caches the {e member weight} tables the cross-array layer
     consumes: [W(w, d, m)] — the total reference count datum [d]
@@ -50,7 +51,7 @@ val n_members : t -> int
 (** [with_fault t fault] is the problem over the same group and trace
     with the fault replaced — member sessions are patched over their
     shared contexts ({!Sched.Problem.with_fault_patch}), so trace
-    projections and axis tables carry over untouched. How the
+    projections carry over untouched. How the
     reschedule-on-failure path degrades a group problem mid-run. *)
 val with_fault : t -> Group_fault.t -> t
 
@@ -81,7 +82,7 @@ val alive_members : t -> int list
 val degenerate : t -> Sched.Problem.t option
 
 (** [has_member_link_faults t] is [true] iff some member carries a link
-    fault — the condition that forces solvers off the axis-table
+    fault — the condition that forces solvers off the mesh-shaped
     migration DP (BFS-detour distances are not separable). *)
 val has_member_link_faults : t -> bool
 

@@ -10,8 +10,8 @@
     - {e Migration DP} — for [Gomcds] under an [Unbounded] policy with
       no member link faults, the per-datum layered DP runs over the
       whole group at once ({!Pathgraph.Layered.solve}, one block per
-      member): member blocks keep their axis-table relaxation, the flat fabric
-      contributes one scalar edge per member pair, and the per-layer
+      member): member blocks keep their mesh-shaped relaxation, the flat
+      fabric contributes one scalar edge per member pair, and the per-layer
       cross-array reference cost enters as a per-member constant — so
       trajectories migrate between arrays mid-trace exactly when the
       traffic pays the fabric price. Per-datum optimal, fanned out on
@@ -41,5 +41,5 @@ val evaluate :
 (** [lower_bound gp] is Σ over data of the volume-weighted per-datum
     migration-DP optimum — the capacity-free floor no schedule beats
     under the group metric. [None] when member link faults force the DP
-    off the axis tables. *)
+    off the members' mesh metric. *)
 val lower_bound : Group_problem.t -> int option

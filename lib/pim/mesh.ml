@@ -32,35 +32,21 @@ let coord_of_rank m r =
          r m.rows m.cols);
   Coord.make ~x:(r mod m.cols) ~y:(r / m.cols)
 
-let x_of_rank m r =
-  if r < 0 || r >= size m then
-    invalid_arg
-      (Printf.sprintf "Mesh.x_of_rank: rank %d out of bounds for %dx%d" r
-         m.rows m.cols);
-  r mod m.cols
-
-let y_of_rank m r =
-  if r < 0 || r >= size m then
-    invalid_arg
-      (Printf.sprintf "Mesh.y_of_rank: rank %d out of bounds for %dx%d" r
-         m.rows m.cols);
-  r / m.cols
-
-let axis_distance ~wrap ~extent a b =
-  let direct = abs (a - b) in
-  if wrap then min direct (extent - direct) else direct
-
-let axis_table ~wrap ~extent =
-  Array.init extent (fun a ->
-      Array.init extent (fun b -> axis_distance ~wrap ~extent a b))
-
-let x_distance_table m = axis_table ~wrap:m.wrap ~extent:m.cols
-let y_distance_table m = axis_table ~wrap:m.wrap ~extent:m.rows
+let[@inline] axis_hops ~wrap ~extent a b =
+  let d = abs (a - b) in
+  if wrap && 2 * d > extent then extent - d else d
 
 let distance m a b =
-  let ca = coord_of_rank m a and cb = coord_of_rank m b in
-  axis_distance ~wrap:m.wrap ~extent:m.cols ca.Coord.x cb.Coord.x
-  + axis_distance ~wrap:m.wrap ~extent:m.rows ca.Coord.y cb.Coord.y
+  let n = m.rows * m.cols in
+  if a < 0 || a >= n || b < 0 || b >= n then
+    invalid_arg
+      (Printf.sprintf "Mesh.distance: rank %d out of bounds for %dx%d"
+         (if a < 0 || a >= n then a else b)
+         m.rows m.cols);
+  let c = m.cols in
+  let ya = a / c and yb = b / c in
+  axis_hops ~wrap:m.wrap ~extent:c (a - (ya * c)) (b - (yb * c))
+  + axis_hops ~wrap:m.wrap ~extent:m.rows ya yb
 
 (* Per-axis step towards [target]: +1/-1 on a plain mesh; on a torus, the
    direction of the shorter way round (non-wrapping on ties), applied

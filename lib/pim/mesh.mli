@@ -41,28 +41,19 @@ val rank_of_coord : t -> Coord.t -> int
     @raise Invalid_argument if [r] is outside [0 .. size m - 1]. *)
 val coord_of_rank : t -> int -> Coord.t
 
-(** [x_of_rank m r] / [y_of_rank m r] decode one axis of a rank's
-    coordinate without allocating a {!Coord.t}: [x = r mod cols],
-    [y = r / cols]. The separable cost kernel leans on these.
-    @raise Invalid_argument if [r] is outside [0 .. size m - 1]. *)
-val x_of_rank : t -> int -> int
+(** [axis_hops ~wrap ~extent a b] is the routing distance between
+    positions [a] and [b] of one axis of [extent] positions: [|a - b|],
+    or on a wrapping axis the shorter way round,
+    [min (|a - b|, extent - |a - b|)]. x-y routing pays one such distance
+    per axis; {!distance} and every per-axis cost in the schedulers are
+    built from it. *)
+val axis_hops : wrap:bool -> extent:int -> int -> int -> int
 
-val y_of_rank : t -> int -> int
-
-(** [distance m a b] is the x-y routing distance (Manhattan) between
-    processors of rank [a] and [b]. *)
+(** [distance m a b] is the x-y routing distance between processors of
+    rank [a] and [b]: {!axis_hops} of their columns plus {!axis_hops} of
+    their rows. It allocates nothing.
+    @raise Invalid_argument if [a] or [b] is outside [0 .. size m - 1]. *)
 val distance : t -> int -> int -> int
-
-(** [x_distance_table m] / [y_distance_table m] are the per-axis distance
-    tables: [cols]×[cols] (resp. [rows]×[rows]) matrices with
-    [(x_distance_table m).(a).(b)] the wrap-aware distance between columns
-    [a] and [b]. Because x-y routing distance is separable,
-    [distance m a b = xd.(xa).(xb) + yd.(ya).(yb)] — two tiny tables
-    (O(cols² + rows²) words) replace the O(size²) full matrix for
-    distance probes. *)
-val x_distance_table : t -> int array array
-
-val y_distance_table : t -> int array array
 
 (** [xy_route m ~src ~dst] is the dimension-ordered (x first, then y) route
     from [src] to [dst] as the list of ranks visited, {e including} both

@@ -117,14 +117,11 @@ let context_key (spec : Protocol.instance) =
   Printf.sprintf "%s;mesh:%dx%d;torus:%b;unb:%b" source spec.mesh.rows
     spec.mesh.cols spec.mesh.torus spec.unbounded
 
-(* Cache weight of a shared context: the axis tables plus a slice of the
-   arena bound as a proxy for the trace and window structures. An estimate — the LRU
+(* Cache weight of a shared context: a slice of the arena bound as a
+   proxy for the trace and window structures. An estimate — the LRU
    budget is a shedding threshold, not an allocator. *)
 let context_bytes (ctx : Sched.Context.t) =
-  let mesh = ctx.Sched.Context.mesh in
-  let cols = Pim.Mesh.cols mesh and rows = Pim.Mesh.rows mesh in
-  let axis = 8 * 2 * ((cols * cols) + (rows * rows)) in
-  axis + (ctx.Sched.Context.max_arena_bytes / 8) + 4096
+  (ctx.Sched.Context.max_arena_bytes / 8) + 4096
 
 let find_context t (spec : Protocol.instance) =
   let key = context_key spec in

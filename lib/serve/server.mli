@@ -6,7 +6,7 @@
     {!Instance.build}, the builder the one-shot CLI uses too. Each solve
     runs a private request-scoped session over the cached context, so
     thousands of requests on one
-    instance reuse the axis tables and trace preprocessing while never
+    instance reuse the trace preprocessing while never
     sharing a mutable row cache. The last session solved per context is kept
     warm: a repeat instance — even under a different fault — checks it
     out and patches it ({!Sched.Problem.with_fault_patch}), refilling

@@ -1,7 +1,7 @@
 (* A session's per-datum cost-graph in the oracle forms: [layer_vectors]
    spells the session's rows out as the dense DP's rows, [layered] is the
    callback problem over the session's distances ([Sched.Problem.distance]:
-   the axis tables, or the BFS table under link faults). Both force the
+   the mesh metric, or the BFS table under link faults). Both force the
    datum's rows. *)
 
 let layer_vectors t ~data =

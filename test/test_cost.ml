@@ -39,10 +39,6 @@ let test_local_optimal_tie_breaks_low_rank () =
     (Array.fold_left min max_int v);
   check_int "lowest tied rank" 0 c
 
-let test_movement_cost () =
-  check_int "corner to corner" 6 (Sched.Cost.movement_cost mesh ~from_:0 ~to_:15);
-  check_int "self" 0 (Sched.Cost.movement_cost mesh ~from_:7 ~to_:7)
-
 let test_path_cost () =
   let w1 = Gen.window ~n_data:1 [ (0, 0, 1) ] in
   let w2 = Gen.window ~n_data:1 [ (0, 15, 1) ] in
@@ -79,7 +75,6 @@ let suite =
     Gen.case "unreferenced datum is free" test_unreferenced_datum_is_free;
     Gen.case "local optimal center" test_local_optimal_center;
     Gen.case "tie breaks to low rank" test_local_optimal_tie_breaks_low_rank;
-    Gen.case "movement cost" test_movement_cost;
     Gen.case "path cost" test_path_cost;
     Gen.to_alcotest prop_center_is_argmin;
     Gen.to_alcotest prop_cost_linear_in_merge;

@@ -1,4 +1,4 @@
-(* Differential harness for the row-store / argmin / axis-table fast
+(* Differential harness for the row-store / argmin / mesh-shaped DP fast
    paths: every rewritten layer is pinned byte-identical to the surviving
    oracle it replaced.
 
@@ -24,14 +24,17 @@ let meshes = [ Gen.mesh44; torus35 ]
 let problem_of ?policy ?(jobs = 1) mesh trace =
   Sched.Problem.create ?policy ~jobs mesh trace
 
-(* The production DP on one [Axes] block — the shape the dense
-   oracle is compared against. *)
-let solve_axes_filtered ?admit ~xdist ~ydist ~rows ~n_layers () =
-  Pathgraph.Layered.solve ?admit ~n_layers
-    [| { relaxation = Axes { xdist; ydist }; rows } |]
+(* The production DP on one [Axes] block of [mesh]'s shape — the shape
+   the dense oracle is compared against. *)
+let solve_axes_filtered ?admit mesh ~rows ~n_layers () =
+  let relaxation =
+    Pathgraph.Layered.axes ~cols:(Pim.Mesh.cols mesh)
+      ~rows:(Pim.Mesh.rows mesh) ~wrap:(Pim.Mesh.wraps mesh)
+  in
+  Pathgraph.Layered.solve ?admit ~n_layers [| { relaxation; rows } |]
 
-let solve_axes ~xdist ~ydist ~rows ~n_layers () =
-  Option.get (solve_axes_filtered ~xdist ~ydist ~rows ~n_layers ())
+let solve_axes mesh ~rows ~n_layers () =
+  Option.get (solve_axes_filtered mesh ~rows ~n_layers ())
 
 (* Layer [w] of a flat buffer of [n_layers] rows of width [m], as full
    rows. *)
@@ -119,7 +122,7 @@ let prop_problem_centers_match_vector mesh label =
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* (c) axis-table layered DP vs the full-table dense oracle            *)
+(* (c) mesh-shaped layered DP vs the full-table dense oracle           *)
 (* ------------------------------------------------------------------ *)
 
 (* random layered instance over a real mesh: vectors plus, for the
@@ -146,8 +149,6 @@ let prop_solve_axes_matches_dense mesh label =
     ~count:60 arb (fun (n_layers, flat, mask) ->
       let m = Pim.Mesh.size mesh in
       let dist = Oracle.Mesh_distance.table mesh in
-      let xdist = Pim.Mesh.x_distance_table mesh
-      and ydist = Pim.Mesh.y_distance_table mesh in
       let vectors =
         Array.init n_layers (fun w -> Array.sub flat (w * m) m)
       in
@@ -155,11 +156,11 @@ let prop_solve_axes_matches_dense mesh label =
       and admit = Gen.admit_of_mask ~width:m mask in
       let rows = full_rows ~m ~n_layers flat in
       let unfiltered_equal =
-        solve_axes ~xdist ~ydist ~rows ~n_layers ()
+        solve_axes mesh ~rows ~n_layers ()
         = Oracle.Layered.solve_dense ~dist ~vectors
       in
       let filtered_equal =
-        solve_axes_filtered ~xdist ~ydist ~rows ~n_layers ~admit ()
+        solve_axes_filtered mesh ~rows ~n_layers ~admit ()
         = Oracle.Layered.solve_dense_filtered ~dist ~vectors ~allowed
       in
       (* axis-sum rows: layer [w] as the sum of its first row and first
@@ -173,7 +174,7 @@ let prop_solve_axes_matches_dense mesh label =
                 Array.init nrows (fun y -> flat.((w * m) + (y * cols))) ))
       in
       let axes_equal =
-        solve_axes_filtered ~xdist ~ydist ~rows:axes ~n_layers ~admit ()
+        solve_axes_filtered mesh ~rows:axes ~n_layers ~admit ()
         = Oracle.Layered.solve_dense_filtered ~dist ~vectors:(dense axes)
             ~allowed
       in
@@ -285,8 +286,6 @@ let prop_relax_shapes (mesh, label) =
       let instances = Array.of_list instances in
       let m = Pim.Mesh.size mesh in
       let dist = Oracle.Mesh_distance.table mesh in
-      let xdist = Pim.Mesh.x_distance_table mesh
-      and ydist = Pim.Mesh.y_distance_table mesh in
       let expected =
         Array.map
           (fun (_, rows, mask) ->
@@ -298,8 +297,8 @@ let prop_relax_shapes (mesh, label) =
       in
       let solve i =
         let n_layers, rows, mask = instances.(i) in
-        ( solve_axes_filtered ~xdist ~ydist ~rows ~n_layers (),
-          solve_axes_filtered ~xdist ~ydist ~rows ~n_layers
+        ( solve_axes_filtered mesh ~rows ~n_layers (),
+          solve_axes_filtered mesh ~rows ~n_layers
             ~admit:(Gen.admit_of_mask ~width:m mask) () )
       in
       let n = Array.length instances in
@@ -320,9 +319,7 @@ let outsized_solve_case =
         Alcotest.(check bool)
           (Printf.sprintf "%d layers of %d" n_layers m)
           true
-          (solve_axes
-             ~xdist:(Pim.Mesh.x_distance_table mesh)
-             ~ydist:(Pim.Mesh.y_distance_table mesh)
+          (solve_axes mesh
              ~rows:(full_rows ~m ~n_layers flat)
              ~n_layers ()
           = Oracle.Layered.solve_dense
@@ -437,13 +434,11 @@ let prop_separable_matches_2d (mesh, label) =
       let cases = Array.of_list cases in
       let m = Pim.Mesh.size mesh in
       let dist = Oracle.Mesh_distance.table mesh in
-      let xdist = Pim.Mesh.x_distance_table mesh
-      and ydist = Pim.Mesh.y_distance_table mesh in
       let masks =
         Array.map
           (fun (rows, filter) ->
             let n_layers = Array.length rows in
-            let _, path = solve_axes ~xdist ~ydist ~rows ~n_layers () in
+            let _, path = solve_axes mesh ~rows ~n_layers () in
             separable_mask ~m ~n_layers ~path filter)
           cases
       in
@@ -466,8 +461,8 @@ let prop_separable_matches_2d (mesh, label) =
         let n_layers = Array.length rows in
         let admit = Option.map (Gen.admit_of_mask ~width:m) masks.(i) in
         let full = Array.map (fun r -> Pathgraph.Layered.Full r) (dense rows) in
-        ( solve_axes_filtered ?admit ~xdist ~ydist ~rows ~n_layers (),
-          solve_axes_filtered ?admit ~xdist ~ydist ~rows:full ~n_layers () )
+        ( solve_axes_filtered ?admit mesh ~rows ~n_layers (),
+          solve_axes_filtered ?admit mesh ~rows:full ~n_layers () )
       in
       let n = Array.length cases in
       List.for_all
@@ -483,15 +478,13 @@ let separable_counters_case =
     (fun () ->
       let mesh = torus35 in
       let m = Pim.Mesh.size mesh and n_layers = 4 in
-      let xdist = Pim.Mesh.x_distance_table mesh
-      and ydist = Pim.Mesh.y_distance_table mesh in
       let rows =
         Array.init n_layers (fun l ->
             Pathgraph.Layered.Axis_sum
               ( Array.init 5 (fun x -> (x + l) * 7 mod 5),
                 Array.init 3 (fun y -> (y + (2 * l)) * 5 mod 3) ))
       in
-      let _, path = solve_axes ~xdist ~ydist ~rows ~n_layers () in
+      let _, path = solve_axes mesh ~rows ~n_layers () in
       let cut =
         Gen.admit_of_mask ~width:m
           (Array.init (n_layers * m) (fun i -> i <> (2 * m) + path.(2)))
@@ -502,9 +495,9 @@ let separable_counters_case =
             ignore
               (Sched.Engine.map ~jobs 6 (fun i ->
                    if i mod 2 = 0 then
-                     solve_axes_filtered ~xdist ~ydist ~rows ~n_layers ()
+                     solve_axes_filtered mesh ~rows ~n_layers ()
                    else
-                     solve_axes_filtered ~admit:cut ~xdist ~ydist ~rows
+                     solve_axes_filtered ~admit:cut mesh ~rows
                        ~n_layers ()));
             let snap = Obs.Metrics.snapshot () in
             Obs.reset ();
@@ -603,7 +596,7 @@ let prop_table_matches_dense =
       and admit = Gen.admit_of_mask ~width mask in
       let block =
         {
-          Pathgraph.Layered.relaxation = Table dist;
+          Pathgraph.Layered.relaxation = Pathgraph.Layered.table dist;
           rows = full_rows ~m:width ~n_layers flat;
         }
       in
@@ -631,7 +624,7 @@ let table_ceiling_case =
           ~admit:(Gen.admit_of_mask ~width mask)
           [|
             {
-              relaxation = Table (table top);
+              relaxation = Pathgraph.Layered.table (table top);
               rows = Array.map (fun v -> Pathgraph.Layered.Full v) vectors;
             };
           |]
@@ -686,7 +679,7 @@ let prop_link_fault_solve_matches_dense (mesh, fault, label, count) =
       let problem = Sched.Problem.create ~fault mesh trace in
       let dist =
         match Sched.Problem.relaxation problem with
-        | Pathgraph.Layered.Table d -> d
+        | Pathgraph.Layered.Table { dist; _ } -> dist
         | Axes _ -> Alcotest.fail "link faults must relax over the BFS table"
       in
       if not (Array.mem Sched.Problem.unreachable_cost dist.(0)) then
@@ -1218,11 +1211,9 @@ let prop_axis_cost_oracle ~wrap label =
 (* ------------------------------------------------------------------ *)
 
 let solve_axes_validation_cases =
-  let xdist = Pim.Mesh.x_distance_table Gen.mesh44
-  and ydist = Pim.Mesh.y_distance_table Gen.mesh44 in
-  let m = Pim.Mesh.size Gen.mesh44 in
+  let mesh = Gen.mesh44 in
+  let m = Pim.Mesh.size mesh in
   let full n = Pathgraph.Layered.Full (Array.make n 1) in
-  let two = [| full m; full m |] in
   let rejects name f = Gen.case name (fun () ->
       match f () with
       | exception Invalid_argument _ -> ()
@@ -1230,33 +1221,32 @@ let solve_axes_validation_cases =
   in
   [
     rejects "solve_axes rejects a short row" (fun () ->
-        solve_axes ~xdist ~ydist
+        solve_axes mesh
           ~rows:[| full m; full (m - 1) |]
           ~n_layers:2 ());
     rejects "solve_axes rejects fewer rows than layers" (fun () ->
-        solve_axes ~xdist ~ydist ~rows:[| full m |] ~n_layers:2 ());
+        solve_axes mesh ~rows:[| full m |] ~n_layers:2 ());
     rejects "solve_axes rejects an axis sum of the wrong shape" (fun () ->
-        solve_axes ~xdist ~ydist
+        solve_axes mesh
           ~rows:[| full m; Axis_sum (Array.make 4 0, Array.make 3 0) |]
           ~n_layers:2 ());
     rejects "a Table block rejects an axis-sum row" (fun () ->
         Pathgraph.Layered.solve ~n_layers:1
           [|
             {
-              relaxation = Table (Oracle.Mesh_distance.table Gen.mesh44);
+              relaxation =
+                Pathgraph.Layered.table (Oracle.Mesh_distance.table mesh);
               rows = [| Axis_sum (Array.make 4 0, Array.make 4 0) |];
             };
           |]);
-    (* the sweeps need unit |a-b| or ring steps: any other table has no
-       separable form and is refused, not silently mis-solved *)
-    rejects "solve_axes rejects a scaled distance table" (fun () ->
-        solve_axes
-          ~xdist:(Array.map (Array.map (fun d -> 2 * d)) xdist)
-          ~ydist ~rows:two ~n_layers:2 ());
-    rejects "solve_axes rejects a ragged distance table" (fun () ->
-        solve_axes ~xdist
-          ~ydist:(Array.map (fun r -> Array.sub r 0 2) ydist)
-          ~rows:two ~n_layers:2 ());
+    (* a relaxation is checked once, when it is made *)
+    rejects "Layered.axes rejects a zero extent" (fun () ->
+        Pathgraph.Layered.axes ~cols:4 ~rows:0 ~wrap:false);
+    rejects "Layered.table rejects a ragged table" (fun () ->
+        Pathgraph.Layered.table
+          (Array.map (fun r -> Array.sub r 0 2) (Oracle.Mesh_distance.table mesh)));
+    rejects "Layered.table rejects a negative entry" (fun () ->
+        Pathgraph.Layered.table [| [| 0; -1 |]; [| 1; 0 |] |]);
   ]
 
 let merged_memo_case =

@@ -93,6 +93,53 @@ let prop_distance_symmetric =
     QCheck.(pair (int_bound 15) (int_bound 15))
     (fun (a, b) -> Pim.Mesh.distance mesh a b = Pim.Mesh.distance mesh b a)
 
+(* [Mesh.distance] against the coordinate oracle on meshes and tori of
+   1 to 17 per axis, extents 1 and 2 drawn often: there a ring is the
+   line it equals. *)
+let prop_distance_matches_oracle =
+  let open QCheck.Gen in
+  let extent = frequency [ (1, int_range 1 2); (2, int_range 1 17) ] in
+  let gen =
+    triple extent extent bool >>= fun (rows, cols, wrap) ->
+    let n = rows * cols in
+    pair (int_range 0 (n - 1)) (int_range 0 (n - 1)) >|= fun (a, b) ->
+    (rows, cols, wrap, a, b)
+  in
+  QCheck.Test.make ~name:"distance equals the coordinate oracle" ~count:1000
+    (QCheck.make
+       ~print:(fun (rows, cols, wrap, a, b) ->
+         Printf.sprintf "%dx%d %s, %d to %d" rows cols
+           (if wrap then "torus" else "mesh")
+           a b)
+       gen)
+    (fun (rows, cols, wrap, a, b) ->
+      let m =
+        if wrap then Pim.Mesh.torus ~rows ~cols else Pim.Mesh.create ~rows ~cols
+      in
+      Pim.Mesh.distance m a b = Oracle.Mesh_distance.distance m a b)
+
+let test_distance_allocates_nothing () =
+  List.iter
+    (fun m ->
+      let n = Pim.Mesh.size m in
+      let sum = ref 0 in
+      let before = Gc.minor_words () in
+      for i = 0 to 9_999 do
+        sum := !sum + Pim.Mesh.distance m (i mod n) (i * 7 mod n)
+      done;
+      let after = Gc.minor_words () in
+      ignore (Sys.opaque_identity !sum);
+      Alcotest.(check (float 0.)) "minor words" 0. (after -. before))
+    [ Pim.Mesh.square 16; Pim.Mesh.square ~wrap:true 16 ]
+
+let test_distance_out_of_range () =
+  Alcotest.check_raises "rank past the end"
+    (Invalid_argument "Mesh.distance: rank 16 out of bounds for 4x4")
+    (fun () -> ignore (Pim.Mesh.distance mesh 3 16));
+  Alcotest.check_raises "negative rank"
+    (Invalid_argument "Mesh.distance: rank -1 out of bounds for 4x4")
+    (fun () -> ignore (Pim.Mesh.distance mesh (-1) 0))
+
 let suite =
   [
     Gen.case "create validates" test_create_validates;
@@ -109,4 +156,7 @@ let suite =
     Gen.to_alcotest prop_route_length_is_distance;
     Gen.to_alcotest prop_route_steps_adjacent;
     Gen.to_alcotest prop_distance_symmetric;
+    Gen.to_alcotest prop_distance_matches_oracle;
+    Gen.case "distance allocates nothing" test_distance_allocates_nothing;
+    Gen.case "distance out of range" test_distance_out_of_range;
   ]

@@ -199,16 +199,15 @@ let prop_dp_matches_dense_oracle =
    member block relaxed by the O(width²) ascending source × target scan,
    then the scalar fabric edges. Kept verbatim (instrumentation aside)
    as the byte-identity oracle for [Layered.solve] over several [Axes]
-   blocks. A member is its two axis tables and one row per layer. *)
-type group_member = {
-  g_xdist : int array array;
-  g_ydist : int array array;
-  g_rows : Pathgraph.Layered.row array;
-}
+   blocks. A member is its mesh and one row per layer; the oracle prices
+   moves through the mesh's two dense axis tables. *)
+type group_member = { g_mesh : Pim.Mesh.t; g_rows : Pathgraph.Layered.row array }
 
 let block_of m =
   {
-    Pathgraph.Layered.relaxation = Axes { xdist = m.g_xdist; ydist = m.g_ydist };
+    Pathgraph.Layered.relaxation =
+      Pathgraph.Layered.axes ~cols:(Pim.Mesh.cols m.g_mesh)
+        ~rows:(Pim.Mesh.rows m.g_mesh) ~wrap:(Pim.Mesh.wraps m.g_mesh);
     rows = m.g_rows;
   }
 
@@ -225,15 +224,9 @@ module Dense_group = struct
     let n_members = Array.length members in
     if n_members <= 0 then invalid_arg "Layered: members must be nonempty";
     if n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-    let widths =
-      Array.map
-        (fun (m : group_member) ->
-          let cols = Array.length m.g_xdist and rows = Array.length m.g_ydist in
-          if cols <= 0 || rows <= 0 then
-            invalid_arg "Layered: member axis tables must be nonempty";
-          cols * rows)
-        members
-    in
+    let widths = Array.map (fun m -> Pim.Mesh.size m.g_mesh) members in
+    let xdist = Array.map (fun m -> Oracle.Mesh_distance.x_table m.g_mesh) members
+    and ydist = Array.map (fun m -> Oracle.Mesh_distance.y_table m.g_mesh) members in
     let bases = Array.make (n_members + 1) 0 in
     for i = 0 to n_members - 1 do
       bases.(i + 1) <- bases.(i) + widths.(i)
@@ -279,12 +272,12 @@ module Dense_group = struct
       done;
       for i = 0 to n_members - 1 do
         let (m : group_member) = members.(i) in
-        let cols = Array.length m.g_xdist and rows = Array.length m.g_ydist in
+        let cols = Pim.Mesh.cols m.g_mesh and rows = Pim.Mesh.rows m.g_mesh in
         let b = bases.(i) in
         for j = 0 to widths.(i) - 1 do
           let dj = cur.(b + j) in
           if dj <> inf then begin
-            let xrow = m.g_xdist.(j mod cols) and yrow = m.g_ydist.(j / cols) in
+            let xrow = xdist.(i).(j mod cols) and yrow = ydist.(i).(j / cols) in
             let k = ref b in
             for ky = 0 to rows - 1 do
               let basey = dj + yrow.(ky) in
@@ -445,11 +438,7 @@ let group_relax_case (n_layers, members, consts, fabric, mask) =
                    Array.init rows (fun y -> flat.((w * m) + (y * cols))) )
              else Full (Array.sub flat (w * m) m)
            in
-           {
-             g_xdist = Pim.Mesh.x_distance_table mesh;
-             g_ydist = Pim.Mesh.y_distance_table mesh;
-             g_rows = Array.init n_layers row;
-           })
+           { g_mesh = mesh; g_rows = Array.init n_layers row })
          members)
   in
   let move_cost i j = fabric.((i * n_members) + j) in
@@ -495,34 +484,11 @@ let prop_group_relax_bit_boundary =
       ~count:60 ();
   ]
 
-let test_group_rejects_non_metric_tables () =
-  let mesh = Pim.Mesh.square 2 in
-  let member =
-    {
-      g_xdist = [| [| 0; 3 |]; [| 3; 0 |] |];
-      g_ydist = Pim.Mesh.y_distance_table mesh;
-      g_rows = [| Full [| 0; 0; 0; 0 |] |];
-    }
-  in
-  match
-    Pathgraph.Layered.solve
-      ~move_cost:(fun _ _ -> 1)
-      ~consts:(fun ~layer:_ ~member:_ -> 0)
-      ~n_layers:1 [| block_of member |]
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a non-|a-b| member table must be refused"
-
-(* A member's axis-sum row must match its axis tables: a 2x2 member
-   given a 3-wide x axis is refused, beside a well-formed member. *)
+(* A member's axis-sum row must match its axes: a 2x2 member given a
+   3-wide x axis is refused, beside a well-formed member. *)
 let test_group_rejects_misshaped_rows () =
   let member cx =
-    let mesh = Pim.Mesh.square 2 in
-    {
-      g_xdist = Pim.Mesh.x_distance_table mesh;
-      g_ydist = Pim.Mesh.y_distance_table mesh;
-      g_rows = [| Axis_sum (cx, [| 0; 0 |]) |];
-    }
+    { g_mesh = Pim.Mesh.square 2; g_rows = [| Axis_sum (cx, [| 0; 0 |]) |] }
   in
   match
     Pathgraph.Layered.solve
@@ -1101,8 +1067,6 @@ let suite =
   ]
   @ List.map Gen.to_alcotest prop_group_relax_bit_boundary
   @ [
-    Gen.case "group DP refuses non-metric member tables"
-      test_group_rejects_non_metric_tables;
     Gen.case "group DP refuses a mis-shaped axis-sum row"
       test_group_rejects_misshaped_rows;
     Gen.to_alcotest prop_dp_beats_static;
