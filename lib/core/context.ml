@@ -48,3 +48,12 @@ let jobs t = t.jobs
 let space t = Reftrace.Trace.space t.trace
 let n_data t = Reftrace.Data_space.size (space t)
 let n_windows t = Array.length t.windows
+
+(* The windows and the merged window are all but a few words of what a
+   context holds; the two window arrays (the trace's and ours) add one
+   word per window each. *)
+let bytes t =
+  Array.fold_left
+    (fun acc w -> acc + Reftrace.Window.bytes w)
+    (Reftrace.Window.bytes t.merged + (16 * (Array.length t.windows + 1)))
+    t.windows

@@ -6,7 +6,7 @@
     default capacity policy and domain-pool size.
 
     {!Problem.t} layers the {e request-scoped} half on top: cost rows,
-    marginal/center/candidate caches and the fault overlay. Any number of
+    marginal and center caches and the fault overlay. Any number of
     concurrent sessions ({!Problem.of_context}) may share one context from
     different domains — nothing here is written after {!create}, so there
     is nothing to race on. This split is what lets a long-lived scheduler
@@ -53,3 +53,8 @@ val jobs : t -> int
 val space : t -> Reftrace.Data_space.t
 val n_data : t -> int
 val n_windows : t -> int
+
+(** [bytes t] is the heap the context holds, in bytes: {!Reftrace.Window.bytes}
+    summed over the windows and the merged window, plus the window arrays.
+    O(windows × data); what {!Serve} charges a cached context. *)
+val bytes : t -> int

@@ -20,9 +20,9 @@ let first_reference_window problem =
 
 (* Vector-free unbounded walk: with infinite memories [assign] always
    takes the head of the processor list — the lowest-rank cost argmin —
-   so every placement is an [optimal_center] probe and no cost vector or
-   candidate list is ever materialized. Placements are byte-identical to
-   the candidate-list walk below (the argmin tie order matches the list
+   so every placement is an [optimal_center] probe and no cost vector is
+   ever materialized. Placements are byte-identical to the bounded walk
+   below with room everywhere (the argmin tie order matches the list
    head; pinned by test/test_fastpath.ml). *)
 let schedule_unbounded problem schedule first =
   let n_data = Problem.n_data problem in
@@ -49,7 +49,7 @@ let schedule_unbounded problem schedule first =
 let schedule_bounded problem schedule first =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
-  (* parallel phase: every processor list the serial walk below reads *)
+  (* parallel phase: every cost row the serial walk below reads *)
   Problem.prefetch_referenced problem;
   (* Initial placement: each datum goes where its first referencing window
      wants it; data never referenced fall back to the merged profile (all
@@ -73,12 +73,9 @@ let schedule_bounded problem schedule first =
   in
   List.iter
     (fun data ->
-      let candidates =
-        if first.(data) >= n_windows then
-          Problem.candidates problem ~window:n_windows ~data
-        else Problem.candidates problem ~window:first.(data) ~data
-      in
-      initial.(data) <- Processor_list.assign init_memory candidates)
+      let window = min first.(data) n_windows in
+      initial.(data) <-
+        Processor_list.place init_memory (Problem.row problem ~window ~data))
     init_order;
   (* Walk the windows. [current.(d)] is where datum [d] sits entering the
      window; referenced data are reassigned to (as close as possible to)
@@ -95,8 +92,8 @@ let schedule_bounded problem schedule first =
     List.iter
       (fun data ->
         Pim.Memory.release memory current.(data);
-        let candidates = Problem.candidates problem ~window:w ~data in
-        current.(data) <- Processor_list.assign memory candidates)
+        current.(data) <-
+          Processor_list.place memory (Problem.row problem ~window:w ~data))
       (Ordering.by_window_references window);
     Array.iteri
       (fun data rank -> Schedule.set_center schedule ~window:w ~data rank)

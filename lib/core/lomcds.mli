@@ -12,10 +12,11 @@
     since initial distribution is not charged to any method). *)
 
 (** [schedule problem] computes the LOMCDS schedule on a shared
-    {!Problem.t}. The per-(datum, window) processor lists are filled on the
+    {!Problem.t}. The per-(datum, window) cost rows are filled on the
     context's domain pool; the window walk and its bounded-memory
-    fallbacks run serially (heavier data first), so the result is
-    identical at every [jobs] setting.
+    fallbacks ({!Processor_list.place} on each row: the head with room of
+    the processor list, which is never built) run serially (heavier data
+    first), so the result is identical at every [jobs] setting.
     @raise Invalid_argument if the capacity policy is infeasible. *)
 val schedule : Problem.t -> Schedule.t
 

@@ -66,8 +66,7 @@ let schedule ?(theta = 2.) ?initial problem =
                  lowest-rank cost argmin *)
               Problem.optimal_center problem ~window:w ~data
             else
-              let candidates = Problem.candidates problem ~window:w ~data in
-              match Processor_list.first_available memory candidates with
+              match Processor_list.choose memory rows.(data) with
               | Some rank -> rank
               | None -> here
           in

@@ -23,8 +23,8 @@
 
 (** [schedule ?theta ?initial problem] computes the online schedule on a
     shared {!Problem.t}: stay/go probes read the session's cached rows
-    ({!Problem.row}), candidate lists come from the context's caches,
-    and under an unbounded policy the go-target is the vector-free
+    ({!Problem.row}), a bounded go-target is the row's processor-list
+    head with room ({!Processor_list.choose}), and under an unbounded policy the go-target is the vector-free
     {!Problem.optimal_center} (the list head it replaces — byte-identical
     schedules, pinned by [test/test_fastpath.ml]). [theta] defaults to
     [2.]; [initial] to the row-wise placement. Window 0 always serves from

@@ -16,9 +16,9 @@ type row = Pathgraph.Layered.row =
    [Context.t]: the context carries the mesh, trace and windows (never
    written after creation, so any number of sessions may
    share it from any domain); the session carries the fault overlay and
-   every mutable cache — cost rows, marginals, centers, candidate
-   lists. [policy] and [jobs] are per-session so [with_policy]/[with_jobs]
-   can override the context defaults while still sharing cache rows. *)
+   every mutable cache — cost rows, marginals and centers. [policy] and
+   [jobs] are per-session so [with_policy]/[with_jobs] can override the
+   context defaults while still sharing cache rows. *)
 type t = {
   ctx : Context.t;
   policy : capacity_policy;
@@ -50,7 +50,6 @@ type t = {
      clean-to-stale step, [problem.rows_refilled] each rebuild). *)
   stale : Bytes.t array;
   opts : int array array; (* optimal centers; -1 = not computed yet *)
-  cands : int list option array array;
   near : int list option array; (* near.(target): serial phases only *)
   mutable order : int list option; (* serial phases only *)
   (* Cooperative cancellation: polled at the cache funnels below.
@@ -134,7 +133,6 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     rows = Array.init n_data (fun _ -> Array.make cells None);
     stale = Array.init n_data (fun _ -> Bytes.make cells '\000');
     opts = Array.init n_data (fun _ -> Array.make cells (-1));
-    cands = Array.init n_data (fun _ -> Array.make cells None);
     near = Array.make size None;
     order = None;
     cancel = Cancel.none;
@@ -315,15 +313,7 @@ let optimal_center t ~window ~data =
     let c =
       if faulty t then begin
         hit "cost.argmin_masked";
-        let best = ref (-1) in
-        for i = 0 to t.ctx.Context.size - 1 do
-          if
-            rank_alive t i
-            && (!best < 0
-               || Pathgraph.Layered.entry r i < Pathgraph.Layered.entry r !best)
-          then best := i
-        done;
-        !best
+        Pathgraph.Layered.argmin ~admit:t.alive r
       end
       else begin
         hit "cost.argmin_fast";
@@ -334,37 +324,15 @@ let optimal_center t ~window ~data =
     c
   end
 
-(* Dead ranks are cut out of every candidate list — the same fallback
+(* Dead ranks are cut out of the fallback order — the same fallback
    machinery that skips full memories then never proposes them. *)
-let alive_only t l =
-  if Pim.Fault.has_node_faults t.fault then
-    List.filter (rank_alive t) l
-  else l
-
-let candidates t ~window ~data =
-  poll t;
-  match t.cands.(data).(window) with
-  | Some l ->
-      hit "problem.candidates_hit";
-      l
-  | None ->
-      hit "problem.candidates_miss";
-      let r = row t ~window ~data in
-      let l =
-        alive_only t
-          (Processor_list.of_costs ~n:t.ctx.Context.size
-             (Pathgraph.Layered.entry r))
-      in
-      t.cands.(data).(window) <- Some l;
-      l
-
 let ranks_near t ~target =
   match t.near.(target) with
   | Some l -> l
   | None ->
       let l =
         List.init t.ctx.Context.size Fun.id
-        |> alive_only t
+        |> List.filter (rank_alive t)
         |> List.sort (fun a b ->
                let c =
                  Int.compare (distance t target a) (distance t target b)
@@ -466,14 +434,13 @@ let invalidate t ~window =
     if Reftrace.Window.references w data > 0 then begin
       t.margs.(data).(window) <- None;
       t.opts.(data).(window) <- -1;
-      t.cands.(data).(window) <- None;
       mark_stale t.stale t.rows ~data ~window
     end
   done
 
 (* monotone growth: every element of ascending [a] appears in ascending
-   [b] — the condition under which cached argmins and candidate orders
-   survive a fault change (dead ranks only accumulate). *)
+   [b] — the condition under which cached argmins survive a fault change
+   (dead ranks only accumulate). *)
 let rec subset_asc a b =
   match (a, b) with
   | [], _ -> true
@@ -542,11 +509,6 @@ let with_fault_patch t fault =
     let monotone =
       subset_asc (Pim.Fault.dead_nodes t.fault) (Pim.Fault.dead_nodes fault)
     in
-    let filter_alive l =
-      if Pim.Fault.has_node_faults fault then
-        List.filter is_alive l
-      else l
-    in
     (* Rows are immutable, so a clean one is shared as it is — except
        that a [Table] session cannot read an axis sum, so entering link
        faults spells carried axis sums out in full. *)
@@ -566,7 +528,6 @@ let with_fault_patch t fault =
     let rows = Array.map Array.copy t.rows in
     let stale = Array.map Bytes.copy t.stale in
     let opts = Array.map Array.copy t.opts in
-    let cands = Array.map (fun c -> Array.make (Array.length c) None) t.cands in
     for data = 0 to nd - 1 do
       for w = 0 to n_windows t do
         if row_dirty (window_at t w) data then begin
@@ -577,13 +538,10 @@ let with_fault_patch t fault =
           rows.(data).(w) <- Option.map carry rows.(data).(w);
           (* clean cell: the cached argmin survives iff dead ranks only
              grew (subset argmin, lowest-rank ties preserved) and the
-             center itself is still alive; a candidate order survives a
-             monotone fault filtered down to the new alive set *)
+             center itself is still alive *)
           let o = opts.(data).(w) in
           if o >= 0 && not (monotone && is_alive o) then
-            opts.(data).(w) <- -1;
-          if monotone then
-            cands.(data).(w) <- Option.map filter_alive t.cands.(data).(w)
+            opts.(data).(w) <- -1
         end
       done
     done;
@@ -597,7 +555,6 @@ let with_fault_patch t fault =
       rows;
       stale;
       opts;
-      cands;
       near = Array.make size None;
     }
   end
@@ -620,7 +577,7 @@ let prefetch_per_datum t ~name f =
 
 let prefetch_referenced t =
   prefetch_per_datum t ~name:"problem.prefetch_referenced"
-    (fun t ~window ~data -> ignore (candidates t ~window ~data))
+    (fun t ~window ~data -> ignore (row t ~window ~data))
 
 let prefetch_centers t =
   prefetch_per_datum t ~name:"problem.prefetch_centers"
@@ -629,7 +586,7 @@ let prefetch_centers t =
 let prefetch_merged t =
   Obs.Span.with_ ~name:"problem.prefetch_merged" @@ fun () ->
   Engine.iter ~jobs:t.jobs (n_data t) (fun data ->
-      ignore (candidates t ~window:(n_windows t) ~data))
+      ignore (row t ~window:(n_windows t) ~data))
 
 let check_feasible t ~who =
   match t.policy with

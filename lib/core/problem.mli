@@ -16,9 +16,11 @@
       whose BFS distances do not split. Every window that does not
       reference a datum reads one shared all-zero row. The merged window
       is window index {!n_windows}: one more column of the same caches;
-    - per-(datum, window) axis marginals, optimal centers and
-      capacity-fallback candidate lists, filled lazily and kept for every
-      later algorithm, sweep or refinement pass on the same instance;
+    - per-(datum, window) axis marginals and optimal centers, filled
+      lazily and kept for every later algorithm, sweep or refinement pass
+      on the same instance. No processor list is ever stored: a bounded
+      scheduler takes the list's head with room straight off the cached
+      row ({!Processor_list.choose});
     - a [jobs] knob sizing the {!Engine} domain pool used to fill those
       caches and to fan independent per-datum work out across cores.
 
@@ -29,7 +31,7 @@
 
     Thread-safety contract for the caches: every cache cell is owned by a
     single (datum, window) pair — a row and its stale byte, a
-    marginal/center/candidate cell. Parallel phases must partition the
+    marginal/center cell. Parallel phases must partition the
     cells across domains so each has one writer; both partitions in use
     are safe: per-datum tasks ({!prefetch_referenced}, {!prefetch_centers},
     {!prefetch_merged} — a task owns a datum's whole row of cells) and
@@ -55,9 +57,9 @@ val unreachable_cost : int
     pool, and {!Engine.default_jobs} picks a machine-fitted value; cost
     rows are built by the separable kernel ({!Cost.axis_cost}) in
     O(cols + rows + refs) from axis marginals; [fault] (default
-    {!Pim.Fault.none}) degrades the array — dead processors leave every
-    candidate list, memory tracker and argmin (their routers stay alive,
-    so distances are unchanged), and
+    {!Pim.Fault.none}) degrades the array — dead processors are banned in
+    every memory tracker and masked out of every argmin (their routers
+    stay alive, so distances are unchanged), and
     dead links rebuild all distances by BFS over the surviving topology,
     which moves rows and the layered DP off the separable path (counters
     [cost.fault_tables] / [cost.fault_downgrades]). With [Fault.none] every
@@ -118,8 +120,7 @@ val fault : t -> Pim.Fault.t
 
 (** [set_cancel t c] arms cooperative cancellation for the session:
     every cache funnel — {!row} (and so {!cost_entry}, {!layer_rows},
-    {!prefetch_all}), {!marginals}, {!candidates} and
-    {!optimal_center}, hit or miss — and {!solve_datum} poll [c] and
+    {!prefetch_all}), {!marginals} and {!optimal_center}, hit or miss — and {!solve_datum} poll [c] and
     raise {!Cancel.Expired} once it expires (deadline passed on the
     monotonic clock, or {!Cancel.cancel} called from any domain). Polls
     sit at per-cell / per-datum granularity, so a solve over a cold or a
@@ -160,10 +161,9 @@ val with_policy : t -> capacity_policy -> t
     for a rebuild on next touch (counter [problem.rows_refilled]).
 
     Node faults keep routers, so a pure node-fault change dirties {e no}
-    row — every row carries over; only the alive mask, argmins and
-    candidate orders adjust (cached argmins survive when the dead set only
-    grew and the cached center is still alive; candidate lists survive a
-    monotone change filtered to the new alive set). A link-fault change
+    row — every row carries over; only the alive mask and argmins adjust
+    (cached argmins survive when the dead set only grew and the cached
+    center is still alive). A link-fault change
     rebuilds the BFS distance table (reusing [t]'s when the dead-link set
     is unchanged) and dirties exactly the rows whose window profile
     touches a rank with a changed distance column; entering link faults
@@ -182,8 +182,8 @@ val with_fault_patch : t -> Pim.Fault.t -> t
 (** [invalidate t ~window] tells the session that the contents of window
     [window] were edited in place (references {e added} via
     {!Reftrace.Window.add} after the context was built): every cached
-    value derived from that window — marginals, row, argmin, candidate
-    list — is dropped for every datum the window now references, so
+    value derived from that window — marginals, row, argmin — is
+    dropped for every datum the window now references, so
     subsequent reads rebuild from the edited profile and agree
     byte-for-byte with a freshly built session over the same context.
     The memoized {e merged} window is not
@@ -260,14 +260,11 @@ val layer_rows : t -> data:int -> row array
     healthy session it is the two axis minima of the axis-sum row
     (counter [cost.argmin_fast]), in the same order as the full-vector
     ascending argmin, so unbounded schedulers taking it place every datum
-    exactly where the vector route did. A faulted session scans the row
-    over alive ranks (counter [cost.argmin_masked]). *)
+    exactly where the vector route did. A faulted session takes
+    {!Pathgraph.Layered.argmin} masked by the alive row (counter
+    [cost.argmin_masked]): the same axis minima when that rank is alive,
+    one ascending scan over alive ranks otherwise. *)
 val optimal_center : t -> window:int -> data:int -> int
-
-(** [candidates t ~window ~data] is the paper's processor list for the
-    pair: ranks sorted by cost entry, ties by rank
-    ({!Processor_list.of_costs}), alive ranks only, cached. *)
-val candidates : t -> window:int -> data:int -> int list
 
 (** [ranks_near t ~target] is every rank sorted by distance from [target]
     (ties by rank), cached — the grouping repair's fallback order. Serial
@@ -324,10 +321,10 @@ val solve_datum :
     read. *)
 val prefetch_all : t -> unit
 
-(** [prefetch_referenced t] fills, in parallel, rows {e and} candidate
-    lists for every (datum, window) pair where the window references the
-    datum, plus the merged window's for data never referenced — exactly
-    what LOMCDS's bounded serial loop reads. *)
+(** [prefetch_referenced t] fills, in parallel, the rows of every
+    (datum, window) pair where the window references the datum, plus the
+    merged window's for data never referenced — exactly what LOMCDS's
+    bounded serial loop reads (span [problem.prefetch_referenced]). *)
 val prefetch_referenced : t -> unit
 
 (** [prefetch_centers t] fills, in parallel, the {!optimal_center} cache
@@ -336,8 +333,8 @@ val prefetch_referenced : t -> unit
     walk. *)
 val prefetch_centers : t -> unit
 
-(** [prefetch_merged t] fills every datum's merged-window row and
-    candidate list on the pool (SCDS's working set). *)
+(** [prefetch_merged t] fills every datum's merged-window row on the
+    pool (SCDS's working set; span [problem.prefetch_merged]). *)
 val prefetch_merged : t -> unit
 
 (** [check_feasible t ~who] raises the algorithms' historical

@@ -1,58 +1,26 @@
-(* Costs are dense small ints in practice (distance-weighted reference
-   sums over a bounded mesh), so a stable counting pass replaces the
-   comparison sort on the hot path: two O(n + range) scans, no closure
-   calls or cons churn inside the sort. Filling in ascending rank order
-   preserves the (cost, rank) tie order the comparison sort pins. Wide
-   ranges (e.g. rows holding the unreachable sentinel) fall back to the
-   comparison sort. *)
-let of_costs ~n cost =
-  if n = 0 then []
-  else begin
-    let costs = Array.init n cost in
-    let lo = ref costs.(0) and hi = ref costs.(0) in
-    for r = 1 to n - 1 do
-      let c = costs.(r) in
-      if c < !lo then lo := c;
-      if c > !hi then hi := c
-    done;
-    let range = !hi - !lo + 1 in
-    if range <= (4 * n) + 1024 then begin
-      let start = Array.make (range + 1) 0 in
-      for r = 0 to n - 1 do
-        let c = costs.(r) - !lo in
-        start.(c + 1) <- start.(c + 1) + 1
-      done;
-      for c = 1 to range do
-        start.(c) <- start.(c) + start.(c - 1)
-      done;
-      let out = Array.make n 0 in
-      for r = 0 to n - 1 do
-        let c = costs.(r) - !lo in
-        out.(start.(c)) <- r;
-        start.(c) <- start.(c) + 1
-      done;
-      Array.to_list out
-    end
-    else
-      List.sort
-        (fun a b ->
-          let c = Int.compare costs.(a) costs.(b) in
-          if c <> 0 then c else Int.compare a b)
-        (List.init n Fun.id)
-  end
+(* The list head with room, without the list: [Memory.admit_row] is the
+   free-slot mask (banned ranks included), and the lowest-(cost, rank)
+   admitted entry of the row is where [first_available] over the full
+   sorted list would stop. *)
+let choose memory row =
+  match Pathgraph.Layered.argmin ~admit:(Pim.Memory.admit_row memory) row with
+  | -1 -> None
+  | rank -> Some rank
 
-let of_cost_vector v = of_costs ~n:(Array.length v) (Array.get v)
+let take memory rank =
+  let ok = Pim.Memory.allocate memory rank in
+  assert ok;
+  rank
 
-let for_data mesh window ~data =
-  of_cost_vector (Cost.cost_vector mesh window ~data)
+let place memory row =
+  match choose memory row with
+  | Some rank -> take memory rank
+  | None -> failwith "Processor_list.place: every processor is full"
 
 let first_available memory list =
   List.find_opt (fun rank -> not (Pim.Memory.is_full memory rank)) list
 
 let assign memory list =
   match first_available memory list with
-  | Some rank ->
-      let ok = Pim.Memory.allocate memory rank in
-      assert ok;
-      rank
+  | Some rank -> take memory rank
   | None -> failwith "Processor_list.assign: all candidate processors full"

@@ -14,7 +14,7 @@ let placement problem =
           Problem.optimal_center problem ~window:(Problem.n_windows problem)
             ~data)
   | Problem.Bounded _ ->
-      (* parallel phase: merged-window processor lists, one row per datum *)
+      (* parallel phase: one merged-window row per datum *)
       Problem.prefetch_merged problem;
       (* serial phase: heaviest-first allocation, identical at any jobs
          count *)
@@ -23,9 +23,8 @@ let placement problem =
       List.iter
         (fun data ->
           result.(data) <-
-            Processor_list.assign memory
-              (Problem.candidates problem ~window:(Problem.n_windows problem)
-               ~data))
+            Processor_list.place memory
+              (Problem.row problem ~window:(Problem.n_windows problem) ~data))
         (Problem.by_total_references problem);
       result
 

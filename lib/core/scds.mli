@@ -6,9 +6,10 @@
     list supplies the first available fallback. *)
 
 (** [schedule problem] computes the SCDS schedule on a shared {!Problem.t}
-    context. Candidate processor lists are filled on the context's domain
-    pool; the capacity-respecting allocation itself runs serially, heaviest
-    datum first, so the result is identical at every [jobs] setting.
+    context. The merged-window cost rows are filled on the context's domain
+    pool; the capacity-respecting allocation itself ({!Processor_list.place}
+    on each row) runs serially, heaviest datum first, so the result is
+    identical at every [jobs] setting.
     @raise Invalid_argument if the capacity policy is infeasible
     ([capacity * size mesh < n_data]). *)
 val schedule : Problem.t -> Schedule.t

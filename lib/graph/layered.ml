@@ -42,7 +42,7 @@ let to_array = function
 (* On an axis sum the minimizers form the product (argmin cx) x
    (argmin cy), so the lowest index on each axis is the lowest
    row-major rank, as an ascending scan would find. *)
-let argmin row =
+let unmasked_argmin row =
   let lowest a =
     let best = ref 0 in
     for i = 1 to Array.length a - 1 do
@@ -53,6 +53,34 @@ let argmin row =
   match row with
   | Full v -> lowest v
   | Axis_sum (cx, cy) -> (lowest cy * Array.length cx) + lowest cx
+
+(* The unmasked argmin is the lowest (cost, node) of all, so when it is
+   admitted it is the answer; otherwise one ascending scan over the
+   admitted nodes, strict [<] keeping the lowest node of a tie. *)
+let argmin ?admit row =
+  let g = unmasked_argmin row in
+  match admit with
+  | None -> g
+  | Some a when Bytes.get a g <> '\000' -> g
+  | Some a ->
+      let best = ref (-1) and best_cost = ref max_int in
+      let consider g c =
+        if c < !best_cost && Bytes.get a g <> '\000' then begin
+          best := g;
+          best_cost := c
+        end
+      in
+      (match row with
+      | Full v -> Array.iteri consider v
+      | Axis_sum (cx, cy) ->
+          let cols = Array.length cx in
+          Array.iteri
+            (fun y dy ->
+              for x = 0 to cols - 1 do
+                consider ((y * cols) + x) (cx.(x) + dy)
+              done)
+            cy);
+      !best
 
 (* DP work counters, reported once per solve (see DESIGN.md
    "Observability"): per layer [nodes] = sources with a finite cost and

@@ -77,9 +77,17 @@ val entry : row -> int -> int
 (** [to_array row] is every entry of [row], as a fresh array. *)
 val to_array : row -> int array
 
-(** [argmin row] is the lowest node of least cost: a scan of a full
-    row, the two axis minima of an axis sum. *)
-val argmin : row -> int
+(** [argmin ?admit row] is the lowest node of least cost among the nodes
+    [admit] lets in (byte [j] ['\000'] masks node [j] out; every node when
+    [admit] is absent), or [-1] when it masks out every node. The
+    unmasked answer is a scan of a full row or the two axis minima of an
+    axis sum; when [admit] masks that node out, one more ascending scan
+    over the row's entries finds the admitted minimum, allocating
+    nothing. This is the head with room of the paper's processor list
+    (ranks sorted by (cost, rank)) when [admit] is a memory's free-slot
+    row ({!Pim.Memory.admit_row}).
+    @raise Invalid_argument if [admit] is shorter than the row. *)
+val argmin : ?admit:Bytes.t -> row -> int
 
 (** One block: its relaxation and one row per layer ([rows.(w)] prices
     layer [w]). Rows may be shared between layers and blocks: they are

@@ -215,20 +215,17 @@ let remap_virtual_trace t trace =
       let space = Reftrace.Trace.space trace in
       let n_data = Reftrace.Data_space.size space in
       let remap win =
-        let out = Reftrace.Window.create ~n_data in
+        let out = Reftrace.Window.Builder.create ~n_data in
         for d = 0 to n_data - 1 do
           List.iter
-            (fun (proc, count) ->
-              Reftrace.Window.add ~kind:Reftrace.Window.Read out ~data:d
-                ~proc:(of_virtual_rank t proc) ~count)
-            (Reftrace.Window.read_profile win d);
-          List.iter
-            (fun (proc, count) ->
-              Reftrace.Window.add ~kind:Reftrace.Window.Write out ~data:d
-                ~proc:(of_virtual_rank t proc) ~count)
-            (Reftrace.Window.write_profile win d)
+            (fun kind ->
+              Reftrace.Window.iter_kind_profile ~kind win d
+                (fun ~proc ~count ->
+                  Reftrace.Window.Builder.add ~kind out ~data:d
+                    ~proc:(of_virtual_rank t proc) ~count))
+            [ Reftrace.Window.Read; Reftrace.Window.Write ]
         done;
-        out
+        Reftrace.Window.Builder.build out
       in
       Reftrace.Trace.create space
         (List.map remap (Reftrace.Trace.windows trace))

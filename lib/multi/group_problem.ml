@@ -40,7 +40,8 @@ let project group trace =
     List.map2
       (fun win wrow ->
         let locals =
-          Array.init n_members (fun _ -> Reftrace.Window.create ~n_data:nd)
+          Array.init n_members (fun _ ->
+              Reftrace.Window.Builder.create ~n_data:nd)
         in
         for d = 0 to nd - 1 do
           List.iter
@@ -48,8 +49,8 @@ let project group trace =
               List.iter
                 (fun (proc, count) ->
                   let m, local = Array_group.local_of_rank group proc in
-                  Reftrace.Window.add ~kind locals.(m) ~data:d ~proc:local
-                    ~count;
+                  Reftrace.Window.Builder.add ~kind locals.(m) ~data:d
+                    ~proc:local ~count;
                   wrow.(d).(m) <- wrow.(d).(m) + count)
                 profile)
             [
@@ -57,7 +58,7 @@ let project group trace =
               (Reftrace.Window.Write, Reftrace.Window.write_profile win d);
             ]
         done;
-        locals)
+        Array.map Reftrace.Window.Builder.build locals)
       windows weights
   in
   let member_traces =
@@ -312,21 +313,18 @@ let subset_problem t m ids =
   let windows =
     List.map
       (fun win ->
-        let out = Reftrace.Window.create ~n_data:k in
+        let out = Reftrace.Window.Builder.create ~n_data:k in
         Array.iteri
           (fun idx d ->
             List.iter
-              (fun (proc, count) ->
-                Reftrace.Window.add ~kind:Reftrace.Window.Read out ~data:idx
-                  ~proc ~count)
-              (Reftrace.Window.read_profile win d);
-            List.iter
-              (fun (proc, count) ->
-                Reftrace.Window.add ~kind:Reftrace.Window.Write out ~data:idx
-                  ~proc ~count)
-              (Reftrace.Window.write_profile win d))
+              (fun kind ->
+                Reftrace.Window.iter_kind_profile ~kind win d
+                  (fun ~proc ~count ->
+                    Reftrace.Window.Builder.add ~kind out ~data:idx ~proc
+                      ~count))
+              [ Reftrace.Window.Read; Reftrace.Window.Write ])
           ids;
-        out)
+        Reftrace.Window.Builder.build out)
       (Reftrace.Trace.windows member_trace)
   in
   let problem =

@@ -117,11 +117,9 @@ let context_key (spec : Protocol.instance) =
   Printf.sprintf "%s;mesh:%dx%d;torus:%b;unb:%b" source spec.mesh.rows
     spec.mesh.cols spec.mesh.torus spec.unbounded
 
-(* Cache weight of a shared context: a slice of the arena bound as a
-   proxy for the trace and window structures. An estimate — the LRU
-   budget is a shedding threshold, not an allocator. *)
-let context_bytes (ctx : Sched.Context.t) =
-  (ctx.Sched.Context.max_arena_bytes / 8) + 4096
+(* Cache weight of a shared context: the bytes its windows and merged
+   window hold ({!Sched.Context.bytes}). *)
+let context_bytes = Sched.Context.bytes
 
 let find_context t (spec : Protocol.instance) =
   let key = context_key spec in

@@ -39,7 +39,7 @@ type parse_state = {
   mutable space : Data_space.t option;
   mutable windows : Window.t list; (* reversed *)
   mutable n_windows : int; (* List.length windows *)
-  mutable current : Window.t option;
+  mutable current : Window.Builder.t option; (* compacted at its end *)
 }
 
 let fail lineno msg =
@@ -48,7 +48,7 @@ let fail lineno msg =
 let finish_window st =
   match st.current with
   | Some w ->
-      st.windows <- w :: st.windows;
+      st.windows <- Window.Builder.build w :: st.windows;
       st.n_windows <- st.n_windows + 1;
       st.current <- None
   | None -> ()
@@ -64,8 +64,8 @@ let ensure_space st lineno =
           st.space <- Some s;
           s)
 
-(* A rank past the target is refused before [Window.add] grows a dense
-   row out to it. *)
+(* A rank past the target is refused while parsing, so no window ever
+   holds a reference the mesh cannot serve. *)
 let add_ref st lineno kind data proc count =
   match st.current with
   | None -> fail lineno "ref before any window"
@@ -74,7 +74,7 @@ let add_ref st lineno kind data proc count =
         fail lineno
           (Printf.sprintf "processor rank %d out of range (%d processors)"
              proc st.processors);
-      try Window.add w ~kind ~data ~proc ~count
+      try Window.Builder.add w ~kind ~data ~proc ~count
       with Invalid_argument msg -> fail lineno msg)
 
 let parse_line st lineno line =
@@ -103,7 +103,8 @@ let parse_line st lineno line =
           if i <> st.n_windows then
             fail lineno
               (Printf.sprintf "expected window %d, got %d" st.n_windows i);
-          st.current <- Some (Window.create ~n_data:(Data_space.size space))
+          st.current <-
+            Some (Window.Builder.create ~n_data:(Data_space.size space))
       | None -> fail lineno "malformed window index")
   | [ ("ref" | "write") as word; data; proc; count ] -> (
       let kind = if word = "ref" then Window.Read else Window.Write in

@@ -45,21 +45,17 @@ let merged t =
       w
 
 let remap_window ~n_data ~translate w =
-  let out = Window.create ~n_data in
+  let out = Window.Builder.create ~n_data in
   List.iter
     (fun data ->
       List.iter
-        (fun (proc, count) ->
-          Window.add out ~kind:Window.Read ~data:(translate data) ~proc
-            ~count)
-        (Window.read_profile w data);
-      List.iter
-        (fun (proc, count) ->
-          Window.add out ~kind:Window.Write ~data:(translate data) ~proc
-            ~count)
-        (Window.write_profile w data))
+        (fun kind ->
+          Window.iter_kind_profile ~kind w data (fun ~proc ~count ->
+              Window.Builder.add out ~kind ~data:(translate data) ~proc
+                ~count))
+        [ Window.Read; Window.Write ])
     (Window.referenced_data w);
-  out
+  Window.Builder.build out
 
 let append a b =
   let merged_space, translate = Data_space.concat a.space b.space in

@@ -1,142 +1,245 @@
 type kind = Read | Write
 
+(* A run is a datum's references in one window: packed triples
+   [rank; combined; writes], ascending by rank, one triple per referencing
+   rank, [combined > 0] and [0 <= writes <= combined] — the paper's
+   processor reference string with its write share. Runs are never written
+   in place once stored ({!add} replaces a datum's run), so [copy] and the
+   builder may share them between windows. *)
 type t = {
   n_data : int;
-  (* Dense per-datum rows indexed by processor rank, grown on demand.
-     [combined.(data).(proc)] counts reads and writes together — the
-     paper's reference string, and the source the separable cost kernel
-     reads marginals from; [writes_.(data).(proc)] counts writes only
-     (empty until the datum is first written), and a read count is their
-     difference. Past a row's end every count is zero. *)
-  combined : int array array;
-  writes_ : int array array;
-  (* per-datum combined and write totals *)
-  totals : int array;
-  write_totals : int array;
+  runs : int array array;
+  totals : int array; (* per-datum combined total *)
 }
+
+let stride = 3
 
 let create ~n_data =
   if n_data <= 0 then invalid_arg "Window.create: n_data must be positive";
-  {
-    n_data;
-    combined = Array.make n_data [||];
-    writes_ = Array.make n_data [||];
-    totals = Array.make n_data 0;
-    write_totals = Array.make n_data 0;
-  }
+  { n_data; runs = Array.make n_data [||]; totals = Array.make n_data 0 }
 
 let n_data t = t.n_data
 
-let check_data t data =
-  if data < 0 || data >= t.n_data then
+let check_data_in n_data data =
+  if data < 0 || data >= n_data then
     invalid_arg (Printf.sprintf "Window: data id %d out of range" data)
 
-(* [ensure rows data len] is [rows.(data)], first grown to at least [len]
-   entries; growth doubles, so a run of [add]s costs amortized O(1)
-   each. *)
-let ensure rows data len =
-  let r = rows.(data) in
-  if len <= Array.length r then r
-  else begin
-    let grown = Array.make (max len (2 * Array.length r)) 0 in
-    Array.blit r 0 grown 0 (Array.length r);
-    rows.(data) <- grown;
-    grown
-  end
+let check_data t data = check_data_in t.n_data data
 
-let bump rows totals ~data ~proc ~count =
-  let r = ensure rows data (proc + 1) in
-  r.(proc) <- r.(proc) + count;
-  totals.(data) <- totals.(data) + count
-
-let add ?(kind = Read) t ~data ~proc ~count =
-  check_data t data;
+let check_ref n_data ~data ~proc ~count =
+  check_data_in n_data data;
   if proc < 0 then invalid_arg "Window.add: negative processor rank";
-  if count < 0 then invalid_arg "Window.add: negative count";
+  if count < 0 then invalid_arg "Window.add: negative count"
+
+(* [slot run proc] is the first triple index whose rank is >= [proc]. *)
+let slot run proc =
+  let lo = ref 0 and hi = ref (Array.length run / stride) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if run.(stride * mid) < proc then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* An edit of a stored window: one binary search, then a fresh run with
+   the count folded in — O(run) per call, never shared state written. *)
+let add ?(kind = Read) t ~data ~proc ~count =
+  check_ref t.n_data ~data ~proc ~count;
   if count > 0 then begin
-    bump t.combined t.totals ~data ~proc ~count;
-    match kind with
-    | Read -> ()
-    | Write -> bump t.writes_ t.write_totals ~data ~proc ~count
+    let w = match kind with Read -> 0 | Write -> count in
+    let run = t.runs.(data) in
+    let i = slot run proc in
+    let fresh =
+      if stride * i < Array.length run && run.(stride * i) = proc then begin
+        let r = Array.copy run in
+        r.((stride * i) + 1) <- r.((stride * i) + 1) + count;
+        r.((stride * i) + 2) <- r.((stride * i) + 2) + w;
+        r
+      end
+      else begin
+        let r = Array.make (Array.length run + stride) 0 in
+        Array.blit run 0 r 0 (stride * i);
+        r.(stride * i) <- proc;
+        r.((stride * i) + 1) <- count;
+        r.((stride * i) + 2) <- w;
+        Array.blit run (stride * i) r (stride * (i + 1))
+          (Array.length run - (stride * i));
+        r
+      end
+    in
+    t.runs.(data) <- fresh;
+    t.totals.(data) <- t.totals.(data) + count
   end
 
-(* [count_at row proc] reads a dense row, zero past its end. *)
-let count_at row proc = if proc < Array.length row then row.(proc) else 0
+(* ---- the append log and its one compaction ---- *)
 
-(* Every profile is a descending scan consed into ascending rank order:
-   the rows are already sorted, so no table copy and no sort. *)
-let profile_of_row count_of len =
-  let acc = ref [] in
-  for proc = len - 1 downto 0 do
-    let c = count_of proc in
-    if c > 0 then acc := (proc, c) :: !acc
-  done;
-  !acc
+module Builder = struct
+  type window = t
 
-let read_profile t data =
-  check_data t data;
-  let row = t.combined.(data) and w = t.writes_.(data) in
-  profile_of_row (fun proc -> row.(proc) - count_at w proc) (Array.length row)
+  type t = {
+    space : int; (* n_data *)
+    (* packed quadruples [data; rank; combined; writes] in arrival order *)
+    mutable log : int array;
+    mutable len : int;
+  }
 
-let write_profile t data =
-  check_data t data;
-  let w = t.writes_.(data) in
-  profile_of_row (fun proc -> w.(proc)) (Array.length w)
+  let width = 4
 
-let profile t data =
-  check_data t data;
-  let row = t.combined.(data) in
-  profile_of_row (fun proc -> row.(proc)) (Array.length row)
+  let create ~n_data =
+    if n_data <= 0 then invalid_arg "Window.create: n_data must be positive";
+    { space = n_data; log = [||]; len = 0 }
+
+  let push b ~data ~proc ~count ~writes =
+    if b.len + width > Array.length b.log then begin
+      let grown = Array.make (max 256 (2 * Array.length b.log)) 0 in
+      Array.blit b.log 0 grown 0 b.len;
+      b.log <- grown
+    end;
+    let l = b.log and i = b.len in
+    l.(i) <- data;
+    l.(i + 1) <- proc;
+    l.(i + 2) <- count;
+    l.(i + 3) <- writes;
+    b.len <- i + width
+
+  let add ?(kind = Read) b ~data ~proc ~count =
+    check_ref b.space ~data ~proc ~count;
+    if count > 0 then
+      push b ~data ~proc ~count
+        ~writes:(match kind with Read -> 0 | Write -> count)
+
+  (* [sort_by l field range src dst] writes the entries of [src] into
+     [dst] stably ordered by their [field] (values in [0, range)), and
+     returns each value's first position in [dst]. *)
+  let sort_by l field range src dst =
+    let start = Array.make (range + 1) 0 in
+    Array.iter
+      (fun e ->
+        let k = l.((width * e) + field) in
+        start.(k + 1) <- start.(k + 1) + 1)
+      src;
+    for k = 1 to range do
+      start.(k) <- start.(k) + start.(k - 1)
+    done;
+    let pos = Array.sub start 0 range in
+    Array.iter
+      (fun e ->
+        let k = l.((width * e) + field) in
+        dst.(pos.(k)) <- e;
+        pos.(k) <- pos.(k) + 1)
+      src;
+    start
+
+  (* Two stable counting passes, by rank and then by datum, put the log
+     in (datum, rank) order; one walk per datum then sums equal ranks
+     into an exactly sized run. O(entries + max rank + n_data), no
+     hashtable. Ranks far past the entry count (a parsed trace is not
+     bound to a mesh) would make the rank pass's table the cost, so
+     there the rank order comes from a comparison sort instead; both
+     orders are the same. *)
+  let build b : window =
+    let n = b.len / width and l = b.log in
+    let runs = Array.make b.space [||] and totals = Array.make b.space 0 in
+    if n > 0 then begin
+      let max_rank = ref 0 in
+      for e = 0 to n - 1 do
+        max_rank := max !max_rank l.((width * e) + 1)
+      done;
+      let arrival = Array.init n Fun.id and by_rank = Array.make n 0 in
+      if !max_rank <= (4 * n) + 1024 then
+        ignore (sort_by l 1 (!max_rank + 1) arrival by_rank)
+      else begin
+        Array.blit arrival 0 by_rank 0 n;
+        Array.stable_sort
+          (fun a b -> Int.compare l.((width * a) + 1) l.((width * b) + 1))
+          by_rank
+      end;
+      let sorted = arrival in
+      let start = sort_by l 0 b.space by_rank sorted in
+      for data = 0 to b.space - 1 do
+        let lo = start.(data) and hi = start.(data + 1) in
+        if hi > lo then begin
+          let rank i = l.((width * sorted.(i)) + 1) in
+          let distinct = ref 1 in
+          for i = lo + 1 to hi - 1 do
+            if rank i <> rank (i - 1) then incr distinct
+          done;
+          let run = Array.make (stride * !distinct) 0 in
+          let j = ref (-stride) and total = ref 0 in
+          for i = lo to hi - 1 do
+            let e = width * sorted.(i) in
+            if i = lo || rank i <> rank (i - 1) then begin
+              j := !j + stride;
+              run.(!j) <- l.(e + 1)
+            end;
+            run.(!j + 1) <- run.(!j + 1) + l.(e + 2);
+            run.(!j + 2) <- run.(!j + 2) + l.(e + 3);
+            total := !total + l.(e + 2)
+          done;
+          runs.(data) <- run;
+          totals.(data) <- !total
+        end
+      done
+    end;
+    { n_data = b.space; runs; totals }
+end
+
+(* ---- views: each walks the datum's run, so O(its nonzeros) ---- *)
 
 let iter_profile t data f =
   check_data t data;
-  let row = t.combined.(data) in
-  for proc = 0 to Array.length row - 1 do
-    if row.(proc) > 0 then f ~proc ~count:row.(proc)
+  let run = t.runs.(data) in
+  let i = ref 0 in
+  while !i < Array.length run do
+    f ~proc:run.(!i) ~count:run.(!i + 1);
+    i := !i + stride
   done
 
 let iter_kind_profile ~kind t data f =
   check_data t data;
-  match kind with
-  | Write ->
-      let w = t.writes_.(data) in
-      for proc = 0 to Array.length w - 1 do
-        if w.(proc) > 0 then f ~proc ~count:w.(proc)
-      done
-  | Read ->
-      let row = t.combined.(data) and w = t.writes_.(data) in
-      for proc = 0 to Array.length row - 1 do
-        let count = row.(proc) - count_at w proc in
-        if count > 0 then f ~proc ~count
-      done
+  let run = t.runs.(data) in
+  let i = ref 0 in
+  while !i < Array.length run do
+    let w = run.(!i + 2) in
+    let count = match kind with Write -> w | Read -> run.(!i + 1) - w in
+    if count > 0 then f ~proc:run.(!i) ~count;
+    i := !i + stride
+  done
+
+(* A descending walk conses straight into ascending rank order. *)
+let profile_with t data count_of =
+  check_data t data;
+  let run = t.runs.(data) in
+  let acc = ref [] in
+  let i = ref (Array.length run - stride) in
+  while !i >= 0 do
+    let c = count_of run !i in
+    if c > 0 then acc := (run.(!i), c) :: !acc;
+    i := !i - stride
+  done;
+  !acc
+
+let profile t data = profile_with t data (fun run i -> run.(i + 1))
+
+let read_profile t data =
+  profile_with t data (fun run i -> run.(i + 1) - run.(i + 2))
+
+let write_profile t data = profile_with t data (fun run i -> run.(i + 2))
 
 let marginals t ~data ~cols ~rows =
   check_data t data;
   if cols <= 0 || rows <= 0 then
     invalid_arg "Window.marginals: mesh extents must be positive";
   let mx = Array.make cols 0 and my = Array.make rows 0 in
-  let row = t.combined.(data) in
   let size = cols * rows in
-  (* track (x, y) incrementally instead of a div/mod per rank — the walk
-     over the dense row is the hot half of every separable-kernel fill *)
-  let x = ref 0 and y = ref 0 in
-  for proc = 0 to Array.length row - 1 do
-    let count = row.(proc) in
-    if count > 0 then begin
+  iter_profile t data (fun ~proc ~count ->
       if proc >= size then
         invalid_arg
           (Printf.sprintf
-             "Window.marginals: processor rank %d outside %dx%d mesh" proc
-             rows cols);
-      mx.(!x) <- mx.(!x) + count;
-      my.(!y) <- my.(!y) + count
-    end;
-    incr x;
-    if !x = cols then begin
-      x := 0;
-      incr y
-    end
-  done;
+             "Window.marginals: processor rank %d outside %dx%d mesh" proc rows
+             cols);
+      let x = proc mod cols and y = proc / cols in
+      mx.(x) <- mx.(x) + count;
+      my.(y) <- my.(y) + count);
   (mx, my)
 
 let references t data =
@@ -144,8 +247,9 @@ let references t data =
   t.totals.(data)
 
 let writes t data =
-  check_data t data;
-  t.write_totals.(data)
+  let s = ref 0 in
+  iter_kind_profile ~kind:Write t data (fun ~proc:_ ~count -> s := !s + count);
+  !s
 
 let total_references t = Array.fold_left ( + ) 0 t.totals
 
@@ -158,91 +262,63 @@ let referenced_data t =
 
 let is_empty t = Array.for_all (fun c -> c = 0) t.totals
 
-(* Merging sums the dense rows and totals directly — no per-reference
-   [add] round-trip. Equal to replaying every (proc, count) reference of
-   [src] into [into] (the regression property in test/test_fastpath.ml). *)
-let add_row rows data src =
-  let n = Array.length src in
-  if n > 0 then begin
-    let r = ensure rows data n in
-    for proc = 0 to n - 1 do
-      r.(proc) <- r.(proc) + src.(proc)
-    done
-  end
-
-let merge_into ~into src =
-  for data = 0 to into.n_data - 1 do
-    add_row into.combined data src.combined.(data);
-    add_row into.writes_ data src.writes_.(data);
-    into.totals.(data) <- into.totals.(data) + src.totals.(data);
-    into.write_totals.(data) <-
-      into.write_totals.(data) + src.write_totals.(data)
-  done
-
-let check_same_space a b =
-  if a.n_data <> b.n_data then
-    invalid_arg "Window.merge: mismatched data spaces"
-
+(* Runs are never written in place, so a copy shares them. *)
 let copy t =
-  {
-    n_data = t.n_data;
-    combined = Array.map Array.copy t.combined;
-    writes_ = Array.map Array.copy t.writes_;
-    totals = Array.copy t.totals;
-    write_totals = Array.copy t.write_totals;
-  }
+  { n_data = t.n_data; runs = Array.copy t.runs; totals = Array.copy t.totals }
 
-let merge a b =
-  check_same_space a b;
-  let m = copy a in
-  merge_into ~into:m b;
-  m
-
-(* One copy, then one row sum per further window: linear in the windows'
-   rows, where a left fold of [merge] would rebuild the sum every step. *)
+(* Every triple of every window goes through one builder: one compaction
+   for the whole list, linear in the windows' nonzeros. *)
 let merge_list = function
   | [] -> invalid_arg "Window.merge_list: empty list"
-  | w :: ws ->
-      let m = copy w in
+  | [ w ] -> copy w
+  | w :: _ as ws ->
+      let b = Builder.create ~n_data:w.n_data in
       List.iter
         (fun x ->
-          check_same_space m x;
-          merge_into ~into:m x)
+          if x.n_data <> w.n_data then
+            invalid_arg "Window.merge: mismatched data spaces";
+          Array.iteri
+            (fun data run ->
+              let i = ref 0 in
+              while !i < Array.length run do
+                Builder.push b ~data ~proc:run.(!i) ~count:run.(!i + 1)
+                  ~writes:run.(!i + 2);
+                i := !i + stride
+              done)
+            x.runs)
         ws;
-      m
+      Builder.build b
 
-(* Rows compare as count sequences: trailing zeros from doubling growth
-   are not part of a profile. *)
-let rows_equal a b =
-  let n = max (Array.length a) (Array.length b) in
-  let rec go proc =
-    proc >= n || (count_at a proc = count_at b proc && go (proc + 1))
+let merge a b = merge_list [ a; b ]
+
+(* Runs are normalized (sorted, one triple per rank, no zero counts), so
+   equal profiles are equal arrays. *)
+let equal a b =
+  a.n_data = b.n_data
+  &&
+  let rec go data =
+    data >= a.n_data || (a.runs.(data) = b.runs.(data) && go (data + 1))
   in
   go 0
 
-let equal a b =
-  a.n_data = b.n_data
-  && begin
-       let ok = ref true in
-       for data = 0 to a.n_data - 1 do
-         if
-           not
-             (rows_equal a.combined.(data) b.combined.(data)
-             && rows_equal a.writes_.(data) b.writes_.(data))
-         then ok := false
-       done;
-       !ok
-     end
-
 let max_proc t =
-  let mx = ref (-1) in
+  Array.fold_left
+    (fun mx run ->
+      let n = Array.length run in
+      if n = 0 then mx else max mx run.(n - stride))
+    (-1) t.runs
+
+(* The record, the two per-datum arrays and every stored run, as
+   [Obj.reachable_words] counts them: every empty run is the one shared
+   empty array, a header counted once. *)
+let bytes t =
+  let words = ref (4 + (2 * (1 + t.n_data))) and empty = ref 0 in
   Array.iter
-    (fun row ->
-      for proc = Array.length row - 1 downto !mx + 1 do
-        if row.(proc) > 0 && proc > !mx then mx := proc
-      done)
-    t.combined;
-  !mx
+    (fun run ->
+      let n = Array.length run in
+      if n > 0 then words := !words + 1 + n else empty := 1)
+    t.runs;
+  8 * (!words + !empty)
 
 let pp fmt t =
   let data = referenced_data t in

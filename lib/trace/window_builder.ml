@@ -14,13 +14,14 @@ let build space events ~index_of_step =
         max acc (i + 1))
       0 events
   in
-  let windows = Array.init n_windows (fun _ -> Window.create ~n_data) in
+  let logs = Array.init n_windows (fun _ -> Window.Builder.create ~n_data) in
   List.iter
     (fun (e : Trace.event) ->
-      Window.add windows.(index_of_step e.step) ~kind:e.kind ~data:e.data
+      Window.Builder.add logs.(index_of_step e.step) ~kind:e.kind ~data:e.data
         ~proc:e.proc ~count:1)
     events;
-  Trace.create space (Array.to_list windows) |> Trace.drop_empty_windows
+  Trace.create space (Array.to_list (Array.map Window.Builder.build logs))
+  |> Trace.drop_empty_windows
 
 let per_step space events =
   let steps = distinct_steps events in

@@ -2,8 +2,12 @@
    is executed as a real process against the built binary. *)
 
 let binary =
-  (* tests run in _build/default/test; the CLI is built alongside *)
-  Filename.concat (Filename.concat Filename.parent_dir_name "bin")
+  (* the CLI is built alongside the test runner, in <build>/bin beside
+     <build>/test, whatever the working directory *)
+  Filename.concat
+    (Filename.concat
+       (Filename.dirname (Filename.dirname Sys.executable_name))
+       "bin")
     "pimsched.exe"
 
 let read_file path =

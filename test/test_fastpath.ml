@@ -50,6 +50,13 @@ let dense rows = Array.map Pathgraph.Layered.to_array rows
 
 let oracle_vector = Oracle.Cost_naive.cost_vector
 
+(* the processor-list head with room the bounded schedulers place at,
+   on the session's fresh memory *)
+let head_with_room problem ~window ~data =
+  Sched.Processor_list.choose
+    (Sched.Problem.fresh_memory problem)
+    (Sched.Problem.row problem ~window ~data)
+
 let prop_arena_matches_per_array_vectors mesh label =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in
   QCheck.Test.make
@@ -74,8 +81,10 @@ let prop_arena_matches_per_array_vectors mesh label =
                            && Sched.Problem.cost_entry problem ~window:w
                                 ~data c
                               = oracle.(c)))
-                 && Sched.Problem.candidates problem ~window:w ~data
-                    = Sched.Processor_list.of_cost_vector oracle))
+                 && head_with_room problem ~window:w ~data
+                    = Sched.Processor_list.first_available
+                        (Sched.Problem.fresh_memory problem)
+                        (Oracle.Candidates.of_cost_vector oracle)))
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)
@@ -868,9 +877,7 @@ module Pre_port = struct
                 Sched.Cost.reference_cost mesh window ~data ~center:here
               in
               Pim.Memory.release memory here;
-              let candidates =
-                Sched.Processor_list.for_data mesh window ~data
-              in
+              let candidates = Oracle.Candidates.for_data mesh window ~data in
               let best =
                 match
                   Sched.Processor_list.first_available memory candidates
@@ -1151,8 +1158,10 @@ let prop_merged_matches mesh label =
           Sched.Problem.cost_vector problem ~window ~data = oracle
           && Sched.Problem.optimal_center problem ~window ~data
              = vector_argmin oracle
-          && Sched.Problem.candidates problem ~window ~data
-             = Sched.Processor_list.of_cost_vector oracle)
+          && head_with_room problem ~window ~data
+             = Sched.Processor_list.first_available
+                 (Sched.Problem.fresh_memory problem)
+                 (Oracle.Candidates.of_cost_vector oracle))
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)

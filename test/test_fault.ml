@@ -291,10 +291,20 @@ let test_candidates_exclude_dead () =
   check_bool "optimal center alive" true
     (Sched.Problem.rank_alive problem
        (Sched.Problem.optimal_center problem ~window:0 ~data:0));
+  let list =
+    Oracle.Candidates.candidates
+      (Oracle.Candidates.of_problem problem)
+      ~window:0 ~data:0
+  in
   check_bool "candidate list alive" true
-    (List.for_all
-       (Sched.Problem.rank_alive problem)
-       (Sched.Problem.candidates problem ~window:0 ~data:0));
+    (List.for_all (Sched.Problem.rank_alive problem) list);
+  (* the dead rank is banned in the session's memory, so the head with
+     room skips it exactly as the alive-filtered list does *)
+  Alcotest.(check (option int))
+    "head with room = first of the alive list" (Some (List.hd list))
+    (Sched.Processor_list.choose
+       (Sched.Problem.fresh_memory problem)
+       (Sched.Problem.row problem ~window:0 ~data:0));
   check_bool "killing every rank is rejected" true
     (try
        ignore

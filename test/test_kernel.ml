@@ -103,11 +103,11 @@ let prop_marginals_conserve_mass =
 
 (* Session-level pins: every row [Problem] serves — per-window and
    merged-window cost rows, optimal centers (axis minima on a healthy
-   session) and candidate lists — equals what
-   the direct walk gives, with the alive-masked ascending argmin and
-   alive-filtered candidate order on a faulted session. Caches are filled
-   on the domain pool first, so jobs 1 and 4 both go through the parallel
-   fills. *)
+   session) and the processor-list head with room — equals what
+   the direct walk gives, with the alive-masked ascending argmin and the
+   first free rank of the alive-filtered oracle list on a faulted
+   session. Caches are filled on the domain pool first, so jobs 1 and 4
+   both go through the parallel fills. *)
 let oracle_center alive v =
   let best = ref (-1) in
   Array.iteri
@@ -119,8 +119,9 @@ let rows_match_oracle problem =
   let mesh = Sched.Problem.mesh problem in
   let alive = Sched.Problem.rank_alive problem in
   let candidates v =
-    List.filter alive (Sched.Processor_list.of_cost_vector v)
+    List.filter alive (Oracle.Candidates.of_cost_vector v)
   in
+  let memory = Sched.Problem.fresh_memory problem in
   Sched.Problem.prefetch_referenced problem;
   Sched.Problem.prefetch_centers problem;
   Sched.Problem.prefetch_merged problem;
@@ -134,7 +135,9 @@ let rows_match_oracle problem =
             else Sched.Problem.window problem w
           in
           let v = Oracle.Cost_naive.cost_vector mesh window ~data in
-          Sched.Problem.candidates problem ~window:w ~data = candidates v
+          Sched.Processor_list.choose memory
+            (Sched.Problem.row problem ~window:w ~data)
+          = Sched.Processor_list.first_available memory (candidates v)
           && Sched.Problem.optimal_center problem ~window:w ~data
              = oracle_center alive v
           && Sched.Problem.cost_vector problem ~window:w ~data = v)
@@ -274,9 +277,10 @@ let shared_trace () =
 
 let test_with_policy_and_jobs_share_caches () =
   let problem = Sched.Problem.create Gen.mesh44 (shared_trace ()) in
-  (* cost_vector copies a row out, so physical sharing is observed
-     through the candidate-list cache and the rows themselves *)
-  let l = Sched.Problem.candidates problem ~window:0 ~data:0 in
+  (* cost_vector copies a row out, so sharing is observed through the
+     rows themselves and through the center cache: a center computed
+     once is served to the derived sessions without another argmin *)
+  let c = Sched.Problem.optimal_center problem ~window:0 ~data:0 in
   Sched.Problem.prefetch_all problem;
   (* two windows of datum 0 and the merged window (index 3) of datum 1 *)
   let rows p =
@@ -293,13 +297,22 @@ let test_with_policy_and_jobs_share_caches () =
     Sched.Problem.with_policy problem (Sched.Problem.Bounded 2)
   in
   let jobs2 = Sched.Problem.with_jobs problem 2 in
-  Alcotest.(check bool)
-    "with_policy serves the same cached list" true
-    (l == Sched.Problem.candidates bounded ~window:0 ~data:0);
+  let cached_center name p =
+    Obs.enabled := true;
+    Obs.reset ();
+    let c' =
+      Fun.protect
+        ~finally:(fun () -> Obs.enabled := false)
+        (fun () -> Sched.Problem.optimal_center p ~window:0 ~data:0)
+    in
+    Alcotest.(check int) (name ^ " serves the same center") c c';
+    Alcotest.(check int)
+      (name ^ " serves it from the cache") 0
+      (Obs.Metrics.counter (Obs.Metrics.snapshot ()) "cost.argmin_fast")
+  in
+  cached_center "with_policy" bounded;
   same "with_policy" bounded;
-  Alcotest.(check bool)
-    "with_jobs serves the same cached list" true
-    (l == Sched.Problem.candidates jobs2 ~window:0 ~data:0);
+  cached_center "with_jobs" jobs2;
   same "with_jobs" jobs2;
   (* node faults keep routers: every row stays clean across the patch *)
   same "a clean-row with_fault_patch"

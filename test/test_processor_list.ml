@@ -2,12 +2,12 @@ let check_int = Alcotest.(check int)
 let mesh = Gen.mesh44
 
 let test_of_cost_vector_sorted () =
-  let list = Sched.Processor_list.of_cost_vector [| 5; 1; 3; 1 |] in
+  let list = Oracle.Candidates.of_cost_vector [| 5; 1; 3; 1 |] in
   Alcotest.(check (list int)) "sorted, ties by rank" [ 1; 3; 2; 0 ] list
 
 let test_for_data_head_is_center () =
   let w = Gen.window ~n_data:1 [ (0, 9, 3); (0, 2, 1) ] in
-  match Sched.Processor_list.for_data mesh w ~data:0 with
+  match Oracle.Candidates.for_data mesh w ~data:0 with
   | head :: _ ->
       check_int "head = local optimal center"
         (Sched.Cost.local_optimal_center mesh w ~data:0)
@@ -74,7 +74,71 @@ let prop_of_costs_matches_comparison_sort =
       let costs = Array.of_list (List.map (fun v -> v mod squash) vals) in
       let n = Array.length costs in
       let cost = Array.get costs in
-      Sched.Processor_list.of_costs ~n cost = reference_of_costs ~n cost)
+      Oracle.Candidates.of_costs ~n cost = reference_of_costs ~n cost)
+
+let test_place_allocates () =
+  let memory = Pim.Memory.create mesh ~capacity:1 in
+  let row = Pathgraph.Layered.Full (Array.init 16 (fun r -> 16 - r)) in
+  check_int "cheapest" 15 (Sched.Processor_list.place memory row);
+  check_int "then the next cheapest" 14 (Sched.Processor_list.place memory row);
+  for _ = 1 to 14 do
+    ignore (Sched.Processor_list.place memory row)
+  done;
+  Alcotest.(check (option int)) "none left" None
+    (Sched.Processor_list.choose memory row);
+  Alcotest.check_raises "exhausted"
+    (Failure "Processor_list.place: every processor is full") (fun () ->
+      ignore (Sched.Processor_list.place memory row))
+
+(* The head with room off the row equals the first free rank of the
+   oracle's full sorted list, on random occupancy: healthy sessions (axis
+   sums), node faults (dead ranks banned in the memory, cut from the
+   list) and node plus link faults ([Full] rows holding the unreachable
+   sentinel), on a mesh, a torus and a line, for every (datum, window)
+   cell including the merged window. *)
+let prop_choose_is_list_head =
+  let meshes =
+    [| Gen.mesh44; Pim.Mesh.torus ~rows:3 ~cols:5; Pim.Mesh.create ~rows:1 ~cols:7 |]
+  in
+  QCheck.Test.make ~name:"choose = first_available over the oracle list"
+    ~count:200
+    QCheck.(
+      triple (int_range 0 2) (int_range 0 2) (pair small_nat (int_range 1 3)))
+    (fun (mode, m, (seed, capacity)) ->
+      let mesh = meshes.(m) in
+      let rng = Random.State.make [| seed |] in
+      let trace =
+        QCheck.Gen.generate1 ~rand:rng
+          (Gen.trace_gen ~mesh ~max_data:5 ~max_windows:3 ~max_count:4 ())
+      in
+      let fault =
+        match mode with
+        | 0 -> Pim.Fault.none
+        | 1 -> Pim.Fault.inject ~seed ~node_rate:0.3 ~link_rate:0. mesh
+        | _ -> Pim.Fault.inject ~seed ~node_rate:0.3 ~link_rate:0.2 mesh
+      in
+      let problem =
+        Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~fault
+          mesh trace
+      in
+      let lists = Oracle.Candidates.of_problem problem in
+      let memory = Sched.Problem.fresh_memory problem in
+      (* random occupancy, some ranks full *)
+      for rank = 0 to Pim.Mesh.size mesh - 1 do
+        for _ = 1 to Random.State.int rng (capacity + 1) do
+          ignore (Pim.Memory.allocate memory rank)
+        done
+      done;
+      List.for_all
+        (fun data ->
+          List.for_all
+            (fun window ->
+              Sched.Processor_list.choose memory
+                (Sched.Problem.row problem ~window ~data)
+              = Sched.Processor_list.first_available memory
+                  (Oracle.Candidates.candidates lists ~window ~data))
+            (List.init (Sched.Problem.n_windows problem + 1) Fun.id))
+        (List.init (Sched.Problem.n_data problem) Fun.id))
 
 let suite =
   [
@@ -83,5 +147,7 @@ let suite =
     Gen.case "for_data head is center" test_for_data_head_is_center;
     Gen.case "first_available skips full" test_first_available_skips_full;
     Gen.case "assign allocates" test_assign_allocates;
+    Gen.case "place allocates at the cheapest free rank" test_place_allocates;
+    Gen.to_alcotest prop_choose_is_list_head;
     Gen.to_alcotest prop_full_list_always_assignable;
   ]

@@ -171,8 +171,8 @@ let test_lu_replication_limited_by_writes () =
 
 (* Differential oracle for the greedy pricing rewrite: the pre-rewrite
    [run] re-priced the whole read profile with [read_cost] for every
-   candidate rank; the current one prices each candidate from per-axis
-   distance tables and a per-round base array. Both must pick identical
+   candidate rank; the current one prices each candidate with
+   [Pim.Mesh.distance] against a per-round base array. Both must pick identical
    copy sets and charge identical creation transfers, so we keep the old
    greedy verbatim (modulo using only exported APIs) and replay it. *)
 module Pricing_oracle = struct
@@ -260,10 +260,10 @@ module Pricing_oracle = struct
     (copies, !creation_total)
 end
 
-let prop_pricing_matches_old_oracle =
+let prop_pricing_matches_read_cost_oracle =
   let arb = Gen.trace_arbitrary ~max_data:5 ~max_windows:4 ~max_count:4 () in
   QCheck.Test.make
-    ~name:"axis-table greedy pricing equals the old read_cost greedy"
+    ~name:"Mesh.distance greedy pricing equals the read_cost greedy oracle"
     ~count:50 arb (fun t ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
       let n_windows = Reftrace.Trace.n_windows t in
@@ -294,7 +294,7 @@ let prop_pricing_matches_old_oracle =
 
 let suite =
   [
-    Gen.to_alcotest prop_pricing_matches_old_oracle;
+    Gen.to_alcotest prop_pricing_matches_read_cost_oracle;
     Gen.case "single copy equals gomcds" test_single_copy_equals_gomcds;
     Gen.case "written datum stays single copy" test_written_datum_stays_single_copy;
     Gen.case "write traffic to primary" test_write_traffic_charged_to_primary;

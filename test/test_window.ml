@@ -126,7 +126,7 @@ let test_merge_preserves_kinds () =
   Alcotest.check profile_t "read kept" [ (3, 1) ]
     (Reftrace.Window.read_profile m 0)
 
-(* ---- the dense rows against the hashtable oracle ---- *)
+(* ---- the runs against the hashtable oracle ---- *)
 
 module W = Reftrace.Window
 module O = Oracle.Window
@@ -161,8 +161,8 @@ let prop_views_match_oracle =
       O.agrees o w && O.agrees (O.copy o) (W.copy w))
 
 (* The second sequence is a shuffle of the first (equal windows whose
-   rows grew in a different order, so differ in trailing zeros), the
-   first with one add changed, or unrelated. *)
+   runs grew in a different order), the first with one add changed, or
+   unrelated. *)
 let pair_gen =
   let open QCheck.Gen in
   adds_gen >>= fun a ->
@@ -228,6 +228,109 @@ let prop_iter_kind_sums_match_oracle =
             [ 0; 1; 2; 3 ])
         [ W.Read; W.Write ])
 
+(* The builder's compaction against [add] replayed one reference at a
+   time and against the oracle — at ranks 0..19 (counting pass) and at
+   the same ranks spread 10^9 apart (comparison-sort pass). *)
+let prop_builder_matches_add =
+  QCheck.Test.make ~name:"Builder.build equals add replay and the oracle"
+    ~count:300
+    (QCheck.make ~print:adds_print adds_gen) (fun adds ->
+      List.for_all
+        (fun spread ->
+          let adds =
+            List.map (fun (d, p, c, k) -> (d, p * spread, c, k)) adds
+          in
+          let b = W.Builder.create ~n_data:4 in
+          List.iter
+            (fun (data, proc, count, write) ->
+              W.Builder.add ~kind:(kind_of write) b ~data ~proc ~count)
+            adds;
+          let built = W.Builder.build b and w, o = build adds in
+          W.equal built w && O.agrees o built)
+        [ 1; 1_000_000_000 ])
+
+let test_builder_validation () =
+  let b = W.Builder.create ~n_data:2 in
+  Alcotest.check_raises "bad data"
+    (Invalid_argument "Window: data id 2 out of range") (fun () ->
+      W.Builder.add b ~data:2 ~proc:0 ~count:1);
+  Alcotest.check_raises "negative rank"
+    (Invalid_argument "Window.add: negative processor rank") (fun () ->
+      W.Builder.add b ~data:0 ~proc:(-1) ~count:1);
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Window.add: negative count") (fun () ->
+      W.Builder.add b ~data:0 ~proc:0 ~count:(-1));
+  Alcotest.check_raises "empty space"
+    (Invalid_argument "Window.create: n_data must be positive") (fun () ->
+      ignore (W.Builder.create ~n_data:0))
+
+(* A built window takes further edits, and a copy taken before an edit
+   (which shares the runs) does not see it. *)
+let test_add_after_build () =
+  let b = W.Builder.create ~n_data:2 in
+  W.Builder.add b ~data:0 ~proc:5 ~count:2;
+  W.Builder.add ~kind:W.Write b ~data:0 ~proc:1 ~count:1;
+  let w = W.Builder.build b in
+  let before = W.copy w in
+  W.add w ~data:0 ~proc:3 ~count:4;
+  W.add ~kind:W.Write w ~data:0 ~proc:5 ~count:1;
+  W.add w ~data:1 ~proc:9 ~count:1;
+  Alcotest.check profile_t "edited" [ (1, 1); (3, 4); (5, 3) ] (W.profile w 0);
+  Alcotest.check profile_t "writes" [ (1, 1); (5, 1) ] (W.write_profile w 0);
+  check_int "new datum" 1 (W.references w 1);
+  Alcotest.check profile_t "copy unchanged" [ (1, 1); (5, 2) ]
+    (W.profile before 0);
+  check_int "copy total" 3 (W.references before 0)
+
+(* A window whose runs are its own holds exactly what [bytes] says. *)
+let test_bytes_reachable () =
+  let mesh = Pim.Mesh.square 8 in
+  List.iter
+    (fun w ->
+      check_int "bytes = reachable" (8 * Obj.reachable_words (Obj.repr w))
+        (W.bytes w))
+    (W.create ~n_data:3
+    :: Reftrace.Trace.windows (Workloads.Lu.trace ~n:8 mesh))
+
+(* The context charge [Sched.Context.bytes] (what serve's cache is
+   charged) is within 2x of what the context actually holds, and a
+   16x16 LU context stays under 1 MiB: windows cost their nonzeros, not
+   the mesh's width. *)
+let test_context_bytes_honest () =
+  let block = Workloads.Iteration_space.Block_2d in
+  let m8 = Pim.Mesh.square 8 and m16 = Pim.Mesh.square 16 in
+  let cases =
+    [
+      ("LU 16 on 8x8", m8, Workloads.Lu.trace ~n:16 m8);
+      ("LU 16 on 16x16", m16, Workloads.Lu.trace ~n:16 m16);
+      ( "benchmark 2, n=16, on 16x16",
+        m16,
+        Workloads.Benchmarks.trace ~partition:block Workloads.Benchmarks.B2
+          ~n:16 m16 );
+      ( "stencil 16 on 16x16",
+        m16,
+        Workloads.Stencil.trace ~partition:block ~n:16 ~sweeps:8 m16 );
+    ]
+  in
+  List.iter
+    (fun (name, mesh, trace) ->
+      let ctx = Sched.Context.create mesh trace in
+      let reachable = 8 * Obj.reachable_words (Obj.repr ctx) in
+      let charged = Sched.Context.bytes ctx in
+      check_bool
+        (Printf.sprintf "%s: charge %d within 2x of %d reachable" name charged
+           reachable)
+        true
+        (charged <= 2 * reachable && reachable <= 2 * charged))
+    cases;
+  let ctx = Sched.Context.create m16 (Workloads.Lu.trace ~n:16 m16) in
+  let reachable = 8 * Obj.reachable_words (Obj.repr ctx) in
+  check_bool
+    (Printf.sprintf "LU 16 on 16x16 context: %d bytes reachable < 1 MiB"
+       reachable)
+    true
+    (reachable < 1024 * 1024)
+
 let test_merge_list_mismatched () =
   let a = W.create ~n_data:2 and b = W.create ~n_data:2 in
   let c = W.create ~n_data:3 in
@@ -260,4 +363,9 @@ let suite =
     Gen.to_alcotest prop_equal_matches_oracle;
     Gen.to_alcotest prop_merge_list_is_left_fold;
     Gen.to_alcotest prop_iter_kind_sums_match_oracle;
+    Gen.to_alcotest prop_builder_matches_add;
+    Gen.case "builder validation" test_builder_validation;
+    Gen.case "add after build" test_add_after_build;
+    Gen.case "bytes = reachable words" test_bytes_reachable;
+    Gen.case "context charge is honest" test_context_bytes_honest;
   ]
