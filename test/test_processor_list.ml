@@ -140,6 +140,65 @@ let prop_choose_is_list_head =
             (List.init (Sched.Problem.n_windows problem + 1) Fun.id))
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
+(* Through a chain of fault patches (more dead nodes, then dead links),
+   the oracle's carried lists equal lists built fresh on the patched
+   session, and the patched session's head with room equals the first
+   free rank of the carried list. *)
+let prop_patched_lists =
+  let mesh = Gen.mesh44 in
+  QCheck.Test.make ~name:"patched sessions: choose = carried oracle list head"
+    ~count:100
+    (QCheck.pair
+       (Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:3 ~max_count:4 ())
+       QCheck.small_nat)
+    (fun (trace, seed) ->
+      let n = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
+      let capacity = Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2 in
+      let base =
+        Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) mesh trace
+      in
+      let cells p =
+        List.concat_map
+          (fun data ->
+            List.init (Sched.Problem.n_windows p + 1) (fun window ->
+                (window, data)))
+          (List.init (Sched.Problem.n_data p) Fun.id)
+      in
+      let agree lists =
+        let p = Oracle.Candidates.problem lists in
+        let fresh =
+          Oracle.Candidates.of_problem
+            (Sched.Problem.of_context ~fault:(Sched.Problem.fault p)
+               (Sched.Problem.context p))
+        in
+        let memory = Sched.Problem.fresh_memory p in
+        List.for_all
+          (fun (window, data) ->
+            let carried = Oracle.Candidates.candidates lists ~window ~data in
+            carried = Oracle.Candidates.candidates fresh ~window ~data
+            && Sched.Processor_list.choose memory
+                 (Sched.Problem.row p ~window ~data)
+               = Sched.Processor_list.first_available memory carried)
+          (cells p)
+      in
+      let faults =
+        [
+          Pim.Fault.inject ~seed ~node_rate:0.2 ~link_rate:0. mesh;
+          Pim.Fault.inject ~seed ~node_rate:0.4 ~link_rate:0. mesh;
+          Pim.Fault.inject ~seed ~node_rate:0.4 ~link_rate:0.2 mesh;
+        ]
+      in
+      let lists = Oracle.Candidates.of_problem base in
+      Oracle.Candidates.prefetch_referenced lists;
+      Oracle.Candidates.prefetch_merged lists;
+      snd
+        (List.fold_left
+           (fun (lists, ok) fault ->
+             let patched = Oracle.Candidates.with_fault_patch lists fault in
+             (patched, ok && agree patched))
+           (lists, agree lists)
+           faults))
+
 let suite =
   [
     Gen.case "of_cost_vector sorted" test_of_cost_vector_sorted;
@@ -149,5 +208,6 @@ let suite =
     Gen.case "assign allocates" test_assign_allocates;
     Gen.case "place allocates at the cheapest free rank" test_place_allocates;
     Gen.to_alcotest prop_choose_is_list_head;
+    Gen.to_alcotest prop_patched_lists;
     Gen.to_alcotest prop_full_list_always_assignable;
   ]
