@@ -4,8 +4,8 @@ type kind = Read | Write
    [rank; combined; writes], ascending by rank, one triple per referencing
    rank, [combined > 0] and [0 <= writes <= combined] — the paper's
    processor reference string with its write share. Runs are never written
-   in place once stored ({!add} replaces a datum's run), so [copy] and the
-   builder may share them between windows. *)
+   in place once stored ({!add} replaces a datum's run), so [copy] (and
+   so a one-window [merge_list]) shares them between windows. *)
 type t = {
   n_data : int;
   runs : int array array;
