@@ -117,8 +117,94 @@ let prop_capacity_never_violated =
       let s = Sched.Grouping.schedule (Gen.bounded capacity mesh t) in
       Option.is_none (Sched.Schedule.check_capacity s ~capacity))
 
+(* Golden plans of the grouped schedulers and the portfolio that runs
+   them, on LU 16 over a 16x16 mesh and torus under the paper's headroom-2
+   bound: healthy, with seeded node faults, and with seeded node plus
+   link faults. The plan text is pinned by its MD5 and the served total
+   exactly, so a change to how the bounded repair or the grouping greedy
+   picks ranks cannot move a single placement unnoticed. *)
+let golden_plans =
+  [
+    ("mesh", "none", "lomcds-grouped",
+      "23c6324485db867474439cd401d1bda8", 11878);
+    ("mesh", "none", "gomcds-grouped",
+      "3cfb56f254fac5b38f3e2b4bc6d456fb", 11848);
+    ("mesh", "none", "best-refined",
+      "66c00fcd8ff64bec27ac51e87f0f556d", 9808);
+    ("mesh", "nodes", "lomcds-grouped",
+      "fb94ed210824a66bd111d8ec7be54448", 12404);
+    ("mesh", "nodes", "gomcds-grouped",
+      "01543008bcca56b76b6a6fb1ad63edc8", 12350);
+    ("mesh", "nodes", "best-refined",
+      "bed60ee64df9d6cf4ca6d60bbb2757fb", 9952);
+    ("mesh", "links", "lomcds-grouped",
+      "ea3bebd77993dc6cac29b1f18587e09e", 12365);
+    ("mesh", "links", "gomcds-grouped",
+      "2525dbced63940b6ed75ea3f29a1f104", 12368);
+    ("mesh", "links", "best-refined",
+      "7a2c89eaaecb09a8c212a4e0f87c0717", 10012);
+    ("torus", "none", "lomcds-grouped",
+      "35be6714354c66e57c9c65f7b98b163b", 10942);
+    ("torus", "none", "gomcds-grouped",
+      "1b6185fa6dfc61af59fffd1fce6fe4b6", 10945);
+    ("torus", "none", "best-refined",
+      "e1f7cfea23dce1ef8e841fb6a1d26d45", 9678);
+    ("torus", "nodes", "lomcds-grouped",
+      "4d6a9e7e1689232622a037838cdf19b7", 11231);
+    ("torus", "nodes", "gomcds-grouped",
+      "49c5d03d601e25ef56e77703ad8a1a85", 11166);
+    ("torus", "nodes", "best-refined",
+      "b8c67bd8c73f57330071b646f81b69a1", 9792);
+    ("torus", "links", "lomcds-grouped",
+      "ffd3c93e1f478b0d9ac53aa2bbca83cc", 11177);
+    ("torus", "links", "gomcds-grouped",
+      "4a03589763822aaaf2d3029103c6bed4", 11124);
+    ("torus", "links", "best-refined",
+      "fc46958521f282b06b3be14fa4287f3d", 9877);
+  ]
+
+let golden_fault mesh = function
+  | "none" -> Pim.Fault.none
+  | "nodes" -> Pim.Fault.inject ~seed:1 ~node_rate:0.05 ~link_rate:0. mesh
+  | _ -> Pim.Fault.inject ~seed:2 ~node_rate:0.05 ~link_rate:0.02 mesh
+
+let golden_hosts =
+  [
+    ("mesh", Pim.Mesh.create ~rows:16 ~cols:16);
+    ("torus", Pim.Mesh.torus ~rows:16 ~cols:16);
+  ]
+
+let test_golden_plans host () =
+  let mesh = List.assoc host golden_hosts in
+  let trace =
+    Workloads.Benchmarks.trace ~partition:Workloads.Iteration_space.Block_2d
+      Workloads.Benchmarks.B1 ~n:16 mesh
+  in
+  let policy =
+    Sched.Problem.headroom_policy ~headroom:2
+      ~processors:(Pim.Mesh.size mesh) trace
+  in
+  List.iter
+    (fun (h, fault, alg, digest, total) ->
+      if h = host then begin
+        let problem =
+          Sched.Problem.create ~policy ~fault:(golden_fault mesh fault) mesh
+            trace
+        in
+        let s = Sched.Scheduler.solve problem (Sched.Scheduler.of_name alg) in
+        let name = Printf.sprintf "%s %s %s" host fault alg in
+        Alcotest.(check string)
+          (name ^ ": plan digest") digest
+          (Digest.to_hex (Digest.string (Sched.Schedule_serial.to_string s)));
+        check_int (name ^ ": total") total
+          (Sched.Schedule.cost s trace).Sched.Schedule.total
+      end)
+    golden_plans
+
 let suite =
   [
+    Gen.case "golden LU 16 plans, 16x16 mesh" (test_golden_plans "mesh");
+    Gen.case "golden LU 16 plans, 16x16 torus" (test_golden_plans "torus");
     Gen.case "identical windows merge" test_identical_windows_merge;
     Gen.case "opposed windows stay apart" test_opposed_windows_stay_apart;
     Gen.case "unreferenced datum empty" test_unreferenced_datum_empty_partition;

@@ -673,6 +673,38 @@ let stat t k =
   | Obs.Json.Obj fields -> List.assoc_opt k fields
   | _ -> Alcotest.fail "stats is not an object"
 
+(* One warm single-mesh session carried through a chain of fault
+   patches (none, seeded node faults 1 and 2, none again, seed 3) answers
+   every grouped request byte for byte like a cold session opened on the
+   request's own fault. *)
+let test_serve_warm_fault_chain () =
+  let line id alg fault =
+    Printf.sprintf
+      {|{"id":%d,"workload":"1","size":16,"mesh":{"rows":16,"cols":16},"algorithm":"%s"%s}|}
+      id alg
+      (match fault with
+      | None -> ""
+      | Some seed ->
+          Printf.sprintf {|,"fault":{"seed":%d,"node_rate":0.05}|} seed)
+  in
+  let t = fresh () in
+  let id = ref 0 in
+  List.iter
+    (fun fault ->
+      List.iter
+        (fun alg ->
+          incr id;
+          let l = line !id alg fault in
+          Alcotest.(check string)
+            (Printf.sprintf "request %d: warm = cold" !id)
+            (Server.handle_line (fresh ()) l)
+            (Server.handle_line t l))
+        [ "lomcds-grouped"; "gomcds-grouped" ])
+    [ None; Some 1; Some 2; None; Some 3 ];
+  Alcotest.(check bool)
+    "every request after the first served warm" true
+    (stat t "warm_sessions" = Some (Obs.Json.Int (!id - 1)))
+
 let test_serve_warm_groups () =
   let line ?(extra = "") id alg =
     Printf.sprintf
@@ -1200,6 +1232,7 @@ let suite =
     Gen.case "bad requests" test_bad_requests;
     Gen.case "shutdown" test_shutdown;
     Gen.case "solve response shape" test_solve_response_shape;
+    Gen.case "warm fault chain = cold sessions" test_serve_warm_fault_chain;
     Gen.case "differential vs one-shot (kernels x faults x jobs)"
       test_differential;
     Gen.case "inline trace matches generated" test_inline_trace;
