@@ -15,8 +15,8 @@ type 'vec ops = {
 }
 
 (* Vector ops whose [best] skips dead ranks (ties still break to the
-   lowest alive rank) — the degraded-context currency: session rows are
-   already fault-priced, only center choice needs the mask. *)
+   lowest alive rank) — the link-faulted context's currency: its rows are
+   BFS-priced, only center choice needs the mask. *)
 let masked_vector_ops alive =
   {
     copy = Array.copy;
@@ -30,15 +30,24 @@ let masked_vector_ops alive =
         (!best, v.(!best)));
   }
 
-(* {!Cost.argmin_of_marginals} takes the lowest row-major rank among
-   the minimizers — the same tie order as an ascending scan of the full
-   vector. *)
-let marginal_ops ~wrap =
+(* Marginal pairs, priced as the axis-sum row they span. The masked
+   {!Pathgraph.Layered.argmin} takes the lowest admitted rank among the
+   minimizers (the axis minima when [admit] lets them in) — the same tie
+   order as an ascending scan of the full vector over alive ranks. Node
+   faults keep routers, so they only add the mask. *)
+let marginal_ops ?admit ~wrap () =
   let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i)) in
   {
     copy = (fun (mx, my) -> (Array.copy mx, Array.copy my));
     join = (fun (ax, ay) (bx, by) -> (sum ax bx, sum ay by));
-    best = Cost.argmin_of_marginals ~wrap;
+    best =
+      (fun (mx, my) ->
+        let row =
+          Pathgraph.Layered.Axis_sum
+            (Cost.axis_cost ~wrap mx, Cost.axis_cost ~wrap my)
+        in
+        let c = Pathgraph.Layered.argmin ?admit row in
+        (c, Pathgraph.Layered.entry row c));
   }
 
 (* Greedy partition of the referenced-window subsequence, following
@@ -164,10 +173,10 @@ let to_groups indices ranges =
 
 let groups problem ~data ~centers =
   let dist = Problem.distance problem in
-  if not (Pim.Fault.is_none (Problem.fault problem)) then begin
-    (* Degraded context: run the vector path — the session rows carry
-       the fault-aware prices (marginal pricing would ignore dead links),
-       and the masked ops keep centers off dead ranks. *)
+  if Pim.Fault.has_link_faults (Problem.fault problem) then begin
+    (* Link-faulted context: run the vector path — the session rows carry
+       the BFS prices (marginal pricing would ignore dead links), and the
+       masked ops keep centers off dead ranks. *)
     let alive = Problem.rank_alive problem in
     let indices, vectors = referenced_vectors problem ~data in
     match Array.length vectors with
@@ -184,13 +193,16 @@ let groups problem ~data ~centers =
         to_groups indices ranges
   end
   else begin
+    (* healthy or node-faulted: distances are the mesh's, so marginals
+       price every merge and only center choice skips dead ranks *)
     let wrap = Pim.Mesh.wraps (Problem.mesh problem) in
+    let admit = Option.map (fun row -> row 0) (Problem.alive_admit problem) in
     let indices, margs = referenced_marginals problem ~data in
     match Array.length margs with
     | 0 -> []
     | n ->
         let ranges =
-          greedy_ranges ~ops:(marginal_ops ~wrap) ~dist
+          greedy_ranges ~ops:(marginal_ops ?admit ~wrap ()) ~dist
             ~items:margs ~n
         in
         let ranges =
@@ -320,11 +332,11 @@ let desired_trajectory ~n_windows groups =
 let run_with_partitions problem ~partition_of =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
-  (* The degraded context's vector pricing reads whole rows per datum;
-     build them on the pool up front so the per-datum partition tasks
-     below only read. The healthy path prices from marginals alone and
-     never builds a row. *)
-  if not (Pim.Fault.is_none (Problem.fault problem)) then
+  (* The link-faulted context's vector pricing reads whole rows per
+     datum; build them on the pool up front so the per-datum partition
+     tasks below only read. Healthy and node-faulted contexts price from
+     marginals alone and never build a row. *)
+  if Pim.Fault.has_link_faults (Problem.fault problem) then
     Problem.prefetch_all problem;
   (* parallel phase: each datum's partition (and the cost vectors it pulls
      in) is independent of every other datum's *)
@@ -359,28 +371,22 @@ let run_with_partitions problem ~partition_of =
       schedule
   | Problem.Bounded _ ->
       Problem.check_feasible problem ~who:"Grouping.schedule";
-      (* Per-window repair: place each datum as close as possible to its
-         desired center, heavier data first — serial, like every
-         capacity-allocation loop. *)
+      (* Per-window repair: place each datum on the nearest rank with
+         room to its desired center, heavier data first (ties by datum)
+         — serial, like every capacity-allocation loop. *)
       let current = Array.make n_data (-1) in
       for w = 0 to n_windows - 1 do
         let window = Problem.window problem w in
         let memory = Problem.fresh_memory problem in
-        let order =
-          List.init n_data Fun.id
-          |> List.sort (fun a b ->
-                 let r d = Reftrace.Window.references window d in
-                 let cmp = Int.compare (r b) (r a) in
-                 if cmp <> 0 then cmp else Int.compare a b)
-        in
-        List.iter
+        let refs = Array.init n_data (Reftrace.Window.references window) in
+        let order = Array.init n_data Fun.id in
+        Array.stable_sort (fun a b -> Int.compare refs.(b) refs.(a)) order;
+        Array.iter
           (fun data ->
             let target = desired.(data).(w) in
-            let rank =
-              Processor_list.assign memory
-                (Problem.ranks_near problem ~target)
-            in
-            current.(data) <- rank)
+            current.(data) <-
+              Processor_list.place memory
+                (Problem.distance_row problem ~target))
           order;
         Array.iteri
           (fun data rank ->

@@ -27,9 +27,12 @@ type group = {
 }
 
 (** [groups problem ~data ~centers] runs the greedy Algorithm 3 for one
-    datum on a shared {!Problem.t} (cost vectors cached, distances from the
-    table) and returns its groups in execution order; the empty list when
-    the datum is never referenced. *)
+    datum on a shared {!Problem.t} and returns its groups in execution
+    order; the empty list when the datum is never referenced. A healthy
+    or node-faulted session prices merges from cached axis marginals (dead
+    ranks masked out of center choice, ties to the lowest alive rank);
+    under link faults, whose distances do not split per axis, from the
+    session's cost vectors. *)
 val groups :
   Problem.t -> data:int -> centers:center_policy -> group list
 
@@ -43,9 +46,11 @@ val refine_centers : Problem.t -> Problem.row array -> int array
 
 (** [schedule ?centers problem] builds the full schedule; per-datum
     partitions fan out across the context's domain pool, gaps keep data in
-    place, and a bounded policy is repaired by a serial per-window
-    processor-list pass that keeps each datum as close to its desired
-    center as possible — identical output at every [jobs] setting.
+    place, and a bounded policy is repaired by a serial per-window pass,
+    heaviest datum first, that puts each datum on the nearest rank with
+    room to its desired center (ties to the lower rank; one
+    {!Processor_list.place} over {!Problem.distance_row}) — identical
+    output at every [jobs] setting.
     [centers] defaults to [`Local].
     @raise Invalid_argument if the capacity policy is infeasible. *)
 val schedule : ?centers:center_policy -> Problem.t -> Schedule.t

@@ -18,10 +18,10 @@ let first_reference_window problem =
   done;
   first
 
-(* Vector-free unbounded walk: with infinite memories [assign] always
-   takes the head of the processor list — the lowest-rank cost argmin —
-   so every placement is an [optimal_center] probe and no cost vector is
-   ever materialized. Placements are byte-identical to the bounded walk
+(* Vector-free unbounded walk: with infinite memories every rank has
+   room, so [Processor_list.place] would take the row's lowest-rank
+   argmin — every placement is an [optimal_center] probe and no cost
+   vector is ever materialized. Placements are byte-identical to the bounded walk
    below with room everywhere (the argmin tie order matches the list
    head; pinned by test/test_fastpath.ml). *)
 let schedule_unbounded problem schedule first =

@@ -50,7 +50,6 @@ type t = {
      clean-to-stale step, [problem.rows_refilled] each rebuild). *)
   stale : Bytes.t array;
   opts : int array array; (* optimal centers; -1 = not computed yet *)
-  near : int list option array; (* near.(target): serial phases only *)
   mutable order : int list option; (* serial phases only *)
   (* Cooperative cancellation: polled at the cache funnels below.
      [Cancel.none] (the default) makes every poll a pointer compare; an
@@ -133,7 +132,6 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     rows = Array.init n_data (fun _ -> Array.make cells None);
     stale = Array.init n_data (fun _ -> Bytes.make cells '\000');
     opts = Array.init n_data (fun _ -> Array.make cells (-1));
-    near = Array.make size None;
     order = None;
     cancel = Cancel.none;
   }
@@ -324,23 +322,16 @@ let optimal_center t ~window ~data =
     c
   end
 
-(* Dead ranks are cut out of the fallback order — the same fallback
-   machinery that skips full memories then never proposes them. *)
-let ranks_near t ~target =
-  match t.near.(target) with
-  | Some l -> l
-  | None ->
-      let l =
-        List.init t.ctx.Context.size Fun.id
-        |> List.filter (rank_alive t)
-        |> List.sort (fun a b ->
-               let c =
-                 Int.compare (distance t target a) (distance t target b)
-               in
-               if c <> 0 then c else Int.compare a b)
+(* The metric from [target] as a row: per-axis hop counts on the mesh's
+   shape, or the BFS table's own row under link faults. *)
+let distance_row t ~target =
+  match t.relax with
+  | Pathgraph.Layered.Table { dist; _ } -> Full dist.(target)
+  | Axes { cols; rows; wrap } ->
+      let hops extent a =
+        Array.init extent (Pim.Mesh.axis_hops ~wrap ~extent a)
       in
-      t.near.(target) <- Some l;
-      l
+      Axis_sum (hops cols (target mod cols), hops rows (target / cols))
 
 let by_total_references t =
   match t.order with
@@ -555,8 +546,7 @@ let with_fault_patch t fault =
       rows;
       stale;
       opts;
-      near = Array.make size None;
-    }
+      }
   end
 
 (* Per datum, [f] on every window that references it — or on the merged

@@ -18,9 +18,10 @@
       is window index {!n_windows}: one more column of the same caches;
     - per-(datum, window) axis marginals and optimal centers, filled
       lazily and kept for every later algorithm, sweep or refinement pass
-      on the same instance. No processor list is ever stored: a bounded
-      scheduler takes the list's head with room straight off the cached
-      row ({!Processor_list.choose});
+      on the same instance. No processor list is ever stored, nor any
+      per-target order: a bounded scheduler takes the list's head with
+      room straight off the cached row ({!Processor_list.choose}), and
+      the grouping repair off {!distance_row};
     - a [jobs] knob sizing the {!Engine} domain pool used to fill those
       caches and to fan independent per-datum work out across cores.
 
@@ -266,10 +267,12 @@ val layer_rows : t -> data:int -> row array
     one ascending scan over alive ranks otherwise. *)
 val optimal_center : t -> window:int -> data:int -> int
 
-(** [ranks_near t ~target] is every rank sorted by distance from [target]
-    (ties by rank), cached — the grouping repair's fallback order. Serial
-    phases only: the cache row is not per-datum. *)
-val ranks_near : t -> target:int -> int list
+(** [distance_row t ~target] is {!distance} from [target] to every rank,
+    as a row: [Axis_sum] of per-axis hop counts on a healthy or
+    node-faulted session, the BFS table's own row ([Full], shared: do not
+    mutate) under link faults. {!Processor_list.place} over it is the
+    grouping repair's nearest-rank-with-room fallback. *)
+val distance_row : t -> target:int -> row
 
 (** [by_total_references t] is {!Ordering.by_total_references} served from
     the cached merged window — the canonical heaviest-first assignment

@@ -1,7 +1,7 @@
 (* The list head with room, without the list: [Memory.admit_row] is the
    free-slot mask (banned ranks included), and the lowest-(cost, rank)
-   admitted entry of the row is where [first_available] over the full
-   sorted list would stop. *)
+   admitted entry of the row is where a walk of the full sorted list
+   would stop. *)
 let choose memory row =
   match Pathgraph.Layered.argmin ~admit:(Pim.Memory.admit_row memory) row with
   | -1 -> None
@@ -16,11 +16,3 @@ let place memory row =
   match choose memory row with
   | Some rank -> take memory rank
   | None -> failwith "Processor_list.place: every processor is full"
-
-let first_available memory list =
-  List.find_opt (fun rank -> not (Pim.Memory.is_full memory rank)) list
-
-let assign memory list =
-  match first_available memory list with
-  | Some rank -> take memory rank
-  | None -> failwith "Processor_list.assign: all candidate processors full"

@@ -7,7 +7,10 @@
     so the cost-row form never builds the list: the head with room is
     the lowest-(cost, rank) rank whose memory has a free slot, one masked
     {!Pathgraph.Layered.argmin} over the row. Dead processors are banned
-    in the memory ({!Pim.Memory.ban}), so the same mask skips them. *)
+    in the memory ({!Pim.Memory.ban}), so the same mask skips them. The
+    row may be any row ranks are sorted by: a cost row for SCDS and LOMCDS,
+    {!Problem.distance_row} for the grouping repair's nearest rank with
+    room. The full sorted lists live in the test oracle only. *)
 
 (** [choose memory row] is the first rank with a free slot in [row]'s
     processor list, or [None] when every memory is full — without
@@ -19,13 +22,3 @@ val choose : Pim.Memory.t -> Pathgraph.Layered.row -> int option
     it. @raise Failure if every memory is full (cannot happen when total
     data ≤ capacity × alive processors). *)
 val place : Pim.Memory.t -> Pathgraph.Layered.row -> int
-
-(** [first_available memory list] is the first rank in an explicit
-    [list] with a free slot — without allocating. [None] if every listed
-    rank is full. *)
-val first_available : Pim.Memory.t -> int list -> int option
-
-(** [assign memory list] allocates a slot at the first available rank of
-    an explicit [list] and returns it. @raise Failure if every rank in
-    [list] is full. *)
-val assign : Pim.Memory.t -> int list -> int

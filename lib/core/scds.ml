@@ -2,12 +2,11 @@ let placement problem =
   Problem.check_feasible problem ~who:"Scds.schedule";
   match Problem.policy problem with
   | Problem.Unbounded ->
-      (* Vector-free fast path: with unbounded memories [assign] always
-         takes the head of the processor list, which is exactly the
-         lowest-rank cost argmin — so each datum's center is
-         the merged window's [optimal_center] (the axis minima of its
-         O(cols + rows) row under the separable kernel), no candidate list
-         needed. Per-datum
+      (* Vector-free fast path: with unbounded memories every rank has
+         room, so [Processor_list.place] would take the row's lowest-rank
+         argmin — so each datum's center is the merged window's
+         [optimal_center] (the axis minima of its O(cols + rows) row
+         under the separable kernel), no memory tracker needed. Per-datum
          and order-free, so it fans out across the pool. *)
       Engine.map ~jobs:(Problem.jobs problem) (Problem.n_data problem)
         (fun data ->

@@ -103,9 +103,11 @@ val handle_line : t -> string -> string
 val stopping : t -> bool
 
 (** [stats_json t] is the same object a [stats] op returns. Beside the
-    counters and cache sizes it holds a [heap] object from
-    [Gc.quick_stat]: [heap_words], [top_heap_words], [minor_words],
-    [minor_collections] and [major_collections]. *)
+    counters and cache sizes it holds a [heap] object: [minor_words]
+    from [Gc.minor_words], current for the calling domain, and
+    [heap_words], [top_heap_words], [minor_collections] and
+    [major_collections] from [Gc.quick_stat], which samples them as
+    major cycles end, so they lag the heap. *)
 val stats_json : t -> Obs.Json.t
 
 (** [run t ~input ~output] is the daemon loop: block for a request line

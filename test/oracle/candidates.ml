@@ -142,3 +142,29 @@ let prefetch_merged t =
   Sched.Engine.iter ~jobs:(Sched.Problem.jobs p) (Sched.Problem.n_data p)
     (fun data ->
       ignore (candidates t ~window:(Sched.Problem.n_windows p) ~data))
+
+(* ---- explicit lists: the head with room, and the nearest-rank order ---- *)
+
+(* the first rank of an explicit list with a free slot, without
+   allocating *)
+let first_available memory list =
+  List.find_opt (fun rank -> not (Pim.Memory.is_full memory rank)) list
+
+(* allocate at [first_available] *)
+let assign memory list =
+  match first_available memory list with
+  | Some rank ->
+      let ok = Pim.Memory.allocate memory rank in
+      assert ok;
+      rank
+  | None -> failwith "Candidates.assign: all candidate processors full"
+
+(* Every alive rank sorted by the session's distance from [target], ties
+   by rank — the order Grouping's bounded repair once walked. *)
+let ranks_near problem ~target =
+  List.init (Pim.Mesh.size (Sched.Problem.mesh problem)) Fun.id
+  |> List.filter (Sched.Problem.rank_alive problem)
+  |> List.sort (fun a b ->
+         let d r = Sched.Problem.distance problem target r in
+         let c = Int.compare (d a) (d b) in
+         if c <> 0 then c else Int.compare a b)

@@ -1,16 +1,18 @@
 (* The vector-priced greedy of Algorithm 3, kept verbatim as the oracle
    the marginal-priced [Sched.Grouping.groups] is pinned against on
-   healthy sessions: every group's running cost state is a full cost
-   vector, summed entry by entry, and its center the vector's ascending
-   argmin. [`Global] centers go through the production
-   [Sched.Grouping.refine_centers]. Verbatim, instrumentation aside. *)
+   healthy and node-faulted sessions: every group's running cost state
+   is a full cost vector, summed entry by entry, and its center the
+   vector's ascending argmin over alive ranks. [`Global] centers go
+   through the production [Sched.Grouping.refine_centers]. Verbatim,
+   instrumentation aside. *)
 
 module Problem = Sched.Problem
 
-let argmin v =
-  let best = ref 0 in
-  for i = 1 to Array.length v - 1 do
-    if v.(i) < v.(!best) then best := i
+(* lowest alive rank of least cost *)
+let argmin alive v =
+  let best = ref (-1) in
+  for i = 0 to Array.length v - 1 do
+    if alive i && (!best < 0 || v.(i) < v.(!best)) then best := i
   done;
   !best
 
@@ -20,13 +22,13 @@ type 'vec ops = {
   best : 'vec -> int * int;  (* (lowest-rank argmin center, its cost) *)
 }
 
-let vector_ops =
+let vector_ops alive =
   {
     copy = Array.copy;
     join = (fun a b -> Array.init (Array.length a) (fun i -> a.(i) + b.(i)));
     best =
       (fun v ->
-        let c = argmin v in
+        let c = argmin alive v in
         (c, v.(c)));
   }
 
@@ -123,7 +125,8 @@ let groups problem ~data ~centers =
   match Array.length vectors with
   | 0 -> []
   | n ->
-      let ranges = greedy_ranges ~ops:vector_ops ~dist ~items:vectors ~n in
+      let ops = vector_ops (Problem.rank_alive problem) in
+      let ranges = greedy_ranges ~ops ~dist ~items:vectors ~n in
       let ranges =
         match centers with
         | `Local -> ranges

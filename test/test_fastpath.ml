@@ -82,7 +82,7 @@ let prop_arena_matches_per_array_vectors mesh label =
                                 ~data c
                               = oracle.(c)))
                  && head_with_room problem ~window:w ~data
-                    = Sched.Processor_list.first_available
+                    = Oracle.Candidates.first_available
                         (Sched.Problem.fresh_memory problem)
                         (Oracle.Candidates.of_cost_vector oracle)))
         (List.init (Sched.Problem.n_data problem) Fun.id))
@@ -880,7 +880,7 @@ module Pre_port = struct
               let candidates = Oracle.Candidates.for_data mesh window ~data in
               let best =
                 match
-                  Sched.Processor_list.first_available memory candidates
+                  Oracle.Candidates.first_available memory candidates
                 with
                 | Some rank -> rank
                 | None -> here
@@ -1159,7 +1159,7 @@ let prop_merged_matches mesh label =
           && Sched.Problem.optimal_center problem ~window ~data
              = vector_argmin oracle
           && head_with_room problem ~window ~data
-             = Sched.Processor_list.first_available
+             = Oracle.Candidates.first_available
                  (Sched.Problem.fresh_memory problem)
                  (Oracle.Candidates.of_cost_vector oracle))
         (List.init (Sched.Problem.n_data problem) Fun.id))

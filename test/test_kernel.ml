@@ -137,7 +137,7 @@ let rows_match_oracle problem =
           let v = Oracle.Cost_naive.cost_vector mesh window ~data in
           Sched.Processor_list.choose memory
             (Sched.Problem.row problem ~window:w ~data)
-          = Sched.Processor_list.first_available memory (candidates v)
+          = Oracle.Candidates.first_available memory (candidates v)
           && Sched.Problem.optimal_center problem ~window:w ~data
              = oracle_center alive v
           && Sched.Problem.cost_vector problem ~window:w ~data = v)
@@ -195,6 +195,31 @@ let prop_grouping_matches_vector_greedy =
     ~name:"marginal-priced grouping = vector-priced greedy oracle" ~count:100
     instance_arbitrary (fun (mesh, trace) ->
       let problem = Sched.Problem.create mesh trace in
+      List.for_all
+        (fun data ->
+          List.for_all
+            (fun centers ->
+              Sched.Grouping.groups problem ~data ~centers
+              = Oracle.Grouping.groups problem ~data ~centers)
+            [ `Local; `Global ])
+        (List.init (Sched.Problem.n_data problem) Fun.id))
+
+(* Node faults keep distances, so the marginal-priced greedy runs on a
+   node-faulted session too, its centers masked to alive ranks: group for
+   group it equals the vector-priced oracle with the alive-masked argmin,
+   under both center policies, on a mesh and a torus. *)
+let prop_grouping_node_faults (label, mesh, dead) =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "node-faulted grouping = masked vector greedy, %s" label)
+    ~count:50
+    (Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:5 ~max_count:3 ())
+    (fun trace ->
+      let problem =
+        Sched.Problem.create
+          ~fault:(Pim.Fault.create ~dead_nodes:dead ())
+          mesh trace
+      in
       List.for_all
         (fun data ->
           List.for_all
@@ -359,6 +384,9 @@ let suite =
     Gen.to_alcotest prop_grouping_matches_vector_greedy;
     Gen.to_alcotest prop_problem_path_cost_matches_cost;
   ]
+  @ List.map
+      (fun m -> Gen.to_alcotest (prop_grouping_node_faults m))
+      session_meshes
   @ List.concat_map
       (fun kind ->
         List.map

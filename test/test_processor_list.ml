@@ -19,18 +19,18 @@ let test_first_available_skips_full () =
   ignore (Pim.Memory.allocate memory 4);
   Alcotest.(check (option int))
     "skips full head" (Some 7)
-    (Sched.Processor_list.first_available memory [ 4; 7; 2 ]);
+    (Oracle.Candidates.first_available memory [ 4; 7; 2 ]);
   Alcotest.(check (option int))
     "none" None
-    (Sched.Processor_list.first_available memory [ 4 ])
+    (Oracle.Candidates.first_available memory [ 4 ])
 
 let test_assign_allocates () =
   let memory = Pim.Memory.create mesh ~capacity:1 in
-  check_int "first" 4 (Sched.Processor_list.assign memory [ 4; 7 ]);
-  check_int "then next" 7 (Sched.Processor_list.assign memory [ 4; 7 ]);
+  check_int "first" 4 (Oracle.Candidates.assign memory [ 4; 7 ]);
+  check_int "then next" 7 (Oracle.Candidates.assign memory [ 4; 7 ]);
   Alcotest.check_raises "exhausted"
-    (Failure "Processor_list.assign: all candidate processors full")
-    (fun () -> ignore (Sched.Processor_list.assign memory [ 4; 7 ]))
+    (Failure "Candidates.assign: all candidate processors full")
+    (fun () -> ignore (Oracle.Candidates.assign memory [ 4; 7 ]))
 
 let prop_full_list_always_assignable =
   QCheck.Test.make ~name:"complete list always assigns under headroom"
@@ -43,7 +43,7 @@ let prop_full_list_always_assignable =
       (* every datum finds a slot when capacity * procs >= n_data *)
       List.for_all
         (fun _ ->
-          match Sched.Processor_list.first_available memory complete with
+          match Oracle.Candidates.first_available memory complete with
           | Some rank -> Pim.Memory.allocate memory rank
           | None -> false)
         (List.init n_data Fun.id))
@@ -135,10 +135,75 @@ let prop_choose_is_list_head =
             (fun window ->
               Sched.Processor_list.choose memory
                 (Sched.Problem.row problem ~window ~data)
-              = Sched.Processor_list.first_available memory
+              = Oracle.Candidates.first_available memory
                   (Oracle.Candidates.candidates lists ~window ~data))
             (List.init (Sched.Problem.n_windows problem + 1) Fun.id))
         (List.init (Sched.Problem.n_data problem) Fun.id))
+
+(* The grouping repair's fallback order without the list: every entry
+   of [distance_row] is the session's distance from the target, and
+   [place] over it lands where the oracle's nearest-rank list (alive
+   ranks sorted by (distance, rank)) first has room. Placements run in
+   sequence from the same random occupancy in two trackers, so every
+   step sees the occupancy the previous placements left, until the
+   memories fill. Healthy, node faults and node plus link faults, on a
+   mesh, a torus and a line. *)
+let prop_distance_row_place =
+  let meshes =
+    [| Gen.mesh44; Pim.Mesh.torus ~rows:3 ~cols:5; Pim.Mesh.create ~rows:1 ~cols:7 |]
+  in
+  QCheck.Test.make ~name:"place over distance_row = oracle ranks_near head"
+    ~count:200
+    QCheck.(
+      triple (int_range 0 2) (int_range 0 2) (pair small_nat (int_range 1 3)))
+    (fun (mode, m, (seed, capacity)) ->
+      let mesh = meshes.(m) in
+      let rng = Random.State.make [| seed |] in
+      let trace =
+        QCheck.Gen.generate1 ~rand:rng
+          (Gen.trace_gen ~mesh ~max_data:5 ~max_windows:3 ~max_count:4 ())
+      in
+      let fault =
+        match mode with
+        | 0 -> Pim.Fault.none
+        | 1 -> Pim.Fault.inject ~seed ~node_rate:0.3 ~link_rate:0. mesh
+        | _ -> Pim.Fault.inject ~seed ~node_rate:0.3 ~link_rate:0.2 mesh
+      in
+      let problem =
+        Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~fault
+          mesh trace
+      in
+      let size = Pim.Mesh.size mesh in
+      let rows_agree =
+        List.for_all
+          (fun target ->
+            let row = Sched.Problem.distance_row problem ~target in
+            List.for_all
+              (fun r ->
+                Pathgraph.Layered.entry row r
+                = Sched.Problem.distance problem target r)
+              (List.init size Fun.id))
+          (List.init size Fun.id)
+      in
+      let memory = Sched.Problem.fresh_memory problem in
+      let oracle = Sched.Problem.fresh_memory problem in
+      for rank = 0 to size - 1 do
+        for _ = 1 to Random.State.int rng (capacity + 1) do
+          ignore (Pim.Memory.allocate memory rank);
+          ignore (Pim.Memory.allocate oracle rank)
+        done
+      done;
+      let rec placements ok =
+        let target = Random.State.int rng size in
+        let row = Sched.Problem.distance_row problem ~target in
+        let near = Oracle.Candidates.ranks_near problem ~target in
+        match Sched.Processor_list.choose memory row with
+        | None -> ok && Oracle.Candidates.first_available oracle near = None
+        | Some _ ->
+            let placed = Sched.Processor_list.place memory row in
+            placements (ok && placed = Oracle.Candidates.assign oracle near)
+      in
+      rows_agree && placements true)
 
 (* Through a chain of fault patches (more dead nodes, then dead links),
    the oracle's carried lists equal lists built fresh on the patched
@@ -178,7 +243,7 @@ let prop_patched_lists =
             carried = Oracle.Candidates.candidates fresh ~window ~data
             && Sched.Processor_list.choose memory
                  (Sched.Problem.row p ~window ~data)
-               = Sched.Processor_list.first_available memory carried)
+               = Oracle.Candidates.first_available memory carried)
           (cells p)
       in
       let faults =
@@ -209,5 +274,6 @@ let suite =
     Gen.case "place allocates at the cheapest free rank" test_place_allocates;
     Gen.to_alcotest prop_choose_is_list_head;
     Gen.to_alcotest prop_patched_lists;
+    Gen.to_alcotest prop_distance_row_place;
     Gen.to_alcotest prop_full_list_always_assignable;
   ]

@@ -1204,6 +1204,25 @@ let test_stats_heap () =
       | _ -> Alcotest.fail "stats response has no result")
   | _ -> Alcotest.fail "stats response is not an object"
 
+(* [minor_words] is current: it rises across one solve on a fresh
+   server, with no major cycle needed to publish it. *)
+let test_stats_minor_words_current () =
+  let t = fresh () in
+  let minor_words () =
+    match Server.stats_json t with
+    | Obs.Json.Obj fields -> (
+        match List.assoc_opt "heap" fields with
+        | Some (Obs.Json.Obj h) -> (
+            match List.assoc_opt "minor_words" h with
+            | Some (Obs.Json.Int n) -> n
+            | _ -> Alcotest.fail "heap has no int minor_words")
+        | _ -> Alcotest.fail "stats has no heap object")
+    | _ -> Alcotest.fail "stats is not an object"
+  in
+  let before = minor_words () in
+  ignore (Server.handle_line t {|{"id":1,"workload":"1","size":8}|});
+  Alcotest.(check bool) "minor_words rose" true (minor_words () > before)
+
 (* ---- chaos smoke (library-level, small instances) ---- *)
 
 let test_chaos_small () =
@@ -1267,6 +1286,7 @@ let suite =
     Gen.case "stats counters = Obs serve.* counters"
       test_stats_counters_match_obs;
     Gen.case "stats reports the heap" test_stats_heap;
+    Gen.case "stats minor_words is current" test_stats_minor_words_current;
     Gen.case "chaos episodes (small script)" test_chaos_small;
     Gen.case "kernel field: naive refused, separable accepted"
       test_kernel_field;
