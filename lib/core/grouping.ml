@@ -137,33 +137,17 @@ let refine_ranges problem ~row_of ranges =
   let centers = refine_centers problem rows in
   List.mapi (fun i (lo, hi, v, _) -> (lo, hi, v, centers.(i))) ranges
 
-(* Referenced-window subsequence of one datum: window indices plus their
-   (cached, fault-priced) cost vectors. *)
-let referenced_vectors problem ~data =
+(* Referenced-window subsequence of one datum: window indices plus each
+   window's cached pricing input, [get ~window ~data] — fault-priced cost
+   vectors or axis marginals. *)
+let referenced problem ~data get =
   let indices = ref [] in
   for w = Problem.n_windows problem - 1 downto 0 do
     if Reftrace.Window.references (Problem.window problem w) data > 0 then
       indices := w :: !indices
   done;
   let indices = Array.of_list !indices in
-  let vectors =
-    Array.map (fun w -> Problem.cost_vector problem ~window:w ~data) indices
-  in
-  (indices, vectors)
-
-(* Referenced-window subsequence as (cached) marginal pairs — the separable
-   kernel's pricing inputs. *)
-let referenced_marginals problem ~data =
-  let indices = ref [] in
-  for w = Problem.n_windows problem - 1 downto 0 do
-    if Reftrace.Window.references (Problem.window problem w) data > 0 then
-      indices := w :: !indices
-  done;
-  let indices = Array.of_list !indices in
-  let margs =
-    Array.map (fun w -> Problem.marginals problem ~window:w ~data) indices
-  in
-  (indices, margs)
+  (indices, Array.map (fun window -> get ~window ~data) indices)
 
 let to_groups indices ranges =
   List.map
@@ -178,7 +162,9 @@ let groups problem ~data ~centers =
        the BFS prices (marginal pricing would ignore dead links), and the
        masked ops keep centers off dead ranks. *)
     let alive = Problem.rank_alive problem in
-    let indices, vectors = referenced_vectors problem ~data in
+    let indices, vectors =
+      referenced problem ~data (Problem.cost_vector problem)
+    in
     match Array.length vectors with
     | 0 -> []
     | n ->
@@ -197,7 +183,9 @@ let groups problem ~data ~centers =
        price every merge and only center choice skips dead ranks *)
     let wrap = Pim.Mesh.wraps (Problem.mesh problem) in
     let admit = Option.map (fun row -> row 0) (Problem.alive_admit problem) in
-    let indices, margs = referenced_marginals problem ~data in
+    let indices, margs =
+      referenced problem ~data (Problem.marginals problem)
+    in
     match Array.length margs with
     | 0 -> []
     | n ->
@@ -294,7 +282,9 @@ let optimal_ranges ?(ok = fun _ -> true) ~dist ~vectors ~n () =
   (dp.(n - 1).(!final_center), rebuild (n - 1) !final_center [])
 
 let optimal_groups problem ~data =
-  let indices, vectors = referenced_vectors problem ~data in
+  let indices, vectors =
+    referenced problem ~data (Problem.cost_vector problem)
+  in
   match Array.length vectors with
   | 0 -> []
   | n ->
@@ -375,6 +365,10 @@ let run_with_partitions problem ~partition_of =
          room to its desired center, heavier data first (ties by datum)
          — serial, like every capacity-allocation loop. *)
       let current = Array.make n_data (-1) in
+      let near =
+        Array.init (Pim.Mesh.size (Problem.mesh problem)) (fun target ->
+            lazy (Problem.distance_row problem ~target))
+      in
       for w = 0 to n_windows - 1 do
         let window = Problem.window problem w in
         let memory = Problem.fresh_memory problem in
@@ -385,8 +379,7 @@ let run_with_partitions problem ~partition_of =
           (fun data ->
             let target = desired.(data).(w) in
             current.(data) <-
-              Processor_list.place memory
-                (Problem.distance_row problem ~target))
+              Processor_list.place memory (Lazy.force near.(target)))
           order;
         Array.iteri
           (fun data rank ->

@@ -56,7 +56,8 @@ let unmasked_argmin row =
 
 (* The unmasked argmin is the lowest (cost, node) of all, so when it is
    admitted it is the answer; otherwise one ascending scan over the
-   admitted nodes, strict [<] keeping the lowest node of a tie. *)
+   admitted nodes, strict [<] keeping the lowest node of a tie. Plain
+   loops, no closure: this scan is every bounded placement's fallback. *)
 let argmin ?admit row =
   let g = unmasked_argmin row in
   match admit with
@@ -64,22 +65,30 @@ let argmin ?admit row =
   | Some a when Bytes.get a g <> '\000' -> g
   | Some a ->
       let best = ref (-1) and best_cost = ref max_int in
-      let consider g c =
-        if c < !best_cost && Bytes.get a g <> '\000' then begin
-          best := g;
-          best_cost := c
-        end
-      in
       (match row with
-      | Full v -> Array.iteri consider v
+      | Full v ->
+          for j = 0 to Array.length v - 1 do
+            if v.(j) < !best_cost && Bytes.get a j <> '\000' then begin
+              best := j;
+              best_cost := v.(j)
+            end
+          done
       | Axis_sum (cx, cy) ->
+          (* a line whose cheapest node cannot beat the best is skipped *)
           let cols = Array.length cx in
-          Array.iteri
-            (fun y dy ->
+          let min_cx = cx.(g mod cols) in
+          for y = 0 to Array.length cy - 1 do
+            let dy = cy.(y) in
+            if dy + min_cx < !best_cost then
               for x = 0 to cols - 1 do
-                consider ((y * cols) + x) (cx.(x) + dy)
-              done)
-            cy);
+                let c = cx.(x) + dy in
+                if c < !best_cost && Bytes.get a ((y * cols) + x) <> '\000'
+                then begin
+                  best := (y * cols) + x;
+                  best_cost := c
+                end
+              done
+          done);
       !best
 
 (* DP work counters, reported once per solve (see DESIGN.md
