@@ -21,9 +21,9 @@ let first_reference_window problem =
 (* Vector-free unbounded walk: with infinite memories every rank has
    room, so [Processor_list.place] would take the row's lowest-rank
    argmin — every placement is an [optimal_center] probe and no cost
-   vector is ever materialized. Placements are byte-identical to the bounded walk
-   below with room everywhere (the argmin tie order matches the list
-   head; pinned by test/test_fastpath.ml). *)
+   vector is ever materialized. Placements are byte-identical to the
+   bounded walk below with room everywhere (the argmin tie order matches
+   the list head; pinned by test/test_fastpath.ml). *)
 let schedule_unbounded problem schedule first =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in

@@ -546,7 +546,7 @@ let with_fault_patch t fault =
       rows;
       stale;
       opts;
-      }
+    }
   end
 
 (* Per datum, [f] on every window that references it — or on the merged

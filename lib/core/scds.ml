@@ -3,8 +3,8 @@ let placement problem =
   match Problem.policy problem with
   | Problem.Unbounded ->
       (* Vector-free fast path: with unbounded memories every rank has
-         room, so [Processor_list.place] would take the row's lowest-rank
-         argmin — so each datum's center is the merged window's
+         room and [Processor_list.place] would take the row's lowest-rank
+         argmin, so each datum's center is the merged window's
          [optimal_center] (the axis minima of its O(cols + rows) row
          under the separable kernel), no memory tracker needed. Per-datum
          and order-free, so it fans out across the pool. *)
