@@ -201,10 +201,73 @@ let test_golden_plans host () =
       end)
     golden_plans
 
+(* Golden plans of the two grouped schedulers on the shapes where a
+   nearest-rank walk goes wrong if it goes wrong anywhere: a 4x16 mesh
+   (short columns), a 5x7 torus (odd rings on both axes) and a 1x7 line
+   (a one-wide axis), LU under the headroom-2 bound, healthy and with
+   seeded node faults. Seed 1 at rate 0.1 kills no rank of the 7-rank
+   line, so the line also runs at rate 0.3. Pinned like the 16x16
+   goldens above. *)
+let golden_small_plans =
+  [
+    ("4x16 mesh", "none", "lomcds-grouped", "1c1348f9ca0a9afff233ee2db7ee2972", 6578);
+    ("4x16 mesh", "none", "gomcds-grouped", "cf66c81f9218897e79fee2a225f6fef4", 6566);
+    ("4x16 mesh", "nodes", "lomcds-grouped", "bc6de82ce40f7fc854743b665fc9dd1a", 7367);
+    ("4x16 mesh", "nodes", "gomcds-grouped", "e761d3c39489951828bef86d634770d5", 7408);
+    ("5x7 torus", "none", "lomcds-grouped", "9abece4b2c0517669448d82298e2daa3", 1577);
+    ("5x7 torus", "none", "gomcds-grouped", "fe7f29e7c93ff576d3e7f3058481e6cd", 1559);
+    ("5x7 torus", "nodes", "lomcds-grouped", "f3d6ebbef3039f2edd0a4be3030bf11c", 1622);
+    ("5x7 torus", "nodes", "gomcds-grouped", "23dfb65fe14af9c3b2d7a65060a72dfc", 1612);
+    ("1x7 line", "none", "lomcds-grouped", "4723b93ebf19c00f1d2c7fcb128a3cf3", 310);
+    ("1x7 line", "none", "gomcds-grouped", "1806b6211fc8f1de99356654e57924b5", 310);
+    ("1x7 line", "nodes", "lomcds-grouped", "4723b93ebf19c00f1d2c7fcb128a3cf3", 310);
+    ("1x7 line", "nodes", "gomcds-grouped", "1806b6211fc8f1de99356654e57924b5", 310);
+    ("1x7 line", "nodes 0.3", "lomcds-grouped", "fa13a52441e902e9ae0a14b1de929a07", 418);
+    ("1x7 line", "nodes 0.3", "gomcds-grouped", "fa13a52441e902e9ae0a14b1de929a07", 418);
+  ]
+
+let golden_small_hosts =
+  [
+    ("4x16 mesh", (Pim.Mesh.create ~rows:4 ~cols:16, 16));
+    ("5x7 torus", (Pim.Mesh.torus ~rows:5 ~cols:7, 12));
+    ("1x7 line", (Pim.Mesh.create ~rows:1 ~cols:7, 8));
+  ]
+
+let test_golden_small_plans () =
+  List.iter
+    (fun (host, fault, alg, digest, total) ->
+      let mesh, n = List.assoc host golden_small_hosts in
+      let trace =
+        Workloads.Benchmarks.trace
+          ~partition:Workloads.Iteration_space.Block_2d Workloads.Benchmarks.B1
+          ~n mesh
+      in
+      let policy =
+        Sched.Problem.headroom_policy ~headroom:2
+          ~processors:(Pim.Mesh.size mesh) trace
+      in
+      let name = Printf.sprintf "%s %s %s" host fault alg in
+      let fault =
+        match fault with
+        | "none" -> Pim.Fault.none
+        | "nodes" -> Pim.Fault.inject ~seed:1 ~node_rate:0.1 ~link_rate:0. mesh
+        | _ -> Pim.Fault.inject ~seed:1 ~node_rate:0.3 ~link_rate:0. mesh
+      in
+      let problem = Sched.Problem.create ~policy ~fault mesh trace in
+      let s = Sched.Scheduler.solve problem (Sched.Scheduler.of_name alg) in
+      Alcotest.(check string)
+        (name ^ ": plan digest") digest
+        (Digest.to_hex (Digest.string (Sched.Schedule_serial.to_string s)));
+      check_int (name ^ ": total") total
+        (Sched.Schedule.cost s trace).Sched.Schedule.total)
+    golden_small_plans
+
 let suite =
   [
     Gen.case "golden LU 16 plans, 16x16 mesh" (test_golden_plans "mesh");
     Gen.case "golden LU 16 plans, 16x16 torus" (test_golden_plans "torus");
+    Gen.case "golden LU plans, 4x16 mesh, 5x7 torus, 1x7 line"
+      test_golden_small_plans;
     Gen.case "identical windows merge" test_identical_windows_merge;
     Gen.case "opposed windows stay apart" test_opposed_windows_stay_apart;
     Gen.case "unreferenced datum empty" test_unreferenced_datum_empty_partition;
