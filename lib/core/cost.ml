@@ -39,11 +39,12 @@ let axis_cost_line m =
    the forward side, matching min(o, E-o). Prefix sums over the doubled
    ring make both arc sums O(1) per center:
      forward(c)  = Σ_{i=c+1..c+hf} (i-c)·m(i mod E)
-     backward(c) = Σ_{i=c+E-hb..c+E-1} (c+E-i)·m(i mod E) *)
-let axis_cost_circle m =
+     backward(c) = Σ_{i=c+E-hb..c+E-1} (c+E-i)·m(i mod E)
+   [iter_circle m f] calls [f c cost(c)] for every center, ascending. *)
+let iter_circle m f =
   let e = Array.length m in
-  let dst = Array.make e 0 in
-  if e > 1 then begin
+  if e = 1 then f 0 0
+  else if e > 1 then begin
     let hf = e / 2 and hb = (e - 1) / 2 in
     let p = Array.make ((2 * e) + 1) 0 and q = Array.make ((2 * e) + 1) 0 in
     for i = 0 to (2 * e) - 1 do
@@ -59,12 +60,46 @@ let axis_cost_circle m =
         ((c + e) * (p.(c + e) - p.(c + e - hb)))
         - (q.(c + e) - q.(c + e - hb))
       in
-      dst.(c) <- fwd + bwd
+      f c (fwd + bwd)
     done
-  end;
+  end
+
+let axis_cost_circle m =
+  let dst = Array.make (Array.length m) 0 in
+  iter_circle m (fun c v -> dst.(c) <- v);
   dst
 
 let axis_cost ~wrap m = if wrap then axis_cost_circle m else axis_cost_line m
+
+(* The lowest minimizer of [axis_cost] without the array. A line's cost
+   is convex with steps 2·left(c) - total, so it falls until the
+   weighted median, the first [c] with 2·left(c) >= total; a ring's is
+   not convex, so every center is priced in one pass. *)
+let axis_min ~wrap m =
+  if wrap then begin
+    let best = ref 0 and best_cost = ref max_int in
+    iter_circle m (fun c v ->
+        if v < !best_cost then begin
+          best := c;
+          best_cost := v
+        end);
+    (!best, !best_cost)
+  end
+  else begin
+    let e = Array.length m in
+    let total = ref 0 and cost = ref 0 in
+    for j = 0 to e - 1 do
+      total := !total + m.(j);
+      cost := !cost + (j * m.(j))
+    done;
+    let c = ref 0 and left = ref m.(0) in
+    while !c < e - 1 && 2 * !left < !total do
+      cost := !cost + (2 * !left) - !total;
+      incr c;
+      left := !left + m.(!c)
+    done;
+    (!c, !cost)
+  end
 
 (* [v.(y·cols + x) = cx.(x) + cy.(y)]: the marginals fix both extents. *)
 let vector_of_marginals ~wrap (mx, my) =
@@ -87,16 +122,12 @@ let cost_vector mesh window ~data =
   vector_of_marginals ~wrap:(Pim.Mesh.wraps mesh)
     (marginals_of mesh window ~data)
 
-(* {!Pathgraph.Layered.argmin} of the axis sum takes the lowest index on
-   each axis, hence the lowest row-major rank — the same tie order as the
-   direct cost walk's ascending scan (and as the full-vector ascending
-   argmin every scheduler fallback uses). *)
+(* The lowest index on each axis, hence the lowest row-major rank — the
+   same tie order as the direct cost walk's ascending scan (and as the
+   full-vector ascending argmin every scheduler fallback uses). *)
 let argmin_of_marginals ~wrap (mx, my) =
-  let row =
-    Pathgraph.Layered.Axis_sum (axis_cost ~wrap mx, axis_cost ~wrap my)
-  in
-  let c = Pathgraph.Layered.argmin row in
-  (c, Pathgraph.Layered.entry row c)
+  let x, cx = axis_min ~wrap mx and y, cy = axis_min ~wrap my in
+  ((y * Array.length mx) + x, cx + cy)
 
 let local_optimal_center mesh window ~data =
   fst

@@ -46,6 +46,12 @@ val path_cost :
     [d] the wrap-aware 1-D distance. O(E) via (circular) prefix sums. *)
 val axis_cost : wrap:bool -> int array -> int array
 
+(** [axis_min ~wrap m] is the lowest index minimizing {!axis_cost}
+    [~wrap m] and that minimum, without building the array: a walk to
+    the weighted median on a line, one pass over the circular prefix
+    sums on a ring. [m] must be non-empty. *)
+val axis_min : wrap:bool -> int array -> int * int
+
 (** [vector_of_marginals ~wrap (mx, my)] assembles a full cost vector from
     per-axis marginals: [v.(y·cols + x) = cx.(x) + cy.(y)], the marginals'
     lengths fixing [cols] and [rows]. The entry point for callers that

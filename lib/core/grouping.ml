@@ -7,9 +7,9 @@ type group = { first : int; last : int; center : int }
    materializing the merged window's O(cols · rows) vector), or full
    fault-priced cost vectors on a degraded one. [best] must return the
    {e lowest-rank} minimum center so both representations make the
-   greedy decisions the vector walk would. *)
+   greedy decisions the vector walk would. States are never mutated, so
+   the greedy keeps them without copying. *)
 type 'vec ops = {
-  copy : 'vec -> 'vec;
   join : 'vec -> 'vec -> 'vec;  (* fresh sum; arguments untouched *)
   best : 'vec -> int * int;  (* (lowest-rank argmin center, its cost) *)
 }
@@ -19,7 +19,6 @@ type 'vec ops = {
    BFS-priced, only center choice needs the mask. *)
 let masked_vector_ops alive =
   {
-    copy = Array.copy;
     join = (fun a b -> Array.init (Array.length a) (fun i -> a.(i) + b.(i)));
     best =
       (fun v ->
@@ -30,24 +29,29 @@ let masked_vector_ops alive =
         (!best, v.(!best)));
   }
 
-(* Marginal pairs, priced as the axis-sum row they span. The masked
-   {!Pathgraph.Layered.argmin} takes the lowest admitted rank among the
-   minimizers (the axis minima when [admit] lets them in) — the same tie
-   order as an ascending scan of the full vector over alive ranks. Node
-   faults keep routers, so they only add the mask. *)
+(* Marginal pairs, priced as the axis-sum row they span. The axis minima
+   ({!Cost.argmin_of_marginals}, lowest index per axis) are the row's
+   lowest-rank minimizer; only when [admit] refuses it does the masked
+   {!Pathgraph.Layered.argmin} build the row and take the lowest
+   admitted rank among the minimizers — the same tie order as an
+   ascending scan of the full vector over alive ranks. Node faults keep
+   routers, so they only add the mask. *)
 let marginal_ops ?admit ~wrap () =
   let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i)) in
   {
-    copy = (fun (mx, my) -> (Array.copy mx, Array.copy my));
     join = (fun (ax, ay) (bx, by) -> (sum ax bx, sum ay by));
     best =
-      (fun (mx, my) ->
-        let row =
-          Pathgraph.Layered.Axis_sum
-            (Cost.axis_cost ~wrap mx, Cost.axis_cost ~wrap my)
-        in
-        let c = Pathgraph.Layered.argmin ?admit row in
-        (c, Pathgraph.Layered.entry row c));
+      (fun ((mx, my) as m) ->
+        let ((c, _) as best) = Cost.argmin_of_marginals ~wrap m in
+        match admit with
+        | Some a when Bytes.get a c = '\000' ->
+            let row =
+              Pathgraph.Layered.Axis_sum
+                (Cost.axis_cost ~wrap mx, Cost.axis_cost ~wrap my)
+            in
+            let c = Pathgraph.Layered.argmin ~admit:a row in
+            (c, Pathgraph.Layered.entry row c)
+        | _ -> best);
   }
 
 (* Greedy partition of the referenced-window subsequence, following
@@ -74,24 +78,26 @@ let greedy_ranges ~ops ~dist ~items ~n =
   let link_from_last c =
     match !last_center with None -> 0 | Some p -> dist p c
   in
+  (* the running group: its summed state and its (center, cost) *)
   let start = ref 0 in
-  let sumvec = ref (ops.copy items.(0)) in
+  let sumvec = ref items.(0) in
+  let cur = ref bests.(0) in
   let finalize stop =
-    let c, cost = ops.best !sumvec in
+    let c, cost = !cur in
     fin_cost := !fin_cost + link_from_last c + cost;
     last_center := Some c;
-    finalized := (!start, stop, ops.copy !sumvec, c) :: !finalized
+    finalized := (!start, stop, !sumvec, c) :: !finalized
   in
   let accepted = ref 0 in
   for j = 1 to n - 1 do
-    let cur_center, cur_ref = ops.best !sumvec in
+    let cur_center, cur_ref = !cur in
     let prev_total =
       !fin_cost + link_from_last cur_center + cur_ref
       + dist cur_center centers.(j)
       + tail.(j)
     in
     let candidate = ops.join !sumvec items.(j) in
-    let cand_center, cand_ref = ops.best candidate in
+    let ((cand_center, cand_ref) as cand) = ops.best candidate in
     let next_link =
       if j + 1 < n then dist cand_center centers.(j + 1) + tail.(j + 1)
       else 0
@@ -101,12 +107,14 @@ let greedy_ranges ~ops ~dist ~items ~n =
     in
     if new_total <= prev_total then begin
       incr accepted;
-      sumvec := candidate
+      sumvec := candidate;
+      cur := cand
     end
     else begin
       finalize (j - 1);
       start := j;
-      sumvec := ops.copy items.(j)
+      sumvec := items.(j);
+      cur := bests.(j)
     end
   done;
   finalize (n - 1);
@@ -363,29 +371,40 @@ let run_with_partitions problem ~partition_of =
       Problem.check_feasible problem ~who:"Grouping.schedule";
       (* Per-window repair: place each datum on the nearest rank with
          room to its desired center, heavier data first (ties by datum)
-         — serial, like every capacity-allocation loop. *)
+         — serial, like every capacity-allocation loop. Without link
+         faults the distance is the mesh's: a shell walk from the
+         target's floor, reset per window (occupancy only grows within
+         one). Under link faults, the masked scan of the BFS row. *)
       let current = Array.make n_data (-1) in
+      let size = Pim.Mesh.size (Problem.mesh problem) in
+      let floor = Array.make size 0 and probes = ref 0 in
       let near =
-        Array.init (Pim.Mesh.size (Problem.mesh problem)) (fun target ->
-            lazy (Problem.distance_row problem ~target))
+        if Pim.Fault.has_link_faults (Problem.fault problem) then
+          Array.init size (fun target ->
+              lazy (Problem.distance_row problem ~target))
+        else [||]
+      in
+      let place memory target =
+        if Array.length near = 0 then
+          Processor_list.place_near memory ~floor ~probes ~target
+        else Processor_list.place memory (Lazy.force near.(target))
       in
       for w = 0 to n_windows - 1 do
         let window = Problem.window problem w in
         let memory = Problem.fresh_memory problem in
+        Array.fill floor 0 size 0;
         let refs = Array.init n_data (Reftrace.Window.references window) in
         let order = Array.init n_data Fun.id in
         Array.stable_sort (fun a b -> Int.compare refs.(b) refs.(a)) order;
         Array.iter
-          (fun data ->
-            let target = desired.(data).(w) in
-            current.(data) <-
-              Processor_list.place memory (Lazy.force near.(target)))
+          (fun data -> current.(data) <- place memory desired.(data).(w))
           order;
         Array.iteri
           (fun data rank ->
             Schedule.set_center schedule ~window:w ~data rank)
           current
       done;
+      if !Obs.enabled then Obs.Metrics.add "grouping.repair_probes" !probes;
       schedule
 
 let schedule ?(centers = `Local) problem =

@@ -10,7 +10,9 @@
     in the memory ({!Pim.Memory.ban}), so the same mask skips them. The
     row may be any row ranks are sorted by: a cost row for SCDS and LOMCDS,
     {!Problem.distance_row} for the grouping repair's nearest rank with
-    room. The full sorted lists live in the test oracle only. *)
+    room under link faults. Without link faults that list is the mesh
+    metric's, and {!place_near} walks it shell by shell. The full sorted
+    lists live in the test oracle only. *)
 
 (** [choose memory row] is the first rank with a free slot in [row]'s
     processor list, or [None] when every memory is full — without
@@ -22,3 +24,17 @@ val choose : Pim.Memory.t -> Pathgraph.Layered.row -> int option
     it. @raise Failure if every memory is full (cannot happen when total
     data ≤ capacity × alive processors). *)
 val place : Pim.Memory.t -> Pathgraph.Layered.row -> int
+
+(** [place_near memory ~floor ~probes ~target] is {!place} over the
+    mesh metric's row from [target] ({!Pim.Mesh.distance} of
+    [Pim.Memory.mesh memory]) without the row: it walks [target]'s
+    distance shells outward from distance [floor.(target)], ranks
+    ascending within a shell, allocates at the first rank with a free
+    slot, stores that rank's distance in [floor.(target)] and adds the
+    admit bytes it read to [probes]. Exact while every rank nearer than
+    [floor.(target)] is still full: start floors at [0] and keep them
+    only while occupancy only grows (no {!Pim.Memory.release} or
+    {!Pim.Memory.reset} since they were set).
+    @raise Failure if every memory is full. *)
+val place_near :
+  Pim.Memory.t -> floor:int array -> probes:int ref -> target:int -> int

@@ -249,14 +249,17 @@ let test_profile () =
      ([layered.separable_solves]), and a bounded one whose per-axis path
      every window admits, like every unbounded one, skips the 2-D DP
      ([layered.separable_answers]). On the 2x8 torus the 2-wide axis
-     wraps onto itself and is relaxed as a line. *)
-  let pins flags ~total ~present ~absent =
+     wraps onto itself and is relaxed as a line. The grouped schedulers'
+     bounded repair pins the admit bytes its shell walk reads
+     ([grouping.repair_probes]). *)
+  let pins ?(alg = "gomcds") flags ~total ~present ~absent =
     let path = Filename.temp_file "pimsched_cli" ".json" in
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
         check_ok ("profile " ^ flags)
-          (Printf.sprintf "profile gomcds -b 1 %s --metrics-json %s" flags path)
+          (Printf.sprintf "profile %s -b 1 %s --metrics-json %s" alg flags
+             path)
           [ total ];
         let text = read_file path in
         List.iter
@@ -311,6 +314,12 @@ let test_profile () =
         {|"layered.separable_solves":64|};
         {|"layered.separable_answers":52|};
       ]
+    ~absent:[];
+  pins ~alg:"lomcds-grouped" "-n 16 --mesh 16x16 -j 1" ~total:"total= 11878"
+    ~present:[ {|"grouping.repair_probes":23831|} ]
+    ~absent:[];
+  pins ~alg:"gomcds-grouped" "-n 16 --mesh 16x16 -j 1" ~total:"total= 11848"
+    ~present:[ {|"grouping.repair_probes":22300|} ]
     ~absent:[]
 
 let test_metrics_json () =

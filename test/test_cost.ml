@@ -68,6 +68,43 @@ let prop_cost_linear_in_merge =
       Array.for_all2 (fun x y -> x = y) vm
         (Array.mapi (fun i x -> x + vb.(i)) va))
 
+(* [axis_min] is the lowest index of [axis_cost]'s minimum and that
+   minimum, on lines and rings of 1 to 17 positions. Weights come from
+   a narrow range (mode 0: 0..1, heavy with zeros and ties; mode 1:
+   0..9) or are all zero, where every position ties at cost 0. *)
+let prop_axis_min =
+  QCheck.Test.make ~name:"axis_min = lowest argmin of axis_cost, line and ring"
+    ~count:500
+    QCheck.(
+      triple bool (int_range 0 2)
+        (list_of_size (Gen.int_range 1 17) (int_range 0 9)))
+    (fun (wrap, mode, vals) ->
+      let m =
+        Array.of_list
+          (List.map
+             (fun v -> match mode with 0 -> v mod 2 | 1 -> v | _ -> 0)
+             vals)
+      in
+      let c = Sched.Cost.axis_cost ~wrap m in
+      let lowest = ref 0 in
+      Array.iteri (fun i v -> if v < c.(!lowest) then lowest := i) c;
+      Sched.Cost.axis_min ~wrap m = (!lowest, c.(!lowest)))
+
+let test_axis_min_ties () =
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "zero line" (0, 0)
+    (Sched.Cost.axis_min ~wrap:false [| 0; 0; 0 |]);
+  Alcotest.check pair "zero ring" (0, 0)
+    (Sched.Cost.axis_min ~wrap:true [| 0; 0; 0; 0 |]);
+  (* two equal ends: every middle position ties on a line *)
+  Alcotest.check pair "tied line" (0, 4)
+    (Sched.Cost.axis_min ~wrap:false [| 1; 0; 0; 0; 1 |]);
+  (* antipodal pair on a ring of 4: positions 0 and 2 tie with 1 and 3 *)
+  Alcotest.check pair "tied ring" (0, 2)
+    (Sched.Cost.axis_min ~wrap:true [| 1; 0; 1; 0 |]);
+  Alcotest.check pair "one position" (0, 0)
+    (Sched.Cost.axis_min ~wrap:true [| 5 |])
+
 let suite =
   [
     Gen.case "reference cost" test_reference_cost;
@@ -78,4 +115,6 @@ let suite =
     Gen.case "path cost" test_path_cost;
     Gen.to_alcotest prop_center_is_argmin;
     Gen.to_alcotest prop_cost_linear_in_merge;
+    Gen.to_alcotest prop_axis_min;
+    Gen.case "axis_min ties and zeros" test_axis_min_ties;
   ]

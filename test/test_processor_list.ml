@@ -205,6 +205,82 @@ let prop_distance_row_place =
       in
       rows_agree && placements true)
 
+(* The shell walk is the oracle's nearest-rank list head: placements in
+   sequence from the same random occupancy in two trackers, the walk
+   keeping one floor per target (as the repair does for a window) and
+   the oracle walking [ranks_near], until the memories fill. Targets
+   come from a pool of three, so most are placed onto several times and
+   start from a raised floor. Meshes and tori with extents 1, 2, odd and
+   even, and a 1x7 line; healthy and node-faulted. *)
+let prop_place_near =
+  let meshes =
+    [|
+      Gen.mesh44;
+      Pim.Mesh.create ~rows:3 ~cols:5;
+      Pim.Mesh.torus ~rows:4 ~cols:6;
+      Pim.Mesh.torus ~rows:3 ~cols:5;
+      Pim.Mesh.torus ~rows:2 ~cols:7;
+      Pim.Mesh.torus ~rows:1 ~cols:6;
+      Pim.Mesh.torus ~rows:5 ~cols:1;
+      Pim.Mesh.create ~rows:1 ~cols:7;
+    |]
+  in
+  QCheck.Test.make ~name:"place_near = oracle ranks_near head, with floors"
+    ~count:300
+    QCheck.(
+      triple bool
+        (int_range 0 (Array.length meshes - 1))
+        (pair small_nat (int_range 1 3)))
+    (fun (faulty, m, (seed, capacity)) ->
+      let mesh = meshes.(m) in
+      let rng = Random.State.make [| seed |] in
+      let trace =
+        QCheck.Gen.generate1 ~rand:rng
+          (Gen.trace_gen ~mesh ~max_data:3 ~max_windows:1 ~max_count:2 ())
+      in
+      let fault =
+        if faulty then Pim.Fault.inject ~seed ~node_rate:0.3 ~link_rate:0. mesh
+        else Pim.Fault.none
+      in
+      let problem =
+        Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~fault
+          mesh trace
+      in
+      let size = Pim.Mesh.size mesh in
+      let memory = Sched.Problem.fresh_memory problem in
+      let oracle = Sched.Problem.fresh_memory problem in
+      for rank = 0 to size - 1 do
+        for _ = 1 to Random.State.int rng (capacity + 1) do
+          ignore (Pim.Memory.allocate memory rank);
+          ignore (Pim.Memory.allocate oracle rank)
+        done
+      done;
+      let pool = Array.init 3 (fun _ -> Random.State.int rng size) in
+      let floor = Array.make size 0 and probes = ref 0 in
+      let rec placements ok =
+        let target = pool.(Random.State.int rng 3) in
+        let near = Oracle.Candidates.ranks_near problem ~target in
+        match Oracle.Candidates.first_available oracle near with
+        | None ->
+            ok
+            && (try
+                  ignore
+                    (Sched.Processor_list.place_near memory ~floor ~probes
+                       ~target);
+                  false
+                with Failure _ -> true)
+        | Some _ ->
+            let placed =
+              Sched.Processor_list.place_near memory ~floor ~probes ~target
+            in
+            placements
+              (ok
+              && placed = Oracle.Candidates.assign oracle near
+              && floor.(target) = Sched.Problem.distance problem target placed
+              )
+      in
+      placements true)
+
 (* Through a chain of fault patches (more dead nodes, then dead links),
    the oracle's carried lists equal lists built fresh on the patched
    session, and the patched session's head with room equals the first
@@ -275,5 +351,6 @@ let suite =
     Gen.to_alcotest prop_choose_is_list_head;
     Gen.to_alcotest prop_patched_lists;
     Gen.to_alcotest prop_distance_row_place;
+    Gen.to_alcotest prop_place_near;
     Gen.to_alcotest prop_full_list_always_assignable;
   ]
