@@ -39,12 +39,11 @@ let axis_cost_line m =
    the forward side, matching min(o, E-o). Prefix sums over the doubled
    ring make both arc sums O(1) per center:
      forward(c)  = Σ_{i=c+1..c+hf} (i-c)·m(i mod E)
-     backward(c) = Σ_{i=c+E-hb..c+E-1} (c+E-i)·m(i mod E)
-   [iter_circle m f] calls [f c cost(c)] for every center, ascending. *)
-let iter_circle m f =
+     backward(c) = Σ_{i=c+E-hb..c+E-1} (c+E-i)·m(i mod E) *)
+let axis_cost_circle m =
   let e = Array.length m in
-  if e = 1 then f 0 0
-  else if e > 1 then begin
+  let dst = Array.make e 0 in
+  if e > 1 then begin
     let hf = e / 2 and hb = (e - 1) / 2 in
     let p = Array.make ((2 * e) + 1) 0 and q = Array.make ((2 * e) + 1) 0 in
     for i = 0 to (2 * e) - 1 do
@@ -60,30 +59,23 @@ let iter_circle m f =
         ((c + e) * (p.(c + e) - p.(c + e - hb)))
         - (q.(c + e) - q.(c + e - hb))
       in
-      f c (fwd + bwd)
+      dst.(c) <- fwd + bwd
     done
-  end
-
-let axis_cost_circle m =
-  let dst = Array.make (Array.length m) 0 in
-  iter_circle m (fun c v -> dst.(c) <- v);
+  end;
   dst
 
 let axis_cost ~wrap m = if wrap then axis_cost_circle m else axis_cost_line m
 
-(* The lowest minimizer of [axis_cost] without the array. A line's cost
-   is convex with steps 2·left(c) - total, so it falls until the
-   weighted median, the first [c] with 2·left(c) >= total; a ring's is
-   not convex, so every center is priced in one pass. *)
+(* The lowest minimizer of [axis_cost] and its cost. A line's cost is
+   convex with steps 2·left(c) - total, so it falls until the weighted
+   median, the first [c] with 2·left(c) >= total, and no array is built;
+   a ring's is not convex, so every center is priced. *)
 let axis_min ~wrap m =
   if wrap then begin
-    let best = ref 0 and best_cost = ref max_int in
-    iter_circle m (fun c v ->
-        if v < !best_cost then begin
-          best := c;
-          best_cost := v
-        end);
-    (!best, !best_cost)
+    let c = axis_cost_circle m in
+    let best = ref 0 in
+    Array.iteri (fun i v -> if v < c.(!best) then best := i) c;
+    (!best, c.(!best))
   end
   else begin
     let e = Array.length m in

@@ -47,9 +47,8 @@ val path_cost :
 val axis_cost : wrap:bool -> int array -> int array
 
 (** [axis_min ~wrap m] is the lowest index minimizing {!axis_cost}
-    [~wrap m] and that minimum, without building the array: a walk to
-    the weighted median on a line, one pass over the circular prefix
-    sums on a ring. [m] must be non-empty. *)
+    [~wrap m] and that minimum; on a line, a walk to the weighted median
+    that builds no array. [m] must be non-empty. *)
 val axis_min : wrap:bool -> int array -> int * int
 
 (** [vector_of_marginals ~wrap (mx, my)] assembles a full cost vector from

@@ -14,12 +14,14 @@ type 'vec ops = {
   best : 'vec -> int * int;  (* (lowest-rank argmin center, its cost) *)
 }
 
+let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i))
+
 (* Vector ops whose [best] skips dead ranks (ties still break to the
    lowest alive rank) — the link-faulted context's currency: its rows are
    BFS-priced, only center choice needs the mask. *)
 let masked_vector_ops alive =
   {
-    join = (fun a b -> Array.init (Array.length a) (fun i -> a.(i) + b.(i)));
+    join = sum;
     best =
       (fun v ->
         let best = ref (-1) in
@@ -29,15 +31,11 @@ let masked_vector_ops alive =
         (!best, v.(!best)));
   }
 
-(* Marginal pairs, priced as the axis-sum row they span. The axis minima
-   ({!Cost.argmin_of_marginals}, lowest index per axis) are the row's
-   lowest-rank minimizer; only when [admit] refuses it does the masked
-   {!Pathgraph.Layered.argmin} build the row and take the lowest
-   admitted rank among the minimizers — the same tie order as an
-   ascending scan of the full vector over alive ranks. Node faults keep
-   routers, so they only add the mask. *)
+(* Marginal pairs, priced as the axis-sum row they span: the axis
+   minima are its lowest-rank minimizer, and only a dead one builds the
+   row for the masked {!Pathgraph.Layered.argmin} (the lowest alive rank
+   among the minimizers). Node faults keep routers: they only mask. *)
 let marginal_ops ?admit ~wrap () =
-  let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i)) in
   {
     join = (fun (ax, ay) (bx, by) -> (sum ax bx, sum ay by));
     best =
@@ -327,6 +325,26 @@ let desired_trajectory ~n_windows groups =
         groups;
       Some traj
 
+(* Data heaviest first, ties by datum: a stable counting pass over one
+   window's reference totals (a stable sort when they spread wide). *)
+let heaviest_first refs =
+  let n = Array.length refs and top = Array.fold_left Int.max 0 refs in
+  let order = Array.init n Fun.id in
+  if top > (4 * n) + 1024 then
+    Array.stable_sort (fun a b -> Int.compare refs.(b) refs.(a)) order
+  else begin
+    (* [next.(top - r)]: the next slot for a datum with [r] references *)
+    let next = Array.make (top + 2) 0 in
+    Array.iter (fun r -> next.(top - r + 1) <- next.(top - r + 1) + 1) refs;
+    for k = 1 to top do next.(k) <- next.(k) + next.(k - 1) done;
+    Array.iteri
+      (fun d r ->
+        order.(next.(top - r)) <- d;
+        next.(top - r) <- next.(top - r) + 1)
+      refs
+  end;
+  order
+
 let run_with_partitions problem ~partition_of =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
@@ -371,34 +389,27 @@ let run_with_partitions problem ~partition_of =
       Problem.check_feasible problem ~who:"Grouping.schedule";
       (* Per-window repair: place each datum on the nearest rank with
          room to its desired center, heavier data first (ties by datum)
-         — serial, like every capacity-allocation loop. Without link
-         faults the distance is the mesh's: a shell walk from the
-         target's floor, reset per window (occupancy only grows within
-         one). Under link faults, the masked scan of the BFS row. *)
+         — serial, like every capacity-allocation loop. The mesh metric
+         is walked shell by shell from each target's floor, reset per
+         window (occupancy only grows within one); under link faults
+         the BFS table's row is scanned. *)
       let current = Array.make n_data (-1) in
       let size = Pim.Mesh.size (Problem.mesh problem) in
       let floor = Array.make size 0 and probes = ref 0 in
-      let near =
-        if Pim.Fault.has_link_faults (Problem.fault problem) then
-          Array.init size (fun target ->
-              lazy (Problem.distance_row problem ~target))
-        else [||]
-      in
       let place memory target =
-        if Array.length near = 0 then
-          Processor_list.place_near memory ~floor ~probes ~target
-        else Processor_list.place memory (Lazy.force near.(target))
+        match Problem.relaxation problem with
+        | Pathgraph.Layered.Table { dist; _ } ->
+            Processor_list.place memory (Full dist.(target))
+        | Axes _ -> Processor_list.place_near memory ~floor ~probes ~target
       in
       for w = 0 to n_windows - 1 do
         let window = Problem.window problem w in
         let memory = Problem.fresh_memory problem in
         Array.fill floor 0 size 0;
-        let refs = Array.init n_data (Reftrace.Window.references window) in
-        let order = Array.init n_data Fun.id in
-        Array.stable_sort (fun a b -> Int.compare refs.(b) refs.(a)) order;
         Array.iter
           (fun data -> current.(data) <- place memory desired.(data).(w))
-          order;
+          (heaviest_first
+             (Array.init n_data (Reftrace.Window.references window)));
         Array.iteri
           (fun data rank ->
             Schedule.set_center schedule ~window:w ~data rank)

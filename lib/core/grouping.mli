@@ -8,7 +8,9 @@
     change its cost and never force movement.
 
     Reference cost is linear in reference profiles, so a group's cost vector
-    is the sum of its members' cost vectors; each greedy extension is O(m).
+    is the sum of its members' cost vectors; each greedy extension is
+    O(cols + rows) over summed axis marginals, O(m) over a link-faulted
+    session's cost vectors.
 
     Two center policies:
     - [`Local] — the merged window's local optimal center (the paper's
@@ -29,8 +31,9 @@ type group = {
 (** [groups problem ~data ~centers] runs the greedy Algorithm 3 for one
     datum on a shared {!Problem.t} and returns its groups in execution
     order; the empty list when the datum is never referenced. A healthy
-    or node-faulted session prices merges from cached axis marginals (dead
-    ranks masked out of center choice, ties to the lowest alive rank);
+    or node-faulted session prices merges from cached axis marginals
+    ({!Cost.axis_min} per axis; dead ranks masked out of center choice,
+    ties to the lowest alive rank);
     under link faults, whose distances do not split per axis, from the
     session's cost vectors. *)
 val groups :
@@ -48,9 +51,11 @@ val refine_centers : Problem.t -> Problem.row array -> int array
     partitions fan out across the context's domain pool, gaps keep data in
     place, and a bounded policy is repaired by a serial per-window pass,
     heaviest datum first, that puts each datum on the nearest rank with
-    room to its desired center (ties to the lower rank; one
-    {!Processor_list.place} over {!Problem.distance_row}) — identical
-    output at every [jobs] setting.
+    room to its desired center (ties to the lower rank): a
+    {!Processor_list.place_near} shell walk from a per-window floor per
+    target, or under link faults one {!Processor_list.place} over the
+    BFS table's row — identical output at every [jobs] setting. The
+    admit bytes the walk reads go to [grouping.repair_probes].
     [centers] defaults to [`Local].
     @raise Invalid_argument if the capacity policy is infeasible. *)
 val schedule : ?centers:center_policy -> Problem.t -> Schedule.t

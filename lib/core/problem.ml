@@ -322,17 +322,6 @@ let optimal_center t ~window ~data =
     c
   end
 
-(* The metric from [target] as a row: per-axis hop counts on the mesh's
-   shape, or the BFS table's own row under link faults. *)
-let distance_row t ~target =
-  match t.relax with
-  | Pathgraph.Layered.Table { dist; _ } -> Full dist.(target)
-  | Axes { cols; rows; wrap } ->
-      let hops extent a =
-        Array.init extent (Pim.Mesh.axis_hops ~wrap ~extent a)
-      in
-      Axis_sum (hops cols (target mod cols), hops rows (target / cols))
-
 let by_total_references t =
   match t.order with
   | Some l -> l

@@ -21,7 +21,9 @@
       on the same instance. No processor list is ever stored, nor any
       per-target order: a bounded scheduler takes the list's head with
       room straight off the cached row ({!Processor_list.choose}), and
-      the grouping repair off {!distance_row};
+      the grouping repair walks the mesh's distance shells
+      ({!Processor_list.place_near}) or, under link faults, takes it off
+      the BFS table's row;
     - a [jobs] knob sizing the {!Engine} domain pool used to fill those
       caches and to fan independent per-datum work out across cores.
 
@@ -266,13 +268,6 @@ val layer_rows : t -> data:int -> row array
     [cost.argmin_masked]): the same axis minima when that rank is alive,
     one ascending scan over alive ranks otherwise. *)
 val optimal_center : t -> window:int -> data:int -> int
-
-(** [distance_row t ~target] is {!distance} from [target] to every rank,
-    as a row: [Axis_sum] of per-axis hop counts on a healthy or
-    node-faulted session, the BFS table's own row ([Full], shared: do not
-    mutate) under link faults. {!Processor_list.place} over it is the
-    grouping repair's nearest-rank-with-room fallback. *)
-val distance_row : t -> target:int -> row
 
 (** [by_total_references t] is {!Ordering.by_total_references} served from
     the cached merged window — the canonical heaviest-first assignment

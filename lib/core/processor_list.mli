@@ -9,10 +9,9 @@
     {!Pathgraph.Layered.argmin} over the row. Dead processors are banned
     in the memory ({!Pim.Memory.ban}), so the same mask skips them. The
     row may be any row ranks are sorted by: a cost row for SCDS and LOMCDS,
-    {!Problem.distance_row} for the grouping repair's nearest rank with
-    room under link faults. Without link faults that list is the mesh
-    metric's, and {!place_near} walks it shell by shell. The full sorted
-    lists live in the test oracle only. *)
+    a BFS distance row for the link-faulted grouping repair ({!place_near}
+    walks the mesh metric's). The full sorted lists live in the test
+    oracle only. *)
 
 (** [choose memory row] is the first rank with a free slot in [row]'s
     processor list, or [None] when every memory is full — without
@@ -26,15 +25,10 @@ val choose : Pim.Memory.t -> Pathgraph.Layered.row -> int option
 val place : Pim.Memory.t -> Pathgraph.Layered.row -> int
 
 (** [place_near memory ~floor ~probes ~target] is {!place} over the
-    mesh metric's row from [target] ({!Pim.Mesh.distance} of
-    [Pim.Memory.mesh memory]) without the row: it walks [target]'s
-    distance shells outward from distance [floor.(target)], ranks
-    ascending within a shell, allocates at the first rank with a free
-    slot, stores that rank's distance in [floor.(target)] and adds the
-    admit bytes it read to [probes]. Exact while every rank nearer than
-    [floor.(target)] is still full: start floors at [0] and keep them
-    only while occupancy only grows (no {!Pim.Memory.release} or
-    {!Pim.Memory.reset} since they were set).
-    @raise Failure if every memory is full. *)
+    {!Pim.Mesh.distance} row from [target], without the row: a walk of
+    [target]'s distance shells from [floor.(target)], ranks ascending
+    within a shell. It sets [floor.(target)] to the answer's distance and
+    adds the admit bytes it read to [probes]; exact while no memory was
+    freed since the floor was set. @raise Failure if every memory is full. *)
 val place_near :
   Pim.Memory.t -> floor:int array -> probes:int ref -> target:int -> int

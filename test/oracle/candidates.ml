@@ -168,3 +168,15 @@ let ranks_near problem ~target =
          let d r = Sched.Problem.distance problem target r in
          let c = Int.compare (d a) (d b) in
          if c <> 0 then c else Int.compare a b)
+
+(* The session's metric from [target] as a row, the form
+   [Sched.Processor_list.place] takes: per-axis hop counts on the mesh's
+   shape, or the BFS table's own row under link faults. *)
+let distance_row problem ~target : Pathgraph.Layered.row =
+  match Sched.Problem.relaxation problem with
+  | Table { dist; _ } -> Full dist.(target)
+  | Axes { cols; rows; wrap } ->
+      let hops extent a =
+        Array.init extent (Pim.Mesh.axis_hops ~wrap ~extent a)
+      in
+      Axis_sum (hops cols (target mod cols), hops rows (target / cols))

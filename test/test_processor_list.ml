@@ -140,8 +140,10 @@ let prop_choose_is_list_head =
             (List.init (Sched.Problem.n_windows problem + 1) Fun.id))
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
-(* The grouping repair's fallback order without the list: every entry
-   of [distance_row] is the session's distance from the target, and
+(* The link-faulted grouping repair's order without the list: every
+   entry of the oracle's [distance_row] (the BFS table's row under link
+   faults, per-axis hops otherwise) is the session's distance from the
+   target, and
    [place] over it lands where the oracle's nearest-rank list (alive
    ranks sorted by (distance, rank)) first has room. Placements run in
    sequence from the same random occupancy in two trackers, so every
@@ -177,7 +179,7 @@ let prop_distance_row_place =
       let rows_agree =
         List.for_all
           (fun target ->
-            let row = Sched.Problem.distance_row problem ~target in
+            let row = Oracle.Candidates.distance_row problem ~target in
             List.for_all
               (fun r ->
                 Pathgraph.Layered.entry row r
@@ -195,7 +197,7 @@ let prop_distance_row_place =
       done;
       let rec placements ok =
         let target = Random.State.int rng size in
-        let row = Sched.Problem.distance_row problem ~target in
+        let row = Oracle.Candidates.distance_row problem ~target in
         let near = Oracle.Candidates.ranks_near problem ~target in
         match Sched.Processor_list.choose memory row with
         | None -> ok && Oracle.Candidates.first_available oracle near = None
