@@ -61,6 +61,29 @@ let test_schedule_keeps_datum_during_gap () =
     "no movement" [ 4; 4; 4 ]
     (Array.to_list (Sched.Schedule.centers_of_data s ~data:0))
 
+(* The bounded repair places a window's data heaviest first, ties by
+   datum, each on the nearest rank with room to its center. Every datum
+   wants rank 0 of a 2x2 mesh whose ranks hold one datum each, so the
+   order is the placement: datum 1 takes rank 0, the tied data 2 and 3
+   the two ranks one hop away in datum order, datum 0 the far corner.
+   With 5000 references the totals spread wider than the counting pass
+   takes, so both of its branches are pinned. *)
+let test_repair_heaviest_first () =
+  let mesh = Gen.mesh22 in
+  List.iter
+    (fun heavy ->
+      let t =
+        Gen.trace mesh ~n_data:4
+          [ [ (0, 0, 1); (1, 0, heavy); (2, 0, 7); (3, 0, 7) ] ]
+      in
+      let s = Sched.Grouping.schedule (Gen.bounded 1 mesh t) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "heaviest %d" heavy)
+        [ 3; 0; 1; 2 ]
+        (List.init 4 (fun data ->
+             Sched.Schedule.center s ~window:0 ~data)))
+    [ 9; 5000 ]
+
 let prop_never_worse_than_lomcds =
   let arb = Gen.trace_arbitrary ~max_data:4 ~max_windows:6 ~max_count:4 () in
   QCheck.Test.make
@@ -273,6 +296,7 @@ let suite =
     Gen.case "unreferenced datum empty" test_unreferenced_datum_empty_partition;
     Gen.case "gap windows excluded" test_gap_windows_excluded_from_groups;
     Gen.case "datum parked during gap" test_schedule_keeps_datum_during_gap;
+    Gen.case "repair places heaviest first" test_repair_heaviest_first;
     Gen.to_alcotest prop_never_worse_than_lomcds;
     Gen.to_alcotest prop_global_centers_never_worse_than_local;
     Gen.to_alcotest prop_groups_partition_referenced_windows;
