@@ -325,26 +325,6 @@ let desired_trajectory ~n_windows groups =
         groups;
       Some traj
 
-(* Data heaviest first, ties by datum: a stable counting pass over one
-   window's reference totals (a stable sort when they spread wide). *)
-let heaviest_first refs =
-  let n = Array.length refs and top = Array.fold_left Int.max 0 refs in
-  let order = Array.init n Fun.id in
-  if top > (4 * n) + 1024 then
-    Array.stable_sort (fun a b -> Int.compare refs.(b) refs.(a)) order
-  else begin
-    (* [next.(top - r)]: the next slot for a datum with [r] references *)
-    let next = Array.make (top + 2) 0 in
-    Array.iter (fun r -> next.(top - r + 1) <- next.(top - r + 1) + 1) refs;
-    for k = 1 to top do next.(k) <- next.(k) + next.(k - 1) done;
-    Array.iteri
-      (fun d r ->
-        order.(next.(top - r)) <- d;
-        next.(top - r) <- next.(top - r) + 1)
-      refs
-  end;
-  order
-
 let run_with_partitions problem ~partition_of =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
@@ -406,10 +386,12 @@ let run_with_partitions problem ~partition_of =
         let window = Problem.window problem w in
         let memory = Problem.fresh_memory problem in
         Array.fill floor 0 size 0;
+        let refs = Array.init n_data (Reftrace.Window.references window) in
+        let order = Array.init n_data Fun.id in
+        Array.stable_sort (fun a b -> Int.compare refs.(b) refs.(a)) order;
         Array.iter
           (fun data -> current.(data) <- place memory desired.(data).(w))
-          (heaviest_first
-             (Array.init n_data (Reftrace.Window.references window)));
+          order;
         Array.iteri
           (fun data rank ->
             Schedule.set_center schedule ~window:w ~data rank)

@@ -65,9 +65,8 @@ let test_schedule_keeps_datum_during_gap () =
    datum, each on the nearest rank with room to its center. Every datum
    wants rank 0 of a 2x2 mesh whose ranks hold one datum each, so the
    order is the placement: datum 1 takes rank 0, the tied data 2 and 3
-   the two ranks one hop away in datum order, datum 0 the far corner.
-   With 5000 references the totals spread wider than the counting pass
-   takes, so both of its branches are pinned. *)
+   the two ranks one hop away in datum order, datum 0 the far corner,
+   whether the heaviest total is small or far above the others. *)
 let test_repair_heaviest_first () =
   let mesh = Gen.mesh22 in
   List.iter
