@@ -143,9 +143,8 @@ let prop_choose_is_list_head =
 (* The link-faulted grouping repair's order without the list: every
    entry of the oracle's [distance_row] (the BFS table's row under link
    faults, per-axis hops otherwise) is the session's distance from the
-   target, and
-   [place] over it lands where the oracle's nearest-rank list (alive
-   ranks sorted by (distance, rank)) first has room. Placements run in
+   target, and [place] over it lands where the oracle's nearest-rank
+   list (alive ranks sorted by (distance, rank)) first has room. Placements run in
    sequence from the same random occupancy in two trackers, so every
    step sees the occupancy the previous placements left, until the
    memories fill. Healthy, node faults and node plus link faults, on a
