@@ -193,8 +193,18 @@ let characterization () =
 let ablation_window_size () =
   section "Ablation A1: window granularity (LU 16x16, 4x4 array)";
   let t = Workloads.Lu.trace ~n:16 mesh in
-  let events = Reftrace.Window_builder.events_of_trace t in
-  let space = Reftrace.Trace.space t in
+  let n_windows = Reftrace.Trace.n_windows t in
+  (* every [k] consecutive windows merged into one *)
+  let coarsen k =
+    Reftrace.Trace.create (Reftrace.Trace.space t)
+      (List.init
+         ((n_windows + k - 1) / k)
+         (fun g ->
+           Reftrace.Window.merge_list
+             (List.init
+                (min k (n_windows - (g * k)))
+                (fun i -> Reftrace.Trace.window t ((g * k) + i)))))
+  in
   let capacity =
     Workloads.Benchmarks.capacity Workloads.Benchmarks.B1 ~n:16 mesh
   in
@@ -202,9 +212,7 @@ let ablation_window_size () =
     "GOMCDS";
   List.iter
     (fun k ->
-      let coarse =
-        Reftrace.Window_builder.fixed ~steps_per_window:k space events
-      in
+      let coarse = coarsen k in
       let problem = bounded capacity mesh coarse in
       Printf.printf "%8d %8d %10d %10d %10d\n" k
         (Reftrace.Trace.n_windows coarse)

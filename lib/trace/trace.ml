@@ -1,7 +1,3 @@
-type event = { step : int; proc : int; data : int; kind : Window.kind }
-
-let event ?(kind = Window.Read) ~step ~proc ~data () =
-  { step; proc; data; kind }
 type t = {
   space : Data_space.t;
   windows : Window.t array;
@@ -74,10 +70,29 @@ let reversed t =
     merged_memo = None;
   }
 
-let drop_empty_windows t =
-  match List.filter (fun w -> not (Window.is_empty w)) (windows t) with
-  | [] -> { t with windows = [| t.windows.(0) |]; merged_memo = None }
-  | ws -> { t with windows = Array.of_list ws; merged_memo = None }
+(* One log is open at a time: a reference at a later step seals it into
+   a window and opens the next, so the stream itself is never stored. *)
+let generate space body =
+  let n_data = Data_space.size space in
+  let sealed = ref [] and log = ref (Window.Builder.create ~n_data) in
+  let started = ref false and current = ref 0 in
+  body (fun ?kind step proc data ->
+      if not !started then begin
+        started := true;
+        current := step
+      end
+      else if step <> !current then begin
+        if step < !current then
+          invalid_arg
+            (Printf.sprintf "Trace.generate: step %d after step %d" step
+               !current);
+        sealed := Window.Builder.build !log :: !sealed;
+        log := Window.Builder.create ~n_data;
+        current := step
+      end;
+      Window.Builder.add ?kind !log ~data ~proc ~count:1);
+  if not !started then invalid_arg "Trace.generate: no references";
+  create space (List.rev (Window.Builder.build !log :: !sealed))
 
 let pp fmt t =
   Format.fprintf fmt "trace over %a: %d windows, %d references" Data_space.pp

@@ -1,19 +1,8 @@
 (** Application traces: a data space plus a sequence of execution windows.
 
-    A trace is what the data schedulers consume. It can be produced directly
-    by a workload generator ({!Workloads}), or from a flat stream of
-    reference {!event}s via {!Window_builder}. *)
-
-type event = {
-  step : int;  (** logical execution step the reference occurs at *)
-  proc : int;  (** processor rank issuing the reference *)
-  data : int;  (** dense data id (see {!Data_space}) *)
-  kind : Window.kind;  (** read or write; the cost model treats both alike *)
-}
-
-(** [event ?kind ~step ~proc ~data ()] builds an event; [kind] defaults to
-    [Read]. *)
-val event : ?kind:Window.kind -> step:int -> proc:int -> data:int -> unit -> event
+    A trace is what the data schedulers consume. Workload generators
+    ({!Workloads}) stream their references into {!generate}; parsed traces
+    come from {!Serial}. *)
 
 type t
 
@@ -48,8 +37,19 @@ val append : t -> t -> t
     runs CODE followed by CODE "in the reverse execution order"). *)
 val reversed : t -> t
 
-(** [drop_empty_windows t] removes windows with no references, keeping at
-    least one window. *)
-val drop_empty_windows : t -> t
+(** [generate space body] runs [body emit] and makes one window per
+    distinct step it emits, in step order. [emit ?kind step proc data]
+    records one reference to [data] by rank [proc] at [step]; [kind]
+    defaults to [Read]. Steps must not decrease: references of one step
+    are contiguous, and a later step seals the open window, so only one
+    window's log is held at a time and no reference list exists. Steps
+    may skip values; a skipped step makes no window.
+    @raise Invalid_argument if a step is smaller than the one before it,
+    if [body] emits no reference, or (as {!Window.Builder.add}) on an
+    out-of-range [data] or a negative [proc]. *)
+val generate :
+  Data_space.t ->
+  ((?kind:Window.kind -> int -> int -> int -> unit) -> unit) ->
+  t
 
 val pp : Format.formatter -> t -> unit

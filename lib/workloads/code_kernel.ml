@@ -14,10 +14,7 @@ let trace ?(partition = Iteration_space.Block_2d) ?(seed = 0x5EED) ~n mesh =
     Iteration_space.owner partition mesh ~extent_i:n ~extent_j:n ~i ~j
   in
   let state = ref (if seed = 0 then 0x5EED else seed) in
-  let events = ref [] in
-  let emit ?kind step proc data =
-    events := Reftrace.Trace.event ?kind ~step ~proc ~data () :: !events
-  in
+  Reftrace.Trace.generate space @@ fun emit ->
   let wr = Reftrace.Window.Write in
   let t_max = n / 2 in
   for t = 0 to t_max - 1 do
@@ -46,5 +43,4 @@ let trace ?(partition = Iteration_space.Block_2d) ?(seed = 0x5EED) ~n mesh =
       let oi = xorshift state mod n and oj = xorshift state mod n in
       emit t (owner oi oj) (id i j)
     done
-  done;
-  Reftrace.Window_builder.per_step space (List.rev !events)
+  done

@@ -12,10 +12,7 @@ let trace ?(partition = Iteration_space.Block_2d) ~n mesh =
   let owner i j =
     Iteration_space.owner partition mesh ~extent_i:n ~extent_j:n ~i ~j
   in
-  let events = ref [] in
-  let emit ?kind step proc data =
-    events := Reftrace.Trace.event ?kind ~step ~proc ~data () :: !events
-  in
+  Reftrace.Trace.generate space @@ fun emit ->
   let wr = Reftrace.Window.Write in
   let stages = log2 n in
   let row_ffts step =
@@ -39,5 +36,4 @@ let trace ?(partition = Iteration_space.Block_2d) ~n mesh =
       emit ~kind:wr 1 p (id i j)
     done
   done;
-  row_ffts 2;
-  Reftrace.Window_builder.per_step space (List.rev !events)
+  row_ffts 2

@@ -5,10 +5,7 @@ let trace ?(partition = Iteration_space.Block_2d) ~n mesh =
   let owner i j =
     Iteration_space.owner partition mesh ~extent_i:n ~extent_j:n ~i ~j
   in
-  let events = ref [] in
-  let emit ?kind step proc data =
-    events := Reftrace.Trace.event ?kind ~step ~proc ~data () :: !events
-  in
+  Reftrace.Trace.generate space @@ fun emit ->
   let wr = Reftrace.Window.Write in
   for k = 0 to n - 2 do
     (* column scaling: iteration (i, k) divides a(i,k) by the pivot *)
@@ -26,5 +23,4 @@ let trace ?(partition = Iteration_space.Block_2d) ~n mesh =
         emit k p (id k j)
       done
     done
-  done;
-  Reftrace.Window_builder.per_step space (List.rev !events)
+  done

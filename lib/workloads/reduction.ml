@@ -21,10 +21,7 @@ let trace ?(partition = Iteration_space.Block_2d) ?(seed = 0xD1CE) ~n ~bins
     Iteration_space.owner partition mesh ~extent_i:n ~extent_j:n ~i ~j
   in
   let state = ref (if seed = 0 then 0xD1CE else seed) in
-  let events = ref [] in
-  let emit ?kind step proc data =
-    events := Reftrace.Trace.event ?kind ~step ~proc ~data () :: !events
-  in
+  Reftrace.Trace.generate space @@ fun emit ->
   let wr = Reftrace.Window.Write in
   let bands = Pim.Mesh.rows mesh in
   for band = 0 to bands - 1 do
@@ -36,5 +33,4 @@ let trace ?(partition = Iteration_space.Block_2d) ?(seed = 0xD1CE) ~n ~bins
         emit ~kind:wr band p (h (xorshift state mod bins))
       done
     done
-  done;
-  Reftrace.Window_builder.per_step space (List.rev !events)
+  done

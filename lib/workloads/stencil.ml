@@ -6,10 +6,7 @@ let trace ?(partition = Iteration_space.Block_2d) ~n ~sweeps mesh =
   let owner i j =
     Iteration_space.owner partition mesh ~extent_i:n ~extent_j:n ~i ~j
   in
-  let events = ref [] in
-  let emit ?kind step proc data =
-    events := Reftrace.Trace.event ?kind ~step ~proc ~data () :: !events
-  in
+  Reftrace.Trace.generate space @@ fun emit ->
   let wr = Reftrace.Window.Write in
   for t = 0 to sweeps - 1 do
     for i = 1 to n - 2 do
@@ -22,5 +19,4 @@ let trace ?(partition = Iteration_space.Block_2d) ~n ~sweeps mesh =
         emit t p (id i (j + 1))
       done
     done
-  done;
-  Reftrace.Window_builder.per_step space (List.rev !events)
+  done

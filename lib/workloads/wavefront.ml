@@ -12,10 +12,7 @@ let trace ?(partition = Iteration_space.Block_2d) ?diags_per_window ~n mesh =
   let owner i j =
     Iteration_space.owner partition mesh ~extent_i:n ~extent_j:n ~i ~j
   in
-  let events = ref [] in
-  let emit ?kind step proc data =
-    events := Reftrace.Trace.event ?kind ~step ~proc ~data () :: !events
-  in
+  Reftrace.Trace.generate space @@ fun emit ->
   let wr = Reftrace.Window.Write in
   (* anti-diagonal d holds cells with i + j = d; interior cells only *)
   for d = 2 to (2 * (n - 2)) do
@@ -31,5 +28,4 @@ let trace ?(partition = Iteration_space.Block_2d) ?diags_per_window ~n mesh =
         emit step p (id i (j + 1))
       end
     done
-  done;
-  Reftrace.Window_builder.per_step space (List.rev !events)
+  done

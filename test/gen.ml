@@ -78,3 +78,17 @@ let admit_of_mask ~width mask layer =
 (* A session on [mesh] whose processors hold [capacity] data each. *)
 let bounded capacity mesh trace =
   Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) mesh trace
+
+(* [coarsen k t] merges every [k] consecutive windows of [t] into one (the
+   last group may be shorter): the window-granularity ablation's coarser
+   traces. *)
+let coarsen k t =
+  let n = Reftrace.Trace.n_windows t in
+  Reftrace.Trace.create (Reftrace.Trace.space t)
+    (List.init
+       ((n + k - 1) / k)
+       (fun g ->
+         Reftrace.Window.merge_list
+           (List.init
+              (min k (n - (g * k)))
+              (fun i -> Reftrace.Trace.window t ((g * k) + i)))))

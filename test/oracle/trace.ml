@@ -17,3 +17,23 @@ let validate t mesh =
             processors"
            i mx limit)
   done
+
+(* The flat reference stream that [Window_builder] cuts into windows: the
+   list form [Reftrace.Trace.generate] streams instead of storing. *)
+type event = {
+  step : int;  (** logical execution step the reference occurs at *)
+  proc : int;  (** processor rank issuing the reference *)
+  data : int;  (** dense data id *)
+  kind : Reftrace.Window.kind;
+}
+
+let event ?(kind = Reftrace.Window.Read) ~step ~proc ~data () =
+  { step; proc; data; kind }
+
+(* [drop_empty_windows t] removes windows with no references, keeping at
+   least one window. *)
+let drop_empty_windows t =
+  let open Reftrace in
+  match List.filter (fun w -> not (Window.is_empty w)) (Trace.windows t) with
+  | [] -> Trace.create (Trace.space t) [ Trace.window t 0 ]
+  | ws -> Trace.create (Trace.space t) ws

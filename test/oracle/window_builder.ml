@@ -1,10 +1,19 @@
+(* The list-based window cutter generation used before
+   [Reftrace.Trace.generate] streamed its references: every policy sorts
+   the distinct steps of a materialized event list and replays the list
+   into one [Reftrace.Window.Builder] per window. [per_step] is the
+   reference [generate] is checked against; [fixed], [by] and [adaptive]
+   are the other window policies the tests study. *)
+
+module Window = Reftrace.Window
+
 let distinct_steps events =
   List.map (fun (e : Trace.event) -> e.step) events
   |> List.sort_uniq Int.compare
 
 let build space events ~index_of_step =
   if events = [] then invalid_arg "Window_builder: empty event list";
-  let n_data = Data_space.size space in
+  let n_data = Reftrace.Data_space.size space in
   let n_windows =
     List.fold_left
       (fun acc (e : Trace.event) ->
@@ -20,7 +29,8 @@ let build space events ~index_of_step =
       Window.Builder.add logs.(index_of_step e.step) ~kind:e.kind ~data:e.data
         ~proc:e.proc ~count:1)
     events;
-  Trace.create space (Array.to_list (Array.map Window.Builder.build logs))
+  Reftrace.Trace.create space
+    (Array.to_list (Array.map Window.Builder.build logs))
   |> Trace.drop_empty_windows
 
 let per_step space events =
@@ -115,5 +125,5 @@ let events_of_trace t =
           List.iter (emit Window.Read) (Window.read_profile w data);
           List.iter (emit Window.Write) (Window.write_profile w data))
         (Window.referenced_data w))
-    (Trace.windows t);
+    (Reftrace.Trace.windows t);
   List.rev !out

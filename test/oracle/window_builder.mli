@@ -1,26 +1,35 @@
-(** Cutting a flat reference stream into execution windows.
+(** Cutting a materialized reference list into execution windows: the
+    oracle that {!Reftrace.Trace.generate} is pinned against, and the
+    other window policies the tests study.
 
     The paper leaves window formation to the compiler ("a sequence of
     parallel execution steps are grouped into an execution window"); these
     builders implement the natural policies: one window per step, a fixed
-    number of steps per window, or an arbitrary step→window map. The
-    window-size ablation (A1 in DESIGN.md) sweeps [steps_per_window]. *)
+    number of steps per window, or an arbitrary step→window map. *)
 
 (** [per_step space events] makes one window per distinct [step] value, in
     ascending step order. @raise Invalid_argument on an empty event list. *)
-val per_step : Data_space.t -> Trace.event list -> Trace.t
+val per_step :
+  Reftrace.Data_space.t -> Trace.event list -> Reftrace.Trace.t
 
 (** [fixed ~steps_per_window space events] groups [steps_per_window]
     consecutive distinct steps into each window.
     @raise Invalid_argument if [steps_per_window <= 0] or no events. *)
-val fixed : steps_per_window:int -> Data_space.t -> Trace.event list -> Trace.t
+val fixed :
+  steps_per_window:int ->
+  Reftrace.Data_space.t ->
+  Trace.event list ->
+  Reftrace.Trace.t
 
 (** [by ~window_of_step space events] assigns step [s] to window
     [window_of_step s]; window indices must be dense non-negative once
     computed (gaps become empty windows and are dropped).
     @raise Invalid_argument if any computed index is negative or no events. *)
 val by :
-  window_of_step:(int -> int) -> Data_space.t -> Trace.event list -> Trace.t
+  window_of_step:(int -> int) ->
+  Reftrace.Data_space.t ->
+  Trace.event list ->
+  Reftrace.Trace.t
 
 (** [adaptive ?threshold space events] detects phase changes instead of
     cutting at a fixed stride: steps are appended to the current window
@@ -32,9 +41,12 @@ val by :
     @raise Invalid_argument if [threshold] is outside [0, 1] or no
     events. *)
 val adaptive :
-  ?threshold:float -> Data_space.t -> Trace.event list -> Trace.t
+  ?threshold:float ->
+  Reftrace.Data_space.t ->
+  Trace.event list ->
+  Reftrace.Trace.t
 
 (** [events_of_trace t] flattens a trace back to events (one event per
     reference count unit, step = window index); [per_step] on the result
     rebuilds an equal trace, a round-trip the tests check. *)
-val events_of_trace : Trace.t -> Trace.event list
+val events_of_trace : Reftrace.Trace.t -> Trace.event list

@@ -4,47 +4,47 @@ let check_bool = Alcotest.(check bool)
 
 let test_uniform_collapses_to_one_window () =
   let t = Workloads.Stencil.trace ~n:8 ~sweeps:6 mesh in
-  let events = Reftrace.Window_builder.events_of_trace t in
+  let events = Oracle.Window_builder.events_of_trace t in
   let adaptive =
-    Reftrace.Window_builder.adaptive (Reftrace.Trace.space t) events
+    Oracle.Window_builder.adaptive (Reftrace.Trace.space t) events
   in
   check_int "one window" 1 (Reftrace.Trace.n_windows adaptive)
 
 let test_phase_shift_detected () =
   (* two clearly distinct phases: all activity at rank 0, then all at 15 *)
   let space = Reftrace.Data_space.matrix "A" 2 in
-  let ev step proc data = Reftrace.Trace.event ~step ~proc ~data () in
+  let ev step proc data = Oracle.Trace.event ~step ~proc ~data () in
   let events =
     List.init 10 (fun i -> ev i 0 0)
     @ List.init 10 (fun i -> ev (10 + i) 15 1)
   in
-  let t = Reftrace.Window_builder.adaptive space events in
+  let t = Oracle.Window_builder.adaptive space events in
   check_int "two phases" 2 (Reftrace.Trace.n_windows t);
   check_int "first phase refs" 10
     (Reftrace.Window.total_references (Reftrace.Trace.window t 0))
 
 let test_threshold_one_never_splits () =
   let t = Workloads.Code_kernel.trace ~n:8 mesh in
-  let events = Reftrace.Window_builder.events_of_trace t in
+  let events = Oracle.Window_builder.events_of_trace t in
   let adaptive =
-    Reftrace.Window_builder.adaptive ~threshold:1.
+    Oracle.Window_builder.adaptive ~threshold:1.
       (Reftrace.Trace.space t) events
   in
   check_int "single window" 1 (Reftrace.Trace.n_windows adaptive)
 
 let test_threshold_zero_splits_on_any_change () =
   let space = Reftrace.Data_space.matrix "A" 2 in
-  let ev step proc data = Reftrace.Trace.event ~step ~proc ~data () in
+  let ev step proc data = Oracle.Trace.event ~step ~proc ~data () in
   let events = [ ev 0 0 0; ev 1 1 0; ev 2 1 1 ] in
-  let t = Reftrace.Window_builder.adaptive ~threshold:0. space events in
+  let t = Oracle.Window_builder.adaptive ~threshold:0. space events in
   (* step 2 has the same processor histogram as step 1: merged *)
   check_int "splits only on histogram change" 2 (Reftrace.Trace.n_windows t)
 
 let test_preserves_references () =
   let t = Workloads.Code_kernel.trace ~n:16 mesh in
-  let events = Reftrace.Window_builder.events_of_trace t in
+  let events = Oracle.Window_builder.events_of_trace t in
   let adaptive =
-    Reftrace.Window_builder.adaptive (Reftrace.Trace.space t) events
+    Oracle.Window_builder.adaptive (Reftrace.Trace.space t) events
   in
   check_int "same total"
     (Reftrace.Trace.total_references t)
@@ -52,11 +52,11 @@ let test_preserves_references () =
 
 let test_validates_threshold () =
   let space = Reftrace.Data_space.matrix "A" 1 in
-  let events = [ Reftrace.Trace.event ~step:0 ~proc:0 ~data:0 () ] in
+  let events = [ Oracle.Trace.event ~step:0 ~proc:0 ~data:0 () ] in
   Alcotest.check_raises "threshold > 1"
     (Invalid_argument "Window_builder.adaptive: threshold must be in [0, 1]")
     (fun () ->
-      ignore (Reftrace.Window_builder.adaptive ~threshold:1.5 space events))
+      ignore (Oracle.Window_builder.adaptive ~threshold:1.5 space events))
 
 let prop_window_count_bounded_by_extremes =
   (* threshold 0 fragments maximally (a window holds only identical
@@ -66,11 +66,11 @@ let prop_window_count_bounded_by_extremes =
   QCheck.Test.make
     ~name:"adaptive window count lies between the threshold extremes"
     ~count:60 arb (fun t ->
-      let events = Reftrace.Window_builder.events_of_trace t in
+      let events = Oracle.Window_builder.events_of_trace t in
       let space = Reftrace.Trace.space t in
       let count th =
         Reftrace.Trace.n_windows
-          (Reftrace.Window_builder.adaptive ~threshold:th space events)
+          (Oracle.Window_builder.adaptive ~threshold:th space events)
       in
       let finest = count 0. in
       List.for_all (fun th -> 1 <= count th && count th <= finest)
@@ -81,18 +81,18 @@ let prop_preserves_counts_random =
   let arb = Gen.trace_arbitrary ~max_data:5 ~max_windows:6 ~max_count:4 () in
   QCheck.Test.make ~name:"adaptive rebuild preserves reference counts"
     ~count:60 arb (fun t ->
-      let events = Reftrace.Window_builder.events_of_trace t in
+      let events = Oracle.Window_builder.events_of_trace t in
       let adaptive =
-        Reftrace.Window_builder.adaptive (Reftrace.Trace.space t) events
+        Oracle.Window_builder.adaptive (Reftrace.Trace.space t) events
       in
       Reftrace.Trace.total_references adaptive
       = Reftrace.Trace.total_references t)
 
 let test_schedulers_accept_adaptive_windows () =
   let t = Workloads.Code_kernel.trace ~n:16 mesh in
-  let events = Reftrace.Window_builder.events_of_trace t in
+  let events = Oracle.Window_builder.events_of_trace t in
   let adaptive =
-    Reftrace.Window_builder.adaptive ~threshold:0.15
+    Oracle.Window_builder.adaptive ~threshold:0.15
       (Reftrace.Trace.space t) events
   in
   let cost =

@@ -99,11 +99,9 @@ let test_window_granularity_tradeoff_runs () =
   (* the ablation path: rebuilding LU with coarser windows must preserve
      total references and never crash the schedulers *)
   let t = Workloads.Lu.trace ~n:8 mesh in
-  let events = Reftrace.Window_builder.events_of_trace t in
-  let space = Reftrace.Trace.space t in
   List.iter
     (fun k ->
-      let coarse = Reftrace.Window_builder.fixed ~steps_per_window:k space events in
+      let coarse = Gen.coarsen k t in
       check_int
         (Printf.sprintf "refs preserved at k=%d" k)
         (Reftrace.Trace.total_references t)

@@ -71,12 +71,12 @@ let test_drop_empty_windows () =
   let empty = Reftrace.Window.create ~n_data:1 in
   let full = Gen.window ~n_data:1 [ (0, 0, 1) ] in
   let t = Reftrace.Trace.create space [ empty; full; empty ] in
-  let d = Reftrace.Trace.drop_empty_windows t in
+  let d = Oracle.Trace.drop_empty_windows t in
   check_int "one window left" 1 (Reftrace.Trace.n_windows d);
   (* all-empty traces keep one window *)
   let t2 = Reftrace.Trace.create space [ empty; empty ] in
   check_int "degenerate keeps one" 1
-    (Reftrace.Trace.n_windows (Reftrace.Trace.drop_empty_windows t2))
+    (Reftrace.Trace.n_windows (Oracle.Trace.drop_empty_windows t2))
 
 let test_create_validation () =
   let space = Reftrace.Data_space.matrix "A" 2 in
@@ -101,6 +101,75 @@ let prop_merged_preserves_counts =
       Reftrace.Window.total_references (Reftrace.Trace.merged t)
       = Reftrace.Trace.total_references t)
 
+(* -- Trace.generate ------------------------------------------------------ *)
+
+(* [stream space events] feeds [events] to [Trace.generate] in order. *)
+let stream space (events : Oracle.Trace.event list) =
+  Reftrace.Trace.generate space (fun emit ->
+      List.iter
+        (fun (e : Oracle.Trace.event) -> emit ~kind:e.kind e.step e.proc e.data)
+        events)
+
+(* Non-decreasing step streams: a start step, then per reference a step
+   increment (mostly 0, sometimes a gap), a rank, a datum and a kind. A
+   quarter of the streams stay on one step. *)
+let step_stream_gen =
+  let open QCheck.Gen in
+  let* side = int_range 1 3 in
+  let* start = int_range (-3) 3 in
+  let* single = frequency [ (1, return true); (3, return false) ] in
+  let increment =
+    if single then return 0
+    else frequency [ (6, return 0); (2, return 1); (1, int_range 2 5) ]
+  in
+  let reference =
+    quad increment (int_bound 15) (int_bound ((side * side) - 1)) bool
+  in
+  let* refs = list_size (int_range 1 40) reference in
+  let step = ref start in
+  let events =
+    List.map
+      (fun (inc, proc, data, write) ->
+        step := !step + inc;
+        let kind =
+          if write then Reftrace.Window.Write else Reftrace.Window.Read
+        in
+        Oracle.Trace.event ~kind ~step:!step ~proc ~data ())
+      refs
+  in
+  return (side, events)
+
+let prop_generate_matches_per_step =
+  let print (side, events) =
+    Printf.sprintf "%dx%d: %s" side side
+      (String.concat " "
+         (List.map
+            (fun (e : Oracle.Trace.event) ->
+              Printf.sprintf "%d:p%d:d%d%s" e.step e.proc e.data
+                (if e.kind = Reftrace.Window.Write then "w" else ""))
+            events))
+  in
+  QCheck.Test.make ~name:"generate = oracle per_step (serial text)"
+    ~count:300
+    (QCheck.make ~print step_stream_gen)
+    (fun (side, events) ->
+      let space = Reftrace.Data_space.matrix "A" side in
+      Reftrace.Serial.to_string (stream space events)
+      = Reftrace.Serial.to_string (Oracle.Window_builder.per_step space events))
+
+let test_generate_validation () =
+  let space = Reftrace.Data_space.matrix "A" 2 in
+  Alcotest.check_raises "backwards step"
+    (Invalid_argument "Trace.generate: step 2 after step 3") (fun () ->
+      ignore
+        (Reftrace.Trace.generate space (fun emit ->
+             emit 3 0 0;
+             emit 3 1 1;
+             emit 2 0 0)));
+  Alcotest.check_raises "no references"
+    (Invalid_argument "Trace.generate: no references") (fun () ->
+      ignore (Reftrace.Trace.generate space (fun _ -> ())))
+
 let suite =
   [
     Gen.case "basic accessors" test_basic_accessors;
@@ -113,4 +182,6 @@ let suite =
     Gen.case "create validation" test_create_validation;
     Gen.to_alcotest prop_reverse_involution;
     Gen.to_alcotest prop_merged_preserves_counts;
+    Gen.to_alcotest prop_generate_matches_per_step;
+    Gen.case "generate validation" test_generate_validation;
   ]

@@ -495,6 +495,37 @@ let test_golden_covers_every_pin () =
            * if name = "reduction" then 5 else 4))
        0 generators)
 
+(* -- Generation allocation ------------------------------------------------ *)
+
+(* Heap words allocated per generated reference, from [Gc.allocated_bytes]
+   (minor and major). Streaming each reference into the open window's log
+   costs 28.5 (LU 32), 26.5 (matmul 16) and 26.7 (stencil 32, 4 sweeps)
+   words on 8x8; consing an event list first and replaying it cost 50.4,
+   46.5 and 48.1. *)
+let words_per_reference gen =
+  (* a major cycle on each side folds the domain's pending direct major
+     allocations into the counters *)
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let t = gen () in
+  Gc.full_major ();
+  let after = Gc.allocated_bytes () in
+  (after -. before) /. 8. /. float (Reftrace.Trace.total_references t)
+
+let test_generation_allocation () =
+  let m = Pim.Mesh.square 8 in
+  List.iter
+    (fun (name, gen) ->
+      let words = words_per_reference gen in
+      if words > 36. then
+        Alcotest.failf "%s allocates %.1f words per reference (bound 36)" name
+          words)
+    [
+      ("lu", fun () -> Workloads.Lu.trace ~n:32 m);
+      ("matmul", fun () -> Workloads.Matmul.trace ~n:16 m);
+      ("stencil", fun () -> Workloads.Stencil.trace ~n:32 ~sweeps:4 m);
+    ]
+
 let suite =
   [
     Gen.case "owner block-2d" test_owner_block_2d;
@@ -519,7 +550,9 @@ let suite =
     Gen.case "benchmark capacity rule" test_benchmark_capacity_rule;
     Gen.to_alcotest prop_all_benchmarks_validate;
     Gen.case "golden pins cover every case" test_golden_covers_every_pin;
+    Gen.case "generation allocation per reference" test_generation_allocation;
   ]
   @ List.map
-      (fun ((name, _) as g) -> Gen.case ("golden " ^ name) (test_golden_traces g))
+      (fun ((name, _) as g) ->
+        Gen.case ("golden " ^ name) (test_golden_traces g))
       generators
