@@ -18,8 +18,7 @@ let validate t mesh =
            i mx limit)
   done
 
-(* The flat reference stream that [Window_builder] cuts into windows: the
-   list form [Reftrace.Trace.generate] streams instead of storing. *)
+(* One reference of the flat stream [Window_builder] cuts into windows. *)
 type event = {
   step : int;  (** logical execution step the reference occurs at *)
   proc : int;  (** processor rank issuing the reference *)

@@ -1,9 +1,8 @@
-(* The list-based window cutter generation used before
-   [Reftrace.Trace.generate] streamed its references: every policy sorts
-   the distinct steps of a materialized event list and replays the list
-   into one [Reftrace.Window.Builder] per window. [per_step] is the
-   reference [generate] is checked against; [fixed], [by] and [adaptive]
-   are the other window policies the tests study. *)
+(* List-based window cutting: every policy sorts the distinct steps of a
+   materialized event list and replays the list into one
+   [Reftrace.Window.Builder] per window. [per_step] is the reference
+   [Reftrace.Trace.generate] is checked against; [fixed], [by] and
+   [adaptive] are the other window policies the tests study. *)
 
 module Window = Reftrace.Window
 
