@@ -29,7 +29,7 @@ type t = {
   (* The session's metric, as the layered DP relaxes it: the mesh's
      [Axes], or, iff the fault kills links (node faults keep routers, so
      distances only change under link faults), a [Table] of BFS
-     distances built eagerly via the oracle, disconnected pairs holding
+     distances built eagerly from [Fault.Paths], disconnected pairs holding
      [unreachable_cost]. A [Table] switches the session off the separable
      path: rows are built [Full] from it instead of [Axis_sum] from the
      marginals. *)
@@ -82,11 +82,11 @@ let relaxation_of mesh size fault =
       ~wrap:(Pim.Mesh.wraps mesh)
   else begin
     if !Obs.enabled then Obs.Metrics.incr "cost.fault_tables";
-    let oracle = Pim.Fault.Oracle.create mesh fault in
+    let paths = Pim.Fault.Paths.create mesh fault in
     Pathgraph.Layered.table
       (Array.init size (fun src ->
            Array.init size (fun dst ->
-               match Pim.Fault.Oracle.distance oracle ~src ~dst with
+               match Pim.Fault.Paths.distance paths ~src ~dst with
                | Some d -> d
                | None -> unreachable_cost)))
   end

@@ -46,14 +46,14 @@ let repair_map mesh fault =
    trajectories that strand data lose the comparison. The continuation
    price is separable across data (no cross-datum terms), so
    adopt-vs-keep can be decided per datum. *)
-let price_datum problem ~oracle ~repair ~windows ~volume ~plan ~from_pos
+let price_datum problem ~paths ~repair ~windows ~volume ~plan ~from_pos
     ~first d =
   let n_windows = Schedule.n_windows plan in
   let dist src dst =
-    match oracle with
+    match paths with
     | None -> Problem.distance problem src dst
     | Some o -> (
-        match Pim.Fault.Oracle.distance o ~src ~dst with
+        match Pim.Fault.Paths.distance o ~src ~dst with
         | Some dd -> dd
         | None -> Problem.unreachable_cost)
   in
@@ -99,7 +99,7 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
   (* mutable execution state *)
   let cur_fault = ref (Problem.fault problem) in
   let cur_problem = ref problem in
-  let oracle = ref None in
+  let paths = ref None in
   let repair = ref (Array.init (Pim.Mesh.size mesh) Fun.id) in
   let pos = ref None in
   let reference_cost = ref 0
@@ -112,9 +112,9 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
   and reschedules = ref 0 in
   let healthy_dist = Pim.Mesh.distance mesh in
   let fault_dist src dst =
-    match !oracle with
+    match !paths with
     | None -> Some (healthy_dist src dst)
-    | Some o -> Pim.Fault.Oracle.distance o ~src ~dst
+    | Some o -> Pim.Fault.Paths.distance o ~src ~dst
   in
   for w = 0 to n_windows - 1 do
     (* 1. activate this window's failures *)
@@ -131,9 +131,9 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
          repriced are rebuilt — a pure node-fault event reuses every
          cost row of the previous session *)
       cur_problem := Problem.with_fault_patch !cur_problem f;
-      oracle :=
+      paths :=
         (if Pim.Fault.is_none f then None
-         else Some (Pim.Fault.Oracle.create mesh f));
+         else Some (Pim.Fault.Paths.create mesh f));
       repair := repair_map mesh f;
       (* 2. evict data physically sitting on freshly dead ranks *)
       (match !pos with
@@ -170,7 +170,7 @@ let run ?(reschedule = true) ?(events = []) problem algorithm =
       if reschedule then begin
         let candidate = Scheduler.solve !cur_problem algorithm in
         let price p d =
-          price_datum !cur_problem ~oracle:!oracle ~repair:!repair ~windows
+          price_datum !cur_problem ~paths:!paths ~repair:!repair ~windows
             ~volume ~plan:p ~from_pos:!pos ~first:w d
         in
         let adopted = ref 0 in

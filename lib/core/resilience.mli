@@ -7,7 +7,7 @@
     window [w] starts. Execution walks the windows charging the same
     accounting as {!Schedule.cost} (volume · distance references, volume ·
     distance migrations, initial placement free), with distances served by
-    the fault-aware BFS oracle once links die.
+    the fault-aware BFS paths ({!Pim.Fault.Paths}) once links die.
 
     When a failure arrives:
 

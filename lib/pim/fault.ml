@@ -3,7 +3,7 @@ exception Unreachable of int * int
 (* A fault set is mesh-independent data: sorted dead ranks and sorted
    canonical (lo, hi) dead links. Sets are tiny (a few percent of the
    array), so sorted lists keep the representation simple; hot consumers
-   (Problem, the oracle) precompute dense masks once. *)
+   (Problem, [Paths]) precompute dense masks once. *)
 type t = { nodes : int list; links : (int * int) list }
 
 let none = { nodes = []; links = [] }
@@ -119,7 +119,7 @@ let pp fmt t =
           (String.concat ";"
              (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) l)))
 
-module Oracle = struct
+module Paths = struct
   type fault = t
 
   type t = {
@@ -151,7 +151,7 @@ module Oracle = struct
   let check t who rank =
     if rank < 0 || rank >= Mesh.size t.mesh then
       invalid_arg
-        (Printf.sprintf "Fault.Oracle.%s: rank %d out of bounds for %s" who
+        (Printf.sprintf "Fault.Paths.%s: rank %d out of bounds for %s" who
            rank
            (Format.asprintf "%a" Mesh.pp t.mesh))
 

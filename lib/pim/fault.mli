@@ -4,8 +4,8 @@
     every x-y route exists. This module describes the ways a real array
     degrades — {e node faults} (a processor's compute/memory dies, so it
     can no longer host data) and {e link faults} (a mesh link dies, so x-y
-    routes must detour) — and provides the shortest-path oracle the rest of
-    the stack routes and prices against on the degraded topology.
+    routes must detour) — and provides the shortest surviving paths the
+    rest of the stack routes and prices against on the degraded topology.
 
     Failure semantics: a dead {e node} keeps its router alive (the
     compute/memory macro fails, the network switch does not — the common
@@ -15,13 +15,13 @@
     detours and makes distances non-separable.
 
     A [Fault.t] is independent of any mesh: it is a set of dead ranks and
-    dead links, validated against a mesh when an {!Oracle.t} (or a
+    dead links, validated against a mesh when a {!Paths.t} (or a
     [Sched.Problem.t]) is built over it. Values are immutable. *)
 
 type t
 
 (** [Unreachable (src, dst)] — a message was routed between two ranks with
-    no surviving path. Raised by fault-aware routing ({!Oracle.route} never
+    no surviving path. Raised by fault-aware routing ({!Paths.route} never
     raises; {!Router.route} translates its [None]); catch it to implement
     retry accounting instead of hanging. *)
 exception Unreachable of int * int
@@ -101,22 +101,22 @@ val validate : t -> Mesh.t -> unit
 
 val pp : Format.formatter -> t -> unit
 
-(** Cached BFS shortest-path oracle over the degraded topology.
+(** Cached BFS shortest paths over the degraded topology.
 
     Distances and routes are computed by breadth-first search over the
     mesh graph minus dead links (dead nodes keep routing — see the model
-    note above), one source at a time, cached for the oracle's lifetime.
-    On {!none} the oracle answers straight from the closed-form
+    note above), one source at a time, cached for the value's lifetime.
+    On {!none} the answers come straight from the closed-form
     {!Mesh.distance} / {!Mesh.xy_route} without running any BFS, so a
-    healthy oracle is free and byte-identical to the fault-oblivious
+    healthy [Paths.t] is free and byte-identical to the fault-oblivious
     paths. *)
-module Oracle : sig
+module Paths : sig
   type fault := t
 
   type t
 
-  (** [create mesh fault] validates [fault] against [mesh] and returns an
-      empty-cached oracle. @raise Invalid_argument on a fault naming
+  (** [create mesh fault] validates [fault] against [mesh] and returns
+      paths with an empty cache. @raise Invalid_argument on a fault naming
       ranks or links outside [mesh]. *)
   val create : Mesh.t -> fault -> t
 

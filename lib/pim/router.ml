@@ -16,23 +16,23 @@ let check_ranks who mesh { src; dst; _ } =
     invalid_arg
       (Printf.sprintf "Router.%s: dst rank %d out of [0, %d)" who dst size)
 
-let cost ?oracle mesh ({ src; dst; volume } as msg) =
+let cost ?paths mesh ({ src; dst; volume } as msg) =
   check_ranks "cost" mesh msg;
-  match oracle with
+  match paths with
   | None -> volume * Mesh.distance mesh src dst
-  | Some o -> volume * Fault.Oracle.distance_exn o ~src ~dst
+  | Some o -> volume * Fault.Paths.distance_exn o ~src ~dst
 
-let path_of ?oracle mesh msg =
-  match oracle with
+let path_of ?paths mesh msg =
+  match paths with
   | None -> Mesh.xy_route mesh ~src:msg.src ~dst:msg.dst
   | Some o -> (
-      match Fault.Oracle.route o ~src:msg.src ~dst:msg.dst with
+      match Fault.Paths.route o ~src:msg.src ~dst:msg.dst with
       | Some path -> path
       | None -> raise (Fault.Unreachable (msg.src, msg.dst)))
 
-let route ?oracle mesh stats msg =
+let route ?paths mesh stats msg =
   check_ranks "route" mesh msg;
-  let path = path_of ?oracle mesh msg in
+  let path = path_of ?paths mesh msg in
   let rec walk hops = function
     | a :: (b :: _ as rest) ->
         Link_stats.record stats ~src:a ~dst:b ~volume:msg.volume;
@@ -44,7 +44,7 @@ let route ?oracle mesh stats msg =
     Obs.Metrics.incr "router.messages";
     Obs.Metrics.observe "router.hops" hops;
     Obs.Metrics.add "router.volume_hops" (hops * msg.volume);
-    if oracle <> None then begin
+    if paths <> None then begin
       let detour = hops - Mesh.distance mesh msg.src msg.dst in
       if detour > 0 then begin
         Obs.Metrics.incr "router.reroutes";
@@ -54,8 +54,8 @@ let route ?oracle mesh stats msg =
   end;
   hops * msg.volume
 
-let route_all ?oracle mesh stats msgs =
-  List.fold_left (fun acc m -> acc + route ?oracle mesh stats m) 0 msgs
+let route_all ?paths mesh stats msgs =
+  List.fold_left (fun acc m -> acc + route ?paths mesh stats m) 0 msgs
 
 let pp_message fmt { src; dst; volume } =
   Format.fprintf fmt "%d->%d x%d" src dst volume

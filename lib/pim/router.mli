@@ -5,7 +5,7 @@
     messages equals the analytic Σ volume·distance cost the schedulers
     compute — the identity the simulator's integration tests rely on.
 
-    Every entry point takes an optional fault {!Fault.Oracle.t}: with one,
+    Every entry point takes an optional fault {!Fault.Paths.t}: with one,
     messages follow (and are priced by) shortest surviving routes around
     dead links, and a destination with no surviving path raises the typed
     {!Fault.Unreachable} instead of hanging. Without one the original x-y
@@ -23,23 +23,23 @@ type message = {
     @raise Invalid_argument if [volume < 0]. *)
 val message : src:int -> dst:int -> volume:int -> message
 
-(** [cost ?oracle mesh msg] is the analytic cost [volume * distance], where
-    distance is fault-aware when [oracle] is given.
+(** [cost ?paths mesh msg] is the analytic cost [volume * distance], where
+    distance is fault-aware when [paths] is given.
     @raise Invalid_argument if either rank is outside [0, size).
-    @raise Fault.Unreachable if [oracle] reports no surviving path. *)
-val cost : ?oracle:Fault.Oracle.t -> Mesh.t -> message -> int
+    @raise Fault.Unreachable if [paths] reports no surviving path. *)
+val cost : ?paths:Fault.Paths.t -> Mesh.t -> message -> int
 
-(** [route ?oracle mesh stats msg] walks the route of [msg] (x-y, or the
-    oracle's shortest surviving detour), recording [volume] units on every
+(** [route ?paths mesh stats msg] walks the route of [msg] (x-y, or the
+    shortest surviving detour from [paths]), recording [volume] units on every
     traversed link into [stats], and returns the hop·volume cost (equal to
-    [cost ?oracle mesh msg]). A self-message costs [0].
+    [cost ?paths mesh msg]). A self-message costs [0].
     @raise Invalid_argument if either rank is outside [0, size).
-    @raise Fault.Unreachable if [oracle] reports no surviving path. *)
-val route : ?oracle:Fault.Oracle.t -> Mesh.t -> Link_stats.t -> message -> int
+    @raise Fault.Unreachable if [paths] reports no surviving path. *)
+val route : ?paths:Fault.Paths.t -> Mesh.t -> Link_stats.t -> message -> int
 
-(** [route_all ?oracle mesh stats msgs] routes a batch and returns the
+(** [route_all ?paths mesh stats msgs] routes a batch and returns the
     summed cost. *)
 val route_all :
-  ?oracle:Fault.Oracle.t -> Mesh.t -> Link_stats.t -> message list -> int
+  ?paths:Fault.Paths.t -> Mesh.t -> Link_stats.t -> message list -> int
 
 val pp_message : Format.formatter -> message -> unit

@@ -24,8 +24,8 @@ let non_local msgs =
 
 let run ?(fault = Fault.none) mesh rounds =
   Obs.Span.with_ ~name:"sim.run" @@ fun () ->
-  let oracle =
-    if Fault.is_none fault then None else Some (Fault.Oracle.create mesh fault)
+  let paths =
+    if Fault.is_none fault then None else Some (Fault.Paths.create mesh fault)
   in
   let cumulative = Link_stats.create ~fault mesh in
   let run_round idx { migrations; references } =
@@ -33,8 +33,8 @@ let run ?(fault = Fault.none) mesh rounds =
     let route_batch msgs =
       List.fold_left
         (fun acc m ->
-          let c = Router.route ?oracle mesh per_round m in
-          let c' = Router.route ?oracle mesh cumulative m in
+          let c = Router.route ?paths mesh per_round m in
+          let c' = Router.route ?paths mesh cumulative m in
           assert (c = c');
           acc + c)
         0 msgs
@@ -46,9 +46,9 @@ let run ?(fault = Fault.none) mesh rounds =
       List.fold_left
         (fun acc (m : Router.message) ->
           max acc
-            (match oracle with
+            (match paths with
             | None -> Mesh.distance mesh m.src m.dst
-            | Some o -> Fault.Oracle.distance_exn o ~src:m.src ~dst:m.dst))
+            | Some o -> Fault.Paths.distance_exn o ~src:m.src ~dst:m.dst))
         0 live
     in
     let max_link =

@@ -5,8 +5,8 @@ let links_of_route path =
   in
   Array.of_list (go [] path)
 
-let oracle_of_fault mesh fault =
-  if Fault.is_none fault then None else Some (Fault.Oracle.create mesh fault)
+let paths_of_fault mesh fault =
+  if Fault.is_none fault then None else Some (Fault.Paths.create mesh fault)
 
 (* ------------------------------------------------------------------ *)
 (* The live engine: same three-phase cycle loop, parameterized by a
@@ -79,16 +79,16 @@ type round_stats = {
   rs_stalls : int; (* Σ blocked-packet cycles (backpressure) *)
 }
 
-let simulate_model ?oracle ~(model : Link_model.t) ~(ready : int array) mesh
+let simulate_model ?paths ~(model : Link_model.t) ~(ready : int array) mesh
     (msgs : Router.message list) =
   let live =
     List.filter (fun (m : Router.message) -> m.src <> m.dst && m.volume > 0) msgs
   in
   let route_of (m : Router.message) =
-    match oracle with
+    match paths with
     | None -> Mesh.xy_route mesh ~src:m.src ~dst:m.dst
     | Some o -> (
-        match Fault.Oracle.route o ~src:m.src ~dst:m.dst with
+        match Fault.Paths.route o ~src:m.src ~dst:m.dst with
         | Some path -> path
         | None -> raise (Fault.Unreachable (m.src, m.dst)))
   in
@@ -269,7 +269,7 @@ let round_stats ?(fault = Fault.none) ?(model = Link_model.degenerate) mesh msgs
     =
   let ready = ready_of ~model ~size:(Mesh.size mesh) msgs in
   let s =
-    simulate_model ?oracle:(oracle_of_fault mesh fault) ~model ~ready mesh msgs
+    simulate_model ?paths:(paths_of_fault mesh fault) ~model ~ready mesh msgs
   in
   report_of_stats ~model ~ready 0 s
 
@@ -278,14 +278,14 @@ let round_makespan ?fault ?model mesh msgs =
 
 let run ?(fault = Fault.none) ?(model = Link_model.degenerate) mesh rounds =
   Obs.Span.with_ ~name:"sim.timed_run" @@ fun () ->
-  let oracle = oracle_of_fault mesh fault in
+  let paths = paths_of_fault mesh fault in
   let size = Mesh.size mesh in
   let busy_sum = ref 0 and live_sum = ref 0 in
   let reports =
     List.mapi
       (fun idx { Simulator.migrations; references } ->
         let ready = ready_of ~model ~size references in
-        let s = simulate_model ?oracle ~model ~ready mesh (migrations @ references) in
+        let s = simulate_model ?paths ~model ~ready mesh (migrations @ references) in
         if !Obs.enabled then begin
           Obs.Metrics.add "sim.cycles" s.rs_cycles;
           Obs.Metrics.add "sim.messages" s.rs_messages;

@@ -16,8 +16,8 @@ let links_of_route path =
   in
   Array.of_list (go [] path)
 
-let oracle_of_fault mesh fault =
-  if Fault.is_none fault then None else Some (Fault.Oracle.create mesh fault)
+let paths_of_fault mesh fault =
+  if Fault.is_none fault then None else Some (Fault.Paths.create mesh fault)
 
 type packet = {
   id : int;
@@ -42,17 +42,17 @@ type report = {
 }
 
 (* Simulate one batch of packets to completion; returns the makespan. *)
-let simulate ?oracle mesh (msgs : Router.message list) =
+let simulate ?paths mesh (msgs : Router.message list) =
   let live =
     List.filter
       (fun (m : Router.message) -> m.src <> m.dst && m.volume > 0)
       msgs
   in
   let route_of (m : Router.message) =
-    match oracle with
+    match paths with
     | None -> Mesh.xy_route mesh ~src:m.src ~dst:m.dst
     | Some o -> (
-        match Fault.Oracle.route o ~src:m.src ~dst:m.dst with
+        match Fault.Paths.route o ~src:m.src ~dst:m.dst with
         | Some path -> path
         | None -> raise (Fault.Unreachable (m.src, m.dst)))
   in
@@ -142,17 +142,17 @@ let simulate ?oracle mesh (msgs : Router.message list) =
 
 let round_makespan ?(fault = Fault.none) mesh msgs =
   let cycles, _, _, _ =
-    simulate ?oracle:(oracle_of_fault mesh fault) mesh msgs
+    simulate ?paths:(paths_of_fault mesh fault) mesh msgs
   in
   cycles
 
 let run ?(fault = Fault.none) mesh rounds =
-  let oracle = oracle_of_fault mesh fault in
+  let paths = paths_of_fault mesh fault in
   let reports =
     List.mapi
       (fun idx { Simulator.migrations; references } ->
         let cycles, messages, volume_hops, live_links =
-          simulate ?oracle mesh (migrations @ references)
+          simulate ?paths mesh (migrations @ references)
         in
         let utilization =
           if cycles = 0 || live_links = 0 then 0.

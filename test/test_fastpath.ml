@@ -1057,10 +1057,10 @@ let prop_row_store mesh label (kind, fault) =
   let size = Pim.Mesh.size mesh in
   let dist =
     if Pim.Fault.has_link_faults fault then begin
-      let bfs = Pim.Fault.Oracle.create mesh fault in
+      let bfs = Pim.Fault.Paths.create mesh fault in
       fun src dst ->
         Option.value ~default:Sched.Problem.unreachable_cost
-          (Pim.Fault.Oracle.distance bfs ~src ~dst)
+          (Pim.Fault.Paths.distance bfs ~src ~dst)
     end
     else Pim.Mesh.distance mesh
   in

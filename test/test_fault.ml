@@ -95,17 +95,17 @@ let test_validate_rejects_foreign () =
 let test_oracle_healthy_identity () =
   List.iter
     (fun mesh ->
-      let o = Pim.Fault.Oracle.create mesh Pim.Fault.none in
+      let o = Pim.Fault.Paths.create mesh Pim.Fault.none in
       let m = Pim.Mesh.size mesh in
       for src = 0 to m - 1 do
         for dst = 0 to m - 1 do
           check_int "distance = Mesh.distance"
             (Pim.Mesh.distance mesh src dst)
-            (Pim.Fault.Oracle.distance_exn o ~src ~dst);
+            (Pim.Fault.Paths.distance_exn o ~src ~dst);
           Alcotest.(check (list int))
             "route = xy route"
             (Pim.Mesh.xy_route mesh ~src ~dst)
-            (Option.get (Pim.Fault.Oracle.route o ~src ~dst))
+            (Option.get (Pim.Fault.Paths.route o ~src ~dst))
         done
       done)
     [ mesh44; torus35 ]
@@ -114,27 +114,27 @@ let test_oracle_detour () =
   (* 2x2 mesh: ranks 0 1 / 2 3. Killing link 0-1 forces 0 -> 2 -> 3 -> 1. *)
   let mesh = Pim.Mesh.square 2 in
   let f = Pim.Fault.create ~dead_links:[ (0, 1) ] () in
-  let o = Pim.Fault.Oracle.create mesh f in
-  check_int "detour distance" 3 (Pim.Fault.Oracle.distance_exn o ~src:0 ~dst:1);
+  let o = Pim.Fault.Paths.create mesh f in
+  check_int "detour distance" 3 (Pim.Fault.Paths.distance_exn o ~src:0 ~dst:1);
   Alcotest.(check (list int))
     "detour route" [ 0; 2; 3; 1 ]
-    (Option.get (Pim.Fault.Oracle.route o ~src:0 ~dst:1));
+    (Option.get (Pim.Fault.Paths.route o ~src:0 ~dst:1));
   (* the unaffected pair keeps its healthy geometry *)
   check_int "other pairs untouched" 1
-    (Pim.Fault.Oracle.distance_exn o ~src:2 ~dst:3)
+    (Pim.Fault.Paths.distance_exn o ~src:2 ~dst:3)
 
 let isolated_corner_fault = Pim.Fault.create ~dead_links:[ (0, 1); (0, 2) ] ()
 
 let test_oracle_disconnected () =
   (* cutting both of rank 0's links on a 2x2 mesh isolates it *)
   let mesh = Pim.Mesh.square 2 in
-  let o = Pim.Fault.Oracle.create mesh isolated_corner_fault in
+  let o = Pim.Fault.Paths.create mesh isolated_corner_fault in
   Alcotest.(check (option int))
     "no path" None
-    (Pim.Fault.Oracle.distance o ~src:3 ~dst:0);
+    (Pim.Fault.Paths.distance o ~src:3 ~dst:0);
   Alcotest.check_raises "typed error, not a hang"
     (Pim.Fault.Unreachable (3, 0)) (fun () ->
-      ignore (Pim.Fault.Oracle.distance_exn o ~src:3 ~dst:0))
+      ignore (Pim.Fault.Paths.distance_exn o ~src:3 ~dst:0))
 
 let test_simulator_disconnected_is_typed_error () =
   let mesh = Pim.Mesh.square 2 in
@@ -163,12 +163,12 @@ let faulty_cases =
   ]
 
 let analytic_cost mesh fault rounds =
-  let o = Pim.Fault.Oracle.create mesh fault in
+  let o = Pim.Fault.Paths.create mesh fault in
   List.fold_left
     (fun acc { Pim.Simulator.migrations; references } ->
       List.fold_left
         (fun acc { Pim.Router.src; dst; volume } ->
-          acc + (volume * Pim.Fault.Oracle.distance_exn o ~src ~dst))
+          acc + (volume * Pim.Fault.Paths.distance_exn o ~src ~dst))
         acc
         (migrations @ references))
     0 rounds
@@ -318,11 +318,11 @@ let test_link_fault_downgrades_distance () =
   let trace = Gen.trace mesh44 ~n_data:2 [ [ (0, 1, 2); (1, 14, 1) ] ] in
   let fault = Pim.Fault.create ~dead_links:[ (0, 1) ] () in
   let problem = Sched.Problem.create ~fault mesh44 trace in
-  let o = Pim.Fault.Oracle.create mesh44 fault in
+  let o = Pim.Fault.Paths.create mesh44 fault in
   for src = 0 to 15 do
     for dst = 0 to 15 do
       check_int "Problem.distance = BFS distance"
-        (Pim.Fault.Oracle.distance_exn o ~src ~dst)
+        (Pim.Fault.Paths.distance_exn o ~src ~dst)
         (Sched.Problem.distance problem src dst)
     done
   done

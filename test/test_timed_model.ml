@@ -525,12 +525,12 @@ let test_fault_detour_stalls_no_deadlock () =
    What holds in general is termination, conserved volume-hops and the
    per-round lower bounds. *)
 let round_lower_bound ~fault mesh msgs =
-  let oracle = Pim.Fault.Oracle.create mesh fault in
+  let paths = Pim.Fault.Paths.create mesh fault in
   let loads = Hashtbl.create 16 in
   List.fold_left
     (fun acc (m : Pim.Router.message) ->
       let route =
-        Option.get (Pim.Fault.Oracle.route oracle ~src:m.src ~dst:m.dst)
+        Option.get (Pim.Fault.Paths.route paths ~src:m.src ~dst:m.dst)
       in
       let rec walk = function
         | a :: (b :: _ as rest) ->
