@@ -76,11 +76,37 @@ let fixed_trace mesh =
       [ (0, 0, 2); (3, 7, 1); (1, 11, 1); (4, 14, 3) ];
     ]
 
+(* (label, fault, session, schedulers): every scheduler on the fixed
+   trace per topology and fault, plus gomcds on LU 16 over 16x16 under
+   the paper's 2x rule, the at-scale instance the bench pins its timed
+   work on. *)
+let differential_inputs =
+  List.map
+    (fun (label, mesh, fault) ->
+      ( label,
+        fault,
+        Sched.Problem.create ~fault mesh (fixed_trace mesh),
+        Sched.Scheduler.all ))
+    topo_cases
+  @
+  let mesh = Pim.Mesh.square 16 in
+  let trace = Workloads.Lu.trace ~n:16 mesh in
+  let policy =
+    Sched.Problem.headroom_policy ~headroom:2 ~processors:(Pim.Mesh.size mesh)
+      trace
+  in
+  [
+    ( "LU 16 on 16x16",
+      Pim.Fault.none,
+      Sched.Problem.create ~policy mesh trace,
+      [ Sched.Scheduler.Gomcds ] );
+  ]
+
 let test_differential_every_scheduler () =
   List.iter
-    (fun (label, mesh, fault) ->
-      let trace = fixed_trace mesh in
-      let problem = Sched.Problem.create ~fault mesh trace in
+    (fun (label, fault, problem, algos) ->
+      let mesh = Sched.Problem.mesh problem in
+      let trace = Sched.Problem.trace problem in
       List.iter
         (fun algo ->
           let schedule = Sched.Scheduler.solve problem algo in
@@ -90,8 +116,8 @@ let test_differential_every_scheduler () =
                (Sched.Scheduler.name algo))
             true
             (matches_reference ~fault mesh rounds))
-        Sched.Scheduler.all)
-    topo_cases
+        algos)
+    differential_inputs
 
 let prop_differential_random_traces (label, mesh, fault) =
   let arb =
